@@ -8,7 +8,7 @@ GO ?= go
 # ChildLookup is a nanosecond-scale operation and needs a fixed high
 # iteration count — 30 iterations of a ~50ns op is pure timer noise.
 # HotPath is anchored so it does not also select BenchmarkHotPathSize.
-BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkSortTree|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpen|BenchmarkConcurrentSessions|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkTraceView|BenchmarkTraceCapture|BenchmarkImportPprof|BenchmarkReport$$
+BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkSortTree|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpen|BenchmarkConcurrentSessions|BenchmarkRenderRows|BenchmarkExpandAllRender|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkTraceView|BenchmarkTraceCapture|BenchmarkImportPprof|BenchmarkReport$$
 BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 	&& $(GO) test -run XXX -bench BenchmarkChildLookup -benchtime 2000000x -benchmem . \
 	&& $(GO) test -run XXX -bench 'BenchmarkDiffUnion|BenchmarkDiffKernels' -benchtime 5x -benchmem .
@@ -17,7 +17,7 @@ BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 # faults`. This list is the single source of truth: CI's "Fuzz seeds" step
 # calls `make fuzz-seeds`, so adding a fuzz target means adding its package
 # here once.
-FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio
+FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio ./internal/render
 
 .PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-trace faults fuzz-seeds chaos
 
@@ -59,7 +59,7 @@ bench:
 
 # Same run, compared against the committed baselines. Allocation counts are
 # deterministic and fail the diff when they regress; ns/op is reported but
-# only fails beyond 50% (single-CPU container timing is noisy).
+# only fails beyond 50% (the shared two-core box drifts 10-20% between runs).
 benchdiff:
 	@( $(BENCH_CMD) ) | $(GO) run ./cmd/benchdiff -max-regress 0.5 BENCH_merge.json BENCH_core.json BENCH_query.json BENCH_engine.json BENCH_diff.json BENCH_open.json BENCH_catalog.json BENCH_trace.json BENCH_report.json
 

@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -10,6 +11,70 @@ import (
 	"repro/internal/engine"
 	"repro/internal/render"
 )
+
+// rowPathCCT is the row-path benchmarks' database: the 60k-scope synthetic
+// CCT with three more raw columns, each set on a thinning share of the
+// statements like the end-to-end benchmark's, so a line has eight cells and
+// some of them blank.
+func rowPathCCT(b *testing.B) *core.Tree {
+	b.Helper()
+	t := syntheticCCT(60_000, 17)
+	for _, name := range []string{"M1", "M2", "M3"} {
+		if _, err := t.Reg.AddRaw(name, "events", 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	core.Walk(t.Root, func(n *core.Node) bool {
+		if n.Kind == core.KindStmt {
+			for col := 1; col < 4; col++ {
+				if rng.Intn(1<<col) == 0 {
+					n.Base.Add(col, float64(rng.Intn(100)+1))
+				}
+			}
+		}
+		return true
+	})
+	t.ComputeMetrics()
+	return t
+}
+
+// BenchmarkRenderRows measures the formatter alone: 60 000 visible rows of
+// eight cells, already ordered, written to io.Discard. allocs/op is the
+// contract — the renderer's handful, nothing per row.
+func BenchmarkRenderRows(b *testing.B) {
+	t := rowPathCCT(b)
+	s := engine.NewSession(engine.NewTreeSnapshot(t))
+	defer s.Close()
+	if err := s.ExpandAll(t.Root); err != nil {
+		b.Fatal(err)
+	}
+	rows := s.VisibleRows()
+	opt := render.Options{Totals: t.Total}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := render.RenderRows(io.Discard, rows, t.Reg, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExpandAllRender measures what the `expandall` command costs a
+// fresh session: open every scope, order every sibling list — far more of
+// them than the query cache holds — and render every row.
+func BenchmarkExpandAllRender(b *testing.B) {
+	snap := engine.NewTreeSnapshot(rowPathCCT(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := engine.NewSession(snap)
+		if _, err := engine.Exec(s, "expandall", io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
 
 // BenchmarkConcurrentSessions measures the presentation engine's many-users,
 // one-database scaling: N sessions share one immutable snapshot of a

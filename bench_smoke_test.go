@@ -66,6 +66,8 @@ func TestBenchSmoke(t *testing.T) {
 		{"ColdFirstQueryMapped", BenchmarkColdFirstQueryMapped},
 		{"ColdFirstQueryLazy", BenchmarkColdFirstQueryLazy},
 		{"ConcurrentSessions", BenchmarkConcurrentSessions},
+		{"RenderRows", BenchmarkRenderRows},
+		{"ExpandAllRender", BenchmarkExpandAllRender},
 		{"CatalogSessions", BenchmarkCatalogSessions},
 		{"DiffUnion", BenchmarkDiffUnion},
 		{"DiffKernels", BenchmarkDiffKernels},

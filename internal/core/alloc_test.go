@@ -59,3 +59,74 @@ func TestChildCreateAmortizedAllocs(t *testing.T) {
 		t.Errorf("Child create allocates %v/op amortized, want < 1", n)
 	}
 }
+
+// TestLazyChildIndex fills one scope through Child, which indexes it on
+// the way, and one through AppendChild and GrowChildren as a decoder does,
+// which leaves it unindexed until something looks a child up — and asks
+// both the same questions: hits, misses, create of an existing key (must
+// return it, not a duplicate) and create of a new one.
+func TestLazyChildIndex(t *testing.T) {
+	key := func(line int) Key { return Key{Kind: KindStmt, File: Sym("a.c"), Line: line} }
+	for _, width := range []int{childIndexThreshold, childIndexThreshold + 1, 4 * childIndexThreshold} {
+		eager := NewTree("eager", metric.NewRegistry())
+		lazy := NewTree("lazy", metric.NewRegistry())
+		lazy.Reserve(width)
+		lazy.Root.GrowChildren(width)
+		for i := 1; i <= width; i++ {
+			eager.Root.Child(key(i), true)
+			lazy.Root.AppendChild(key(i))
+		}
+		if lazy.Root.index != nil {
+			t.Fatalf("width %d: AppendChild indexed the scope", width)
+		}
+		at := func(n, c *Node) int {
+			for i, x := range n.Children {
+				if x == c {
+					return i
+				}
+			}
+			return -1
+		}
+		ask := func(line int, create bool) {
+			t.Helper()
+			e, l := eager.Root.Child(key(line), create), lazy.Root.Child(key(line), create)
+			if (e == nil) != (l == nil) || at(eager.Root, e) != at(lazy.Root, l) || e != nil && e.Key != l.Key {
+				t.Fatalf("width %d: Child(line %d, %v) is child %d eagerly indexed, child %d lazily", width, line, create, at(eager.Root, e), at(lazy.Root, l))
+			}
+		}
+		ask(width+5, false) // the first lookup of the lazy scope is a miss
+		if wide := width > childIndexThreshold; (lazy.Root.index != nil) != wide || (eager.Root.index != nil) != wide {
+			t.Fatalf("width %d: indexed lazily %v, eagerly %v", width, lazy.Root.index != nil, eager.Root.index != nil)
+		}
+		for i := 1; i <= width; i++ {
+			ask(i, false)
+			ask(i, true)
+		}
+		ask(width+5, true)
+		ask(width+5, false)
+		if len(lazy.Root.Children) != width+1 || len(eager.Root.Children) != width+1 {
+			t.Fatalf("width %d: %d children lazily, %d eagerly, want %d", width, len(lazy.Root.Children), len(eager.Root.Children), width+1)
+		}
+	}
+}
+
+// TestGrowChildrenKeepsNeighboursApart carves two sibling lists from the
+// slab Reserve set aside and then outgrows the first: the extra child must
+// land in a reallocated list, not in the second scope's slots.
+func TestGrowChildrenKeepsNeighboursApart(t *testing.T) {
+	tree := NewTree("t", metric.NewRegistry())
+	tree.Reserve(6)
+	tree.Root.GrowChildren(2)
+	a := tree.Root.AppendChild(Key{Kind: KindFrame, Name: Sym("a")})
+	b := tree.Root.AppendChild(Key{Kind: KindFrame, Name: Sym("b")})
+	a.GrowChildren(2)
+	b.GrowChildren(2)
+	for line := 1; line <= 2; line++ {
+		a.AppendChild(Key{Kind: KindStmt, Line: line})
+		b.AppendChild(Key{Kind: KindStmt, Line: 10 + line})
+	}
+	a.AppendChild(Key{Kind: KindStmt, Line: 3})
+	if len(a.Children) != 3 || len(b.Children) != 2 || b.Children[0].Line != 11 || b.Children[1].Line != 12 {
+		t.Fatalf("outgrowing a's list disturbed b's: a has %d children, b has %v", len(a.Children), b.Children)
+	}
+}

@@ -21,6 +21,10 @@ type nodeArena struct {
 	// alias across trees (a tree, a callers-view root, a flat view each
 	// own a private store, so parallel builders never share slabs).
 	store *metric.Store
+	// kids is the child-pointer slab Tree.Reserve sets aside; GrowChildren
+	// carves exact-capacity Children slices from it, so a later append to
+	// one of them reallocates instead of running into its neighbour.
+	kids []*Node
 }
 
 // Slab capacities double from arenaMinChunk to arenaMaxChunk: a toy tree

@@ -57,6 +57,9 @@ func TestLabels(t *testing.T) {
 		if got := c.n.Label(); got != c.want {
 			t.Errorf("Label(%v) = %q, want %q", c.n.Kind, got, c.want)
 		}
+		if got := string(c.n.AppendLabel([]byte("x "))); got != "x "+c.want {
+			t.Errorf("AppendLabel(%v) = %q, want %q", c.n.Kind, got, "x "+c.want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,6 +125,8 @@ type Node struct {
 	// childIndexThreshold; below that, the Children slice is scanned
 	// directly (most CCT scopes have a handful of children, and a map
 	// per scope was a large share of tree-construction allocations).
+	// It is built by the first lookup that finds the scope that wide, so
+	// a decoded tree nobody looks children up in never pays for one.
 	index map[Key]*Node
 
 	// arena is the tree's node allocator; children of an arena-owned
@@ -154,8 +157,16 @@ type Node struct {
 const childIndexThreshold = 8
 
 // Child returns the child with the given key, creating it when create is
-// true.
+// true. It is a builder-side call whatever create says — the lookup may
+// index n on the way — so it needs n to itself, like every other write to
+// a tree.
 func (n *Node) Child(k Key, create bool) *Node {
+	if n.index == nil && len(n.Children) > childIndexThreshold {
+		n.index = make(map[Key]*Node, 2*len(n.Children))
+		for _, ch := range n.Children {
+			n.index[ch.Key] = ch
+		}
+	}
 	if n.index != nil {
 		if c, ok := n.index[k]; ok {
 			return c
@@ -170,6 +181,18 @@ func (n *Node) Child(k Key, create bool) *Node {
 	if !create {
 		return nil
 	}
+	c := n.AppendChild(k)
+	if n.index != nil {
+		n.index[k] = c
+	}
+	return c
+}
+
+// AppendChild attaches a new child with the given key without asking
+// whether n already has one: for decoders that read whole sibling lists
+// and answer for key uniqueness themselves. The child is not indexed
+// either; the next Child call on n sees to that.
+func (n *Node) AppendChild(k Key) *Node {
 	var c *Node
 	if n.arena != nil {
 		c = n.arena.alloc()
@@ -180,16 +203,24 @@ func (n *Node) Child(k Key, create bool) *Node {
 	c.Parent = n
 	c.arena = n.arena
 	n.Children = append(n.Children, c)
-	if n.index != nil {
-		n.index[k] = c
-	} else if len(n.Children) > childIndexThreshold {
-		idx := make(map[Key]*Node, 2*len(n.Children))
-		for _, ch := range n.Children {
-			idx[ch.Key] = ch
-		}
-		n.index = idx
-	}
 	return c
+}
+
+// GrowChildren makes room for exactly c more children, so a decoder that
+// has just read a child count appends them without regrowth or slack. After
+// Tree.Reserve the room is carved from the arena's one child-pointer slab
+// instead of allocated per scope.
+func (n *Node) GrowChildren(c int) {
+	if c <= cap(n.Children)-len(n.Children) {
+		return
+	}
+	if a := n.arena; a != nil && len(n.Children) == 0 && c <= cap(a.kids)-len(a.kids) {
+		at := len(a.kids)
+		a.kids = a.kids[:at+c]
+		n.Children = a.kids[at : at : at+c]
+		return
+	}
+	n.Children = append(make([]*Node, 0, len(n.Children)+c), n.Children...)
 }
 
 // EnclosingFrame returns the nearest ancestor (or self) that is a Frame,
@@ -221,6 +252,36 @@ func (n *Node) Path() []*Node {
 // edge where symbols resolve back to strings.
 func (n *Node) Label() string {
 	switch n.Kind {
+	case KindLoop, KindAlien, KindStmt:
+		var buf [64]byte // on the stack: most labels cost the string alone
+		return string(n.AppendLabel(buf[:0]))
+	}
+	return n.constLabel()
+}
+
+// AppendLabel appends Label() to b without building the string: the row
+// renderer formats every visible line into one reused buffer.
+func (n *Node) AppendLabel(b []byte) []byte {
+	switch n.Kind {
+	case KindLoop:
+		b = append(b, "loop at "...)
+		b = append(b, baseName(n.File.String())...)
+		b = append(b, ": "...)
+		return strconv.AppendInt(b, int64(n.Line), 10)
+	case KindAlien:
+		b = append(b, "inlined "...)
+		return append(b, n.Name.String()...)
+	case KindStmt:
+		b = append(b, baseName(n.File.String())...)
+		b = append(b, ": "...)
+		return strconv.AppendInt(b, int64(n.Line), 10)
+	}
+	return append(b, n.constLabel()...)
+}
+
+// constLabel is the label of the kinds whose label is an existing string.
+func (n *Node) constLabel() string {
+	switch n.Kind {
 	case KindRoot:
 		return "<root>"
 	case KindFrame, KindProc, KindCallSite:
@@ -228,12 +289,6 @@ func (n *Node) Label() string {
 			return "<unknown>"
 		}
 		return n.Name.String()
-	case KindLoop:
-		return fmt.Sprintf("loop at %s: %d", baseName(n.File.String()), n.Line)
-	case KindAlien:
-		return fmt.Sprintf("inlined %s", n.Name)
-	case KindStmt:
-		return fmt.Sprintf("%s: %d", baseName(n.File.String()), n.Line)
 	case KindLM:
 		return n.Name.String()
 	case KindFile:
@@ -315,6 +370,19 @@ func NewTree(program string, reg *metric.Registry) *Tree {
 // column per plane, indexed by dense node row (Node.Base.Row()). Nil only
 // for hand-built Tree literals.
 func (t *Tree) MetricStore() *metric.Store { return t.arena.store }
+
+// Reserve makes room for n more scopes in one slab of the tree's arena,
+// and for as many child pointers (every scope is one scope's child): a
+// decoder that knows the scope count up front skips the chunk-by-chunk
+// growth and the per-scope Children allocations.
+func (t *Tree) Reserve(n int) {
+	if n > cap(t.arena.slab)-len(t.arena.slab) {
+		t.arena.slab = make([]Node, 0, n)
+	}
+	if n > cap(t.arena.kids)-len(t.arena.kids) {
+		t.arena.kids = make([]*Node, 0, n)
+	}
+}
 
 // AddPath materializes (or finds) the scope chain keys under the root and
 // returns the final node. Intended for tests and tree builders.

@@ -20,45 +20,46 @@ import (
 // out of the LRU instead of being scanned for.
 const cacheCapacity = 256
 
-// siblingsKey identifies one sorted sibling list: the list is owned by a
-// parent scope (nil for a view's top-level forest, which flattening can
-// re-shape — hence the flatten level).
-type siblingsKey struct {
-	view    ViewKind
-	parent  *core.Node
-	flatten int
-	spec    core.SortSpec
-	gen     uint64
-}
-
-// hotKey identifies one hot-path query (Equation 3 is deterministic in its
-// start scope, column and threshold).
-type hotKey struct {
-	start     *core.Node
-	metricID  int
+// cacheKey identifies one memoized query: a sorted sibling list — owned by
+// a parent scope (nil for a view's top-level forest, which flattening can
+// re-shape — hence the flatten level) under a sort spec — or, with hot
+// set, one hot-path query (Equation 3 is deterministic in its start scope,
+// column and threshold). One comparable struct for both, so the index
+// hashes it in place instead of boxing it into an interface.
+type cacheKey struct {
+	hot       bool
+	view      ViewKind
+	node      *core.Node // parent scope, or the hot path's start
+	flatten   int
+	spec      core.SortSpec // the hot path's column is spec.MetricID
 	threshold float64
 	gen       uint64
 }
 
 type cacheEntry struct {
-	key  any // siblingsKey or hotKey
+	key  cacheKey
 	rows []*core.Node
 }
 
 type queryCache struct {
 	gen uint64
 	lru *list.List // *cacheEntry; front = most recently used
-	idx map[any]*list.Element
+	idx map[cacheKey]*list.Element
+	// passLists counts the sibling lists the row walk in progress has
+	// asked the cache about, and scratch holds the orders of the lists
+	// beyond cacheCapacity, which it does not ask about.
+	passLists int
+	scratch   []*core.Node
 }
 
 func newQueryCache() *queryCache {
-	return &queryCache{lru: list.New(), idx: map[any]*list.Element{}}
+	return &queryCache{lru: list.New(), idx: map[cacheKey]*list.Element{}}
 }
 
 // bump invalidates every existing entry.
 func (c *queryCache) bump() { c.gen++ }
 
-func (c *queryCache) get(key any) ([]*core.Node, bool) {
+func (c *queryCache) get(key cacheKey) ([]*core.Node, bool) {
 	el, ok := c.idx[key]
 	if !ok {
 		return nil, false
@@ -67,7 +68,7 @@ func (c *queryCache) get(key any) ([]*core.Node, bool) {
 	return el.Value.(*cacheEntry).rows, true
 }
 
-func (c *queryCache) put(key any, rows []*core.Node) {
+func (c *queryCache) put(key cacheKey, rows []*core.Node) {
 	if el, ok := c.idx[key]; ok {
 		el.Value.(*cacheEntry).rows = rows
 		c.lru.MoveToFront(el)
@@ -81,15 +82,41 @@ func (c *queryCache) put(key any, rows []*core.Node) {
 	}
 }
 
-// sortedSiblings returns ns ordered by the session sort, memoized per
-// sibling list. The returned slice is owned by the cache: callers may
-// re-slice but must not reorder it. Runs under the snapshot read lock.
+// beginPass starts one walk over the visible rows.
+func (c *queryCache) beginPass() { c.passLists, c.scratch = 0, c.scratch[:0] }
+
+// sortedSiblings returns ns ordered by the session sort. Callers may
+// re-slice the result but must not reorder it, and must not keep it past
+// the row walk that asked for it. Runs under the snapshot read lock.
+//
+// A list of at most one scope has one order: it is returned as it is, with
+// no copy, sort or cache entry (most scopes of a CCT have a single child).
+// The first cacheCapacity longer lists of a walk are memoized per (view,
+// parent, spec). A walk that visits more would evict its own entries before
+// the next walk reaches them, every walk anew, so the lists beyond are
+// sorted into a scratch buffer the next walk overwrites, and the cache
+// keeps the orders at the top of the view.
 func (s *Session) sortedSiblings(parent *core.Node, ns []*core.Node) []*core.Node {
-	key := siblingsKey{view: s.view, parent: parent, flatten: s.flatten, spec: s.sort, gen: s.cache.gen}
-	if rows, ok := s.cache.get(key); ok {
-		return rows
+	if len(ns) < 2 {
+		return ns
 	}
-	sorted := append([]*core.Node(nil), ns...)
+	c := s.cache
+	var sorted []*core.Node
+	if c.passLists < cacheCapacity {
+		c.passLists++
+		key := cacheKey{view: s.view, node: parent, flatten: s.flatten, spec: s.sort, gen: c.gen}
+		if rows, ok := c.get(key); ok {
+			return rows
+		}
+		sorted = append([]*core.Node(nil), ns...)
+		c.put(key, sorted)
+	} else {
+		// Earlier orders of this walk stay valid in the old array when the
+		// append moves the buffer.
+		start := len(c.scratch)
+		c.scratch = append(c.scratch, ns...)
+		sorted = c.scratch[start:len(c.scratch):len(c.scratch)]
+	}
 	if s.sort.ByLabel || s.sort.MetricID < s.snap.baseCols {
 		core.SortScopes(sorted, s.sort)
 	} else {
@@ -101,14 +128,13 @@ func (s *Session) sortedSiblings(parent *core.Node, ns []*core.Node) []*core.Nod
 			return s.cellValue(n, id, inclusive)
 		})
 	}
-	s.cache.put(key, sorted)
 	return sorted
 }
 
 // hotPathCached returns the memoized Equation 3 result for (start, metric)
 // at the current threshold. Runs under the snapshot read lock.
 func (s *Session) hotPathCached(start *core.Node, metricID int) []*core.Node {
-	key := hotKey{start: start, metricID: metricID, threshold: s.threshold, gen: s.cache.gen}
+	key := cacheKey{hot: true, node: start, spec: core.SortSpec{MetricID: metricID}, threshold: s.threshold, gen: s.cache.gen}
 	if path, ok := s.cache.get(key); ok {
 		return path
 	}

@@ -39,10 +39,10 @@ func (oc *overlayCols) plane(inclusive bool) map[int][]float64 {
 
 // cellValue reads one metric cell for the session: resident columns come
 // straight from the node's views (byte-identical to the single-session
-// viewer), session-derived columns from the overlay. It is the render
-// layer's Options.Value hook and the sort/hot-path key reader; it runs
-// under the snapshot read lock (the overlay itself is session-private, so
-// lazily materializing it there is safe).
+// viewer), session-derived columns from the overlay. It is the sort,
+// hot-path and statistics key reader; it runs under the snapshot read lock
+// (the overlay itself is session-private, so lazily materializing it there
+// is safe).
 func (s *Session) cellValue(n *core.Node, id int, inclusive bool) float64 {
 	if id < s.snap.baseCols {
 		if inclusive {
@@ -61,6 +61,19 @@ func (s *Session) cellValue(n *core.Node, id int, inclusive bool) float64 {
 		return slab[r]
 	}
 	return 0
+}
+
+// columnSlab is the render layer's Options.Slab hook — cellValue a column
+// at a time: the store's own slab for resident columns, the overlay's for
+// session-derived ones.
+func (s *Session) columnSlab(st *metric.Store, id int, inclusive bool) []float64 {
+	if id >= s.snap.baseCols {
+		return s.overlaySlab(st, id, inclusive)
+	}
+	if inclusive {
+		return st.ColRead(metric.PlaneIncl, id)
+	}
+	return st.ColRead(metric.PlaneExcl, id)
 }
 
 // overlaySlab returns the materialized overlay column for (store, id,

@@ -369,6 +369,7 @@ func (s *Session) rootsLocked() (parent *core.Node, ns []*core.Node) {
 // list ordered by the session sort.
 func (s *Session) visibleRowsLocked() []render.Row {
 	s.rows = s.rows[:0]
+	s.cache.beginPass()
 	var add func(parent *core.Node, ns []*core.Node, depth int)
 	add = func(parent *core.Node, ns []*core.Node, depth int) {
 		sorted := s.sortedSiblings(parent, ns)
@@ -545,8 +546,8 @@ func (s *Session) Render(w io.Writer, opt render.Options) error {
 	if opt.Totals == nil {
 		opt.Totals = s.total
 	}
-	if opt.Value == nil {
-		opt.Value = s.cellValue
+	if opt.Slab == nil {
+		opt.Slab = s.columnSlab
 	}
 	return render.RenderRows(w, rows, s.reg, opt)
 }

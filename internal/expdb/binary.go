@@ -527,7 +527,7 @@ func Read(r io.Reader) (*Experiment, error) {
 	case dbMagicV2:
 		return readBinaryV2(br, size)
 	case dbMagicV3:
-		return readBinaryV3(br)
+		return readBinaryV3(br, size)
 	default:
 		return ReadXML(br)
 	}
@@ -548,7 +548,7 @@ func ReadBinary(r io.Reader) (*Experiment, error) {
 	case dbMagicV2:
 		return readBinaryV2(br, size)
 	case dbMagicV3:
-		return readBinaryV3(br)
+		return readBinaryV3(br, size)
 	default:
 		return nil, fmt.Errorf("expdb: bad magic %q", head)
 	}

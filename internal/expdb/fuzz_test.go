@@ -188,6 +188,9 @@ func FuzzReadV3(f *testing.F) {
 		colFlip[len(colFlip)/2] ^= 0x55 // likely inside a column slab
 		f.Add(colFlip)
 	}
+	for _, bad := range v3BadTrees(f) { // malformed trees behind valid checksums
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

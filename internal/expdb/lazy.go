@@ -82,7 +82,7 @@ func OpenLazy(r io.Reader) (*LazyDB, error) {
 		// A lazy stream open cannot skip within an unseekable reader, and
 		// the mappable layout already pays nothing at open when mapped
 		// (OpenMapped); here decode eagerly, fully verified.
-		e, err := readBinaryV3(br)
+		e, err := readBinaryV3(br, size)
 		if err != nil {
 			return nil, err
 		}

@@ -659,9 +659,8 @@ func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
 		return nil, nil, crcErr("tree")
 	}
 	db.reads["tree"]++
-	pr, bound = reader(s)
 	e.Tree = core.NewTree(e.Program, reg)
-	nodes, err := readTreeSectionV3(pr, e, syms, bound)
+	nodes, err := readTreeSectionV3(db.payload(s), e, syms)
 	if err != nil {
 		return nil, nil, secErr("tree", err)
 	}
@@ -792,13 +791,21 @@ func (db *MappedDB) VerifyAll() error {
 // ReadBinary and OpenLazy: the whole input is buffered, every checksum is
 // verified up front, and the experiment is returned fully materialized.
 // Column slabs still alias the read buffer (adopted copy-on-write), which
-// is safe heap memory here — no mapping lifetime to manage.
-func readBinaryV3(br *bufio.Reader) (*Experiment, error) {
-	data, err := io.ReadAll(br)
-	if err != nil {
+// is safe heap memory here — no mapping lifetime to manage. size is what
+// framing.SizeOf measured (-1: unknown) and the buffer is made that long at
+// once: grown by doubling, it left as much garbage again as the database is
+// long, in blocks so large that whether one died before or after a
+// collection began marking moved the next heap goal, and the process's peak
+// RSS, by tens of megabytes from one run to the next.
+func readBinaryV3(br *bufio.Reader, size int64) (*Experiment, error) {
+	var buf bytes.Buffer
+	if size > 0 && size <= 1<<30 {
+		buf = *bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	}
+	if _, err := buf.ReadFrom(br); err != nil {
 		return nil, fmt.Errorf("expdb: %w", err)
 	}
-	db, err := newMappedDB(data)
+	db, err := newMappedDB(buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -818,61 +825,173 @@ func readBinaryV3(br *bufio.Reader) (*Experiment, error) {
 	return exp, nil
 }
 
-// readTreeSectionV3 parses the v3 tree section: the v2 preorder node
-// stream minus the inline base-value lists (v3 stores values in column
-// slabs). Returned nodes are in preorder; their arena rows are 1..n.
-func readTreeSectionV3(br *bufio.Reader, e *Experiment, syms []intern.Sym, remaining func() int64) ([]*core.Node, error) {
-	getSym := func() (intern.Sym, error) {
-		i, err := getU(br)
-		if err != nil {
-			return 0, err
-		}
-		if i >= uint64(len(syms)) {
-			return 0, fmt.Errorf("expdb: string ref %d out of range", i)
-		}
-		return syms[i], nil
+// minNodeBytes is the least a scope takes in the tree section: nine header
+// varints and a child count.
+const minNodeBytes = 10
+
+// treeDecoder reads the v3 tree section straight from its (mapped) bytes.
+type treeDecoder struct {
+	buf  []byte
+	pos  int
+	syms []intern.Sym
+	// nodes collects the scopes in preorder.
+	nodes []*core.Node
+	// pending counts the scopes open sibling lists have announced but not
+	// started. Every one of them needs minNodeBytes of what is left, which
+	// is the bound on any count read from the section — and on what a
+	// lying count can make the decoder allocate.
+	pending uint64
+	// seen is the scratch set behind the duplicate-key check of wide lists.
+	seen map[core.Key]struct{}
+}
+
+func (d *treeDecoder) uvarint() (uint64, error) {
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		d.pos++
+		return uint64(d.buf[d.pos-1]), nil
 	}
-	var nodes []*core.Node
-	var readNode func(parent *core.Node, depth int) error
-	readNode = func(parent *core.Node, depth int) error {
-		if depth > 100000 {
-			return fmt.Errorf("expdb: tree too deep")
-		}
-		n, err := readNodeHeader(br, parent, getSym)
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("expdb: varint overflows a 64-bit integer")
+	}
+	d.pos += n
+	return v, nil
+}
+
+func (d *treeDecoder) sym() (intern.Sym, error) {
+	i, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if i >= uint64(len(d.syms)) {
+		return 0, fmt.Errorf("expdb: string ref %d out of range", i)
+	}
+	return d.syms[i], nil
+}
+
+// children reads parent's sibling list, count scopes with their subtrees.
+func (d *treeDecoder) children(parent *core.Node, count uint64, what string, depth int) error {
+	if count == 0 {
+		return nil
+	}
+	if room := uint64(len(d.buf)-d.pos) / minNodeBytes; count > room || d.pending > room-count {
+		return fmt.Errorf("expdb: implausible %s count %d", what, count)
+	}
+	if depth > 100000 {
+		return fmt.Errorf("expdb: tree too deep")
+	}
+	d.pending += count
+	parent.GrowChildren(int(count))
+	for ; count > 0; count-- {
+		d.pending--
+		kindU, err := d.uvarint()
 		if err != nil {
 			return err
 		}
-		nodes = append(nodes, n)
-		nc, err := getU(br)
+		if kindU == uint64(core.KindRoot) || kindU > uint64(core.KindCallSite) {
+			return fmt.Errorf("expdb: bad node kind %d", kindU)
+		}
+		key := core.Key{Kind: core.Kind(kindU)}
+		if key.Name, err = d.sym(); err != nil {
+			return err
+		}
+		if key.File, err = d.sym(); err != nil {
+			return err
+		}
+		line, err := d.uvarint()
 		if err != nil {
 			return err
 		}
-		if int64(nc) > remaining() {
-			return fmt.Errorf("expdb: implausible child count %d", nc)
+		key.Line = int(line)
+		if key.ID, err = d.uvarint(); err != nil {
+			return err
 		}
-		for i := uint64(0); i < nc; i++ {
-			if err := readNode(n, depth+1); err != nil {
-				return err
+		n := parent.AppendChild(key)
+		d.nodes = append(d.nodes, n)
+		callLine, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		n.CallLine = int(callLine)
+		if n.CallFile, err = d.sym(); err != nil {
+			return err
+		}
+		if n.Mod, err = d.sym(); err != nil {
+			return err
+		}
+		flags, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		n.NoSource = flags&1 != 0
+		nc, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if err := d.children(n, nc, "child", depth+1); err != nil {
+			return err
+		}
+	}
+	return d.uniqueKeys(parent.Children)
+}
+
+// uniqueKeys rejects a sibling list in which two scopes share a key: Child
+// would find only one of them, and a writer would merge them.
+func (d *treeDecoder) uniqueKeys(ns []*core.Node) error {
+	if len(ns) <= 8 { // a few 32-byte compares beat hashing
+		for i, a := range ns {
+			for _, b := range ns[:i] {
+				if a.Key == b.Key {
+					return fmt.Errorf("expdb: duplicate sibling %s", a.Label())
+				}
 			}
 		}
 		return nil
 	}
-	nRoots, err := getU(br)
-	if err != nil {
-		return nil, noEOF(err)
+	if d.seen == nil {
+		d.seen = make(map[core.Key]struct{}, 2*len(ns))
 	}
-	if int64(nRoots) > remaining() {
-		return nil, fmt.Errorf("expdb: implausible root count %d", nRoots)
+	clear(d.seen)
+	for _, a := range ns {
+		if _, dup := d.seen[a.Key]; dup {
+			return fmt.Errorf("expdb: duplicate sibling %s", a.Label())
+		}
+		d.seen[a.Key] = struct{}{}
 	}
-	for i := uint64(0); i < nRoots; i++ {
-		if err := readNode(e.Tree.Root, 0); err != nil {
-			return nil, err
+	return nil
+}
+
+// readTreeSectionV3 parses the v3 tree section: the v2 preorder node
+// stream minus the inline base-value lists (v3 stores values in column
+// slabs). Returned nodes are in preorder; their arena rows are 1..n.
+func readTreeSectionV3(sec []byte, e *Experiment, syms []intern.Sym) ([]*core.Node, error) {
+	// The section is the root count and ten varints per scope, and every
+	// varint ends in its only byte below 0x80: counting those sizes the
+	// arena and the preorder list exactly (a malformed section at most
+	// over-reserves, to one scope per minNodeBytes).
+	ends := 0
+	for _, b := range sec {
+		if b < 0x80 {
+			ends++
 		}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	scopes := max(ends-1, 0) / minNodeBytes
+	e.Tree.Reserve(scopes)
+	d := treeDecoder{buf: sec, syms: syms, nodes: make([]*core.Node, 0, scopes)}
+	nRoots, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if err := d.children(e.Tree.Root, nRoots, "root", 0); err != nil {
+		return nil, err
+	}
+	if d.pos != len(sec) {
 		return nil, fmt.Errorf("expdb: trailing bytes in tree section")
 	}
-	return nodes, nil
+	return d.nodes, nil
 }
 
 // hostLittleEndian reports whether float64 slabs can be viewed in place.

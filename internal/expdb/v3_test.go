@@ -1,14 +1,18 @@
 package expdb
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/framing"
 	"repro/internal/ingest"
 	"repro/internal/metric"
 )
@@ -356,5 +360,116 @@ func TestV3TruncationAlwaysErrors(t *testing.T) {
 func TestOpenMappedMissingFile(t *testing.T) {
 	if _, err := OpenMapped(filepath.Join(t.TempDir(), "nope.db")); err == nil {
 		t.Fatal("open of a missing file succeeded")
+	}
+}
+
+// v3BadTrees returns v3 databases whose tree section is malformed behind
+// valid checksums (the section, the index and the trailer are re-sealed
+// after the edit), so the damage reaches the tree decoder itself: two
+// siblings sharing a key, and a child count with no bytes left to hold the
+// children.
+func v3BadTrees(t testing.TB) map[string][]byte {
+	t.Helper()
+	reg := metric.NewRegistry()
+	if _, err := reg.AddRaw("c", "cycles", 1); err != nil {
+		t.Fatal(err)
+	}
+	tree := core.NewTree("p", reg)
+	for line := 1; line <= 2; line++ {
+		n := tree.Root.Child(core.Key{Kind: core.KindFrame, Name: core.Sym("f"), File: core.Sym("f.c"), Line: line}, true)
+		n.Base.Add(0, float64(line))
+	}
+	tree.ComputeMetrics()
+	var buf bytes.Buffer
+	if err := New(tree).WriteBinaryV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The section is the root count and ten one-byte varints per scope:
+	// the second scope's line is byte 14, its child count the last byte.
+	reseal := func(edit func(payload []byte)) []byte {
+		data := append([]byte(nil), buf.Bytes()...)
+		secs, err := parseV3Index(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := data[len(data)-v3TrailerSize:]
+		indexOff := binary.LittleEndian.Uint64(tr[0:8])
+		idx := data[indexOff : len(data)-v3TrailerSize]
+		for i, s := range secs {
+			if s.kind != dbSecTree {
+				continue
+			}
+			if s.length != 21 {
+				t.Fatalf("tree section is %d bytes, the edits below assume 21", s.length)
+			}
+			edit(data[s.off : s.off+s.length])
+			crc := framing.ChecksumPadded(data[s.off : s.off+framing.AlignUp(s.length)])
+			binary.LittleEndian.PutUint32(idx[i*v3EntrySize+24:], crc)
+		}
+		binary.LittleEndian.PutUint32(tr[16:], framing.Checksum(idx))
+		return data
+	}
+	return map[string][]byte{
+		"duplicate sibling key":            reseal(func(p []byte) { p[14] = p[4] }),
+		"child count beyond the remaining": reseal(func(p []byte) { p[20] = 5 }),
+	}
+}
+
+// TestV3MalformedTreeRejected pins the error class of a tree section that
+// passes its checksum but cannot be a tree: a *SectionError naming "tree",
+// from the mapped and the eager reader alike.
+func TestV3MalformedTreeRejected(t *testing.T) {
+	for name, data := range v3BadTrees(t) {
+		db, err := newMappedDB(data)
+		if err != nil {
+			t.Fatalf("%s: the index is intact, open must succeed: %v", name, err)
+		}
+		_, mappedErr := db.Experiment()
+		_, eagerErr := ReadBinary(bytes.NewReader(data))
+		for reader, err := range map[string]error{"mapped": mappedErr, "eager": eagerErr} {
+			var serr *SectionError
+			if !errors.As(err, &serr) || serr.Section != "tree" {
+				t.Errorf("%s, %s reader: error %v, want a SectionError of the tree section", name, reader, err)
+			}
+		}
+	}
+}
+
+// TestReadV3SizedBuffer: the eager v3 read takes the input's measured size
+// as a hint only. Right, unknown, short and long sizes read the same
+// experiment, and the right one reads it into one buffer instead of a
+// doubling series that allocates the database's length over again.
+func TestReadV3SizedBuffer(t *testing.T) {
+	reg := metric.NewRegistry()
+	if _, err := reg.AddRaw("c", "cycles", 1); err != nil {
+		t.Fatal(err)
+	}
+	tree := core.NewTree("p", reg)
+	for i := 1; i <= 20000; i++ {
+		n := tree.Root.Child(core.Key{Kind: core.KindFrame, Name: core.Sym("f"), File: core.Sym("f.c"), Line: i}, true)
+		n.Base.Add(0, float64(i))
+	}
+	tree.ComputeMetrics()
+	want := New(tree)
+	data := v3Bytes(t, want)
+
+	allocated := func(size int64) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		got, err := readBinaryV3(bufio.NewReader(bytes.NewReader(data)), size)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		equalExperiments(t, want, got)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	n := int64(len(data))
+	exact, unknown := allocated(n), allocated(-1)
+	for _, size := range []int64{0, 1, n / 2, n - 1, n + 1, 4 * n} {
+		allocated(size)
+	}
+	if exact+uint64(n)/2 > unknown {
+		t.Errorf("reading %d bytes allocated %d with the size known and %d without: the buffer was regrown", n, exact, unknown)
 	}
 }

@@ -1,10 +1,9 @@
 package render
 
 import (
-	"fmt"
 	"html"
 	"io"
-	"strings"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/metric"
@@ -17,34 +16,22 @@ import (
 // JavaScript and no external assets, so a database can be shared as a
 // single file.
 func RenderHTML(w io.Writer, title string, roots []*core.Node, reg *metric.Registry, opt Options) error {
-	cols := opt.Columns
-	if cols == nil {
-		for _, d := range reg.Columns() {
-			cols = append(cols, Column{MetricID: d.ID, Inclusive: true}, Column{MetricID: d.ID, Inclusive: false})
-		}
-	}
-	h := htmlRenderer{w: w, reg: reg, opt: opt, cols: cols}
+	h := htmlRenderer{newRenderer(w, reg, opt)}
 	if err := h.prologue(title); err != nil {
 		return err
 	}
-	scopes := append([]*core.Node(nil), roots...)
-	if !opt.NoSort {
-		core.SortScopes(scopes, opt.Sort)
-	}
-	for _, s := range scopes {
+	for _, s := range h.ordered(roots) {
 		if err := h.node(s, 0); err != nil {
 			return err
 		}
 	}
-	return h.epilogue()
+	h.buf = append(h.buf, "</body></html>\n"...)
+	return h.flush()
 }
 
-type htmlRenderer struct {
-	w    io.Writer
-	reg  *metric.Registry
-	opt  Options
-	cols []Column
-}
+// htmlRenderer writes the same columns, cell values and sibling order as
+// the text renderer it wraps, as markup.
+type htmlRenderer struct{ *renderer }
 
 const htmlStyle = `<style>
 body { font-family: ui-monospace, Menlo, Consolas, monospace; font-size: 13px;
@@ -65,73 +52,52 @@ summary:hover { background: #eef; }
 .hdr .m { font-weight: bold; color: #333; }
 </style>`
 
-func (h *htmlRenderer) prologue(title string) error {
+func (h htmlRenderer) prologue(title string) error {
 	t := html.EscapeString(title)
-	if _, err := fmt.Fprintf(h.w,
-		"<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title>%s</head><body>\n<h1>%s</h1>\n",
-		t, htmlStyle, t); err != nil {
-		return err
-	}
+	b := append(h.buf, "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>"...)
+	b = append(append(append(b, t...), "</title>"...), htmlStyle...)
+	b = append(append(append(b, "</head><body>\n<h1>"...), t...), "</h1>\n"...)
 	// Column header line.
-	var b strings.Builder
-	b.WriteString(`<div class="hdr">scope`)
+	b = append(b, `<div class="hdr">scope`...)
 	for _, c := range h.cols {
-		d := h.reg.ByID(c.MetricID)
-		name := "?"
-		if d != nil {
-			name = d.Name
-		}
-		flavor := "(E)"
+		b = append(append(b, `<span class="m">`...), html.EscapeString(c.name)...)
 		if c.Inclusive {
-			flavor = "(I)"
+			b = append(b, " (I)</span>"...)
+		} else {
+			b = append(b, " (E)</span>"...)
 		}
-		fmt.Fprintf(&b, `<span class="m">%s %s</span>`, html.EscapeString(name), flavor)
 	}
-	b.WriteString("</div>\n")
-	_, err := io.WriteString(h.w, b.String())
-	return err
+	h.buf = append(b, "</div>\n"...)
+	return h.flush()
 }
 
-func (h *htmlRenderer) epilogue() error {
-	_, err := io.WriteString(h.w, "</body></html>\n")
-	return err
-}
-
-func (h *htmlRenderer) node(n *core.Node, depth int) error {
+func (h htmlRenderer) node(n *core.Node, depth int) error {
 	if h.opt.MaxDepth > 0 && depth >= h.opt.MaxDepth {
 		return nil
 	}
 	hot := h.opt.Highlight[n]
-	label := h.label(n)
-	cells := h.cells(n)
-
-	kids := append([]*core.Node(nil), n.Children...)
-	if !h.opt.NoSort {
-		core.SortScopes(kids, h.opt.Sort)
-	}
+	kids := h.ordered(n.Children)
 	shown := kids
 	if h.opt.TopN > 0 && len(kids) > h.opt.TopN {
 		shown = kids[:h.opt.TopN]
 	}
-	atDepthLimit := h.opt.MaxDepth > 0 && depth+1 >= h.opt.MaxDepth
-
-	if len(shown) == 0 || atDepthLimit {
-		cls := "leaf"
+	if len(shown) == 0 || h.opt.MaxDepth > 0 && depth+1 >= h.opt.MaxDepth {
+		b := append(h.buf, `<div class="leaf`...)
 		if hot {
-			cls += " hot"
+			b = append(b, " hot"...)
 		}
-		_, err := fmt.Fprintf(h.w, `<div class="%s">%s%s</div>`+"\n", cls, label, cells)
-		return err
+		h.buf = append(h.cells(h.label(append(b, `">`...), n), n), "</div>\n"...)
+		return h.flush()
 	}
-	cls := ""
+	b := append(h.buf, "<details"...)
 	if hot {
-		cls = ` class="hot"`
+		b = append(b, ` class="hot"`...)
 	}
-	open := ""
 	if hot || depth == 0 {
-		open = " open"
+		b = append(b, " open"...)
 	}
-	if _, err := fmt.Fprintf(h.w, `<details%s%s><summary>%s%s</summary>`+"\n", cls, open, label, cells); err != nil {
+	h.buf = append(h.cells(h.label(append(b, "><summary>"...), n), n), "</summary>\n"...)
+	if err := h.flush(); err != nil {
 		return err
 	}
 	for _, c := range shown {
@@ -140,53 +106,38 @@ func (h *htmlRenderer) node(n *core.Node, depth int) error {
 		}
 	}
 	if len(shown) < len(kids) {
-		if _, err := fmt.Fprintf(h.w, `<div class="leaf pct">&hellip; (%d more)</div>`+"\n", len(kids)-len(shown)); err != nil {
-			return err
-		}
+		b := append(h.buf, `<div class="leaf pct">&hellip; (`...)
+		h.buf = append(strconv.AppendInt(b, int64(len(kids)-len(shown)), 10), " more)</div>\n"...)
 	}
-	_, err := io.WriteString(h.w, "</details>\n")
-	return err
+	h.buf = append(h.buf, "</details>\n"...)
+	return h.flush()
 }
 
-func (h *htmlRenderer) label(n *core.Node) string {
-	lbl := html.EscapeString(n.Label())
-	switch n.Kind {
-	case core.KindFrame:
-		if n.CallLine > 0 {
-			lbl = `<span class="cs">&#8618;</span> ` + lbl
-		}
-	case core.KindCallSite:
-		lbl = `<span class="cs">&#8618;</span> ` + lbl
+func (h htmlRenderer) label(b []byte, n *core.Node) []byte {
+	if n.Kind == core.KindCallSite || n.Kind == core.KindFrame && n.CallLine > 0 {
+		b = append(b, `<span class="cs">&#8618;</span> `...)
 	}
-	if n.NoSource && (n.Kind == core.KindFrame || n.Kind == core.KindProc || n.Kind == core.KindCallSite) {
-		lbl += ` <span class="bin">[bin]</span>`
+	b = append(b, html.EscapeString(n.Label())...)
+	if binaryOnly(n) {
+		b = append(b, ` <span class="bin">[bin]</span>`...)
 	}
-	return lbl
+	return b
 }
 
-func (h *htmlRenderer) cells(n *core.Node) string {
-	var b strings.Builder
-	for _, c := range h.cols {
-		var v float64
-		if c.Inclusive {
-			v = n.Incl.Get(c.MetricID)
-		} else {
-			v = n.Excl.Get(c.MetricID)
-		}
-		b.WriteString(`<span class="m">`)
-		if v != 0 {
-			b.WriteString(html.EscapeString(FormatValue(v)))
-			if h.opt.Totals != nil {
-				if d := h.reg.ByID(c.MetricID); d != nil && d.ShowPercent {
-					if tot := h.opt.Totals(c.MetricID); tot != 0 {
-						fmt.Fprintf(&b, ` <span class="pct">%.1f%%</span>`, 100*v/tot)
-					}
-				}
+func (h htmlRenderer) cells(b []byte, n *core.Node) []byte {
+	for i := range h.cols {
+		c := &h.cols[i]
+		b = append(b, `<span class="m">`...)
+		if v := h.value(c, n); v != 0 {
+			b = AppendValue(b, v) // digits, sign, '.', 'e', "NaN", "Inf": nothing to escape
+			if c.total != 0 {
+				b = append(b, ` <span class="pct">`...)
+				b = append(appendFixed(b, 100*v/c.total, 1), "%</span>"...)
 			}
 		}
-		b.WriteString("</span>")
+		b = append(b, "</span>"...)
 	}
-	return b.String()
+	return b
 }
 
 // RenderHTMLReport writes all three views of a tree into one document,
@@ -197,7 +148,7 @@ func RenderHTMLReport(w io.Writer, t *core.Tree, title string, hotMetric int, op
 	if opt.Totals == nil {
 		opt.Totals = t.Total
 	}
-	if _, err := fmt.Fprintf(w, "<!-- %s: calling context / callers / flat -->\n", html.EscapeString(title)); err != nil {
+	if _, err := io.WriteString(w, "<!-- "+html.EscapeString(title)+": calling context / callers / flat -->\n"); err != nil {
 		return err
 	}
 	ccOpt := opt

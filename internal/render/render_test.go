@@ -3,6 +3,7 @@ package render
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/metric"
@@ -170,15 +171,76 @@ func TestFormatValue(t *testing.T) {
 	}
 }
 
+// TestTrunc pins the label cut: at most width runes, "..." in place of what
+// was cut, never inside a multi-byte rune (labels imported from pprof may be
+// any UTF-8, and a split rune is invalid UTF-8 on the terminal and U+FFFD in
+// the /v1/exec JSON body), and byte-for-byte the old cut on ASCII.
 func TestTrunc(t *testing.T) {
-	if trunc("abcdef", 10) != "abcdef" {
-		t.Fatal("short string truncated")
+	ascii50 := strings.Repeat("abcde", 10)
+	cases := []struct {
+		name, in string
+		width    int
+		want     string
+	}{
+		{"short", "abcdef", 10, "abcdef"},
+		{"ascii cut", "abcdefghij", 8, "abcde..."},
+		{"exactly labelWidth", ascii50[:labelWidth], labelWidth, ascii50[:labelWidth]},
+		{"one over labelWidth", ascii50[:labelWidth+1], labelWidth, ascii50[:labelWidth-3] + "..."},
+		{"bin suffix fits", ascii50[:labelWidth-6] + " [bin]", labelWidth, ascii50[:labelWidth-6] + " [bin]"},
+		{"bin suffix cut", ascii50[:labelWidth-5] + " [bin]", labelWidth, ascii50[:labelWidth-5] + " [..."},
+		// Byte 41 of the old cut falls inside the two-byte 'é'.
+		{"cut inside rune", strings.Repeat("x", 40) + "ééééé", labelWidth, strings.Repeat("x", 40) + "é..."},
+		{"wide bytes, few runes", strings.Repeat("日", 20), labelWidth, strings.Repeat("日", 20)},
+		{"exactly labelWidth runes", strings.Repeat("é", labelWidth), labelWidth, strings.Repeat("é", labelWidth)},
+		{"runes over", strings.Repeat("é", labelWidth+1), labelWidth, strings.Repeat("é", labelWidth-3) + "..."},
+		{"invalid byte counts as one", strings.Repeat("\xff", 10), 8, strings.Repeat("\xff", 5) + "..."},
 	}
-	if got := trunc("abcdefghij", 8); got != "abcde..." || len(got) != 8 {
-		t.Fatalf("trunc = %q", got)
+	for _, c := range cases {
+		got := string(trunc(append([]byte("12 "), c.in...), 3, c.width))
+		if got != "12 "+c.want {
+			t.Errorf("%s: trunc(%q, %d) = %q, want %q", c.name, c.in, c.width, got[3:], c.want)
+		}
+		if utf8.ValidString(c.in) && !utf8.ValidString(got) {
+			t.Errorf("%s: trunc(%q, %d) = %q is not valid UTF-8", c.name, c.in, c.width, got)
+		}
+		if n := utf8.RuneCountInString(got[3:]); n > c.width {
+			t.Errorf("%s: %d runes, want at most %d", c.name, n, c.width)
+		}
 	}
-	if got := trunc("abcdef", 2); got != "ab" {
-		t.Fatalf("tiny trunc = %q", got)
+}
+
+// TestRenderMultiByteLabel renders a scope whose label is cut inside a rune
+// by a byte-indexed trunc: the line must be valid UTF-8, the label column
+// exactly labelWidth runes wide, and the metric cells aligned with an ASCII
+// row's.
+func TestRenderMultiByteLabel(t *testing.T) {
+	reg := metric.NewRegistry()
+	if _, err := reg.AddRaw("c", "cycles", 1); err != nil {
+		t.Fatal(err)
+	}
+	tree := core.NewTree("x", reg)
+	wide := tree.Root.Child(core.Key{Kind: core.KindFrame, Name: core.Sym(strings.Repeat("x", 39) + "ééééé/pkg.Func")}, true)
+	wide.NoSource = true
+	plain := tree.Root.Child(core.Key{Kind: core.KindFrame, Name: core.Sym("plain")}, true)
+	for _, n := range []*core.Node{wide, plain} {
+		n.Child(core.Key{Kind: core.KindStmt, Line: 1}, true).Base.Add(0, 5)
+	}
+	tree.ComputeMetrics()
+	var b strings.Builder
+	if err := RenderTree(&b, tree, Options{MaxDepth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !utf8.ValidString(b.String()) {
+		t.Fatalf("render is not valid UTF-8:\n%q", b.String())
+	}
+	lines := strings.Split(b.String(), "\n")[2:4]
+	for _, line := range lines {
+		if r := []rune(line); string(r[labelWidth:]) != "          5  50.0%          5  50.0%" {
+			t.Errorf("cells of %q start at the wrong column: %q", line, string(r[labelWidth:]))
+		}
+	}
+	if want := " " + strings.Repeat("x", 39) + "é..."; !strings.HasPrefix(lines[0], want) && !strings.HasPrefix(lines[1], want) {
+		t.Errorf("cut label missing from %q", lines)
 	}
 }
 

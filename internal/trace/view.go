@@ -71,7 +71,9 @@ func View(src Source, t0, t1 uint64, ranks []int, W, H int) (*Grid, error) {
 		ranks = append([]int(nil), ranks...)
 		sort.Ints(ranks)
 	}
-	keep := ranks[:0]
+	// Filtered into a list of its own: src.TraceRanks() is the source's
+	// slice, shared by every session viewing it.
+	keep := make([]int, 0, len(ranks))
 	for _, r := range ranks {
 		if _, ok := src.TraceMeta(r); ok {
 			keep = append(keep, r)
