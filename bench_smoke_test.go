@@ -43,6 +43,8 @@ func TestBenchSmoke(t *testing.T) {
 		{"ExposedVsNaive", BenchmarkExposedVsNaive},
 		{"ParallelMerge", BenchmarkParallelMerge},
 		{"MergeRanks", BenchmarkMergeRanks},
+		{"ProfileCodec", BenchmarkProfileCodec},
+		{"SamplerRecord", BenchmarkSamplerRecord},
 		{"DBEncodeXML", BenchmarkDBEncodeXML},
 		{"DBEncodeBinary", BenchmarkDBEncodeBinary},
 		{"DBDecodeXML", BenchmarkDBDecodeXML},

@@ -450,6 +450,57 @@ func BenchmarkParallelMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileCodec measures the measurement-file codec on its own:
+// every rank of the 64-rank fixture written and read back.
+func BenchmarkProfileCodec(b *testing.B) {
+	_, profs := mustMPIProfiles(b, "pflotran", 64)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range profs {
+			buf.Reset()
+			if err := p.Write(&buf); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := profile.Read(bytes.NewReader(buf.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkSamplerRecord measures the sampler's trie insert: a new profile
+// takes 512 contexts (depth up to 12 over a 24-address alphabet, so
+// prefixes are shared), the first sample of each creating its frames and
+// row, seven more finding them.
+func BenchmarkSamplerRecord(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	type context struct {
+		path []uint64
+		leaf uint64
+	}
+	contexts := make([]context, 512)
+	for i := range contexts {
+		path := make([]uint64, rng.Intn(13))
+		for j := range path {
+			path[j] = 0x400000 + 8*uint64(rng.Intn(24))
+		}
+		contexts[i] = context{path, 0x500000 + 4*uint64(rng.Intn(24))}
+	}
+	metrics := []profile.MetricInfo{{Name: "CYCLES", Unit: "cycles", Period: 1000}, {Name: "L1_DCM", Unit: "misses", Period: 100}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := profile.NewProfile("bench", 0, 0, metrics)
+		for round := 0; round < 8; round++ {
+			for _, c := range contexts {
+				p.Record(c.path, c.leaf, round&1, 1000)
+			}
+		}
+	}
+}
+
 // --- E-FMT: XML vs compact binary database (Section IX) ----------------------
 
 func dbFixture(b *testing.B) *expdb.Experiment {

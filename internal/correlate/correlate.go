@@ -16,8 +16,9 @@
 // Since the ingestion-core refactor (DESIGN.md §16) the package is one
 // implementation of the format-neutral internal/source boundary: Source
 // adapts an (hpcrun profile, structure document) pair into a
-// source.Profile whose sample stream replays the historical correlation
-// walk exactly, and Correlate/Into are thin wrappers over source.Build.
+// source.Profile (a Walk) whose sample stream replays the historical
+// correlation walk exactly, and Correlate/Into are thin wrappers over
+// source.Build.
 // The resulting trees are byte-identical to the pre-refactor correlator
 // (locked by TestCorrelateSourceLock).
 package correlate
@@ -54,81 +55,142 @@ func Into(tree *core.Tree, doc *structfile.Doc, prof *profile.Profile) ([]int, e
 
 // Source adapts one hpcrun measurement (profile + structure document) to
 // the format-neutral source boundary. Validation (profile invariants,
-// build fingerprints) happens when the sample stream starts.
+// build fingerprints, structure coverage) happens when the sample stream
+// starts.
 func Source(doc *structfile.Doc, prof *profile.Profile) source.Profile {
-	return &hpcrunSource{doc: doc, prof: prof}
+	return &Walk{doc: doc, prof: prof}
 }
 
-type hpcrunSource struct {
-	doc  *structfile.Doc
-	prof *profile.Profile
+// Walk is the correlation of one profile against a structure document, in
+// two passes over the trie. The resolve pass does everything that can fail
+// — profile invariants, build fingerprint, metric descriptors, one
+// structure lookup per frame, call site and sample PC — and keeps the
+// lookups; the replay pass turns them into the sample stream and fails
+// only if its consumer does. A consumer that must not be left half
+// updated by a bad profile (the merge) calls Resolve first. A Walk can be
+// rebound to profile after profile and reuses its buffers.
+type Walk struct {
+	doc      *structfile.Doc
+	prof     *profile.Profile
+	resolved bool
+	res      []structfile.Resolution // the resolve pass's lookups, in walk order
+	next     int                     // replay position in res
+	emit     func(path []source.Scope, values []float64) error
+	path     []source.Scope
+	vals     []float64
 }
 
-func (s *hpcrunSource) Program() string { return s.prof.Program }
+func (w *Walk) Program() string { return w.prof.Program }
 
-func (s *hpcrunSource) Identity() source.Identity {
-	return source.Identity{Rank: s.prof.Rank, Thread: s.prof.Thread}
+func (w *Walk) Identity() source.Identity {
+	return source.Identity{Rank: w.prof.Rank, Thread: w.prof.Thread}
 }
 
-func (s *hpcrunSource) Metrics() []source.Metric {
-	out := make([]source.Metric, len(s.prof.Metrics))
-	for i, m := range s.prof.Metrics {
+func (w *Walk) Metrics() []source.Metric {
+	out := make([]source.Metric, len(w.prof.Metrics))
+	for i, m := range w.prof.Metrics {
 		out[i] = source.Metric{Name: m.Name, Unit: m.Unit, Period: m.Period}
 	}
 	return out
 }
 
-// Samples replays the correlation walk as a sample stream: for every trie
-// frame it resolves the call site's static chain and the callee identity,
-// then emits one sample per leaf PC with the full scope path. The walk
-// order (own samples by PC, then children by call PC) fixes the node
-// creation order source.Build produces, byte-identical to the historical
-// in-place correlator.
-func (s *hpcrunSource) Samples(emit func(path []source.Scope, values []float64) error) error {
-	if err := s.prof.Validate(); err != nil {
+// Resolve binds the walk to prof and runs the resolve pass. The walk order
+// (callee, call site, own samples by PC, then children by call PC) is the
+// replay's, so the replay consumes the lookups front to back.
+func (w *Walk) Resolve(doc *structfile.Doc, prof *profile.Profile) error {
+	w.doc, w.prof, w.resolved = doc, prof, false
+	if err := prof.Validate(); err != nil {
 		return err
 	}
-	if s.doc.Fingerprint != 0 && s.prof.Fingerprint != 0 && s.doc.Fingerprint != s.prof.Fingerprint {
+	if doc.Fingerprint != 0 && prof.Fingerprint != 0 && doc.Fingerprint != prof.Fingerprint {
 		return fmt.Errorf(
 			"correlate: profile (rank %d) was measured from a different build than the structure document (fingerprint %x vs %x)",
-			s.prof.Rank, s.prof.Fingerprint, s.doc.Fingerprint)
+			prof.Rank, prof.Fingerprint, doc.Fingerprint)
 	}
-	// Intern every scope name/file once per document, so the per-sample
-	// walk below builds integer keys without touching string bytes.
-	s.doc.EnsureSyms()
-	w := &walker{
-		doc:  s.doc,
-		emit: emit,
-		vals: make([]float64, len(s.prof.Metrics)),
+	for _, m := range prof.Metrics {
+		if m.Name == "" || m.Period == 0 {
+			return fmt.Errorf("correlate: metric %q (period %d) needs a name and a non-zero period", m.Name, m.Period)
+		}
 	}
-	return w.frame(s.prof.Root, 0)
+	// Intern every scope name/file once per document, so the replay builds
+	// integer keys without touching string bytes.
+	doc.EnsureSyms()
+	w.res = w.res[:0]
+	if err := w.resolve(prof.Root); err != nil {
+		return err
+	}
+	w.resolved = true
+	return nil
 }
 
-// walker streams one trie as scope-path samples, reusing a single path
-// stack and value buffer across the whole profile.
-type walker struct {
-	doc  *structfile.Doc
-	emit func(path []source.Scope, values []float64) error
-	path []source.Scope
-	vals []float64
+func (w *Walk) lookup(what string, pc uint64) error {
+	res, ok := w.doc.Resolve(pc)
+	if !ok {
+		return fmt.Errorf("correlate: %sPC 0x%x not covered by structure document", what, pc)
+	}
+	w.res = append(w.res, res)
+	return nil
 }
 
-// frame handles one raw trie node: it pushes the fused call-site/callee
-// Frame scope (materializing the call site's loop and inline context
-// first), emits the node's samples inside that frame and then recurses
-// into the children.
-func (w *walker) frame(raw *profile.Node, callPC uint64) error {
+func (w *Walk) resolve(raw *profile.Node) error {
 	framePC, ok := anyPCWithin(raw)
 	if !ok {
 		// An empty frame (no samples anywhere below): nothing to
 		// attribute — performance data is sparse (Section V-A).
 		return nil
 	}
-	calleeRes, ok := w.doc.Resolve(framePC)
-	if !ok {
-		return fmt.Errorf("correlate: PC 0x%x not covered by structure document", framePC)
+	if err := w.lookup("", framePC); err != nil {
+		return err
 	}
+	if raw.CallPC != 0 {
+		if err := w.lookup("call ", raw.CallPC); err != nil {
+			return err
+		}
+	}
+	for _, row := range raw.Samples() {
+		if err := w.lookup("sample ", row.PC); err != nil {
+			return err
+		}
+	}
+	for _, child := range raw.Children() {
+		if err := w.resolve(child); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// Samples replays the correlation walk as a sample stream: for every trie
+// frame the call site's static chain and the callee identity, then one
+// sample per leaf PC with the full scope path. The walk order fixes the
+// node creation order source.Build produces, byte-identical to the
+// historical in-place correlator.
+func (w *Walk) Samples(emit func(path []source.Scope, values []float64) error) error {
+	if !w.resolved {
+		if err := w.Resolve(w.doc, w.prof); err != nil {
+			return err
+		}
+	}
+	w.next, w.emit, w.path = 0, emit, w.path[:0]
+	w.vals = append(w.vals[:0], make([]float64, len(w.prof.Metrics))...)
+	return w.frame(w.prof.Root)
+}
+
+// lookedUp returns the resolve pass's next lookup.
+func (w *Walk) lookedUp() *structfile.Resolution {
+	w.next++
+	return &w.res[w.next-1]
+}
+
+// frame handles one raw trie node: it pushes the fused call-site/callee
+// Frame scope (materializing the call site's loop and inline context
+// first), emits the node's samples inside that frame and then recurses
+// into the children.
+func (w *Walk) frame(raw *profile.Node) error {
+	if _, ok := anyPCWithin(raw); !ok {
+		return nil
+	}
+	calleeRes := w.lookedUp()
 	depth := len(w.path)
 	fr := source.Scope{
 		Key: core.Key{
@@ -136,34 +198,26 @@ func (w *walker) frame(raw *profile.Node, callPC uint64) error {
 			Name: calleeRes.Proc.NameSym,
 			File: calleeRes.Proc.FileSym,
 			Line: calleeRes.Proc.Line,
-			ID:   callPC,
+			ID:   raw.CallPC,
 		},
 		NoSource: calleeRes.Proc.NoSource,
 	}
 	if calleeRes.LM != nil {
 		fr.Mod = calleeRes.LM.NameSym
 	}
-	if callPC != 0 {
-		callRes, ok := w.doc.Resolve(callPC)
-		if !ok {
-			return fmt.Errorf("correlate: call PC 0x%x not covered by structure document", callPC)
-		}
+	if raw.CallPC != 0 {
 		// The loops and inlined frames *containing the call site*
 		// become static scopes between the caller and callee frames
 		// (Section III-D.2).
+		callRes := w.lookedUp()
 		w.pushChain(callRes.Chain)
-		if callRes.Stmt != nil {
-			fr.CallLine = callRes.Stmt.Line
-			fr.CallFile = callRes.Stmt.FileSym
-		}
+		fr.CallLine = callRes.Stmt.Line
+		fr.CallFile = callRes.Stmt.FileSym
 	}
 	w.path = append(w.path, fr)
 
 	for _, row := range raw.Samples() {
-		res, ok := w.doc.Resolve(row.PC)
-		if !ok {
-			return fmt.Errorf("correlate: sample PC 0x%x not covered by structure document", row.PC)
-		}
+		res := w.lookedUp()
 		mark := len(w.path)
 		w.pushChain(res.Chain)
 		w.path = append(w.path, source.Scope{
@@ -184,7 +238,7 @@ func (w *walker) frame(raw *profile.Node, callPC uint64) error {
 	}
 
 	for _, child := range raw.Children() {
-		if err := w.frame(child, child.CallPC); err != nil {
+		if err := w.frame(child); err != nil {
 			return err
 		}
 	}
@@ -194,7 +248,7 @@ func (w *walker) frame(raw *profile.Node, callPC uint64) error {
 
 // pushChain appends the loop/alien scopes of a static chain to the path
 // stack.
-func (w *walker) pushChain(chain []*structfile.Scope) {
+func (w *Walk) pushChain(chain []*structfile.Scope) {
 	for _, s := range chain {
 		switch s.Kind {
 		case structfile.KindLoop:

@@ -356,3 +356,22 @@ func TestCorrelateRejectsMismatchedBuild(t *testing.T) {
 		t.Fatalf("unknown fingerprint should be permissive: %v", err)
 	}
 }
+
+// A structure document whose statement has no enclosing procedure used to
+// crash correlation on a nil Proc; it is an error now, from the reader or,
+// for a document built in memory, from the walk.
+func TestCorrelateStatementWithoutProcedure(t *testing.T) {
+	const src = `<HPCToolkitStructure n="x"><LM n="a.out"><F n="a.c"><S l="3" v="0x10-0x20"/></F></LM></HPCToolkitStructure>`
+	if _, err := structfile.ReadXML(strings.NewReader(src)); err == nil {
+		t.Fatal("ReadXML accepted a statement outside any procedure")
+	}
+	stmt := &structfile.Scope{Kind: structfile.KindStmt, Line: 3, Ranges: []structfile.Range{{Lo: 0x10, Hi: 0x20}}}
+	file := &structfile.Scope{Kind: structfile.KindFile, Name: "a.c", Children: []*structfile.Scope{stmt}}
+	doc := &structfile.Doc{Program: "x", Root: &structfile.Scope{Kind: structfile.KindRoot, Children: []*structfile.Scope{file}}}
+	stmt.Parent, file.Parent = file, doc.Root
+	prof := profile.NewProfile("x", 0, 0, []profile.MetricInfo{{Name: "CYCLES", Unit: "c", Period: 1}})
+	prof.Record(nil, 0x14, 0, 1)
+	if _, err := Correlate(doc, prof); err == nil || !strings.Contains(err.Error(), "not covered") {
+		t.Fatalf("err = %v, want an uncovered-PC error", err)
+	}
+}

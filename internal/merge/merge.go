@@ -3,21 +3,26 @@
 // finalization step (Section IV-A step 3) and the scalability strategy of
 // Section VII: instead of keeping one metric column per process in memory,
 // each rank's profile is folded into streaming accumulators (mean, min,
-// max, standard deviation) and discarded.
+// max, standard deviation) and discarded. A rank is never a tree of its
+// own: Add streams its correlated samples straight into the accumulated
+// tree and keeps one scratch inclusive total per scope until the rank ends.
 //
 // Merging is parallel by default: ranks are split into contiguous shards,
-// each folded into a private Accumulator by one worker, and the shards are
-// combined with a pairwise tree reduction (Accumulator.Merge) that sums
+// each streamed into a private Accumulator by one worker, and the shards
+// are combined with a pairwise tree reduction (Accumulator.Merge) that sums
 // metric columns and summary-statistic moments — see parallel.go.
 package merge
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 
 	"repro/internal/core"
 	"repro/internal/correlate"
 	"repro/internal/metric"
 	"repro/internal/profile"
+	"repro/internal/source"
 	"repro/internal/structfile"
 )
 
@@ -31,14 +36,23 @@ type Result struct {
 
 	// stats[col][row] accumulates the per-rank inclusive values of raw
 	// column col at the scope with dense row id row — column-major like the
-	// tree's metric store, so the fold indexes a slab instead of hashing a
+	// tree's metric store, so Add indexes a slab instead of hashing a
 	// per-node map, and summary sweeps run over contiguous memory.
 	stats [][]metric.Stats
-	// seen[row] records that the scope appeared in at least one rank (every
-	// folded scope; distinguishes them from rows that only exist because a
-	// slab grew past them).
+	// seen[row] records that the scope appeared in at least one rank
+	// (distinguishes them from rows that only exist because a slab grew past
+	// them).
 	seen []bool
 	raw  int // number of raw columns covered by stats
+}
+
+// grown returns s with at least n elements, the new ones zero; growth is
+// amortized by doubling.
+func grown[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, max(n, 2*len(s), 64)-len(s))...)
 }
 
 // statsAt returns the accumulator cell for (col, row), growing the column
@@ -47,44 +61,12 @@ func (r *Result) statsAt(col int, row int32) *metric.Stats {
 	for col >= len(r.stats) {
 		r.stats = append(r.stats, nil)
 	}
-	s := r.stats[col]
-	if n := int(row) + 1; n > len(s) {
-		if n > cap(s) {
-			c := 2 * cap(s)
-			if c < 64 {
-				c = 64
-			}
-			if c < n {
-				c = n
-			}
-			grown := make([]metric.Stats, n, c)
-			copy(grown, s)
-			s = grown
-		} else {
-			s = s[:n]
-		}
-		r.stats[col] = s
-	}
-	return &s[row]
+	r.stats[col] = grown(r.stats[col], int(row)+1)
+	return &r.stats[col][row]
 }
 
 func (r *Result) markSeen(row int32) {
-	if n := int(row) + 1; n > len(r.seen) {
-		if n > cap(r.seen) {
-			c := 2 * cap(r.seen)
-			if c < 64 {
-				c = 64
-			}
-			if c < n {
-				c = n
-			}
-			grown := make([]bool, n, c)
-			copy(grown, r.seen)
-			r.seen = grown
-		} else {
-			r.seen = r.seen[:n]
-		}
-	}
+	r.seen = grown(r.seen, int(row)+1)
 	r.seen[row] = true
 }
 
@@ -97,34 +79,93 @@ func (r *Result) markSeen(row int32) {
 type Accumulator struct {
 	doc *structfile.Doc
 	res *Result
+
+	// Per-rank scratch, reused from rank to rank.
+	walk    correlate.Walk
+	cur     *source.Cursor
+	rows    []int32     // store rows of the scopes on the current sample path
+	incl    [][]float64 // incl[col][row]: the current rank's inclusive total
+	touched []int32     // rows some sample path of the current rank entered
 }
 
 // NewAccumulator prepares a streaming merge against one structure
 // document.
 func NewAccumulator(doc *structfile.Doc) *Accumulator {
+	tree := core.NewTree("", metric.NewRegistry())
 	return &Accumulator{
 		doc: doc,
-		res: &Result{Tree: core.NewTree("", metric.NewRegistry())},
+		res: &Result{Tree: tree},
+		cur: source.NewCursor(tree.Root),
 	}
 }
 
-// Add correlates one profile and folds it into the accumulated result; the
-// profile can be released afterwards.
+// Add correlates one profile and streams it into the accumulated result;
+// the profile can be released afterwards. A profile Add refuses leaves the
+// accumulator as it was: everything that can fail runs in the resolve
+// pass, before the first sample lands.
 func (a *Accumulator) Add(p *profile.Profile) error {
 	if a.res == nil {
 		return fmt.Errorf("merge: accumulator already finished")
 	}
-	if a.res.Tree.Program == "" {
-		a.res.Tree.Program = p.Program
+	if err := a.walk.Resolve(a.doc, p); err != nil {
+		return err
 	}
-	rankTree, err := correlate.Correlate(a.doc, p)
+	r := a.res
+	cols, err := source.Columns(r.Tree.Reg, a.walk.Metrics())
+	if err != nil {
+		return err // Resolve vetted the descriptors: not reachable
+	}
+	if r.Tree.Program == "" {
+		r.Tree.Program = p.Program
+	}
+	r.raw = max(r.raw, r.Tree.Reg.Len())
+	for len(a.incl) < r.raw {
+		a.incl = append(a.incl, nil)
+	}
+	a.cur.Reset()
+	err = a.walk.Samples(func(path []source.Scope, values []float64) error {
+		nodes, fresh := a.cur.Descend(path)
+		a.rows = a.rows[:fresh-1]
+		for _, n := range nodes[fresh:] {
+			a.rows = append(a.rows, n.Base.Row())
+		}
+		a.touched = append(a.touched, a.rows[fresh-1:]...)
+		leaf := nodes[len(nodes)-1]
+		for i, v := range values {
+			if v == 0 {
+				continue
+			}
+			leaf.Base.Add(cols[i], v)
+			// Every scope on the path contains the sample. Counts are
+			// integer-valued float64s whose sums are exact in any order,
+			// so adding in stream order gives the bits the postorder sweep
+			// of a per-rank tree would.
+			in := grown(a.incl[cols[i]], r.Tree.MetricStore().NumRows())
+			a.incl[cols[i]] = in
+			for _, row := range a.rows {
+				in[row] += v
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	if err := a.res.fold(rankTree); err != nil {
-		return err
+	// The rank is complete: each scope it reached observes its non-zero
+	// inclusive totals (Finish pads the absent ones with zeros) and gives
+	// its scratch back. A scope entered twice finds its totals already
+	// taken the second time.
+	for _, row := range a.touched {
+		r.markSeen(row)
+		for c, in := range a.incl {
+			if int(row) < len(in) && in[row] != 0 {
+				r.statsAt(c, row).Observe(in[row])
+				in[row] = 0
+			}
+		}
 	}
-	a.res.NRanks++
+	a.touched = a.touched[:0]
+	r.NRanks++
 	return nil
 }
 
@@ -139,7 +180,8 @@ func (a *Accumulator) Finish() (*Result, error) {
 		return nil, fmt.Errorf("merge: no profiles")
 	}
 	res := a.res
-	a.res = nil
+	*a = Accumulator{}
+	collectIfDue()
 	// Scopes missing from some ranks observed zero there: pad every raw
 	// column of every seen row up to the rank count, one contiguous column
 	// at a time.
@@ -158,64 +200,27 @@ func (a *Accumulator) Finish() (*Result, error) {
 	return res, nil
 }
 
+// collectIfDue runs the collector now if the pacer was about to anyway:
+// when the heap has grown more than half of the way to its goal.
+// At the end of a merge the garbage is at its largest (every decoded
+// profile, the scratch, the consumed shard trees) and what follows
+// allocates whole columns and whole trees; a cycle that falls among those
+// instead of before them has them carved from pages the scavenger already
+// returned to the system, at a page fault per 4 KB (DESIGN.md §18.6).
+func collectIfDue() {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(s)
+	if 2*s[0].Value.Uint64() > s[1].Value.Uint64() {
+		runtime.GC()
+	}
+}
+
 // Profiles correlates each profile against the structure document and
 // merges them (the non-streaming convenience over Accumulator), using the
 // parallel shard/reduce pipeline with one worker per CPU. Use ProfilesJobs
 // to control the worker count.
 func Profiles(doc *structfile.Doc, profs []*profile.Profile) (*Result, error) {
 	return ProfilesJobs(doc, profs, 0)
-}
-
-// fold merges one rank's tree into the accumulator.
-func (r *Result) fold(rank *core.Tree) error {
-	// Map the rank's columns into the accumulator registry by name.
-	cols := make([]int, rank.Reg.Len())
-	for i, d := range rank.Reg.Columns() {
-		if d.Kind != metric.Raw {
-			continue
-		}
-		if acc := r.Tree.Reg.ByName(d.Name); acc != nil {
-			cols[i] = acc.ID
-			continue
-		}
-		nd, err := r.Tree.Reg.AddRaw(d.Name, d.Unit, d.Period)
-		if err != nil {
-			return err
-		}
-		cols[i] = nd.ID
-	}
-	if n := r.Tree.Reg.Len(); n > r.raw {
-		r.raw = n
-	}
-
-	var walk func(accParent *core.Node, n *core.Node)
-	walk = func(accParent *core.Node, n *core.Node) {
-		acc := accParent
-		if n.Kind != core.KindRoot {
-			acc = accParent.Child(n.Key, true)
-			acc.NoSource = n.NoSource
-			acc.Mod = n.Mod
-			if acc.CallLine == 0 {
-				acc.CallLine = n.CallLine
-				acc.CallFile = n.CallFile
-			}
-			n.Base.Range(func(id int, v float64) {
-				acc.Base.Add(cols[id], v)
-			})
-			// Observe this rank's inclusive values. Ranks where the
-			// scope is absent are padded with zeros afterwards.
-			row := acc.Base.Row()
-			r.markSeen(row)
-			n.Incl.Range(func(id int, v float64) {
-				r.statsAt(cols[id], row).Observe(v)
-			})
-		}
-		for _, c := range n.Children {
-			walk(acc, c)
-		}
-	}
-	walk(r.Tree.Root, rank.Root)
-	return nil
 }
 
 // Stats returns the per-rank statistics of raw column col at node (the

@@ -18,7 +18,7 @@ import (
 
 // This file implements the parallel shard/reduce merge topology (Section
 // VII at scale): the rank profiles are split into contiguous shards, one
-// worker folds each shard into a private Accumulator, and the shards are
+// worker streams each shard into a private Accumulator, and the shards are
 // combined with a pairwise tree reduction of Accumulator.Merge operations.
 //
 // Determinism: shards are contiguous rank ranges and reductions always
@@ -39,7 +39,7 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 		return fmt.Errorf("merge: Merge on a finished accumulator")
 	}
 	o := other.res
-	other.res = nil
+	*other = Accumulator{} // its cursor and scratch would keep the shard tree alive
 	if o.NRanks == 0 {
 		return nil
 	}
@@ -47,8 +47,8 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 	if r.Tree.Program == "" {
 		r.Tree.Program = o.Tree.Program
 	}
-	// Map the other shard's columns into this registry by name, exactly
-	// as fold does for a rank tree.
+	// Map the other shard's columns into this registry by name, as Add
+	// does for a rank's metrics.
 	cols := make([]int, o.Tree.Reg.Len())
 	for i, d := range o.Tree.Reg.Columns() {
 		if d.Kind != metric.Raw {
@@ -147,9 +147,9 @@ func Combine(accs []*Accumulator) (*Accumulator, error) {
 // ProfilesJobs correlates and merges the profiles using up to jobs
 // parallel workers (GOMAXPROCS when jobs <= 0). Each worker folds a
 // contiguous shard of ranks into a private accumulator; the shards are
-// then combined with a pairwise tree reduction. The result is equivalent
-// to the sequential Profiles fold: identical tree, scope order and metric
-// sums; summary statistics within floating-point reassociation error.
+// then combined with a pairwise tree reduction. The result is the
+// sequential merge's, bit for bit, whatever jobs is: tree, scope order,
+// metric sums and summary statistics (see the note on determinism above).
 func ProfilesJobs(doc *structfile.Doc, profs []*profile.Profile, jobs int) (*Result, error) {
 	return ProfilesJobsCtx(context.Background(), doc, profs, jobs)
 }

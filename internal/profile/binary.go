@@ -2,11 +2,12 @@ package profile
 
 import (
 	"bufio"
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/framing"
 )
@@ -51,72 +52,28 @@ const (
 
 const maxProfileStrLen = 1 << 20
 
-func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
+// writeUvarint and writeString append to the payload being built: a tree
+// section is a few hundred thousand varints, and appending each to one
+// slice costs neither a call through a writer nor a scratch array.
+func writeUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
-func writeString(w *bufio.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(r)
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxProfileStrLen {
-		return "", fmt.Errorf("profile: string length %d too large", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+func writeString(b []byte, s string) []byte {
+	return append(writeUvarint(b, uint64(len(s))), s...)
 }
 
 // Write serializes the profile in the current (v2, checksummed) format.
 func (p *Profile) Write(w io.Writer) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if p.Rank < 0 || p.Thread < 0 {
-		return fmt.Errorf("profile: negative rank/thread %d/%d", p.Rank, p.Thread)
-	}
-	var hdr bytes.Buffer
-	hw := bufio.NewWriter(&hdr)
-	if err := p.writeHeader(hw); err != nil {
-		return err
-	}
-	if err := hw.Flush(); err != nil {
-		return err
-	}
-	var tree bytes.Buffer
-	tw := bufio.NewWriter(&tree)
-	if err := writeNode(tw, p.Root, len(p.Metrics)); err != nil {
-		return err
-	}
-	if err := tw.Flush(); err != nil {
+	if err := p.writable(); err != nil {
 		return err
 	}
 	fw, err := framing.NewWriter(w, profMagicV2)
 	if err != nil {
 		return err
 	}
-	if err := fw.Section(profSecHeader, hdr.Bytes()); err != nil {
+	if err := fw.Section(profSecHeader, p.writeHeader(nil)); err != nil {
 		return err
 	}
-	if err := fw.Section(profSecTree, tree.Bytes()); err != nil {
+	if err := fw.Section(profSecTree, writeNode(nil, p.Root)); err != nil {
 		return err
 	}
 	if p.Trace != nil && p.Trace.Count() > 0 {
@@ -130,85 +87,55 @@ func (p *Profile) Write(w io.Writer) error {
 // WriteV1 serializes the profile in the legacy unchecksummed v1 format,
 // kept for compatibility tests and for producing old-format files.
 func (p *Profile) WriteV1(w io.Writer) error {
+	if err := p.writable(); err != nil {
+		return err
+	}
+	_, err := w.Write(writeNode(p.writeHeader([]byte(profMagic)), p.Root))
+	return err
+}
+
+// writable reports what both writers refuse: an invalid profile, or an
+// identity the unsigned encoding cannot hold.
+func (p *Profile) writable() error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	if p.Rank < 0 || p.Thread < 0 {
 		return fmt.Errorf("profile: negative rank/thread %d/%d", p.Rank, p.Thread)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(profMagic); err != nil {
-		return err
-	}
-	if err := p.writeHeader(bw); err != nil {
-		return err
-	}
-	if err := writeNode(bw, p.Root, len(p.Metrics)); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return nil
 }
 
-// writeHeader emits the fields shared by both versions: program, rank,
+// writeHeader appends the fields shared by both versions: program, rank,
 // thread, fingerprint and the metric descriptors.
-func (p *Profile) writeHeader(bw *bufio.Writer) error {
-	if err := writeString(bw, p.Program); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(p.Rank)); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(p.Thread)); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, p.Fingerprint); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(len(p.Metrics))); err != nil {
-		return err
-	}
+func (p *Profile) writeHeader(b []byte) []byte {
+	b = writeString(b, p.Program)
+	b = writeUvarint(b, uint64(p.Rank))
+	b = writeUvarint(b, uint64(p.Thread))
+	b = writeUvarint(b, p.Fingerprint)
+	b = writeUvarint(b, uint64(len(p.Metrics)))
 	for _, m := range p.Metrics {
-		if err := writeString(bw, m.Name); err != nil {
-			return err
-		}
-		if err := writeString(bw, m.Unit); err != nil {
-			return err
-		}
-		if err := writeUvarint(bw, m.Period); err != nil {
-			return err
-		}
+		b = writeString(b, m.Name)
+		b = writeString(b, m.Unit)
+		b = writeUvarint(b, m.Period)
 	}
-	return nil
+	return b
 }
 
-func writeNode(w *bufio.Writer, n *Node, nMetrics int) error {
-	if err := writeUvarint(w, n.CallPC); err != nil {
-		return err
-	}
-	rows := n.Samples()
-	if err := writeUvarint(w, uint64(len(rows))); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := writeUvarint(w, row.PC); err != nil {
-			return err
-		}
+func writeNode(b []byte, n *Node) []byte {
+	b = writeUvarint(b, n.CallPC)
+	b = writeUvarint(b, uint64(len(n.samples)))
+	for _, row := range n.samples {
+		b = writeUvarint(b, row.PC)
 		for _, c := range row.Counts {
-			if err := writeUvarint(w, c); err != nil {
-				return err
-			}
+			b = writeUvarint(b, c)
 		}
 	}
-	kids := n.Children()
-	if err := writeUvarint(w, uint64(len(kids))); err != nil {
-		return err
+	b = writeUvarint(b, uint64(len(n.children)))
+	for _, c := range n.children {
+		b = writeNode(b, c)
 	}
-	for _, c := range kids {
-		if err := writeNode(w, c, nMetrics); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b
 }
 
 // Read deserializes a profile in either format, sniffing the magic.
@@ -243,15 +170,19 @@ func readV1(br *bufio.Reader) (*Profile, error) {
 	if _, err := br.Discard(len(profMagic)); err != nil {
 		return nil, err
 	}
-	p := &Profile{}
-	if err := p.readHeader(br); err != nil {
-		return nil, err
-	}
-	root, err := readNode(br, len(p.Metrics), 0)
+	// v1 has no section lengths: the tree runs to the end of the stream.
+	body, err := io.ReadAll(br)
 	if err != nil {
 		return nil, err
 	}
-	p.Root = root
+	d := &decoder{b: body}
+	p := &Profile{}
+	if err := d.header(p); err != nil {
+		return nil, err
+	}
+	if p.Root, err = d.node(len(p.Metrics), 0); err != nil {
+		return nil, err
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -284,16 +215,16 @@ func readV2(br *bufio.Reader, size int64) (*Profile, error) {
 			// as framing damage here.
 			return nil, fmt.Errorf("profile: %w", err)
 		}
+		d := &decoder{b: payload}
 		switch id {
 		case profSecHeader:
 			if sawHeader {
 				return nil, fmt.Errorf("profile: duplicate header section")
 			}
-			pr := bufio.NewReader(bytes.NewReader(payload))
-			if err := p.readHeader(pr); err != nil {
+			if err := d.header(p); err != nil {
 				return nil, err
 			}
-			if _, err := pr.ReadByte(); err != io.EOF {
+			if len(d.b) != 0 {
 				return nil, fmt.Errorf("profile: trailing bytes in header section")
 			}
 			sawHeader = true
@@ -304,15 +235,12 @@ func readV2(br *bufio.Reader, size int64) (*Profile, error) {
 			if sawTree {
 				return nil, fmt.Errorf("profile: duplicate tree section")
 			}
-			pr := bufio.NewReader(bytes.NewReader(payload))
-			root, err := readNode(pr, len(p.Metrics), 0)
-			if err != nil {
+			if p.Root, err = d.node(len(p.Metrics), 0); err != nil {
 				return nil, err
 			}
-			if _, err := pr.ReadByte(); err != io.EOF {
+			if len(d.b) != 0 {
 				return nil, fmt.Errorf("profile: trailing bytes in tree section")
 			}
-			p.Root = root
 			sawTree = true
 		default:
 			// Unknown sections are skipped for forward compatibility;
@@ -328,44 +256,118 @@ func readV2(br *bufio.Reader, size int64) (*Profile, error) {
 	return p, nil
 }
 
-// readHeader parses the fields shared by both versions into p.
-func (p *Profile) readHeader(br *bufio.Reader) error {
+// decoder reads the varint encodings off the front of b, a whole section
+// (or v1 body) in memory. Frames, sample rows and counts are carved from
+// chunked slabs instead of allocated one by one; a slab is only ever sized
+// by a count that has been checked against the bytes still unread, so a
+// hostile count cannot make the reader allocate more than the input could
+// describe.
+type decoder struct {
+	b      []byte
+	nodes  []Node
+	kids   []*Node
+	rows   []SampleRow
+	counts []uint64
+}
+
+// slabChunk is the slab size in elements when neither the request nor the
+// unread input is larger.
+const slabChunk = 256
+
+// carve cuts n zeroed elements off *slab, starting a new slab when it runs
+// short; left is the number of bytes still unread, which every element
+// costs at least one of. The result's capacity is its length: a later
+// insert into it reallocates instead of running into its neighbour.
+func carve[T any](slab *[]T, n, left int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(*slab) {
+		*slab = make([]T, max(n, min(slabChunk, left)))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// order sorts s by key — for sibling lists that did not arrive ascending —
+// and reports a key that occurs twice.
+func order[T any](s []T, key func(T) uint64) (dup uint64, found bool) {
+	slices.SortFunc(s, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+	for i := 1; i < len(s); i++ {
+		if key(s[i-1]) == key(s[i]) {
+			return key(s[i]), true
+		}
+	}
+	return 0, false
+}
+
+func (d *decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.b)
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("profile: varint overflows a 64-bit integer")
+	}
+	d.b = d.b[n:]
+	return v, nil
+}
+
+func (d *decoder) str() (string, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if n > maxProfileStrLen {
+		return "", fmt.Errorf("profile: string length %d too large", n)
+	}
+	if n > uint64(len(d.b)) {
+		return "", io.ErrUnexpectedEOF
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s, nil
+}
+
+// header parses the fields shared by both versions into p.
+func (d *decoder) header(p *Profile) error {
 	var err error
-	if p.Program, err = readString(br); err != nil {
-		return noEOF(err)
+	if p.Program, err = d.str(); err != nil {
+		return err
 	}
-	rank, err := readUvarint(br)
+	rank, err := d.uvarint()
 	if err != nil {
-		return noEOF(err)
+		return err
 	}
-	thread, err := readUvarint(br)
+	thread, err := d.uvarint()
 	if err != nil {
-		return noEOF(err)
+		return err
 	}
 	if rank > math.MaxInt32 || thread > math.MaxInt32 {
 		return fmt.Errorf("profile: implausible rank/thread %d/%d", rank, thread)
 	}
 	p.Rank, p.Thread = int(rank), int(thread)
-	if p.Fingerprint, err = readUvarint(br); err != nil {
-		return noEOF(err)
+	if p.Fingerprint, err = d.uvarint(); err != nil {
+		return err
 	}
-	nm, err := readUvarint(br)
+	nm, err := d.uvarint()
 	if err != nil {
-		return noEOF(err)
+		return err
 	}
 	if nm > 1024 {
 		return fmt.Errorf("profile: implausible metric count %d", nm)
 	}
 	for i := uint64(0); i < nm; i++ {
 		var m MetricInfo
-		if m.Name, err = readString(br); err != nil {
-			return noEOF(err)
+		if m.Name, err = d.str(); err != nil {
+			return err
 		}
-		if m.Unit, err = readString(br); err != nil {
-			return noEOF(err)
+		if m.Unit, err = d.str(); err != nil {
+			return err
 		}
-		if m.Period, err = readUvarint(br); err != nil {
-			return noEOF(err)
+		if m.Period, err = d.uvarint(); err != nil {
+			return err
 		}
 		p.Metrics = append(p.Metrics, m)
 	}
@@ -374,54 +376,67 @@ func (p *Profile) readHeader(br *bufio.Reader) error {
 
 const maxTreeDepth = 100_000
 
-func readNode(r *bufio.Reader, nMetrics int, depth int) (*Node, error) {
+// node decodes one frame and its subtree. Write emits sample rows and
+// children in ascending PC order; lists that arrive in any other order are
+// sorted, and a PC that occurs twice in one list is an error.
+func (d *decoder) node(nMetrics int, depth int) (*Node, error) {
 	if depth > maxTreeDepth {
 		return nil, fmt.Errorf("profile: tree deeper than %d", maxTreeDepth)
 	}
-	n := &Node{}
+	n := &carve(&d.nodes, 1, len(d.b)+1)[0]
 	var err error
-	if n.CallPC, err = readUvarint(r); err != nil {
-		return nil, noEOF(err)
+	if n.CallPC, err = d.uvarint(); err != nil {
+		return nil, err
 	}
-	ns, err := readUvarint(r)
+	ns, err := d.uvarint()
 	if err != nil {
-		return nil, noEOF(err)
+		return nil, err
 	}
-	for i := uint64(0); i < ns; i++ {
-		pc, err := readUvarint(r)
-		if err != nil {
-			return nil, noEOF(err)
-		}
-		row := make([]uint64, nMetrics)
-		for j := 0; j < nMetrics; j++ {
-			if row[j], err = readUvarint(r); err != nil {
-				return nil, noEOF(err)
-			}
-		}
-		if n.samples == nil {
-			n.samples = map[uint64][]uint64{}
-		}
-		if _, dup := n.samples[pc]; dup {
-			return nil, fmt.Errorf("profile: duplicate sample pc 0x%x", pc)
-		}
-		n.samples[pc] = row
+	// A row is its PC and nMetrics counts, a byte each at least.
+	if ns > uint64(len(d.b))/uint64(1+nMetrics) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	nc, err := readUvarint(r)
-	if err != nil {
-		return nil, noEOF(err)
-	}
-	for i := uint64(0); i < nc; i++ {
-		c, err := readNode(r, nMetrics, depth+1)
-		if err != nil {
+	n.samples = carve(&d.rows, int(ns), len(d.b))
+	counts := carve(&d.counts, int(ns)*nMetrics, len(d.b))
+	ascending := true
+	for i := range n.samples {
+		row := &n.samples[i]
+		if row.PC, err = d.uvarint(); err != nil {
 			return nil, err
 		}
-		if n.children == nil {
-			n.children = map[uint64]*Node{}
+		row.Counts = counts[i*nMetrics : (i+1)*nMetrics : (i+1)*nMetrics]
+		for j := range row.Counts {
+			if row.Counts[j], err = d.uvarint(); err != nil {
+				return nil, err
+			}
 		}
-		if _, dup := n.children[c.CallPC]; dup {
-			return nil, fmt.Errorf("profile: duplicate child pc 0x%x", c.CallPC)
+		ascending = ascending && (i == 0 || n.samples[i-1].PC < row.PC)
+	}
+	if !ascending {
+		if pc, dup := order(n.samples, func(r SampleRow) uint64 { return r.PC }); dup {
+			return nil, fmt.Errorf("profile: duplicate sample pc 0x%x", pc)
 		}
-		n.children[c.CallPC] = c
+	}
+	nc, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// A frame is at least its call PC and two counts, a byte each.
+	if nc > uint64(len(d.b))/3 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	n.children = carve(&d.kids, int(nc), len(d.b))
+	ascending = true
+	for i := range n.children {
+		if n.children[i], err = d.node(nMetrics, depth+1); err != nil {
+			return nil, err
+		}
+		ascending = ascending && (i == 0 || n.children[i-1].CallPC < n.children[i].CallPC)
+	}
+	if !ascending {
+		if pc, dup := order(n.children, func(c *Node) uint64 { return c.CallPC }); dup {
+			return nil, fmt.Errorf("profile: duplicate child pc 0x%x", pc)
+		}
 	}
 	return n, nil
 }

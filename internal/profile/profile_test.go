@@ -329,3 +329,30 @@ func TestV2TruncationAlwaysErrors(t *testing.T) {
 		}
 	}
 }
+
+// The sampler's steady state — another sample in a context already in the
+// trie — and the accessors every consumer walks the trie with allocate
+// nothing.
+func TestTrieAllocations(t *testing.T) {
+	p := randomProfile(5)
+	path, leaf := []uint64{0x400010, 0x400020, 0x400030}, uint64(0x400044)
+	p.Record(path, leaf, 0, 1000)
+	if n := testing.AllocsPerRun(100, func() { p.Record(path, leaf, 1, 100) }); n != 0 {
+		t.Errorf("Record on an existing context: %v allocations", n)
+	}
+	var frames, rows int
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		frames++
+		rows += len(n.Samples())
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { walk(p.Root) }); n != 0 {
+		t.Errorf("walking Children/Samples: %v allocations", n)
+	}
+	if st := p.Stats(); frames%st.Frames != 0 || rows%st.Leaves != 0 {
+		t.Fatalf("walk saw %d frames, %d rows; Stats %+v", frames, rows, st)
+	}
+}

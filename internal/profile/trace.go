@@ -84,6 +84,24 @@ func (p *Profile) PreorderNodes() []*Node {
 	return out
 }
 
+// traceRemap returns the capture-id -> preorder-index table. Every traced
+// frame knows its capture id (traceSlot), so one preorder walk fills it.
+func (p *Profile) traceRemap() ([]uint32, error) {
+	td := p.Trace
+	remap := make([]uint32, len(td.nodes))
+	found := 0
+	for i, n := range p.PreorderNodes() {
+		if id := int(n.traceSlot) - 1; id >= 0 && id < len(td.nodes) && td.nodes[id] == n {
+			remap[id] = uint32(i)
+			found++
+		}
+	}
+	if found != len(td.nodes) {
+		return nil, fmt.Errorf("profile: %d traced frames not in trie", len(td.nodes)-found)
+	}
+	return remap, nil
+}
+
 // traceHeaderSize is the fixed prefix of a trace section payload:
 // count u64 | lastT u64, little-endian.
 const traceHeaderSize = 16
@@ -94,18 +112,9 @@ const traceHeaderSize = 16
 // chunk buffer, never O(events).
 func (p *Profile) writeTraceSection(fw *framing.Writer) error {
 	td := p.Trace
-	remap := make([]uint32, len(td.nodes))
-	pre := p.PreorderNodes()
-	idx := make(map[*Node]uint32, len(pre))
-	for i, n := range pre {
-		idx[n] = uint32(i)
-	}
-	for i, n := range td.nodes {
-		pi, ok := idx[n]
-		if !ok {
-			return fmt.Errorf("profile: traced frame %d not in trie", i)
-		}
-		remap[i] = pi
+	remap, err := p.traceRemap()
+	if err != nil {
+		return err
 	}
 	length := uint64(traceHeaderSize) + td.Count()*trace.RecSize
 	return fw.StreamSection(profSecTrace, length, func(w io.Writer) error {

@@ -83,33 +83,21 @@ type Profile interface {
 // accumulate, so building several profiles into one tree yields their
 // summed profile.
 func Build(tree *core.Tree, p Profile) ([]int, error) {
-	ms := p.Metrics()
-	cols := make([]int, len(ms))
-	for i, m := range ms {
-		if d := tree.Reg.ByName(m.Name); d != nil {
-			cols[i] = d.ID
-			continue
-		}
-		d, err := tree.Reg.AddRaw(m.Name, m.Unit, m.Period)
-		if err != nil {
-			return nil, fmt.Errorf("source: %w", err)
-		}
-		cols[i] = d.ID
+	cols, err := Columns(tree.Reg, p.Metrics())
+	if err != nil {
+		return nil, err
 	}
-	err := p.Samples(func(path []Scope, values []float64) error {
+	cur := NewCursor(tree.Root)
+	err = p.Samples(func(path []Scope, values []float64) error {
 		if len(values) != len(cols) {
 			return fmt.Errorf("source: sample has %d values, profile declares %d metrics",
 				len(values), len(cols))
 		}
-		n := tree.Root
-		for i := range path {
-			s := &path[i]
-			n = n.Child(s.Key, true)
-			applyScope(n, s)
-		}
+		nodes, _ := cur.Descend(path)
+		leaf := nodes[len(nodes)-1]
 		for i, v := range values {
 			if v != 0 {
-				n.Base.Add(cols[i], v)
+				leaf.Base.Add(cols[i], v)
 			}
 		}
 		return nil
@@ -118,6 +106,65 @@ func Build(tree *core.Tree, p Profile) ([]int, error) {
 		return nil, err
 	}
 	return cols, nil
+}
+
+// Columns maps a profile's metrics onto registry columns by name, creating
+// the missing ones as raw columns.
+func Columns(reg *metric.Registry, ms []Metric) ([]int, error) {
+	cols := make([]int, len(ms))
+	for i, m := range ms {
+		d := reg.ByName(m.Name)
+		if d == nil {
+			var err error
+			if d, err = reg.AddRaw(m.Name, m.Unit, m.Period); err != nil {
+				return nil, fmt.Errorf("source: %w", err)
+			}
+		}
+		cols[i] = d.ID
+	}
+	return cols, nil
+}
+
+// Cursor materializes consecutive sample paths under one root. It keeps
+// the previous sample's path and the nodes it led through, and descends
+// only below the prefix the next path shares with it: a source that walks
+// its own tree depth first emits paths that differ in their last few
+// scopes. Scopes are compared whole, attributes included, and applying the
+// same attributes twice changes nothing, so the tree — scope creation
+// order included — is the one a descent from the root per sample builds.
+type Cursor struct {
+	path  []Scope      // the previous sample's path
+	nodes []*core.Node // nodes[0] is the root, nodes[i+1] the scope of path[i]
+}
+
+// NewCursor returns a cursor at root.
+func NewCursor(root *core.Node) *Cursor {
+	return &Cursor{nodes: []*core.Node{root}}
+}
+
+// Reset returns the cursor to the root, forgetting the previous path.
+func (c *Cursor) Reset() {
+	c.path, c.nodes = c.path[:0], c.nodes[:1]
+}
+
+// Descend returns the nodes along path — the root, then one per scope —
+// creating the missing ones, and the index of the first node the previous
+// path did not lead through (len(nodes) when path is a prefix of it). The
+// slice is valid until the next call.
+func (c *Cursor) Descend(path []Scope) (nodes []*core.Node, fresh int) {
+	k := 0
+	for k < len(path) && k < len(c.path) && path[k] == c.path[k] {
+		k++
+	}
+	c.path = append(c.path[:k], path[k:]...)
+	c.nodes = c.nodes[:k+1]
+	n := c.nodes[k]
+	for i := k; i < len(path); i++ {
+		n = n.Child(path[i].Key, true)
+		applyScope(n, &path[i])
+		c.nodes = append(c.nodes, n)
+	}
+	return c.nodes, k + 1
 }
 
 // applyScope carries a scope's attributes onto its node. Marks are

@@ -33,6 +33,9 @@ func FuzzReadXML(f *testing.F) {
 	f.Add(`<HPCToolkitStructure n="x"><LM n="m"><F n="a.c"><P n="p" l="1" v="0x0-0x4"/></F></LM></HPCToolkitStructure>`)
 	f.Add(`<HPCToolkitStructure`)
 	f.Add(`<HPCToolkitStructure n="x"><P v="0x10-0x5"/></HPCToolkitStructure>`)
+	// A statement outside any procedure: refused since it resolved with a
+	// nil Proc.
+	f.Add(`<HPCToolkitStructure n="x"><LM n="a.out"><F n="a.c"><S l="3" v="0x400000-0x400010"/></F></LM></HPCToolkitStructure>`)
 	f.Fuzz(func(t *testing.T, src string) {
 		got, err := ReadXML(strings.NewReader(src))
 		if err != nil {
@@ -42,8 +45,11 @@ func FuzzReadXML(f *testing.F) {
 		if err := got.WriteXML(&out); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		// Resolution over arbitrary accepted documents must not panic.
-		got.Resolve(0x400000)
+		// Resolution over arbitrary accepted documents must not panic, and
+		// whatever resolves has a procedure and a statement.
+		if res, ok := got.Resolve(0x400000); ok && (res.Proc == nil || res.Stmt == nil) {
+			t.Fatalf("Resolve answered ok with %+v", res)
+		}
 		got.Stats()
 	})
 }

@@ -142,9 +142,11 @@ func (d *Doc) EnsureSyms() {
 	})
 }
 
+// leafEntry is one statement address range with the statement's static
+// context, computed once when the index is built.
 type leafEntry struct {
-	r    Range
-	leaf *Scope
+	r   Range
+	res Resolution
 }
 
 // Recover analyzes the image and produces its structure document. Loops are
@@ -344,7 +346,8 @@ func firstAddr(s *Scope) uint64 {
 
 // Resolution is the static context of one address: the load module, file
 // and procedure containing it, the chain of loop/alien scopes from
-// outermost to innermost, and the statement.
+// outermost to innermost, and the statement. Proc and Stmt are never nil.
+// Chain is shared by every address of the same context: read-only.
 type Resolution struct {
 	LM    *Scope
 	File  *Scope
@@ -361,40 +364,47 @@ func (d *Doc) Resolve(addr uint64) (Resolution, bool) {
 	if i >= len(d.leafIndex) || !d.leafIndex[i].r.Contains(addr) {
 		return Resolution{}, false
 	}
-	stmt := d.leafIndex[i].leaf
-	res := Resolution{Stmt: stmt}
-	for s := stmt.Parent; s != nil; s = s.Parent {
-		switch s.Kind {
-		case KindLoop, KindAlien:
-			res.Chain = append(res.Chain, s)
-		case KindProc:
-			res.Proc = s
-		case KindFile:
-			res.File = s
-		case KindLM:
-			res.LM = s
-		}
-	}
-	for i, j := 0, len(res.Chain)-1; i < j; i, j = i+1, j-1 {
-		res.Chain[i], res.Chain[j] = res.Chain[j], res.Chain[i]
-	}
-	return res, true
+	return d.leafIndex[i].res, true
 }
 
+// buildIndex collects every statement's ranges with the context above it;
+// the outermost module, file and procedure win, as they did when Resolve
+// walked parents. A statement outside any procedure has no frame to be
+// attributed to and is left out (ReadXML refuses such documents).
 func (d *Doc) buildIndex() {
-	var walk func(s *Scope)
-	walk = func(s *Scope) {
-		if s.Kind == KindStmt {
+	var walk func(s *Scope, ctx Resolution)
+	walk = func(s *Scope, ctx Resolution) {
+		switch s.Kind {
+		case KindStmt:
+			if ctx.Proc == nil {
+				return
+			}
+			ctx.Stmt = s
 			for _, r := range s.Ranges {
-				d.leafIndex = append(d.leafIndex, leafEntry{r: r, leaf: s})
+				d.leafIndex = append(d.leafIndex, leafEntry{r: r, res: ctx})
 			}
 			return
+		case KindLoop, KindAlien:
+			// A fresh array per scope: siblings must not share a tail.
+			ctx.Chain = append(ctx.Chain[:len(ctx.Chain):len(ctx.Chain)], s)
+		case KindProc:
+			if ctx.Proc == nil {
+				ctx.Proc = s
+			}
+		case KindFile:
+			if ctx.File == nil {
+				ctx.File = s
+			}
+		case KindLM:
+			if ctx.LM == nil {
+				ctx.LM = s
+			}
 		}
 		for _, c := range s.Children {
-			walk(c)
+			walk(c, ctx)
 		}
 	}
-	walk(d.Root)
+	walk(d.Root, Resolution{})
 	sort.Slice(d.leafIndex, func(i, j int) bool { return d.leafIndex[i].r.Lo < d.leafIndex[j].r.Lo })
 	if d.leafIndex == nil {
 		d.leafIndex = []leafEntry{}

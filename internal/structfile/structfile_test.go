@@ -436,3 +436,45 @@ func TestFingerprintRoundTrip(t *testing.T) {
 		t.Fatal("bad fingerprint attr accepted")
 	}
 }
+
+// A statement is attributed to the frame of its procedure; a document that
+// has one outside any <P> used to pass ReadXML and resolve with a nil Proc,
+// which correlation then dereferenced.
+func TestStatementNeedsProcedure(t *testing.T) {
+	wrap := func(body string) string {
+		return `<HPCToolkitStructure n="x"><LM n="a.out"><F n="a.c">` + body + `</F></LM></HPCToolkitStructure>`
+	}
+	for _, tc := range []struct {
+		name, src, wantErr string
+	}{
+		{"bare statement", wrap(`<S l="3" v="0x10-0x20"/>`), `1:`},
+		{"under a loop only", wrap(`<L l="2" v="0x10-0x20"><S l="3" v="0x10-0x20"/></L>`), `<S> outside any <P>`},
+		{"after its procedure closed", wrap(`<P n="p" l="1" v="0x0-0x10"/>` + "\n" + `<S l="3" v="0x10-0x20"/>`), `2:`},
+		{"directly under the root", `<HPCToolkitStructure n="x"><S l="3" v="0x10-0x20"/></HPCToolkitStructure>`, `<S> outside any <P>`},
+		{"in a procedure", wrap(`<P n="p" l="1" v="0x10-0x20"><S l="3" v="0x10-0x20"/></P>`), ``},
+		{"in a loop in a procedure", wrap(`<P n="p" l="1" v="0x10-0x20"><L l="2" v="0x10-0x20"><S l="3" v="0x10-0x20"/></L></P>`), ``},
+	} {
+		doc, err := ReadXML(strings.NewReader(tc.src))
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if res, ok := doc.Resolve(0x14); !ok || res.Proc == nil || res.Stmt == nil {
+				t.Errorf("%s: Resolve(0x14) = %+v, %v", tc.name, res, ok)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.wantErr)
+		}
+	}
+
+	// A document built in memory gets no such check: its statement must
+	// simply not resolve.
+	stmt := &Scope{Kind: KindStmt, Line: 3, Ranges: []Range{{0x10, 0x20}}}
+	file := &Scope{Kind: KindFile, Name: "a.c", Children: []*Scope{stmt}}
+	doc := &Doc{Root: &Scope{Kind: KindRoot, Children: []*Scope{file}}}
+	stmt.Parent, file.Parent = file, doc.Root
+	if res, ok := doc.Resolve(0x14); ok {
+		t.Fatalf("statement without a procedure resolved: %+v", res)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -190,6 +191,12 @@ func ReadXML(r io.Reader) (*Doc, error) {
 			}
 			if len(stack) == 0 {
 				return nil, fmt.Errorf("structfile: <%s> outside document root", tok.Name.Local)
+			}
+			if kind == KindStmt && !slices.ContainsFunc(stack, func(s *Scope) bool { return s.Kind == KindProc }) {
+				// A statement's samples are attributed to its procedure's
+				// frame; without one there is nothing to attribute them to.
+				line, col := dec.InputPos()
+				return nil, fmt.Errorf("structfile: %d:%d: <S> outside any <P>", line, col)
 			}
 			s := &Scope{Kind: kind, Parent: stack[len(stack)-1]}
 			for _, a := range tok.Attr {
