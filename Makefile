@@ -17,7 +17,7 @@ BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 # faults`. This list is the single source of truth: CI's "Fuzz seeds" step
 # calls `make fuzz-seeds`, so adding a fuzz target means adding its package
 # here once.
-FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio ./internal/render
+FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio ./internal/render ./internal/engine
 
 .PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-trace faults fuzz-seeds chaos
 
@@ -85,7 +85,8 @@ fuzz-seeds:
 
 # Robustness gate: the fault-injection matrix (every workload's files, both
 # format versions, truncation + corruption sweeps), every seed corpus, plus
-# a short coverage-guided fuzz of the binary readers and the pprof importer.
+# a short coverage-guided fuzz of the binary readers, the pprof importer and
+# the views of whatever database the readers accept.
 faults:
 	$(GO) test -run 'TestFaultMatrix|TestReaderFaults' ./internal/faultio
 	$(MAKE) fuzz-seeds
@@ -95,6 +96,7 @@ faults:
 	$(GO) test -run XXX -fuzz FuzzReadTrace -fuzztime 10s ./internal/expdb
 	$(GO) test -run XXX -fuzz FuzzDiff -fuzztime 10s ./internal/diff
 	$(GO) test -run XXX -fuzz FuzzImportPprof -fuzztime 10s ./internal/pprofio
+	$(GO) test -run XXX -fuzz FuzzViews -fuzztime 10s ./internal/engine
 
 # Live-serving chaos gate, always under -race: catalog lifecycle races
 # (evict/republish/rot under concurrent query load) and HTTP-layer fault

@@ -74,40 +74,49 @@ type CallersView struct {
 // tree's lock), so several views may be built from one tree concurrently.
 func BuildCallersView(t *Tree) *CallersView {
 	t.EnsureComputed()
-	v := &CallersView{
-		Reg:       t.Reg,
-		instances: map[*Node][]*Node{},
-		expand:    map[*Node]*expandState{},
-	}
-	rows := map[procID]*Node{}
-
-	Walk(t.Root, func(n *Node) bool {
+	v := &CallersView{Reg: t.Reg, instances: map[*Node][]*Node{}, expand: map[*Node]*expandState{}}
+	rows := map[procID]int32{} // procedure -> index of its row in scan order
+	var instances [][]*Node    // by that index
+	var active exposure        // by that index: frames of the procedure on the path
+	var scan func(n *Node)
+	scan = func(n *Node) {
 		if n.Kind != KindFrame {
-			return true
+			for _, c := range n.Children {
+				scan(c)
+			}
+			return
 		}
-		id := frameProc(n)
-		row, ok := rows[id]
+		i, ok := rows[frameProc(n)]
 		if !ok {
 			// Each root row owns a private arena and metric store: its
 			// subtrie is built by exactly one goroutine (under the expansion
 			// Once), so disjoint roots expand in parallel with no allocator
 			// contention — and no store's slabs are ever shared across trees.
 			arena := &nodeArena{store: metric.NewStore()}
-			row = arena.alloc()
+			row := arena.alloc()
 			row.Key = Key{Kind: KindProc, Name: n.Name, File: n.File, Line: n.Line}
 			row.NoSource = n.NoSource
 			row.arena = arena
-			rows[id] = row
+			i = int32(len(v.Roots))
+			rows[frameProc(n)] = i
 			v.Roots = append(v.Roots, row)
-			v.expand[row] = &expandState{}
+			instances = append(instances, nil)
 		}
-		v.instances[row] = append(v.instances[row], n)
-		if exposed(n) {
+		instances[i] = append(instances[i], n)
+		if row := v.Roots[i]; active.enter(i) {
 			row.Incl.AddView(&n.Incl)
 			row.Excl.AddView(&n.Excl)
 		}
-		return true
-	})
+		for _, c := range n.Children {
+			scan(c)
+		}
+		active.exit(i)
+	}
+	scan(t.Root)
+	for i, row := range v.Roots {
+		v.instances[row] = instances[i]
+		v.expand[row] = &expandState{}
+	}
 	// Order root rows by resolved name with a full (file, line, id)
 	// secondary key: the same procedure name can occur in several files or
 	// load modules, and name alone under sort.Slice reordered such ties
@@ -126,18 +135,6 @@ func BuildCallersView(t *Tree) *CallersView {
 		return a.ID < b.ID
 	})
 	return v
-}
-
-// exposed reports whether frame n has no proper ancestor frame of the same
-// procedure.
-func exposed(n *Node) bool {
-	id := frameProc(n)
-	for a := n.Parent; a != nil; a = a.Parent {
-		if a.Kind == KindFrame && frameProc(a) == id {
-			return false
-		}
-	}
-	return true
 }
 
 // Expanded reports whether the root's caller subtrie has been built. Safe

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -507,36 +508,107 @@ func TestCallersRootBoundedProperty(t *testing.T) {
 // randomCCT builds a random calling context tree with recursion and loops;
 // returns the tree and the total Base cost.
 func randomCCT(seed int64, size int) (*Tree, float64) {
-	rng := rand.New(rand.NewSource(seed))
+	return randomCCTShape(seed, size, cctShape{cols: 1})
+}
+
+// cctShape says what randomCCTShape puts into a tree beside the frames,
+// loops, inlined bodies and statements every tree gets.
+type cctShape struct {
+	entries  int  // entry frames, each over a copy of the same subtree (0 means 1)
+	cols     int  // metric columns; column 0 is set at every statement
+	zeroCol  bool // one more column, registered and never written
+	negative bool // costs of either sign, as a diff tree has
+	loose    bool // some statements are hand-attached nodes no store backs
+}
+
+// randomCCTShape builds a random tree over five procedures in three files
+// and two modules: self-recursion at least three deep through one call site
+// ("rec"), mutual recursion (any procedure calls any other), nested loops,
+// and inlined code, at most 40 scopes deep. size is the number of generator
+// steps per entry frame. It returns the tree and the total Base cost of
+// column 0.
+func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
+	var rng *rand.Rand
 	reg := metric.NewRegistry()
-	if _, err := reg.AddRaw("cost", "samples", 1); err != nil {
-		panic(err)
+	ncols := sh.cols
+	if sh.zeroCol {
+		ncols++
+	}
+	for c := 0; c < ncols; c++ {
+		name := "cost"
+		if c > 0 {
+			name = fmt.Sprintf("cost%d", c)
+		}
+		if _, err := reg.AddRaw(name, "samples", 1); err != nil {
+			panic(err)
+		}
 	}
 	tree := NewTree("rnd", reg)
 	procs := []string{"main", "a", "b", "c", "rec"}
 	var total float64
 
-	cur := tree.Root.Child(Key{Kind: KindFrame, Name: Sym("main"), File: Sym("m.c")}, true)
-	stack := []*Node{cur}
-	for i := 0; i < size; i++ {
-		switch rng.Intn(5) {
-		case 0: // push a frame
-			name := procs[rng.Intn(len(procs))]
-			fr := stack[len(stack)-1].Child(Key{Kind: KindFrame, Name: Sym(name), File: Sym(name + ".c"), ID: uint64(rng.Intn(4))}, true)
-			fr.CallLine = rng.Intn(9) + 1
-			fr.CallFile = Sym("m.c")
-			stack = append(stack, fr)
-		case 1: // push a loop
-			l := stack[len(stack)-1].Child(Key{Kind: KindLoop, File: Sym("m.c"), Line: rng.Intn(20) + 1}, true)
-			stack = append(stack, l)
-		case 2, 3: // sample at a statement
-			v := float64(rng.Intn(5) + 1)
-			s := stack[len(stack)-1].Child(Key{Kind: KindStmt, File: Sym("m.c"), Line: rng.Intn(40) + 1}, true)
-			s.Base.Add(0, v)
-			total += v
-		case 4: // pop
-			if len(stack) > 1 {
-				stack = stack[:len(stack)-1]
+	frame := func(parent *Node, name string) *Node {
+		fr := parent.Child(Key{Kind: KindFrame, Name: Sym(name), File: Sym(name + ".c"), ID: uint64(rng.Intn(4))}, true)
+		fr.CallLine = rng.Intn(9) + 1
+		fr.CallFile = Sym("m.c")
+		fr.NoSource = rng.Intn(8) == 0 // the flat rows keep the last writer's
+		if name == "b" || name == "c" {
+			fr.Mod = Sym("lib.so")
+		}
+		return fr
+	}
+	for e := 0; e < max(1, sh.entries); e++ {
+		rng = rand.New(rand.NewSource(seed)) // every entry frame gets the same subtree
+		cur := tree.Root.Child(Key{Kind: KindFrame, Name: Sym("main"), File: Sym("m.c"), ID: uint64(e)}, true)
+		stack := []*Node{cur}
+		for i := 0; i < size; i++ {
+			top := stack[len(stack)-1]
+			op := rng.Intn(7)
+			if len(stack) > 40 {
+				op = 4
+			}
+			switch op {
+			case 0: // push a frame
+				stack = append(stack, frame(top, procs[rng.Intn(len(procs))]))
+			case 1: // push a loop
+				stack = append(stack, top.Child(Key{Kind: KindLoop, File: Sym("m.c"), Line: rng.Intn(20) + 1}, true))
+			case 2, 3: // sample at a statement
+				k := Key{Kind: KindStmt, File: Sym("m.c"), Line: rng.Intn(40) + 1}
+				s := top.Child(k, false)
+				if s == nil && sh.loose && rng.Intn(4) == 0 {
+					s = &Node{Key: k, Parent: top}
+					top.Children = append(top.Children, s)
+				} else if s == nil {
+					s = top.Child(k, true)
+				}
+				for c := 0; c < sh.cols; c++ {
+					if c > 0 && rng.Intn(2) == 0 {
+						continue
+					}
+					v := float64(rng.Intn(5) + 1)
+					if sh.negative && rng.Intn(3) == 0 {
+						v = -v / 3
+					}
+					s.Base.Add(c, v)
+					if c == 0 {
+						total += v
+					}
+				}
+			case 4: // pop
+				if len(stack) > 1 {
+					stack = stack[:len(stack)-1]
+				}
+			case 5: // push inlined code, sometimes with no source
+				al := top.Child(Key{Kind: KindAlien, Name: Sym("inl"), File: Sym("inl.h"), Line: rng.Intn(3) + 1}, true)
+				al.CallLine, al.CallFile = rng.Intn(9)+1, Sym("m.c")
+				al.NoSource = rng.Intn(4) == 0
+				stack = append(stack, al)
+			case 6: // recurse three deep through one call site
+				for d := 0; d < 3; d++ {
+					fr := stack[len(stack)-1].Child(Key{Kind: KindFrame, Name: Sym("rec"), File: Sym("rec.c"), ID: 7}, true)
+					fr.CallLine, fr.CallFile = 5, Sym("rec.c")
+					stack = append(stack, fr)
+				}
 			}
 		}
 	}

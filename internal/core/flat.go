@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/metric"
+import (
+	"repro/internal/intern"
+	"repro/internal/metric"
+)
 
 // The Flat View (Section III-C) correlates costs to the program's static
 // structure: load module → file → procedure → loop/inlined code →
@@ -29,129 +32,243 @@ type FlatView struct {
 	Roots []*Node
 }
 
-// BuildFlatView computes the Flat View of a tree in a single walk. Like
+// exposure is Section IV-B's exposed-instance rule, once for both aggregating
+// views: per aggregate row (a dense index), how many scopes on the walk path
+// map into it. Only a scope that enters a row at zero contributes to it.
+type exposure []int32
+
+// enter counts one more scope into row and reports whether it is exposed.
+func (e *exposure) enter(row int32) bool {
+	for int(row) >= len(*e) {
+		*e = append(*e, 0)
+	}
+	(*e)[row]++
+	return (*e)[row] == 1
+}
+
+func (e exposure) exit(row int32) { e[row]-- }
+
+// flatHome identifies a frame's (module, file, procedure) chain of flat scopes.
+type flatHome struct {
+	mod, file, name intern.Sym
+	line            int
+}
+
+// flatAdd is one step of the plan: add source row src's cell to view row dst's.
+type flatAdd struct{ src, dst int32 }
+
+// flatBuilder is the state of one BuildFlatView call; nothing of it lives
+// on the tree, so concurrent builds over one tree share only what they read.
+type flatBuilder struct {
+	root *Node
+	// ctx is the context stack. The context of the scope being visited is
+	// ctx[base:]: the home chain of its enclosing frame, then the flat scope
+	// of every loop, inlined body and statement since — a path of the view.
+	ctx    []*Node
+	active exposure           // by view store row
+	homes  map[flatHome]*Node // procedure row of every home seen
+	// The plan, in visit order: inclusive to inclusive, exclusive to
+	// exclusive, and per exposed call-site instance a run of static — the
+	// call-site row, a count, and that many Base rows to sum first (the
+	// frame's, then its direct statement children's, in child order).
+	incl, excl []flatAdd
+	static     []int32
+	// src is the CCT's store; a scope it does not back (a hand-attached
+	// node) is read through its Views, loose[i] as source row NumRows()+i.
+	src   *metric.Store
+	loose []*Node
+	cols  int // columns to sweep
+}
+
+// BuildFlatView computes the Flat View of a tree: one walk that resolves
+// every CCT scope to its flat scopes, then one sweep per metric column. Like
 // BuildCallersView it only reads the tree, so concurrent builds are safe.
 func BuildFlatView(t *Tree) *FlatView {
 	t.EnsureComputed()
-	v := &FlatView{Reg: t.Reg}
 	// The view is built by this one goroutine; a private arena with its own
 	// metric store packs its scopes into slabs like the CCT's, keeping the
 	// no-cross-tree-aliasing invariant.
 	arena := &nodeArena{store: metric.NewStore()}
-	root := arena.alloc()
-	root.Key = Key{Kind: KindRoot}
-	root.arena = arena
-
-	// active counts, per flat scope, how many CCT ancestors on the
-	// current walk path map into that scope's flat subtree.
-	active := map[*Node]int{}
-
-	// flatHome materializes the (LM, file, proc) chain for a frame and
-	// returns all three, outermost first.
-	flatHome := func(fr *Node) []*Node {
-		lm := root.Child(Key{Kind: KindLM, Name: fr.Mod}, true)
-		file := lm.Child(Key{Kind: KindFile, Name: fr.File}, true)
-		file.NoSource = fr.File == 0
-		proc := file.Child(Key{Kind: KindProc, Name: fr.Name, File: fr.File, Line: fr.Line}, true)
-		proc.NoSource = fr.NoSource
-		return []*Node{lm, file, proc}
+	b := &flatBuilder{root: arena.alloc(), homes: map[flatHome]*Node{}, src: t.arena.store}
+	b.root.Key = Key{Kind: KindRoot}
+	b.root.arena = arena
+	if b.src == nil { // a Tree literal: every scope is loose
+		b.src = metric.NewStore()
 	}
+	b.cols = max(b.src.NumCols(metric.PlaneBase), b.src.NumCols(metric.PlaneIncl), b.src.NumCols(metric.PlaneExcl))
+	// A scope adds its exclusive cost once and its inclusive cost seldom
+	// more than twice: the plan rarely regrows.
+	b.incl = make([]flatAdd, 0, 2*b.src.NumRows())
+	b.excl = make([]flatAdd, 0, b.src.NumRows())
+	b.visit(t.Root, 0)
+	b.sweep(arena.store)
+	return &FlatView{Reg: t.Reg, Roots: b.root.Children}
+}
 
-	// walk carries the flat path of the current CCT node's *context*:
-	// for children of a frame that is the frame's home chain; for
-	// children of loops/aliens it extends with the mapped scope.
-	var walk func(n *Node, ctxPath []*Node)
-	walk = func(n *Node, ctxPath []*Node) {
-		var touched []*Node
-		childCtx := ctxPath
-
-		if n.Kind != KindRoot {
-			var fp []*Node
-			switch n.Kind {
-			case KindFrame:
-				fp = flatHome(n)
-			case KindLoop, KindAlien, KindStmt:
-				parent := ctxPath[len(ctxPath)-1]
-				var k Key
-				switch n.Kind {
-				case KindLoop:
-					k = Key{Kind: KindLoop, File: n.File, Line: n.Line, ID: n.ID}
-				case KindAlien:
-					k = Key{Kind: KindAlien, Name: n.Name, File: n.File, Line: n.Line, ID: n.ID}
-				case KindStmt:
-					k = Key{Kind: KindStmt, File: n.File, Line: n.Line}
-				}
-				c := parent.Child(k, true)
-				c.NoSource = n.NoSource
-				if c.CallLine == 0 {
-					c.CallLine = n.CallLine
-					c.CallFile = n.CallFile
-				}
-				fp = append(append([]*Node(nil), ctxPath...), c)
-			default:
-				fp = ctxPath
-			}
-
-			for _, s := range fp {
-				if active[s] == 0 {
-					s.Incl.AddView(&n.Incl)
+// sweep executes the plan column by column into exact-size columns of the
+// view's store. Each cell receives its additions in visit order, the order
+// a scope-at-a-time build adds them in, so the sums are the same bits.
+func (b *flatBuilder) sweep(to *metric.Store) {
+	rows := to.NumRows()
+	for c := 0; c < b.cols; c++ {
+		if src := b.column(metric.PlaneIncl, c); len(src) > 0 {
+			incl := make([]float64, rows)
+			for _, a := range b.incl {
+				if int(a.src) < len(src) {
+					incl[a.dst] += src[a.src]
 				}
 			}
-			self := fp[len(fp)-1]
-			switch n.Kind {
-			case KindFrame:
-				if active[self] == 0 {
-					self.Excl.AddView(&n.Excl)
-				}
-			case KindLoop, KindAlien, KindStmt:
-				self.Excl.AddView(&n.Excl)
-			}
-			touched = append(touched, fp...)
-
-			// Dynamic call-site row in the caller's static context.
-			if n.Kind == KindFrame && len(ctxPath) > 0 {
-				ctx := ctxPath[len(ctxPath)-1]
-				cs := ctx.Child(Key{Kind: KindCallSite, Name: n.Name, File: n.CallFile, Line: n.CallLine, ID: n.ID}, true)
-				cs.NoSource = n.NoSource
-				if active[cs] == 0 {
-					cs.Incl.AddView(&n.Incl)
-					cs.Excl.AddVector(StaticExcl(n))
-				}
-				touched = append(touched, cs)
-			}
-
-			for _, s := range touched {
-				active[s]++
-			}
-			childCtx = fp
+			to.AdoptCol(metric.PlaneIncl, c, incl, false)
 		}
-
-		for _, c := range n.Children {
-			walk(c, childCtx)
+		src, base := b.column(metric.PlaneExcl, c), b.column(metric.PlaneBase, c)
+		if len(src)+len(base) == 0 {
+			continue
 		}
+		excl := make([]float64, rows)
+		for _, a := range b.excl {
+			if int(a.src) < len(src) {
+				excl[a.dst] += src[a.src]
+			}
+		}
+		for run := b.static; len(run) > 0; {
+			n := 2 + int(run[1])
+			v := 0.0
+			for _, r := range run[2:n] {
+				if int(r) < len(base) {
+					v += base[r]
+				}
+			}
+			excl[run[0]] += v
+			run = run[n:]
+		}
+		// Containers (files, modules) report the sum of their children's
+		// exclusive costs (file2 = g's 4 + h's 4 = 8 in Figure 2c).
+		for _, lm := range b.root.Children {
+			ofFiles := 0.0
+			for _, f := range lm.Children {
+				ofProcs := 0.0
+				for _, p := range f.Children {
+					ofProcs += excl[p.Excl.Row()]
+				}
+				excl[f.Excl.Row()] = ofProcs
+				ofFiles += ofProcs
+			}
+			excl[lm.Excl.Row()] = ofFiles
+		}
+		to.AdoptCol(metric.PlaneExcl, c, excl, false)
+	}
+}
 
-		for _, s := range touched {
-			active[s]--
+// column returns column c of plane p of the sources: the CCT store's slab as
+// materialized, copied and extended by the loose scopes' cells if there are any.
+func (b *flatBuilder) column(p metric.Plane, c int) []float64 {
+	col, rows := b.src.ColRead(p, c), b.src.NumRows()
+	if len(b.loose) == 0 {
+		return col
+	}
+	col = append(make([]float64, 0, rows+len(b.loose)), col...)[:rows+len(b.loose)]
+	for i, n := range b.loose {
+		col[rows+i] = [...]*metric.View{&n.Base, &n.Incl, &n.Excl}[p].Get(c)
+	}
+	return col
+}
+
+// srcRow returns the source row the sweep reads n's costs at.
+func (b *flatBuilder) srcRow(n *Node) int32 {
+	if n.Base.Store() == b.src {
+		return n.Base.Row()
+	}
+	for _, v := range [...]*metric.View{&n.Base, &n.Incl, &n.Excl} {
+		v.Range(func(id int, _ float64) { b.cols = max(b.cols, id+1) })
+	}
+	b.loose = append(b.loose, n)
+	return int32(b.src.NumRows() + len(b.loose) - 1)
+}
+
+// pushHome pushes the (module, file, procedure) chain of a frame's static
+// home onto the context stack, creating it the first time the home is seen.
+func (b *flatBuilder) pushHome(mod, file, name intern.Sym, line int, noSource bool) {
+	k := flatHome{mod, file, name, line}
+	proc := b.homes[k]
+	if proc == nil {
+		f := b.root.Child(Key{Kind: KindLM, Name: mod}, true).Child(Key{Kind: KindFile, Name: file}, true)
+		f.NoSource = file == 0
+		proc = f.Child(Key{Kind: KindProc, Name: name, File: file, Line: line}, true)
+		b.homes[k] = proc
+	}
+	proc.NoSource = noSource
+	b.ctx = append(b.ctx, proc.Parent.Parent, proc.Parent, proc)
+}
+
+// visit maps CCT scope n into the view, plans the additions of its costs to
+// the rows it is exposed to, and walks its children in the context it leaves.
+func (b *flatBuilder) visit(n *Node, base int) {
+	top := len(b.ctx)
+	var cs *Node // dynamic call-site row in the caller's static context
+	switch n.Kind {
+	case KindFrame:
+		b.pushHome(n.Mod, n.File, n.Name, n.Line, n.NoSource)
+		if top > base {
+			cs = b.ctx[top-1].Child(Key{Kind: KindCallSite, Name: n.Name, File: n.CallFile, Line: n.CallLine, ID: n.ID}, true)
+			cs.NoSource = n.NoSource
+		}
+		base = top // the frame's children see its home chain, nothing of the caller
+	case KindLoop, KindAlien, KindStmt:
+		if top == base { // no enclosing frame: the home of a frame that names nothing
+			b.pushHome(0, 0, 0, 0, true)
+		}
+		k := n.Key
+		switch n.Kind {
+		case KindLoop:
+			k.Name = 0
+		case KindStmt:
+			k.Name, k.ID = 0, 0
+		}
+		c := b.ctx[len(b.ctx)-1].Child(k, true)
+		c.NoSource = n.NoSource
+		if c.CallLine == 0 {
+			c.CallLine = n.CallLine
+			c.CallFile = n.CallFile
+		}
+		b.ctx = append(b.ctx, c)
+	}
+	if n.Kind != KindRoot {
+		src := b.srcRow(n)
+		self, selfExposed := (*Node)(nil), false
+		for _, self = range b.ctx[base:] {
+			if selfExposed = b.active.enter(self.Incl.Row()); selfExposed {
+				b.incl = append(b.incl, flatAdd{src, self.Incl.Row()})
+			}
+		}
+		// Procedure rows take the frame-rule exclusive of exposed
+		// instances; loop, inlined and statement rows every instance's.
+		if selfExposed && n.Kind == KindFrame || n.Kind == KindLoop || n.Kind == KindAlien || n.Kind == KindStmt {
+			b.excl = append(b.excl, flatAdd{src, self.Incl.Row()})
+		}
+		// Call-site rows take the static-rule exclusive: the callee's own
+		// samples and its direct statement children's.
+		if cs != nil && b.active.enter(cs.Incl.Row()) {
+			b.incl = append(b.incl, flatAdd{src, cs.Incl.Row()})
+			at := len(b.static)
+			b.static = append(b.static, cs.Incl.Row(), 1, src)
+			for _, c := range n.Children {
+				if c.Kind == KindStmt {
+					b.static = append(b.static, b.srcRow(c))
+					b.static[at+1]++
+				}
+			}
 		}
 	}
-	walk(t.Root, nil)
-
-	// Containers (files, modules) report the sum of their children's
-	// exclusive costs (file2 = g's 4 + h's 4 = 8 in Figure 2c).
-	var fixContainers func(s *Node)
-	fixContainers = func(s *Node) {
-		for _, c := range s.Children {
-			fixContainers(c)
+	for _, c := range n.Children {
+		b.visit(c, base)
+	}
+	if n.Kind != KindRoot {
+		for _, s := range b.ctx[base:] {
+			b.active.exit(s.Incl.Row())
 		}
-		if s.Kind == KindFile || s.Kind == KindLM {
-			s.Excl.Reset()
-			for _, c := range s.Children {
-				s.Excl.AddView(&c.Excl)
-			}
+		if cs != nil {
+			b.active.exit(cs.Incl.Row())
 		}
 	}
-	fixContainers(root)
-
-	v.Roots = root.Children
-	return v
+	b.ctx = b.ctx[:top]
 }

@@ -245,20 +245,6 @@ func (t *Tree) recomputeMetricsGeneric() {
 	visit(t.Root)
 }
 
-// StaticExcl computes a frame's exclusive cost under the *static* rule: the
-// sum of Base over its direct statement children. This is what the Flat
-// View's dynamic call-site rows report (Figure 2c's hy shows 0 because all
-// of h's samples are nested in loops, not direct children).
-func StaticExcl(frame *Node) *metric.Vector {
-	ex := frame.Base.Clone()
-	for _, c := range frame.Children {
-		if c.Kind == KindStmt {
-			c.Base.Range(func(id int, x float64) { ex.Add(id, x) })
-		}
-	}
-	return ex
-}
-
 // compiledDerived pairs a derived column with its compiled stack program.
 type compiledDerived struct {
 	id   int

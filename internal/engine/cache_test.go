@@ -20,7 +20,7 @@ import (
 
 // mergedFixture builds a merged multi-rank experiment whose summary columns
 // live in the v2 overrides section — the shape a lazy open can skip.
-func mergedFixture(t *testing.T) *expdb.Experiment {
+func mergedFixture(t testing.TB) *expdb.Experiment {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
 	if err != nil {
