@@ -8,15 +8,14 @@ GO ?= go
 # ChildLookup is a nanosecond-scale operation and needs a fixed high
 # iteration count — 30 iterations of a ~50ns op is pure timer noise.
 # HotPath is anchored so it does not also select BenchmarkHotPathSize.
-BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkProfileCodec|BenchmarkSamplerRecord|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkSortTree|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpen|BenchmarkConcurrentSessions|BenchmarkRenderRows|BenchmarkExpandAllRender|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkTraceView|BenchmarkTraceCapture|BenchmarkImportPprof|BenchmarkReport$$
+BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkProfileCodec|BenchmarkSamplerRecord|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkSortTree|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpenSynthetic|BenchmarkConcurrentSessions|BenchmarkRenderRows|BenchmarkExpandAllRender|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkTraceView|BenchmarkTraceCapture|BenchmarkImportPprof|BenchmarkReport$$
 BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 	&& $(GO) test -run XXX -bench BenchmarkChildLookup -benchtime 2000000x -benchmem . \
 	&& $(GO) test -run XXX -bench 'BenchmarkDiffUnion|BenchmarkDiffKernels' -benchtime 5x -benchmem .
 
-# Packages whose fuzz targets run their seed corpora in CI and `make
-# faults`. This list is the single source of truth: CI's "Fuzz seeds" step
-# calls `make fuzz-seeds`, so adding a fuzz target means adding its package
-# here once.
+# Packages whose fuzz targets run their seed corpora in `make fuzz-seeds`.
+# This list and the `faults` recipe below are the only lists of fuzz
+# targets: CI calls `make faults`, so a new target is added here, once.
 FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio ./internal/render ./internal/engine
 
 .PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-trace faults fuzz-seeds chaos
@@ -34,6 +33,9 @@ race:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l prints:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Static analysis beyond vet. Both tools run in CI unconditionally; locally
 # each is skipped (with a note) when not on PATH — the container image does
@@ -85,8 +87,9 @@ fuzz-seeds:
 
 # Robustness gate: the fault-injection matrix (every workload's files, both
 # format versions, truncation + corruption sweeps), every seed corpus, plus
-# a short coverage-guided fuzz of the binary readers, the pprof importer and
-# the views of whatever database the readers accept.
+# a short coverage-guided fuzz of the binary readers, the pprof importer, the
+# cell formatter and the views of whatever database the readers accept. CI
+# runs this target.
 faults:
 	$(GO) test -run 'TestFaultMatrix|TestReaderFaults' ./internal/faultio
 	$(MAKE) fuzz-seeds
@@ -96,6 +99,7 @@ faults:
 	$(GO) test -run XXX -fuzz FuzzReadTrace -fuzztime 10s ./internal/expdb
 	$(GO) test -run XXX -fuzz FuzzDiff -fuzztime 10s ./internal/diff
 	$(GO) test -run XXX -fuzz FuzzImportPprof -fuzztime 10s ./internal/pprofio
+	$(GO) test -run XXX -fuzz FuzzFormatCell -fuzztime 10s ./internal/render
 	$(GO) test -run XXX -fuzz FuzzViews -fuzztime 10s ./internal/engine
 
 # Live-serving chaos gate, always under -race: catalog lifecycle races

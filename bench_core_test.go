@@ -37,7 +37,7 @@ func BenchmarkReadBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := expdb.ReadBinary(bytes.NewReader(data)); err != nil {
+		if _, err := expdb.Read(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/expdb"
 	"repro/internal/render"
 )
 
@@ -44,7 +45,7 @@ func rowPathCCT(b *testing.B) *core.Tree {
 // contract — the renderer's handful, nothing per row.
 func BenchmarkRenderRows(b *testing.B) {
 	t := rowPathCCT(b)
-	s := engine.NewSession(engine.NewTreeSnapshot(t))
+	s := engine.NewSession(engine.NewSnapshot(expdb.New(t)))
 	defer s.Close()
 	if err := s.ExpandAll(t.Root); err != nil {
 		b.Fatal(err)
@@ -64,7 +65,7 @@ func BenchmarkRenderRows(b *testing.B) {
 // fresh session: open every scope, order every sibling list — far more of
 // them than the query cache holds — and render every row.
 func BenchmarkExpandAllRender(b *testing.B) {
-	snap := engine.NewTreeSnapshot(rowPathCCT(b))
+	snap := engine.NewSnapshot(expdb.New(rowPathCCT(b)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +87,7 @@ func BenchmarkExpandAllRender(b *testing.B) {
 // numbers live in BENCH_engine.json.
 func BenchmarkConcurrentSessions(b *testing.B) {
 	tree := syntheticCCT(20_000, 11)
-	snap := engine.NewTreeSnapshot(tree)
+	snap := engine.NewSnapshot(expdb.New(tree))
 	workload := func() error {
 		s := engine.NewSession(snap)
 		defer s.Close()

@@ -50,7 +50,6 @@ func TestBenchSmoke(t *testing.T) {
 		{"DBDecodeXML", BenchmarkDBDecodeXML},
 		{"DBDecodeBinary", BenchmarkDBDecodeBinary},
 		{"RenderViews", BenchmarkRenderViews},
-		{"SparseVsDenseMetrics", BenchmarkSparseVsDenseMetrics},
 		{"RenderHTMLReport", BenchmarkRenderHTMLReport},
 		{"SessionVisibleRows", BenchmarkSessionVisibleRows},
 		{"ImageFingerprint", BenchmarkImageFingerprint},
@@ -62,7 +61,6 @@ func TestBenchSmoke(t *testing.T) {
 		{"SortTree", BenchmarkSortTree},
 		{"HotPath", BenchmarkHotPath},
 		{"ComputeMetrics", BenchmarkComputeMetrics},
-		{"LazyOpen", BenchmarkLazyOpen},
 		{"MappedOpen", BenchmarkMappedOpen},
 		{"LazyOpenSynthetic", BenchmarkLazyOpenSynthetic},
 		{"ColdFirstQueryMapped", BenchmarkColdFirstQueryMapped},

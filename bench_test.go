@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/correlate"
+	"repro/internal/engine"
 	"repro/internal/expdb"
 	"repro/internal/imbalance"
 	"repro/internal/lower"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/sampler"
 	"repro/internal/sim"
 	"repro/internal/structfile"
-	"repro/internal/viewer"
 	"repro/internal/workloads"
 )
 
@@ -558,7 +558,7 @@ func BenchmarkDBDecodeBinary(b *testing.B) {
 	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := expdb.ReadBinary(bytes.NewReader(data)); err != nil {
+		if _, err := expdb.Read(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -592,45 +592,6 @@ func BenchmarkRenderViews(b *testing.B) {
 	})
 }
 
-// --- Ablation: sparse vs dense metric storage --------------------------------
-
-func BenchmarkSparseVsDenseMetrics(b *testing.B) {
-	// 10k scopes × 16 columns with only 2 populated: the sparse Vector
-	// against a dense slice representation.
-	const scopes, cols = 10_000, 16
-	b.Run("sparse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			vs := make([]metric.Vector, scopes)
-			for j := range vs {
-				vs[j].Add(0, float64(j))
-				vs[j].Add(7, float64(j))
-			}
-			var sum float64
-			for j := range vs {
-				sum += vs[j].Get(0) + vs[j].Get(7)
-			}
-			_ = sum
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			vs := make([][]float64, scopes)
-			for j := range vs {
-				vs[j] = make([]float64, cols)
-				vs[j][0] = float64(j)
-				vs[j][7] = float64(j)
-			}
-			var sum float64
-			for j := range vs {
-				sum += vs[j][0] + vs[j][7]
-			}
-			_ = sum
-		}
-	})
-}
-
 // --- HTML export and interactive session --------------------------------------
 
 func BenchmarkRenderHTMLReport(b *testing.B) {
@@ -645,7 +606,7 @@ func BenchmarkRenderHTMLReport(b *testing.B) {
 
 func BenchmarkSessionVisibleRows(b *testing.B) {
 	t := syntheticCCT(100_000, 5)
-	s := viewer.New(t, nil)
+	s := engine.NewSession(engine.NewSnapshot(expdb.New(t)))
 	s.HotPath(0) // expand a realistic working set
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

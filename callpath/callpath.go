@@ -25,6 +25,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/expdb"
 	"repro/internal/imbalance"
 	"repro/internal/lower"
@@ -37,7 +38,6 @@ import (
 	"repro/internal/sampler"
 	"repro/internal/scaling"
 	"repro/internal/structfile"
-	"repro/internal/viewer"
 	"repro/internal/workloads"
 )
 
@@ -264,11 +264,11 @@ func (r *Result) AnalyzeImbalance(path []string, metricName string, bins int) (*
 }
 
 // WriteXML / WriteBinary / ReadXML / ReadBinary move experiment databases
-// to and from disk.
+// to and from disk (ReadBinary sniffs the format, so it reads any of them).
 func WriteXML(w io.Writer, e *Experiment) error    { return e.WriteXML(w) }
 func WriteBinary(w io.Writer, e *Experiment) error { return e.WriteBinary(w) }
 func ReadXML(r io.Reader) (*Experiment, error)     { return expdb.ReadXML(r) }
-func ReadBinary(r io.Reader) (*Experiment, error)  { return expdb.ReadBinary(r) }
+func ReadBinary(r io.Reader) (*Experiment, error)  { return expdb.Read(r) }
 
 // Scalability analysis (Section VI-A): difference two runs of the same
 // program under a scaling expectation.
@@ -295,21 +295,25 @@ func AnalyzeScaling(small, big *Tree, cfg ScalingConfig) (*ScalingResult, error)
 // paths, zoom, flatten, source pane).
 type (
 	// Session is a stateful interactive view over a tree.
-	Session = viewer.Session
+	Session = engine.Session
 	// ViewKind selects the session's active view.
-	ViewKind = viewer.ViewKind
+	ViewKind = engine.ViewKind
 )
 
 // Session view kinds.
 const (
-	ViewCC      = viewer.ViewCC
-	ViewCallers = viewer.ViewCallers
-	ViewFlat    = viewer.ViewFlat
+	ViewCC      = engine.ViewCC
+	ViewCallers = engine.ViewCallers
+	ViewFlat    = engine.ViewFlat
 )
 
 // NewSession starts an interactive session; source (a workload's Program)
 // may be nil when no source pane is needed.
-func NewSession(t *Tree, source *Program) *Session { return viewer.New(t, source) }
+func NewSession(t *Tree, source *Program) *Session {
+	s := engine.NewSession(engine.NewSnapshot(expdb.New(t)))
+	s.SetSource(source)
+	return s
+}
 
 // WorkloadProgram returns the named workload's program, e.g. to attach as
 // a session's source pane.

@@ -141,7 +141,7 @@ func TestKeepGoingQuarantinesAndMatchesGoodOnlyMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		e, err := expdb.ReadBinary(f)
+		e, err := expdb.Read(f)
 		if err != nil {
 			t.Fatalf("reading %s: %v", path, err)
 		}

@@ -14,15 +14,15 @@
 //
 // Usage:
 //
-//	hpcprof -S s3d.hpcstruct [-format binary|v3|xml] [-summaries] \
+//	hpcprof -S s3d.hpcstruct [-format v3|binary|xml] [-summaries] \
 //	        [-traces] [-keep-going] [-max-bad-ranks N] \
 //	        -o s3d.db measurements/s3d-*.cpprof
 //
 // hpcprof is also the pprof bridge (DESIGN.md §16). -pprof imports a
 // gzipped Go runtime/pprof profile (CPU, heap, mutex, ...) through the
-// format-neutral source boundary and writes a normal experiment database
-// (CPDB3 by default), so every view, diff, catalog and server path works
-// on real-world profiles unchanged; -export-pprof opens an existing
+// format-neutral source boundary and writes a normal experiment database,
+// so every view, diff, catalog and server path works on real-world
+// profiles unchanged; -export-pprof opens an existing
 // database of any format and writes it back out as a pprof profile:
 //
 //	hpcprof -pprof cpu.pb.gz -o cpu.db
@@ -40,6 +40,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -73,23 +74,21 @@ func run(args []string) (err error) {
 	dflags := diag.Register(fs)
 	structPath := fs.String("S", "", "structure file from hpcstruct (required)")
 	out := fs.String("o", "experiment.db", "output database path")
-	format := fs.String("format", "binary", "database format: binary (v2), v3 (mappable zero-copy) or xml")
+	format := fs.String("format", "v3", "database format: v3 (mappable zero-copy), binary (v2) or xml")
 	summaries := fs.Bool("summaries", false, "add mean/min/max/stddev summary columns across ranks")
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel merge workers (1 = sequential)")
 	traceOut := fs.Bool("traces", false, "stream captured trace sections into the database with zoom pyramids (v3 format only)")
 	keepGoing := fs.Bool("keep-going", false, "quarantine corrupt/truncated/unreadable measurement files instead of aborting")
 	maxBad := fs.Int("max-bad-ranks", -1, "abort once more than this many files are quarantined (-1 = unlimited; setting it implies -keep-going)")
-	pprofIn := fs.String("pprof", "", "import this gzipped pprof profile instead of hpcrun measurements (no -S; writes CPDB3 unless -format says otherwise)")
+	pprofIn := fs.String("pprof", "", "import this gzipped pprof profile instead of hpcrun measurements (no -S)")
 	pprofOut := fs.String("export-pprof", "", "export an existing experiment database (the positional argument) to a gzipped pprof profile at this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	formatSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "format" {
-			formatSet = true
-		}
-	})
+	write, err := expdb.WriterFor(*format)
+	if err != nil {
+		return err
+	}
 	if *pprofOut != "" {
 		if *pprofIn != "" {
 			return fmt.Errorf("-pprof and -export-pprof are mutually exclusive")
@@ -109,22 +108,13 @@ func run(args []string) (err error) {
 		if *traceOut {
 			return fmt.Errorf("-traces requires hpcrun measurements")
 		}
-		if !formatSet {
-			*format = "v3"
-		}
-		if *format != "binary" && *format != "v3" && *format != "xml" {
-			return fmt.Errorf("unknown format %q", *format)
-		}
-		return importPprof(*pprofIn, *out, *format)
+		return importPprof(*pprofIn, *out, write)
 	}
 	if *structPath == "" {
 		return fmt.Errorf("missing -S structure file")
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no profile files given")
-	}
-	if *format != "binary" && *format != "v3" && *format != "xml" {
-		return fmt.Errorf("unknown format %q", *format)
 	}
 	if *maxBad >= 0 {
 		*keepGoing = true
@@ -182,16 +172,7 @@ func run(args []string) (err error) {
 	// Atomic publish: temp file + fsync + rename, so an interrupted merge
 	// never leaves a torn database under the output name (a catalog spool
 	// would otherwise happily ingest it).
-	err = expdb.WriteFileAtomic(*out, func(f *os.File) error {
-		switch *format {
-		case "xml":
-			return exp.WriteXML(f)
-		case "v3":
-			return exp.WriteBinaryV3(f)
-		default:
-			return exp.WriteBinary(f)
-		}
-	})
+	err = expdb.WriteFileAtomic(*out, func(f *os.File) error { return write(exp, f) })
 	if err != nil {
 		return err
 	}
@@ -208,7 +189,7 @@ func run(args []string) (err error) {
 // importPprof builds an experiment database from one pprof profile via
 // the format-neutral source boundary, publishing it through the same
 // atomic-write path as a measurement merge.
-func importPprof(in, out, format string) error {
+func importPprof(in, out string, write func(*expdb.Experiment, io.Writer) error) error {
 	f, err := os.Open(in)
 	if err != nil {
 		return err
@@ -223,16 +204,7 @@ func importPprof(in, out, format string) error {
 		return fmt.Errorf("importing %s: %w", in, err)
 	}
 	exp := &expdb.Experiment{Program: im.Program(), NRanks: im.NRanks(), Tree: tree}
-	err = expdb.WriteFileAtomic(out, func(f *os.File) error {
-		switch format {
-		case "xml":
-			return exp.WriteXML(f)
-		case "binary":
-			return exp.WriteBinary(f)
-		default:
-			return exp.WriteBinaryV3(f)
-		}
-	})
+	err = expdb.WriteFileAtomic(out, func(f *os.File) error { return write(exp, f) })
 	if err != nil {
 		return err
 	}

@@ -74,7 +74,7 @@ func TestRunBinaryAndXML(t *testing.T) {
 		}
 		var e *expdb.Experiment
 		if format == "binary" {
-			e, err = expdb.ReadBinary(f)
+			e, err = expdb.Read(f)
 		} else {
 			e, err = expdb.ReadXML(f)
 		}

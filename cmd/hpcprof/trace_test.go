@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/expdb"
@@ -128,14 +129,28 @@ func TestTraceJobsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTracesRequiresV3 rejects -traces with non-v3 formats.
+// TestTracesRequiresV3 rejects -traces with non-v3 formats; the default
+// format is v3, so -traces alone works.
 func TestTracesRequiresV3(t *testing.T) {
 	dir := t.TempDir()
 	structPath, profPaths := writeTracedInputs(t, dir, 1)
-	args := append([]string{"-S", structPath, "-traces",
-		"-o", filepath.Join(dir, "x.db")}, profPaths...)
-	if err := run(args); err == nil {
-		t.Fatal("-traces without -format v3 must fail")
+	out := filepath.Join(dir, "x.db")
+	for _, format := range []string{"binary", "xml"} {
+		args := append([]string{"-S", structPath, "-traces", "-format", format, "-o", out}, profPaths...)
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-traces requires -format v3") {
+			t.Fatalf("-traces -format %s: %v", format, err)
+		}
+	}
+	if err := run(append([]string{"-S", structPath, "-traces", "-o", out}, profPaths...)); err != nil {
+		t.Fatalf("-traces with the default format: %v", err)
+	}
+	mdb, err := expdb.OpenMapped(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdb.Close()
+	if tv, err := mdb.Trace(); err != nil || tv == nil || len(tv.TraceRanks()) != 1 {
+		t.Fatalf("default-format -traces database: trace view %v, err %v", tv, err)
 	}
 }
 

@@ -92,8 +92,8 @@ func run(args []string) error {
 	return nil
 }
 
-// openDB opens a database of any format with every lazy column faulted
-// in (the analyses read all raw and summary values).
+// openDB opens a database of any format; a mapped v3 database has every
+// column faulted in (the analyses read all raw and summary values).
 func openDB(path string) (*expdb.Experiment, func(), error) {
 	sn, err := engine.Open(path)
 	if err != nil {

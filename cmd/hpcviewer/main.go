@@ -82,9 +82,8 @@ func run(args []string) (err error) {
 	}()
 
 	if *interactive {
-		// Interactive sessions open the database lazily: the CCT and metric
-		// table decode now; the overrides and provenance sections decode
-		// only if a command touches them.
+		// Interactive sessions go through the engine, which maps a v3
+		// database and checks a column the first time a command touches it.
 		return runInteractive(*db, derived, *workload, *structPath, *measDir, *jobs, *residency)
 	}
 
@@ -202,15 +201,14 @@ func run(args []string) (err error) {
 	}
 }
 
-// runInteractive opens the database lazily as an engine snapshot and
-// drives the REPL over one session of it. For a v2 database only the
-// string table, header, metric table and CCT are decoded up front;
-// override-backed metric columns (summaries, computed values) fault in
-// through the snapshot the first time a command sorts by, renders or
-// hot-paths them, and degradation notes appear on stderr the moment a
-// damaged section is first touched — exactly the notes an eager open
-// would have printed at startup. The CLI is a thin frontend: every
-// capability here (and in hpcserver) lives in internal/engine.
+// runInteractive opens the database as an engine snapshot and drives the
+// REPL over one session of it. A v3 database is mapped: only its index and
+// metadata are decoded up front, and a metric column's checksum is verified
+// the first time a command sorts by, renders or hot-paths it, so the note
+// for a damaged column appears on stderr the moment it is first touched.
+// Every other format is decoded whole and its notes are printed at open.
+// The CLI is a thin frontend: every capability here (and in hpcserver)
+// lives in internal/engine.
 func runInteractive(dbPath string, derived derivedFlags, workload, structPath, measDir string, jobs int, residency bool) error {
 	snap, err := engine.Open(dbPath)
 	if err != nil {
@@ -315,7 +313,7 @@ func loadMeasurements(structPath, dir string) (*structfile.Doc, []*profile.Profi
 // repl drives an interactive session over stdin, emulating hpcviewer's
 // GUI interactions (expand/collapse, hot-path drill-down, zoom, flatten,
 // the source pane and per-rank plots). flushNotes runs after every
-// command so degradation notes surface as soon as a lazy section decodes.
+// command so degradation notes surface as soon as a column faults.
 func repl(s *engine.Session, flushNotes func()) error {
 	out := bufio.NewWriter(os.Stdout)
 	err := s.Render(out, render.Options{})
@@ -350,16 +348,16 @@ func readDB(path string) (*expdb.Experiment, error) {
 		return nil, err
 	}
 	defer f.Close()
-	// expdb.Read sniffs the magic, accepting binary v1, binary v2 and XML.
+	// expdb.Read sniffs the magic, accepting XML and binary v1, v2 and v3.
 	// The raw file is passed (not a buffered wrapper) so the reader can
 	// bound allocations by the file's actual size.
 	exp, err := expdb.Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	// A v2 database can open degraded (a damaged optional section was
-	// dropped) and can carry merge provenance; tell the user on stderr so
-	// the rendered views are never silently incomplete.
+	// A database can open degraded (a damaged optional section or column
+	// was dropped) and can carry merge provenance; tell the user on stderr
+	// so the rendered views are never silently incomplete.
 	for _, note := range exp.Notes {
 		fmt.Fprintf(os.Stderr, "hpcviewer: warning: %s\n", note)
 	}

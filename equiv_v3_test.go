@@ -1,21 +1,22 @@
 // Equivalence tests for the v3 zero-copy storage layout (DESIGN.md §13).
 // Mapping column slabs straight out of the file is performance work only:
-// every view a session renders must be byte-identical no matter which open
-// path produced the snapshot — the eager v2 decode, the lazy v2 open with
-// on-demand fault-in, or the mapped v3 open reading float64 slabs in
-// place.
+// every view a session renders must be byte-identical no matter which
+// format engine.Open found in the file — XML, v1 or v2 decoded whole, or v3
+// mapped with its float64 slabs read in place.
 package repro
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/expdb"
+	"repro/internal/ingest"
 	"repro/internal/render"
 	"repro/internal/workloads"
 )
@@ -51,58 +52,67 @@ func renderViews(t *testing.T, snap *engine.Snapshot) string {
 }
 
 // TestV3OpenPathEquivalence runs every workload × {1, 7, 64} ranks through
-// the three open paths and demands byte-identical renders of all three
-// views. This is the contract that lets hpcviewer/hpcserver switch to
-// mapped v3 databases without a visible change.
+// engine.Open — what the tools call — on a file of each format and demands
+// byte-identical renders of all three views, the same quarantine record
+// from the formats that store one (v2, v3) and no degradation notes. This
+// is the contract that lets hpcprof write v3 by default without a visible
+// change.
 func TestV3OpenPathEquivalence(t *testing.T) {
 	dir := t.TempDir()
+	formats := []struct {
+		name       string
+		write      func(*expdb.Experiment, io.Writer) error
+		provenance bool
+	}{
+		{"v2", (*expdb.Experiment).WriteBinary, true},
+		{"v3", (*expdb.Experiment).WriteBinaryV3, true},
+		{"v1", (*expdb.Experiment).WriteBinaryV1, false},
+		{"xml", (*expdb.Experiment).WriteXML, false},
+	}
 	for _, name := range workloads.Names() {
 		for _, ranks := range []int{1, 7, 64} {
 			t.Run(fmt.Sprintf("%s/ranks=%d", name, ranks), func(t *testing.T) {
 				exp := equivExperiment(t, name, ranks)
-
-				var v2buf, v3buf bytes.Buffer
-				if err := exp.WriteBinary(&v2buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := exp.WriteBinaryV3(&v3buf); err != nil {
-					t.Fatal(err)
-				}
-				v3path := filepath.Join(dir, fmt.Sprintf("%s-%d.db", name, ranks))
-				if err := os.WriteFile(v3path, v3buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-
-				eagerExp, err := expdb.Read(bytes.NewReader(v2buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				eager := renderViews(t, engine.NewSnapshot(eagerExp))
-
-				ldb, err := expdb.OpenLazy(bytes.NewReader(v2buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				lazy := renderViews(t, engine.NewLazySnapshot(ldb))
-
-				mdb, err := expdb.OpenMapped(v3path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				msnap, err := engine.NewMappedSnapshot(mdb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mapped := renderViews(t, msnap)
-				if err := msnap.Close(); err != nil {
-					t.Fatal(err)
-				}
-
-				if eager != lazy {
-					t.Errorf("lazy v2 render differs from eager v2:\n%s", firstDiff(eager, lazy))
-				}
-				if eager != mapped {
-					t.Errorf("mapped v3 render differs from eager v2:\n%s", firstDiff(eager, mapped))
+				exp.Provenance = &ingest.Report{Attempted: ranks + 1, Merged: ranks, Bad: []ingest.BadRank{
+					{Path: "lost.cpprof", Rank: ranks, Offset: 5, Class: ingest.ClassTruncated, Message: "unexpected EOF"},
+				}}
+				var want string
+				for _, f := range formats {
+					path := filepath.Join(dir, fmt.Sprintf("%s-%d.%s.db", name, ranks, f.name))
+					err := expdb.WriteFileAtomic(path, func(file *os.File) error { return f.write(exp, file) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					snap, err := engine.Open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mapped := snap.MappedBytes() != nil; mapped != (f.name == "v3") {
+						t.Errorf("%s: mapped = %v", f.name, mapped)
+					}
+					got := renderViews(t, snap)
+					if want == "" {
+						want = got
+					} else if got != want {
+						t.Errorf("%s render differs from %s:\n%s", f.name, formats[0].name, firstDiff(want, got))
+					}
+					prov, err := snap.Provenance()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !f.provenance {
+						if prov != nil {
+							t.Errorf("%s: provenance %+v from a format that stores none", f.name, prov)
+						}
+					} else if !reflect.DeepEqual(prov, exp.Provenance) {
+						t.Errorf("%s: provenance %+v, want %+v", f.name, prov, exp.Provenance)
+					}
+					if notes := snap.Notes(); len(notes) != 0 {
+						t.Errorf("%s: intact file opened with notes %q", f.name, notes)
+					}
+					if err := snap.Close(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			})
 		}

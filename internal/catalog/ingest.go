@@ -141,16 +141,13 @@ func ValidateFile(path string) error {
 		}
 		return nil
 	}
-	// v2/v1/XML: open through the engine and force every lazy column in, so
-	// deferred CRC checks run now; a degraded open (notes) is a rejection.
+	// XML/v1/v2 are decoded whole, every checksum verified on the way; a
+	// degraded open (notes) is a rejection.
 	snap, err := engine.Open(path)
 	if err != nil {
 		return err
 	}
 	defer snap.Release()
-	if err := snap.FaultAll(); err != nil {
-		return err
-	}
 	if notes := snap.Notes(); len(notes) > 0 {
 		return fmt.Errorf("damaged database: %s", notes[0])
 	}

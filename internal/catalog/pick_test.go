@@ -41,7 +41,7 @@ func TestPickStrategies(t *testing.T) {
 		strategy string
 		wantTs   int64
 	}{
-		{"", 3},             // latest = newest generation
+		{"", 3}, // latest = newest generation
 		{"latest", 3},
 		{"most-samples", 2}, // 6 ranks captured the most work
 		{"p50", 1},          // median cost is the 4-rank run

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/metric"
 )
@@ -128,5 +129,47 @@ func TestGrowChildrenKeepsNeighboursApart(t *testing.T) {
 	a.AppendChild(Key{Kind: KindStmt, Line: 3})
 	if len(a.Children) != 3 || len(b.Children) != 2 || b.Children[0].Line != 11 || b.Children[1].Line != 12 {
 		t.Fatalf("outgrowing a's list disturbed b's: a has %d children, b has %v", len(a.Children), b.Children)
+	}
+}
+
+// TestNodeSize pins the bytes a resident scope costs: a 32-byte key, the
+// attributes, the tree links and three 16-byte metric views.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 160 {
+		t.Errorf("core.Node is %d bytes, want at most 160", got)
+	}
+}
+
+// TestForeignScopesPanic: every scope under a tree is a row of the tree's
+// store because nothing else can be built, and the one check of that
+// (buildTopo) turns a scope spliced in around Child into a panic instead of
+// a wrong sum.
+func TestForeignScopesPanic(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	k := Key{Kind: KindStmt, File: Sym("a.c"), Line: 1}
+	mustPanic("Child of a bare Node", func() { (&Node{}).Child(k, true) })
+
+	tree, other := Fig1Tree(), Fig1Tree()
+	f := tree.FindFirst("f")
+	for what, foreign := range map[string]*Node{
+		"a bare Node":               {Key: k, Parent: f},
+		"a scope of another tree":   other.FindFirst("g"),
+		"a scope of a derived view": BuildFlatView(other).Roots[0],
+	} {
+		f.Children = append(f.Children, foreign)
+		mustPanic("ComputeMetrics over "+what, tree.ComputeMetrics)
+		f.Children = f.Children[:len(f.Children)-1]
+	}
+	tree.ComputeMetrics() // the tree itself is unharmed
+	if got := tree.Total(0); got != Fig1Tree().Total(0) {
+		t.Errorf("total %v after the foreign scopes were removed again", got)
 	}
 }

@@ -51,11 +51,9 @@ func (a *nodeArena) alloc() *Node {
 	}
 	a.slab = a.slab[:len(a.slab)+1]
 	n := &a.slab[len(a.slab)-1]
-	if a.store != nil {
-		row := a.store.AddRow()
-		n.Base = metric.NewView(a.store, metric.PlaneBase, row)
-		n.Incl = metric.NewView(a.store, metric.PlaneIncl, row)
-		n.Excl = metric.NewView(a.store, metric.PlaneExcl, row)
-	}
+	row := a.store.AddRow()
+	n.Base = metric.NewView(a.store, metric.PlaneBase, row)
+	n.Incl = metric.NewView(a.store, metric.PlaneIncl, row)
+	n.Excl = metric.NewView(a.store, metric.PlaneExcl, row)
 	return n
 }

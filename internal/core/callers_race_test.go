@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/metric"
 )
 
 // The concurrency harness for the lazy Callers View: construction and
@@ -111,11 +114,16 @@ func TestCallersViewLazyConstruction(t *testing.T) {
 	}
 	// Repeated expansion must not double the costs: snapshot, expand
 	// again, compare.
-	before := v.Roots[0].Incl.Clone()
+	collect := func(v *metric.View) map[int]float64 {
+		m := map[int]float64{}
+		v.Range(func(id int, x float64) { m[id] = x })
+		return m
+	}
+	before := collect(&v.Roots[0].Incl)
 	children := len(v.Roots[0].Children)
 	v.Expand(v.Roots[0])
-	if got := v.Roots[0].Incl; got.Len() != before.Len() {
-		t.Fatal("second Expand changed the root vector")
+	if got := collect(&v.Roots[0].Incl); !reflect.DeepEqual(got, before) {
+		t.Fatalf("second Expand changed the root vector: %v, was %v", got, before)
 	}
 	if len(v.Roots[0].Children) != children {
 		t.Fatal("second Expand grew the subtrie")

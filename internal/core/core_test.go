@@ -518,7 +518,6 @@ type cctShape struct {
 	cols     int  // metric columns; column 0 is set at every statement
 	zeroCol  bool // one more column, registered and never written
 	negative bool // costs of either sign, as a diff tree has
-	loose    bool // some statements are hand-attached nodes no store backs
 }
 
 // randomCCTShape builds a random tree over five procedures in three files
@@ -574,13 +573,7 @@ func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
 				stack = append(stack, top.Child(Key{Kind: KindLoop, File: Sym("m.c"), Line: rng.Intn(20) + 1}, true))
 			case 2, 3: // sample at a statement
 				k := Key{Kind: KindStmt, File: Sym("m.c"), Line: rng.Intn(40) + 1}
-				s := top.Child(k, false)
-				if s == nil && sh.loose && rng.Intn(4) == 0 {
-					s = &Node{Key: k, Parent: top}
-					top.Children = append(top.Children, s)
-				} else if s == nil {
-					s = top.Child(k, true)
-				}
+				s := top.Child(k, true)
 				for c := 0; c < sh.cols; c++ {
 					if c > 0 && rng.Intn(2) == 0 {
 						continue

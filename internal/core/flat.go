@@ -73,11 +73,8 @@ type flatBuilder struct {
 	// frame's, then its direct statement children's, in child order).
 	incl, excl []flatAdd
 	static     []int32
-	// src is the CCT's store; a scope it does not back (a hand-attached
-	// node) is read through its Views, loose[i] as source row NumRows()+i.
-	src   *metric.Store
-	loose []*Node
-	cols  int // columns to sweep
+	// src is the CCT's store; the sweep reads a scope's costs at its row.
+	src *metric.Store
 }
 
 // BuildFlatView computes the Flat View of a tree: one walk that resolves
@@ -92,10 +89,6 @@ func BuildFlatView(t *Tree) *FlatView {
 	b := &flatBuilder{root: arena.alloc(), homes: map[flatHome]*Node{}, src: t.arena.store}
 	b.root.Key = Key{Kind: KindRoot}
 	b.root.arena = arena
-	if b.src == nil { // a Tree literal: every scope is loose
-		b.src = metric.NewStore()
-	}
-	b.cols = max(b.src.NumCols(metric.PlaneBase), b.src.NumCols(metric.PlaneIncl), b.src.NumCols(metric.PlaneExcl))
 	// A scope adds its exclusive cost once and its inclusive cost seldom
 	// more than twice: the plan rarely regrows.
 	b.incl = make([]flatAdd, 0, 2*b.src.NumRows())
@@ -110,8 +103,9 @@ func BuildFlatView(t *Tree) *FlatView {
 // a scope-at-a-time build adds them in, so the sums are the same bits.
 func (b *flatBuilder) sweep(to *metric.Store) {
 	rows := to.NumRows()
-	for c := 0; c < b.cols; c++ {
-		if src := b.column(metric.PlaneIncl, c); len(src) > 0 {
+	cols := max(b.src.NumCols(metric.PlaneBase), b.src.NumCols(metric.PlaneIncl), b.src.NumCols(metric.PlaneExcl))
+	for c := 0; c < cols; c++ {
+		if src := b.src.ColRead(metric.PlaneIncl, c); len(src) > 0 {
 			incl := make([]float64, rows)
 			for _, a := range b.incl {
 				if int(a.src) < len(src) {
@@ -120,7 +114,7 @@ func (b *flatBuilder) sweep(to *metric.Store) {
 			}
 			to.AdoptCol(metric.PlaneIncl, c, incl, false)
 		}
-		src, base := b.column(metric.PlaneExcl, c), b.column(metric.PlaneBase, c)
+		src, base := b.src.ColRead(metric.PlaneExcl, c), b.src.ColRead(metric.PlaneBase, c)
 		if len(src)+len(base) == 0 {
 			continue
 		}
@@ -157,32 +151,6 @@ func (b *flatBuilder) sweep(to *metric.Store) {
 		}
 		to.AdoptCol(metric.PlaneExcl, c, excl, false)
 	}
-}
-
-// column returns column c of plane p of the sources: the CCT store's slab as
-// materialized, copied and extended by the loose scopes' cells if there are any.
-func (b *flatBuilder) column(p metric.Plane, c int) []float64 {
-	col, rows := b.src.ColRead(p, c), b.src.NumRows()
-	if len(b.loose) == 0 {
-		return col
-	}
-	col = append(make([]float64, 0, rows+len(b.loose)), col...)[:rows+len(b.loose)]
-	for i, n := range b.loose {
-		col[rows+i] = [...]*metric.View{&n.Base, &n.Incl, &n.Excl}[p].Get(c)
-	}
-	return col
-}
-
-// srcRow returns the source row the sweep reads n's costs at.
-func (b *flatBuilder) srcRow(n *Node) int32 {
-	if n.Base.Store() == b.src {
-		return n.Base.Row()
-	}
-	for _, v := range [...]*metric.View{&n.Base, &n.Incl, &n.Excl} {
-		v.Range(func(id int, _ float64) { b.cols = max(b.cols, id+1) })
-	}
-	b.loose = append(b.loose, n)
-	return int32(b.src.NumRows() + len(b.loose) - 1)
 }
 
 // pushHome pushes the (module, file, procedure) chain of a frame's static
@@ -233,7 +201,7 @@ func (b *flatBuilder) visit(n *Node, base int) {
 		b.ctx = append(b.ctx, c)
 	}
 	if n.Kind != KindRoot {
-		src := b.srcRow(n)
+		src := n.Base.Row()
 		self, selfExposed := (*Node)(nil), false
 		for _, self = range b.ctx[base:] {
 			if selfExposed = b.active.enter(self.Incl.Row()); selfExposed {
@@ -253,7 +221,7 @@ func (b *flatBuilder) visit(n *Node, base int) {
 			b.static = append(b.static, cs.Incl.Row(), 1, src)
 			for _, c := range n.Children {
 				if c.Kind == KindStmt {
-					b.static = append(b.static, b.srcRow(c))
+					b.static = append(b.static, c.Base.Row())
 					b.static[at+1]++
 				}
 			}

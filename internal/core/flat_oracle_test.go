@@ -101,7 +101,9 @@ func oracleBuildFlatView(t *Tree) *FlatView {
 				cs.NoSource = n.NoSource
 				if active[cs] == 0 {
 					cs.Incl.AddView(&n.Incl)
-					cs.Excl.AddVector(oracleStaticExcl(n))
+					for id, x := range oracleStaticExcl(n) {
+						cs.Excl.Add(id, x)
+					}
 				}
 				touched = append(touched, cs)
 			}
@@ -144,11 +146,19 @@ func oracleBuildFlatView(t *Tree) *FlatView {
 
 // oracleStaticExcl is the deleted core.StaticExcl: a frame's exclusive cost
 // under the static rule, the sum of Base over its direct statement children.
-func oracleStaticExcl(frame *Node) *metric.Vector {
-	ex := frame.Base.Clone()
+// The result is indexed by column.
+func oracleStaticExcl(frame *Node) []float64 {
+	var ex []float64
+	add := func(id int, x float64) {
+		for id >= len(ex) {
+			ex = append(ex, 0)
+		}
+		ex[id] += x
+	}
+	frame.Base.Range(add)
 	for _, c := range frame.Children {
 		if c.Kind == KindStmt {
-			c.Base.Range(func(id int, x float64) { ex.Add(id, x) })
+			c.Base.Range(add)
 		}
 	}
 	return ex
@@ -210,8 +220,7 @@ func TestFlatViewMatchesOracle(t *testing.T) {
 		"wide":        {cols: 4},
 		"zero column": {cols: 3, zeroCol: true},
 		"diff tree":   {cols: 3, negative: true},
-		"loose nodes": {cols: 2, loose: true},
-		"everything":  {cols: 4, zeroCol: true, negative: true, loose: true},
+		"everything":  {cols: 4, zeroCol: true, negative: true},
 	}
 	for name, sh := range shapes {
 		for seed := int64(1); seed <= 25; seed++ {
@@ -226,10 +235,10 @@ func TestFlatViewMatchesOracle(t *testing.T) {
 
 // TestFlatViewRandomTreesCoverTheCases keeps the generator honest: the
 // differential test means little if its trees never recurse three deep or
-// never carry a hand-attached node.
+// never nest a loop.
 func TestFlatViewRandomTreesCoverTheCases(t *testing.T) {
-	tree, _ := randomCCTShape(3, 600, cctShape{cols: 2, loose: true, negative: true})
-	var deepest, loose, aliens, nested, negative int
+	tree, _ := randomCCTShape(3, 600, cctShape{cols: 2, negative: true})
+	var deepest, aliens, nested, negative int
 	mods := map[string]bool{}
 	var walk func(n *Node, recDepth, loopDepth int)
 	walk = func(n *Node, recDepth, loopDepth int) {
@@ -248,9 +257,6 @@ func TestFlatViewRandomTreesCoverTheCases(t *testing.T) {
 			mods[n.Mod.String()] = true
 			loopDepth = 0
 		}
-		if n.Base.Store() == nil {
-			loose++
-		}
 		if n.Base.Get(0) < 0 {
 			negative++
 		}
@@ -259,16 +265,16 @@ func TestFlatViewRandomTreesCoverTheCases(t *testing.T) {
 		}
 	}
 	walk(tree.Root, 0, 0)
-	if deepest < 3 || loose == 0 || aliens == 0 || nested == 0 || negative == 0 || len(mods) < 2 {
-		t.Fatalf("generator lost a case: recursion depth %d, %d loose nodes, %d inlined, %d nested loops, %d negative costs, %d modules",
-			deepest, loose, aliens, nested, negative, len(mods))
+	if deepest < 3 || aliens == 0 || nested == 0 || negative == 0 || len(mods) < 2 {
+		t.Fatalf("generator lost a case: recursion depth %d, %d inlined, %d nested loops, %d negative costs, %d modules",
+			deepest, aliens, nested, negative, len(mods))
 	}
 }
 
 // TestFlatViewConcurrentBuilds builds the view from 8 goroutines over one
 // shared tree (run under -race): the builder keeps its scratch to itself.
 func TestFlatViewConcurrentBuilds(t *testing.T) {
-	tree, _ := randomCCTShape(11, 2000, cctShape{cols: 3, loose: true})
+	tree, _ := randomCCTShape(11, 2000, cctShape{cols: 3})
 	want := oracleBuildFlatView(tree)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)

@@ -29,14 +29,14 @@ func HotPath(start *Node, metricID int, t float64) []*Node {
 	// Hoist the inclusive column slab out of the descent: per-child reads
 	// become direct row loads instead of store lookups. ColRead never
 	// materializes anything, so concurrent queries over a shared tree stay
-	// race-free; nodes from a different store (or none) take the slow path.
+	// race-free; nodes from a different store take the slow path.
 	st := start.Incl.Store()
 	var slab []float64
-	if st != nil {
+	if st != nil { // nil only for a bare Node, which has no children
 		slab = st.ColRead(metric.PlaneIncl, metricID)
 	}
 	incl := func(n *Node) float64 {
-		if st != nil && n.Incl.Store() == st {
+		if n.Incl.Store() == st {
 			if r := int(n.Incl.Row()); r < len(slab) {
 				return slab[r]
 			}
@@ -137,16 +137,17 @@ func (s SortSpec) value(n *Node) float64 {
 // Stable-sorting by a fixed less relation is uniquely determined, so the
 // slices.SortStableFunc comparator here orders identically to the
 // sort.SliceStable closure it replaces — without the interface boxing and
-// per-call closure allocations. On store-backed trees metric reads are
-// direct slab loads and tie-break labels come from the per-node label
-// cache, so steady-state sorting does not allocate.
+// per-call closure allocations. Metric reads are direct slab loads and
+// tie-break labels come from the per-node label cache, so steady-state
+// sorting does not allocate.
 func SortScopes(scopes []*Node, spec SortSpec) {
 	if spec.ByLabel {
 		SortScopesFunc(scopes, spec, nil)
 		return
 	}
-	// Hoist the metric column slab out of the O(n log n) comparisons: on
-	// store-backed siblings each comparison is two direct row loads. The
+	// Hoist the metric column slab out of the O(n log n) comparisons: each
+	// comparison is two direct row loads (siblings of another store — the
+	// top level of a Callers View — read through their views). The
 	// read-only slab may lag the row count; rows past its end are zero.
 	plane := metric.PlaneIncl
 	if spec.Exclusive {
@@ -164,7 +165,7 @@ func SortScopes(scopes []*Node, spec SortSpec) {
 		if spec.Exclusive {
 			v = &n.Excl
 		}
-		if st != nil && v.Store() == st {
+		if v.Store() == st {
 			if r := int(v.Row()); r < len(slab) {
 				return slab[r]
 			}

@@ -23,13 +23,12 @@ import (
 // call-site/callee line reports "the cost of the callee and any routine it
 // calls" (Section V-B).
 //
-// On a store-backed tree the computation runs column-at-a-time over the
-// contiguous metric slabs: one postorder index is built per recomputation
-// (child lists may have been re-sorted since) and each column is then a
-// pair of linear sweeps. Per-parent accumulation follows child order — the
-// same addition sequence as the per-node recursion — and zero additions are
-// bitwise no-ops (slabs never hold negative zero), so the columnar results
-// are bitwise identical to the sparse-vector recursion they replace.
+// The computation runs column-at-a-time over the contiguous metric slabs:
+// one postorder index is built per recomputation (child lists may have been
+// re-sorted since) and each column is then a pair of linear sweeps.
+// Per-parent accumulation follows child order — the addition sequence of a
+// per-node recursion — and zero additions are bitwise no-ops (slabs never
+// hold negative zero).
 func (t *Tree) ComputeMetrics() {
 	t.computeMu.Lock()
 	defer t.computeMu.Unlock()
@@ -92,26 +91,23 @@ func (tp *topoScratch) reset() {
 	tp.stmtRows = tp.stmtRows[:0]
 }
 
-// buildTopo flattens the tree into t.topo. It reports false when some node
-// is not backed by the tree's store (hand-attached children on a hand-built
-// tree), in which case the caller must use the per-node recursion.
-func (t *Tree) buildTopo() bool {
+// buildTopo flattens the tree into t.topo. This is where the construction
+// invariant every column kernel relies on is checked: each scope under the
+// root is a row of the tree's own store. Child and AppendChild cannot build
+// anything else, so a foreign scope — spliced into a Children list by hand,
+// or moved over from another tree — is a bug, and a panic.
+func (t *Tree) buildTopo() {
 	st := t.arena.store
 	tp := &t.topo
 	tp.reset()
-	ok := true
 	var visit func(n *Node, parentRow int32)
 	visit = func(n *Node, parentRow int32) {
-		if !ok || n.Base.Store() != st {
-			ok = false
-			return
+		if n.Base.Store() != st {
+			panic(fmt.Sprintf("core: scope %q is not a row of its tree's metric store", n.Label()))
 		}
 		row := n.Base.Row()
 		for _, c := range n.Children {
 			visit(c, row)
-			if !ok {
-				return
-			}
 		}
 		tp.post = append(tp.post, row)
 		tp.parent = append(tp.parent, parentRow)
@@ -138,21 +134,15 @@ func (t *Tree) buildTopo() bool {
 		tp.stmtHi = append(tp.stmtHi, int32(len(tp.stmtRows)))
 	}
 	visit(t.Root, -1)
-	return ok
 }
 
 // recomputeMetrics does the actual Equation 1/2 computation; callers hold
 // computeMu. Presented values are replaced outright — summary/computed
 // overrides and derived columns are wiped and re-applied by their owners
-// afterwards, exactly as with the per-node vector replacement this
-// supersedes.
+// afterwards.
 func (t *Tree) recomputeMetrics() {
 	st := t.arena.store
-	if st == nil || !t.buildTopo() {
-		t.recomputeMetricsGeneric()
-		t.computed = true
-		return
-	}
+	t.buildTopo()
 	tp := &t.topo
 	rows := st.NumRows()
 	if cap(t.fl) < rows {
@@ -208,43 +198,6 @@ func (t *Tree) recomputeMetrics() {
 	t.computed = true
 }
 
-// recomputeMetricsGeneric is the per-node recursion, kept for trees whose
-// nodes are not all backed by the tree's store (hand-built Tree literals,
-// hand-attached children in tests).
-func (t *Tree) recomputeMetricsGeneric() {
-	var visit func(n *Node) (incl, frameLocal *metric.Vector)
-	visit = func(n *Node) (*metric.Vector, *metric.Vector) {
-		incl := n.Base.Clone()
-		frameLocal := n.Base.Clone()
-		for _, c := range n.Children {
-			ci, cf := visit(c)
-			incl.AddVector(ci)
-			if c.Kind != KindFrame {
-				frameLocal.AddVector(cf)
-			}
-		}
-		switch n.Kind {
-		case KindFrame:
-			n.Excl.SetVector(frameLocal)
-		case KindLoop, KindAlien:
-			ex := n.Base.Clone()
-			for _, c := range n.Children {
-				if c.Kind == KindStmt {
-					c.Base.Range(func(id int, x float64) { ex.Add(id, x) })
-				}
-			}
-			n.Excl.SetVector(ex)
-		case KindRoot:
-			n.Excl.Reset()
-		default:
-			n.Excl.SetVector(n.Base.Clone())
-		}
-		n.Incl.SetVector(incl)
-		return incl, frameLocal
-	}
-	visit(t.Root)
-}
-
 // compiledDerived pairs a derived column with its compiled stack program.
 type compiledDerived struct {
 	id   int
@@ -297,17 +250,14 @@ func ApplyDerived(reg *metric.Registry, start *Node) error {
 	return nil
 }
 
-// ApplyDerivedTree applies derived metrics to the whole tree. On a
-// store-backed tree each formula runs as a vectorized kernel over whole
-// metric columns: per derived column — in registry order, so a later
-// formula referencing an earlier derived column sees its final values, like
-// the per-node walk — the referenced slabs are prefetched once and the
-// compiled program fills the output column in a single pass.
+// ApplyDerivedTree applies derived metrics to the whole tree. Each formula
+// runs as a vectorized kernel over whole metric columns: per derived column
+// — in registry order, so a later formula referencing an earlier derived
+// column sees its final values, like the per-node walk — the referenced
+// slabs are prefetched once and the compiled program fills the output
+// column in a single pass.
 func (t *Tree) ApplyDerivedTree() error {
 	st := t.arena.store
-	if st == nil || !storeBacked(t.Root, st) {
-		return ApplyDerived(t.Reg, t.Root)
-	}
 	derived, err := compileDerived(t.Reg, t.derived[:0])
 	t.derived = derived
 	if err != nil {
@@ -325,19 +275,4 @@ func (t *Tree) ApplyDerivedTree() error {
 		}
 	}
 	return nil
-}
-
-// storeBacked reports whether every node under n reads and writes store st
-// — the precondition for whole-column kernels. Closure-free so the check
-// itself does not allocate.
-func storeBacked(n *Node, st *metric.Store) bool {
-	if n.Base.Store() != st {
-		return false
-	}
-	for _, c := range n.Children {
-		if !storeBacked(c, st) {
-			return false
-		}
-	}
-	return true
 }

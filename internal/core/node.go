@@ -129,8 +129,9 @@ type Node struct {
 	// a decoded tree nobody looks children up in never pays for one.
 	index map[Key]*Node
 
-	// arena is the tree's node allocator; children of an arena-owned
-	// node are allocated from the same arena. Nil for hand-built nodes.
+	// arena is the node allocator of the tree or view the scope belongs
+	// to; its children are allocated from the same arena. Nil only for a
+	// bare Node, which can be compared against but never grown.
 	arena *nodeArena
 
 	// labelSym caches the interned Label() so repeated sort tie-breaks
@@ -141,9 +142,9 @@ type Node struct {
 
 	// Base holds directly attributed costs: sample counts at statements
 	// (and barrier samples at dynamic scopes). Views and Equations 1/2
-	// are computed from Base. For nodes of an arena-owned tree the three
-	// vectors are views into the tree's columnar metric store, indexed by
-	// the node's dense row id.
+	// are computed from Base. The three vectors are views into the
+	// columnar metric store of the scope's arena, indexed by the scope's
+	// dense row id.
 	Base metric.View
 	// Excl is the presented exclusive cost (Equation 1 / view rules).
 	Excl metric.View
@@ -193,12 +194,10 @@ func (n *Node) Child(k Key, create bool) *Node {
 // and answer for key uniqueness themselves. The child is not indexed
 // either; the next Child call on n sees to that.
 func (n *Node) AppendChild(k Key) *Node {
-	var c *Node
-	if n.arena != nil {
-		c = n.arena.alloc()
-	} else {
-		c = new(Node)
+	if n.arena == nil {
+		panic("core: child of a scope that belongs to no tree; start from NewTree")
 	}
+	c := n.arena.alloc()
 	c.Key = k
 	c.Parent = n
 	c.arena = n.arena
@@ -214,7 +213,7 @@ func (n *Node) GrowChildren(c int) {
 	if c <= cap(n.Children)-len(n.Children) {
 		return
 	}
-	if a := n.arena; a != nil && len(n.Children) == 0 && c <= cap(a.kids)-len(a.kids) {
+	if a := n.arena; len(n.Children) == 0 && c <= cap(a.kids)-len(a.kids) {
 		at := len(a.kids)
 		a.kids = a.kids[:at+c]
 		n.Children = a.kids[at : at : at+c]
@@ -367,8 +366,8 @@ func NewTree(program string, reg *metric.Registry) *Tree {
 }
 
 // MetricStore returns the tree's columnar metric store: one slab per metric
-// column per plane, indexed by dense node row (Node.Base.Row()). Nil only
-// for hand-built Tree literals.
+// column per plane, indexed by dense node row (Node.Base.Row()). Every
+// scope under Root is a row of it.
 func (t *Tree) MetricStore() *metric.Store { return t.arena.store }
 
 // Reserve makes room for n more scopes in one slab of the tree's arena,

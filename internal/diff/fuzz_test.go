@@ -49,11 +49,11 @@ func FuzzDiff(f *testing.F) {
 	f.Add(whole, whole[:len(whole)*2/3])
 
 	f.Fuzz(func(t *testing.T, da, db []byte) {
-		a, err := expdb.ReadBinary(bytes.NewReader(da))
+		a, err := expdb.Read(bytes.NewReader(da))
 		if err != nil {
 			return
 		}
-		b, err := expdb.ReadBinary(bytes.NewReader(db))
+		b, err := expdb.Read(bytes.NewReader(db))
 		if err != nil {
 			return
 		}
@@ -75,7 +75,7 @@ func FuzzDiff(f *testing.F) {
 		if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 			t.Fatal("diff serialization is not deterministic")
 		}
-		if _, err := expdb.ReadBinary(bytes.NewReader(out1.Bytes())); err != nil {
+		if _, err := expdb.Read(bytes.NewReader(out1.Bytes())); err != nil {
 			t.Fatalf("diff result does not re-read: %v", err)
 		}
 	})

@@ -18,8 +18,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// mergedFixture builds a merged multi-rank experiment whose summary columns
-// live in the v2 overrides section — the shape a lazy open can skip.
+// mergedFixture builds a merged multi-rank experiment with summary columns
+// beside the raw ones.
 func mergedFixture(t testing.TB) *expdb.Experiment {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
@@ -165,43 +165,39 @@ func TestHotPathMemoized(t *testing.T) {
 	}
 }
 
-// TestColumnFaulterLazySession fronts a lazily opened database with a
-// session: only columns the scripted interaction touches are faulted, the
-// faulter runs once per column, and the rendered values match an eager
-// session byte for byte.
-func TestColumnFaulterLazySession(t *testing.T) {
-	e := mergedFixture(t)
-	var buf bytes.Buffer
-	if err := e.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+// columnReads reports how many column sections the mapped database behind
+// sn has checksummed.
+func columnReads(sn *Snapshot) int { return sn.mdb.SectionReads()["column"] }
 
+// TestColumnFaulterLazySession fronts a mapped database with a session:
+// only the columns the scripted interaction touches are faulted, each
+// exactly once and with one generation bump, and the rendered values match
+// a session over the same database decoded whole, byte for byte.
+func TestColumnFaulterLazySession(t *testing.T) {
+	path, data := v3FixtureFile(t)
 	eager, err := expdb.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	sn := mappedSnapshot(t, path)
+	defer sn.Close()
+	s := NewSession(sn)
+	defer s.Close()
+	if n := columnReads(sn); n != 0 {
+		t.Fatalf("open checksummed %d column sections, want 0", n)
 	}
-	s := newTestSession(db.Experiment().Tree, nil)
-	var faults []int
-	s.SetColumnFaulter(func(id int) error {
-		faults = append(faults, id)
-		return db.NeedColumn(id)
-	})
 
-	// Sorting by the raw column touches nothing optional.
+	// Sorting by the raw column faults that column and no other, once.
 	raw := s.Tree().Reg.ByName("CYCLES")
 	s.SetSort(core.SortSpec{MetricID: raw.ID})
 	s.VisibleRows()
-	s.VisibleRows()
-	if n := db.SectionReads()["overrides"]; n != 0 {
-		t.Fatalf("raw-column session decoded overrides %d times", n)
+	rawReads := columnReads(sn)
+	if rawReads == 0 || sn.Generation() != 1 {
+		t.Fatalf("first query by one column: %d sections checksummed, generation %d", rawReads, sn.Generation())
 	}
-	if len(faults) != 1 {
-		t.Fatalf("faulter ran %d times for one column, want 1", len(faults))
+	s.VisibleRows()
+	if n := columnReads(sn); n != rawReads || sn.Generation() != 1 {
+		t.Fatalf("second query faulted again: %d sections (was %d), generation %d", n, rawReads, sn.Generation())
 	}
 
 	// Rendering a summary column faults it in; the output then matches an
@@ -222,8 +218,8 @@ func TestColumnFaulterLazySession(t *testing.T) {
 	if err := s.Render(&lazyOut, render.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.SectionReads()["overrides"]; n != 1 {
-		t.Fatalf("summary render decoded overrides %d times, want 1", n)
+	if n := columnReads(sn); n <= rawReads || sn.Generation() != 2 {
+		t.Fatalf("summary render: %d sections checksummed (was %d), generation %d", n, rawReads, sn.Generation())
 	}
 
 	se := newTestSession(eager.Tree, nil)
@@ -239,38 +235,63 @@ func TestColumnFaulterLazySession(t *testing.T) {
 	if lazyOut.String() != eagerOut.String() {
 		t.Fatalf("lazy render differs from eager render:\n--- lazy ---\n%s--- eager ---\n%s", lazyOut.String(), eagerOut.String())
 	}
+
+	// FaultAll checksums what is left, and nothing twice.
+	sections := 0
+	for _, sp := range sn.SectionSpans() {
+		if sp.Kind == "column" {
+			sections++
+		}
+	}
+	for range 2 {
+		if err := sn.FaultAll(); err != nil {
+			t.Fatal(err)
+		}
+		if n := columnReads(sn); n != sections {
+			t.Fatalf("after FaultAll %d column sections were checksummed, the file has %d", n, sections)
+		}
+	}
 }
 
-// TestReplLazyDrivesFaulting runs a scripted REPL session against a lazy
-// database: the default render shows every column (faulting the overrides
-// in), but a session restricted to raw columns never touches them.
+// TestReplLazyDrivesFaulting runs a scripted REPL session against a mapped
+// database: a session restricted to one column never touches the others,
+// the default render (every column) faults the rest in, and an aggregating
+// view faults everything before it is built.
 func TestReplLazyDrivesFaulting(t *testing.T) {
-	e := mergedFixture(t)
-	var buf bytes.Buffer
-	if err := e.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db, err := expdb.OpenLazy(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestSession(db.Experiment().Tree, nil)
-	s.SetColumnFaulter(db.NeedColumn)
+	path, _ := v3FixtureFile(t)
+	sn := mappedSnapshot(t, path)
+	defer sn.Close()
+	s := NewSession(sn)
+	defer s.Close()
 	for _, line := range []string{"cols CYCLES", "ls", "expandall", "sort CYCLES", "hot CYCLES"} {
 		if _, err := Exec(s, line, io.Discard); err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
 	}
-	if n := db.SectionReads()["overrides"]; n != 0 {
-		t.Fatalf("raw-only REPL session decoded overrides %d times", n)
+	one := columnReads(sn)
+	if sn.Generation() != 1 {
+		t.Fatalf("CYCLES-only REPL session faulted %d columns, want 1", sn.Generation())
 	}
-	if _, err := Exec(s, "cols all", io.Discard); err != nil {
+	for _, line := range []string{"cols all", "ls"} {
+		if _, err := Exec(s, line, io.Discard); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+	}
+	all := columnReads(sn)
+	if all <= one || sn.Generation() != uint64(sn.BaseColumns()) {
+		t.Fatalf("full-column render: %d sections checksummed (was %d), generation %d of %d columns",
+			all, one, sn.Generation(), sn.BaseColumns())
+	}
+
+	// A second snapshot of the same file going straight to the Callers View.
+	sn2 := mappedSnapshot(t, path)
+	defer sn2.Close()
+	s2 := NewSession(sn2)
+	defer s2.Close()
+	if _, err := Exec(s2, "view callers", io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(s, "ls", io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.SectionReads()["overrides"]; n != 1 {
-		t.Fatalf("full-column render decoded overrides %d times, want 1", n)
+	if n := columnReads(sn2); n != all {
+		t.Fatalf("callers view was built over %d checksummed column sections, want all %d", n, all)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diff"
-	"repro/internal/expdb"
 )
 
 // Catalog resolves database names to snapshots, so sessions can diff the
@@ -69,13 +68,7 @@ func DiffSnapshots(cfg diff.Config, inputs ...DiffInput) (*Snapshot, *diff.Resul
 		if err := in.Snap.FaultAll(); err != nil {
 			return nil, nil, fmt.Errorf("engine: faulting diff input %d: %w", i, err)
 		}
-		exp := in.Snap.Experiment()
-		if exp == nil {
-			// Bare-tree snapshot: wrap it so the differ has rank counts
-			// and provenance fields to look at.
-			exp = &expdb.Experiment{Program: in.Snap.Tree().Program, NRanks: 1, Tree: in.Snap.Tree()}
-		}
-		dins[i] = diff.Input{Label: in.Label, Exp: exp}
+		dins[i] = diff.Input{Label: in.Label, Exp: in.Snap.Experiment()}
 	}
 	res, err := diff.Diff(cfg, dins...)
 	if err != nil {
@@ -151,7 +144,7 @@ func (s *Session) rebase(snap *Snapshot) {
 	old := s.snap
 	s.snap = snap
 	old.Release()
-	s.reg = snap.tree.Reg.Clone()
+	s.reg = snap.exp.Tree.Reg.Clone()
 	s.view = ViewCC
 	s.callers = nil
 	s.flat = nil

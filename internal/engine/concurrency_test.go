@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/expdb"
 )
 
 // commandStreams returns n deterministic interaction scripts covering the
@@ -48,35 +45,14 @@ func replay(s *Session, stream []string) string {
 	return out.String()
 }
 
-// fixtureBytes serializes the merged multi-rank experiment (its summary
-// columns live in the v2 overrides section, so lazy opens exercise
-// fault-in).
-func fixtureBytes(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := mergedFixture(t).WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func lazySnapshot(t *testing.T, data []byte) *Snapshot {
-	t.Helper()
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewLazySnapshot(db)
-}
-
 // isolatedReplays replays each stream in full isolation: a fresh database
 // open, a fresh snapshot, one session — the ground truth a concurrent
 // session must be indistinguishable from.
-func isolatedReplays(t *testing.T, data []byte, streams [][]string) []string {
+func isolatedReplays(t *testing.T, path string, streams [][]string) []string {
 	t.Helper()
 	want := make([]string, len(streams))
 	for i, stream := range streams {
-		s := NewSession(lazySnapshot(t, data))
+		s := NewSession(mappedSnapshot(t, path))
 		want[i] = replay(s, stream)
 		s.Close()
 	}
@@ -90,12 +66,12 @@ func isolatedReplays(t *testing.T, data []byte, streams [][]string) []string {
 // byte-identical to the same command stream replayed in isolation (its own
 // database open, its own snapshot, no sharing). Run under -race this also
 // serves as the shared-state hazard hammer: any unsynchronized mutation of
-// the shared tree, store, registry or lazy database is a detector hit.
+// the shared tree, store, registry or mapped database is a detector hit.
 func TestConcurrentSessionEquivalence(t *testing.T) {
-	data := fixtureBytes(t)
+	path, _ := v3FixtureFile(t)
 	const sessions = 32
 	streams := commandStreams(sessions)
-	want := isolatedReplays(t, data, streams)
+	want := isolatedReplays(t, path, streams)
 
 	// Sanity: the scripts render real tables, not just error chatter.
 	for i, w := range want {
@@ -104,7 +80,7 @@ func TestConcurrentSessionEquivalence(t *testing.T) {
 		}
 	}
 
-	shared := lazySnapshot(t, data)
+	shared := mappedSnapshot(t, path)
 	got := make([]string, sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
@@ -130,12 +106,12 @@ func TestConcurrentSessionEquivalence(t *testing.T) {
 // already-warm snapshot (every lazy column faulted, generation settled):
 // later joiners must see exactly what the first wave saw.
 func TestConcurrentSessionsRepeatedRounds(t *testing.T) {
-	data := fixtureBytes(t)
+	path, _ := v3FixtureFile(t)
 	const sessions = 8
 	streams := commandStreams(sessions)
-	want := isolatedReplays(t, data, streams)
+	want := isolatedReplays(t, path, streams)
 
-	shared := lazySnapshot(t, data)
+	shared := mappedSnapshot(t, path)
 	for round := 0; round < 3; round++ {
 		got := make([]string, sessions)
 		var wg sync.WaitGroup
@@ -162,11 +138,11 @@ func TestConcurrentSessionsRepeatedRounds(t *testing.T) {
 // fresh sessions bit-for-bit correctly — cancellation must only ever be a
 // session-local event.
 func TestClosedSessionDoesNotPoisonSnapshot(t *testing.T) {
-	data := fixtureBytes(t)
-	shared := lazySnapshot(t, data)
+	path, _ := v3FixtureFile(t)
+	shared := mappedSnapshot(t, path)
 
 	// Ground truth from a private snapshot.
-	clean := NewSession(lazySnapshot(t, data))
+	clean := NewSession(mappedSnapshot(t, path))
 	defer clean.Close()
 	want := replay(clean, []string{"view callers", "expandall", "sort CYCLES", "ls"})
 
@@ -211,8 +187,8 @@ func TestClosedSessionDoesNotPoisonSnapshot(t *testing.T) {
 // different formulas under the same column name; neither observes the
 // other's values, and the shared registry never grows.
 func TestSessionDerivedIsolation(t *testing.T) {
-	data := fixtureBytes(t)
-	shared := lazySnapshot(t, data)
+	path, _ := v3FixtureFile(t)
+	shared := mappedSnapshot(t, path)
 	baseLen := shared.Tree().Reg.Len()
 
 	a := NewSession(shared)

@@ -30,7 +30,7 @@ func TestGoldenViews(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSession(NewTreeSnapshot(core.Fig1Tree()))
+			s := newTestSession(core.Fig1Tree(), nil)
 			defer s.Close()
 			for _, line := range tc.script {
 				if resp := s.Do(Request{Line: line}); resp.Err != "" {

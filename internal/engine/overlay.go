@@ -50,13 +50,7 @@ func (s *Session) cellValue(n *core.Node, id int, inclusive bool) float64 {
 		}
 		return n.Excl.Get(id)
 	}
-	st := n.Incl.Store()
-	if st == nil {
-		// Hand-built (non-store-backed) scopes: evaluate per cell, like
-		// ApplyDerived's per-node walk.
-		return s.evalCell(n, id, inclusive)
-	}
-	slab := s.overlaySlab(st, id, inclusive)
+	slab := s.overlaySlab(n.Incl.Store(), id, inclusive)
 	if r := int(n.Incl.Row()); r < len(slab) {
 		return slab[r]
 	}
@@ -140,28 +134,12 @@ func (s *Session) materializeOverlay(st *metric.Store, id int, inclusive bool) [
 	return dst
 }
 
-// evalCell evaluates a session-derived column for one non-store-backed
-// scope, routing references back through cellValue.
-func (s *Session) evalCell(n *core.Node, id int, inclusive bool) float64 {
-	d := s.reg.ByID(id)
-	if d == nil || d.Kind != metric.Derived {
-		return 0
-	}
-	prog, err := d.Program()
-	if err != nil {
-		return 0
-	}
-	return prog.EvalEnv(metric.EnvFunc(func(ref int) float64 {
-		return s.cellValue(n, ref, inclusive)
-	}))
-}
-
 // total supplies percent denominators: resident columns use the tree's
 // root totals (identical to the single-session viewer), overlay columns
 // the root's overlay value.
 func (s *Session) total(metricID int) float64 {
 	if metricID < s.snap.baseCols {
-		return s.snap.tree.Total(metricID)
+		return s.snap.exp.Tree.Total(metricID)
 	}
-	return s.cellValue(s.snap.tree.Root, metricID, true)
+	return s.cellValue(s.snap.exp.Tree.Root, metricID, true)
 }

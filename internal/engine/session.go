@@ -125,7 +125,7 @@ func NewSession(snap *Snapshot) *Session {
 	snap.Retain()
 	return &Session{
 		snap:      snap,
-		reg:       snap.tree.Reg.Clone(),
+		reg:       snap.exp.Tree.Reg.Clone(),
 		expanded:  map[*core.Node]bool{},
 		highlight: map[*core.Node]bool{},
 		threshold: core.DefaultHotPathThreshold,
@@ -168,7 +168,7 @@ func (s *Session) Snapshot() *Snapshot { return s.snap }
 
 // Tree returns the underlying shared tree. Callers must treat it as
 // read-only.
-func (s *Session) Tree() *core.Tree { return s.snap.tree }
+func (s *Session) Tree() *core.Tree { return s.snap.exp.Tree }
 
 // Registry returns the session's column registry: the snapshot's sealed
 // columns plus this session's derived columns. Other sessions never see
@@ -274,15 +274,6 @@ func (s *Session) Unflatten() {
 // FlattenLevel reports the current flattening depth.
 func (s *Session) FlattenLevel() int { return s.flatten }
 
-// SetColumnFaulter rewires the snapshot's column faulter (see
-// Snapshot.SetColumnFaulter) and resets this session's fault bookkeeping.
-// Intended for single-session use right after opening.
-func (s *Session) SetColumnFaulter(f func(metricID int) error) {
-	s.snap.SetColumnFaulter(f)
-	s.requested = map[int]bool{}
-	s.faultErr = nil
-}
-
 // --- fault phase -----------------------------------------------------
 
 // faultColumn offers one sealed column to the snapshot's faulter, once per
@@ -349,15 +340,15 @@ func (s *Session) rootsLocked() (parent *core.Node, ns []*core.Node) {
 			z := s.zoom[len(s.zoom)-1]
 			return z, z.Children
 		}
-		return s.snap.tree.Root, s.snap.tree.Root.Children
+		return s.snap.exp.Tree.Root, s.snap.exp.Tree.Root.Children
 	case ViewCallers:
 		if s.callers == nil {
-			s.callers = core.BuildCallersView(s.snap.tree)
+			s.callers = core.BuildCallersView(s.snap.exp.Tree)
 		}
 		return nil, s.callers.Roots
 	case ViewFlat:
 		if s.flat == nil {
-			s.flat = core.BuildFlatView(s.snap.tree)
+			s.flat = core.BuildFlatView(s.snap.exp.Tree)
 		}
 		return nil, core.FlattenN(s.flat.Roots, s.flatten)
 	}
@@ -477,7 +468,7 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 		if s.view == ViewCC && len(s.zoom) > 0 {
 			start = s.zoom[len(s.zoom)-1]
 		} else if s.view == ViewCC {
-			start = s.snap.tree.Root
+			start = s.snap.exp.Tree.Root
 		} else {
 			// Derived views have a forest; start from the hottest root.
 			_, roots := s.rootsLocked()
@@ -515,7 +506,7 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 }
 
 // Render writes the visible rows with row numbers. Columns about to be
-// displayed are faulted in first (lazy databases); a fault failure aborts
+// displayed are faulted in first (mapped databases); a fault failure aborts
 // the render with the section's typed error.
 func (s *Session) Render(w io.Writer, opt render.Options) error {
 	if opt.Columns == nil {
@@ -557,7 +548,7 @@ func (s *Session) Render(w io.Writer, opt render.Options) error {
 // materialize lazily into the session's overlay (see overlay.go), so
 // concurrent sessions over the same snapshot cannot observe each other's
 // formulas. Columns the formula reads are faulted in first when the
-// snapshot fronts a lazy database.
+// snapshot fronts a mapped database.
 func (s *Session) AddDerivedMetric(name, formula string) error {
 	d, err := s.reg.AddDerived(name, formula)
 	if err != nil {

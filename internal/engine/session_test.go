@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expdb"
 	"repro/internal/lower"
 	"repro/internal/merge"
 	"repro/internal/mpi"
@@ -16,9 +17,9 @@ import (
 )
 
 // newTestSession seals a tree as a snapshot and opens one session over it
-// — the single-user shape the viewer package used to construct directly.
+// — the single-user shape callpath.NewSession builds.
 func newTestSession(tr *core.Tree, src *prog.Program) *Session {
-	s := NewSession(NewTreeSnapshot(tr))
+	s := NewSession(NewSnapshot(expdb.New(tr)))
 	s.SetSource(src)
 	return s
 }

@@ -3,8 +3,8 @@
 // entangled:
 //
 //   - Snapshot: an opened experiment database — CCT, metric store, registry
-//     — sealed immutable after load. The only post-seal mutation, lazy
-//     fault-in of override-backed metric sections, runs behind the
+//     — sealed immutable after load. The only post-seal mutation, first-touch
+//     fault-in of a mapped database's metric columns, runs behind the
 //     snapshot's write lock while every query holds the read lock, and each
 //     fault bumps a generation counter so session caches can never serve
 //     stale orders.
@@ -36,26 +36,27 @@ import (
 // Snapshot is an immutable view of a loaded experiment database, shared by
 // any number of concurrent sessions.
 //
+// A snapshot wraps one of two things: an experiment decoded whole into
+// memory (NewSnapshot), or a mapped v3 database (NewMappedSnapshot) whose
+// experiment borrows its columns from the mapping.
+//
 // Immutability discipline: the tree's structure, its metric store and its
 // registry are sealed at construction (presented metrics are computed and
 // derived kernels applied before the snapshot is handed out). The one
-// exception is lazy fault-in of override-backed columns from a lazily
-// opened database, which rewrites shared metric slabs; it runs under mu's
-// write lock, while every session query runs under the read lock, and each
-// first-time fault advances gen so sessions invalidate their memoized
-// orders, hot paths and overlay columns.
+// exception is the mapped database's column fault — a column's checksum is
+// verified on first touch and a damaged column is zeroed — which rewrites
+// shared metric slabs; it runs under mu's write lock, while every session
+// query runs under the read lock, and each first-time fault advances gen so
+// sessions invalidate their memoized orders, hot paths and overlay columns.
 type Snapshot struct {
-	tree *core.Tree
-	exp  *expdb.Experiment // nil for bare-tree snapshots
-	ldb  *expdb.LazyDB     // nil unless lazily opened
-	mdb  *expdb.MappedDB   // nil unless mapped (v3 zero-copy)
+	exp *expdb.Experiment // never nil
+	mdb *expdb.MappedDB   // nil unless mapped (v3 zero-copy)
 
 	// refs counts owners: the creator (released by Close) plus one per
-	// live Session. closer runs when the count hits zero — for mapped
-	// snapshots it unmaps the file, so it must not run while any session
-	// could still dereference a borrowed slab.
-	refs   atomic.Int64
-	closer func() error
+	// live Session. When the count hits zero a mapped snapshot unmaps its
+	// file, so that must not happen while any session could still
+	// dereference a borrowed slab.
+	refs atomic.Int64
 
 	// baseCols is the registry length at seal time: the boundary between
 	// shared database columns (below) and session-overlay derived columns
@@ -74,42 +75,17 @@ type Snapshot struct {
 	// atomically so sessions can check it cheaply under the read lock.
 	gen atomic.Uint64
 
-	// faulter loads one metric column on first use; faulted memoizes the
-	// per-column outcome so each column faults exactly once per snapshot.
-	// Guarded by mu.
-	faulter func(metricID int) error
-	faulted map[int]error
-	// allFaulted short-circuits FaultAll once every column has been
-	// offered. Guarded by mu.
+	// faulted memoizes the outcome of mdb.NeedColumn per column, so each
+	// column faults exactly once per snapshot; allFaulted short-circuits
+	// FaultAll once every column has been offered. Guarded by mu.
+	faulted    map[int]error
 	allFaulted bool
-	// lazyFlag mirrors faulter != nil so sessions can test for lazy
-	// columns without taking the lock.
-	lazyFlag atomic.Bool
 }
 
 // NewSnapshot seals an in-memory experiment. The experiment must be fully
-// materialized (expdb.Read and expdb.FromMerge results are).
+// materialized (expdb.Read, expdb.New and expdb.FromMerge results are).
 func NewSnapshot(exp *expdb.Experiment) *Snapshot {
-	sn := &Snapshot{tree: exp.Tree, exp: exp}
-	sn.seal()
-	return sn
-}
-
-// NewLazySnapshot seals a lazily opened database: required sections are
-// resident, override-backed columns fault in through the database's
-// NeedColumn on first use — synchronized and generation-stamped by the
-// snapshot, so concurrent sessions may trigger the fault safely.
-func NewLazySnapshot(ldb *expdb.LazyDB) *Snapshot {
-	sn := &Snapshot{tree: ldb.Experiment().Tree, exp: ldb.Experiment(), ldb: ldb}
-	sn.faulter = ldb.NeedColumn
-	sn.seal()
-	return sn
-}
-
-// NewTreeSnapshot seals a bare computed tree (no database around it) — the
-// entry point for hand-built trees and tests.
-func NewTreeSnapshot(t *core.Tree) *Snapshot {
-	sn := &Snapshot{tree: t}
+	sn := &Snapshot{exp: exp}
 	sn.seal()
 	return sn
 }
@@ -125,25 +101,23 @@ func NewMappedSnapshot(mdb *expdb.MappedDB) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sn := &Snapshot{tree: exp.Tree, exp: exp, mdb: mdb}
-	sn.faulter = mdb.NeedColumn
-	sn.closer = mdb.Close
+	sn := &Snapshot{exp: exp, mdb: mdb}
 	sn.seal()
 	return sn, nil
 }
 
 // Open opens an experiment database file and seals it as a snapshot. v3
 // databases are mapped zero-copy (O(index) at the storage layer, metadata
-// decoded here); other formats open lazily.
+// decoded here); XML, v1 and v2 files are decoded whole by expdb.Read.
 func Open(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var head [len(expdb.MagicV3)]byte
 	n, _ := io.ReadFull(f, head[:])
 	if string(head[:n]) == expdb.MagicV3 {
-		f.Close()
 		mdb, err := expdb.OpenMapped(path)
 		if err != nil {
 			return nil, err
@@ -156,37 +130,22 @@ func Open(path string) (*Snapshot, error) {
 		return sn, nil
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
 		return nil, err
 	}
-	// OpenLazy consumes the whole stream (the CRC scan), retaining section
-	// payloads in memory, so the file handle can close immediately.
-	ldb, err := expdb.OpenLazy(f)
-	f.Close()
+	exp, err := expdb.Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	return NewLazySnapshot(ldb), nil
-}
-
-// OpenReader opens a database from a stream (sniffing XML/v1/v2 like
-// expdb.OpenLazy) and seals it.
-func OpenReader(r io.Reader) (*Snapshot, error) {
-	ldb, err := expdb.OpenLazy(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewLazySnapshot(ldb), nil
+	return NewSnapshot(exp), nil
 }
 
 // seal freezes the snapshot: presented metrics are computed (a no-op for
 // database-loaded trees, whose finalize already ran) and the base column
 // boundary recorded.
 func (sn *Snapshot) seal() {
-	sn.tree.EnsureComputed()
-	sn.baseCols = sn.tree.Reg.Len()
+	sn.exp.Tree.EnsureComputed()
+	sn.baseCols = sn.exp.Tree.Reg.Len()
 	sn.faulted = map[int]error{}
-	sn.lazyFlag.Store(sn.faulter != nil)
 	sn.refs.Store(1)
 }
 
@@ -195,15 +154,15 @@ func (sn *Snapshot) seal() {
 // session.
 func (sn *Snapshot) Retain() { sn.refs.Add(1) }
 
-// Release drops one owner; the last release runs the snapshot's closer
-// (unmapping the file for mapped databases), then any OnLastRelease hooks.
+// Release drops one owner; the last release unmaps a mapped database's
+// file, then runs any OnLastRelease hooks.
 func (sn *Snapshot) Release() error {
 	if sn.refs.Add(-1) != 0 {
 		return nil
 	}
 	var err error
-	if sn.closer != nil {
-		err = sn.closer()
+	if sn.mdb != nil {
+		err = sn.mdb.Close()
 	}
 	sn.hookMu.Lock()
 	hooks := sn.lastRelease
@@ -236,13 +195,13 @@ func (sn *Snapshot) OnLastRelease(f func()) {
 // snapshot (and its mapping) alive until they close.
 func (sn *Snapshot) Close() error { return sn.Release() }
 
-// lazy reports whether the snapshot has lazily faulted columns.
-func (sn *Snapshot) lazy() bool { return sn.lazyFlag.Load() }
+// lazy reports whether the snapshot has columns that fault on first touch.
+func (sn *Snapshot) lazy() bool { return sn.mdb != nil }
 
 // Tree returns the shared tree. Callers must treat it as read-only.
-func (sn *Snapshot) Tree() *core.Tree { return sn.tree }
+func (sn *Snapshot) Tree() *core.Tree { return sn.exp.Tree }
 
-// Experiment returns the database wrapper (nil for bare-tree snapshots).
+// Experiment returns the database the snapshot wraps.
 func (sn *Snapshot) Experiment() *expdb.Experiment { return sn.exp }
 
 // BaseColumns reports the number of sealed registry columns; session
@@ -255,9 +214,6 @@ func (sn *Snapshot) Generation() uint64 { return sn.gen.Load() }
 // Notes returns a copy of the database's degradation notes (fault-in may
 // append to them; the copy is taken under the read lock).
 func (sn *Snapshot) Notes() []string {
-	if sn.exp == nil {
-		return nil
-	}
 	sn.mu.RLock()
 	defer sn.mu.RUnlock()
 	return append([]string(nil), sn.exp.Notes...)
@@ -284,23 +240,15 @@ func (sn *Snapshot) SectionSpans() []expdb.SectionSpan {
 	return sn.mdb.SectionSpans()
 }
 
-// Provenance faults in and returns the database's quarantine report (nil
-// when absent).
+// Provenance returns the database's quarantine report (nil when absent); a
+// mapped database decodes it on the first call.
 func (sn *Snapshot) Provenance() (*ingest.Report, error) {
-	if sn.mdb != nil {
-		sn.mu.Lock()
-		defer sn.mu.Unlock()
-		return sn.mdb.Provenance()
-	}
-	if sn.ldb == nil {
-		if sn.exp == nil {
-			return nil, nil
-		}
+	if sn.mdb == nil {
 		return sn.exp.Provenance, nil
 	}
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	return sn.ldb.Provenance()
+	return sn.mdb.Provenance()
 }
 
 // Trace returns the snapshot's trace view (time-dimension data), building
@@ -330,20 +278,7 @@ func (sn *Snapshot) NodeAt(row int) *core.Node {
 	return sn.mdb.NodeAt(row)
 }
 
-// SetColumnFaulter replaces the snapshot's column faulter and forgets which
-// columns have faulted. Sessions created before the call keep their own
-// fault bookkeeping; this is intended for wiring a custom loader (or a
-// note-flushing wrapper) right after construction, before sessions exist.
-func (sn *Snapshot) SetColumnFaulter(f func(metricID int) error) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	sn.faulter = f
-	sn.faulted = map[int]error{}
-	sn.allFaulted = false
-	sn.lazyFlag.Store(f != nil)
-}
-
-// needColumn runs the column faulter exactly once per column across every
+// needColumn faults a mapped database's column exactly once across every
 // session of the snapshot, under the write lock (queries are excluded while
 // shared slabs may be rewritten). The recorded outcome is returned to every
 // later requester. Each first-time fault advances the generation.
@@ -354,19 +289,20 @@ func (sn *Snapshot) needColumn(id int) error {
 }
 
 func (sn *Snapshot) needColumnLocked(id int) error {
-	if sn.faulter == nil {
+	if sn.mdb == nil {
 		return nil
 	}
 	if err, ok := sn.faulted[id]; ok {
 		return err
 	}
 	sn.gen.Add(1)
-	err := sn.faulter(id)
+	err := sn.mdb.NeedColumn(id)
 	sn.faulted[id] = err
 	return err
 }
 
-// FaultAll offers every sealed column to the faulter. Sessions call it
+// FaultAll faults every sealed column of a mapped database (a no-op for an
+// in-memory experiment, which has nothing left to load). Sessions call it
 // before building or expanding an aggregating view (Callers, Flat): those
 // views copy every resident column of the scopes they aggregate, so their
 // contents must not depend on which columns other sessions happened to
@@ -376,7 +312,7 @@ func (sn *Snapshot) needColumnLocked(id int) error {
 func (sn *Snapshot) FaultAll() error {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	if sn.faulter == nil || sn.allFaulted {
+	if sn.mdb == nil || sn.allFaulted {
 		return nil
 	}
 	var first error

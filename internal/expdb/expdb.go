@@ -5,14 +5,18 @@
 // values are recomputed at load time exactly as hpcviewer computes metrics
 // during its initialization step (Section IV-A).
 //
-// Two on-disk formats are provided: XML (the paper's format) and a compact
-// binary format with a string table — the replacement named as ongoing work
-// in Section IX ("replacing our XML format for profiles with a more compact
-// binary format"). The E-FMT benchmark compares them.
+// CPDB3 (v3.go) is the database: a mappable layout whose column sections are
+// the in-memory representation, opened in O(index) by OpenMapped — the
+// "more compact binary format" Section IX names as the replacement for XML,
+// and what hpcprof and hpcdiff write unless told otherwise. The older
+// formats — XML (the paper's), the varint stream v1 and the checksummed
+// sections of v2 (binary.go) — are still written on request and are read by
+// decoding them whole (Read). The E-FMT benchmark compares their sizes.
 package expdb
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
@@ -32,9 +36,10 @@ type Experiment struct {
 	// quarantined ranks ("merged 1021/1024 ranks"); nil when every rank
 	// merged cleanly or the database predates provenance.
 	Provenance *ingest.Report
-	// Notes lists degradations applied while loading: a v2 database with a
-	// damaged optional section opens without it, and each drop is recorded
-	// here so the viewer can tell the user what is missing.
+	// Notes lists degradations applied while loading — a v2 database with a
+	// damaged optional section opens without it, a mapped v3 database drops
+	// a column whose checksum fails on first touch — so the viewer can tell
+	// the user what is missing.
 	Notes []string
 	// TraceRanks are write-side trace sources, one per rank in ascending
 	// rank order; WriteBinaryV3 streams each into a trace section and
@@ -42,9 +47,9 @@ type Experiment struct {
 	TraceRanks []TraceRank
 }
 
-// SectionError reports fatal damage to one section of a v2 database: the
-// section is required and its payload was damaged or malformed, so the
-// database cannot be opened.
+// SectionError reports fatal damage to one section of a v2 or v3 database:
+// the section is required and its payload was damaged, or it is malformed
+// behind a good checksum, so the database cannot be opened.
 type SectionError struct {
 	// Section names the damaged section ("strings", "header", "metrics",
 	// "tree", "overrides", "provenance" or "framing").
@@ -57,6 +62,22 @@ func (e *SectionError) Error() string {
 }
 
 func (e *SectionError) Unwrap() error { return e.Err }
+
+// WriterFor returns the encoder a -format flag value names: "v3" (CPDB3,
+// the default of every tool that writes a database), "binary" (v2) or
+// "xml". Tools call it while parsing flags, so a bad value is reported
+// before any input is read.
+func WriterFor(format string) (func(*Experiment, io.Writer) error, error) {
+	switch format {
+	case "v3":
+		return (*Experiment).WriteBinaryV3, nil
+	case "binary":
+		return (*Experiment).WriteBinary, nil
+	case "xml":
+		return (*Experiment).WriteXML, nil
+	}
+	return nil, fmt.Errorf("unknown format %q (want v3, binary or xml)", format)
+}
 
 // New wraps a computed tree as a single-rank experiment.
 func New(t *core.Tree) *Experiment {

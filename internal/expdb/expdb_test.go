@@ -123,9 +123,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := e.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	equalExperiments(t, e, got)
 }
@@ -152,7 +152,7 @@ func TestFig1TreeRoundTrips(t *testing.T) {
 	if err := e.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestReadXMLErrors(t *testing.T) {
 }
 
 func TestReadBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := ReadBinary(strings.NewReader("XXXXX")); err == nil {
+	if _, err := Read(strings.NewReader("XXXXX")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	e := fixture(t)
@@ -195,7 +195,7 @@ func TestReadBinaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(data[:len(data)/3])); err == nil {
+	if _, err := Read(bytes.NewReader(data[:len(data)/3])); err == nil {
 		t.Fatal("truncated database accepted")
 	}
 }
@@ -232,7 +232,7 @@ func TestComputedColumnRoundTrips(t *testing.T) {
 				err := e.WriteBinary(&b)
 				return b.Bytes(), err
 			},
-			func(data []byte) (*Experiment, error) { return ReadBinary(bytes.NewReader(data)) },
+			func(data []byte) (*Experiment, error) { return Read(bytes.NewReader(data)) },
 		},
 	} {
 		data, err := codec.write(e)
@@ -295,7 +295,7 @@ func TestAllSummaryOpsRoundTrip(t *testing.T) {
 	if err := e.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,9 @@ func mergedSeed(f *testing.F) *Experiment {
 	return FromMerge(res)
 }
 
-// FuzzReadBinary guards the compact database reader against panics on
-// arbitrary input; anything accepted must re-encode cleanly.
+// FuzzReadBinary guards the compact database readers, reached through Read's
+// format sniff, against panics on arbitrary input; anything accepted must
+// re-encode cleanly.
 func FuzzReadBinary(f *testing.F) {
 	e := New(core.Fig1Tree())
 	var buf, bufV1 bytes.Buffer
@@ -108,7 +109,7 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(tweaked)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadBinary(bytes.NewReader(data))
+		got, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -192,7 +193,7 @@ func FuzzReadV3(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadBinary(bytes.NewReader(data))
+		got, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -4,13 +4,53 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/framing"
 	"repro/internal/ingest"
+	"repro/internal/metric"
 )
+
+// v2Bytes encodes an experiment in the v2 framed format.
+func v2Bytes(t *testing.T, e *Experiment) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// firstSummaryCol returns the ID of the first summary column.
+func firstSummaryCol(t *testing.T, e *Experiment) int {
+	t.Helper()
+	for _, d := range e.Tree.Reg.Columns() {
+		if d.Kind == metric.Summary {
+			return d.ID
+		}
+	}
+	t.Fatal("fixture has no summary column")
+	return -1
+}
+
+// maxAbsIncl returns the largest magnitude of column id over every scope's
+// inclusive vector.
+func maxAbsIncl(e *Experiment, id int) float64 {
+	var m float64
+	core.Walk(e.Tree.Root, func(n *core.Node) bool {
+		if v := n.Incl.Get(id); v > m || -v > m {
+			if v < 0 {
+				v = -v
+			}
+			m = v
+		}
+		return true
+	})
+	return m
+}
 
 // corruptSection flips one payload byte of the section with the given id,
 // locating it by walking the frame structure. Fails the test if the
@@ -51,7 +91,7 @@ func TestBinaryV1CompatRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(buf.Bytes(), []byte(dbMagic)) {
 		t.Fatalf("WriteBinaryV1 magic = %q", buf.Bytes()[:5])
 	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +120,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 	if err := e.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +149,16 @@ func TestDamagedOverridesSectionDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := corruptSection(t, buf.Bytes(), dbSecOverrides)
-	got, err := ReadBinary(bytes.NewReader(data))
+	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("damaged optional section should degrade, got error: %v", err)
 	}
-	if len(got.Notes) == 0 || !strings.Contains(got.Notes[0], "overrides") {
-		t.Fatalf("degradation not recorded: notes = %v", got.Notes)
+	const note = "overrides section failed its checksum; summary and computed columns were dropped"
+	if len(got.Notes) != 1 || got.Notes[0] != note {
+		t.Fatalf("notes = %q, want %q", got.Notes, note)
+	}
+	if m := maxAbsIncl(got, firstSummaryCol(t, got)); m != 0 {
+		t.Fatalf("dropped summary column reads %g, want 0", m)
 	}
 	// The tree itself is intact — raw columns survive untouched.
 	if got.Program != e.Program || got.NRanks != e.NRanks {
@@ -132,15 +176,16 @@ func TestDamagedProvenanceSectionDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := corruptSection(t, buf.Bytes(), dbSecProvenance)
-	got, err := ReadBinary(bytes.NewReader(data))
+	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("damaged provenance should degrade, got error: %v", err)
 	}
 	if got.Provenance != nil {
 		t.Fatal("damaged provenance should be dropped")
 	}
-	if len(got.Notes) == 0 || !strings.Contains(got.Notes[0], "provenance") {
-		t.Fatalf("degradation not recorded: notes = %v", got.Notes)
+	const note = "provenance section failed its checksum; the quarantine record was dropped"
+	if len(got.Notes) != 1 || got.Notes[0] != note {
+		t.Fatalf("notes = %q, want %q", got.Notes, note)
 	}
 }
 
@@ -160,7 +205,7 @@ func TestDamagedRequiredSectionsAreFatal(t *testing.T) {
 		{dbSecTree, "tree"},
 	} {
 		data := corruptSection(t, buf.Bytes(), tc.id)
-		_, err := ReadBinary(bytes.NewReader(data))
+		_, err := Read(bytes.NewReader(data))
 		if err == nil {
 			t.Fatalf("damaged %s section accepted", tc.name)
 		}
@@ -182,7 +227,7 @@ func TestV2TruncationAlwaysErrors(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for n := 0; n < len(data); n++ {
-		if _, err := ReadBinary(bytes.NewReader(data[:n])); err == nil {
+		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
 		}
 	}
@@ -209,5 +254,95 @@ func TestReadSniffsAllFormats(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestLazyMalformedOverridesTypedError rebuilds the stream with an
+// overrides payload that passes its checksum but is garbage: unlike
+// checksum damage, which degrades, that is a typed *SectionError naming the
+// section. (The Lazy in this and the next two names dates from the
+// section-skipping open that shared these cases with Read.)
+func TestLazyMalformedOverridesTypedError(t *testing.T) {
+	data := v2Bytes(t, fixture(t))
+
+	var out bytes.Buffer
+	fw, err := framing.NewWriter(&out, dbMagicV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := framing.NewReader(bytes.NewReader(data), int64(len(data)), dbMagicV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		id, payload, err := fr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == dbSecOverrides {
+			// An absurd entry count: well-framed, correctly checksummed,
+			// semantically malformed.
+			payload = binary.AppendUvarint(nil, 1<<40)
+		}
+		if err := fw.Section(id, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Read(bytes.NewReader(out.Bytes()))
+	var se *SectionError
+	if !errors.As(err, &se) || se.Section != "overrides" {
+		t.Fatalf("read of malformed overrides: %v, want *SectionError for overrides", err)
+	}
+}
+
+// TestLazyOpenEagerFallback reads v1 and XML databases, which have no
+// sections: override-backed columns come back filled all the same.
+func TestLazyOpenEagerFallback(t *testing.T) {
+	e := fixture(t)
+	for _, tc := range []struct {
+		name  string
+		write func(*Experiment, io.Writer) error
+	}{
+		{"v1", (*Experiment).WriteBinaryV1},
+		{"xml", (*Experiment).WriteXML},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.write(e, &buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalExperiments(t, e, got)
+			if m := maxAbsIncl(got, firstSummaryCol(t, got)); m == 0 {
+				t.Fatal("summary column empty")
+			}
+		})
+	}
+}
+
+// TestLazyOpenErrors: truncation, an empty stream and a damaged required
+// section fail the open.
+func TestLazyOpenErrors(t *testing.T) {
+	data := v2Bytes(t, fixture(t))
+
+	if _, err := Read(bytes.NewReader(data[:len(data)/2])); err == nil {
+		t.Fatal("truncated stream opened")
+	}
+	if _, err := Read(strings.NewReader("")); err == nil {
+		t.Fatal("empty stream opened")
+	}
+	var se *SectionError
+	if _, err := Read(bytes.NewReader(corruptSection(t, data, dbSecTree))); !errors.As(err, &se) || se.Section != "tree" {
+		t.Fatalf("damaged tree section: %v", err)
 	}
 }

@@ -425,7 +425,7 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 // borrowed columns. Open cost is O(index); metadata decodes on the first
 // Experiment call; each column section's checksum is verified exactly once,
 // on first touch (NeedColumn), with damage degrading to a zeroed column
-// plus an Experiment.Notes entry — mirroring the v2 lazy contract.
+// plus an Experiment.Notes entry.
 //
 // The mapping is strictly read-only. Writers that would touch a mapped
 // column (a diff Recompute, a summary rewrite) hit the store's
@@ -727,7 +727,7 @@ func (db *MappedDB) verifyColLocked(si int) {
 }
 
 // Provenance decodes the provenance section on first call (nil when absent
-// or dropped after checksum damage, mirroring the v2 lazy contract).
+// or dropped after checksum damage, as the v2 reader drops it).
 func (db *MappedDB) Provenance() (*ingest.Report, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -767,10 +767,9 @@ func (db *MappedDB) loadProvenanceLocked() error {
 }
 
 // VerifyAll checks every section checksum and decodes all lazily deferred
-// state — the mapped equivalent of LazyDB.MaterializeAll, used before
-// handing the experiment to consumers that will not fault columns
-// themselves. Column damage still degrades (notes), so the returned error
-// reflects only fatal metadata problems.
+// state, for consumers that will not fault columns themselves. Column
+// damage still degrades (notes), so the returned error reflects only fatal
+// metadata problems.
 func (db *MappedDB) VerifyAll() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -787,9 +786,9 @@ func (db *MappedDB) VerifyAll() error {
 
 // --- eager reader ----------------------------------------------------
 
-// readBinaryV3 is the stream (non-mapped) v3 decode used by Read,
-// ReadBinary and OpenLazy: the whole input is buffered, every checksum is
-// verified up front, and the experiment is returned fully materialized.
+// readBinaryV3 is the stream (non-mapped) v3 decode behind Read: the whole
+// input is buffered, every checksum is verified up front, and the
+// experiment is returned fully materialized.
 // Column slabs still alias the read buffer (adopted copy-on-write), which
 // is safe heap memory here — no mapping lifetime to manage. size is what
 // framing.SizeOf measured (-1: unknown) and the buffer is made that long at

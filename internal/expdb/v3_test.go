@@ -72,13 +72,6 @@ func TestBinaryV3RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalExperiments(t, e, got)
-
-	// And so does OpenLazy (eager fallback for streams).
-	db, err := OpenLazy(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalExperiments(t, e, db.Experiment())
 }
 
 // TestV3RewriteToV2Identical locks the v3 columns to bitwise fidelity: a
@@ -90,7 +83,7 @@ func TestV3RewriteToV2Identical(t *testing.T) {
 	e.Provenance = &ingest.Report{Attempted: 3, Merged: 3}
 	want := v2Bytes(t, e)
 
-	got, err := ReadBinary(bytes.NewReader(v3Bytes(t, e)))
+	got, err := Read(bytes.NewReader(v3Bytes(t, e)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +291,7 @@ func TestV3DamagedMetadataFatal(t *testing.T) {
 			}
 		}
 		// Eager readers reject the database outright.
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Fatalf("eager read accepted corrupt %s section", sectionName(kind))
 		}
 	}
@@ -425,7 +418,7 @@ func TestV3MalformedTreeRejected(t *testing.T) {
 			t.Fatalf("%s: the index is intact, open must succeed: %v", name, err)
 		}
 		_, mappedErr := db.Experiment()
-		_, eagerErr := ReadBinary(bytes.NewReader(data))
+		_, eagerErr := Read(bytes.NewReader(data))
 		for reader, err := range map[string]error{"mapped": mappedErr, "eager": eagerErr} {
 			var serr *SectionError
 			if !errors.As(err, &serr) || serr.Section != "tree" {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/diff"
+	"repro/internal/engine"
 	"repro/internal/expdb"
 	"repro/internal/faultio"
 	"repro/internal/ingest"
@@ -68,55 +69,63 @@ func decodeTracedProfile(data []byte) (bool, error) {
 }
 
 func decodeDB(data []byte) (bool, error) {
-	e, err := expdb.ReadBinary(bytes.NewReader(data))
+	e, err := expdb.Read(bytes.NewReader(data))
 	if err != nil {
 		return false, err
 	}
 	return len(e.Notes) > 0, nil
 }
 
-// decodeLazyDB opens the database lazily and then touches every
-// lazily-skipped section the way a viewer session eventually would: fault
-// each metric column in, read the provenance record, and materialize the
-// rest. Damage to a skipped section must surface at these accesses as the
-// same typed errors or degradation notes an eager open reports — never a
-// panic.
-func decodeLazyDB(data []byte) (bool, error) {
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
+// stage writes the bytes to a file of their own.
+func stage(data []byte) (path string, cleanup func(), err error) {
+	dir, err := os.MkdirTemp("", "faultdb")
+	if err != nil {
+		return "", nil, err
+	}
+	path = filepath.Join(dir, "experiment.db")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		os.RemoveAll(dir)
+		return "", nil, err
+	}
+	return path, func() { os.RemoveAll(dir) }, nil
+}
+
+// decodeOpenedDB stages the bytes as a file and opens it the way the tools
+// do, through engine.Open — the format sniff on a possibly damaged head,
+// then the whole decode — and asks the snapshot for everything a tool
+// would: every column, the quarantine record, the notes.
+func decodeOpenedDB(data []byte) (bool, error) {
+	path, cleanup, err := stage(data)
 	if err != nil {
 		return false, err
 	}
-	e := db.Experiment()
-	for _, d := range e.Tree.Reg.Columns() {
-		if err := db.NeedColumn(d.ID); err != nil {
-			return len(e.Notes) > 0, err
-		}
+	defer cleanup()
+	snap, err := engine.Open(path)
+	if err != nil {
+		return false, err
 	}
-	if _, err := db.Provenance(); err != nil {
-		return len(e.Notes) > 0, err
+	defer snap.Close()
+	if err := snap.FaultAll(); err != nil {
+		return len(snap.Notes()) > 0, err
 	}
-	if err := db.MaterializeAll(); err != nil {
-		return len(e.Notes) > 0, err
+	if _, err := snap.Provenance(); err != nil {
+		return len(snap.Notes()) > 0, err
 	}
-	return len(e.Notes) > 0, nil
+	return len(snap.Notes()) > 0, nil
 }
 
 // decodeMappedDB stages the bytes as a file and opens them through the
 // zero-copy mapped path, then touches everything a viewer eventually
 // would: metadata, every column's checksum pass, provenance. The v3
-// contract matches v2-lazy: metadata damage is a typed error, column and
-// provenance damage degrade with notes, and nothing ever faults the
-// process (all index ranges are validated before the mapping is trusted).
+// contract: metadata damage is a typed error, column and provenance damage
+// degrade with notes, and nothing ever faults the process (all index ranges
+// are validated before the mapping is trusted).
 func decodeMappedDB(data []byte) (bool, error) {
-	dir, err := os.MkdirTemp("", "faultv3")
+	path, cleanup, err := stage(data)
 	if err != nil {
 		return false, err
 	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "experiment.db")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return false, err
-	}
+	defer cleanup()
 	db, err := expdb.OpenMapped(path)
 	if err != nil {
 		return false, err
@@ -213,7 +222,7 @@ func buildArtifacts(t *testing.T, name string) []artifact {
 		enc("profile-v2", func(b *bytes.Buffer) error { return p.Write(b) }, decodeTracedProfile, true),
 		enc("profile-v1", func(b *bytes.Buffer) error { return p.WriteV1(b) }, decodeProfile, false),
 		enc("expdb-v2", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeDB, true),
-		enc("expdb-v2-lazy", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeLazyDB, true),
+		enc("expdb-v2-open", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeOpenedDB, true),
 		enc("expdb-v1", func(b *bytes.Buffer) error { return exp.WriteBinaryV1(b) }, decodeDB, false),
 		enc("expdb-v3", func(b *bytes.Buffer) error { return exp.WriteBinaryV3(b) }, decodeDB, true),
 		enc("expdb-v3-mapped", func(b *bytes.Buffer) error { return exp.WriteBinaryV3(b) }, decodeMappedDB, true),
@@ -381,7 +390,7 @@ func TestFaultMatrix(t *testing.T) {
 					}
 				}
 				readExp := func() *expdb.Experiment {
-					e, err := expdb.ReadBinary(bytes.NewReader(raw))
+					e, err := expdb.Read(bytes.NewReader(raw))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -446,7 +455,7 @@ func TestReaderFaults(t *testing.T) {
 			if a.name == "profile-v1" || a.name == "profile-v2" {
 				_, err = profile.Read(r)
 			} else {
-				_, err = expdb.ReadBinary(r)
+				_, err = expdb.Read(r)
 			}
 			if err == nil {
 				t.Fatal("mid-file I/O error ignored")
@@ -458,7 +467,7 @@ func TestReaderFaults(t *testing.T) {
 			if a.name == "profile-v1" || a.name == "profile-v2" {
 				_, err = profile.Read(r)
 			} else {
-				_, err = expdb.ReadBinary(r)
+				_, err = expdb.Read(r)
 			}
 			if err != nil {
 				t.Fatalf("short reads broke a pristine file: %v", err)

@@ -249,31 +249,20 @@ func (r *Result) AddSummaries(src int, ops ...metric.SummaryOp) error {
 		if err != nil {
 			return err
 		}
-		if st != nil && src >= 0 && src < len(r.stats) {
-			// Columnar sweep: the source statistics and the destination
-			// inclusive column are both row-indexed slabs. Only seen rows
-			// can hold statistics, and the root row is never seen, matching
-			// the walk below.
-			out := st.Col(metric.PlaneIncl, d.ID)
-			for row, ss := range r.stats[src] {
-				if row < len(r.seen) && r.seen[row] {
-					if v := ss.Value(d.Op); v != 0 {
-						out[row] = v
-					}
+		if src >= len(r.stats) {
+			continue // a column no rank recorded: every summary of it is zero
+		}
+		// Columnar sweep: the source statistics and the destination
+		// inclusive column are both row-indexed slabs. Only seen rows can
+		// hold statistics, and the root row is never seen.
+		out := st.Col(metric.PlaneIncl, d.ID)
+		for row, ss := range r.stats[src] {
+			if row < len(r.seen) && r.seen[row] {
+				if v := ss.Value(d.Op); v != 0 {
+					out[row] = v
 				}
 			}
-			continue
 		}
-		core.Walk(r.Tree.Root, func(n *core.Node) bool {
-			if n.Kind == core.KindRoot {
-				return true
-			}
-			s := r.Stats(n, src)
-			if v := s.Value(d.Op); v != 0 {
-				n.Incl.Set(d.ID, v)
-			}
-			return true
-		})
 	}
 	return nil
 }

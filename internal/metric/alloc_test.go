@@ -2,63 +2,39 @@ package metric
 
 import "testing"
 
-// Vector's fast paths keep the metric hot loops allocation-free; pin them.
+// Once a column's slab reaches a row, writing the row's cell allocates
+// nothing: the scope-at-a-time writers (profile correlation, the Callers
+// View's AddView) stay allocation-free per cost.
 
 func TestAddHitAllocs(t *testing.T) {
-	var v Vector
+	v := rowView()
 	v.Add(0, 1)
 	if n := testing.AllocsPerRun(1000, func() { v.Add(0, 1) }); n != 0 {
-		t.Errorf("Add to existing column allocates %v/op, want 0", n)
-	}
-}
-
-func TestAddAppendWithinCapacityAllocs(t *testing.T) {
-	var v Vector
-	id := 0
-	v.Grow(2048)
-	if n := testing.AllocsPerRun(1000, func() {
-		id++
-		v.Add(id, 1)
-	}); n != 0 {
-		t.Errorf("Add append within capacity allocates %v/op, want 0", n)
+		t.Errorf("Add to a resident cell allocates %v/op, want 0", n)
 	}
 }
 
 func TestAddVectorAlignedAllocs(t *testing.T) {
-	var v, o Vector
+	v, o := rowView(), rowView()
 	o.Add(0, 1)
 	o.Add(3, 2)
-	v.AddVector(&o)
-	if n := testing.AllocsPerRun(1000, func() { v.AddVector(&o) }); n != 0 {
-		t.Errorf("AddVector over identical id sets allocates %v/op, want 0", n)
+	v.AddView(o)
+	if n := testing.AllocsPerRun(1000, func() { v.AddView(o) }); n != 0 {
+		t.Errorf("AddView over resident columns allocates %v/op, want 0", n)
 	}
 }
 
-func TestAddVectorDisjointAppendAllocs(t *testing.T) {
-	var v, o Vector
-	v.Add(0, 1)
-	v.Grow(2048)
-	o.Add(1, 1)
-	// v's tail id stays below o's head id, so every run takes the append
-	// path; with capacity in place it never allocates.
-	if n := testing.AllocsPerRun(1000, func() {
-		v.ids = v.ids[:1]
-		v.vals = v.vals[:1]
-		v.AddVector(&o)
+// A tree under construction writes its rows in ascending order, and slabs
+// grow geometrically: the write to the next row re-slices the column's slab
+// within its capacity.
+func TestAddAppendWithinCapacityAllocs(t *testing.T) {
+	st := NewStore()
+	v := NewView(st, PlaneBase, st.AddRow())
+	v.Add(0, 1) // the slab starts with room for 64 rows
+	if n := testing.AllocsPerRun(50, func() {
+		v = NewView(st, PlaneBase, st.AddRow())
+		v.Add(0, 1)
 	}); n != 0 {
-		t.Errorf("AddVector disjoint append allocates %v/op, want 0", n)
-	}
-}
-
-func TestAddVectorIntoEmptySingleCopy(t *testing.T) {
-	var o Vector
-	o.Add(0, 1)
-	o.Add(5, 2)
-	// One allocation per backing slice (ids, vals): the copy is pre-sized.
-	if n := testing.AllocsPerRun(1000, func() {
-		var v Vector
-		v.AddVector(&o)
-	}); n > 2 {
-		t.Errorf("AddVector into empty vector allocates %v/op, want <= 2", n)
+		t.Errorf("Add to the next row within the slab's capacity allocates %v/op, want 0", n)
 	}
 }

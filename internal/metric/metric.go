@@ -1,8 +1,9 @@
 // Package metric provides the metric machinery used throughout the toolkit:
-// metric descriptors, sparse per-scope metric vectors, a spreadsheet-like
-// formula engine for derived metrics (Section V-D of the paper), and
-// streaming summary statistics used when merging profiles from many
-// processes (Sections IV and VII).
+// metric descriptors, the columnar store every scope's costs live in (Store,
+// with View as one scope's row), a spreadsheet-like formula engine for
+// derived metrics (Section V-D of the paper), and streaming summary
+// statistics used when merging profiles from many processes (Sections IV
+// and VII).
 //
 // A metric is identified by its column index in a Registry; formulas refer
 // to columns as $0, $1, ... exactly as hpcviewer does.
@@ -10,7 +11,6 @@ package metric
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -262,231 +262,4 @@ func (d *Desc) Program() (*Program, error) {
 	}
 	d.prog = p
 	return d.prog, nil
-}
-
-// Vector is a sparse metric vector mapping column IDs to float64 values.
-// Zero values are never stored: the paper's presentation principle "any
-// metric table cell where data is zero is left blank" falls out of the
-// representation (Section V-A). The zero Vector is empty and ready to use.
-//
-// IDs are kept sorted so that iteration order is deterministic and merging
-// is linear.
-type Vector struct {
-	ids  []int32
-	vals []float64
-}
-
-// Len reports the number of non-zero entries.
-func (v *Vector) Len() int { return len(v.ids) }
-
-// IsZero reports whether the vector has no non-zero entries.
-func (v *Vector) IsZero() bool { return len(v.ids) == 0 }
-
-func (v *Vector) find(id int) (int, bool) {
-	i := sort.Search(len(v.ids), func(i int) bool { return v.ids[i] >= int32(id) })
-	return i, i < len(v.ids) && v.ids[i] == int32(id)
-}
-
-// Get returns the value in column id (zero if absent).
-func (v *Vector) Get(id int) float64 {
-	if i, ok := v.find(id); ok {
-		return v.vals[i]
-	}
-	return 0
-}
-
-// Has reports whether column id has an explicit (non-zero) entry.
-func (v *Vector) Has(id int) bool {
-	_, ok := v.find(id)
-	return ok
-}
-
-// Set stores x in column id, deleting the entry when x is zero.
-func (v *Vector) Set(id int, x float64) {
-	i, ok := v.find(id)
-	switch {
-	case ok && x == 0:
-		v.ids = append(v.ids[:i], v.ids[i+1:]...)
-		v.vals = append(v.vals[:i], v.vals[i+1:]...)
-	case ok:
-		v.vals[i] = x
-	case x == 0:
-		// nothing to do
-	default:
-		v.ids = append(v.ids, 0)
-		v.vals = append(v.vals, 0)
-		copy(v.ids[i+1:], v.ids[i:])
-		copy(v.vals[i+1:], v.vals[i:])
-		v.ids[i] = int32(id)
-		v.vals[i] = x
-	}
-}
-
-// Add adds x to column id.
-func (v *Vector) Add(id int, x float64) {
-	if x == 0 {
-		return
-	}
-	// Columns are typically touched in ascending order (profile readers,
-	// summary builders); appending past the current tail keeps that hot
-	// path free of the binary search and the insertion copy.
-	if n := len(v.ids); n == 0 || v.ids[n-1] < int32(id) {
-		v.ids = append(v.ids, int32(id))
-		v.vals = append(v.vals, x)
-		return
-	}
-	if i, ok := v.find(id); ok {
-		v.vals[i] += x
-		if v.vals[i] == 0 {
-			v.ids = append(v.ids[:i], v.ids[i+1:]...)
-			v.vals = append(v.vals[:i], v.vals[i+1:]...)
-		}
-		return
-	}
-	v.Set(id, x)
-}
-
-// AddVector adds every entry of o into v.
-func (v *Vector) AddVector(o *Vector) {
-	if o == nil || len(o.ids) == 0 {
-		return
-	}
-	if len(v.ids) == 0 {
-		v.ids = append([]int32(nil), o.ids...)
-		v.vals = append([]float64(nil), o.vals...)
-		return
-	}
-	// Identical id sets — by far the hottest case: every scope of a tree
-	// carries the same few columns — sum in place with no allocation.
-	// Entries that cancel to zero are compacted in place.
-	if len(v.ids) == len(o.ids) {
-		same := true
-		for i := range v.ids {
-			if v.ids[i] != o.ids[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			zeroed := false
-			for i := range o.vals {
-				v.vals[i] += o.vals[i]
-				if v.vals[i] == 0 {
-					zeroed = true
-				}
-			}
-			if zeroed {
-				k := 0
-				for i := range v.ids {
-					if v.vals[i] != 0 {
-						v.ids[k] = v.ids[i]
-						v.vals[k] = v.vals[i]
-						k++
-					}
-				}
-				v.ids, v.vals = v.ids[:k], v.vals[:k]
-			}
-			return
-		}
-	}
-	// Disjoint id ranges need no merge: one side simply extends the other.
-	// Trees built from a single profile hit these constantly (every scope
-	// carries the same few column ids, in order).
-	if v.ids[len(v.ids)-1] < o.ids[0] {
-		v.ids = append(v.ids, o.ids...)
-		v.vals = append(v.vals, o.vals...)
-		return
-	}
-	if o.ids[len(o.ids)-1] < v.ids[0] {
-		ids := make([]int32, 0, len(v.ids)+len(o.ids))
-		vals := make([]float64, 0, len(v.vals)+len(o.vals))
-		ids = append(append(ids, o.ids...), v.ids...)
-		vals = append(append(vals, o.vals...), v.vals...)
-		v.ids, v.vals = ids, vals
-		return
-	}
-	// Merge two sorted runs.
-	ids := make([]int32, 0, len(v.ids)+len(o.ids))
-	vals := make([]float64, 0, len(v.vals)+len(o.vals))
-	i, j := 0, 0
-	for i < len(v.ids) && j < len(o.ids) {
-		switch {
-		case v.ids[i] < o.ids[j]:
-			ids = append(ids, v.ids[i])
-			vals = append(vals, v.vals[i])
-			i++
-		case v.ids[i] > o.ids[j]:
-			ids = append(ids, o.ids[j])
-			vals = append(vals, o.vals[j])
-			j++
-		default:
-			s := v.vals[i] + o.vals[j]
-			if s != 0 {
-				ids = append(ids, v.ids[i])
-				vals = append(vals, s)
-			}
-			i++
-			j++
-		}
-	}
-	ids = append(ids, v.ids[i:]...)
-	vals = append(vals, v.vals[i:]...)
-	for ; j < len(o.ids); j++ {
-		ids = append(ids, o.ids[j])
-		vals = append(vals, o.vals[j])
-	}
-	v.ids, v.vals = ids, vals
-}
-
-// Clone returns an independent copy of v.
-func (v *Vector) Clone() *Vector {
-	c := &Vector{}
-	if len(v.ids) > 0 {
-		c.ids = append([]int32(nil), v.ids...)
-		c.vals = append([]float64(nil), v.vals...)
-	}
-	return c
-}
-
-// CloneValue returns an independent copy of v as a value, avoiding the
-// header allocation of Clone. Cloning an empty vector allocates nothing.
-func (v *Vector) CloneValue() Vector {
-	var c Vector
-	if len(v.ids) > 0 {
-		c.ids = append([]int32(nil), v.ids...)
-		c.vals = append([]float64(nil), v.vals...)
-	}
-	return c
-}
-
-// Grow ensures capacity for n additional entries, so a caller that knows
-// how many columns it is about to Add in order pays one allocation.
-func (v *Vector) Grow(n int) {
-	if cap(v.ids)-len(v.ids) >= n {
-		return
-	}
-	ids := make([]int32, len(v.ids), len(v.ids)+n)
-	vals := make([]float64, len(v.vals), len(v.vals)+n)
-	copy(ids, v.ids)
-	copy(vals, v.vals)
-	v.ids, v.vals = ids, vals
-}
-
-// Range calls f for every non-zero entry in ascending column order.
-func (v *Vector) Range(f func(id int, x float64)) {
-	for i, id := range v.ids {
-		f(int(id), v.vals[i])
-	}
-}
-
-// String renders the vector for debugging, e.g. "{0:12 2:3.5}".
-func (v *Vector) String() string {
-	s := "{"
-	for i, id := range v.ids {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%d:%g", id, v.vals[i])
-	}
-	return s + "}"
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,10 +80,27 @@ func TestRegistrySummaryNames(t *testing.T) {
 	}
 }
 
+// rowView returns the Base view of a fresh row in its own store, behind a
+// few rows it must never touch.
+func rowView() *View {
+	st := NewStore()
+	for i := 0; i < 3; i++ {
+		st.AddRow()
+	}
+	v := NewView(st, PlaneBase, st.AddRow())
+	return &v
+}
+
+func entries(v *View) map[int]float64 {
+	got := map[int]float64{}
+	v.Range(func(id int, x float64) { got[id] = x })
+	return got
+}
+
 func TestVectorBasics(t *testing.T) {
-	var v Vector
-	if !v.IsZero() || v.Get(3) != 0 || v.Has(3) {
-		t.Fatal("zero vector misbehaves")
+	v := rowView()
+	if v.Len() != 0 || v.Get(3) != 0 {
+		t.Fatal("fresh row misbehaves")
 	}
 	v.Set(3, 1.5)
 	v.Set(1, 2)
@@ -96,20 +114,28 @@ func TestVectorBasics(t *testing.T) {
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", v.Len())
 	}
-	// setting to zero removes the entry (sparse invariant)
+	// A cell set to zero is an absent entry (the blank-zero rule).
 	v.Set(3, 0)
-	if v.Has(3) || v.Len() != 1 {
+	if v.Get(3) != 0 || v.Len() != 1 {
 		t.Fatal("zero entry retained")
 	}
-	// Add that cancels removes the entry too
+	// So is one an Add cancels.
 	v.Add(1, -2)
-	if !v.IsZero() {
-		t.Fatalf("vector not empty after cancel: %v", v.String())
+	if v.Len() != 0 {
+		t.Fatalf("row not empty after cancel: %v", v.String())
+	}
+	// The neighbouring rows and planes were never written.
+	for r := int32(0); r < 3; r++ {
+		for _, p := range []Plane{PlaneBase, PlaneIncl, PlaneExcl} {
+			if o := NewView(v.Store(), p, r); o.Len() != 0 {
+				t.Fatalf("row %d plane %d picked up %v", r, p, o.String())
+			}
+		}
 	}
 }
 
 func TestVectorRangeOrdered(t *testing.T) {
-	var v Vector
+	v := rowView()
 	for _, id := range []int{9, 2, 5, 0, 7} {
 		v.Set(id, float64(id)+0.5)
 	}
@@ -120,89 +146,117 @@ func TestVectorRangeOrdered(t *testing.T) {
 			t.Fatalf("value mismatch at %d: %g", id, x)
 		}
 	})
-	if !sort.IntsAreSorted(ids) {
-		t.Fatalf("Range not in ascending order: %v", ids)
+	if !sort.IntsAreSorted(ids) || len(ids) != 5 {
+		t.Fatalf("Range not the five entries in ascending order: %v", ids)
+	}
+	if got, want := v.String(), "{0:0.5 2:2.5 5:5.5 7:7.5 9:9.5}"; got != want {
+		t.Fatalf("String = %s, want %s", got, want)
 	}
 }
 
 func TestVectorAddVector(t *testing.T) {
-	var a, b Vector
+	a, b := rowView(), rowView()
 	a.Set(0, 1)
-	a.Set(2, 3)
-	b.Set(1, 10)
-	b.Set(2, -3) // cancels a's entry
-	b.Set(5, 7)
-	a.AddVector(&b)
-	want := map[int]float64{0: 1, 1: 10, 5: 7}
-	got := map[int]float64{}
-	a.Range(func(id int, x float64) { got[id] = x })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("AddVector = %v, want %v", got, want)
+	a.Set(2, 2)
+	b.Set(2, 3)
+	b.Set(5, 4)
+	b.Set(0, -1) // cancels a's entry
+	a.AddView(b)
+	if got, want := a.String(), "{2:5 5:4}"; got != want {
+		t.Fatalf("AddView = %s, want %s", got, want)
+	}
+	if got, want := b.String(), "{0:-1 2:3 5:4}"; got != want {
+		t.Fatalf("AddView changed its argument to %s, want %s", got, want)
 	}
 }
 
 func TestVectorAddVectorIntoEmpty(t *testing.T) {
-	var a, b Vector
-	b.Set(4, 2)
-	a.AddVector(&b)
-	if a.Get(4) != 2 {
-		t.Fatal("AddVector into empty failed")
+	a, b := rowView(), rowView()
+	b.Set(1, 7)
+	a.AddView(b)
+	if a.Get(1) != 7 || a.Len() != 1 {
+		t.Fatalf("AddView into an empty row: %s", a.String())
 	}
-	// must be an independent copy
-	b.Set(4, 99)
-	if a.Get(4) != 2 {
-		t.Fatal("AddVector aliased the source")
+	// The rows are independent afterwards.
+	a.Set(1, 8)
+	if b.Get(1) != 7 {
+		t.Fatal("AddView aliased its argument")
 	}
-}
-
-func TestVectorClone(t *testing.T) {
-	var v Vector
-	v.Set(1, 2)
-	c := v.Clone()
-	c.Set(1, 5)
-	if v.Get(1) != 2 {
-		t.Fatal("Clone aliases storage")
-	}
-	if (&Vector{}).Clone().Len() != 0 {
-		t.Fatal("Clone of empty not empty")
+	a.AddView(rowView())
+	if a.String() != "{1:8}" {
+		t.Fatalf("AddView of an empty row changed the row to %s", a.String())
 	}
 }
 
-// Property: a Vector agrees with a reference map under a random operation
-// sequence.
-func TestVectorMatchesMapModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var v Vector
-		model := map[int]float64{}
-		for i := 0; i < 200; i++ {
-			id := rng.Intn(12)
-			x := float64(rng.Intn(7) - 3)
-			if rng.Intn(2) == 0 {
-				v.Set(id, x)
-				if x == 0 {
-					delete(model, id)
-				} else {
-					model[id] = x
-				}
-			} else {
-				v.Add(id, x)
-				if model[id]+x == 0 {
-					delete(model, id)
-				} else {
-					model[id] += x
-				}
-			}
+// Property: AddView is column-wise addition, whichever row it is added to.
+func TestVectorAddVectorProperty(t *testing.T) {
+	f := func(xs, ys [8]int8) bool {
+		a, b, c := rowView(), rowView(), rowView()
+		for i := range xs {
+			a.Set(i, float64(xs[i]))
+			b.Set(i, float64(ys[i]))
 		}
-		if v.Len() != len(model) {
-			return false
-		}
-		for id, want := range model {
-			if v.Get(id) != want {
+		c.AddView(b)
+		c.AddView(a)
+		a.AddView(b)
+		for i := range xs {
+			if sum := float64(xs[i]) + float64(ys[i]); a.Get(i) != sum || c.Get(i) != sum {
 				return false
 			}
 		}
-		// entries stay sorted and non-zero
+		return a.Len() == c.Len()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a View agrees with a reference map under a random sequence of
+// Set, Add, AddView and Reset.
+func TestVectorMatchesMapModel(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		v, o := rowView(), rowView()
+		model, omodel := map[int]float64{}, map[int]float64{}
+		put := func(m map[int]float64, id int, x float64) {
+			if x == 0 {
+				delete(m, id)
+			} else {
+				m[id] = x
+			}
+		}
+		for i := 0; i < 200; i++ {
+			id := rng.Intn(12)
+			x := float64(rng.Intn(7) - 3)
+			switch rng.Intn(12) {
+			case 0, 1, 2, 3:
+				v.Set(id, x)
+				put(model, id, x)
+			case 4, 5, 6, 7:
+				v.Add(id, x)
+				put(model, id, model[id]+x)
+			case 8, 9:
+				o.Add(id, x)
+				put(omodel, id, omodel[id]+x)
+			case 10:
+				v.AddView(o)
+				for id, x := range omodel {
+					put(model, id, model[id]+x)
+				}
+			case 11:
+				v.Reset()
+				clear(model)
+			}
+		}
+		if v.Len() != len(model) || !reflect.DeepEqual(entries(v), model) {
+			return false
+		}
+		for id := 0; id < 12; id++ {
+			if v.Get(id) != model[id] {
+				return false
+			}
+		}
+		// Range is ascending and never shows a zero.
 		prev := -1
 		ok := true
 		v.Range(func(id int, x float64) {
@@ -211,38 +265,40 @@ func TestVectorMatchesMapModel(t *testing.T) {
 			}
 			prev = id
 		})
-		return ok
+		return ok && reflect.DeepEqual(entries(o), omodel)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: AddVector is equivalent to element-wise addition.
-func TestVectorAddVectorProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var a, b Vector
-		want := map[int]float64{}
-		for i := 0; i < 50; i++ {
-			id, x := rng.Intn(20), float64(rng.Intn(9)-4)
-			a.Add(id, x)
-			want[id] += x
-		}
-		for i := 0; i < 50; i++ {
-			id, x := rng.Intn(20), float64(rng.Intn(9)-4)
-			b.Add(id, x)
-			want[id] += x
-		}
-		a.AddVector(&b)
-		for id, w := range want {
-			if a.Get(id) != w {
-				return false
-			}
-		}
-		return true
+// TestZeroViewReadsEmptyWritesPanic pins the contract of a View bound to no
+// store (a bare core.Node used as a sentinel): every read sees an empty
+// row, every write panics and says where scopes that hold costs come from.
+func TestZeroViewReadsEmptyWritesPanic(t *testing.T) {
+	var v View
+	if v.Get(0) != 0 || v.Len() != 0 || v.Store() != nil || v.String() != "{}" {
+		t.Fatal("zero View does not read as an empty row")
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	v.Range(func(int, float64) { t.Fatal("zero View ranged over an entry") })
+	v.Reset()
+	v.Add(0, 0) // adding nothing writes nothing
+	rowView().AddView(&v)
+
+	src := rowView()
+	src.Set(0, 1)
+	for name, write := range map[string]func(){
+		"Set":     func() { v.Set(0, 1) },
+		"Add":     func() { v.Add(0, 1) },
+		"AddView": func() { v.AddView(src) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "core.Node.Child") {
+					t.Fatalf("%s through the zero View: recovered %q, want a panic naming core.Node.Child", name, msg)
+				}
+			}()
+			write()
+		}()
 	}
 }

@@ -229,7 +229,7 @@ func (p *Program) EvalEnv(env Env) float64 {
 	}
 	v := p.step(stack, vals)
 	if v == 0 {
-		return 0 // normalize -0, which a sparse vector never stores
+		return 0 // normalize -0, which the store never holds
 	}
 	return v
 }

@@ -1,17 +1,17 @@
 package metric
 
+import "fmt"
+
 // Store is a columnar (struct-of-arrays) metric store: one contiguous
 // []float64 slab per metric column per plane, indexed by dense row id. A
 // tree allocates one row per scope, so the query hot paths — Equation 1/2
 // recomputation, column sorts, derived-metric kernels, summary sweeps —
-// become linear passes over contiguous memory instead of per-node sparse
-// vector operations.
+// become linear passes over contiguous memory.
 //
-// Sparse-vector semantics are preserved at the API edge (View): zeros are
+// A scope sees its row as a sparse vector (View): zeros are
 // indistinguishable from absent entries, negative zero is never stored, and
-// Range/Len enumerate only non-zero cells in ascending column order, so the
-// serialized form of a store-backed tree is byte-identical to the
-// vector-backed one.
+// Range/Len enumerate only non-zero cells in ascending column order — which
+// is what the sparse on-disk formats serialize.
 //
 // Slabs grow lazily: a column's slab may be shorter than the row count
 // (reads past the end are zero) and is only extended — zero-filled, with
@@ -20,7 +20,7 @@ package metric
 //
 // Concurrency: a store is single-writer, like the node arena that owns it.
 // Concurrent readers are safe once writes have ceased (the tree compute
-// lock orders recomputation against view builds, exactly as before).
+// lock orders recomputation against view builds).
 
 // Plane selects which of a scope's three metric flavors a column belongs
 // to: directly attributed Base values, presented inclusive (Equation 2) or
@@ -157,10 +157,9 @@ func (s *Store) get(p Plane, col int, row int32) float64 {
 	return slab[row]
 }
 
-// set stores x, normalizing zero: sparse vectors delete entries that reach
-// zero, so a negative zero (e.g. from `$0 * -1` at a blank cell) was never
-// observable — the slab must not make it so. Writing a zero to a row the
-// slab has not reached stays free.
+// set stores x, normalizing zero: a zero cell is an absent entry, so a
+// negative zero (e.g. from `$0 * -1` at a blank cell) must not be
+// observable. Writing a zero to a row the slab has not reached stays free.
 func (s *Store) set(p Plane, col int, row int32, x float64) {
 	if x == 0 {
 		cols := s.planes[p]
@@ -222,103 +221,72 @@ func (s *Store) slabFor(p Plane, col int, row int32) []float64 {
 	return slab
 }
 
-// View is a scope's handle on one plane of a store row. It exposes the
-// sparse Vector API — Get/Set/Add/Range/Clone and friends — over the
-// columnar slabs, so node-at-a-time code is unchanged while column sweeps
-// go straight to the slabs.
+// View is a scope's handle on one plane of a store row: the scope's metric
+// vector, with the blank-zero rule of Section V-A ("any metric table cell
+// where data is zero is left blank") built into its enumeration — Range and
+// Len see only non-zero cells, in ascending column order — while column
+// sweeps go straight to the slabs.
 //
-// The zero View (no store) backs itself by a lazily allocated private
-// Vector, so hand-built nodes outside any tree keep working. A View must
+// The zero View (no store) is a valid empty, read-only view, so a bare
+// Node can stand in as a sentinel; writing through it panics. A View must
 // not be moved to a different tree: slab views never alias across trees
 // (each tree, callers-view root and flat view owns a private store).
 type View struct {
-	s    *Store
-	priv *Vector
-	row  int32
-	p    Plane
+	s   *Store
+	row int32
+	p   Plane
 }
 
 // NewView binds a view to one plane of a store row.
 func NewView(s *Store, p Plane, row int32) View { return View{s: s, p: p, row: row} }
 
-// Store returns the backing store (nil for a private-vector view).
+// Store returns the backing store (nil for the zero View).
 func (v *View) Store() *Store { return v.s }
 
 // Row returns the dense row id within the backing store.
 func (v *View) Row() int32 { return v.row }
 
-func (v *View) vec() *Vector {
-	if v.priv == nil {
-		v.priv = &Vector{}
+// cols returns the view's plane of slabs (none for the zero View).
+func (v *View) cols() [][]float64 {
+	if v.s == nil {
+		return nil
 	}
-	return v.priv
+	return v.s.planes[v.p]
+}
+
+// store returns the backing store for a write.
+func (v *View) store() *Store {
+	if v.s == nil {
+		panic("metric: write through a View bound to no store; scopes that hold costs are made by core.Node.Child under a core.Tree")
+	}
+	return v.s
 }
 
 // Get returns the value in column id (zero if absent).
 func (v *View) Get(id int) float64 {
-	if v.s != nil {
-		return v.s.get(v.p, id, v.row)
-	}
-	if v.priv == nil {
+	if v.s == nil {
 		return 0
 	}
-	return v.priv.Get(id)
+	return v.s.get(v.p, id, v.row)
 }
-
-// Has reports whether column id holds a non-zero value.
-func (v *View) Has(id int) bool { return v.Get(id) != 0 }
 
 // Set stores x in column id; zero clears the cell.
-func (v *View) Set(id int, x float64) {
-	if v.s != nil {
-		v.s.set(v.p, id, v.row, x)
-		return
-	}
-	v.vec().Set(id, x)
-}
+func (v *View) Set(id int, x float64) { v.store().set(v.p, id, v.row, x) }
 
 // Add adds x to column id.
 func (v *View) Add(id int, x float64) {
-	if x == 0 {
-		return
-	}
-	if v.s != nil {
-		v.s.add(v.p, id, v.row, x)
-		return
-	}
-	v.vec().Add(id, x)
-}
-
-// AddVector adds every entry of o.
-func (v *View) AddVector(o *Vector) {
-	if o == nil {
-		return
-	}
-	if v.s == nil {
-		v.vec().AddVector(o)
-		return
-	}
-	for i, id := range o.ids {
-		v.s.add(v.p, int(id), v.row, o.vals[i])
+	if x != 0 {
+		v.store().add(v.p, id, v.row, x)
 	}
 }
 
 // AddView adds every non-zero entry of o, in ascending column order.
 func (v *View) AddView(o *View) {
-	if o == nil {
-		return
-	}
-	if o.s == nil {
-		if o.priv != nil {
-			v.AddVector(o.priv)
-		}
-		return
-	}
 	row := int(o.row)
-	for id, slab := range o.s.planes[o.p] {
+	for id, slab := range o.cols() {
 		if row < len(slab) {
 			if x := slab[row]; x != 0 {
-				v.Add(id, x)
+				v.store().add(v.p, id, v.row, x)
 			}
 		}
 	}
@@ -326,14 +294,8 @@ func (v *View) AddView(o *View) {
 
 // Range calls f for every non-zero entry in ascending column order.
 func (v *View) Range(f func(id int, x float64)) {
-	if v.s == nil {
-		if v.priv != nil {
-			v.priv.Range(f)
-		}
-		return
-	}
 	row := int(v.row)
-	for id, slab := range v.s.planes[v.p] {
+	for id, slab := range v.cols() {
 		if row < len(slab) {
 			if x := slab[row]; x != 0 {
 				f(id, x)
@@ -344,15 +306,9 @@ func (v *View) Range(f func(id int, x float64)) {
 
 // Len reports the number of non-zero entries.
 func (v *View) Len() int {
-	if v.s == nil {
-		if v.priv == nil {
-			return 0
-		}
-		return v.priv.Len()
-	}
 	n := 0
 	row := int(v.row)
-	for _, slab := range v.s.planes[v.p] {
+	for _, slab := range v.cols() {
 		if row < len(slab) && slab[row] != 0 {
 			n++
 		}
@@ -360,30 +316,10 @@ func (v *View) Len() int {
 	return n
 }
 
-// IsZero reports whether the view has no non-zero entries.
-func (v *View) IsZero() bool {
-	if v.s == nil {
-		return v.priv == nil || v.priv.IsZero()
-	}
-	row := int(v.row)
-	for _, slab := range v.s.planes[v.p] {
-		if row < len(slab) && slab[row] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset clears every entry.
 func (v *View) Reset() {
-	if v.s == nil {
-		if v.priv != nil {
-			*v.priv = Vector{}
-		}
-		return
-	}
 	row := int(v.row)
-	for id, slab := range v.s.planes[v.p] {
+	for id, slab := range v.cols() {
 		if row < len(slab) && slab[row] != 0 {
 			// Route through set so a borrowed (mapped) slab is detached
 			// before the write.
@@ -392,71 +328,14 @@ func (v *View) Reset() {
 	}
 }
 
-// SetVector replaces the view's contents with o's entries.
-func (v *View) SetVector(o *Vector) {
-	v.Reset()
-	if o == nil {
-		return
-	}
-	for i, id := range o.ids {
-		v.Set(int(id), o.vals[i])
-	}
-}
-
-// Clone returns the view's entries as an independent sparse Vector.
-func (v *View) Clone() *Vector {
-	if v.s == nil {
-		if v.priv == nil {
-			return &Vector{}
-		}
-		return v.priv.Clone()
-	}
-	c := &Vector{}
-	n := v.Len()
-	if n > 0 {
-		c.ids = make([]int32, 0, n)
-		c.vals = make([]float64, 0, n)
-		row := int(v.row)
-		for id, slab := range v.s.planes[v.p] {
-			if row < len(slab) {
-				if x := slab[row]; x != 0 {
-					c.ids = append(c.ids, int32(id))
-					c.vals = append(c.vals, x)
-				}
-			}
-		}
-	}
-	return c
-}
-
-// CloneValue returns the view's entries as an independent Vector value.
-func (v *View) CloneValue() Vector {
-	if v.s == nil {
-		if v.priv == nil {
-			return Vector{}
-		}
-		return v.priv.CloneValue()
-	}
-	return *v.Clone()
-}
-
-// Grow pre-sizes a private-vector view for n additional entries; a no-op
-// for store-backed views, whose slabs grow lazily per column.
-func (v *View) Grow(n int) {
-	if v.s != nil {
-		return
-	}
-	v.vec().Grow(n)
-}
-
 // String renders the view for debugging, e.g. "{0:12 2:3.5}".
 func (v *View) String() string {
-	if v.s == nil {
-		if v.priv == nil {
-			return "{}"
+	s := "{"
+	v.Range(func(id int, x float64) {
+		if len(s) > 1 {
+			s += " "
 		}
-		return v.priv.String()
-	}
-	c := v.Clone()
-	return c.String()
+		s += fmt.Sprintf("%d:%g", id, x)
+	})
+	return s + "}"
 }

@@ -115,7 +115,7 @@ const (
 )
 
 // Row is one visible line of a view: a scope at a display depth. The
-// interactive session (internal/viewer) computes visibility itself —
+// interactive session (internal/engine) computes visibility itself —
 // expansion state, zooming, flattening — and hands rows here for
 // formatting.
 type Row struct {
@@ -224,16 +224,9 @@ func (r *renderer) ordered(ns []*core.Node) []*core.Node {
 
 // value reads column c's cell for scope n. The slabs are resolved again
 // only when n lives in another store than the scope before it (every
-// Callers View root owns one); scopes outside any store read their own
-// vectors.
+// Callers View root owns one).
 func (r *renderer) value(c *column, n *core.Node) float64 {
 	st := n.Incl.Store()
-	if st == nil {
-		if c.Inclusive {
-			return n.Incl.Get(c.MetricID)
-		}
-		return n.Excl.Get(c.MetricID)
-	}
 	if st != r.store {
 		r.store = st
 		for i := range r.cols {

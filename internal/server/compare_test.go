@@ -43,7 +43,7 @@ func fixtureAt(t *testing.T, ranks int) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := expdb.FromMerge(res).WriteBinary(&buf); err != nil {
+	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -69,12 +69,12 @@ func postJSON(t *testing.T, hc *http.Client, url string, body any) (int, []byte)
 }
 
 func TestCompareEndpoint(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureAt(t, 2)), nil, 1)
+	srv := New(mappedSnapshot(t, fixtureAt(t, 2)), nil, 1)
 	defer srv.Close()
-	if err := srv.AddSnapshot("big", lazySnapshot(t, fixtureAt(t, 6))); err != nil {
+	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddSnapshot("big", lazySnapshot(t, fixtureAt(t, 6))); err == nil {
+	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err == nil {
 		t.Fatal("duplicate catalog name did not error")
 	}
 	if err := srv.AddSnapshot("bad name", nil); err == nil {
@@ -151,9 +151,9 @@ func TestCompareEndpoint(t *testing.T) {
 // HTTP session surface: the catalog attached to server sessions is the
 // same one the compare endpoint reads.
 func TestSessionDiffOverHTTP(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureAt(t, 2)), nil, 1)
+	srv := New(mappedSnapshot(t, fixtureAt(t, 2)), nil, 1)
 	defer srv.Close()
-	if err := srv.AddSnapshot("big", lazySnapshot(t, fixtureAt(t, 6))); err != nil {
+	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

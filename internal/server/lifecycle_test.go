@@ -86,7 +86,7 @@ func getStats(t *testing.T, hc *http.Client, base string) statsResponse {
 // to 503 while sessions created before the drain keep executing — only new
 // state (sessions, ingest, compare) is shed.
 func TestHealthReadyAndDrain(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureBytes(t)), nil, 1)
+	srv := New(mappedSnapshot(t, fixtureBytes(t)), nil, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -150,7 +150,7 @@ func TestHealthReadyAndDrain(t *testing.T) {
 // oversized control-plane body must produce 413 with a typed error, not an
 // unbounded read.
 func TestBodyCap413(t *testing.T) {
-	srv := NewWithConfig(lazySnapshot(t, fixtureBytes(t)), Config{Jobs: 1, MaxBodyBytes: 256})
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{Jobs: 1, MaxBodyBytes: 256})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

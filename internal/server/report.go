@@ -103,13 +103,11 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // reportExperiment faults a snapshot's lazy columns (the analyses read
-// every raw and summary value) and wraps it for the report builder.
+// every raw and summary value) and returns its experiment for the report
+// builder.
 func reportExperiment(sn *engine.Snapshot) (*expdb.Experiment, error) {
 	if err := sn.FaultAll(); err != nil {
 		return nil, err
 	}
-	if exp := sn.Experiment(); exp != nil {
-		return exp, nil
-	}
-	return &expdb.Experiment{Program: sn.Tree().Program, NRanks: 1, Tree: sn.Tree()}, nil
+	return sn.Experiment(), nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +24,8 @@ import (
 )
 
 // fixtureBytes builds the merged multi-rank toy experiment (summary columns
-// in the v2 overrides section, so lazy opens exercise column fault-in) and
-// serializes it.
+// beside the raw ones) and serializes it as v3, so that opening it maps it
+// and sessions exercise column fault-in.
 func fixtureBytes(t *testing.T) []byte {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
@@ -54,19 +56,28 @@ func fixtureBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := expdb.FromMerge(res).WriteBinary(&buf); err != nil {
+	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func lazySnapshot(t *testing.T, data []byte) *engine.Snapshot {
+// mappedSnapshot writes a v3 database to a file of its own and opens it the
+// way hpcserver does.
+func mappedSnapshot(t *testing.T, data []byte) *engine.Snapshot {
 	t.Helper()
-	db, err := expdb.OpenLazy(bytes.NewReader(data))
+	path := filepath.Join(t.TempDir(), "experiment.db")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := engine.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.NewLazySnapshot(db)
+	if sn.MappedBytes() == nil {
+		t.Fatal("the fixture database was not opened as a v3 database")
+	}
+	return sn
 }
 
 type client struct {
@@ -138,7 +149,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 	// Ground truth: isolated engine replays, one private snapshot each.
 	want := make([]string, len(streams))
 	for i, stream := range streams {
-		s := engine.NewSession(lazySnapshot(t, data))
+		s := engine.NewSession(mappedSnapshot(t, data))
 		var out strings.Builder
 		for _, line := range stream {
 			resp := s.Do(engine.Request{Line: line})
@@ -154,7 +165,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 		}
 	}
 
-	srv := New(lazySnapshot(t, data), nil, 1)
+	srv := New(mappedSnapshot(t, data), nil, 1)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -192,7 +203,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 // delete, 404s for unknown tokens, quit closing server-side, and Close
 // refusing new sessions.
 func TestSessionLifecycle(t *testing.T) {
-	srv := New(lazySnapshot(t, fixtureBytes(t)), nil, 1)
+	srv := New(mappedSnapshot(t, fixtureBytes(t)), nil, 1)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := &client{t: t, base: ts.URL, hc: ts.Client()}
