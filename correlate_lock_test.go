@@ -1,12 +1,13 @@
 // Equivalence lock for the ingestion-core refactor (DESIGN.md §16): the
 // hpcrun+structfile correlation path was reworked to run through the
 // format-neutral internal/source boundary, and that refactor must be
-// byte-invisible. This test pins the SHA-256 of the v2 and v3 database
-// bytes produced by the full merge pipeline for every workload × {1, 7,
-// 64} ranks against checksums recorded from the pre-refactor code
-// (testdata/correlate_lock.txt). Any drift in node creation order, metric
-// column order or attributed values changes the serialized bytes and
-// fails here.
+// byte-invisible. This test pins the SHA-256 of the v1, v2 and v3 database
+// bytes produced by the full merge pipeline for every workload × {1, 7, 64}
+// ranks against checksums recorded from the pre-refactor code
+// (testdata/correlate_lock.txt; the v1 digests from the varint-stream
+// writer before the binary formats shared one tree walk). Any drift in node
+// creation order, metric column order or attributed values changes the
+// serialized bytes and fails here.
 //
 // Regenerate the lock file (only when an intentional format or pipeline
 // change invalidates it) with:
@@ -44,7 +45,10 @@ func correlateLockDigests(t *testing.T) []string {
 				t.Fatal(err)
 			}
 			exp := expdb.FromMerge(res)
-			var v2, v3 bytes.Buffer
+			var v1, v2, v3 bytes.Buffer
+			if err := exp.WriteBinaryV1(&v1); err != nil {
+				t.Fatal(err)
+			}
 			if err := exp.WriteBinary(&v2); err != nil {
 				t.Fatal(err)
 			}
@@ -52,6 +56,7 @@ func correlateLockDigests(t *testing.T) []string {
 				t.Fatal(err)
 			}
 			lines = append(lines,
+				fmt.Sprintf("%s/%d/v1 %x", name, ranks, sha256.Sum256(v1.Bytes())),
 				fmt.Sprintf("%s/%d/v2 %x", name, ranks, sha256.Sum256(v2.Bytes())),
 				fmt.Sprintf("%s/%d/v3 %x", name, ranks, sha256.Sum256(v3.Bytes())))
 		}

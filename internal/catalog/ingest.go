@@ -130,8 +130,9 @@ func ValidateFile(path string) error {
 		if err != nil {
 			return err
 		}
-		// VerifyAll sweeps every section checksum but reports column damage
-		// the way serving wants it — detached columns plus a note. Strict
+		// VerifyAll sweeps every section checksum, trace sections
+		// included, but reports column and trace damage the way serving
+		// wants it — detached columns or dropped ranks plus a note. Strict
 		// mode: any note is a rejection.
 		if err := mdb.VerifyAll(); err != nil {
 			return err

@@ -118,8 +118,8 @@ func resealedTree(t testing.TB, edit func(tree []byte)) []byte {
 // viewsScript drives every view of a session; {M} is the first metric column.
 var viewsScript = []string{"ls", "view callers", "expand 0", "view flat", "flatten", "expandall", "view cc", "hot {M}"}
 
-// FuzzViews renders what the fuzzed readers accept. FuzzReadV3 and its
-// siblings in expdb only re-encode an accepted database, which is how a tree
+// FuzzViews renders what the fuzzed readers accept. The reader fuzzers in
+// expdb hold an accepted database to its encodings only, which is how a tree
 // the Flat View panicked on went unnoticed. For any bytes expdb.Read accepts,
 // a session runs the script through all three views without a panic (command
 // errors are fine), and — when every directly attributed and every statement

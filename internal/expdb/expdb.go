@@ -91,18 +91,16 @@ func FromMerge(m *merge.Result) *Experiment {
 
 // finalize recomputes presented metrics after deserialization: Equations 1
 // and 2 from the stored Base values, then the inclusive/exclusive
-// overrides (summary statistics and externally computed columns), then
-// derived columns.
-func (e *Experiment) finalize(inclOv, exclOv map[*core.Node][]colVal) error {
+// overrides (summary statistics and externally computed columns) in input
+// order, then derived columns.
+func (e *Experiment) finalize(ovs []override) error {
 	e.Tree.ComputeMetrics()
-	for n, vals := range inclOv {
-		for _, cv := range vals {
-			n.Incl.Set(cv.col, cv.val)
+	for _, ov := range ovs {
+		for _, cv := range ov.incl {
+			ov.n.Incl.Set(cv.col, cv.val)
 		}
-	}
-	for n, vals := range exclOv {
-		for _, cv := range vals {
-			n.Excl.Set(cv.col, cv.val)
+		for _, cv := range ov.excl {
+			ov.n.Excl.Set(cv.col, cv.val)
 		}
 	}
 	return e.Tree.ApplyDerivedTree()
@@ -111,6 +109,13 @@ func (e *Experiment) finalize(inclOv, exclOv map[*core.Node][]colVal) error {
 type colVal struct {
 	col int
 	val float64
+}
+
+// override is one scope's stored values for the columns Base cannot
+// reproduce (overrideCols).
+type override struct {
+	n          *core.Node
+	incl, excl []colVal
 }
 
 // overrideCols returns the columns whose values cannot be recomputed from

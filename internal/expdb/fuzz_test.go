@@ -2,6 +2,7 @@ package expdb
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -61,9 +62,12 @@ func mergedSeed(f *testing.F) *Experiment {
 	return FromMerge(res)
 }
 
-// FuzzReadBinary guards the compact database readers, reached through Read's
-// format sniff, against panics on arbitrary input; anything accepted must
-// re-encode cleanly.
+// FuzzReadBinary guards the compact database readers, v1, v2 and v3 alike,
+// reached through Read's format sniff: no input may panic them (a v3
+// reader that trusts a bad index faults the process, not just the test),
+// and whatever they accept is one normalisation from a fixed point of every
+// binary writer — for x = Read(data), W(Read(W(x))) == W(x) byte for byte,
+// so the shared decoder and the shared tree walk agree on every format.
 func FuzzReadBinary(f *testing.F) {
 	e := New(core.Fig1Tree())
 	var buf, bufV1 bytes.Buffer
@@ -108,14 +112,97 @@ func FuzzReadBinary(f *testing.F) {
 		tweaked[len(tweaked)-7] ^= 0x55
 		f.Add(tweaked)
 	}
+
+	// v3: the index parser must bound-check every offset before the slab
+	// views are built.
+	var buf3 bytes.Buffer
+	if err := e.WriteBinaryV3(&buf3); err != nil {
+		f.Fatal(err)
+	}
+	good3 := buf3.Bytes()
+	f.Add(good3)
+	f.Add([]byte("CPDB3"))
+	f.Add([]byte("CPDB3\x00\x00\x00"))
+	f.Add([]byte{})
+	if len(good3) > 40 {
+		f.Add(good3[:len(good3)*2/3]) // truncated mid-section
+		f.Add(good3[:len(good3)-32])  // trailer sheared off
+		idxFlip := append([]byte(nil), good3...)
+		idxFlip[len(idxFlip)-40] ^= 0x7f // inside the index
+		f.Add(idxFlip)
+		trFlip := append([]byte(nil), good3...)
+		trFlip[len(trFlip)-28] ^= 0x01 // count field of the trailer
+		f.Add(trFlip)
+	}
+	var mbuf3 bytes.Buffer
+	if err := ms.WriteBinaryV3(&mbuf3); err != nil {
+		f.Fatal(err)
+	}
+	merged3 := mbuf3.Bytes()
+	f.Add(merged3)
+	if len(merged3) > 64 {
+		f.Add(merged3[:len(merged3)/2])
+		colFlip := append([]byte(nil), merged3...)
+		colFlip[len(colFlip)/2] ^= 0x55 // likely inside a column slab
+		f.Add(colFlip)
+	}
+	for _, bad := range v3BadTrees(f) { // malformed trees behind valid checksums
+		f.Add(bad)
+	}
+
+	// Two same-key siblings, which every reader refuses, and a v1 file
+	// whose root overrides ride in the optional trailer.
+	dup := dupSiblings(f)
+	rt := New(core.Fig1Tree())
+	d, err := rt.Tree.Reg.AddComputed("scaling loss", "cycles")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rt.Tree.Root.Incl.Set(d.ID, 2.5)
+	rt.Tree.Root.Excl.Set(d.ID, -1.25)
+	for _, w := range []struct {
+		e     *Experiment
+		write func(*Experiment, io.Writer) error
+	}{
+		{dup, (*Experiment).WriteBinaryV1},
+		{dup, (*Experiment).WriteBinary},
+		{rt, (*Experiment).WriteBinaryV1},
+	} {
+		var b bytes.Buffer
+		if err := w.write(w.e, &b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+
+	writers := []struct {
+		name  string
+		write func(*Experiment, io.Writer) error
+	}{
+		{"v1", (*Experiment).WriteBinaryV1},
+		{"v2", (*Experiment).WriteBinary},
+		{"v3", (*Experiment).WriteBinaryV3},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
+		x, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := got.WriteBinary(&out); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
+		for _, w := range writers {
+			var once, twice bytes.Buffer
+			if err := w.write(x, &once); err != nil {
+				t.Fatalf("%s: encode: %v", w.name, err)
+			}
+			y, err := Read(bytes.NewReader(once.Bytes()))
+			if err != nil {
+				t.Fatalf("%s: its own output does not read back: %v", w.name, err)
+			}
+			if err := w.write(y, &twice); err != nil {
+				t.Fatalf("%s: re-encode: %v", w.name, err)
+			}
+			if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("%s: W(Read(W(x))) differs from W(x) (%d vs %d bytes)", w.name, twice.Len(), once.Len())
+			}
 		}
 	})
 }
@@ -144,65 +231,6 @@ func FuzzReadXML(f *testing.F) {
 		var out bytes.Buffer
 		if err := got.WriteXML(&out); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
-		}
-	})
-}
-
-// FuzzReadV3 guards the mappable v3 reader: the index parser must bound-
-// check every offset before the slab views are built (a mapped reader that
-// trusts a bad index faults the process, not just the test), and anything
-// accepted must re-encode cleanly in both v3 and v2.
-func FuzzReadV3(f *testing.F) {
-	e := New(core.Fig1Tree())
-	var buf bytes.Buffer
-	if err := e.WriteBinaryV3(&buf); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
-	f.Add(good)
-	f.Add([]byte("CPDB3"))
-	f.Add([]byte("CPDB3\x00\x00\x00"))
-	f.Add([]byte{})
-	if len(good) > 40 {
-		f.Add(good[:len(good)*2/3]) // truncated mid-section
-		f.Add(good[:len(good)-32])  // trailer sheared off
-		idxFlip := append([]byte(nil), good...)
-		idxFlip[len(idxFlip)-40] ^= 0x7f // inside the index
-		f.Add(idxFlip)
-		trFlip := append([]byte(nil), good...)
-		trFlip[len(trFlip)-28] ^= 0x01 // count field of the trailer
-		f.Add(trFlip)
-	}
-	ms := mergedSeed(f)
-	ms.Provenance = &ingest.Report{Attempted: 4, Merged: 3, Bad: []ingest.BadRank{
-		{Path: "r3.cpprof", Rank: 3, Offset: 17, Class: ingest.ClassTruncated, Message: "unexpected EOF"},
-	}}
-	var mbuf bytes.Buffer
-	if err := ms.WriteBinaryV3(&mbuf); err != nil {
-		f.Fatal(err)
-	}
-	merged := mbuf.Bytes()
-	f.Add(merged)
-	if len(merged) > 64 {
-		f.Add(merged[:len(merged)/2])
-		colFlip := append([]byte(nil), merged...)
-		colFlip[len(colFlip)/2] ^= 0x55 // likely inside a column slab
-		f.Add(colFlip)
-	}
-	for _, bad := range v3BadTrees(f) { // malformed trees behind valid checksums
-		f.Add(bad)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := got.WriteBinaryV3(&out); err != nil {
-			t.Fatalf("v3 re-encode failed: %v", err)
-		}
-		if err := got.WriteBinary(&out); err != nil {
-			t.Fatalf("v2 re-encode failed: %v", err)
 		}
 	})
 }

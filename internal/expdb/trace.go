@@ -174,12 +174,15 @@ func (db *MappedDB) Trace() (*TraceView, error) {
 	if _, err := db.experimentLocked(); err != nil {
 		return nil, err
 	}
-	if db.traceDone {
-		return db.traceView, nil
+	return db.traceLocked(), nil
+}
+
+// traceLocked builds the trace view on first call.
+func (db *MappedDB) traceLocked() *TraceView {
+	if db.traceView == nil {
+		db.traceView = db.buildTraceViewLocked()
 	}
-	db.traceDone = true
-	db.traceView = db.buildTraceViewLocked()
-	return db.traceView, nil
+	return db.traceView
 }
 
 func (db *MappedDB) buildTraceViewLocked() *TraceView {
@@ -325,7 +328,7 @@ func (db *MappedDB) NodeAt(row int) *core.Node {
 }
 
 // PreorderRows maps every tree node to its structural row id, in exactly
-// the order encodeTreeV3 assigns them: root = 0, preorder node i = i+1.
+// the order appendTree assigns them: root = 0, preorder node i = i+1.
 // hpcprof's trace pass uses it to rewrite trace CPIDs to rows.
 func (e *Experiment) PreorderRows() map[*core.Node]uint32 {
 	out := map[*core.Node]uint32{e.Tree.Root: 0}

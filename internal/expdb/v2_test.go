@@ -346,3 +346,53 @@ func TestLazyOpenErrors(t *testing.T) {
 		t.Fatalf("damaged tree section: %v", err)
 	}
 }
+
+// dupSiblings builds a tree no reader accepts: two frames under main share
+// one key, which only AppendChild can produce (Child would return the
+// first). A sibling of main follows, so a reader has more tree to read
+// after the twins.
+func dupSiblings(tb testing.TB) *Experiment {
+	tb.Helper()
+	reg := metric.NewRegistry()
+	if _, err := reg.AddRaw("c", "cycles", 1); err != nil {
+		tb.Fatal(err)
+	}
+	tree := core.NewTree("p", reg)
+	frame := func(name string) core.Key {
+		return core.Key{Kind: core.KindFrame, Name: core.Sym(name), File: core.Sym("f.c"), Line: 1}
+	}
+	main := tree.Root.AppendChild(frame("main"))
+	tree.Root.AppendChild(frame("z"))
+	for v := 1; v <= 2; v++ {
+		main.AppendChild(frame("f")).Base.Add(0, float64(v))
+	}
+	tree.ComputeMetrics()
+	return New(tree)
+}
+
+// TestDuplicateSiblingsRejected: one sibling rule in every format. Whichever
+// writer stores two same-key siblings, reading the file back refuses the
+// tree instead of merging the two scopes into one.
+func TestDuplicateSiblingsRejected(t *testing.T) {
+	e := dupSiblings(t)
+	for _, tc := range []struct {
+		name  string
+		write func(*Experiment, io.Writer) error
+	}{
+		{"v1", (*Experiment).WriteBinaryV1},
+		{"v2", (*Experiment).WriteBinary},
+		{"v3", (*Experiment).WriteBinaryV3},
+		{"xml", (*Experiment).WriteXML},
+	} {
+		var buf bytes.Buffer
+		if err := tc.write(e, &buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := Read(&buf)
+		if err == nil {
+			t.Errorf("%s: read back with root inclusive %g, want a duplicate-sibling error", tc.name, got.Tree.Root.Incl.Get(0))
+		} else if !strings.Contains(err.Error(), "duplicate sibling f") {
+			t.Errorf("%s: error %v, want a duplicate-sibling error", tc.name, err)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package expdb
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/framing"
 	"repro/internal/ingest"
-	"repro/internal/intern"
 	"repro/internal/metric"
 	"repro/internal/mmapio"
 )
@@ -116,22 +114,11 @@ func (e *Experiment) WriteBinaryV3(w io.Writer) error {
 	if err := e.Tree.ApplyDerivedTree(); err != nil {
 		return err
 	}
-	tab := newStrTable()
-	e.internStrings(tab)
-
-	var strs bytes.Buffer
-	bufU(&strs, uint64(len(tab.vals)))
-	for _, s := range tab.vals {
-		bufS(&strs, s)
-	}
-	var hdr bytes.Buffer
-	bufU(&hdr, tab.ref(e.Program))
-	bufU(&hdr, uint64(e.NRanks))
-	metricsPayload, err := e.encodeMetrics(tab)
+	tab, head, err := e.encodeHead()
 	if err != nil {
 		return err
 	}
-	treePayload, nodes := e.encodeTreeV3(tab)
+	tree, nodes := e.appendTree(nil, tab, 0)
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(dbMagicV3Full); err != nil {
@@ -157,16 +144,8 @@ func (e *Experiment) WriteBinaryV3(w io.Writer) error {
 		add(kind, plane, col, sec)
 		return nil
 	}
-	for _, s := range []struct {
-		kind    byte
-		payload []byte
-	}{
-		{dbSecStrings, strs.Bytes()},
-		{dbSecHeader, hdr.Bytes()},
-		{dbSecMetrics, metricsPayload},
-		{dbSecTree, treePayload},
-	} {
-		if err := emit(s.kind, 0, 0, s.payload); err != nil {
+	for i, payload := range [][]byte{head[0], head[1], head[2], tree} {
+		if err := emit(dbSecStrings+byte(i), 0, 0, payload); err != nil {
 			return err
 		}
 	}
@@ -243,39 +222,6 @@ func (e *Experiment) WriteBinaryV3(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// encodeTreeV3 emits the preorder node stream without any metric values
-// (they live in the column slabs) and returns the nodes in preorder, which
-// fixes the file's row numbering.
-func (e *Experiment) encodeTreeV3(tab *strTable) ([]byte, []*core.Node) {
-	var b bytes.Buffer
-	var nodes []*core.Node
-	var walk func(n *core.Node)
-	walk = func(n *core.Node) {
-		nodes = append(nodes, n)
-		flags := uint64(0)
-		if n.NoSource {
-			flags |= 1
-		}
-		for _, v := range []uint64{
-			uint64(n.Kind),
-			tab.refSym(n.Name), tab.refSym(n.File), uint64(n.Line), n.ID,
-			uint64(n.CallLine), tab.refSym(n.CallFile), tab.refSym(n.Mod),
-			flags,
-		} {
-			bufU(&b, v)
-		}
-		bufU(&b, uint64(len(n.Children)))
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	bufU(&b, uint64(len(e.Tree.Root.Children)))
-	for _, c := range e.Tree.Root.Children {
-		walk(c)
-	}
-	return b.Bytes(), nodes
 }
 
 // --- index parsing ---------------------------------------------------
@@ -452,8 +398,7 @@ type MappedDB struct {
 	provDone bool
 	provErr  error
 
-	traceDone bool
-	traceView *TraceView
+	traceView *TraceView // built on first use
 
 	reads map[string]int
 }
@@ -574,103 +519,31 @@ func (db *MappedDB) experimentLocked() (*Experiment, error) {
 }
 
 func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
-	secErr := func(name string, err error) error { return &SectionError{Section: name, Err: err} }
-	crcErr := func(name string) error {
-		return secErr(name, fmt.Errorf("section failed its CRC32C check"))
-	}
-	reader := func(s v3sec) (*bufio.Reader, func() int64) {
-		bound := s.length
-		return bufio.NewReader(bytes.NewReader(db.payload(s))), func() int64 { return bound }
-	}
-
-	// Strings.
-	s, _ := db.findSec(dbSecStrings)
-	if framing.ChecksumPadded(db.span(s)) != s.crc {
-		return nil, nil, crcErr("strings")
-	}
-	db.reads["strings"]++
-	pr, bound := reader(s)
-	nStr, err := getU(pr)
-	if err != nil {
-		return nil, nil, secErr("strings", noEOF(err))
-	}
-	if int64(nStr) > bound() {
-		return nil, nil, secErr("strings", fmt.Errorf("implausible string count %d", nStr))
-	}
-	syms, err := readStrTable(pr, nStr, bound)
-	if err != nil {
-		return nil, nil, secErr("strings", err)
-	}
-
-	// Header.
 	e := &Experiment{}
-	s, _ = db.findSec(dbSecHeader)
-	if framing.ChecksumPadded(db.span(s)) != s.crc {
-		return nil, nil, crcErr("header")
-	}
-	db.reads["header"]++
-	pr, _ = reader(s)
-	progRef, err := getU(pr)
-	if err != nil {
-		return nil, nil, secErr("header", noEOF(err))
-	}
-	if progRef >= uint64(len(syms)) {
-		return nil, nil, secErr("header", fmt.Errorf("string ref %d out of range", progRef))
-	}
-	e.Program = syms[progRef].String()
-	ranks, err := getU(pr)
-	if err != nil {
-		return nil, nil, secErr("header", noEOF(err))
-	}
-	if ranks > math.MaxInt32 {
-		return nil, nil, secErr("header", fmt.Errorf("implausible rank count %d", ranks))
-	}
-	e.NRanks = int(ranks)
-
-	// Metrics.
-	s, _ = db.findSec(dbSecMetrics)
-	if framing.ChecksumPadded(db.span(s)) != s.crc {
-		return nil, nil, crcErr("metrics")
-	}
-	db.reads["metrics"]++
-	pr, bound = reader(s)
-	getS := func() (string, error) {
-		i, err := getU(pr)
+	var d decoder
+	for id := dbSecStrings; id <= dbSecTree; id++ {
+		s, _ := db.findSec(id)
+		name := sectionName(id)
+		if framing.ChecksumPadded(db.span(s)) != s.crc {
+			return nil, nil, &SectionError{Section: name, Err: fmt.Errorf("section failed its CRC32C check")}
+		}
+		db.reads[name]++
+		d.buf, d.pos = db.payload(s), 0
+		err := d.section(id, e)
+		if err == nil && id == dbSecTree && d.left() > 0 {
+			err = fmt.Errorf("expdb: trailing bytes in tree section")
+		}
 		if err != nil {
-			return "", err
+			return nil, nil, &SectionError{Section: name, Err: err}
 		}
-		if i >= uint64(len(syms)) {
-			return "", fmt.Errorf("expdb: string ref %d out of range", i)
-		}
-		return syms[i].String(), nil
 	}
-	descs, err := readMetricDescs(pr, getS, bound)
-	if err != nil {
-		return nil, nil, secErr("metrics", err)
-	}
-	reg, err := rebuildRegistry(descs)
-	if err != nil {
-		return nil, nil, secErr("metrics", err)
-	}
-
-	// Tree.
-	s, _ = db.findSec(dbSecTree)
-	if framing.ChecksumPadded(db.span(s)) != s.crc {
-		return nil, nil, crcErr("tree")
-	}
-	db.reads["tree"]++
-	e.Tree = core.NewTree(e.Program, reg)
-	nodes, err := readTreeSectionV3(db.payload(s), e, syms)
-	if err != nil {
-		return nil, nil, secErr("tree", err)
-	}
-	if got := e.Tree.MetricStore().NumRows(); got != len(nodes)+1 {
-		return nil, nil, secErr("tree", fmt.Errorf("row count %d does not match %d nodes", got, len(nodes)))
+	if got := e.Tree.MetricStore().NumRows(); got != len(d.nodes)+1 {
+		return nil, nil, &SectionError{Section: "tree", Err: fmt.Errorf("row count %d does not match %d nodes", got, len(d.nodes))}
 	}
 	// Presented planes are baked in the column slabs: recomputation must
 	// not overwrite (and copy) them.
 	e.Tree.MarkComputed()
-	return e, nodes, nil
+	return e, d.nodes, nil
 }
 
 // adoptColumnsLocked installs every structurally valid column slab as a
@@ -754,9 +627,8 @@ func (db *MappedDB) loadProvenanceLocked() error {
 			continue
 		}
 		db.reads["provenance"]++
-		bound := s.length
-		pr := bufio.NewReader(bytes.NewReader(db.payload(s)))
-		rep, err := readProvenanceSection(pr, func() int64 { return bound })
+		d := decoder{buf: db.payload(s)}
+		rep, err := d.provenance()
 		if err != nil {
 			db.provErr = &SectionError{Section: "provenance", Err: err}
 			return db.provErr
@@ -767,9 +639,9 @@ func (db *MappedDB) loadProvenanceLocked() error {
 }
 
 // VerifyAll checks every section checksum and decodes all lazily deferred
-// state, for consumers that will not fault columns themselves. Column
-// damage still degrades (notes), so the returned error reflects only fatal
-// metadata problems.
+// state — columns, provenance and the trace view — for consumers that will
+// not fault columns themselves. Column and trace damage still degrade
+// (notes), so the returned error reflects only fatal metadata problems.
 func (db *MappedDB) VerifyAll() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -781,216 +653,29 @@ func (db *MappedDB) VerifyAll() error {
 			db.verifyColLocked(si)
 		}
 	}
-	return db.loadProvenanceLocked()
+	if err := db.loadProvenanceLocked(); err != nil {
+		return err
+	}
+	db.traceLocked()
+	return nil
 }
 
 // --- eager reader ----------------------------------------------------
 
-// readBinaryV3 is the stream (non-mapped) v3 decode behind Read: the whole
-// input is buffered, every checksum is verified up front, and the
-// experiment is returned fully materialized.
-// Column slabs still alias the read buffer (adopted copy-on-write), which
-// is safe heap memory here — no mapping lifetime to manage. size is what
-// framing.SizeOf measured (-1: unknown) and the buffer is made that long at
-// once: grown by doubling, it left as much garbage again as the database is
-// long, in blocks so large that whether one died before or after a
-// collection began marking moved the next heap goal, and the process's peak
-// RSS, by tens of megabytes from one run to the next.
-func readBinaryV3(br *bufio.Reader, size int64) (*Experiment, error) {
-	var buf bytes.Buffer
-	if size > 0 && size <= 1<<30 {
-		buf = *bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	}
-	if _, err := buf.ReadFrom(br); err != nil {
-		return nil, fmt.Errorf("expdb: %w", err)
-	}
-	db, err := newMappedDB(buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	exp, err := db.Experiment()
+// readBinaryV3 is the stream (non-mapped) v3 decode behind Read: every
+// checksum is verified up front, trace sections included, and the
+// experiment is returned fully materialized. Column slabs still alias the
+// input buffer (adopted copy-on-write), which is safe heap memory here — no
+// mapping lifetime to manage.
+func readBinaryV3(data []byte) (*Experiment, error) {
+	db, err := newMappedDB(data)
 	if err != nil {
 		return nil, err
 	}
 	if err := db.VerifyAll(); err != nil {
 		return nil, err
 	}
-	// Adopt trace sections too: damage there degrades the open with notes
-	// (traces dropped) exactly as the mapped path does, instead of passing
-	// silently through an eager read.
-	if _, err := db.Trace(); err != nil {
-		return nil, err
-	}
-	return exp, nil
-}
-
-// minNodeBytes is the least a scope takes in the tree section: nine header
-// varints and a child count.
-const minNodeBytes = 10
-
-// treeDecoder reads the v3 tree section straight from its (mapped) bytes.
-type treeDecoder struct {
-	buf  []byte
-	pos  int
-	syms []intern.Sym
-	// nodes collects the scopes in preorder.
-	nodes []*core.Node
-	// pending counts the scopes open sibling lists have announced but not
-	// started. Every one of them needs minNodeBytes of what is left, which
-	// is the bound on any count read from the section — and on what a
-	// lying count can make the decoder allocate.
-	pending uint64
-	// seen is the scratch set behind the duplicate-key check of wide lists.
-	seen map[core.Key]struct{}
-}
-
-func (d *treeDecoder) uvarint() (uint64, error) {
-	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
-		d.pos++
-		return uint64(d.buf[d.pos-1]), nil
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("expdb: varint overflows a 64-bit integer")
-	}
-	d.pos += n
-	return v, nil
-}
-
-func (d *treeDecoder) sym() (intern.Sym, error) {
-	i, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if i >= uint64(len(d.syms)) {
-		return 0, fmt.Errorf("expdb: string ref %d out of range", i)
-	}
-	return d.syms[i], nil
-}
-
-// children reads parent's sibling list, count scopes with their subtrees.
-func (d *treeDecoder) children(parent *core.Node, count uint64, what string, depth int) error {
-	if count == 0 {
-		return nil
-	}
-	if room := uint64(len(d.buf)-d.pos) / minNodeBytes; count > room || d.pending > room-count {
-		return fmt.Errorf("expdb: implausible %s count %d", what, count)
-	}
-	if depth > 100000 {
-		return fmt.Errorf("expdb: tree too deep")
-	}
-	d.pending += count
-	parent.GrowChildren(int(count))
-	for ; count > 0; count-- {
-		d.pending--
-		kindU, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if kindU == uint64(core.KindRoot) || kindU > uint64(core.KindCallSite) {
-			return fmt.Errorf("expdb: bad node kind %d", kindU)
-		}
-		key := core.Key{Kind: core.Kind(kindU)}
-		if key.Name, err = d.sym(); err != nil {
-			return err
-		}
-		if key.File, err = d.sym(); err != nil {
-			return err
-		}
-		line, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		key.Line = int(line)
-		if key.ID, err = d.uvarint(); err != nil {
-			return err
-		}
-		n := parent.AppendChild(key)
-		d.nodes = append(d.nodes, n)
-		callLine, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		n.CallLine = int(callLine)
-		if n.CallFile, err = d.sym(); err != nil {
-			return err
-		}
-		if n.Mod, err = d.sym(); err != nil {
-			return err
-		}
-		flags, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		n.NoSource = flags&1 != 0
-		nc, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if err := d.children(n, nc, "child", depth+1); err != nil {
-			return err
-		}
-	}
-	return d.uniqueKeys(parent.Children)
-}
-
-// uniqueKeys rejects a sibling list in which two scopes share a key: Child
-// would find only one of them, and a writer would merge them.
-func (d *treeDecoder) uniqueKeys(ns []*core.Node) error {
-	if len(ns) <= 8 { // a few 32-byte compares beat hashing
-		for i, a := range ns {
-			for _, b := range ns[:i] {
-				if a.Key == b.Key {
-					return fmt.Errorf("expdb: duplicate sibling %s", a.Label())
-				}
-			}
-		}
-		return nil
-	}
-	if d.seen == nil {
-		d.seen = make(map[core.Key]struct{}, 2*len(ns))
-	}
-	clear(d.seen)
-	for _, a := range ns {
-		if _, dup := d.seen[a.Key]; dup {
-			return fmt.Errorf("expdb: duplicate sibling %s", a.Label())
-		}
-		d.seen[a.Key] = struct{}{}
-	}
-	return nil
-}
-
-// readTreeSectionV3 parses the v3 tree section: the v2 preorder node
-// stream minus the inline base-value lists (v3 stores values in column
-// slabs). Returned nodes are in preorder; their arena rows are 1..n.
-func readTreeSectionV3(sec []byte, e *Experiment, syms []intern.Sym) ([]*core.Node, error) {
-	// The section is the root count and ten varints per scope, and every
-	// varint ends in its only byte below 0x80: counting those sizes the
-	// arena and the preorder list exactly (a malformed section at most
-	// over-reserves, to one scope per minNodeBytes).
-	ends := 0
-	for _, b := range sec {
-		if b < 0x80 {
-			ends++
-		}
-	}
-	scopes := max(ends-1, 0) / minNodeBytes
-	e.Tree.Reserve(scopes)
-	d := treeDecoder{buf: sec, syms: syms, nodes: make([]*core.Node, 0, scopes)}
-	nRoots, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.children(e.Tree.Root, nRoots, "root", 0); err != nil {
-		return nil, err
-	}
-	if d.pos != len(sec) {
-		return nil, fmt.Errorf("expdb: trailing bytes in tree section")
-	}
-	return d.nodes, nil
+	return db.exp, nil
 }
 
 // hostLittleEndian reports whether float64 slabs can be viewed in place.

@@ -449,7 +449,11 @@ func TestReadV3SizedBuffer(t *testing.T) {
 	allocated := func(size int64) uint64 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		got, err := readBinaryV3(bufio.NewReader(bytes.NewReader(data)), size)
+		buf, err := readInput(bufio.NewReader(bytes.NewReader(data)), size)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		got, err := readBinaryV3(buf)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)

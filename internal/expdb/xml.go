@@ -199,8 +199,7 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 		e         *Experiment
 		descs     []metricDesc
 		stack     []*core.Node
-		inclOv    = map[*core.Node][]colVal{}
-		exclOv    = map[*core.Node][]colVal{}
+		ovs       []override
 		inMetrics bool
 		inCCT     bool
 	)
@@ -296,9 +295,9 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 				case "V":
 					n.Base.Add(col, v)
 				case "SV":
-					inclOv[n] = append(inclOv[n], colVal{col: col, val: v})
+					ovs = append(ovs, override{n: n, incl: []colVal{{col, v}}})
 				case "EV":
-					exclOv[n] = append(exclOv[n], colVal{col: col, val: v})
+					ovs = append(ovs, override{n: n, excl: []colVal{{col, v}}})
 				}
 			}
 		case xml.EndElement:
@@ -317,7 +316,20 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 	if e == nil || e.Tree == nil {
 		return nil, fmt.Errorf("expdb: not an experiment database")
 	}
-	if err := e.finalize(inclOv, exclOv); err != nil {
+	// Scopes were appended as they came: the binary readers' sibling rule
+	// decides whether they form a tree.
+	var seen keySet
+	var dup error
+	core.Walk(e.Tree.Root, func(n *core.Node) bool {
+		if dup == nil {
+			dup = seen.uniqueKeys(n.Children)
+		}
+		return dup == nil
+	})
+	if dup != nil {
+		return nil, dup
+	}
+	if err := e.finalize(ovs); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -369,7 +381,7 @@ func decodeNodeStart(tok xml.StartElement, parent *core.Node) (*core.Node, error
 	if key.Kind == core.KindRoot {
 		return nil, fmt.Errorf("expdb: node without kind")
 	}
-	n := parent.Child(key, true)
+	n := parent.AppendChild(key)
 	n.NoSource = noSource
 	n.CallLine = callLine
 	n.CallFile = callFile
