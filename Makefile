@@ -55,7 +55,7 @@ lint:
 # Merge + core + query + engine + diff benchmarks with allocation stats —
 # the numbers recorded in BENCH_merge.json, BENCH_core.json,
 # BENCH_query.json, BENCH_engine.json and BENCH_diff.json. The
-# million-scope diff benches run at 5x: one union iteration is ~3s.
+# million-scope diff benches run at 5x: one union iteration is ~0.5s.
 bench:
 	@$(BENCH_CMD)
 

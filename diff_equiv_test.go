@@ -239,6 +239,7 @@ func TestDiffEquivalence(t *testing.T) {
 	}{
 		{"v2", func(e *expdb.Experiment, b *bytes.Buffer) error { return e.WriteBinary(b) }},
 		{"v1", func(e *expdb.Experiment, b *bytes.Buffer) error { return e.WriteBinaryV1(b) }},
+		{"v3", func(e *expdb.Experiment, b *bytes.Buffer) error { return e.WriteBinaryV3(b) }},
 	}
 	rt := func(t *testing.T, e *expdb.Experiment, write func(*expdb.Experiment, *bytes.Buffer) error) *expdb.Experiment {
 		t.Helper()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,90 @@ func TestComputeMetricsFrameBoundary(t *testing.T) {
 	if got := main.Incl.Get(0); got != 11 {
 		t.Fatalf("main incl = %g, want 11", got)
 	}
+}
+
+// TestComputeMetricsEmptyBaseColumn: in a registry that interleaves raw and
+// computed columns, as a diff union's does, a computed column below the
+// last raw one has no base slab. Recomputation presents zeros there without
+// materializing one, wipes stale presented values, and leaves every cell
+// bitwise equal to a per-node Equations 1-2 recursion.
+func TestComputeMetricsEmptyBaseColumn(t *testing.T) {
+	reg := metric.NewRegistry()
+	must := func(_ *metric.Desc, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(reg.AddRaw("a", "s", 1))
+	must(reg.AddComputed("a'", "s"))
+	must(reg.AddRaw("b", "s", 1))
+	must(reg.AddComputed("b'", "s"))
+	src, _ := randomCCTShape(11, 300, cctShape{cols: 2})
+	tree := NewTree("mixed", reg)
+	var copyTree func(from, to *Node)
+	copyTree = func(from, to *Node) {
+		for _, c := range from.Children {
+			d := to.AppendChild(c.Key)
+			d.Base.Add(0, c.Base.Get(0))
+			d.Base.Add(2, c.Base.Get(1))
+			copyTree(c, d)
+		}
+	}
+	copyTree(src.Root, tree.Root)
+	stale := tree.Root.Children[0]
+	stale.Incl.Set(1, 9)
+	stale.Excl.Set(1, 9)
+
+	tree.ComputeMetrics()
+	st := tree.MetricStore()
+	if col := st.ColRead(metric.PlaneBase, 1); col != nil {
+		t.Fatalf("computed column's base slab materialized (%d rows)", len(col))
+	}
+
+	ncols := reg.Len()
+	var visit func(n *Node) (incl, frameLocal []float64)
+	visit = func(n *Node) ([]float64, []float64) {
+		incl, fl := make([]float64, ncols), make([]float64, ncols)
+		for id := range ncols {
+			incl[id], fl[id] = n.Base.Get(id), n.Base.Get(id)
+		}
+		for _, c := range n.Children {
+			ci, cf := visit(c)
+			for id := range ncols {
+				incl[id] += ci[id]
+				if c.Kind != KindFrame {
+					fl[id] += cf[id]
+				}
+			}
+		}
+		excl := make([]float64, ncols)
+		for id := range ncols {
+			switch n.Kind {
+			case KindFrame:
+				excl[id] = fl[id]
+			case KindLoop, KindAlien:
+				excl[id] = n.Base.Get(id)
+				for _, c := range n.Children {
+					if c.Kind == KindStmt {
+						excl[id] += c.Base.Get(id)
+					}
+				}
+			case KindRoot:
+			default:
+				excl[id] = n.Base.Get(id)
+			}
+			for _, cell := range []struct {
+				plane     string
+				got, want float64
+			}{{"incl", n.Incl.Get(id), incl[id]}, {"excl", n.Excl.Get(id), excl[id]}} {
+				if math.Float64bits(cell.got) != math.Float64bits(cell.want) {
+					t.Fatalf("%s %s col %d = %v, reference %v", n.Label(), cell.plane, id, cell.got, cell.want)
+				}
+			}
+		}
+		return incl, fl
+	}
+	visit(tree.Root)
 }
 
 func TestSparseZeroScopes(t *testing.T) {

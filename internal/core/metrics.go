@@ -81,7 +81,19 @@ type topoScratch struct {
 	stmtRows []int32 // rows of direct statement children, in child order
 }
 
-func (tp *topoScratch) reset() {
+// reset empties the index and makes room for n scopes up front, so a first
+// recomputation allocates each per-scope slice once instead of growing it
+// append by append; a tree that has grown since doubles it.
+func (tp *topoScratch) reset(n int) {
+	if c := cap(tp.post); c < n {
+		c = max(n, 2*c)
+		tp.post = make([]int32, 0, c)
+		tp.parent = make([]int32, 0, c)
+		tp.addFL = make([]bool, 0, c)
+		tp.exKind = make([]uint8, 0, c)
+		tp.stmtLo = make([]int32, 0, c)
+		tp.stmtHi = make([]int32, 0, c)
+	}
 	tp.post = tp.post[:0]
 	tp.parent = tp.parent[:0]
 	tp.addFL = tp.addFL[:0]
@@ -99,7 +111,7 @@ func (tp *topoScratch) reset() {
 func (t *Tree) buildTopo() {
 	st := t.arena.store
 	tp := &t.topo
-	tp.reset()
+	tp.reset(st.NumRows())
 	var visit func(n *Node, parentRow int32)
 	visit = func(n *Node, parentRow int32) {
 		if n.Base.Store() != st {
@@ -152,9 +164,16 @@ func (t *Tree) recomputeMetrics() {
 
 	baseCols := st.NumCols(metric.PlaneBase)
 	for col := 0; col < baseCols; col++ {
-		base := st.Col(metric.PlaneBase, col)
 		incl := st.Col(metric.PlaneIncl, col)
 		excl := st.Col(metric.PlaneExcl, col)
+		if len(st.ColRead(metric.PlaneBase, col)) == 0 {
+			// No base slab: Equations 1-2 present zeros, so skip the
+			// sweeps and leave the base column unmaterialized.
+			clear(incl)
+			clear(excl)
+			continue
+		}
+		base := st.Col(metric.PlaneBase, col)
 		// Equation 2, plus the frame-local sums feeding Equation 1:
 		// postorder guarantees a child's total is final before it is added
 		// into its parent, in child-list order.

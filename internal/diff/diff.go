@@ -265,10 +265,9 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	}
 	notes = append(notes, mnotes...)
 
-	// Build the union registry: for each metric, the per-input cost
-	// columns first (they carry base values, so they stay below the
-	// recomputation boundary), then the computed comparison columns;
-	// the presence columns last.
+	// Build the union registry, interleaved per metric: the per-input cost
+	// columns (the only ones with base values), then that metric's computed
+	// comparison columns; the presence columns last.
 	reg := metric.NewRegistry()
 	r := &Result{Mode: mode, PerRank: perRank, jobs: cfg.Jobs}
 	for i := range inputs {
@@ -326,30 +325,6 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 		r.Inputs[i].PresenceCol = d.ID
 	}
 
-	// Union the trees. Scopes match on the full key; children keep
-	// first-appearance order across the inputs, so the union of
-	// identically shaped trees has the inputs' own child order.
-	out := core.NewTree(diffProgram(inputs), reg)
-	srcCols := make([][]int, len(inputs)) // per input, source column per metric
-	for i, in := range inputs {
-		srcCols[i] = make([]int, len(metrics))
-		for mi, rm := range metrics {
-			srcCols[i][mi] = in.Exp.Tree.Reg.ByName(rm.name).ID
-		}
-	}
-	roots := make([]*core.Node, len(inputs))
-	for i, in := range inputs {
-		roots[i] = in.Exp.Tree.Root
-	}
-	b := unionBuilder{r: r, metrics: r.Metrics, srcCols: srcCols}
-	b.setPresent(out.Root, allBits(len(inputs)))
-	b.union(out.Root, roots)
-
-	out.ComputeMetrics()
-	r.Tree = out
-	r.buildTasks()
-	r.Recompute()
-
 	// Provenance: a diff of a quarantined (-keep-going) database must say
 	// so — the comparison silently covers only the merged ranks otherwise.
 	for i, in := range inputs {
@@ -362,6 +337,19 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 			notes = append(notes, fmt.Sprintf("diff: input %s: %s", labels[i], n))
 		}
 	}
+
+	out := core.NewTree(diffProgram(inputs), reg)
+	r.present = unionTrees(out, inputs, r)
+	// Nothing below references an input tree: the walk's slot stack and
+	// source rows died with unionTrees, and inputs is not read again. The
+	// collector may therefore reclaim the inputs (trees and read buffers)
+	// while ComputeMetrics and Recompute allocate the presented planes,
+	// unless the caller still holds them. A later use of inputs would keep
+	// them live through the peak.
+	out.ComputeMetrics()
+	r.Tree = out
+	r.buildTasks()
+	r.Recompute()
 
 	nranks := 1
 	if !perRank && sameRanks {
@@ -452,98 +440,132 @@ func diffProgram(inputs []Input) string {
 
 func allBits(n int) uint8 { return uint8(1<<uint(n)) - 1 }
 
-// unionBuilder carries the state of the recursive simultaneous walk.
-type unionBuilder struct {
-	r       *Result
-	metrics []MetricCols
-	srcCols [][]int
-}
-
-func (b *unionBuilder) setPresent(n *core.Node, bits uint8) {
-	row := int(n.Base.Row())
-	for row >= len(b.r.present) {
-		b.r.present = append(b.r.present, 0)
+// unionTrees builds the structural union of the inputs' trees under
+// out.Root and fills the per-input cost columns, returning the per-row
+// presence bitmask. Scopes match on the full key; children keep
+// first-appearance order across the inputs, so the union of identically
+// shaped trees has the inputs' own child order.
+func unionTrees(out *core.Tree, inputs []Input, r *Result) []uint8 {
+	k := len(inputs)
+	maxRows, sumRows := 0, 0
+	for _, in := range inputs {
+		n := in.Exp.Tree.MetricStore().NumRows()
+		maxRows, sumRows = max(maxRows, n), sumRows+n
 	}
-	b.r.present[row] |= bits
-}
-
-// union merges the children of ins (the per-input instances of the scope
-// out represents; nil where an input lacks it) under out. Child order is
-// first appearance scanning the inputs in argument order — for inputs of
-// identical shape, their own order.
-func (b *unionBuilder) union(out *core.Node, ins []*core.Node) {
-	type slot struct {
-		key core.Key
-		ins []*core.Node
+	out.Reserve(maxRows)
+	b := unionBuilder{k: k, idx: map[core.Key]int{}, src: make([][]int32, k)}
+	b.present = append(make([]uint8, 0, sumRows), allBits(k))
+	for i, in := range inputs {
+		b.src[i] = append(make([]int32, 0, sumRows), -1) // the root carries no base
+		b.slots = append(b.slots, in.Exp.Tree.Root)
 	}
-	var order []slot
-	var idx map[core.Key]int
-	for i, in := range ins {
-		if in == nil {
-			continue
-		}
-		if idx == nil && len(order) == 0 && i == firstPresent(ins) && sameShape(ins, in) {
-			// Fast path: every present input has an identical child key
-			// sequence (self-diffs, runs of one binary), so the slots are
-			// exactly in's children with no map.
-			for _, c := range in.Children {
-				s := slot{key: c.Key, ins: make([]*core.Node, len(ins))}
-				for j, other := range ins {
-					if other != nil {
-						s.ins[j] = other.Children[len(order)]
+	b.union(out.Root, 0)
+
+	// Gather: per compared metric and input, one pass over the source
+	// rows fills an exact-length slab. A cell is written only when
+	// non-zero, the store's add rule.
+	st := out.MetricStore()
+	for _, mc := range r.Metrics {
+		for i, in := range inputs {
+			t := in.Exp.Tree
+			from := t.MetricStore().ColRead(metric.PlaneBase, t.Reg.ByName(mc.Name).ID)
+			norm := r.Inputs[i].Norm
+			slab := make([]float64, st.NumRows())
+			for row, s := range b.src[i] {
+				if s >= 0 && int(s) < len(from) {
+					if x := from[s] * norm; x != 0 {
+						slab[row] = x
 					}
 				}
-				order = append(order, s)
 			}
-			break
-		}
-		if idx == nil {
-			idx = make(map[core.Key]int, len(order)+len(in.Children))
-			for j := range order {
-				idx[order[j].key] = j
-			}
-		}
-		for _, c := range in.Children {
-			j, ok := idx[c.Key]
-			if !ok {
-				j = len(order)
-				idx[c.Key] = j
-				order = append(order, slot{key: c.Key, ins: make([]*core.Node, len(ins))})
-			}
-			order[j].ins[i] = c
+			st.AdoptCol(metric.PlaneBase, mc.In[i], slab, false)
 		}
 	}
-	for _, s := range order {
-		c := out.Child(s.key, true)
-		var bits uint8
-		var first *core.Node
-		for i, in := range s.ins {
+	return b.present
+}
+
+// unionBuilder carries the state of the recursive simultaneous walk. The
+// union's rows are created in preorder, so present and src are indexed by
+// union row.
+type unionBuilder struct {
+	k int
+	// slots is the walk's stack: per scope being merged, one slot per
+	// distinct child key, k input instances each (nil where absent).
+	slots []*core.Node
+	// idx maps a child key to its slot when the inputs' child sequences
+	// differ; cleared per scope.
+	idx map[core.Key]int
+	// present is the per-row input bitmask; src[i] is input i's source row
+	// for each union row (-1 where the input lacks the scope).
+	present []uint8
+	src     [][]int32
+}
+
+// union merges the children of the input instances in slots[at:at+k] under
+// out. Child order is first appearance scanning the inputs in argument
+// order — for inputs of identical shape, their own order.
+func (b *unionBuilder) union(out *core.Node, at int) {
+	var ins [MaxInputs]*core.Node // a copy: the appends below may move the stack
+	copy(ins[:], b.slots[at:at+b.k])
+	base := len(b.slots)
+	if ref := ins[firstPresent(ins[:b.k])]; sameShape(ins[:b.k], ref) {
+		// Fast path: every present input has ref's child key sequence
+		// (self-diffs, runs of one binary), so slot j is child j.
+		for j := range ref.Children {
+			for _, in := range ins[:b.k] {
+				var c *core.Node
+				if in != nil {
+					c = in.Children[j]
+				}
+				b.slots = append(b.slots, c)
+			}
+		}
+	} else {
+		if len(b.idx) > 64 {
+			b.idx = map[core.Key]int{} // clearing costs a map's capacity, not its length
+		} else {
+			clear(b.idx)
+		}
+		for i, in := range ins[:b.k] {
 			if in == nil {
 				continue
 			}
-			bits |= 1 << uint(i)
-			if first == nil {
-				first = in
+			for _, c := range in.Children {
+				j, ok := b.idx[c.Key]
+				if !ok {
+					j = len(b.slots)
+					b.idx[c.Key] = j
+					b.slots = append(b.slots, make([]*core.Node, b.k)...)
+				}
+				b.slots[j+i] = c
 			}
 		}
+	}
+	// Slot keys are unique, so children are appended without lookups.
+	out.GrowChildren((len(b.slots) - base) / b.k)
+	for s := base; s < len(b.slots); s += b.k {
+		var bits uint8
+		var first *core.Node
+		for i, in := range b.slots[s : s+b.k] {
+			row := int32(-1)
+			if in != nil {
+				bits |= 1 << uint(i)
+				if first == nil {
+					first = in
+				}
+				row = in.Base.Row()
+			}
+			b.src[i] = append(b.src[i], row)
+		}
+		c := out.AppendChild(first.Key)
 		c.NoSource = first.NoSource
 		c.Mod = first.Mod
 		c.CallLine = first.CallLine
 		c.CallFile = first.CallFile
-		b.setPresent(c, bits)
-		for i, in := range s.ins {
-			if in == nil {
-				continue
-			}
-			norm := b.r.Inputs[i].Norm
-			for mi := range b.metrics {
-				if v := in.Base.Get(b.srcCols[i][mi]); v != 0 {
-					c.Base.Add(b.metrics[mi].In[i], v*norm)
-				}
-			}
-		}
-		b.union(c, s.ins)
+		b.present = append(b.present, bits)
+		b.union(c, s)
 	}
+	b.slots = b.slots[:base]
 }
 
 // firstPresent returns the index of the first non-nil input instance.

@@ -47,6 +47,9 @@ func FuzzDiff(f *testing.F) {
 	// Truncated second input: the reader rejects it before the diff runs.
 	whole := mk("p", 1, []string{"CYCLES"}, twoProcTree)
 	f.Add(whole, whole[:len(whole)*2/3])
+	// Permuted children, one dropped and one added: the key-map merge.
+	f.Add(mk("p", 1, []string{"CYCLES"}, orderA),
+		mk("p", 1, []string{"CYCLES"}, orderB))
 
 	f.Fuzz(func(t *testing.T, da, db []byte) {
 		a, err := expdb.Read(bytes.NewReader(da))
