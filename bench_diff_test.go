@@ -46,7 +46,7 @@ func BenchmarkDiffUnion(b *testing.B) {
 	b.ResetTimer()
 	var scopes int
 	for i := 0; i < b.N; i++ {
-		res, err := diff.Diff(diff.Config{Jobs: 1},
+		res, err := diff.Diff(diff.Config{},
 			diff.Input{Label: "A", Exp: ea}, diff.Input{Label: "B", Exp: eb})
 		if err != nil {
 			b.Fatal(err)
@@ -61,7 +61,7 @@ func BenchmarkDiffUnion(b *testing.B) {
 // the presented metrics are recomputed (D-SCALE-2). Allocates nothing.
 func BenchmarkDiffKernels(b *testing.B) {
 	ea, eb := diffBenchPair()
-	res, err := diff.Diff(diff.Config{Jobs: 1},
+	res, err := diff.Diff(diff.Config{},
 		diff.Input{Label: "A", Exp: ea}, diff.Input{Label: "B", Exp: eb})
 	if err != nil {
 		b.Fatal(err)
@@ -78,7 +78,7 @@ func BenchmarkDiffKernels(b *testing.B) {
 // column in BENCH_diff.json.
 func TestDiffKernelAllocs(t *testing.T) {
 	ea, eb := diffBenchPair()
-	res, err := diff.Diff(diff.Config{Jobs: 1},
+	res, err := diff.Diff(diff.Config{},
 		diff.Input{Label: "A", Exp: ea}, diff.Input{Label: "B", Exp: eb})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func BenchmarkReport(b *testing.B) {
 	exp, base := build(16), build(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := report.Build(exp, report.Options{Baseline: base, Jobs: 1})
+		r, err := report.Build(exp, report.Options{Baseline: base})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -48,7 +48,6 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	outDB := fs.String("o", "", "write the union database to this path")
 	outFormat := fs.String("format", "v3", "union database format for -o: v3 (mappable zero-copy) or binary (v2)")
-	jobs := fs.Int("jobs", 1, "goroutines for the diff kernels (result is identical for any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("need at least 2 databases (baseline first), got %d", len(paths))
 	}
 
-	cfg := diff.Config{Jobs: *jobs}
+	var cfg diff.Config
 	if *metricList != "" {
 		cfg.Metrics = strings.Split(*metricList, ",")
 	}

@@ -8,19 +8,18 @@
 // Usage:
 //
 //	hpcreport [-baseline old.db] [-metric CYCLES] [-top 10] \
-//	          [-threshold 0.5] [-bins 10] [-jobs N] \
+//	          [-threshold 0.5] [-bins 10] \
 //	          [-o report.json] [-md report.md] current.db
 //
 // -o and -md accept "-" for stdout. Report bytes depend only on the
-// database bytes and the flags — not on -jobs or any environment — so
-// two runs over the same inputs are byte-identical.
+// database bytes and the flags — not on GOMAXPROCS or any other
+// environment — so two runs over the same inputs are byte-identical.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/engine"
 	"repro/internal/expdb"
@@ -41,7 +40,6 @@ func run(args []string) error {
 	top := fs.Int("top", 10, "bound each ranked list")
 	threshold := fs.Float64("threshold", 0, "hot-path descent threshold (default 0.5)")
 	bins := fs.Int("bins", 10, "imbalance histogram bins")
-	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "diff kernel workers (report bytes do not depend on it)")
 	outJSON := fs.String("o", "report.json", `JSON output path ("-" = stdout, "" = none)`)
 	outMD := fs.String("md", "", `markdown output path ("-" = stdout, "" = none)`)
 	if err := fs.Parse(args); err != nil {
@@ -64,7 +62,6 @@ func run(args []string) error {
 		Threshold: *threshold,
 		Top:       *top,
 		Bins:      *bins,
-		Jobs:      *jobs,
 	}
 	if *baseline != "" {
 		base, brelease, err := openDB(*baseline)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/expdb"
@@ -72,7 +74,7 @@ func TestReportGolden(t *testing.T) {
 	base := buildDB(t, dir, 7)
 	outJSON := filepath.Join(dir, "report.json")
 	outMD := filepath.Join(dir, "report.md")
-	err := run([]string{"-baseline", base, "-top", "5", "-jobs", "2",
+	err := run([]string{"-baseline", base, "-top", "5",
 		"-o", outJSON, "-md", outMD, db})
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +107,16 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
-// TestReportJobsDeterminism: the CLI contract that -jobs never changes
-// report bytes.
+// TestReportJobsDeterminism: the CLI contract that GOMAXPROCS never
+// changes report bytes.
 func TestReportJobsDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	db := buildDB(t, dir, 3)
 	base := buildDB(t, dir, 7)
-	render := func(jobs string) []byte {
-		out := filepath.Join(dir, "report-"+jobs+".json")
-		if err := run([]string{"-baseline", base, "-jobs", jobs, "-o", out, db}); err != nil {
+	render := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := filepath.Join(dir, fmt.Sprintf("report-%d.json", procs))
+		if err := run([]string{"-baseline", base, "-o", out, db}); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(out)
@@ -122,8 +125,8 @@ func TestReportJobsDeterminism(t *testing.T) {
 		}
 		return b
 	}
-	if !bytes.Equal(render("1"), render("8")) {
-		t.Fatal("report bytes differ between -jobs 1 and -jobs 8")
+	if !bytes.Equal(render(1), render(8)) {
+		t.Fatal("report bytes differ between GOMAXPROCS 1 and 8")
 	}
 }
 

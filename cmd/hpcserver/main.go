@@ -95,7 +95,6 @@ func run(args []string) (err error) {
 	var compares compareFlags
 	fs.Var(&compares, "compare", "extra database name=path pinned into the catalog (repeatable)")
 	workload := fs.String("w", "", "workload name, to attach pseudo-source for the src command")
-	jobs := fs.Int("jobs", 0, "goroutines for callers-view expansion per session (0 = one per CPU)")
 	residency := fs.Bool("residency", false, "debug: report mapped-vs-resident bytes per mapped (v3) snapshot at startup")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request handler deadline (a session exceeding it is killed, not the process)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain window")
@@ -199,7 +198,6 @@ func run(args []string) (err error) {
 	}
 	srv := server.NewWithConfig(snap, server.Config{
 		Source:         source,
-		Jobs:           *jobs,
 		Catalog:        cat,
 		MaxInflight:    *maxInflight,
 		MaxQueue:       *maxQueue,

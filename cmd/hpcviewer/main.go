@@ -55,7 +55,6 @@ func run(args []string) (err error) {
 	depth := fs.Int("depth", 0, "maximum tree depth to show (0 = unlimited)")
 	top := fs.Int("top", 0, "show only the top N children per scope (0 = all)")
 	flatten := fs.Int("flatten", 0, "flatten the flat view N times")
-	jobs := fs.Int("jobs", 0, "goroutines for callers-view expansion (0 = one per CPU)")
 	var derived derivedFlags
 	fs.Var(&derived, "derived", "derived metric name=formula (repeatable), e.g. 'fpwaste=$0*4-$1'")
 	metrics := fs.Bool("metrics", false, "list metric columns and exit")
@@ -84,7 +83,7 @@ func run(args []string) (err error) {
 	if *interactive {
 		// Interactive sessions go through the engine, which maps a v3
 		// database and checks a column the first time a command touches it.
-		return runInteractive(*db, derived, *workload, *structPath, *measDir, *jobs, *residency)
+		return runInteractive(*db, derived, *workload, *structPath, *measDir, *residency)
 	}
 
 	exp, err := readDB(*db)
@@ -185,13 +184,7 @@ func run(args []string) (err error) {
 	case "cc":
 		return render.RenderTree(w, tree, opt)
 	case "callers":
-		// Root rows are cheap; the caller subtries are built lazily and
-		// expanded here across -jobs goroutines for the full render.
-		cv := core.BuildCallersView(tree)
-		if err := cv.ExpandAllParallel(*jobs); err != nil {
-			return err
-		}
-		return render.RenderCallers(w, cv, tree, opt)
+		return render.RenderCallers(w, core.BuildCallersView(tree), tree, opt)
 	case "flat":
 		fv := core.BuildFlatView(tree)
 		roots := core.FlattenN(fv.Roots, *flatten)
@@ -209,7 +202,7 @@ func run(args []string) (err error) {
 // Every other format is decoded whole and its notes are printed at open.
 // The CLI is a thin frontend: every capability here (and in hpcserver)
 // lives in internal/engine.
-func runInteractive(dbPath string, derived derivedFlags, workload, structPath, measDir string, jobs int, residency bool) error {
+func runInteractive(dbPath string, derived derivedFlags, workload, structPath, measDir string, residency bool) error {
 	snap, err := engine.Open(dbPath)
 	if err != nil {
 		return err
@@ -255,7 +248,6 @@ func runInteractive(dbPath string, derived derivedFlags, workload, structPath, m
 	s := engine.NewSession(snap)
 	defer s.Close()
 	s.SetSource(source)
-	s.SetJobs(jobs)
 	for _, d := range derived {
 		kv := strings.SplitN(d, "=", 2)
 		if len(kv) != 2 {

@@ -42,12 +42,14 @@ type procID struct {
 
 func frameProc(n *Node) procID { return procID{name: n.Name, file: n.File} }
 
-// expandState memoizes one root row's subtrie construction: the Once makes
-// concurrent Expand calls on the same root build it exactly once, done
-// publishes completion to Expanded without holding any lock.
-type expandState struct {
-	once sync.Once
-	done atomic.Bool
+// rootState is one root row's lazy expansion: the frame instances of its
+// procedure, the Once that makes concurrent Expand calls on the root build
+// its subtrie exactly once, and done, which publishes completion to
+// Expanded without holding any lock.
+type rootState struct {
+	instances []*Node
+	once      sync.Once
+	done      atomic.Bool
 }
 
 // CallersView is the bottom-up view. Roots are procedure rows; expanding a
@@ -58,13 +60,12 @@ type expandState struct {
 // Construction is concurrency-safe: distinct roots own disjoint subtries
 // and the CCT is only read, so any number of goroutines may Expand (and
 // read Expanded) simultaneously — the locking protocol behind the viewer's
-// on-demand expansion and ExpandAllParallel.
+// on-demand expansion and ExpandAll's worker pool.
 type CallersView struct {
 	Reg   *metric.Registry
 	Roots []*Node
 
-	instances map[*Node][]*Node      // root row -> frame instances of that proc
-	expand    map[*Node]*expandState // root row -> memoized expansion; read-only after Build
+	roots map[*Node]*rootState // root row -> its expansion; read-only after Build
 }
 
 // BuildCallersView scans the CCT once, creating one root row per procedure
@@ -74,7 +75,7 @@ type CallersView struct {
 // tree's lock), so several views may be built from one tree concurrently.
 func BuildCallersView(t *Tree) *CallersView {
 	t.EnsureComputed()
-	v := &CallersView{Reg: t.Reg, instances: map[*Node][]*Node{}, expand: map[*Node]*expandState{}}
+	v := &CallersView{Reg: t.Reg}
 	rows := map[procID]int32{} // procedure -> index of its row in scan order
 	var instances [][]*Node    // by that index
 	var active exposure        // by that index: frames of the procedure on the path
@@ -113,9 +114,11 @@ func BuildCallersView(t *Tree) *CallersView {
 		active.exit(i)
 	}
 	scan(t.Root)
+	states := make([]rootState, len(v.Roots))
+	v.roots = make(map[*Node]*rootState, len(v.Roots))
 	for i, row := range v.Roots {
-		v.instances[row] = instances[i]
-		v.expand[row] = &expandState{}
+		states[i].instances = instances[i]
+		v.roots[row] = &states[i]
 	}
 	// Order root rows by resolved name with a full (file, line, id)
 	// secondary key: the same procedure name can occur in several files or
@@ -140,7 +143,7 @@ func BuildCallersView(t *Tree) *CallersView {
 // Expanded reports whether the root's caller subtrie has been built. Safe
 // to call concurrently with Expand.
 func (v *CallersView) Expanded(root *Node) bool {
-	st := v.expand[root]
+	st := v.roots[root]
 	return st != nil && st.done.Load()
 }
 
@@ -149,28 +152,41 @@ func (v *CallersView) Expanded(root *Node) bool {
 // concurrently (with Expand on any root and Expanded on this one); calls
 // for nodes that are not root rows of this view are no-ops.
 func (v *CallersView) Expand(root *Node) {
-	st := v.expand[root]
+	st := v.roots[root]
 	if st == nil {
 		return
 	}
 	st.once.Do(func() {
-		v.buildSubtrie(root)
+		v.buildSubtrie(root, st.instances)
 		st.done.Store(true)
 	})
 }
 
-// buildSubtrie constructs one root's caller trie; callers hold the root's
-// expansion Once. Only nodes under root are written; the CCT instances are
-// read-only, which is what makes disjoint roots expandable in parallel.
-func (v *CallersView) buildSubtrie(root *Node) {
-	for _, inst := range v.instances[root] {
-		rev, ancestors := reversedPath(inst)
+// buildSubtrie constructs one root's caller trie from its instances; callers
+// hold the root's expansion Once. Only nodes under root are written; the CCT
+// instances are read-only, which is what makes disjoint roots expandable in
+// parallel.
+func (v *CallersView) buildSubtrie(root *Node, instances []*Node) {
+	var rev []*Node // the instance's caller frames, innermost first
+	var same []int  // indices in rev of frames of the instance's procedure
+	for _, inst := range instances {
+		id := frameProc(inst)
+		rev, same = rev[:0], same[:0]
+		for a := inst.Parent; a != nil; a = a.Parent {
+			if a.Kind != KindFrame {
+				continue
+			}
+			if frameProc(a) == id {
+				same = append(same, len(rev))
+			}
+			rev = append(rev, a)
+		}
 		// D = deepest reversed-path prefix shared with an ancestor
-		// instance; contribute at depths > D only.
+		// instance, whose own reversed path is the rest of rev past it;
+		// contribute at depths > D only.
 		d0 := -1
-		for _, anc := range ancestors {
-			ra, _ := reversedPath(anc)
-			if l := lcp(rev, ra); l > d0 {
+		for _, j := range same {
+			if l := lcp(rev, rev[j+1:]); l > d0 {
 				d0 = l
 			}
 		}
@@ -199,30 +215,26 @@ func (v *CallersView) buildSubtrie(root *Node) {
 	}
 }
 
-// ExpandAll eagerly builds every caller subtrie. A panic while expanding
-// one root (a poisoned subtrie) is recovered and returned as an error
-// instead of crashing the process.
+// ExpandAll eagerly builds every caller subtrie; see ExpandAllCtx.
 func (v *CallersView) ExpandAll() error {
-	return v.ExpandAllCtx(context.Background(), 1)
+	return v.ExpandAllCtx(context.Background())
 }
 
-// ExpandAllParallel builds every caller subtrie using up to jobs
-// goroutines (GOMAXPROCS when jobs <= 0). Roots are independent, so the
-// result is identical to ExpandAll.
-func (v *CallersView) ExpandAllParallel(jobs int) error {
-	return v.ExpandAllCtx(context.Background(), jobs)
-}
+// ExpandAllParallel is ExpandAll; jobs is ignored.
+//
+// Deprecated: the worker count comes from GOMAXPROCS. Use ExpandAll.
+func (v *CallersView) ExpandAllParallel(jobs int) error { return v.ExpandAll() }
 
-// ExpandAllCtx is ExpandAllParallel with cancellation: expansion stops at
-// the next root once ctx is done, and a worker panic is recovered,
-// reported as an error, and cancels the remaining work — one poisoned
-// subtrie cannot crash or wedge the process.
-func (v *CallersView) ExpandAllCtx(ctx context.Context, jobs int) error {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(v.Roots) {
-		jobs = len(v.Roots)
+// ExpandAllCtx builds every caller subtrie on min(GOMAXPROCS, roots)
+// workers, the calling goroutine being the first. Roots are independent, so
+// the result does not depend on the worker count. Expansion stops at the
+// next root once ctx is done, and a panic while expanding one root (a
+// poisoned subtrie) is recovered, reported as an error, and stops the
+// remaining work — one poisoned subtrie cannot crash or wedge the process.
+func (v *CallersView) ExpandAllCtx(ctx context.Context) error {
+	workers := min(runtime.GOMAXPROCS(0), len(v.Roots))
+	if workers == 0 {
+		return nil
 	}
 	expand := func(root *Node) (err error) {
 		defer func() {
@@ -233,45 +245,35 @@ func (v *CallersView) ExpandAllCtx(ctx context.Context, jobs int) error {
 		v.Expand(root)
 		return nil
 	}
-	if jobs <= 1 {
-		for _, r := range v.Roots {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := expand(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var next atomic.Int64
 	var stop atomic.Bool
-	errs := make([]error, jobs)
+	errs := make([]error, workers)
+	work := func(w int) {
+		for !stop.Load() {
+			if err := ctx.Err(); err != nil {
+				errs[w] = err
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(v.Roots) {
+				return
+			}
+			if err := expand(v.Roots[i]); err != nil {
+				errs[w] = err
+				stop.Store(true)
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(v.Roots) {
-					return
-				}
-				if err := expand(v.Roots[i]); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
 	// Prefer a real failure over a cancellation notice.
 	var first error
@@ -287,23 +289,6 @@ func (v *CallersView) ExpandAllCtx(ctx context.Context, jobs int) error {
 		}
 	}
 	return first
-}
-
-// reversedPath returns the caller-frame chain of inst from innermost to
-// outermost, plus the ancestor frames that are instances of the same
-// procedure.
-func reversedPath(inst *Node) (rev []*Node, sameProc []*Node) {
-	id := frameProc(inst)
-	for a := inst.Parent; a != nil; a = a.Parent {
-		if a.Kind != KindFrame {
-			continue
-		}
-		rev = append(rev, a)
-		if frameProc(a) == id {
-			sameProc = append(sameProc, a)
-		}
-	}
-	return rev, sameProc
 }
 
 // lcp returns the length of the longest common prefix of two caller chains,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -190,19 +191,35 @@ func TestConcurrentExpandSharedView(t *testing.T) {
 	sameView(t, ref, v)
 }
 
+// atGOMAXPROCS runs f at GOMAXPROCS 1, 2, 4 and 16 in turn — the worker
+// counts of ExpandAll's pool — and restores the old value when the test
+// ends. Tests that call it must not run in parallel.
+func atGOMAXPROCS(t *testing.T, f func(procs int)) {
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	for _, procs := range []int{1, 2, 4, 16} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
+	}
+}
+
 // TestExpandAllParallelMatchesSequential checks the worker-pool expansion
-// against ExpandAll for several job counts.
+// at several pool sizes against a one-worker reference.
 func TestExpandAllParallelMatchesSequential(t *testing.T) {
-	ref := BuildCallersView(randomRecursiveTree(4000, 13))
-	ref.ExpandAll()
-	for _, jobs := range []int{0, 1, 2, 4, 16} {
+	var ref *CallersView
+	atGOMAXPROCS(t, func(procs int) {
 		v := BuildCallersView(randomRecursiveTree(4000, 13))
-		v.ExpandAllParallel(jobs)
+		if err := v.ExpandAll(); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
 		for _, r := range v.Roots {
 			if !v.Expanded(r) {
-				t.Fatalf("jobs=%d: root %s not expanded", jobs, r.Label())
+				t.Fatalf("GOMAXPROCS=%d: root %s not expanded", procs, r.Label())
 			}
 		}
+		if ref == nil {
+			ref = v
+		}
 		sameView(t, ref, v)
-	}
+	})
 }

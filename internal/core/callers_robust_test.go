@@ -11,32 +11,32 @@ import (
 // ExpandAll must recover it into an error naming the root instead of
 // crashing.
 func TestExpandAllRecoversPanic(t *testing.T) {
-	for _, jobs := range []int{1, 4} {
+	atGOMAXPROCS(t, func(procs int) {
 		v := BuildCallersView(Fig1Tree())
 		if len(v.Roots) == 0 {
 			t.Fatal("no roots")
 		}
-		root := v.Roots[0]
-		v.instances[root] = append(v.instances[root], nil)
-		err := v.ExpandAllCtx(context.Background(), jobs)
+		st := v.roots[v.Roots[0]]
+		st.instances = append(st.instances, nil)
+		err := v.ExpandAllCtx(context.Background())
 		if err == nil {
-			t.Fatalf("jobs=%d: poisoned subtrie accepted", jobs)
+			t.Fatalf("GOMAXPROCS=%d: poisoned subtrie accepted", procs)
 		}
 		if !strings.Contains(err.Error(), "panic expanding callers view") {
-			t.Fatalf("jobs=%d: err = %v", jobs, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v", procs, err)
 		}
-	}
+	})
 }
 
 func TestExpandAllCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, jobs := range []int{1, 4} {
+	atGOMAXPROCS(t, func(procs int) {
 		v := BuildCallersView(Fig1Tree())
-		if err := v.ExpandAllCtx(ctx, jobs); !errors.Is(err, context.Canceled) {
-			t.Fatalf("jobs=%d: err = %v, want context.Canceled", jobs, err)
+		if err := v.ExpandAllCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want context.Canceled", procs, err)
 		}
-	}
+	})
 }
 
 // A clean tree still expands without error through the error-returning

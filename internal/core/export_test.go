@@ -5,4 +5,6 @@ package core
 var (
 	OracleBuildFlatView = oracleBuildFlatView
 	SameFlatView        = sameFlatView
+	OracleCallersView   = oracleCallersView
+	SameCallersView     = sameCallersView
 )

@@ -164,13 +164,19 @@ func oracleStaticExcl(frame *Node) []float64 {
 	return ex
 }
 
-// sameFlatView reports the first difference between two flat views, scope
-// for scope in child order: key, flags, call site, store row, and the bits
-// of every column of both planes.
+// sameFlatView reports the first difference between two flat views; see
+// sameScopes.
 func sameFlatView(got, want *FlatView) error {
-	cols := got.Reg.Len()
-	for _, v := range []*FlatView{got, want} {
-		for _, r := range v.Roots {
+	return sameScopes(got.Reg, got.Roots, want.Roots)
+}
+
+// sameScopes reports the first difference between two views' root rows,
+// scope for scope in child order: key, flags, call site, store row, and the
+// bits of every column of both planes.
+func sameScopes(reg *metric.Registry, gotRoots, wantRoots []*Node) error {
+	cols := reg.Len()
+	for _, roots := range [][]*Node{gotRoots, wantRoots} {
+		for _, r := range roots {
 			if st := r.Incl.Store(); st != nil {
 				cols = max(cols, st.NumCols(metric.PlaneIncl), st.NumCols(metric.PlaneExcl))
 			}
@@ -205,7 +211,7 @@ func sameFlatView(got, want *FlatView) error {
 		}
 		return nil
 	}
-	return walk("", got.Roots, want.Roots)
+	return walk("", gotRoots, wantRoots)
 }
 
 // TestFlatViewMatchesOracle is the differential test of the sweep: the same

@@ -15,10 +15,33 @@ import (
 )
 
 // TestFlatViewMatchesOracleOnWorkloads runs the differential test of the
-// sweep on what the measurement pipeline produces: the three case-study
-// workloads, sampled and merged at 1, 7 and 64 ranks, with hpcprof's summary
-// columns (which the presented planes hold and the Base plane does not).
+// sweep on what the measurement pipeline produces.
 func TestFlatViewMatchesOracleOnWorkloads(t *testing.T) {
+	onMergedWorkloads(t, func(t *testing.T, tree *core.Tree) {
+		if err := core.SameFlatView(core.BuildFlatView(tree), core.OracleBuildFlatView(tree)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestCallersViewMatchesOracleOnWorkloads runs the differential test of the
+// one-walk subtrie build on what the measurement pipeline produces.
+func TestCallersViewMatchesOracleOnWorkloads(t *testing.T) {
+	onMergedWorkloads(t, func(t *testing.T, tree *core.Tree) {
+		v := core.BuildCallersView(tree)
+		if err := v.ExpandAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.SameCallersView(v, core.OracleCallersView(tree)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// onMergedWorkloads runs check on the three case-study workloads, sampled
+// and merged at 1, 7 and 64 ranks, with hpcprof's summary columns (which
+// the presented planes hold and the Base plane does not).
+func onMergedWorkloads(t *testing.T, check func(t *testing.T, tree *core.Tree)) {
 	for _, spec := range []workloads.Spec{workloads.S3D(), workloads.MOAB(), workloads.PFLOTRAN()} {
 		im, err := lower.Lower(spec.Program, spec.LowerOpts)
 		if err != nil {
@@ -45,9 +68,7 @@ func TestFlatViewMatchesOracleOnWorkloads(t *testing.T) {
 						}
 					}
 				}
-				if err := core.SameFlatView(core.BuildFlatView(res.Tree), core.OracleBuildFlatView(res.Tree)); err != nil {
-					t.Error(err)
-				}
+				check(t, res.Tree)
 			})
 		}
 	}

@@ -27,11 +27,12 @@
 // Determinism: the union is built single-threaded in first-appearance
 // order and the column kernels write disjoint slabs, so a diff result —
 // including its serialized form — is byte-identical regardless of the
-// Jobs setting.
+// number of kernel workers.
 package diff
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -119,8 +120,9 @@ type Config struct {
 	Mode Mode
 	// Norm selects the cost normalization (default NormAuto).
 	Norm Norm
-	// Jobs bounds kernel parallelism when (re)computing the derived
-	// columns (<=1 serial). The result does not depend on it.
+	// Jobs is ignored.
+	//
+	// Deprecated: the kernels run on min(GOMAXPROCS, tasks) workers.
 	Jobs int
 }
 
@@ -188,7 +190,9 @@ type Result struct {
 	// present is the per-row input bitmask backing the presence columns.
 	present []uint8
 	tasks   []kernelTask
-	jobs    int
+	// wg waits for Recompute's kernel workers; a field, because a local
+	// captured by the workers would escape and cost an allocation per call.
+	wg sync.WaitGroup
 }
 
 // labelOK reports whether a label survives the engine command grammar:
@@ -269,7 +273,7 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	// columns (the only ones with base values), then that metric's computed
 	// comparison columns; the presence columns last.
 	reg := metric.NewRegistry()
-	r := &Result{Mode: mode, PerRank: perRank, jobs: cfg.Jobs}
+	r := &Result{Mode: mode, PerRank: perRank}
 	for i := range inputs {
 		info := InputInfo{Label: labels[i], Ranks: ranks[i], Norm: 1, Factor: 1}
 		if perRank {
@@ -613,9 +617,10 @@ func (r *Result) buildTasks() {
 // presence) from the per-input columns with whole-column kernels. Diff
 // calls it once; callers that recompute the union's presented metrics
 // (core.Tree.ComputeMetrics wipes computed columns) call it again. The
-// steady state allocates nothing and, with Jobs > 1, runs the kernels
-// concurrently — the result is identical either way, since every task
-// writes its own columns.
+// kernels run on min(GOMAXPROCS, tasks) workers, the calling goroutine
+// being the first, so at GOMAXPROCS 1 the steady state allocates nothing;
+// the result does not depend on the worker count, since every task writes
+// its own columns.
 func (r *Result) Recompute() {
 	st := r.Tree.MetricStore()
 	rows := st.NumRows()
@@ -635,30 +640,24 @@ func (r *Result) Recompute() {
 			}
 		}
 	}
-	if r.jobs <= 1 || len(r.tasks) <= 1 {
-		for _, tk := range r.tasks {
-			r.runKernel(st, rows, tk)
-		}
-	} else {
-		workers := r.jobs
-		if workers > len(r.tasks) {
-			workers = len(r.tasks)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * len(r.tasks) / workers
-			hi := (w + 1) * len(r.tasks) / workers
-			wg.Add(1)
-			go func(tasks []kernelTask) {
-				defer wg.Done()
-				for _, tk := range tasks {
-					r.runKernel(st, rows, tk)
-				}
-			}(r.tasks[lo:hi])
-		}
-		wg.Wait()
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(r.tasks)))
+	for w := 1; w < workers; w++ {
+		r.wg.Add(1)
+		go func(tasks []kernelTask) {
+			defer r.wg.Done()
+			r.runKernels(st, rows, tasks)
+		}(r.tasks[w*len(r.tasks)/workers : (w+1)*len(r.tasks)/workers])
 	}
+	r.runKernels(st, rows, r.tasks[:len(r.tasks)/workers])
+	r.wg.Wait()
 	r.fillPresence(st)
+}
+
+// runKernels runs the kernel of each task.
+func (r *Result) runKernels(st *metric.Store, rows int, tasks []kernelTask) {
+	for _, tk := range tasks {
+		r.runKernel(st, rows, tk)
+	}
 }
 
 // runKernel computes one metric's comparison columns against one input on

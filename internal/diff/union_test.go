@@ -2,6 +2,8 @@ package diff
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -154,5 +156,37 @@ func TestDiffAllocsFlat(t *testing.T) {
 	t.Logf("allocations per Diff: %v at 2k scopes, %v at 20k", small, large)
 	if large > small+8 {
 		t.Fatalf("Diff allocates %v objects at 2k scopes and %v at 20k: allocations grow with the tree", small, large)
+	}
+}
+
+// TestRecomputeMallocsFlat pins the kernel pool's allocations at
+// GOMAXPROCS 2, where Recompute starts one worker beside the calling
+// goroutine: the same count on a union ten times larger. AllocsPerRun pins
+// GOMAXPROCS to 1, so this reads the malloc counter itself, and takes the
+// fewest over many calls: while the calling P has no free goroutine
+// descriptor (the worker's is freed on the P that ran it, and only
+// batches of them move back) a call also allocates one, whatever the
+// union's size.
+func TestRecomputeMallocsFlat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	mallocs := func(n int) uint64 {
+		res, err := Diff(Config{}, Input{Exp: sameShapeExp(t, n, 4)}, Input{Exp: sameShapeExp(t, n, 16)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 200; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res.Recompute()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	small, large := mallocs(2_000), mallocs(20_000)
+	t.Logf("mallocs per Recompute at GOMAXPROCS 2: %d at 2k scopes, %d at 20k", small, large)
+	if small != large {
+		t.Fatalf("Recompute mallocs %d times at 2k scopes and %d at 20k", small, large)
 	}
 }

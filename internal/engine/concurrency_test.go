@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -157,22 +158,26 @@ func TestClosedSessionDoesNotPoisonSnapshot(t *testing.T) {
 	}
 
 	// Sessions racing their own cancellation, for the race detector's
-	// benefit (Close is documented safe from another goroutine).
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := NewSession(shared)
-			s.SetJobs(4)
-			s.SwitchView(ViewCallers)
-			done := make(chan struct{})
-			go func() { s.Close(); close(done) }()
-			_ = s.ExpandAll(s.Tree().Root)
-			<-done
-		}()
+	// benefit (Close is documented safe from another goroutine), with one
+	// expansion worker and with eight.
+	for _, procs := range []int{1, 8} {
+		old := runtime.GOMAXPROCS(procs)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := NewSession(shared)
+				s.SwitchView(ViewCallers)
+				done := make(chan struct{})
+				go func() { s.Close(); close(done) }()
+				_ = s.ExpandAll(s.Tree().Root)
+				<-done
+			}()
+		}
+		wg.Wait()
+		runtime.GOMAXPROCS(old)
 	}
-	wg.Wait()
 
 	// The snapshot is unharmed: a fresh session over it matches the
 	// private-snapshot ground truth exactly.

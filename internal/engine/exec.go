@@ -320,7 +320,7 @@ func Exec(s *Session, line string, out io.Writer) (quit bool, err error) {
 		if len(args) < 1 || len(args) > 3 {
 			return false, fmt.Errorf("diff takes NAME [METRIC] [MODE]")
 		}
-		cfg := diff.Config{Jobs: s.jobs}
+		var cfg diff.Config
 		if len(args) >= 2 {
 			cfg.Metrics = []string{args[1]}
 		}

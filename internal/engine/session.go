@@ -108,8 +108,6 @@ type Session struct {
 	// onto a diff (nil when not in a diff).
 	home *Snapshot
 
-	// jobs bounds ExpandAll's parallelism (<=1 serial).
-	jobs int
 	// released guards the one-shot reference release in Close (Close may
 	// be called more than once, e.g. abort then defer).
 	released atomic.Bool
@@ -132,7 +130,6 @@ func NewSession(snap *Snapshot) *Session {
 		cache:     newQueryCache(),
 		requested: map[int]bool{},
 		snapGen:   snap.gen.Load(),
-		jobs:      1,
 		ctx:       ctx,
 		cancel:    cancel,
 	}
@@ -178,9 +175,10 @@ func (s *Session) Registry() *metric.Registry { return s.reg }
 // SetSource attaches the program source backing the source pane.
 func (s *Session) SetSource(p *prog.Program) { s.source = p }
 
-// SetJobs bounds the parallelism of bulk callers-view expansion
-// (ExpandAll); <=1 expands serially.
-func (s *Session) SetJobs(jobs int) { s.jobs = jobs }
+// SetJobs does nothing.
+//
+// Deprecated: bulk callers-view expansion sizes its pool from GOMAXPROCS.
+func (s *Session) SetJobs(jobs int) {}
 
 // View returns the active view kind.
 func (s *Session) View() ViewKind { return s.view }
@@ -433,9 +431,9 @@ func (s *Session) expandLocked(n *core.Node) {
 }
 
 // ExpandAll opens every scope under n (and n itself). In the Callers View
-// this materializes every caller subtrie — in parallel when SetJobs allows
-// — which can fail on a damaged view or be cut short by Close; the scopes
-// opened so far stay open.
+// this materializes every caller subtrie on core.CallersView.ExpandAllCtx's
+// pool, which can fail on a damaged view or be cut short by Close; the
+// scopes opened so far stay open.
 func (s *Session) ExpandAll(n *core.Node) error {
 	s.faultForView()
 	s.snap.mu.RLock()
@@ -443,7 +441,7 @@ func (s *Session) ExpandAll(n *core.Node) error {
 	s.refreshLocked()
 	var err error
 	if s.view == ViewCallers && s.callers != nil {
-		err = s.callers.ExpandAllCtx(s.ctx, s.jobs)
+		err = s.callers.ExpandAllCtx(s.ctx)
 		s.cache.bump()
 	}
 	core.Walk(n, func(x *core.Node) bool {

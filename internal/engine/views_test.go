@@ -116,7 +116,7 @@ func resealedTree(t testing.TB, edit func(tree []byte)) []byte {
 }
 
 // viewsScript drives every view of a session; {M} is the first metric column.
-var viewsScript = []string{"ls", "view callers", "expand 0", "view flat", "flatten", "expandall", "view cc", "hot {M}"}
+var viewsScript = []string{"ls", "view callers", "expandall", "expand 0", "view flat", "flatten", "expandall", "view cc", "hot {M}"}
 
 // FuzzViews renders what the fuzzed readers accept. The reader fuzzers in
 // expdb hold an accepted database to its encodings only, which is how a tree

@@ -163,7 +163,7 @@ func RenderHTMLReport(w io.Writer, t *core.Tree, title string, hotMetric int, op
 		return err
 	}
 	cv := core.BuildCallersView(t)
-	if err := cv.ExpandAllParallel(0); err != nil {
+	if err := cv.ExpandAll(); err != nil {
 		return err
 	}
 	if err := RenderHTML(w, title+" — Callers View", cv.Roots, t.Reg, opt); err != nil {

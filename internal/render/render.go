@@ -88,10 +88,10 @@ func RenderTree(w io.Writer, t *core.Tree, opt Options) error {
 	return Render(w, t.Root.Children, t.Reg, opt)
 }
 
-// RenderCallers expands (concurrently, one goroutine per CPU) and renders
-// a Callers View. totals should come from the originating tree.
+// RenderCallers expands every caller subtrie (core.CallersView.ExpandAll)
+// and renders a Callers View. totals should come from the originating tree.
 func RenderCallers(w io.Writer, v *core.CallersView, t *core.Tree, opt Options) error {
-	if err := v.ExpandAllParallel(0); err != nil {
+	if err := v.ExpandAll(); err != nil {
 		return err
 	}
 	if opt.Totals == nil {

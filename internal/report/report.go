@@ -40,9 +40,6 @@ type Options struct {
 	Top int
 	// Bins sizes the imbalance histogram (default 10).
 	Bins int
-	// Jobs bounds diff kernel parallelism; the report bytes do not
-	// depend on it.
-	Jobs int
 	// Baseline, when set, adds a regression analysis of the reported
 	// database against it.
 	Baseline *expdb.Experiment
@@ -320,7 +317,7 @@ func regressions(exp *expdb.Experiment, opt Options) (*diff.Report, error) {
 	if opt.Metric != "" {
 		metrics = []string{opt.Metric}
 	}
-	res, err := diff.Diff(diff.Config{Metrics: metrics, Jobs: opt.Jobs},
+	res, err := diff.Diff(diff.Config{Metrics: metrics},
 		diff.Input{Label: "baseline", Exp: opt.Baseline},
 		diff.Input{Label: "current", Exp: exp})
 	if err != nil {

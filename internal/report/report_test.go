@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -129,14 +130,15 @@ func TestReportNoSummaries(t *testing.T) {
 	}
 }
 
-// TestReportJobsDeterminism is the PR's determinism check: report bytes —
-// JSON and markdown, including the baseline diff — must not depend on the
-// worker count.
+// TestReportJobsDeterminism: report bytes — JSON and markdown, including
+// the baseline diff — must not depend on the diff kernels' worker count,
+// which follows GOMAXPROCS.
 func TestReportJobsDeterminism(t *testing.T) {
 	exp := fixture(t, 3, true)
 	base := fixture(t, 7, true)
-	render := func(jobs int) ([]byte, []byte) {
-		r, err := Build(exp, Options{Baseline: base, Jobs: jobs})
+	render := func(procs int) ([]byte, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := Build(exp, Options{Baseline: base})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,10 +151,10 @@ func TestReportJobsDeterminism(t *testing.T) {
 	j1, m1 := render(1)
 	j8, m8 := render(8)
 	if !bytes.Equal(j1, j8) {
-		t.Fatal("report JSON differs between -jobs 1 and -jobs 8")
+		t.Fatal("report JSON differs between GOMAXPROCS 1 and 8")
 	}
 	if !bytes.Equal(m1, m8) {
-		t.Fatal("report markdown differs between -jobs 1 and -jobs 8")
+		t.Fatal("report markdown differs between GOMAXPROCS 1 and 8")
 	}
 	var r struct {
 		Regressions *struct{} `json:"regressions"`

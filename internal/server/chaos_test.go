@@ -20,7 +20,7 @@ import (
 // session — typed 500, token gone, counted — while the process and every
 // other session keep serving.
 func TestChaosPanicIsolation(t *testing.T) {
-	srv := New(mappedSnapshot(t, fixtureBytes(t)), nil, 1)
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{})
 	defer srv.Close()
 	srv.testExecHook = func(line string) {
 		if strings.Contains(line, "BOOM") {
@@ -65,7 +65,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 // moves. The stuck goroutine drains into the buffered result channel.
 func TestChaosDeadlineKillsSession(t *testing.T) {
 	gate := make(chan struct{})
-	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{Jobs: 1, ExecTimeout: 50 * time.Millisecond})
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{ExecTimeout: 50 * time.Millisecond})
 	defer srv.Close()
 	srv.testExecHook = func(line string) {
 		if strings.Contains(line, "STALL") {
@@ -109,7 +109,6 @@ func TestChaosAdmissionFlood(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{
-		Jobs:         1,
 		MaxInflight:  1,
 		MaxQueue:     2,
 		QueueTimeout: 100 * time.Millisecond,
@@ -217,7 +216,7 @@ func TestChaosDeadlineNeverUnmapsUnderReader(t *testing.T) {
 	unmapped := make(chan struct{})
 	snap.OnLastRelease(func() { close(unmapped) })
 
-	srv := NewWithConfig(snap, Config{Jobs: 1, ExecTimeout: 50 * time.Millisecond})
+	srv := NewWithConfig(snap, Config{ExecTimeout: 50 * time.Millisecond})
 	srv.testExecHook = func(line string) {
 		if strings.Contains(line, "STALL") {
 			close(stalled)
@@ -264,7 +263,7 @@ func TestChaosDeadlineNeverUnmapsUnderReader(t *testing.T) {
 func TestChaosPanicReleasesQueuedRequest(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{Jobs: 1, ExecTimeout: 10 * time.Second})
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{ExecTimeout: 10 * time.Second})
 	defer srv.Close()
 	srv.testExecHook = func(line string) {
 		if strings.Contains(line, "BOOM") {

@@ -152,7 +152,7 @@ func (srv *Server) cachedDiff(req compareRequest, mode diff.Mode, base, other *e
 	// Diff outside the lock: inputs are read-only after FaultAll, and the
 	// once collapses racing requests for one key into a single union.
 	e.once.Do(func() {
-		_, e.res, e.err = engine.DiffSnapshots(diff.Config{Metrics: metrics, Mode: mode, Jobs: srv.cfg.Jobs},
+		_, e.res, e.err = engine.DiffSnapshots(diff.Config{Metrics: metrics, Mode: mode},
 			engine.DiffInput{Label: "A", Snap: base},
 			engine.DiffInput{Label: "B", Snap: other})
 	})

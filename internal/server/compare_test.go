@@ -69,7 +69,7 @@ func postJSON(t *testing.T, hc *http.Client, url string, body any) (int, []byte)
 }
 
 func TestCompareEndpoint(t *testing.T) {
-	srv := New(mappedSnapshot(t, fixtureAt(t, 2)), nil, 1)
+	srv := NewWithConfig(mappedSnapshot(t, fixtureAt(t, 2)), Config{})
 	defer srv.Close()
 	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestCompareEndpoint(t *testing.T) {
 // HTTP session surface: the catalog attached to server sessions is the
 // same one the compare endpoint reads.
 func TestSessionDiffOverHTTP(t *testing.T) {
-	srv := New(mappedSnapshot(t, fixtureAt(t, 2)), nil, 1)
+	srv := NewWithConfig(mappedSnapshot(t, fixtureAt(t, 2)), Config{})
 	defer srv.Close()
 	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err != nil {
 		t.Fatal(err)

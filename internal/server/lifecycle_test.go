@@ -86,7 +86,7 @@ func getStats(t *testing.T, hc *http.Client, base string) statsResponse {
 // to 503 while sessions created before the drain keep executing — only new
 // state (sessions, ingest, compare) is shed.
 func TestHealthReadyAndDrain(t *testing.T) {
-	srv := New(mappedSnapshot(t, fixtureBytes(t)), nil, 1)
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -150,7 +150,7 @@ func TestHealthReadyAndDrain(t *testing.T) {
 // oversized control-plane body must produce 413 with a typed error, not an
 // unbounded read.
 func TestBodyCap413(t *testing.T) {
-	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{Jobs: 1, MaxBodyBytes: 256})
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{MaxBodyBytes: 256})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -180,7 +180,7 @@ func TestBodyCap413(t *testing.T) {
 
 	// The ingest cap is separate: a payload over MaxIngestBytes gets 413
 	// and nothing is published.
-	srv2 := NewWithConfig(nil, Config{Jobs: 1, MaxIngestBytes: 1024,
+	srv2 := NewWithConfig(nil, Config{MaxIngestBytes: 1024,
 		Catalog: catalog.New(catalog.Config{Dir: t.TempDir()})})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())

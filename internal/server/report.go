@@ -22,7 +22,7 @@ import (
 // over one entry are safe.
 func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	opt := report.Options{Metric: q.Get("metric"), Jobs: srv.cfg.Jobs}
+	opt := report.Options{Metric: q.Get("metric")}
 	ok := true
 	intQ := func(name string, dst *int) {
 		s := q.Get(name)

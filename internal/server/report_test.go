@@ -28,7 +28,7 @@ func getReport(t *testing.T, base, query string) (int, []byte) {
 // and over named catalog entries, including the baseline diff.
 func TestReportEndpoint(t *testing.T) {
 	data := fixtureBytes(t)
-	srv := New(mappedSnapshot(t, data), nil, 1)
+	srv := NewWithConfig(mappedSnapshot(t, data), Config{})
 	defer srv.Close()
 	if err := srv.AddSnapshot("other", mappedSnapshot(t, data)); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestReportEndpoint(t *testing.T) {
 // TestReportEndpointNoDefault checks the no-default-database error and
 // that concurrent report requests over one shared entry are safe.
 func TestReportEndpointNoDefault(t *testing.T) {
-	srv := NewWithConfig(nil, Config{Jobs: 1})
+	srv := NewWithConfig(nil, Config{})
 	defer srv.Close()
 	if err := srv.AddSnapshot("only", mappedSnapshot(t, fixtureBytes(t))); err != nil {
 		t.Fatal(err)

@@ -58,7 +58,9 @@ import (
 type Config struct {
 	// Source, when non-nil, backs the src command of every session.
 	Source *prog.Program
-	// Jobs bounds each session's bulk callers-view expansion (<=1 serial).
+	// Jobs is ignored.
+	//
+	// Deprecated: sessions size their worker pools from GOMAXPROCS.
 	Jobs int
 	// Catalog is the lifecycle catalog behind session creation, diffing
 	// and ingest. Nil gets a private pin-only catalog (no storage dir).
@@ -148,13 +150,6 @@ type session struct {
 	// killed; a request already past the token lookup checks it under mu so
 	// it can never run a command against a released snapshot.
 	dead atomic.Bool
-}
-
-// New creates a server over a sealed default snapshot with default limits.
-// source may be nil (the src command then reports that no source is
-// attached). jobs bounds each session's bulk callers-view expansion.
-func New(snap *engine.Snapshot, source *prog.Program, jobs int) *Server {
-	return NewWithConfig(snap, Config{Source: source, Jobs: jobs})
 }
 
 // NewWithConfig creates a server. snap may be nil when every session names
@@ -498,7 +493,6 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	s := engine.NewSession(snap)
 	s.SetSource(srv.cfg.Source)
-	s.SetJobs(srv.cfg.Jobs)
 	s.SetCatalog(srv)
 	srv.mu.Lock()
 	if srv.closed {

@@ -165,7 +165,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 		}
 	}
 
-	srv := New(mappedSnapshot(t, data), nil, 1)
+	srv := NewWithConfig(mappedSnapshot(t, data), Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -203,7 +203,7 @@ func TestHTTPSessionEquivalence(t *testing.T) {
 // delete, 404s for unknown tokens, quit closing server-side, and Close
 // refusing new sessions.
 func TestSessionLifecycle(t *testing.T) {
-	srv := New(mappedSnapshot(t, fixtureBytes(t)), nil, 1)
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := &client{t: t, base: ts.URL, hc: ts.Client()}

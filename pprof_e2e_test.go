@@ -96,7 +96,7 @@ func TestPprofEndToEnd(t *testing.T) {
 
 	// A second capture (more live heap) diffs against the first.
 	exp2, _ := realHeapExperiment(t, 16)
-	res, err := diff.Diff(diff.Config{Jobs: 2},
+	res, err := diff.Diff(diff.Config{},
 		diff.Input{Label: "run1", Exp: exp},
 		diff.Input{Label: "run2", Exp: exp2})
 	if err != nil {
@@ -111,8 +111,9 @@ func TestPprofEndToEnd(t *testing.T) {
 	}
 
 	// hpcreport over the import is byte-stable.
-	build := func(jobs int) []byte {
-		r, err := report.Build(exp, report.Options{Baseline: exp2, Jobs: jobs})
+	build := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := report.Build(exp, report.Options{Baseline: exp2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +123,8 @@ func TestPprofEndToEnd(t *testing.T) {
 		}
 		return b
 	}
-	if !bytes.Equal(build(1), build(4)) {
-		t.Fatal("report over imported profile not byte-stable across -jobs")
+	if !bytes.Equal(build(1), build(8)) {
+		t.Fatal("report over imported profile not byte-stable across GOMAXPROCS")
 	}
 }
 
