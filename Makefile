@@ -88,12 +88,14 @@ fuzz-seeds:
 # Robustness gate: the fault-injection matrix (every workload's files, every
 # format version, truncation + corruption sweeps), every seed corpus, plus
 # a short coverage-guided fuzz of the binary readers (one target for v1, v2
-# and v3), the pprof importer, the cell formatter and the views of whatever
-# database the readers accept. CI runs this target.
+# and v3), the profile trie's cached Record context, the pprof importer, the
+# cell formatter and the views of whatever database the readers accept. CI
+# runs this target.
 faults:
 	$(GO) test -run 'TestFaultMatrix|TestReaderFaults' ./internal/faultio
 	$(MAKE) fuzz-seeds
 	$(GO) test -run XXX -fuzz 'FuzzRead$$' -fuzztime 10s ./internal/profile
+	$(GO) test -run XXX -fuzz FuzzRecord -fuzztime 10s ./internal/profile
 	$(GO) test -run XXX -fuzz FuzzReadBinary -fuzztime 10s ./internal/expdb
 	$(GO) test -run XXX -fuzz FuzzReadTrace -fuzztime 10s ./internal/expdb
 	$(GO) test -run XXX -fuzz FuzzDiff -fuzztime 10s ./internal/diff

@@ -10,12 +10,14 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/correlate"
 	"repro/internal/expdb"
 	"repro/internal/imbalance"
+	"repro/internal/isa"
 	"repro/internal/lower"
 	"repro/internal/merge"
 	"repro/internal/mpi"
@@ -425,7 +427,55 @@ func overhead() error {
 	}
 	row("E-OVH", "cycle-sampling overhead vs counting hardware",
 		"few percent", pct(float64(sampled-base)/float64(base)))
+	// The time ratio moves with the machine; what the sampler does per
+	// instruction does not. Count it for the timed configuration and for
+	// the aggressive one, five events at period 1k.
+	for _, c := range []struct {
+		name   string
+		events []sampler.EventConfig
+	}{
+		{"cycles at 100k", []sampler.EventConfig{{Event: sim.EvCycles, Period: 100_000}}},
+		{"5 events at 1k", sampler.DefaultEvents(1000)},
+	} {
+		perInstr, perSample, err := samplingCost(im, spec.Name, c.events)
+		if err != nil {
+			return err
+		}
+		row("E-OVH", "samples per instruction, "+c.name, "-", fmt.Sprintf("%.3f%%", 100*perInstr))
+		row("E-OVH", "sampler mallocs per 1k samples, "+c.name, "-", fmt.Sprintf("%.1f", 1000*perSample))
+	}
 	return nil
+}
+
+// samplingCost runs im once on counting hardware alone and once under a
+// sampler for events, and returns samples per interpreted instruction and
+// the heap allocations the sampler adds per sample.
+func samplingCost(im *isa.Image, name string, events []sampler.EventConfig) (perInstr, perSample float64, err error) {
+	run := func(obs sim.Observer) (mallocs uint64, steps int64, err error) {
+		vm, err := sim.New(im, sim.Config{Observer: obs})
+		if err != nil {
+			return 0, 0, err
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = vm.Run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, vm.Steps, err
+	}
+	base, _, err := run(nopObserver{})
+	if err != nil {
+		return 0, 0, err
+	}
+	s, err := sampler.New(name, 0, 0, events)
+	if err != nil {
+		return 0, 0, err
+	}
+	sampled, steps, err := run(s)
+	if err != nil {
+		return 0, 0, err
+	}
+	n := float64(s.Samples())
+	return n / float64(steps), (float64(sampled) - float64(base)) / n, nil
 }
 
 func formats(moab *core.Tree) error {

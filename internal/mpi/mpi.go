@@ -70,6 +70,7 @@ func Run(im *isa.Image, cfg Config) ([]*profile.Profile, error) {
 	}
 	total := cfg.NRanks * cfg.ThreadsPerRank
 	bar := newBarrier(total)
+	fp := im.Fingerprint() // every rank runs the same image: hash it once
 
 	profiles := make([]*profile.Profile, total)
 	errs := make([]error, total)
@@ -86,6 +87,7 @@ func Run(im *isa.Image, cfg Config) ([]*profile.Profile, error) {
 					bar.abort()
 					return
 				}
+				s.Profile().Fingerprint = fp
 				if cfg.Trace {
 					var spill trace.SpillStore = &trace.MemSpill{}
 					if cfg.TraceSpill != nil {

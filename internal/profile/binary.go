@@ -175,8 +175,8 @@ func readV1(br *bufio.Reader) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{b: body}
 	p := &Profile{}
+	d := &decoder{b: body, slabs: &p.slabs}
 	if err := d.header(p); err != nil {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ func readV2(br *bufio.Reader, size int64) (*Profile, error) {
 			// as framing damage here.
 			return nil, fmt.Errorf("profile: %w", err)
 		}
-		d := &decoder{b: payload}
+		d := &decoder{b: payload, slabs: &p.slabs}
 		switch id {
 		case profSecHeader:
 			if sawHeader {
@@ -263,21 +263,25 @@ func readV2(br *bufio.Reader, size int64) (*Profile, error) {
 // hostile count cannot make the reader allocate more than the input could
 // describe.
 type decoder struct {
-	b      []byte
+	b []byte
+	*slabs
+}
+
+// slabs are what the decoder and Record carve a profile's trie from.
+type slabs struct {
 	nodes  []Node
 	kids   []*Node
 	rows   []SampleRow
 	counts []uint64
 }
 
-// slabChunk is the slab size in elements when neither the request nor the
-// unread input is larger.
+// slabChunk is the largest slab carve starts for a smaller request.
 const slabChunk = 256
 
-// carve cuts n zeroed elements off *slab, starting a new slab when it runs
-// short; left is the number of bytes still unread, which every element
-// costs at least one of. The result's capacity is its length: a later
-// insert into it reallocates instead of running into its neighbour.
+// carve cuts n zeroed elements off *slab, starting a new slab of at most
+// max(n, left) elements when it runs short (the decoder's left is the bytes
+// still unread: each element costs at least one). Capacity is length, so a
+// later insert into the result reallocates instead of running into the next.
 func carve[T any](slab *[]T, n, left int) []T {
 	if n == 0 {
 		return nil
@@ -288,6 +292,17 @@ func carve[T any](slab *[]T, n, left int) []T {
 	out := (*slab)[:n:n]
 	*slab = (*slab)[n:]
 	return out
+}
+
+// insert is slices.Insert moving a full list to a carved one twice as long.
+func insert[T any](slab *[]T, list []T, i int, v T, chunk int) []T {
+	if len(list) == cap(list) {
+		list = append(carve(slab, 2*len(list)+1, chunk)[:0], list...)
+	}
+	list = list[:len(list)+1]
+	copy(list[i+1:], list[i:])
+	list[i] = v
+	return list
 }
 
 // order sorts s by key — for sibling lists that did not arrive ascending —

@@ -431,3 +431,116 @@ func TestReadHandWrittenTrees(t *testing.T) {
 		}
 	}
 }
+
+// recordOps decodes ops into a run of Record calls and hand edits, applied
+// to a slice trie and to the map trie alike, then compares the two under
+// every root the run used. It is how Record's cached context is checked:
+// paths climb and descend a shared prefix, repeat, return to the root;
+// Root is swapped for another trie and back; frames and rows are added by
+// hand through Child and AddSample; and the profile is replaced by what
+// Read makes of its bytes, so Record goes on over decoder-carved lists.
+func recordOps(ops []byte) error {
+	next := func() int {
+		if len(ops) == 0 {
+			return 0
+		}
+		v := int(ops[0])
+		ops = ops[1:]
+		return v
+	}
+	metrics := make([]MetricInfo, 1+next()%4)
+	for i := range metrics {
+		metrics[i] = MetricInfo{Name: fmt.Sprint("M", i), Unit: "u", Period: uint64(1 + i)}
+	}
+	alphabet := 2 + next()%12
+	pc := func(base uint64) uint64 { return base + 8*uint64(next()%alphabet) }
+	p := NewProfile("ops", 1, 0, metrics)
+	o := NewOracle(p)
+	roots, oroots := []*Node{p.Root}, []*OracleNode{o.Root}
+	var path []uint64
+	for len(ops) > 0 {
+		switch next() % 9 {
+		case 0: // a fresh path
+			path = path[:0]
+			for d := next() % 7; d > 0; d-- {
+				path = append(path, pc(0x1000))
+			}
+		case 1: // one frame deeper
+			path = append(path, pc(0x1000))
+		case 2: // back to the caller
+			path = path[:max(len(path)-1, 0)]
+		case 3: // back to the root
+			path = path[:0]
+		case 4: // another root, or one used before
+			k := next() % (len(roots) + 1)
+			if k == len(roots) {
+				roots, oroots = append(roots, &Node{}), append(oroots, &OracleNode{})
+			}
+			p.Root, o.Root = roots[k], oroots[k]
+		case 5: // a frame below the current one, by hand
+			n := p.Root
+			for _, c := range path {
+				n = n.Child(c, true)
+			}
+			c := pc(0x1000)
+			n.Child(c, true)
+			o.Frame(append(path[:len(path):len(path)], c))
+		case 6: // a row in the current frame, by hand
+			n := p.Root
+			for _, c := range path {
+				n = n.Child(c, true)
+			}
+			leaf, m, count := pc(0x2000), next()%len(metrics), uint64(next()%5)
+			n.AddSample(leaf, m, len(metrics), count)
+			o.Record(path, leaf, m, count)
+		case 7: // the profile as Read gives it back
+			var buf bytes.Buffer
+			if err := p.Write(&buf); err != nil {
+				return err
+			}
+			q, err := Read(&buf)
+			if err != nil {
+				return err
+			}
+			p, roots, oroots = q, []*Node{q.Root}, []*OracleNode{o.Root}
+		} // otherwise the same context again
+		leaf, m, count := pc(0x2000), next()%len(metrics), uint64(next()%5)*metrics[0].Period
+		p.Record(path, leaf, m, count)
+		o.Record(path, leaf, m, count)
+	}
+	for k := range roots {
+		p.Root, o.Root = roots[k], oroots[k]
+		if err := CompareWithOracle(p, o); err != nil {
+			return fmt.Errorf("root %d of %d: %w", k, len(roots), err)
+		}
+	}
+	return nil
+}
+
+// Random op strings of up to 4 000 bytes, some 800 records each.
+func TestRecordContextMatchesMapOracle(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, rng.Intn(4000))
+		rng.Read(ops)
+		if err := recordOps(ops); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// FuzzRecord runs recordOps on arbitrary op strings.
+func FuzzRecord(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 1, 0, 0, 0, 1, 2, 3, 4, 1, 3, 5, 6, 1, 2, 3, 4, 2, 1, 1, 1, 8, 0, 0, 0})
+	f.Add([]byte{0, 5, 0, 6, 1, 2, 3, 4, 5, 6, 7, 4, 0, 1, 2, 3, 1, 1, 1, 1, 4, 1, 9, 9, 9, 3, 0, 0, 0})
+	f.Add([]byte{1, 3, 1, 7, 0, 0, 5, 7, 1, 1, 7, 1, 1, 2, 0, 7, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1<<14 {
+			return
+		}
+		if err := recordOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -40,6 +40,8 @@ type Profile struct {
 	// EnableTrace was called. Traces ride along in the v2 measurement
 	// format; readers without trace support skip them.
 	Trace *TraceData
+	slabs slabs   // what Read and Record carve the trie from
+	ctx   []*Node // the frames of the call path Record saw last, root first
 }
 
 // Node is one dynamic frame: the frame created by the call instruction at
@@ -73,7 +75,11 @@ func NewProfile(program string, rank, thread int, metrics []MetricInfo) *Profile
 // Child returns the child frame created by the call at pc, creating it when
 // create is true. (The search is written out, here and in AddSample: on
 // the sampler's path slices.BinarySearchFunc costs 1.7 times as much.)
-func (n *Node) Child(pc uint64, create bool) *Node {
+func (n *Node) Child(pc uint64, create bool) *Node { return n.child(pc, create, &slabs{}, 0) }
+
+// child and addSample carve what they add from s, chunk elements a slab. Child
+// and AddSample have no profile to keep slabs in: chunk 0 carves just their piece.
+func (n *Node) child(pc uint64, create bool, s *slabs, chunk int) *Node {
 	lo, hi := 0, len(n.children)
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); n.children[mid].CallPC < pc {
@@ -88,8 +94,10 @@ func (n *Node) Child(pc uint64, create bool) *Node {
 	if !create {
 		return nil
 	}
-	n.children = slices.Insert(n.children, lo, &Node{CallPC: pc})
-	return n.children[lo]
+	c := &carve(&s.nodes, 1, chunk)[0]
+	c.CallPC = pc
+	n.children = insert(&s.kids, n.children, lo, c, chunk)
+	return c
 }
 
 // Children returns the child frames in ascending call-PC order. The slice
@@ -102,6 +110,10 @@ func (n *Node) NumChildren() int { return len(n.children) }
 // AddSample records count events of metric against the leaf pc within this
 // frame.
 func (n *Node) AddSample(pc uint64, metric int, nMetrics int, count uint64) {
+	n.addSample(pc, metric, nMetrics, count, &slabs{}, 0)
+}
+
+func (n *Node) addSample(pc uint64, metric int, nMetrics int, count uint64, s *slabs, chunk int) {
 	lo, hi := 0, len(n.samples)
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); n.samples[mid].PC < pc {
@@ -111,7 +123,7 @@ func (n *Node) AddSample(pc uint64, metric int, nMetrics int, count uint64) {
 		}
 	}
 	if lo == len(n.samples) || n.samples[lo].PC != pc {
-		n.samples = slices.Insert(n.samples, lo, SampleRow{PC: pc, Counts: make([]uint64, nMetrics)})
+		n.samples = slices.Insert(n.samples, lo, SampleRow{PC: pc, Counts: carve(&s.counts, nMetrics, chunk)})
 	}
 	n.samples[lo].Counts[metric] += count
 }
@@ -130,13 +142,23 @@ type SampleRow struct {
 // Record attributes count events of the given metric to the context
 // (callPath, leafPC): callPath holds the call instruction addresses from
 // outermost to innermost. It returns the attributed frame so the sampler
-// can feed the same context to the trace recorder.
+// can feed the same context to the trace recorder. Only frames below the
+// prefix shared with the previous call (p.ctx; frames never move) are looked up.
 func (p *Profile) Record(callPath []uint64, leafPC uint64, metric int, count uint64) *Node {
-	n := p.Root
-	for _, pc := range callPath {
-		n = n.Child(pc, true)
+	if len(p.ctx) == 0 || p.ctx[0] != p.Root {
+		p.ctx = insert(&p.slabs.kids, p.ctx[:0], 0, p.Root, slabChunk)
 	}
-	n.AddSample(leafPC, metric, len(p.Metrics), count)
+	d := 0
+	for d < len(callPath) && d+1 < len(p.ctx) && callPath[d] == p.ctx[d+1].CallPC {
+		d++
+	}
+	p.ctx = p.ctx[:d+1]
+	n := p.ctx[d]
+	for _, pc := range callPath[d:] {
+		n = n.child(pc, true, &p.slabs, slabChunk)
+		p.ctx = insert(&p.slabs.kids, p.ctx, len(p.ctx), n, slabChunk)
+	}
+	n.addSample(leafPC, metric, len(p.Metrics), count, &p.slabs, slabChunk)
 	return n
 }
 

@@ -119,6 +119,7 @@ func unitOf(e sim.Event) string {
 // OnCost implements sim.Observer: it checks every configured event for
 // threshold crossings and records samples at the current context.
 func (s *Sampler) OnCost(vm *sim.VM, idx int32, delta *sim.Counters) {
+	// mpi.Run stamps the fingerprint up front; a lone VM's is hashed here.
 	if s.prof.Fingerprint == 0 {
 		s.prof.Fingerprint = vm.Image().Fingerprint()
 	}
