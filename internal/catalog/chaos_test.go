@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -288,4 +290,105 @@ func TestChaosRotAfterEviction(t *testing.T) {
 		t.Fatal("republished generation renders differently from the original data")
 	}
 	snap.Release()
+}
+
+// TestChaosSharedFlatView hammers the Flat View a snapshot lends to its
+// sessions: rounds of 16 concurrent sessions run Flat View scripts over one
+// acquired snapshot while a goroutine forces collections in a loop, so the
+// weakly held view is dropped and rebuilt under them; halfway through, the
+// catalog evicts the snapshot. Every transcript must equal the same script
+// replayed over a private open of the database.
+func TestChaosSharedFlatView(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "svc__1.db")
+	if err := os.WriteFile(path, fixtureV3(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Dir: dir})
+	defer c.Close()
+	if err := c.Publish(Key{Service: "svc", Ts: 1}, path); err != nil {
+		t.Fatal(err)
+	}
+
+	scripts := [][]string{
+		{"view flat", "ls", "flatten", "ls", "hot CYCLES", "ls"},
+		{"view flat", "hot CYCLES", "flatten", "flatten", "ls", "unflatten", "ls"},
+		{"view flat", "sort CYCLES:excl", "ls", "view cc", "ls", "view flat", "hot CYCLES"},
+		{"hot CYCLES", "view flat", "flatten", "hot CYCLES", "ls"},
+	}
+	replay := func(snap *engine.Snapshot, script []string) string {
+		s := engine.NewSession(snap)
+		defer s.Close()
+		var out strings.Builder
+		for _, line := range script {
+			resp := s.Do(engine.Request{Line: line})
+			out.WriteString(resp.Output)
+			if resp.Err != "" {
+				fmt.Fprintf(&out, "error: %s\n", resp.Err)
+			}
+		}
+		return out.String()
+	}
+	want := make([]string, len(scripts))
+	for i, script := range scripts {
+		snap, err := engine.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = replay(snap, script)
+		snap.Release()
+		if strings.Contains(want[i], "error:") {
+			t.Fatalf("script %d fails in isolation:\n%s", i, want[i])
+		}
+	}
+
+	snap, _, err := c.Acquire("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+
+	stop := make(chan struct{})
+	collector := make(chan struct{})
+	go func() {
+		defer close(collector)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+
+	// Each round opens 16 sessions at once and closes them all; between
+	// rounds no session holds the view, so a collection takes it back and
+	// the next round's sessions race to rebuild it.
+	const workers, rounds = 16, 8
+	errc := make(chan error, workers*rounds)
+	for r := 0; r < rounds; r++ {
+		if r == rounds/2 {
+			c.EvictAll()
+		}
+		runtime.GC()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				i := (w + r) % len(scripts)
+				if got := replay(snap, scripts[i]); got != want[i] {
+					errc <- fmt.Errorf("round %d worker %d: script %d diverged from its isolated replay\n--- shared ---\n%s\n--- isolated ---\n%s", r, w, i, got, want[i])
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	close(stop)
+	<-collector
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
 }

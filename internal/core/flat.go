@@ -25,7 +25,9 @@ import (
 //     only — which is why hy shows 0 (h's samples are nested in loops)
 //     while fy shows 1.
 
-// FlatView is the static view.
+// FlatView is the static view. It may be shared by concurrent readers (an
+// engine snapshot lends one to all its sessions), so it is read-only once
+// built: nothing may call Node.Child on its scopes, not even to look up.
 type FlatView struct {
 	Reg *metric.Registry
 	// Roots are the load modules.

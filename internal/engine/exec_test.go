@@ -213,3 +213,30 @@ func TestReplErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedOnLazilyExpandedCallers: a session-derived column reads the
+// same on Callers View rows whether the rows were expanded before or after
+// the column was first materialized. Expansion grows the view's store, so
+// an overlay column computed earlier must not go blank on the new rows.
+func TestDerivedOnLazilyExpandedCallers(t *testing.T) {
+	lastLs := func(lines ...string) string {
+		s := newTestSession(core.Fig1Tree(), nil)
+		defer s.Close()
+		execOK(t, s, lines...)
+		return execOK(t, s, "ls")
+	}
+	late := lastLs("derived ratio=$0/($0+1)", "cols ratio", "view callers", "ls", "expand 1")
+	early := lastLs("view callers", "expand 1", "derived ratio=$0/($0+1)", "cols ratio")
+	if late != early {
+		t.Fatalf("derived column depends on expansion order\n--- derived first ---\n%s\n--- expanded first ---\n%s", late, early)
+	}
+	lines := strings.Split(strings.TrimSpace(early), "\n")[2:]
+	if len(lines) != 7 {
+		t.Fatalf("want m, g, g's three callers, f and h:\n%s", early)
+	}
+	for _, l := range lines {
+		if c := l[len(l)-1]; c < '0' || c > '9' {
+			t.Fatalf("blank ratio cell in %q:\n%s", l, early)
+		}
+	}
+}

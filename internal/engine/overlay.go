@@ -71,7 +71,8 @@ func (s *Session) columnSlab(st *metric.Store, id int, inclusive bool) []float64
 }
 
 // overlaySlab returns the materialized overlay column for (store, id,
-// flavor), computing it on first use.
+// flavor), computing it on first use and again once the store has grown
+// (expanding a Callers View root adds rows to its store).
 func (s *Session) overlaySlab(st *metric.Store, id int, inclusive bool) []float64 {
 	if s.overlay == nil {
 		s.overlay = map[*metric.Store]*overlayCols{}
@@ -82,7 +83,7 @@ func (s *Session) overlaySlab(st *metric.Store, id int, inclusive bool) []float6
 		s.overlay[st] = oc
 	}
 	plane := oc.plane(inclusive)
-	if slab, ok := plane[id]; ok {
+	if slab, ok := plane[id]; ok && len(slab) == st.NumRows() {
 		return slab
 	}
 	slab := s.materializeOverlay(st, id, inclusive)

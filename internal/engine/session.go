@@ -45,9 +45,10 @@ func (v ViewKind) String() string {
 //
 // Concurrency: any number of sessions may run over one Snapshot at the
 // same time — session queries hold the snapshot's read lock while touching
-// shared scopes and metric slabs, and everything a session mutates (views
-// built from the shared tree, expansion/zoom/sort state, memoized orders,
-// derived-metric overlays) is private to it. One Session is NOT safe for
+// shared scopes and metric slabs, and everything a session mutates (its
+// Callers View, expansion/zoom/sort state, memoized orders, derived-metric
+// overlays) is private to it. The Flat View is the snapshot's, shared and
+// never written after its build. One Session is NOT safe for
 // concurrent use by multiple goroutines; each frontend serializes the
 // calls of a given session (the HTTP server locks per token).
 //
@@ -67,8 +68,9 @@ type Session struct {
 	profiles []*profile.Profile
 
 	view ViewKind
-	// callers and flat are this session's materializations of the derived
-	// views; they read the shared tree but live in private arenas/stores.
+	// callers is this session's Callers View, built in a private arena (its
+	// expansion state is the session's own). flat is the snapshot's shared,
+	// read-only Flat View; holding it keeps it alive for other sessions.
 	callers  *core.CallersView
 	flat     *core.FlatView
 	expanded map[*core.Node]bool
@@ -136,8 +138,8 @@ func NewSession(snap *Snapshot) *Session {
 }
 
 // Close cancels the session: in-flight bulk expansion stops at the next
-// root, and the shared snapshot is untouched (everything the session built
-// is private to it). Close is safe to call from another goroutine — it is
+// root, and the shared snapshot is untouched (the session writes nothing
+// shared). Close is safe to call from another goroutine — it is
 // how a frontend aborts a stuck query — and releases the session's
 // snapshot references exactly once, so a mapped database is unmapped only
 // after its last session is gone.
@@ -329,8 +331,9 @@ func (s *Session) refreshLocked() {
 
 // rootsLocked returns the active view's current top-level scopes plus the
 // scope that owns the list (nil for a view's forest) — the identity the
-// query cache keys sibling orders by. Builds the derived views on first
-// use; they read the shared tree, so this runs under the read lock.
+// query cache keys sibling orders by. Builds the Callers View, or takes the
+// snapshot's Flat View, on first use; both read the shared tree, so this
+// runs under the read lock.
 func (s *Session) rootsLocked() (parent *core.Node, ns []*core.Node) {
 	switch s.view {
 	case ViewCC:
@@ -346,7 +349,7 @@ func (s *Session) rootsLocked() (parent *core.Node, ns []*core.Node) {
 		return nil, s.callers.Roots
 	case ViewFlat:
 		if s.flat == nil {
-			s.flat = core.BuildFlatView(s.snap.exp.Tree)
+			s.flat = s.snap.flatView()
 		}
 		return nil, core.FlattenN(s.flat.Roots, s.flatten)
 	}

@@ -27,6 +27,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
@@ -80,6 +81,12 @@ type Snapshot struct {
 	// FaultAll once every column has been offered. Guarded by mu.
 	faulted    map[int]error
 	allFaulted bool
+
+	// flat is the Flat View, held weakly: sessions that present it keep it
+	// alive, and once none does the collector takes it back. flatMu guards
+	// the pointer and makes concurrent first builds wait for one another.
+	flatMu sync.Mutex
+	flat   weak.Pointer[core.FlatView]
 }
 
 // NewSnapshot seals an in-memory experiment. The experiment must be fully
@@ -323,4 +330,20 @@ func (sn *Snapshot) FaultAll() error {
 	}
 	sn.allFaulted = true
 	return first
+}
+
+// flatView returns the Flat View of the snapshot's tree: the one some
+// session still holds, or a new build when none does. The view is shared and
+// read-only; a caller keeps it alive by holding the pointer. Call it under
+// the read lock (the build reads the shared slabs) and, on a mapped
+// snapshot, after FaultAll, so the view is a function of the database alone.
+func (sn *Snapshot) flatView() *core.FlatView {
+	sn.flatMu.Lock()
+	defer sn.flatMu.Unlock()
+	if v := sn.flat.Value(); v != nil {
+		return v
+	}
+	v := core.BuildFlatView(sn.exp.Tree)
+	sn.flat = weak.Make(v)
+	return v
 }
