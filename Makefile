@@ -18,7 +18,7 @@ BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 # targets: CI calls `make faults`, so a new target is added here, once.
 FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio ./internal/render ./internal/engine
 
-.PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-trace faults fuzz-seeds chaos nommap
+.PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-trace bench-open faults fuzz-seeds chaos nommap
 
 verify: build test race vet lint bench-smoke faults chaos nommap
 
@@ -80,6 +80,10 @@ bench-diff:
 # Regenerate the numbers recorded in BENCH_trace.json.
 bench-trace:
 	$(GO) test -run XXX -bench 'BenchmarkTraceView|BenchmarkTraceCapture' -benchtime 30x -benchmem .
+
+# Regenerate the numbers recorded in BENCH_open.json.
+bench-open:
+	$(GO) test -run XXX -bench 'BenchmarkMappedOpen|BenchmarkLazyOpenSynthetic|BenchmarkColdFirstQuery' -benchtime 30x -benchmem .
 
 # Every fuzz target's checked-in seed corpus, run as plain tests.
 fuzz-seeds:

@@ -404,12 +404,9 @@ func Walk(start *Node, f func(n *Node) bool) {
 	}
 }
 
-// NumNodes counts the scopes in the tree, excluding the root.
-func (t *Tree) NumNodes() int {
-	n := -1
-	Walk(t.Root, func(*Node) bool { n++; return true })
-	return n
-}
+// NumNodes counts the scopes in the tree, excluding the root: every scope
+// under Root is a row of the tree's store, and the root is one more.
+func (t *Tree) NumNodes() int { return t.arena.store.NumRows() - 1 }
 
 // Total returns the root's inclusive value of a metric column: the
 // denominator for the percent annotations in every view.

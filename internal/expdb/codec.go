@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
@@ -239,7 +241,7 @@ type decoder struct {
 	// bounds every scope count — and what a lying one makes the tree
 	// allocate.
 	pending uint64
-	seen    keySet
+	seen    sibTable
 	base    []colVal // one scope's Base list, reused
 }
 
@@ -259,6 +261,16 @@ func (d *decoder) uvarint() (uint64, error) {
 	}
 	d.pos += n
 	return v, nil
+}
+
+// varints reads len(r) uvarints into r.
+func (d *decoder) varints(r []uint64) (err error) {
+	for j := range r {
+		if r[j], err = d.uvarint(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (d *decoder) f64() (float64, error) {
@@ -287,14 +299,6 @@ func (d *decoder) ref(i uint64) (intern.Sym, error) {
 		return 0, fmt.Errorf("expdb: string ref %d out of range", i)
 	}
 	return d.syms[i], nil
-}
-
-func (d *decoder) sym() (intern.Sym, error) {
-	i, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return d.ref(i)
 }
 
 // bytes reads a length-prefixed string, aliasing the input.
@@ -369,18 +373,18 @@ func (d *decoder) strings() error {
 }
 
 func (d *decoder) header(e *Experiment) error {
-	prog, err := d.sym()
+	var f [2]uint64 // program ranks
+	if err := d.varints(f[:]); err != nil {
+		return err
+	}
+	prog, err := d.ref(f[0])
 	if err != nil {
 		return err
 	}
-	ranks, err := d.uvarint()
-	if err != nil {
-		return err
+	if f[1] > math.MaxInt32 {
+		return fmt.Errorf("expdb: implausible rank count %d", f[1])
 	}
-	if ranks > math.MaxInt32 {
-		return fmt.Errorf("expdb: implausible rank count %d", ranks)
-	}
-	e.Program, e.NRanks = prog.String(), int(ranks)
+	e.Program, e.NRanks = prog.String(), int(f[1])
 	return nil
 }
 
@@ -396,10 +400,8 @@ func (d *decoder) metrics() (*metric.Registry, error) {
 	descs := make([]metricDesc, n)
 	for i := range descs {
 		var f [7]uint64 // name unit kind period formula op source
-		for j := range f {
-			if f[j], err = d.uvarint(); err != nil {
-				return nil, err
-			}
+		if err := d.varints(f[:]); err != nil {
+			return nil, err
 		}
 		var s [3]intern.Sym
 		for j, ref := range [3]uint64{f[0], f[1], f[4]} {
@@ -461,46 +463,21 @@ func (d *decoder) children(parent *core.Node, count uint64, what string, depth i
 	parent.GrowChildren(int(count))
 	for ; count > 0; count-- {
 		d.pending--
-		kindU, err := d.uvarint()
-		if err != nil {
+		// kind name file line id callLine callFile mod flags
+		var r [9]uint64
+		if err := d.record(&r); err != nil {
 			return err
 		}
-		if kindU == uint64(core.KindRoot) || kindU > uint64(core.KindCallSite) {
-			return fmt.Errorf("expdb: bad node kind %d", kindU)
+		if r[0] == uint64(core.KindRoot) || r[0] > uint64(core.KindCallSite) {
+			return fmt.Errorf("expdb: bad node kind %d", r[0])
 		}
-		key := core.Key{Kind: core.Kind(kindU)}
-		if key.Name, err = d.sym(); err != nil {
-			return err
+		if ref := max(r[1], r[2], r[6], r[7]); ref >= uint64(len(d.syms)) {
+			return fmt.Errorf("expdb: string ref %d out of range", ref)
 		}
-		if key.File, err = d.sym(); err != nil {
-			return err
-		}
-		line, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		key.Line = int(line)
-		if key.ID, err = d.uvarint(); err != nil {
-			return err
-		}
-		n := parent.AppendChild(key)
+		n := parent.AppendChild(core.Key{Kind: core.Kind(r[0]), Name: d.syms[r[1]], File: d.syms[r[2]], Line: int(r[3]), ID: r[4]})
 		d.nodes = append(d.nodes, n)
-		callLine, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		n.CallLine = int(callLine)
-		if n.CallFile, err = d.sym(); err != nil {
-			return err
-		}
-		if n.Mod, err = d.sym(); err != nil {
-			return err
-		}
-		flags, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		n.NoSource = flags&1 != 0
+		n.CallLine, n.CallFile, n.Mod, n.NoSource = int(r[5]), d.syms[r[6]], d.syms[r[7]], r[8]&1 != 0
+		var err error
 		if d.layout&inlineBase != 0 {
 			if d.base, err = d.vals(d.base[:0]); err != nil {
 				return err
@@ -526,17 +503,54 @@ func (d *decoder) children(parent *core.Node, count uint64, what string, depth i
 			return err
 		}
 	}
-	return d.seen.uniqueKeys(parent.Children)
+	return d.seen.unique(parent.Children)
 }
 
-// keySet is the scratch set behind the duplicate-key check of wide sibling
-// lists.
-type keySet map[core.Key]struct{}
+// record reads a scope's nine header varints into r: a single byte inline,
+// a longer varint through uvarint.
+func (d *decoder) record(r *[9]uint64) error {
+	p := d.pos
+	for j := range r {
+		if p < len(d.buf) && d.buf[p] < 0x80 {
+			r[j] = uint64(d.buf[p])
+			p++
+			continue
+		}
+		d.pos = p
+		v, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		r[j], p = v, d.pos
+	}
+	d.pos = p
+	return nil
+}
 
-// uniqueKeys rejects a sibling list in which two scopes share a key: Child
+// sibSeed keys the sibling table's hash per process, as Go seeds its
+// maps: a crafted file cannot aim a wide list at one probe chain.
+var sibSeed = rand.Uint64()
+
+// sibWork counts the table slots the sibling check has probed or
+// allocated, over the process: the work a read does is linear in its
+// scopes (TestSiblingCheckLinear).
+var sibWork atomic.Int64
+
+// sibTable is the duplicate-key check of sibling lists: an open-addressed
+// table of indexes into the list, each slot stamped with the list that
+// wrote it, so a new list starts with one increment instead of a clear —
+// clearing a Go map costs its capacity, the widest list seen so far.
+type sibTable struct {
+	slots []sibSlot // a power of two long
+	stamp uint32
+}
+
+type sibSlot struct{ stamp, i uint32 }
+
+// unique rejects a sibling list in which two scopes share a key: Child
 // would find only one of them, and a writer would merge them. Every reader
 // builds its scopes with AppendChild and answers for this rule here.
-func (s *keySet) uniqueKeys(ns []*core.Node) error {
+func (t *sibTable) unique(ns []*core.Node) error {
 	if len(ns) <= 8 { // a few 32-byte compares beat hashing
 		for i, a := range ns {
 			for _, b := range ns[:i] {
@@ -547,17 +561,43 @@ func (s *keySet) uniqueKeys(ns []*core.Node) error {
 		}
 		return nil
 	}
-	if *s == nil {
-		*s = make(keySet, 2*len(ns))
+	size := 16
+	for size < 2*len(ns) {
+		size *= 2
 	}
-	clear(*s)
-	for _, a := range ns {
-		if _, dup := (*s)[a.Key]; dup {
-			return fmt.Errorf("expdb: duplicate sibling %s", a.Label())
+	work := 0
+	if t.stamp++; t.stamp == 0 || size > len(t.slots) { // a fresh table on growth and on wrap
+		work = max(size, len(t.slots))
+		t.slots, t.stamp = make([]sibSlot, work), 1
+	}
+	mask := uint64(size - 1)
+	for i, a := range ns {
+		for h := sibHash(&a.Key); ; h++ {
+			work++
+			s := &t.slots[h&mask]
+			if s.stamp != t.stamp {
+				*s = sibSlot{t.stamp, uint32(i)}
+				break
+			}
+			if ns[s.i].Key == a.Key {
+				return fmt.Errorf("expdb: duplicate sibling %s", a.Label())
+			}
 		}
-		(*s)[a.Key] = struct{}{}
 	}
+	sibWork.Add(int64(work))
 	return nil
+}
+
+// sibHash mixes a key's fields under the process seed, multiply and
+// xorshift at a time.
+func sibHash(k *core.Key) uint64 {
+	h := (uint64(k.Name)<<32 | uint64(k.File)) ^ sibSeed
+	h = (h ^ h>>31) * 0x9e3779b97f4a7c15
+	h ^= uint64(k.Line)<<8 | uint64(k.Kind)
+	h = (h ^ h>>29) * 0xbf58476d1ce4e5b9
+	h ^= k.ID
+	h = (h ^ h>>32) * 0x94d049bb133111eb
+	return h ^ h>>29
 }
 
 // overrideLists reads one scope's inclusive and exclusive override lists.
@@ -620,10 +660,8 @@ func (d *decoder) provenance() (*ingest.Report, error) {
 			return nil, err
 		}
 		var f [3]uint64 // rank+1, offset+1, class
-		for i := range f {
-			if f[i], err = d.uvarint(); err != nil {
-				return nil, err
-			}
+		if err := d.varints(f[:]); err != nil {
+			return nil, err
 		}
 		if f[0] > math.MaxInt32 {
 			return nil, fmt.Errorf("expdb: implausible quarantined rank %d", f[0])

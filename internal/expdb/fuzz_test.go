@@ -150,9 +150,14 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(bad)
 	}
 
-	// Two same-key siblings, which every reader refuses, and a v1 file
-	// whose root overrides ride in the optional trailer.
+	// Two same-key siblings, which every reader refuses, in a short list
+	// and in a wide one; a tree whose header fields need several varint
+	// bytes; and a v1 file whose root overrides ride in the optional
+	// trailer.
 	dup := dupSiblings(f)
+	wideKeys := stmts(64, 1)
+	wideKeys[63] = wideKeys[31]
+	wideDup := siblingLists(f, stmts(3, 1), wideKeys)
 	rt := New(core.Fig1Tree())
 	d, err := rt.Tree.Reg.AddComputed("scaling loss", "cycles")
 	if err != nil {
@@ -166,6 +171,8 @@ func FuzzReadBinary(f *testing.F) {
 	}{
 		{dup, (*Experiment).WriteBinaryV1},
 		{dup, (*Experiment).WriteBinary},
+		{wideDup, (*Experiment).WriteBinaryV3},
+		{multiByteTree(f), (*Experiment).WriteBinaryV3},
 		{rt, (*Experiment).WriteBinaryV1},
 	} {
 		var b bytes.Buffer

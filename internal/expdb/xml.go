@@ -318,11 +318,11 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 	}
 	// Scopes were appended as they came: the binary readers' sibling rule
 	// decides whether they form a tree.
-	var seen keySet
+	var seen sibTable
 	var dup error
 	core.Walk(e.Tree.Root, func(n *core.Node) bool {
 		if dup == nil {
-			dup = seen.uniqueKeys(n.Children)
+			dup = seen.unique(n.Children)
 		}
 		return dup == nil
 	})
