@@ -23,8 +23,10 @@ package callpath
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/diff"
 	"repro/internal/engine"
 	"repro/internal/expdb"
 	"repro/internal/imbalance"
@@ -36,7 +38,6 @@ import (
 	"repro/internal/prog"
 	"repro/internal/render"
 	"repro/internal/sampler"
-	"repro/internal/scaling"
 	"repro/internal/structfile"
 	"repro/internal/workloads"
 )
@@ -270,25 +271,91 @@ func WriteBinary(w io.Writer, e *Experiment) error { return e.WriteBinary(w) }
 func ReadXML(r io.Reader) (*Experiment, error)     { return expdb.ReadXML(r) }
 func ReadBinary(r io.Reader) (*Experiment, error)  { return expdb.Read(r) }
 
-// Scalability analysis (Section VI-A): difference two runs of the same
-// program under a scaling expectation.
-type (
-	// ScalingConfig describes the pair of runs being compared.
-	ScalingConfig = scaling.Config
-	// ScalingResult reports where scalability was lost.
-	ScalingResult = scaling.Result
-)
+// Scalability analysis (Section VI-A): "a derived metric that quantifies
+// scaling loss by scaling and differencing call path profiles from a pair
+// of executions". The runs are matched by the diff union, and the excess
+// work is a formula over its per-rank cost columns,
+//
+//	excess(s) = cost_big(s) − f·cost_small(s)
+//
+// with f = 1 under weak scaling (per-rank cost should stay constant) and
+// f = ranks_small/ranks_big under strong scaling (total cost should).
+
+// ScalingMode selects the scaling expectation.
+type ScalingMode = diff.Mode
 
 // Scaling modes.
 const (
-	WeakScaling   = scaling.Weak
-	StrongScaling = scaling.Strong
+	WeakScaling   = diff.ModeWeak
+	StrongScaling = diff.ModeStrong
 )
 
-// AnalyzeScaling annotates big's tree with a scaling-loss column computed
-// against small's per-rank costs.
+// ScalingConfig describes the pair of runs being compared.
+type ScalingConfig struct {
+	// Metric is the raw cost column both runs carry (default "CYCLES").
+	Metric string
+	// Mode is StrongScaling or, for any other value, WeakScaling.
+	Mode ScalingMode
+	// RanksSmall and RanksBig are the process counts of the runs: after
+	// a quarantining merge, its NRanks (the ranks it folded).
+	RanksSmall, RanksBig int
+	// Name is the excess column's name (default "scaling loss").
+	Name string
+}
+
+// ScalingResult reports where scalability was lost.
+type ScalingResult struct {
+	// Tree is the diff union of the runs, with per-rank cost columns
+	// Metric[small] and Metric[big].
+	Tree *Tree
+	// Column is the excess column of Tree, a derived formula.
+	Column int
+	// TotalExcess is the root's inclusive excess.
+	TotalExcess float64
+	// TotalCost is the big run's root inclusive per-rank cost.
+	TotalCost float64
+}
+
+// LossFraction is the fraction of the big run's cost that is scaling loss.
+func (r *ScalingResult) LossFraction() float64 {
+	if r.TotalCost == 0 {
+		return 0
+	}
+	return r.TotalExcess / r.TotalCost
+}
+
+// AnalyzeScaling unions the two runs' trees with per-rank costs and adds
+// the excess-work column to the union. The input trees are only read.
 func AnalyzeScaling(small, big *Tree, cfg ScalingConfig) (*ScalingResult, error) {
-	return scaling.Analyze(small, big, cfg)
+	if cfg.Metric == "" {
+		cfg.Metric = "CYCLES"
+	}
+	if cfg.Name == "" {
+		cfg.Name = "scaling loss"
+	}
+	if cfg.RanksSmall <= 0 || cfg.RanksBig <= 0 {
+		return nil, fmt.Errorf("callpath: scaling: rank counts must be positive (got %d, %d)", cfg.RanksSmall, cfg.RanksBig)
+	}
+	// Per-rank costs make every mode but strong expect f = 1.
+	u, err := diff.Diff(diff.Config{Metrics: []string{cfg.Metric}, Mode: cfg.Mode, Norm: diff.NormPerRank},
+		diff.Input{Label: "small", Exp: &Experiment{Program: small.Program, NRanks: cfg.RanksSmall, Tree: small}},
+		diff.Input{Label: "big", Exp: &Experiment{Program: big.Program, NRanks: cfg.RanksBig, Tree: big}})
+	if err != nil {
+		return nil, fmt.Errorf("callpath: scaling: %w", err)
+	}
+	mc := u.Metrics[0]
+	f := strconv.FormatFloat(u.Inputs[1].Factor, 'g', -1, 64)
+	col, err := AddDerived(u.Tree, cfg.Name, fmt.Sprintf("$%d - %s*$%d", mc.In[1], f, mc.In[0]))
+	if err != nil {
+		return nil, fmt.Errorf("callpath: scaling: %w", err)
+	}
+	u.Tree.Reg.ByID(col).Unit = mc.Unit
+	return &ScalingResult{
+		Tree:        u.Tree,
+		Column:      col,
+		TotalExcess: u.Tree.Root.Incl.Get(col),
+		TotalCost:   u.Tree.Root.Incl.Get(mc.In[1]),
+	}, nil
 }
 
 // Interactive presentation (the hpcviewer session: expand/collapse, hot

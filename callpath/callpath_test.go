@@ -228,7 +228,11 @@ func TestAnalyzeScalingThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Column <= 0 {
+	if res.Column <= 0 || res.Tree.Reg.ByID(res.Column).Name != "scaling loss" {
 		t.Fatal("no scaling column")
+	}
+	// The excess is a column of the union; the input trees are only read.
+	if big.Experiment.Tree.Reg.ByName("scaling loss") != nil {
+		t.Fatal("AnalyzeScaling added a column to the big run's tree")
 	}
 }

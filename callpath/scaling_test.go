@@ -1,4 +1,4 @@
-package scaling
+package callpath
 
 import (
 	"math"
@@ -17,8 +17,7 @@ import (
 // scalableProg builds an SPMD program with one perfectly weak-scaling
 // phase (fixed per-rank work) and one non-scaling phase whose per-rank
 // work grows with the rank count (e.g. an all-to-all-like exchange).
-func scalableProg(t *testing.T) *prog.Program {
-	t.Helper()
+func scalableProg() *prog.Program {
 	return prog.NewBuilder("scale").
 		File("app.f90").
 		Proc("compute", 10,
@@ -44,12 +43,12 @@ func (nRanks) Eval(p *prog.Params) int64 {
 	return int64(p.NRanks)
 }
 
-// runResAt simulates the program at the given width and merges the first
+// scaleRun simulates the program at the given width and merges the first
 // keep ranks (all of them when keep <= 0), mimicking a quarantining merge
 // where some rank files were dropped.
-func runResAt(t *testing.T, ranks, keep int) *merge.Result {
+func scaleRun(t *testing.T, ranks, keep int) *merge.Result {
 	t.Helper()
-	im, err := lower.Lower(scalableProg(t), lower.Options{})
+	im, err := lower.Lower(scalableProg(), lower.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,38 +72,35 @@ func runResAt(t *testing.T, ranks, keep int) *merge.Result {
 	return res
 }
 
-func runAt(t *testing.T, ranks int) *core.Tree {
+// scaling runs AnalyzeScaling on two merges with their own rank counts.
+func scaling(t *testing.T, small, big *merge.Result, cfg ScalingConfig) *ScalingResult {
 	t.Helper()
-	return runResAt(t, ranks, 0).Tree
-}
-
-func TestWeakScalingLossAttribution(t *testing.T) {
-	small := runAt(t, 2)
-	big := runAt(t, 8)
-	res, err := Analyze(small, big, Config{
-		Metric: "CYCLES", Mode: Weak, RanksSmall: 2, RanksBig: 8,
-	})
+	cfg.RanksSmall, cfg.RanksBig = small.NRanks, big.NRanks
+	res, err := AnalyzeScaling(small.Tree, big.Tree, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestWeakScalingLossAttribution(t *testing.T) {
+	res := scaling(t, scaleRun(t, 2, 0), scaleRun(t, 8, 0), ScalingConfig{Metric: "CYCLES", Mode: WeakScaling})
 	// compute scales perfectly: its excess is ~0. exchange grows from
 	// 40*100 to 160*100 cycles per rank: excess ~12000.
-	comp := big.FindPath("main", "compute")
-	exch := big.FindPath("main", "exchange")
+	comp := res.Tree.FindPath("main", "compute")
+	exch := res.Tree.FindPath("main", "exchange")
 	if comp == nil || exch == nil {
 		t.Fatal("scopes missing")
 	}
 	if ex := comp.Incl.Get(res.Column); math.Abs(ex) > 500 {
 		t.Fatalf("compute excess = %g, want ~0", ex)
 	}
-	exEx := exch.Incl.Get(res.Column)
-	if exEx < 10000 || exEx > 14000 {
-		t.Fatalf("exchange excess = %g, want ~12000", exEx)
+	if ex := exch.Incl.Get(res.Column); ex < 10000 || ex > 14000 {
+		t.Fatalf("exchange excess = %g, want ~12000", ex)
 	}
-	// The loss hot path leads to exchange.
-	path := core.HotPath(big.Root, res.Column, 0.5)
+	// The hot path over the loss column leads to exchange.
 	found := false
-	for _, n := range path {
+	for _, n := range core.HotPath(res.Tree.Root, res.Column, 0.5) {
 		if n.Name.String() == "exchange" {
 			found = true
 		}
@@ -124,15 +120,12 @@ func TestStrongScalingExpectation(t *testing.T) {
 	// Under strong scaling the expectation divides the small run's cost
 	// by the parallelism ratio, so even the perfectly weak-scaling
 	// compute phase shows loss (its total work did not shrink).
-	small := runAt(t, 2)
-	big := runAt(t, 8)
-	res, err := Analyze(small, big, Config{
-		Metric: "CYCLES", Mode: Strong, RanksSmall: 2, RanksBig: 8, Name: "strong loss",
-	})
-	if err != nil {
-		t.Fatal(err)
+	res := scaling(t, scaleRun(t, 2, 0), scaleRun(t, 8, 0),
+		ScalingConfig{Metric: "CYCLES", Mode: StrongScaling, Name: "strong loss"})
+	if d := res.Tree.Reg.ByID(res.Column); d.Name != "strong loss" || d.Formula != "$1 - 0.25*$0" {
+		t.Fatalf("excess column = %q %q", d.Name, d.Formula)
 	}
-	comp := big.FindPath("main", "compute")
+	comp := res.Tree.FindPath("main", "compute")
 	// per-rank compute is 10000 cycles in both runs; strong expectation
 	// is 10000/4 = 2500, so excess ~7500.
 	if ex := comp.Incl.Get(res.Column); ex < 6500 || ex > 8500 {
@@ -140,62 +133,54 @@ func TestStrongScalingExpectation(t *testing.T) {
 	}
 }
 
-// AnalyzeMerged takes the rank counts from the merges, so a merge that
-// quarantined ranks normalizes by the ranks actually folded — identical to
-// Analyze fed the post-quarantine counts explicitly.
-func TestAnalyzeMergedUsesActualRankCounts(t *testing.T) {
-	small := runResAt(t, 2, 0)
+// After a quarantining merge the merge's NRanks counts only the ranks
+// folded, and normalizing by it keeps per-rank costs right.
+func TestScalingRankCountsFromQuarantinedMerge(t *testing.T) {
+	small := scaleRun(t, 2, 0)
 	// Two ranks of the 8-wide run were "quarantined".
-	big := runResAt(t, 8, 6)
+	big := scaleRun(t, 8, 6)
 	if big.NRanks != 6 {
 		t.Fatalf("NRanks = %d, want 6", big.NRanks)
 	}
-	res, err := AnalyzeMerged(small, big, Config{Metric: "CYCLES", Mode: Weak})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := runResAt(t, 8, 6)
-	refRes, err := Analyze(small.Tree, ref.Tree, Config{
-		Metric: "CYCLES", Mode: Weak, RanksSmall: 2, RanksBig: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.TotalExcess-refRes.TotalExcess) > 1e-9 {
-		t.Fatalf("TotalExcess = %g, want %g", res.TotalExcess, refRes.TotalExcess)
-	}
-	exch := big.Tree.FindPath("main", "exchange")
+	res := scaling(t, small, big, ScalingConfig{Metric: "CYCLES", Mode: WeakScaling})
+	// Per-rank exchange work is rank-count-proportional even in the
+	// truncated merge: 160*100 − 40*100 = 12000 per rank.
+	exch := res.Tree.FindPath("main", "exchange")
 	if exch == nil {
 		t.Fatal("exchange missing")
 	}
-	// Per-rank exchange work is rank-count-proportional even in the
-	// truncated merge: 160*100 − 40*100 = 12000 per rank.
 	if ex := exch.Incl.Get(res.Column); ex < 10000 || ex > 14000 {
 		t.Fatalf("exchange excess = %g, want ~12000", ex)
 	}
-	if _, err := AnalyzeMerged(nil, big, Config{}); err == nil {
-		t.Fatal("nil result accepted")
+	// Normalizing by the 8 ranks the run was launched with instead
+	// undercounts every per-rank cost by a quarter.
+	wrong, err := AnalyzeScaling(small.Tree, big.Tree, ScalingConfig{RanksSmall: 2, RanksBig: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wrong.TotalCost, res.TotalCost*6/8; math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("TotalCost over 8 ranks = %g, want %g", got, want)
 	}
 }
 
-func TestAnalyzeErrors(t *testing.T) {
-	small := runAt(t, 2)
-	big := runAt(t, 4)
-	if _, err := Analyze(small, big, Config{Metric: "NOPE", RanksSmall: 2, RanksBig: 4}); err == nil {
+func TestAnalyzeScalingErrors(t *testing.T) {
+	small, big := scaleRun(t, 2, 0).Tree, scaleRun(t, 4, 0).Tree
+	if _, err := AnalyzeScaling(small, big, ScalingConfig{Metric: "NOPE", RanksSmall: 2, RanksBig: 4}); err == nil {
 		t.Fatal("missing metric accepted")
 	}
-	if _, err := Analyze(small, big, Config{RanksSmall: 0, RanksBig: 4}); err == nil {
+	if _, err := AnalyzeScaling(small, big, ScalingConfig{RanksSmall: 0, RanksBig: 4}); err == nil {
 		t.Fatal("zero ranks accepted")
 	}
-	if _, err := Analyze(small, big, Config{RanksSmall: 2, RanksBig: 4, Name: "l"}); err != nil {
+	if _, err := AnalyzeScaling(small, big, ScalingConfig{RanksSmall: 2, RanksBig: 4, Name: "l"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(small, big, Config{RanksSmall: 2, RanksBig: 4, Name: "l"}); err == nil {
+	// The union already has a column of that name.
+	if _, err := AnalyzeScaling(small, big, ScalingConfig{RanksSmall: 2, RanksBig: 4, Name: "in[big]"}); err == nil {
 		t.Fatal("duplicate column accepted")
 	}
 }
 
-func TestScopeOnlyInBigRun(t *testing.T) {
+func TestScalingScopeOnlyInBigRun(t *testing.T) {
 	// A scope absent from the small run contributes its full big-run
 	// cost as excess.
 	small := core.NewTree("s", nil)
@@ -219,14 +204,15 @@ func TestScopeOnlyInBigRun(t *testing.T) {
 	es.Base.Add(0, 50)
 	big.ComputeMetrics()
 
-	res, err := Analyze(small, big, Config{Metric: "CYCLES", Mode: Weak, RanksSmall: 1, RanksBig: 1})
+	res, err := AnalyzeScaling(small, big, ScalingConfig{Metric: "CYCLES", Mode: WeakScaling, RanksSmall: 1, RanksBig: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := extra.Incl.Get(res.Column); ex != 50 {
+	um := res.Tree.Root.Child(bm.Key, false)
+	if ex := um.Child(extra.Key, false).Incl.Get(res.Column); ex != 50 {
 		t.Fatalf("new phase excess = %g, want 50", ex)
 	}
-	if ex := bs.Incl.Get(res.Column); ex != 0 {
+	if ex := um.Child(bs.Key, false).Incl.Get(res.Column); ex != 0 {
 		t.Fatalf("matched stmt excess = %g, want 0", ex)
 	}
 }

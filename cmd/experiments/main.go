@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/callpath"
 	"repro/internal/core"
 	"repro/internal/correlate"
 	"repro/internal/expdb"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/objview"
 	"repro/internal/profile"
 	"repro/internal/sampler"
-	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/structfile"
 	"repro/internal/workloads"
@@ -363,8 +363,8 @@ func scalingLoss() error {
 	if err != nil {
 		return err
 	}
-	res, err := scaling.Analyze(small.Tree, big.Tree, scaling.Config{
-		Metric: "CYCLES", Mode: scaling.Weak, RanksSmall: 4, RanksBig: 16,
+	res, err := callpath.AnalyzeScaling(small.Tree, big.Tree, callpath.ScalingConfig{
+		Metric: "CYCLES", Mode: callpath.WeakScaling, RanksSmall: small.NRanks, RanksBig: big.NRanks,
 	})
 	if err != nil {
 		return err

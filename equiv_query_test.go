@@ -88,21 +88,28 @@ func refMetrics(t *testing.T, tr *core.Tree) (incl, excl map[*core.Node][]float6
 	visit(tr.Root)
 
 	// Derived columns, evaluated per node over the reference values with the
-	// scalar EvalEnv path — in registry order, so chained formulas see the
-	// earlier derived results, exactly like both real implementations.
+	// expression tree (the store's -0 normalization applied) — in registry
+	// order, so chained formulas see the earlier derived results, exactly
+	// like both real implementations.
 	for _, d := range tr.Reg.Columns() {
 		if d.Kind != metric.Derived {
 			continue
 		}
-		p, err := d.Program()
+		e, err := d.Expr()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for n := range incl {
-			row := excl[n]
-			row[d.ID] = p.EvalEnv(metric.EnvFunc(func(id int) float64 { return row[id] }))
-			row = incl[n]
-			row[d.ID] = p.EvalEnv(metric.EnvFunc(func(id int) float64 { return row[id] }))
+			for _, row := range [][]float64{excl[n], incl[n]} {
+				v, err := e.Eval(metric.EnvFunc(func(id int) float64 { return row[id] }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v == 0 {
+					v = 0
+				}
+				row[d.ID] = v
+			}
 		}
 	}
 	return incl, excl

@@ -1,9 +1,10 @@
 // Scaling: reproduce the paper's Section VI-A analysis — "pinpoint and
 // quantify scalability bottlenecks in context [by] scaling and
 // differencing call path profiles from a pair of executions". Two
-// PFLOTRAN runs at different widths are differenced under a weak-scaling
-// expectation; the resulting scaling-loss column drives hot-path analysis
-// and sorting just like any measured metric.
+// PFLOTRAN runs at different widths are unioned with per-rank costs, and
+// a derived formula under a weak-scaling expectation computes the excess
+// work; that column drives hot-path analysis and sorting just like any
+// measured metric.
 //
 // Run with: go run ./examples/scaling [-small 4] [-big 16]
 package main
@@ -48,28 +49,25 @@ func main() {
 		*small, *big, 100*res.LossFraction())
 
 	fmt.Println("=== Hot path over scaling loss ===")
-	for _, n := range callpath.HotPath(bigTree.Root, res.Column, callpath.DefaultHotPathThreshold) {
+	union := res.Tree
+	for _, n := range callpath.HotPath(union.Root, res.Column, callpath.DefaultHotPathThreshold) {
 		if n.Kind == callpath.KindRoot {
 			continue
 		}
 		fmt.Printf("  %-44s excess %12.4g cycles/rank\n", n.Label(), n.Incl.Get(res.Column))
 	}
 
-	cyc, err := callpath.MetricColumn(bigTree, "CYCLES")
-	if err != nil {
-		log.Fatal(err)
+	var cols []callpath.RenderColumn
+	for _, name := range []string{"scaling loss", "CYCLES[big]", "CYCLES[small]"} {
+		id, err := callpath.MetricColumn(union, name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cols = append(cols, callpath.RenderColumn{MetricID: id, Inclusive: true})
 	}
-	idle, err := callpath.MetricColumn(bigTree, "IDLE")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\n=== Calling Context View sorted by scaling loss ===")
-	err = callpath.RenderTree(os.Stdout, bigTree, callpath.RenderOptions{
-		Columns: []callpath.RenderColumn{
-			{MetricID: res.Column, Inclusive: true},
-			{MetricID: cyc, Inclusive: true},
-			{MetricID: idle, Inclusive: true},
-		},
+	fmt.Println("\n=== Calling Context View of the union, sorted by scaling loss ===")
+	err = callpath.RenderTree(os.Stdout, union, callpath.RenderOptions{
+		Columns:  cols,
 		Sort:     callpath.SortSpec{MetricID: res.Column},
 		MaxDepth: 5,
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/metric"
 )
@@ -247,25 +248,38 @@ func compileDerived(reg *metric.Registry, dst []compiledDerived) ([]compiledDeri
 // node of the subtree rooted at start, storing results in both the
 // exclusive and inclusive vectors (a derived column is a spreadsheet
 // formula applied row-wise to whichever flavor is displayed, Section V-D).
-// Formulas are compiled once; the per-node evaluation cannot fail after
-// that.
+// The subtree's values are gathered into columns, in registry order so a
+// formula sees the final values of the derived columns before it, and run
+// through the same compiled kernels as ApplyDerivedTree.
 func ApplyDerived(reg *metric.Registry, start *Node) error {
 	derived, err := compileDerived(reg, nil)
-	if err != nil {
+	if err != nil || len(derived) == 0 {
 		return err
 	}
-	if len(derived) == 0 {
-		return nil
-	}
-	Walk(start, func(n *Node) bool {
-		for _, d := range derived {
-			ev := d.prog.EvalEnv(metric.EnvFunc(n.Excl.Get))
-			n.Excl.Set(d.id, ev)
-			iv := d.prog.EvalEnv(metric.EnvFunc(n.Incl.Get))
-			n.Incl.Set(d.id, iv)
+	var nodes []*Node
+	Walk(start, func(n *Node) bool { nodes = append(nodes, n); return true })
+	vec := func(n *Node, incl bool) *metric.View {
+		if incl {
+			return &n.Incl
 		}
-		return true
-	})
+		return &n.Excl
+	}
+	dst := make([]float64, len(nodes))
+	for _, d := range derived {
+		for _, incl := range []bool{false, true} {
+			cols := make([][]float64, len(d.prog.ColumnRefs()))
+			for i, id := range d.prog.ColumnRefs() {
+				cols[i] = make([]float64, len(nodes))
+				for r, n := range nodes {
+					cols[i][r] = vec(n, incl).Get(id)
+				}
+			}
+			d.prog.EvalCols(dst, cols)
+			for r, n := range nodes {
+				vec(n, incl).Set(d.id, dst[r])
+			}
+		}
+	}
 	return nil
 }
 
@@ -273,8 +287,12 @@ func ApplyDerived(reg *metric.Registry, start *Node) error {
 // runs as a vectorized kernel over whole metric columns: per derived column
 // — in registry order, so a later formula referencing an earlier derived
 // column sees its final values, like the per-node walk — the referenced
-// slabs are prefetched once and the compiled program fills the output
-// column in a single pass.
+// slabs are read in place and the compiled program fills the output column
+// in one pass. Every slab is materialized first, single-threaded; then,
+// when GOMAXPROCS > 1, the exclusive plane is evaluated on a second
+// goroutine while this one evaluates the inclusive plane. A formula reads
+// and writes one plane only, so the planes share no column and the result
+// does not depend on the split.
 func (t *Tree) ApplyDerivedTree() error {
 	st := t.arena.store
 	derived, err := compileDerived(t.Reg, t.derived[:0])
@@ -282,16 +300,51 @@ func (t *Tree) ApplyDerivedTree() error {
 	if err != nil {
 		return err
 	}
+	if len(derived) == 0 {
+		return nil
+	}
+	// Col may grow store bookkeeping, which must not race.
 	for _, d := range derived {
-		refs := d.prog.ColumnRefs()
-		for _, plane := range [2]metric.Plane{metric.PlaneExcl, metric.PlaneIncl} {
-			cols := t.kernCols[:0]
-			for _, rc := range refs {
-				cols = append(cols, st.Col(plane, rc))
+		for _, plane := range derivedPlanes {
+			for _, rc := range d.prog.ColumnRefs() {
+				st.Col(plane, rc)
 			}
-			t.kernCols = cols
-			d.prog.EvalCols(st.Col(plane, d.id), cols)
+			st.Col(plane, d.id)
 		}
 	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.applyDerivedPlane(0)
+		t.applyDerivedPlane(1)
+		return nil
+	}
+	if t.exclJob == nil {
+		// A func value without arguments starts a goroutine without
+		// allocating a closure per call.
+		t.exclJob = func() {
+			t.applyDerivedPlane(0)
+			t.planeWG.Done()
+		}
+	}
+	t.planeWG.Add(1)
+	go t.exclJob()
+	t.applyDerivedPlane(1)
+	t.planeWG.Wait()
 	return nil
+}
+
+// derivedPlanes are the planes a derived column is evaluated on.
+var derivedPlanes = [2]metric.Plane{metric.PlaneExcl, metric.PlaneIncl}
+
+// applyDerivedPlane runs every derived kernel over derivedPlanes[i], which
+// ApplyDerivedTree has materialized. It only reads the store.
+func (t *Tree) applyDerivedPlane(i int) {
+	st, plane := t.arena.store, derivedPlanes[i]
+	for _, d := range t.derived {
+		cols := t.kernCols[i][:0]
+		for _, rc := range d.prog.ColumnRefs() {
+			cols = append(cols, st.ColRead(plane, rc))
+		}
+		t.kernCols[i] = cols
+		d.prog.EvalCols(st.ColRead(plane, d.id), cols)
+	}
 }

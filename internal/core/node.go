@@ -344,11 +344,16 @@ type Tree struct {
 
 	// topo and the kernel scratch slices are reused across recomputations
 	// and derived-metric sweeps so the steady state allocates nothing;
-	// they are only touched by the single writer that mutates the tree.
+	// they are only touched by the single writer that mutates the tree
+	// (kernCols[i] by the goroutine evaluating derivedPlanes[i]).
 	topo     topoScratch
 	fl       []float64
-	kernCols [][]float64
+	kernCols [2][][]float64
 	derived  []compiledDerived
+	// exclJob evaluates the exclusive plane on ApplyDerivedTree's second
+	// goroutine; planeWG waits for it.
+	exclJob func()
+	planeWG sync.WaitGroup
 }
 
 // NewTree creates an empty tree with the given registry (a fresh one when

@@ -1,9 +1,12 @@
 // Package diff implements differential profiling: the structural union of
 // two or more experiment databases into one calling context tree whose
 // metric store carries, for every compared cost metric, per-input columns
-// plus computed delta, ratio and scaling-loss columns — ordinary metric
-// columns, so every existing view (top-down, callers, flat), sort, hot
-// path and threshold renders a diff with zero view-layer changes.
+// plus delta, ratio and scaling-loss columns. The comparison columns are
+// derived metrics (Section V-D): formulas over the per-input columns that
+// core.Tree.ApplyDerivedTree evaluates like any other, so every existing
+// view (top-down, callers, flat), sort, hot path and threshold renders a
+// diff with zero view-layer changes, and a saved union stores formulas
+// instead of values.
 //
 // Scopes are matched structurally by their full core.Key at every level
 // (frame symbol + structure scope + disambiguating ID), the same identity
@@ -25,16 +28,14 @@
 // beats the prediction, and 0 where the compared run has no cost.
 //
 // Determinism: the union is built single-threaded in first-appearance
-// order and the column kernels write disjoint slabs, so a diff result —
-// including its serialized form — is byte-identical regardless of the
-// number of kernel workers.
+// order and every formula reads and writes one plane, so a diff result —
+// including its serialized form — is byte-identical at any GOMAXPROCS.
 package diff
 
 import (
 	"fmt"
-	"runtime"
+	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
@@ -122,7 +123,8 @@ type Config struct {
 	Norm Norm
 	// Jobs is ignored.
 	//
-	// Deprecated: the kernels run on min(GOMAXPROCS, tasks) workers.
+	// Deprecated: the comparison columns are derived formulas, evaluated
+	// by core.Tree.ApplyDerivedTree.
 	Jobs int
 }
 
@@ -143,9 +145,9 @@ type InputInfo struct {
 }
 
 // MetricCols maps one compared metric to its columns in the union
-// registry. Delta/Ratio/Loss are indexed by input minus one (entry 0
-// compares input 1 against the baseline input 0); Loss is nil under
-// ModeNone.
+// registry. Delta/Ratio/Loss are derived columns indexed by input minus
+// one (entry 0 compares input 1 against the baseline input 0); Loss is nil
+// under ModeNone.
 type MetricCols struct {
 	// Name is the source metric name, e.g. "CYCLES".
 	Name string
@@ -159,15 +161,6 @@ type MetricCols struct {
 	Ratio []int
 	// Loss holds scaling-loss columns 1 − a·f/b, e.g. CYCLES[loss(B)].
 	Loss []int
-}
-
-// kernelTask recomputes one comparison column set (delta, ratio, loss of
-// one metric against one input) on one plane. Tasks touch disjoint output
-// slabs, so any subset may run concurrently.
-type kernelTask struct {
-	plane metric.Plane
-	mi    int // index into Result.Metrics
-	ii    int // compared input (>= 1)
 }
 
 // Result is a completed diff: a fresh experiment whose tree is the
@@ -189,10 +182,6 @@ type Result struct {
 
 	// present is the per-row input bitmask backing the presence columns.
 	present []uint8
-	tasks   []kernelTask
-	// wg waits for Recompute's kernel workers; a field, because a local
-	// captured by the workers would escape and cost an allocation per call.
-	wg sync.WaitGroup
 }
 
 // labelOK reports whether a label survives the engine command grammar:
@@ -270,8 +259,8 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	notes = append(notes, mnotes...)
 
 	// Build the union registry, interleaved per metric: the per-input cost
-	// columns (the only ones with base values), then that metric's computed
-	// comparison columns; the presence columns last.
+	// columns (the only ones with base values), then that metric's
+	// comparison formulas; the presence columns last.
 	reg := metric.NewRegistry()
 	r := &Result{Mode: mode, PerRank: perRank}
 	for i := range inputs {
@@ -300,23 +289,32 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 			}
 			mc.In = append(mc.In, d.ID)
 		}
+		a := mc.In[0]
 		for i := 1; i < len(inputs); i++ {
-			d, err := reg.AddComputed(fmt.Sprintf("%s[%s-%s]", rm.name, labels[i], labels[0]), rm.unit)
+			b := mc.In[i]
+			d, err := addFormula(reg, fmt.Sprintf("%s[%s-%s]", rm.name, labels[i], labels[0]), rm.unit,
+				fmt.Sprintf("$%d - $%d", b, a))
 			if err != nil {
 				return nil, err
 			}
-			mc.Delta = append(mc.Delta, d.ID)
-			q, err := reg.AddComputed(fmt.Sprintf("%s[%s/%s]", rm.name, labels[i], labels[0]), "x")
+			mc.Delta = append(mc.Delta, d)
+			q, err := addFormula(reg, fmt.Sprintf("%s[%s/%s]", rm.name, labels[i], labels[0]), "x",
+				fmt.Sprintf("$%d / $%d", b, a))
 			if err != nil {
 				return nil, err
 			}
-			mc.Ratio = append(mc.Ratio, q.ID)
+			mc.Ratio = append(mc.Ratio, q)
 			if mode != ModeNone {
-				ls, err := reg.AddComputed(fmt.Sprintf("%s[loss(%s)]", rm.name, labels[i]), "frac")
+				// For finite $b the factor $b/$b is exactly 1, or 0
+				// where $b is (x/0 is 0): no loss is charged where the
+				// compared run has no cost. An infinite $b makes it NaN.
+				f := strconv.FormatFloat(r.Inputs[i].Factor, 'g', -1, 64)
+				ls, err := addFormula(reg, fmt.Sprintf("%s[loss(%s)]", rm.name, labels[i]), "frac",
+					fmt.Sprintf("(1 - $%d*%s/$%d) * ($%d/$%d)", a, f, b, b, b))
 				if err != nil {
 					return nil, err
 				}
-				mc.Loss = append(mc.Loss, ls.ID)
+				mc.Loss = append(mc.Loss, ls)
 			}
 		}
 		r.Metrics = append(r.Metrics, mc)
@@ -352,7 +350,6 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	// them live through the peak.
 	out.ComputeMetrics()
 	r.Tree = out
-	r.buildTasks()
 	r.Recompute()
 
 	nranks := 1
@@ -361,6 +358,16 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	}
 	r.Exp = &expdb.Experiment{Program: out.Program, NRanks: nranks, Tree: out, Notes: notes}
 	return r, nil
+}
+
+// addFormula registers a derived comparison column with its unit.
+func addFormula(reg *metric.Registry, name, unit, formula string) (int, error) {
+	d, err := reg.AddDerived(name, formula)
+	if err != nil {
+		return 0, err
+	}
+	d.Unit = unit
+	return d.ID, nil
 }
 
 // resolvedMetric is one metric chosen for comparison.
@@ -601,112 +608,17 @@ func sameShape(ins []*core.Node, ref *core.Node) bool {
 	return true
 }
 
-// buildTasks enumerates the kernel work items once, so steady-state
-// Recompute calls allocate nothing.
-func (r *Result) buildTasks() {
-	for mi := range r.Metrics {
-		for ii := 1; ii < len(r.Inputs); ii++ {
-			r.tasks = append(r.tasks,
-				kernelTask{plane: metric.PlaneIncl, mi: mi, ii: ii},
-				kernelTask{plane: metric.PlaneExcl, mi: mi, ii: ii})
-		}
-	}
-}
-
-// Recompute refills every computed column (deltas, ratios, losses,
-// presence) from the per-input columns with whole-column kernels. Diff
+// Recompute refills every comparison and presence column from the
+// per-input columns: core.Tree.ApplyDerivedTree evaluates the formulas,
+// then the presence columns are written from the per-row bitmask. Diff
 // calls it once; callers that recompute the union's presented metrics
-// (core.Tree.ComputeMetrics wipes computed columns) call it again. The
-// kernels run on min(GOMAXPROCS, tasks) workers, the calling goroutine
-// being the first, so at GOMAXPROCS 1 the steady state allocates nothing;
-// the result does not depend on the worker count, since every task writes
-// its own columns.
+// (core.Tree.ComputeMetrics wipes every column without base values) call
+// it again. The steady state allocates nothing.
 func (r *Result) Recompute() {
-	st := r.Tree.MetricStore()
-	rows := st.NumRows()
-	// Materialize every slab the kernels touch single-threaded: Col may
-	// grow store bookkeeping, which must not race.
-	for _, mc := range r.Metrics {
-		for _, p := range []metric.Plane{metric.PlaneIncl, metric.PlaneExcl} {
-			for _, c := range mc.In {
-				st.Col(p, c)
-			}
-			for i := range mc.Delta {
-				st.Col(p, mc.Delta[i])
-				st.Col(p, mc.Ratio[i])
-				if mc.Loss != nil {
-					st.Col(p, mc.Loss[i])
-				}
-			}
-		}
+	if err := r.Tree.ApplyDerivedTree(); err != nil {
+		panic(err) // registered formulas parsed, so they compile
 	}
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(r.tasks)))
-	for w := 1; w < workers; w++ {
-		r.wg.Add(1)
-		go func(tasks []kernelTask) {
-			defer r.wg.Done()
-			r.runKernels(st, rows, tasks)
-		}(r.tasks[w*len(r.tasks)/workers : (w+1)*len(r.tasks)/workers])
-	}
-	r.runKernels(st, rows, r.tasks[:len(r.tasks)/workers])
-	r.wg.Wait()
-	r.fillPresence(st)
-}
-
-// runKernels runs the kernel of each task.
-func (r *Result) runKernels(st *metric.Store, rows int, tasks []kernelTask) {
-	for _, tk := range tasks {
-		r.runKernel(st, rows, tk)
-	}
-}
-
-// runKernel computes one metric's comparison columns against one input on
-// one plane: linear sweeps over contiguous slabs. Zero results are
-// normalized (+0): slabs never hold negative zero, and the per-node
-// reference path cannot produce one either.
-func (r *Result) runKernel(st *metric.Store, rows int, tk kernelTask) {
-	mc := &r.Metrics[tk.mi]
-	a := st.ColRead(tk.plane, mc.In[0])
-	bcol := st.ColRead(tk.plane, mc.In[tk.ii])
-	d := st.ColRead(tk.plane, mc.Delta[tk.ii-1])
-	q := st.ColRead(tk.plane, mc.Ratio[tk.ii-1])
-	var ls []float64
-	if mc.Loss != nil {
-		ls = st.ColRead(tk.plane, mc.Loss[tk.ii-1])
-	}
-	f := r.Inputs[tk.ii].Factor
-	for row := 0; row < rows; row++ {
-		var av, bv float64
-		if row < len(a) {
-			av = a[row]
-		}
-		if row < len(bcol) {
-			bv = bcol[row]
-		}
-		dv := bv - av
-		if dv == 0 {
-			dv = 0
-		}
-		d[row] = dv
-		var qv float64
-		if av != 0 {
-			qv = bv / av
-			if qv == 0 {
-				qv = 0
-			}
-		}
-		q[row] = qv
-		if ls != nil {
-			var lv float64
-			if bv != 0 {
-				lv = 1 - av*f/bv
-				if lv == 0 {
-					lv = 0
-				}
-			}
-			ls[row] = lv
-		}
-	}
+	r.fillPresence(r.Tree.MetricStore())
 }
 
 // fillPresence writes the presence columns from the per-row bitmask: 1 in

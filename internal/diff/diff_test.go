@@ -167,6 +167,36 @@ func TestDiffNormalizationAndLoss(t *testing.T) {
 	}
 }
 
+// TestLossNonFiniteBase pins the loss column where the compared run's cost
+// is not finite. The formula (1 - $a*f/$b) * ($b/$b) equals 1 - a*f/b for
+// finite non-zero b and 0 for b = 0, but Inf/Inf is NaN, so an infinite b
+// gives NaN where 1 - a*f/b would read 1.
+func TestLossNonFiniteBase(t *testing.T) {
+	a := newExp(t, "p", 2, []string{"CYCLES"}, func(tr *core.Tree) {
+		tr.AddPath(fkey("main"), fkey("f")).Base.Add(0, 200)
+		tr.AddPath(fkey("main"), fkey("g")).Base.Add(0, 200)
+		tr.AddPath(fkey("main"), fkey("h")).Base.Add(0, 200)
+	})
+	b := newExp(t, "p", 8, []string{"CYCLES"}, func(tr *core.Tree) {
+		tr.AddPath(fkey("main"), fkey("f")).Base.Add(0, math.Inf(1))
+		tr.AddPath(fkey("main"), fkey("g")).Base.Add(0, 3200)
+	})
+	res, err := Diff(Config{Mode: ModeWeak, Norm: NormPerRank}, Input{Exp: a}, Input{Exp: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := res.Metrics[0].Loss[0]
+	if got := res.Tree.FindPath("main", "f").Excl.Get(loss); !math.IsNaN(got) {
+		t.Errorf("loss where b is +Inf = %v, want NaN", got)
+	}
+	if got := res.Tree.FindPath("main", "g").Excl.Get(loss); got != 1-100.0/400 {
+		t.Errorf("loss where b is finite = %v, want %v", got, 1-100.0/400)
+	}
+	if got := res.Tree.FindPath("main", "h").Excl.Get(loss); math.Float64bits(got) != 0 {
+		t.Errorf("loss where b is 0 = %v, want +0", got)
+	}
+}
+
 func TestDiffMetricResolution(t *testing.T) {
 	a := newExp(t, "p", 1, []string{"CYCLES", "FLOPS"}, twoProcTree)
 	b := newExp(t, "p", 1, []string{"CYCLES"}, twoProcTree)
@@ -305,3 +335,73 @@ func TestDiffRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// TestDiffRoundTripKeepsFormulasAndUnits reopens a union with loss columns
+// from every database format: each column keeps its name, unit, kind and
+// formula, and every presented value survives bitwise.
+func TestDiffRoundTripKeepsFormulasAndUnits(t *testing.T) {
+	a := newExp(t, "p", 2, []string{"CYCLES", "FLOPS"}, twoProcTree)
+	b := newExp(t, "p", 8, []string{"CYCLES", "FLOPS"}, func(tr *core.Tree) {
+		tr.AddPath(fkey("main"), fkey("f")).Base.Add(0, 999)
+		tr.AddPath(fkey("main"), fkey("g"), skey("g.c", 3)).Base.Add(1, 3)
+		tr.AddPath(fkey("main"), fkey("h")).Base.Add(0, 5)
+	})
+	res, err := Diff(Config{Mode: ModeWeak, Norm: NormTotal}, Input{Exp: a}, Input{Exp: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := res.Tree.Reg.ByID(res.Metrics[0].Loss[0])
+	if loss.Kind != metric.Derived || loss.Unit != "frac" || loss.Formula != "(1 - $0*4/$1) * ($1/$1)" {
+		t.Fatalf("loss column = %s %q %q", loss.Kind, loss.Unit, loss.Formula)
+	}
+	for _, format := range []struct {
+		name  string
+		write func(*expdb.Experiment, *bytes.Buffer) error
+		read  func(*bytes.Buffer) (*expdb.Experiment, error)
+	}{
+		{"v1", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV1(w) }, readAny},
+		{"v2", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinary(w) }, readAny},
+		{"v3", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV3(w) }, readAny},
+		{"xml", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteXML(w) },
+			func(r *bytes.Buffer) (*expdb.Experiment, error) { return expdb.ReadXML(r) }},
+	} {
+		t.Run(format.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := format.write(res.Exp, &buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := format.read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Tree.Reg.Len() != res.Tree.Reg.Len() {
+				t.Fatalf("reloaded %d columns, want %d", got.Tree.Reg.Len(), res.Tree.Reg.Len())
+			}
+			for id, w := range res.Tree.Reg.Columns() {
+				g := got.Tree.Reg.ByID(id)
+				if g.Name != w.Name || g.Unit != w.Unit || g.Kind != w.Kind || g.Formula != w.Formula {
+					t.Fatalf("column %d reloaded as %q %q %s %q, want %q %q %s %q", id,
+						g.Name, g.Unit, g.Kind, g.Formula, w.Name, w.Unit, w.Kind, w.Formula)
+				}
+			}
+			var want, have []*core.Node
+			core.Walk(res.Tree.Root, func(n *core.Node) bool { want = append(want, n); return true })
+			core.Walk(got.Tree.Root, func(n *core.Node) bool { have = append(have, n); return true })
+			if len(want) != len(have) {
+				t.Fatalf("reloaded %d nodes, want %d", len(have), len(want))
+			}
+			for i := range want {
+				for id := 0; id < res.Tree.Reg.Len(); id++ {
+					if w, g := want[i].Incl.Get(id), have[i].Incl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
+						t.Fatalf("%s incl col %d: %v != %v", want[i].Label(), id, g, w)
+					}
+					if w, g := want[i].Excl.Get(id), have[i].Excl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
+						t.Fatalf("%s excl col %d: %v != %v", want[i].Label(), id, g, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+func readAny(r *bytes.Buffer) (*expdb.Experiment, error) { return expdb.Read(r) }

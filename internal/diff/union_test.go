@@ -159,9 +159,9 @@ func TestDiffAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestRecomputeMallocsFlat pins the kernel pool's allocations at
-// GOMAXPROCS 2, where Recompute starts one worker beside the calling
-// goroutine: the same count on a union ten times larger. AllocsPerRun pins
+// TestRecomputeMallocsFlat pins Recompute's allocations at GOMAXPROCS 2,
+// where ApplyDerivedTree evaluates one plane on a second goroutine: the
+// same count on a union ten times larger. AllocsPerRun pins
 // GOMAXPROCS to 1, so this reads the malloc counter itself, and takes the
 // fewest over many calls: while the calling P has no free goroutine
 // descriptor (the worker's is freed on the P that ran it, and only

@@ -202,7 +202,9 @@ func rebuildRegistry(descs []metricDesc) (*metric.Registry, error) {
 		case metric.Raw:
 			nd, err = reg.AddRaw(d.Name, d.Unit, d.Period)
 		case metric.Derived:
-			nd, err = reg.AddDerived(d.Name, d.Formula)
+			if nd, err = reg.AddDerived(d.Name, d.Formula); err == nil {
+				nd.Unit = d.Unit
+			}
 		case metric.Summary:
 			var op metric.SummaryOp
 			op, err = opFromName(d.Op)

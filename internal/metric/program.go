@@ -138,124 +138,175 @@ func (e *Expr) Compile() (*Program, error) {
 	return p, nil
 }
 
-// step executes the program over one row's column values: vals[i] holds the
-// value of column ColumnRefs()[i]. The stack must have at least depth slots.
-func (p *Program) step(stack, vals []float64) float64 {
-	sp := 0
-	for _, in := range p.code {
-		switch in.op {
-		case opConst:
-			stack[sp] = in.val
-			sp++
-		case opCol:
-			stack[sp] = vals[in.n]
-			sp++
-		case opNeg:
-			stack[sp-1] = -stack[sp-1]
-		case opAdd:
-			stack[sp-2] += stack[sp-1]
-			sp--
-		case opSub:
-			stack[sp-2] -= stack[sp-1]
-			sp--
-		case opMul:
-			stack[sp-2] *= stack[sp-1]
-			sp--
-		case opDiv:
-			if stack[sp-1] == 0 {
-				stack[sp-2] = 0
-			} else {
-				stack[sp-2] /= stack[sp-1]
-			}
-			sp--
-		case opPow:
-			stack[sp-2] = math.Pow(stack[sp-2], stack[sp-1])
-			sp--
-		case opAbs:
-			stack[sp-1] = math.Abs(stack[sp-1])
-		case opSqrt:
-			stack[sp-1] = math.Sqrt(stack[sp-1])
-		case opLog:
-			if stack[sp-1] <= 0 {
-				stack[sp-1] = 0
-			} else {
-				stack[sp-1] = math.Log(stack[sp-1])
-			}
-		case opExp:
-			stack[sp-1] = math.Exp(stack[sp-1])
-		case opMin:
-			k := int(in.n)
-			m := stack[sp-k]
-			for _, v := range stack[sp-k+1 : sp] {
-				m = math.Min(m, v)
-			}
-			sp -= k - 1
-			stack[sp-1] = m
-		case opMax:
-			k := int(in.n)
-			m := stack[sp-k]
-			for _, v := range stack[sp-k+1 : sp] {
-				m = math.Max(m, v)
-			}
-			sp -= k - 1
-			stack[sp-1] = m
-		}
-	}
-	return stack[sp-1]
-}
-
-// evalStackSize is the fixed stack that covers every realistic formula; a
-// deeper program falls back to one heap slab per call. evalRefsSize bounds
-// the stack-resident prefetch buffer the same way.
+// evalStackSize is the stack depth that covers every realistic formula.
+// evalBlock is the number of rows EvalCols carries through the program at
+// once: evalStackSize slots of evalBlock values are 32 KiB, still on the
+// goroutine stack.
 const (
 	evalStackSize = 16
-	evalRefsSize  = 8
+	evalBlock     = 256
 )
 
-// EvalEnv evaluates the program for one scope with column values from env.
-// Bitwise-identical to Expr.Eval on the same formula.
-func (p *Program) EvalEnv(env Env) float64 {
-	var sbuf [evalStackSize]float64
-	var vbuf [evalRefsSize]float64
-	stack, vals := sbuf[:], vbuf[:]
-	if p.depth > len(stack) {
-		stack = make([]float64, p.depth)
-	}
-	if len(p.refs) > len(vals) {
-		vals = make([]float64, len(p.refs))
-	}
-	for i, id := range p.refs {
-		vals[i] = env.Column(id)
-	}
-	v := p.step(stack, vals)
-	if v == 0 {
-		return 0 // normalize -0, which the store never holds
-	}
-	return v
-}
+// ownSlot marks a stack slot whose values live in its own buffer; a slot at
+// or above 0 reads column src[s] in place.
+const ownSlot = -1
 
 // EvalCols runs the program as a vectorized kernel: dst[r] is the program
 // applied to row r of the prefetched column slabs (cols[i] holds the column
-// ColumnRefs()[i], at least len(dst) long). Steady-state evaluation is
-// allocation-free.
+// ColumnRefs()[i], at least len(dst) long), evalBlock rows at a time.
+// Steady-state evaluation is allocation-free. A program deeper than
+// evalStackSize carries fewer rows at a time through the same buffer; one
+// deeper than the buffer has values carries one row in a heap stack of
+// depth values.
 func (p *Program) EvalCols(dst []float64, cols [][]float64) {
-	var sbuf [evalStackSize]float64
-	var vbuf [evalRefsSize]float64
-	stack, vals := sbuf[:], vbuf[:]
-	if p.depth > len(stack) {
-		stack = make([]float64, p.depth)
-	}
-	if len(cols) > len(vals) {
-		vals = make([]float64, len(cols))
-	}
-	for r := range dst {
-		for i, c := range cols {
-			vals[i] = c[r]
+	var sbuf [evalStackSize * evalBlock]float64
+	var srcbuf [evalStackSize]int32
+	stack, src, block := sbuf[:], srcbuf[:], evalBlock
+	if p.depth > evalStackSize {
+		block, src = max(len(sbuf)/p.depth, 1), make([]int32, p.depth)
+		if p.depth > len(sbuf) {
+			stack = make([]float64, p.depth)
 		}
-		v := p.step(stack, vals)
-		if v == 0 {
-			v = 0 // normalize -0
+	}
+	for lo := 0; lo < len(dst); lo += block {
+		p.run(stack, src, block, cols, lo, dst[lo:min(lo+block, len(dst))])
+	}
+}
+
+// run executes the program over the len(out) ≤ block rows at lo of cols
+// into out, which must not alias them. Each instruction runs over the whole
+// block, applying per row the IEEE operation Expr.Eval applies, so the
+// results are Expr.Eval's bit for bit, except that the last instruction adds
+// +0 (-0 + 0 is +0, and every other value is unchanged) where the others add
+// -0.
+// Slot 0's buffer is out; slot s reads column src[s] in place or owns
+// stack[s*block:] (ownSlot), which a constant fills. Slots hold indexes, not
+// slices: storing a slice of a stack buffer moves the buffer to the heap.
+func (p *Program) run(stack []float64, src []int32, block int, cols [][]float64, lo int, out []float64) {
+	n := len(out)
+	arg := func(s int) []float64 {
+		switch {
+		case src[s] != ownSlot:
+			return cols[src[s]][lo : lo+n]
+		case s == 0:
+			return out
 		}
-		dst[r] = v
+		return stack[s*block : s*block+n]
+	}
+	own := func(s int) []float64 {
+		src[s] = ownSlot
+		return arg(s)
+	}
+	sp, last := 0, len(p.code)-1
+	for j, in := range p.code {
+		z := negZero
+		if j == last {
+			z = 0
+		}
+		switch in.op {
+		case opConst:
+			c := own(sp)
+			for i := range c {
+				c[i] = in.val
+			}
+			sp++
+		case opCol:
+			src[sp] = in.n
+			sp++
+		case opNeg, opAbs, opSqrt, opLog, opExp:
+			x := arg(sp - 1)
+			unaryBlock(in.op, own(sp-1), x, z)
+		case opMin, opMax:
+			k := int(in.n)
+			for s := sp - k + 1; s < sp; s++ {
+				x := arg(sp - k)
+				binaryBlock(in.op, own(sp-k), x, arg(s), negZero)
+			}
+			sp -= k - 1
+		default:
+			x, y := arg(sp-2), arg(sp-1)
+			binaryBlock(in.op, own(sp-2), x, y, z)
+			sp--
+		}
+	}
+	if op := p.code[last].op; op <= opCol || op >= opMin { // opCode order: these add no z
+		for i, v := range arg(0) {
+			out[i] = v + 0
+		}
+	}
+}
+
+// negZero is -0, which x + negZero leaves x for every x.
+var negZero = math.Copysign(0, -1)
+
+// unaryBlock applies a one-operand instruction: out[i] = op(x[i]) + z. out
+// may be x.
+func unaryBlock(op opCode, out, x []float64, z float64) {
+	x = x[:len(out)]
+	switch op {
+	case opNeg:
+		for i, v := range x {
+			out[i] = -v + z
+		}
+	case opAbs:
+		for i, v := range x {
+			out[i] = math.Abs(v) + z
+		}
+	case opSqrt:
+		for i, v := range x {
+			out[i] = math.Sqrt(v) + z
+		}
+	case opLog:
+		for i, v := range x {
+			if v <= 0 {
+				out[i] = 0
+			} else {
+				out[i] = math.Log(v) + z
+			}
+		}
+	case opExp:
+		for i, v := range x {
+			out[i] = math.Exp(v) + z
+		}
+	}
+}
+
+// binaryBlock applies a two-operand instruction, or folds one more min or
+// max argument: out[i] = (x[i] op y[i]) + z. out may be x.
+func binaryBlock(op opCode, out, x, y []float64, z float64) {
+	x, y = x[:len(out)], y[:len(out)]
+	switch op {
+	case opAdd:
+		for i := range out {
+			out[i] = x[i] + y[i] + z
+		}
+	case opSub:
+		for i := range out {
+			out[i] = x[i] - y[i] + z
+		}
+	case opMul:
+		for i := range out {
+			out[i] = float64(x[i]*y[i]) + z // the conversion forbids a fused multiply-add
+		}
+	case opDiv:
+		for i := range out {
+			if y[i] == 0 {
+				out[i] = 0
+			} else {
+				out[i] = x[i]/y[i] + z
+			}
+		}
+	case opPow:
+		for i := range out {
+			out[i] = math.Pow(x[i], y[i]) + z
+		}
+	case opMin:
+		for i := range out {
+			out[i] = math.Min(x[i], y[i]) + z
+		}
+	case opMax:
+		for i := range out {
+			out[i] = math.Max(x[i], y[i]) + z
+		}
 	}
 }

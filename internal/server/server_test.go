@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -298,4 +299,43 @@ func TestSessionLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create after close: status %d, want 503", resp.StatusCode)
 	}
+}
+
+// TestLongFormulaMemory: a derived formula as long as the body cap allows
+// costs memory in proportion to its text when it is compiled and
+// evaluated through the exec path, not a block of values per constant.
+// The session keeps the compiled program; most of what exec allocates is
+// the growth of its instruction slice and the parse tree.
+func TestLongFormulaMemory(t *testing.T) {
+	srv := NewWithConfig(mappedSnapshot(t, fixtureBytes(t)), Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := &client{t: t, base: ts.URL, hc: ts.Client()}
+	token := c.createSession()
+
+	const prefix, suffix = "derived big=", "$0"
+	n := (1<<20 - 64 - len(prefix) - len(suffix)) / 2 // room for the JSON framing
+	line := prefix + strings.Repeat("1+", n) + suffix
+	var before, after, held runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, errText, _ := c.exec(token, line); errText != "" {
+		t.Fatalf("derived: %s", errText)
+	}
+	if _, errText, _ := c.exec(token, "stats big"); errText != "" {
+		t.Fatalf("stats: %s", errText)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	const mib = 1 << 20
+	if total := (after.TotalAlloc - before.TotalAlloc) / mib; total > 256 {
+		t.Errorf("a %d-constant formula allocated %d MiB through exec, want at most 256", n, total)
+	}
+	if live := (int64(held.HeapAlloc) - int64(before.HeapAlloc)) / mib; live > 64 {
+		t.Errorf("a session holding a %d-constant formula keeps %d MiB more live heap, want at most 64", n, live)
+	}
+	t.Logf("allocated %d MiB, holding %d MiB",
+		(after.TotalAlloc-before.TotalAlloc)/mib, (int64(held.HeapAlloc)-int64(before.HeapAlloc))/mib)
 }
