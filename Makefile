@@ -93,8 +93,9 @@ fuzz-seeds:
 # format version, truncation + corruption sweeps), every seed corpus, plus
 # a short coverage-guided fuzz of the binary readers (one target for v1, v2
 # and v3), the profile trie's cached Record context, the pprof importer, the
-# cell formatter, the formula parser against its block evaluator and the
-# views of whatever database the readers accept. CI runs this target.
+# cell formatter, the numbered-line layout, the formula parser against its
+# block evaluator and the views of whatever database the readers accept. CI
+# runs this target.
 faults:
 	$(GO) test -run 'TestFaultMatrix|TestReaderFaults' ./internal/faultio
 	$(MAKE) fuzz-seeds
@@ -105,6 +106,7 @@ faults:
 	$(GO) test -run XXX -fuzz FuzzDiff -fuzztime 10s ./internal/diff
 	$(GO) test -run XXX -fuzz FuzzImportPprof -fuzztime 10s ./internal/pprofio
 	$(GO) test -run XXX -fuzz FuzzFormatCell -fuzztime 10s ./internal/render
+	$(GO) test -run XXX -fuzz FuzzRenderRow -fuzztime 10s ./internal/render
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 10s ./internal/metric
 	$(GO) test -run XXX -fuzz FuzzViews -fuzztime 10s ./internal/engine
 

@@ -121,11 +121,21 @@ func (s *Session) sortedSiblings(parent *core.Node, ns []*core.Node) []*core.Nod
 		core.SortScopes(sorted, s.sort)
 	} else {
 		// Overlay (session-private) sort column: same comparator, with the
-		// key read routed through the overlay.
+		// keys read from the overlay slab of the list's store, resolved once
+		// per list as SortScopes resolves a resident column. A scope of
+		// another store (the Callers View's top level) reads its own.
 		inclusive := !s.sort.Exclusive
 		id := s.sort.MetricID
+		st := sorted[0].Incl.Store()
+		slab := s.overlaySlab(st, id, inclusive)
 		core.SortScopesFunc(sorted, s.sort, func(n *core.Node) float64 {
-			return s.cellValue(n, id, inclusive)
+			if n.Incl.Store() != st {
+				return s.cellValue(n, id, inclusive)
+			}
+			if r := int(n.Incl.Row()); r < len(slab) {
+				return slab[r]
+			}
+			return 0
 		})
 	}
 	return sorted

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -106,8 +107,9 @@ func TestCachedSessionMatchesFresh(t *testing.T) {
 		t.Helper()
 		fresh := newTestSession(tr, nil)
 		fresh.SwitchView(s.view)
-		for n := range s.expanded {
-			fresh.expanded[n] = true
+		fresh.expanded.bits = map[*metric.Store][]uint64{}
+		for st, bits := range s.expanded.bits {
+			fresh.expanded.bits[st] = slices.Clone(bits)
 		}
 		fresh.SetSort(s.sort)
 		fresh.flatten = s.flatten

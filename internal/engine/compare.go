@@ -148,7 +148,7 @@ func (s *Session) rebase(snap *Snapshot) {
 	s.view = ViewCC
 	s.callers = nil
 	s.flat = nil
-	s.expanded = map[*core.Node]bool{}
+	s.expanded.clear()
 	s.highlight = map[*core.Node]bool{}
 	s.zoom = nil
 	s.flatten = 0

@@ -117,10 +117,8 @@ func Exec(s *Session, line string, out io.Writer) (quit bool, err error) {
 		return false, renderNow()
 	case "expandall":
 		if len(args) == 0 {
-			for _, r := range s.VisibleRows() {
-				if err := s.ExpandAll(r.Node); err != nil {
-					return false, err
-				}
+			if err := s.expandAllRows(); err != nil {
+				return false, err
 			}
 		} else {
 			n, err := rowArg()

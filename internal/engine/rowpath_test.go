@@ -58,8 +58,9 @@ func multiChildLists(t *core.Tree) int {
 }
 
 // naiveRows is the uncached oracle of visibleRowsLocked: the same walk with
-// every sibling list copied and sorted on the spot.
-func naiveRows(s *Session) []render.Row {
+// every sibling list copied and sorted on the spot, descending into the
+// scopes expanded reports open.
+func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
 	var rows []render.Row
 	var add func(ns []*core.Node, depth int)
 	add = func(ns []*core.Node, depth int) {
@@ -70,7 +71,7 @@ func naiveRows(s *Session) []render.Row {
 			sorted = sorted[:s.topN]
 		}
 		for _, n := range sorted {
-			shown := s.expanded[n] && (s.maxDepth == 0 || depth+1 < s.maxDepth)
+			shown := expanded(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
 			hidden := len(n.Children) > 0 && !shown
 			if s.view == ViewCallers && n.Parent == nil && !s.callers.Expanded(n) {
 				hidden = true
@@ -119,7 +120,7 @@ func TestRowsBeyondCacheCapacity(t *testing.T) {
 		if _, err := Exec(s, line, &got); err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
-		want := naiveRows(s)
+		want := naiveRows(s, s.expanded.has)
 		rows := s.VisibleRows()
 		if len(rows) != len(want) {
 			t.Fatalf("after %q: %d rows, the uncached walk has %d", line, len(rows), len(want))

@@ -71,9 +71,10 @@ type Session struct {
 	// callers is this session's Callers View, built in a private arena (its
 	// expansion state is the session's own). flat is the snapshot's shared,
 	// read-only Flat View; holding it keeps it alive for other sessions.
-	callers  *core.CallersView
-	flat     *core.FlatView
-	expanded map[*core.Node]bool
+	callers *core.CallersView
+	flat    *core.FlatView
+	// expanded holds the open scopes, one bitset per store (see rowSet).
+	expanded rowSet
 	sort     core.SortSpec
 	// zoom restricts the Calling Context View to one subtree.
 	zoom []*core.Node
@@ -126,7 +127,6 @@ func NewSession(snap *Snapshot) *Session {
 	return &Session{
 		snap:      snap,
 		reg:       snap.exp.Tree.Reg.Clone(),
-		expanded:  map[*core.Node]bool{},
 		highlight: map[*core.Node]bool{},
 		threshold: core.DefaultHotPathThreshold,
 		cache:     newQueryCache(),
@@ -192,7 +192,7 @@ func (s *Session) SwitchView(v ViewKind) {
 		return
 	}
 	s.view = v
-	s.expanded = map[*core.Node]bool{}
+	s.expanded.clear()
 	s.highlight = map[*core.Node]bool{}
 	s.zoom = nil
 	s.selected = nil
@@ -237,7 +237,7 @@ func (s *Session) Select(n *core.Node) { s.selected = n }
 func (s *Session) Selected() *core.Node { return s.selected }
 
 // Collapse closes one scope.
-func (s *Session) Collapse(n *core.Node) { delete(s.expanded, n) }
+func (s *Session) Collapse(n *core.Node) { s.expanded.set(n, false) }
 
 // ZoomIn restricts the Calling Context View to the subtree at n.
 func (s *Session) ZoomIn(n *core.Node) error {
@@ -369,7 +369,7 @@ func (s *Session) visibleRowsLocked() []render.Row {
 			sorted = sorted[:s.topN]
 		}
 		for _, n := range sorted {
-			childrenShown := s.expanded[n] && (s.maxDepth == 0 || depth+1 < s.maxDepth)
+			childrenShown := s.expanded.has(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
 			hidden := len(n.Children) > 0 && !childrenShown
 			// The Callers View materializes children lazily: an
 			// unexpanded root row may not know its callers yet, so it
@@ -430,7 +430,7 @@ func (s *Session) expandLocked(n *core.Node) {
 			}
 		}
 	}
-	s.expanded[n] = true
+	s.expanded.set(n, true)
 }
 
 // ExpandAll opens every scope under n (and n itself). In the Callers View
@@ -442,15 +442,46 @@ func (s *Session) ExpandAll(n *core.Node) error {
 	s.snap.mu.RLock()
 	defer s.snap.mu.RUnlock()
 	s.refreshLocked()
-	var err error
-	if s.view == ViewCallers && s.callers != nil {
-		err = s.callers.ExpandAllCtx(s.ctx)
-		s.cache.bump()
+	err := s.expandCallersLocked()
+	s.expanded.setTree(n)
+	return err
+}
+
+// expandAllRows is ExpandAll of every visible row — the `expandall`
+// command without a row — with the Callers View's subtries built once for
+// all of them. Every visible row lies under one at depth 0, so opening
+// those opens them all. On an error the first row is opened and the rest
+// are not, as when each row was opened in turn.
+func (s *Session) expandAllRows() error {
+	rows := s.VisibleRows()
+	if len(rows) == 0 {
+		return nil
 	}
-	core.Walk(n, func(x *core.Node) bool {
-		s.expanded[x] = true
-		return true
-	})
+	s.faultForView()
+	s.snap.mu.RLock()
+	defer s.snap.mu.RUnlock()
+	s.refreshLocked()
+	err := s.expandCallersLocked()
+	for _, r := range rows {
+		if r.Depth == 0 {
+			s.expanded.setTree(r.Node)
+		}
+		if err != nil {
+			break
+		}
+	}
+	return err
+}
+
+// expandCallersLocked materializes every caller subtrie of the session's
+// Callers View on core.CallersView.ExpandAllCtx's pool when that view is
+// the one shown.
+func (s *Session) expandCallersLocked() error {
+	if s.view != ViewCallers || s.callers == nil {
+		return nil
+	}
+	err := s.callers.ExpandAllCtx(s.ctx)
+	s.cache.bump()
 	return err
 }
 
@@ -498,7 +529,7 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 	s.highlight = map[*core.Node]bool{}
 	for _, n := range path {
 		s.highlight[n] = true
-		s.expanded[n] = true
+		s.expanded.set(n, true)
 	}
 	if len(path) > 0 {
 		s.selected = path[len(path)-1]
@@ -573,9 +604,9 @@ func (s *Session) AddDerivedMetric(name, formula string) error {
 	return nil
 }
 
-// SummaryStats folds the inclusive values of one column over the current
-// view's visible rows (Section VII's mean/min/max/stddev summarization,
-// applied to the scopes on screen).
+// SummaryStats folds one column's values over the current view's visible
+// rows, inclusive or exclusive as asked (Section VII's mean/min/max/stddev
+// summarization, applied to the scopes on screen).
 func (s *Session) SummaryStats(metricID int, inclusive bool) metric.Stats {
 	s.faultColumn(metricID)
 	s.faultSort()
@@ -650,3 +681,68 @@ func (s *Session) ShowSource(w io.Writer, context int) error {
 	fmt.Fprintf(w, "%s:%d (%s)\n", file, line, n.Label())
 	return s.source.WriteSource(w, file.String(), line, context)
 }
+
+// rowSet is a set of scopes kept as one bitset per metric store, indexed
+// by the scope's row. Every scope a view shows is a row of a store — the
+// CCT's, the Flat View's, or one Callers View root's — so membership is a
+// bit, not a hashed pointer, and rows of two stores sit in two bitsets and
+// never alias. The set remembers the store it last looked up, so a walk
+// that stays in one store (the whole CCT, one Callers subtrie) does no map
+// lookup. The zero value is the empty set.
+type rowSet struct {
+	bits map[*metric.Store][]uint64
+	st   *metric.Store // the store last looked up
+	cur  []uint64      // its bitset, nil while it has none
+}
+
+// use makes st the current store.
+func (rs *rowSet) use(st *metric.Store) {
+	if st != rs.st {
+		rs.st, rs.cur = st, rs.bits[st]
+	}
+}
+
+// has reports whether n is in the set.
+func (rs *rowSet) has(n *core.Node) bool {
+	rs.use(n.Incl.Store())
+	r := uint32(n.Incl.Row())
+	w := int(r >> 6)
+	return w < len(rs.cur) && rs.cur[w]&(1<<(r&63)) != 0
+}
+
+// set adds n to the set, or removes it.
+func (rs *rowSet) set(n *core.Node, on bool) {
+	st := n.Incl.Store()
+	rs.use(st)
+	r := uint32(n.Incl.Row())
+	w := int(r >> 6)
+	if w >= len(rs.cur) {
+		if !on {
+			return
+		}
+		// Size the bitset for every row the store has now; a Callers View
+		// root's store grows as its subtrie is built, and its bitset with it.
+		bits := make([]uint64, max(w+1, (st.NumRows()+63)/64))
+		copy(bits, rs.cur)
+		if rs.bits == nil {
+			rs.bits = map[*metric.Store][]uint64{}
+		}
+		rs.bits[st], rs.cur = bits, bits
+	}
+	if on {
+		rs.cur[w] |= 1 << (r & 63)
+	} else {
+		rs.cur[w] &^= 1 << (r & 63)
+	}
+}
+
+// setTree adds n and every scope under it.
+func (rs *rowSet) setTree(n *core.Node) {
+	core.Walk(n, func(x *core.Node) bool {
+		rs.set(x, true)
+		return true
+	})
+}
+
+// clear empties the set.
+func (rs *rowSet) clear() { *rs = rowSet{} }

@@ -125,10 +125,11 @@ func (h htmlRenderer) label(b []byte, n *core.Node) []byte {
 }
 
 func (h htmlRenderer) cells(b []byte, n *core.Node) []byte {
+	row := h.rowOf(n)
 	for i := range h.cols {
 		c := &h.cols[i]
 		b = append(b, `<span class="m">`...)
-		if v := h.value(c, n); v != 0 {
+		if v := c.at(row); v != 0 {
 			b = AppendValue(b, v) // digits, sign, '.', 'e', "NaN", "Inf": nothing to escape
 			if c.total != 0 {
 				b = append(b, ` <span class="pct">`...)

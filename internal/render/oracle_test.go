@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/metric"
@@ -55,7 +56,37 @@ func oracleTrunc(s string, n int) string {
 	return s[:n-3] + "..."
 }
 
-// oracleRow is the old renderer.row.
+// oracleRuneTrunc is the rune-aware reference for labels the byte-indexed
+// cut would split: at most n runes, as fmt's %-*s counts them (an invalid
+// byte is one), with the last three "..." when it cut, and every kept byte
+// as it was.
+func oracleRuneTrunc(s string, n int) string {
+	if utf8.RuneCountInString(s) <= n {
+		return s
+	}
+	k := 0
+	for i := range s {
+		if k == n-3 {
+			return s[:i] + "..."
+		}
+		k++
+	}
+	panic("unreachable")
+}
+
+// oracleLabelTrunc cuts a line's label column: the old byte-indexed cut
+// for ASCII, the rune-aware reference for anything else.
+func oracleLabelTrunc(s string) string {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return oracleRuneTrunc(s, labelWidth)
+		}
+	}
+	return oracleTrunc(s, labelWidth)
+}
+
+// oracleRow is the old renderer.row, with the rune-aware cut for labels
+// that are not ASCII.
 func oracleRow(idx int, row Row, highlight bool, cells []string) string {
 	var b strings.Builder
 	mark, expander := " ", " "
@@ -73,7 +104,7 @@ func oracleRow(idx int, row Row, highlight bool, cells []string) string {
 	if binaryOnly(row.Node) {
 		label += " [bin]"
 	}
-	fmt.Fprintf(&b, "%-*s", labelWidth, oracleTrunc(label, labelWidth))
+	fmt.Fprintf(&b, "%-*s", labelWidth, oracleLabelTrunc(label))
 	for _, c := range cells {
 		fmt.Fprintf(&b, " %*s", cellWidth, c)
 	}
@@ -192,9 +223,10 @@ func FuzzFormatCell(f *testing.F) {
 
 // TestRowLayoutMatchesFmt checks whole numbered lines — row number, mark,
 // indentation, expander, glyph, label, [bin], padding, cells, trimmed tail —
-// against the old layout, over ASCII labels of every length around
-// labelWidth and multi-byte labels short enough that the old byte-indexed
-// cut never applied.
+// against the old layout: ASCII labels of every length around labelWidth,
+// labels of 40–50 bytes with and without [bin] and "=> " at depths up to
+// 40, row numbers past 1 000, and UTF-8 labels whose runes straddle the
+// cut, which are checked against the rune-aware reference.
 func TestRowLayoutMatchesFmt(t *testing.T) {
 	reg := metric.NewRegistry()
 	for _, name := range []string{"cycles", "a-rather-long-metric-name"} {
@@ -205,6 +237,7 @@ func TestRowLayoutMatchesFmt(t *testing.T) {
 	tree := core.NewTree("x", reg)
 	var rows []Row
 	add := func(k core.Key, depth int, hidden, noSource bool, callLine int, v0, v1 float64) {
+		k.Line += len(rows) // keep sibling keys distinct
 		n := tree.Root.Child(k, true)
 		n.NoSource, n.CallLine = noSource, callLine
 		n.Incl.Set(0, v0)
@@ -220,7 +253,34 @@ func TestRowLayoutMatchesFmt(t *testing.T) {
 	add(core.Key{Kind: core.KindLoop, File: core.Sym("dir/a.c"), Line: 12}, 2, false, false, 0, 0, 0)
 	add(core.Key{Kind: core.KindStmt, File: core.Sym("a.c"), Line: 7}, 20, false, false, 0, 1, 1)
 	add(core.Key{Kind: core.KindAlien, Name: core.Sym("inl")}, 0, true, false, 3, 99.995, 1e9)
-	hl := map[*core.Node]bool{rows[3].Node: true, rows[50].Node: true}
+	// Labels of 40–50 bytes at depths 0–40: a Frame with a call line takes
+	// the "=> " glyph, a Proc does not, and either may carry " [bin]".
+	for depth := 0; depth <= 40; depth += 8 {
+		for l := 40; l <= 50; l++ {
+			for _, kind := range []core.Kind{core.KindFrame, core.KindProc} {
+				for _, noSource := range []bool{false, true} {
+					name := core.Sym(strings.Repeat("abcdefghij", 5)[:l])
+					add(core.Key{Kind: kind, Name: name}, depth, l%2 == 0, noSource, depth%3, float64(l), -float64(depth))
+				}
+			}
+		}
+	}
+	// Multi-byte runes at every offset around the cut, at depths where the
+	// label starts on either side of it.
+	for _, r := range []string{"é", "日", "😀", "\xff"} {
+		for pre := 30; pre <= 46; pre++ {
+			for _, depth := range []int{0, 1, 2, 5} {
+				name := core.Sym(strings.Repeat("y", pre) + strings.Repeat(r, 6))
+				add(core.Key{Kind: core.KindFrame, Name: name}, depth, pre%2 == 0, pre%3 == 0, pre%2, 1e5, 0.5)
+			}
+		}
+	}
+	// Enough rows that the row numbers pass 1 000.
+	for len(rows) <= 1050 {
+		i := len(rows)
+		add(core.Key{Kind: core.KindStmt, File: core.Sym("src/file.c")}, i%41, i%2 == 0, false, 0, float64(i), float64(i%7))
+	}
+	hl := map[*core.Node]bool{rows[3].Node: true, rows[50].Node: true, rows[1020].Node: true}
 	totals := func(id int) float64 { return []float64{82.2, 0}[id] }
 
 	var got bytes.Buffer
@@ -249,6 +309,45 @@ func TestRowLayoutMatchesFmt(t *testing.T) {
 		}
 		t.Fatalf("got %d lines, want %d", len(g), len(w))
 	}
+}
+
+// rowKinds are the scope kinds FuzzRenderRow draws from.
+var rowKinds = []core.Kind{core.KindFrame, core.KindLoop, core.KindAlien, core.KindStmt, core.KindLM, core.KindFile, core.KindProc, core.KindCallSite}
+
+// FuzzRenderRow lets the fuzzer look for a numbered line — any label at any
+// depth and row number, any kind, two cells — that differs from the
+// oracle's.
+func FuzzRenderRow(f *testing.F) {
+	f.Add("main", uint8(0), uint16(0), uint8(0), 1.0, 0.0, false, false)
+	f.Add(strings.Repeat("x", 45), uint8(1), uint16(1234), uint8(7), 12345.678, 0.004, true, true)
+	f.Add(strings.Repeat("y", 39)+"ééééé", uint8(0), uint16(99), uint8(0), -7.0, 1e9, true, false)
+	f.Add("日本語", uint8(40), uint16(100), uint8(6), 99.995, math.NaN(), false, true)
+	f.Add("a.c", uint8(3), uint16(10), uint8(1), 0.0, 5e-324, true, true)
+	f.Fuzz(func(t *testing.T, label string, depth uint8, idx uint16, kind uint8, v0, v1 float64, hidden, noSource bool) {
+		reg := metric.NewRegistry()
+		for _, name := range []string{"M0", "M1"} {
+			if _, err := reg.AddRaw(name, "u", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tree := core.NewTree("x", reg)
+		k := rowKinds[int(kind)%len(rowKinds)]
+		n := tree.Root.Child(core.Key{Kind: k, Name: core.Sym(label), File: core.Sym(label), Line: int(idx)}, true)
+		n.NoSource, n.CallLine = noSource, int(idx%3)
+		n.Incl.Set(0, v0)
+		n.Excl.Set(1, v1)
+		row := Row{Node: n, Depth: int(depth % 41), HasHidden: hidden}
+		totals := func(id int) float64 { return []float64{82.2, 0}[id] }
+		var got bytes.Buffer
+		r := newRenderer(&got, reg, Options{Columns: []Column{{MetricID: 0, Inclusive: true}, {MetricID: 1}}, Totals: totals})
+		if err := r.row(int(idx), row); err != nil {
+			t.Fatal(err)
+		}
+		want := oracleRow(int(idx), row, false, []string{oracleCell(n.Incl.Get(0), true, totals), oracleCell(n.Excl.Get(1), true, nil)})
+		if got.String() != want {
+			t.Fatalf("row differs:\n got %q\nwant %q", got.String(), want)
+		}
+	})
 }
 
 // syntheticRows builds n rows over one store: every scope kind the label

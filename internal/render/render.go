@@ -222,19 +222,23 @@ func (r *renderer) ordered(ns []*core.Node) []*core.Node {
 	return ns
 }
 
-// value reads column c's cell for scope n. The slabs are resolved again
-// only when n lives in another store than the scope before it (every
+// rowOf returns scope n's row in the column slabs. The slabs are resolved
+// again only when n lives in another store than the scope before it (every
 // Callers View root owns one).
-func (r *renderer) value(c *column, n *core.Node) float64 {
-	st := n.Incl.Store()
-	if st != r.store {
+func (r *renderer) rowOf(n *core.Node) int {
+	if st := n.Incl.Store(); st != r.store {
 		r.store = st
 		for i := range r.cols {
-			rc := &r.cols[i]
-			rc.slab = r.opt.Slab(st, rc.MetricID, rc.Inclusive)
+			c := &r.cols[i]
+			c.slab = r.opt.Slab(st, c.MetricID, c.Inclusive)
 		}
 	}
-	if row := int(n.Incl.Row()); row < len(c.slab) {
+	return int(n.Incl.Row())
+}
+
+// at reads the column's cell at row; rows past the slab's end are zero.
+func (c *column) at(row int) float64 {
+	if row < len(c.slab) {
 		return c.slab[row]
 	}
 	return 0
@@ -243,8 +247,14 @@ func (r *renderer) value(c *column, n *core.Node) float64 {
 // row buffers one numbered line (the interactive session addresses scopes
 // by these numbers).
 func (r *renderer) row(idx int, row Row) error {
-	b := strconv.AppendInt(r.buf, int64(idx), 10)
-	b = append(pad(b, 0, 3, true), ' ')
+	b := r.buf
+	switch { // %3d
+	case idx < 10:
+		b = append(b, "  "...)
+	case idx < 100:
+		b = append(b, ' ')
+	}
+	b = append(strconv.AppendInt(b, int64(idx), 10), ' ')
 	expander := byte(' ')
 	if row.HasHidden {
 		expander = '+'
@@ -272,24 +282,25 @@ func (r *renderer) line(n *core.Node, depth int, expander byte) error {
 	if n.Kind == core.KindCallSite || n.Kind == core.KindFrame && n.CallLine > 0 {
 		b = append(b, "=> "...)
 	}
+	ascii := len(b) // what precedes the label is ASCII
 	b = n.AppendLabel(b)
 	if binaryOnly(n) {
 		b = append(b, " [bin]"...)
 	}
-	b = pad(trunc(b, 0, labelWidth), 0, labelWidth, false)
+	b, width := cut(b, 0, ascii, labelWidth)
+	// Blanks are owed, not written, until text follows them: a line ends
+	// at its last non-zero cell, and zero cells stay blank (Section V-A).
+	owed := labelWidth - width
+	row := r.rowOf(n)
 	for i := range r.cols {
 		c := &r.cols[i]
-		b = append(b, ' ')
-		start := len(b)
-		if v := r.value(c, n); v != 0 { // zero cells stay blank (Section V-A)
-			b = AppendValue(b, v)
-			if c.total != 0 {
-				b = append(b, ' ')
-				pct := len(b)
-				b = append(pad(appendFixed(b, 100*v/c.total, 1), pct, 5, true), '%')
-			}
+		v := c.at(row)
+		if v == 0 {
+			owed += 1 + cellWidth
+			continue
 		}
-		b = pad(b, start, cellWidth, true)
+		b = appendCell(b, owed, v, c.total)
+		owed = 0
 	}
 	r.buf = append(bytes.TrimRight(b, " "), '\n')
 	return r.flush()
@@ -299,11 +310,32 @@ func binaryOnly(n *core.Node) bool {
 	return n.NoSource && (n.Kind == core.KindFrame || n.Kind == core.KindProc || n.Kind == core.KindCallSite)
 }
 
-func indent(b []byte, depth int) []byte {
-	for ; depth > 0; depth-- {
-		b = append(b, "  "...)
+func indent(b []byte, depth int) []byte { return appendBlanks(b, 2*depth) }
+
+// appendCell appends owed blanks and one metric column: a blank, then v
+// with its percent of total (when total is not zero) right-aligned in
+// cellWidth. Cells are ASCII, so a cell's length is its width: the text is
+// formatted on the stack and copied in behind its blanks, and nothing is
+// shifted.
+func appendCell(b []byte, owed int, v, total float64) []byte {
+	var buf [cellWidth + 8]byte
+	t := AppendValue(buf[:0], v)
+	if total != 0 {
+		var pbuf [8]byte
+		pct := appendFixed(pbuf[:0], 100*v/total, 1) // %5.1f
+		t = append(t, blanks[:max(1, 6-len(pct))]...)
+		t = append(append(t, pct...), '%')
 	}
-	return b
+	b = appendBlanks(b, owed+max(1, cellWidth+1-len(t)))
+	return append(b, t...)
+}
+
+// appendBlanks appends n blanks.
+func appendBlanks(b []byte, n int) []byte {
+	for ; n > len(blanks); n -= len(blanks) {
+		b = append(b, blanks...)
+	}
+	return append(b, blanks[:n]...)
 }
 
 func (r *renderer) header() error {
@@ -387,11 +419,12 @@ func appendFixed(b []byte, v float64, prec int) []byte {
 	if !(s < 1e9) {
 		return strconv.AppendFloat(b, v, 'f', prec, 64)
 	}
-	n := uint64(s)
-	frac := s - float64(n)
+	i := int64(s) // below 1e9 the signed conversion truncates the same, in fewer instructions
+	frac := s - float64(i)
 	if math.Abs(frac-0.5) < 1e-6 {
 		return strconv.AppendFloat(b, v, 'f', prec, 64)
 	}
+	n := uint64(i)
 	if frac > 0.5 {
 		n++
 	}
@@ -409,24 +442,34 @@ func appendFixed(b []byte, v float64, prec int) []byte {
 // "..." when it had to cut. It never splits a rune: labels imported from
 // pprof may hold any UTF-8.
 func trunc(b []byte, start, width int) []byte {
-	if len(b)-start <= width {
-		return b
+	b, _ = cut(b, start, start, width)
+	return b
+}
+
+// cut is trunc that also reports how many runes b[start:] holds after the
+// cut, counted in one scan that decodes only non-ASCII bytes and starts at
+// ascii: b[start:ascii] is known to be ASCII, a rune per byte.
+func cut(b []byte, start, ascii, width int) ([]byte, int) {
+	n := ascii - start
+	if n > width {
+		return append(b[:start+width-3], "..."...), width
 	}
-	cut := start
-	for at, n := start, 0; at < len(b); n++ {
+	end := start + min(n, width-3)
+	for at := ascii; at < len(b); n++ {
 		if n == width-3 {
-			cut = at
+			end = at
 		}
 		if n == width {
-			return append(b[:cut], "..."...)
+			return append(b[:end], "..."...), width
 		}
-		size := 1
-		if b[at] >= utf8.RuneSelf {
-			_, size = utf8.DecodeRune(b[at:])
+		if b[at] < utf8.RuneSelf {
+			at++
+		} else {
+			_, size := utf8.DecodeRune(b[at:])
+			at += size
 		}
-		at += size
 	}
-	return b
+	return b, n
 }
 
 // pad extends b[start:] with blanks to width runes (as fmt's %*s and %-*s
