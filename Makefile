@@ -94,8 +94,8 @@ fuzz-seeds:
 # a short coverage-guided fuzz of the binary readers (one target for v1, v2
 # and v3), the profile trie's cached Record context, the pprof importer, the
 # cell formatter, the numbered-line layout, the formula parser against its
-# block evaluator and the views of whatever database the readers accept. CI
-# runs this target.
+# block evaluator, the summary statistics against an exact reference and the
+# views of whatever database the readers accept. CI runs this target.
 faults:
 	$(GO) test -run 'TestFaultMatrix|TestReaderFaults' ./internal/faultio
 	$(MAKE) fuzz-seeds
@@ -108,6 +108,7 @@ faults:
 	$(GO) test -run XXX -fuzz FuzzFormatCell -fuzztime 10s ./internal/render
 	$(GO) test -run XXX -fuzz FuzzRenderRow -fuzztime 10s ./internal/render
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 10s ./internal/metric
+	$(GO) test -run XXX -fuzz FuzzStats -fuzztime 10s ./internal/metric
 	$(GO) test -run XXX -fuzz FuzzViews -fuzztime 10s ./internal/engine
 
 # The packages that read databases, built with the portable stand-in for

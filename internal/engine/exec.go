@@ -241,7 +241,7 @@ func Exec(s *Session, line string, out io.Writer) (quit bool, err error) {
 		}
 		st := s.SummaryStats(spec.MetricID, !spec.Exclusive)
 		fmt.Fprintf(out, "n=%d sum=%s mean=%s min=%s max=%s stddev=%s imbalance=%.3f\n",
-			st.N, statCell(st.Sum), statCell(st.Mean()), statCell(st.Min),
+			st.N, statCell(st.Sum()), statCell(st.Mean()), statCell(st.Min),
 			statCell(st.Max), statCell(st.StdDev()), st.ImbalanceFactor())
 		return false, nil
 	case "plot":

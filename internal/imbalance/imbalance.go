@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/correlate"
@@ -143,12 +144,7 @@ func (r *Report) Render(w io.Writer) error {
 	}
 
 	b.WriteString("\nsorted:\n")
-	sorted := append([]float64(nil), r.Values...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1] > sorted[j]; j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
+	sorted := slices.Sorted(slices.Values(r.Values))
 	for i := 0; i < len(sorted); i += step {
 		fmt.Fprintf(&b, "  %4d/%d    | %-*s %.3g\n", i, len(sorted), barWidth, bar(sorted[i]), sorted[i])
 	}

@@ -1,6 +1,9 @@
 package imbalance
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,6 +103,31 @@ func TestAnalyzeAndRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+
+	// At 16 384 ranks the sorted section comes out ascending.
+	rng := rand.New(rand.NewSource(1))
+	wide := &Report{Scope: []string{"main"}, Metric: "CYCLES", Values: make([]float64, 16384)}
+	for i := range wide.Values {
+		wide.Values[i] = float64(rng.Intn(1e9))
+		wide.Stats.Observe(wide.Values[i])
+	}
+	b.Reset()
+	if err := wide.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	section := strings.SplitN(strings.SplitN(b.String(), "\nsorted:\n", 2)[1], "\n\n", 2)[0]
+	lines := strings.Split(section, "\n")
+	if len(lines) != 64 {
+		t.Fatalf("sorted section has %d lines, want 64", len(lines))
+	}
+	prev := math.Inf(-1)
+	for _, line := range lines {
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil || v < prev {
+			t.Fatalf("sorted section not ascending at %q:\n%s", line, section)
+		}
+		prev = v
 	}
 }
 

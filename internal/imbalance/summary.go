@@ -1,8 +1,8 @@
 package imbalance
 
 import (
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -60,11 +60,13 @@ func FromSummaries(tree *core.Tree, ranks int, meanID, maxID int) []ScopeStat {
 		}
 	}
 	walk(tree.Root)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Waste != out[j].Waste {
-			return out[i].Waste > out[j].Waste
+	slices.SortStableFunc(out, func(a, b ScopeStat) int {
+		if c := cmp.Compare(b.Waste, a.Waste); c != 0 {
+			return c
 		}
-		return strings.Join(out[i].Path, "\x00") < strings.Join(out[j].Path, "\x00")
+		// Label by label: the order of the paths joined with NUL
+		// separators, unless a label holds a NUL byte.
+		return slices.Compare(a.Path, b.Path)
 	})
 	return out
 }

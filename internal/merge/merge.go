@@ -182,18 +182,16 @@ func (a *Accumulator) Finish() (*Result, error) {
 	res := a.res
 	*a = Accumulator{}
 	collectIfDue()
-	// Scopes missing from some ranks observed zero there: pad every raw
-	// column of every seen row up to the rank count, one contiguous column
-	// at a time.
+	// Scopes missing from some ranks observed zero there: every raw column
+	// of every seen row merges the zeros it lacks (Stats{N: k} holds k
+	// zeros), one contiguous column at a time.
 	for c := 0; c < res.raw; c++ {
 		for row := range res.seen {
 			if !res.seen[row] {
 				continue
 			}
 			st := res.statsAt(c, int32(row))
-			for st.N < int64(res.NRanks) {
-				st.Observe(0)
-			}
+			st.Merge(metric.Stats{N: int64(res.NRanks) - st.N})
 		}
 	}
 	res.Tree.ComputeMetrics()
@@ -265,11 +263,4 @@ func (r *Result) AddSummaries(src int, ops ...metric.SummaryOp) error {
 		}
 	}
 	return nil
-}
-
-// ImbalanceFactor reports max/mean - 1 of raw column col at node across
-// ranks.
-func (r *Result) ImbalanceFactor(n *core.Node, col int) float64 {
-	st := r.Stats(n, col)
-	return st.ImbalanceFactor()
 }

@@ -92,7 +92,7 @@ func TestProfilesStats(t *testing.T) {
 		t.Fatal("min/mean/max ordering broken")
 	}
 	// Imbalance factor: max/mean - 1 = 4000/2500 - 1 = 0.6.
-	if f := res.ImbalanceFactor(compute, cyc); math.Abs(f-0.6) > 0.1 {
+	if f := res.Stats(compute, cyc).ImbalanceFactor(); math.Abs(f-0.6) > 0.1 {
 		t.Fatalf("imbalance factor = %g, want ~0.6", f)
 	}
 }
@@ -234,7 +234,7 @@ func TestAccumulatorStreamingMatchesBatch(t *testing.T) {
 	// Stats agree at a known scope.
 	bs := batch.Stats(batch.Tree.FindPath("main", "compute"), 0)
 	ss := stream.Stats(stream.Tree.FindPath("main", "compute"), 0)
-	if bs.N != ss.N || bs.Sum != ss.Sum || bs.Min != ss.Min || bs.Max != ss.Max {
+	if bs.N != ss.N || bs.Sum() != ss.Sum() || bs.Min != ss.Min || bs.Max != ss.Max {
 		t.Fatalf("stats differ: %+v vs %+v", bs, ss)
 	}
 	// A finished accumulator refuses further use.

@@ -26,8 +26,8 @@ import (
 // first-occurrence order of scopes and metric columns — and therefore
 // every child list and column ID — is identical to the sequential fold.
 // Metric sums are sums of integer-valued float64 samples, so they are
-// exact under any association; the summary statistics keep raw moments
-// (N, Σx, Σx², min, max), so their combine is the same exact addition
+// exact under any association; the summary statistics keep Σx and Σx² as
+// exact integers (metric.Stats), so their combine is integer addition
 // and the merged database is byte-identical for any jobs value.
 
 // Merge folds another unfinished accumulator into a, summing metric

@@ -3,7 +3,6 @@ package merge
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -22,14 +21,8 @@ import (
 // workload and a spread of rank counts, merging with jobs=1 and jobs=8
 // must produce the same experiment — identical trees, metric sums,
 // summary statistics and per-node imbalance factors, all bit-for-bit.
-// Statistics are exact since the Stats rewrite to raw moments (N, Σx,
-// Σx², min, max): merging is pure addition of integer-valued sums, which
-// reassociates exactly below 2^53, so no tolerance is needed anywhere.
-
-const (
-	meanTol   = 0
-	stddevTol = 0
-)
+// Per-rank values are integral, so metric.Stats keeps Σx and Σx² as exact
+// integers and merging is integer addition: no tolerance anywhere.
 
 // workloadFixture builds one workload through the measurement pipeline at
 // the given rank count.
@@ -53,18 +46,6 @@ func workloadFixture(t testing.TB, name string, ranks int) (*structfile.Doc, []*
 		t.Fatal(err)
 	}
 	return doc, profs
-}
-
-// closeEnough compares within a relative tolerance; tol 0 is exact.
-func closeEnough(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	if tol == 0 {
-		return false
-	}
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
 }
 
 // sameVector asserts bit-for-bit equality of two metric views.
@@ -111,20 +92,19 @@ func sameTree(t *testing.T, seq, par *Result) {
 			if sa.N != sb.N {
 				t.Fatalf("%s col %d: stats N %d != %d", where, col, sa.N, sb.N)
 			}
-			if sa.Sum != sb.Sum {
-				t.Fatalf("%s col %d: stats Sum %v != %v", where, col, sa.Sum, sb.Sum)
+			if sa.Sum() != sb.Sum() {
+				t.Fatalf("%s col %d: stats Sum %v != %v", where, col, sa.Sum(), sb.Sum())
 			}
-			if !closeEnough(sa.Min, sb.Min, meanTol) || !closeEnough(sa.Max, sb.Max, meanTol) {
+			if sa.Min != sb.Min || sa.Max != sb.Max {
 				t.Fatalf("%s col %d: min/max (%v,%v) != (%v,%v)", where, col, sa.Min, sa.Max, sb.Min, sb.Max)
 			}
-			if !closeEnough(sa.Mean(), sb.Mean(), meanTol) {
+			if sa.Mean() != sb.Mean() {
 				t.Fatalf("%s col %d: mean %v != %v", where, col, sa.Mean(), sb.Mean())
 			}
-			if !closeEnough(sa.StdDev(), sb.StdDev(), stddevTol) {
+			if sa.StdDev() != sb.StdDev() {
 				t.Fatalf("%s col %d: stddev %v != %v", where, col, sa.StdDev(), sb.StdDev())
 			}
-			fa, fb := seq.ImbalanceFactor(a, col), par.ImbalanceFactor(b, col)
-			if !closeEnough(fa, fb, meanTol) {
+			if fa, fb := sa.ImbalanceFactor(), sb.ImbalanceFactor(); fa != fb {
 				t.Fatalf("%s col %d: imbalance factor %v != %v", where, col, fa, fb)
 			}
 		}
@@ -155,6 +135,57 @@ func TestParallelMergeMatchesSequential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestParallelMergeLargeTotals is the harness's row at the paper's scale:
+// 1 024 ranks whose scope totals pass 1e8 events, so their squares pass
+// 2^53 and float64 moments would round differently in each shard order.
+// Rank r is one of toy's eight profiles with every count multiplied by
+// 100 000 + r.
+func TestParallelMergeLargeTotals(t *testing.T) {
+	doc, base := workloadFixture(t, "toy", 8)
+	profs := make([]*profile.Profile, 1024)
+	for r := range profs {
+		profs[r] = scaledProfile(base[r%len(base)], r, 100_000+uint64(r))
+	}
+	seq, err := ProfilesJobs(doc, profs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := ProfilesJobs(doc, profs, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := seq.Tree.Root.Children[0]
+	if st := seq.Stats(main, 0); st.N != 1024 || st.Min < 1e8 {
+		t.Fatalf("%s: n=%d min=%v, want 1024 ranks past 1e8", main.Label(), st.N, st.Min)
+	}
+	sameTree(t, seq, par)
+}
+
+// scaledProfile copies p as the given rank with every count multiplied by
+// scale.
+func scaledProfile(p *profile.Profile, rank int, scale uint64) *profile.Profile {
+	q := profile.NewProfile(p.Program, rank, p.Thread, p.Metrics)
+	q.Fingerprint = p.Fingerprint
+	var path []uint64
+	var walk func(n *profile.Node)
+	walk = func(n *profile.Node) {
+		for _, row := range n.Samples() {
+			for m, c := range row.Counts {
+				if c != 0 {
+					q.Record(path, row.PC, m, c*scale)
+				}
+			}
+		}
+		for _, c := range n.Children() {
+			path = append(path, c.CallPC)
+			walk(c)
+			path = path[:len(path)-1]
+		}
+	}
+	walk(p.Root)
+	return q
 }
 
 // TestCombineUnevenShards exercises reductions whose shard counts are not
@@ -252,7 +283,7 @@ func TestConcurrentStatsReadsDuringAddSummaries(t *testing.T) {
 			for _, n := range nodes {
 				for col := 0; col < raw; col++ {
 					st := res.Stats(n, col)
-					sink += st.Mean() + st.StdDev() + res.ImbalanceFactor(n, col)
+					sink += st.Mean() + st.StdDev() + st.ImbalanceFactor()
 				}
 			}
 			_ = sink

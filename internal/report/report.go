@@ -17,9 +17,10 @@
 package report
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/diff"
@@ -154,8 +155,9 @@ func Build(exp *expdb.Experiment, opt Options) (*Report, error) {
 			continue
 		}
 		scopes := imbalance.FromSummaries(tree, exp.NRanks, meanID, maxID)
-		r.Waste = append(r.Waste, wasteMetric(tree, exp.NRanks, d, meanID, maxID, scopes, opt.Top))
-		if im, ok := imbalanceMetric(tree, d, meanID, scopes, opt); ok {
+		wm := wasteMetric(tree, exp.NRanks, d, meanID, maxID, scopes, opt.Top)
+		r.Waste = append(r.Waste, wm)
+		if im, ok := imbalanceMetric(d, wm.TotalMean, scopes, opt); ok {
 			r.Imbalance = append(r.Imbalance, im)
 		}
 	}
@@ -261,11 +263,7 @@ func wasteMetric(tree *core.Tree, ranks int, d *metric.Desc, meanID, maxID int, 
 
 // imbalanceMetric summarizes the imbalance-factor distribution over
 // significant frames (mean ≥ 1% of the program mean).
-func imbalanceMetric(tree *core.Tree, d *metric.Desc, meanID int, scopes []imbalance.ScopeStat, opt Options) (ImbalanceMetric, bool) {
-	var programMean float64
-	for _, entry := range tree.Root.Children {
-		programMean += entry.Incl.Get(meanID)
-	}
+func imbalanceMetric(d *metric.Desc, programMean float64, scopes []imbalance.ScopeStat, opt Options) (ImbalanceMetric, bool) {
 	cut := 0.01 * programMean
 	var sig []imbalance.ScopeStat
 	var factors []float64
@@ -288,26 +286,22 @@ func imbalanceMetric(tree *core.Tree, d *metric.Desc, meanID int, scopes []imbal
 		MaxFactor:  stats.Max,
 		Histogram:  imbalance.Histogram(factors, opt.Bins),
 	}
-	// Worst offenders by factor (sig is waste-ordered; re-rank a copy).
-	worst := append([]imbalance.ScopeStat(nil), sig...)
-	for i := 1; i < len(worst); i++ {
-		for j := i; j > 0 && less(worst[j], worst[j-1]); j-- {
-			worst[j], worst[j-1] = worst[j-1], worst[j]
+	// Worst offenders by descending factor, ties by path (sig is
+	// waste-ordered; re-rank a copy). Paths compare label by label: the
+	// order of the paths joined with NUL separators, unless a label holds
+	// a NUL byte.
+	worst := slices.Clone(sig)
+	slices.SortStableFunc(worst, func(a, b imbalance.ScopeStat) int {
+		if c := cmp.Compare(b.Factor, a.Factor); c != 0 {
+			return c
 		}
-	}
+		return slices.Compare(a.Path, b.Path)
+	})
 	if opt.Top > 0 && len(worst) > opt.Top {
 		worst = worst[:opt.Top]
 	}
 	im.Worst = worst
 	return im, true
-}
-
-// less orders by descending imbalance factor, ties by path.
-func less(a, b imbalance.ScopeStat) bool {
-	if a.Factor != b.Factor {
-		return a.Factor > b.Factor
-	}
-	return strings.Join(a.Path, "\x00") < strings.Join(b.Path, "\x00")
 }
 
 // regressions diffs the database against the baseline and reports the

@@ -418,7 +418,7 @@ func TestFig7LoadImbalance(t *testing.T) {
 	if fs == nil {
 		t.Fatal("flow_solve missing from merged tree")
 	}
-	if f := res.ImbalanceFactor(fs, cyc); f < 0.1 {
+	if f := res.Stats(fs, cyc).ImbalanceFactor(); f < 0.1 {
 		t.Fatalf("merged imbalance factor = %.3f", f)
 	}
 
