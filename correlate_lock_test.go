@@ -32,8 +32,8 @@ import (
 const correlateLockFile = "testdata/correlate_lock.txt"
 
 // correlateLockDigests builds every workload × rank-count database through
-// the standard merge pipeline (summaries and a derived column, like
-// hpcprof -summaries) and returns "name/ranks/format sha256" lines.
+// the standard merge pipeline, raw columns only (no summary or derived
+// column), and returns "name/ranks/format sha256" lines.
 func correlateLockDigests(t *testing.T) []string {
 	t.Helper()
 	var lines []string

@@ -117,6 +117,8 @@ func (r *Report) ImbalanceFactor() float64 { return r.Stats.ImbalanceFactor() }
 
 const barWidth = 40
 
+const plotRows = 64 // most rows of the scatter and of the sorted series
+
 // Render writes the three Figure 7 graphs as text: the per-rank scatter,
 // the sorted series and the histogram.
 func (r *Report) Render(w io.Writer) error {
@@ -125,28 +127,32 @@ func (r *Report) Render(w io.Writer) error {
 	fmt.Fprintf(&b, "ranks=%d mean=%.3g min=%.3g max=%.3g stddev=%.3g imbalance=%.2f\n\n",
 		r.Stats.N, r.Stats.Mean(), r.Stats.Min, r.Stats.Max, r.Stats.StdDev(), r.ImbalanceFactor())
 
-	max := r.Stats.Max
+	top := r.Stats.Max
 	bar := func(v float64) string {
-		if max <= 0 {
+		if top <= 0 {
 			return ""
 		}
-		n := int(math.Round(v / max * barWidth))
+		n := int(math.Round(v / top * barWidth))
 		return strings.Repeat("#", n)
 	}
 
+	// At most plotRows evenly spaced ranks, the first and the last always
+	// among them: every rank when there are no more.
+	n := len(r.Values)
+	shown := min(n, plotRows)
+	at := func(i int) int { return i * (n - 1) / max(shown-1, 1) }
+
 	b.WriteString("per-rank (scatter):\n")
-	step := 1
-	if len(r.Values) > 64 {
-		step = (len(r.Values) + 63) / 64
-	}
-	for i := 0; i < len(r.Values); i += step {
-		fmt.Fprintf(&b, "  rank %4d | %-*s %.3g\n", i, barWidth, bar(r.Values[i]), r.Values[i])
+	for i := range shown {
+		k := at(i)
+		fmt.Fprintf(&b, "  rank %4d | %-*s %.3g\n", k, barWidth, bar(r.Values[k]), r.Values[k])
 	}
 
 	b.WriteString("\nsorted:\n")
 	sorted := slices.Sorted(slices.Values(r.Values))
-	for i := 0; i < len(sorted); i += step {
-		fmt.Fprintf(&b, "  %4d/%d    | %-*s %.3g\n", i, len(sorted), barWidth, bar(sorted[i]), sorted[i])
+	for i := range shown {
+		k := at(i)
+		fmt.Fprintf(&b, "  %4d/%d    | %-*s %.3g\n", k, n, barWidth, bar(sorted[k]), sorted[k])
 	}
 
 	b.WriteString("\nhistogram:\n")

@@ -1,6 +1,7 @@
 package imbalance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/lower"
+	"repro/internal/metric"
 	"repro/internal/mpi"
 	"repro/internal/profile"
 	"repro/internal/prog"
@@ -128,6 +130,40 @@ func TestAnalyzeAndRender(t *testing.T) {
 			t.Fatalf("sorted section not ascending at %q:\n%s", line, section)
 		}
 		prev = v
+	}
+
+	// The ranks 0…16 383 costing their own number: both sections show the
+	// last rank, which is the maximum.
+	for i := range wide.Values {
+		wide.Values[i] = float64(i)
+	}
+	wide.Stats = metric.Stats{}
+	for _, v := range wide.Values {
+		wide.Stats.Observe(v)
+	}
+	b.Reset()
+	if err := wide.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	out = b.String()
+	if !strings.Contains(out, "  rank 16383 | ") {
+		t.Fatalf("scatter misses rank 16383:\n%s", out)
+	}
+	section = strings.SplitN(strings.SplitN(out, "\nsorted:\n", 2)[1], "\n\n", 2)[0]
+	if !strings.HasSuffix(section, "16383/16384    | "+strings.Repeat("#", barWidth)+" 1.64e+04") {
+		t.Fatalf("sorted section does not end at the maximum:\n%s", section)
+	}
+
+	// Up to 64 ranks every rank shows, in order.
+	rep.Values = wide.Values[:64]
+	b.Reset()
+	if err := rep.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 64 {
+		if !strings.Contains(b.String(), fmt.Sprintf("  rank %4d | ", i)) || !strings.Contains(b.String(), fmt.Sprintf("  %4d/64    | ", i)) {
+			t.Fatalf("64 ranks: rank %d missing:\n%s", i, b.String())
+		}
 	}
 }
 

@@ -6,6 +6,8 @@
 // max, standard deviation) and discarded. A rank is never a tree of its
 // own: Add streams its correlated samples straight into the accumulated
 // tree and keeps one scratch inclusive total per scope until the rank ends.
+// The root is one of those scopes: its totals are the rank's program
+// totals, so the root's summary cells are the program's statistics.
 //
 // Merging is parallel by default: ranks are split into contiguous shards,
 // each streamed into a private Accumulator by one worker, and the shards
@@ -37,13 +39,11 @@ type Result struct {
 	// stats[col][row] accumulates the per-rank inclusive values of raw
 	// column col at the scope with dense row id row — column-major like the
 	// tree's metric store, so Add indexes a slab instead of hashing a
-	// per-node map, and summary sweeps run over contiguous memory.
+	// per-node map, and summary sweeps run over contiguous memory. Every
+	// row of the tree is a scope some rank entered: the root is entered by
+	// all, and the others exist because a sample path led through them.
 	stats [][]metric.Stats
-	// seen[row] records that the scope appeared in at least one rank
-	// (distinguishes them from rows that only exist because a slab grew past
-	// them).
-	seen []bool
-	raw  int // number of raw columns covered by stats
+	raw   int // number of raw columns covered by stats
 }
 
 // grown returns s with at least n elements, the new ones zero; growth is
@@ -63,11 +63,6 @@ func (r *Result) statsAt(col int, row int32) *metric.Stats {
 	}
 	r.stats[col] = grown(r.stats[col], int(row)+1)
 	return &r.stats[col][row]
-}
-
-func (r *Result) markSeen(row int32) {
-	r.seen = grown(r.seen, int(row)+1)
-	r.seen[row] = true
 }
 
 // Accumulator merges profiles one at a time: feed each rank's profile with
@@ -122,14 +117,18 @@ func (a *Accumulator) Add(p *profile.Profile) error {
 	for len(a.incl) < r.raw {
 		a.incl = append(a.incl, nil)
 	}
+	// Every sample path starts at the root, the scope of program totals.
 	a.cur.Reset()
+	root := r.Tree.Root.Base.Row()
+	a.rows = append(a.rows[:0], root)
+	a.touched = append(a.touched, root)
 	err = a.walk.Samples(func(path []source.Scope, values []float64) error {
 		nodes, fresh := a.cur.Descend(path)
-		a.rows = a.rows[:fresh-1]
+		a.rows = a.rows[:fresh]
 		for _, n := range nodes[fresh:] {
 			a.rows = append(a.rows, n.Base.Row())
 		}
-		a.touched = append(a.touched, a.rows[fresh-1:]...)
+		a.touched = append(a.touched, a.rows[fresh:]...)
 		leaf := nodes[len(nodes)-1]
 		for i, v := range values {
 			if v == 0 {
@@ -156,7 +155,6 @@ func (a *Accumulator) Add(p *profile.Profile) error {
 	// its scratch back. A scope entered twice finds its totals already
 	// taken the second time.
 	for _, row := range a.touched {
-		r.markSeen(row)
 		for c, in := range a.incl {
 			if int(row) < len(in) && in[row] != 0 {
 				r.statsAt(c, row).Observe(in[row])
@@ -183,13 +181,11 @@ func (a *Accumulator) Finish() (*Result, error) {
 	*a = Accumulator{}
 	collectIfDue()
 	// Scopes missing from some ranks observed zero there: every raw column
-	// of every seen row merges the zeros it lacks (Stats{N: k} holds k
-	// zeros), one contiguous column at a time.
+	// of every row merges the zeros it lacks (Stats{N: k} holds k zeros),
+	// one contiguous column at a time.
+	rows := res.Tree.MetricStore().NumRows()
 	for c := 0; c < res.raw; c++ {
-		for row := range res.seen {
-			if !res.seen[row] {
-				continue
-			}
+		for row := range rows {
 			st := res.statsAt(c, int32(row))
 			st.Merge(metric.Stats{N: int64(res.NRanks) - st.N})
 		}
@@ -251,14 +247,13 @@ func (r *Result) AddSummaries(src int, ops ...metric.SummaryOp) error {
 			continue // a column no rank recorded: every summary of it is zero
 		}
 		// Columnar sweep: the source statistics and the destination
-		// inclusive column are both row-indexed slabs. Only seen rows can
-		// hold statistics, and the root row is never seen.
+		// inclusive column are both row-indexed slabs. The root's cells
+		// are the statistics of the program totals.
 		out := st.Col(metric.PlaneIncl, d.ID)
-		for row, ss := range r.stats[src] {
-			if row < len(r.seen) && r.seen[row] {
-				if v := ss.Value(d.Op); v != 0 {
-					out[row] = v
-				}
+		ss := r.stats[src]
+		for row := range min(len(out), len(ss)) {
+			if v := ss[row].Value(d.Op); v != 0 {
+				out[row] = v
 			}
 		}
 	}

@@ -64,9 +64,7 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 		}
 		cols[i] = nd.ID
 	}
-	if n := r.Tree.Reg.Len(); n > r.raw {
-		r.raw = n
-	}
+	r.raw = max(r.raw, r.Tree.Reg.Len())
 
 	var walk func(accParent *core.Node, n *core.Node)
 	walk = func(accParent *core.Node, n *core.Node) {
@@ -79,19 +77,14 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 				acc.CallLine = n.CallLine
 				acc.CallFile = n.CallFile
 			}
-			n.Base.Range(func(id int, v float64) {
-				acc.Base.Add(cols[id], v)
-			})
-			orow := int(n.Base.Row())
-			if orow < len(o.seen) && o.seen[orow] {
-				row := acc.Base.Row()
-				r.markSeen(row)
-				for c := range o.stats {
-					s := o.stats[c]
-					if orow < len(s) && s[orow].N > 0 {
-						r.statsAt(cols[c], row).Merge(s[orow])
-					}
-				}
+		}
+		n.Base.Range(func(id int, v float64) {
+			acc.Base.Add(cols[id], v)
+		})
+		orow := int(n.Base.Row())
+		for c, s := range o.stats {
+			if orow < len(s) && s[orow].N > 0 {
+				r.statsAt(cols[c], acc.Base.Row()).Merge(s[orow])
 			}
 		}
 		for _, c := range n.Children {

@@ -132,6 +132,15 @@ func TestParallelMergeMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameTree(t, seq, par)
+				// sameTree compared the root's statistics too; they are
+				// every rank's program totals.
+				root := seq.Tree.Root
+				for col := 0; col < seq.Tree.Reg.Len(); col++ {
+					if st := seq.Stats(root, col); st.N != int64(ranks) || st.Sum() != seq.Tree.Total(col) {
+						t.Fatalf("root col %d: n=%d sum=%v, want %d ranks summing to %v",
+							col, st.N, st.Sum(), ranks, seq.Tree.Total(col))
+					}
+				}
 			})
 		}
 	}

@@ -6,7 +6,8 @@
 //   - hot path analysis per entry frame (Section V-C, Equation 3),
 //   - the derived waste/efficiency metrics of Section VI-B, recovered
 //     from cross-rank summary columns,
-//   - the load-imbalance analysis of Section VI-C (internal/imbalance),
+//   - the load-imbalance factor distribution of Section VI-C, from the
+//     same columns,
 //   - and, given a baseline database, the top regressions and
 //     improvements via internal/diff.
 //
@@ -71,31 +72,49 @@ type HotPath struct {
 	Steps  []Step  `json:"steps"`
 }
 
+// ScopeStat is the load-imbalance summary of one frame, read from a
+// merged database's cross-rank summary columns.
+type ScopeStat struct {
+	// Path is the labels of the frames from the entry frame to this one.
+	Path []string `json:"path"`
+	// Mean and Max are the frame's inclusive per-rank mean and maximum.
+	Mean float64 `json:"mean"`
+	Max  float64 `json:"max"`
+	// Factor is max/mean − 1, the paper's imbalance factor: 0 for a
+	// perfectly balanced frame, 1 when the slowest rank costs twice the
+	// average.
+	Factor float64 `json:"factor"`
+	// Waste is ranks · (max − mean): the total cost the program would
+	// shed if every rank ran at the mean — the paper's derived waste
+	// metric, Section VI-B.
+	Waste float64 `json:"waste"`
+}
+
 // WasteMetric is the Section VI-B derived waste/efficiency analysis of
 // one raw metric, from its cross-rank summary columns.
 type WasteMetric struct {
 	Metric string `json:"metric"`
 	// TotalMean/TotalMax are the program's per-rank mean and maximum
-	// inclusive cost; TotalWaste is ranks·(max−mean); Efficiency is
-	// mean/max (1 = perfectly balanced).
+	// inclusive cost, the summary cells of the root; TotalWaste is
+	// ranks·(max−mean); Efficiency is mean/max (1 = perfectly balanced).
 	TotalMean  float64 `json:"total_mean"`
 	TotalMax   float64 `json:"total_max"`
 	TotalWaste float64 `json:"total_waste"`
 	Efficiency float64 `json:"efficiency"`
 	// TopScopes are the frames where rebalancing pays most, by waste.
-	TopScopes []imbalance.ScopeStat `json:"top_scopes,omitempty"`
+	TopScopes []ScopeStat `json:"top_scopes,omitempty"`
 }
 
 // ImbalanceMetric is the Section VI-C load-imbalance distribution of one
 // raw metric over significant frames (inclusive mean ≥ 1% of program
 // mean).
 type ImbalanceMetric struct {
-	Metric     string                `json:"metric"`
-	Frames     int                   `json:"frames"`
-	MeanFactor float64               `json:"mean_factor"`
-	MaxFactor  float64               `json:"max_factor"`
-	Histogram  []imbalance.Bin       `json:"histogram,omitempty"`
-	Worst      []imbalance.ScopeStat `json:"worst,omitempty"`
+	Metric     string          `json:"metric"`
+	Frames     int             `json:"frames"`
+	MeanFactor float64         `json:"mean_factor"`
+	MaxFactor  float64         `json:"max_factor"`
+	Histogram  []imbalance.Bin `json:"histogram,omitempty"`
+	Worst      []ScopeStat     `json:"worst,omitempty"`
 }
 
 // Report is the complete unattended analysis of one database.
@@ -146,6 +165,7 @@ func Build(exp *expdb.Experiment, opt Options) (*Report, error) {
 		r.HotPaths = append(r.HotPaths, hotPath(entry, primary, opt.Threshold))
 	}
 
+	summaries := false
 	for _, d := range tree.Reg.Columns() {
 		if d.Kind != metric.Raw {
 			continue
@@ -154,14 +174,32 @@ func Build(exp *expdb.Experiment, opt Options) (*Report, error) {
 		if !ok {
 			continue
 		}
-		scopes := imbalance.FromSummaries(tree, exp.NRanks, meanID, maxID)
-		wm := wasteMetric(tree, exp.NRanks, d, meanID, maxID, scopes, opt.Top)
+		summaries = true
+		// The program totals are the root's summary cells. A database
+		// merged before the root kept them has zeros there.
+		totalMean, totalMax := tree.Total(meanID), tree.Total(maxID)
+		if totalMean == 0 && tree.Total(d.ID) != 0 {
+			r.Notes = append(r.Notes, d.Name+
+				": summary columns hold no program totals (merged before the root kept them): waste/imbalance analyses skipped (re-merge with hpcprof -summaries)")
+			continue
+		}
+		byWaste := ranked(frameStats(tree, exp.NRanks, meanID, maxID), func(s ScopeStat) float64 { return s.Waste })
+		wm := WasteMetric{
+			Metric:     d.Name,
+			TotalMean:  totalMean,
+			TotalMax:   totalMax,
+			TotalWaste: float64(exp.NRanks) * (totalMax - totalMean),
+			TopScopes:  head(byWaste, opt.Top),
+		}
+		if totalMax > 0 {
+			wm.Efficiency = totalMean / totalMax
+		}
 		r.Waste = append(r.Waste, wm)
-		if im, ok := imbalanceMetric(d, wm.TotalMean, scopes, opt); ok {
+		if im, ok := imbalanceMetric(d, totalMean, byWaste, opt); ok {
 			r.Imbalance = append(r.Imbalance, im)
 		}
 	}
-	if len(r.Waste) == 0 {
+	if !summaries {
 		r.Notes = append(r.Notes,
 			"no cross-rank summary columns: waste/imbalance analyses skipped (merge with hpcprof -summaries)")
 	}
@@ -236,72 +274,85 @@ func summaryCols(reg *metric.Registry, src int) (meanID, maxID int, ok bool) {
 	return meanID, maxID, meanID >= 0 && maxID >= 0
 }
 
-func wasteMetric(tree *core.Tree, ranks int, d *metric.Desc, meanID, maxID int, scopes []imbalance.ScopeStat, top int) WasteMetric {
-	// Summary columns hold no value at the invisible root, so program
-	// totals come from summing the entry frames. Mean is linear so the sum
-	// is exact; the max sum is an upper bound (exact for one entry frame).
-	var totalMean, totalMax float64
-	for _, entry := range tree.Root.Children {
-		totalMean += entry.Incl.Get(meanID)
-		totalMax += entry.Incl.Get(maxID)
+// frameStats scores every procedure frame with positive mean cost by
+// imbalance factor and waste, in preorder. meanID and maxID are the
+// summary columns over one raw metric; ranks is the merged rank count.
+func frameStats(tree *core.Tree, ranks int, meanID, maxID int) []ScopeStat {
+	var out []ScopeStat
+	var path []string // frame labels from the entry frame down
+	var walk func(n *core.Node)
+	walk = func(n *core.Node) {
+		depth := len(path)
+		if n.Kind == core.KindFrame {
+			path = append(path, n.Label())
+			mean, max := n.Incl.Get(meanID), n.Incl.Get(maxID)
+			if mean > 0 && max >= mean {
+				out = append(out, ScopeStat{
+					Path:   slices.Clone(path),
+					Mean:   mean,
+					Max:    max,
+					Factor: max/mean - 1,
+					Waste:  float64(ranks) * (max - mean),
+				})
+			}
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+		path = path[:depth]
 	}
-	wm := WasteMetric{
-		Metric:     d.Name,
-		TotalMean:  totalMean,
-		TotalMax:   totalMax,
-		TotalWaste: float64(ranks) * (totalMax - totalMean),
-	}
-	if totalMax > 0 {
-		wm.Efficiency = totalMean / totalMax
-	}
+	walk(tree.Root)
+	return out
+}
+
+// ranked sorts scopes in place by descending key, ties broken by path,
+// and returns them. Paths compare label by label: the order of the paths
+// joined with NUL separators, unless a label holds a NUL byte.
+func ranked(scopes []ScopeStat, key func(ScopeStat) float64) []ScopeStat {
+	slices.SortStableFunc(scopes, func(a, b ScopeStat) int {
+		if c := cmp.Compare(key(b), key(a)); c != 0 {
+			return c
+		}
+		return slices.Compare(a.Path, b.Path)
+	})
+	return scopes
+}
+
+// head returns the first top scopes (all of them when top <= 0).
+func head(scopes []ScopeStat, top int) []ScopeStat {
 	if top > 0 && len(scopes) > top {
-		scopes = scopes[:top]
+		return scopes[:top]
 	}
-	wm.TopScopes = append([]imbalance.ScopeStat(nil), scopes...)
-	return wm
+	return scopes
 }
 
 // imbalanceMetric summarizes the imbalance-factor distribution over
-// significant frames (mean ≥ 1% of the program mean).
-func imbalanceMetric(d *metric.Desc, programMean float64, scopes []imbalance.ScopeStat, opt Options) (ImbalanceMetric, bool) {
+// significant frames (mean ≥ 1% of the program mean). byWaste is the
+// frames in descending waste order, which orders equal factors on equal
+// paths among the worst.
+func imbalanceMetric(d *metric.Desc, programMean float64, byWaste []ScopeStat, opt Options) (ImbalanceMetric, bool) {
 	cut := 0.01 * programMean
-	var sig []imbalance.ScopeStat
+	var sig []ScopeStat
 	var factors []float64
 	var stats metric.Stats
-	for _, s := range scopes {
-		if s.Mean < cut {
-			continue
+	for _, s := range byWaste {
+		if s.Mean >= cut {
+			sig = append(sig, s)
+			factors = append(factors, s.Factor)
+			stats.Observe(s.Factor)
 		}
-		sig = append(sig, s)
-		factors = append(factors, s.Factor)
-		stats.Observe(s.Factor)
 	}
 	if len(sig) == 0 {
 		return ImbalanceMetric{}, false
 	}
-	im := ImbalanceMetric{
+	return ImbalanceMetric{
 		Metric:     d.Name,
 		Frames:     len(sig),
 		MeanFactor: stats.Mean(),
 		MaxFactor:  stats.Max,
 		Histogram:  imbalance.Histogram(factors, opt.Bins),
-	}
-	// Worst offenders by descending factor, ties by path (sig is
-	// waste-ordered; re-rank a copy). Paths compare label by label: the
-	// order of the paths joined with NUL separators, unless a label holds
-	// a NUL byte.
-	worst := slices.Clone(sig)
-	slices.SortStableFunc(worst, func(a, b imbalance.ScopeStat) int {
-		if c := cmp.Compare(b.Factor, a.Factor); c != 0 {
-			return c
-		}
-		return slices.Compare(a.Path, b.Path)
-	})
-	if opt.Top > 0 && len(worst) > opt.Top {
-		worst = worst[:opt.Top]
-	}
-	im.Worst = worst
-	return im, true
+		Worst:      head(ranked(sig, func(s ScopeStat) float64 { return s.Factor }), opt.Top),
+	}, true
 }
 
 // regressions diffs the database against the baseline and reports the

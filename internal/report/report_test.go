@@ -130,6 +130,38 @@ func TestReportNoSummaries(t *testing.T) {
 	}
 }
 
+// TestReportRootWithoutSummaries: a database merged before the root kept
+// summary cells has zeros there. Its program totals are unknown, so the
+// two analyses are skipped with a note that names the cause, and no total
+// is estimated from the entry frames.
+func TestReportRootWithoutSummaries(t *testing.T) {
+	exp := fixture(t, 3, true)
+	for _, d := range exp.Tree.Reg.Columns() {
+		if d.Kind == metric.Summary {
+			exp.Tree.Root.Incl.Set(d.ID, 0)
+		}
+	}
+	var buf bytes.Buffer
+	if err := exp.WriteBinaryV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old, err := expdb.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Build(old, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Waste) != 0 || len(r.Imbalance) != 0 {
+		t.Fatalf("waste %+v / imbalance %+v produced without program totals", r.Waste, r.Imbalance)
+	}
+	want := "CYCLES: summary columns hold no program totals (merged before the root kept them): waste/imbalance analyses skipped (re-merge with hpcprof -summaries)"
+	if len(r.Notes) != 1 || r.Notes[0] != want {
+		t.Fatalf("notes %q, want only %q", r.Notes, want)
+	}
+}
+
 // TestReportJobsDeterminism: report bytes — JSON and markdown, including
 // the baseline diff — must not depend on the diff kernels' worker count,
 // which follows GOMAXPROCS.
