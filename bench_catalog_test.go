@@ -49,11 +49,6 @@ func catalogBench(b *testing.B, n int) *catalog.Catalog {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Fault columns in up front so first-touch checksums don't bill
-		// whichever iteration reaches a database first.
-		if err := snap.FaultAll(); err != nil {
-			b.Fatal(err)
-		}
 		snap.Release()
 	}
 	return c

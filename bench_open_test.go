@@ -14,7 +14,8 @@ import (
 // from disk and answering the first query from cold. The v2 open must
 // decode the whole file — O(file) — before the first scope is visible; the
 // mapped v3 open parses the fixed-width section index and nothing else —
-// O(index) — and faults column slabs in on first touch.
+// O(index). engine.Open then decodes the metadata and checksums every
+// column slab in place, copying none of them.
 // Baseline numbers live in BENCH_open.json.
 
 // openBenchFiles serializes the 100k-scope synthetic CCT in both formats
@@ -89,8 +90,8 @@ func coldQuery(b *testing.B, snap *engine.Snapshot) {
 }
 
 // BenchmarkColdFirstQueryMapped measures time-to-first-answer on the
-// mapped path: open, decode metadata, fault in the queried column slabs
-// (checksummed on first touch), run the hot path, release the mapping.
+// mapped path: open, decode metadata, checksum every column slab in place,
+// run the hot path, release the mapping.
 func BenchmarkColdFirstQueryMapped(b *testing.B) {
 	_, v3path := openBenchFiles(b)
 	b.ResetTimer()

@@ -220,11 +220,6 @@ func exportPprof(dbPath, out string) error {
 		return err
 	}
 	defer sn.Release()
-	// A v3 database faults metric columns on demand; the exporter walks
-	// every raw Base value, so fault everything up front.
-	if err := sn.FaultAll(); err != nil {
-		return fmt.Errorf("loading %s: %w", dbPath, err)
-	}
 	err = expdb.WriteFileAtomic(out, func(f *os.File) error {
 		return pprofio.Export(sn.Experiment(), f)
 	})

@@ -89,16 +89,11 @@ func run(args []string) error {
 	return nil
 }
 
-// openDB opens a database of any format; a mapped v3 database has every
-// column faulted in (the analyses read all raw and summary values).
+// openDB opens a database of any format.
 func openDB(path string) (*expdb.Experiment, func(), error) {
 	sn, err := engine.Open(path)
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := sn.FaultAll(); err != nil {
-		sn.Release()
-		return nil, nil, fmt.Errorf("loading %s: %w", path, err)
 	}
 	return sn.Experiment(), func() { sn.Release() }, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,5 +153,65 @@ func TestViewerRejectsDamagedDB(t *testing.T) {
 		} else if !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: error does not name the file: %v", name, err)
 		}
+	}
+}
+
+// An interactive session over a v3 database with a damaged column prints
+// the column's warning when the database opens, before the first render.
+func TestViewerInteractiveWarnsAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := expdb.New(core.Fig1Tree()).WriteBinaryV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Flip a payload byte of the first column section (kind 7), found
+	// through the index the trailer points at: trailer index offset u64
+	// first, 32-byte entries with kind at 0, offset at 8, length at 16.
+	data := buf.Bytes()
+	idx := binary.LittleEndian.Uint64(data[len(data)-32:])
+	for en := data[idx : len(data)-32]; ; en = en[32:] {
+		if len(en) < 32 {
+			t.Fatal("no column section")
+		}
+		if en[0] == 7 {
+			data[binary.LittleEndian.Uint64(en[8:])+binary.LittleEndian.Uint64(en[16:])/2] ^= 0xff
+			break
+		}
+	}
+	path := filepath.Join(dir, "damaged.db")
+	script := filepath.Join(dir, "script")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(script, []byte("ls\nquit\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in, err := os.Open(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	// Stdout and stderr share one pipe, so the output keeps their order.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	oldIn, oldOut, oldErr := os.Stdin, os.Stdout, os.Stderr
+	os.Stdin, os.Stdout, os.Stderr = in, w, w
+	err = run([]string{"-db", path, "-interactive"})
+	os.Stdin, os.Stdout, os.Stderr = oldIn, oldOut, oldErr
+	w.Close()
+	out := string(<-read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warn, view := strings.Index(out, "hpcviewer: warning: column section"), strings.Index(out, "cost (I)")
+	if warn < 0 || view < 0 || warn > view {
+		t.Fatalf("want the column warning before the first render:\n%s", out)
 	}
 }

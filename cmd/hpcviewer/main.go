@@ -82,7 +82,7 @@ func run(args []string) (err error) {
 
 	if *interactive {
 		// Interactive sessions go through the engine, which maps a v3
-		// database and checks a column the first time a command touches it.
+		// database and checks every column's checksum as it opens.
 		return runInteractive(*db, derived, *workload, *structPath, *measDir, *residency)
 	}
 
@@ -195,11 +195,10 @@ func run(args []string) (err error) {
 }
 
 // runInteractive opens the database as an engine snapshot and drives the
-// REPL over one session of it. A v3 database is mapped: only its index and
-// metadata are decoded up front, and a metric column's checksum is verified
-// the first time a command sorts by, renders or hot-paths it, so the note
-// for a damaged column appears on stderr the moment it is first touched.
-// Every other format is decoded whole and its notes are printed at open.
+// REPL over one session of it. A v3 database is mapped and verified as it
+// opens, every other format decoded whole; either way the notes for damage
+// are printed before the first render. Only the trace view, built when a
+// command first asks for it, may add notes later.
 // The CLI is a thin frontend: every capability here (and in hpcserver)
 // lives in internal/engine.
 func runInteractive(dbPath string, derived derivedFlags, workload, structPath, measDir string, residency bool) error {
@@ -305,7 +304,7 @@ func loadMeasurements(structPath, dir string) (*structfile.Doc, []*profile.Profi
 // repl drives an interactive session over stdin, emulating hpcviewer's
 // GUI interactions (expand/collapse, hot-path drill-down, zoom, flatten,
 // the source pane and per-rank plots). flushNotes runs after every
-// command so degradation notes surface as soon as a column faults.
+// command so the notes of a trace view's first build surface at once.
 func repl(s *engine.Session, flushNotes func()) error {
 	out := bufio.NewWriter(os.Stdout)
 	err := s.Render(out, render.Options{})

@@ -19,8 +19,7 @@ var ErrBadStrategy = errors.New("catalog: unknown pick strategy")
 //   - "p50": the generation with the lower-median total cost — a
 //     representative run, robust against one outlier capture.
 //
-// Measures are computed by briefly acquiring each generation (faulting
-// its columns) and are memoized per generation key, so repeated picks
+// Measures are computed by briefly acquiring each generation and are memoized per generation key, so repeated picks
 // over a stable series touch no database. Damaged generations are skipped;
 // Pick fails only when no generation could be measured.
 func (c *Catalog) Pick(seriesName, strategy string) (Key, error) {
@@ -94,9 +93,6 @@ func (c *Catalog) measure(k Key) (float64, error) {
 		return 0, err
 	}
 	defer snap.Release()
-	if err := snap.FaultAll(); err != nil {
-		return 0, err
-	}
 	v := snap.Tree().Root.Incl.Get(0)
 
 	c.measureMu.Lock()

@@ -195,8 +195,7 @@ var defaultLabels = [MaxInputs]string{"A", "B", "C", "D", "E", "F", "G", "H"}
 
 // Diff unions the inputs into a fresh experiment. The first input is the
 // baseline every other input is compared against. Input trees are only
-// read; they may be shared with live sessions provided all their lazy
-// columns have been faulted in (engine.Snapshot.FaultAll).
+// read, so they may be shared with live sessions.
 func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	if len(inputs) < 2 {
 		return nil, fmt.Errorf("diff: need at least 2 inputs, got %d", len(inputs))

@@ -12,12 +12,12 @@ import (
 // visible sibling list from scratch without it; with it, only lists never
 // ordered under the current (view, spec) pay the sort.
 //
-// Every key carries a generation stamp. Anything that can change metric
-// values or sibling-list membership — derived-metric registration, lazy
-// caller materialization, view switches, column fault-in (the session's
-// own, or another session's observed through the snapshot generation) —
-// bumps the generation, so stale entries can never be returned; they age
-// out of the LRU instead of being scanned for.
+// Every key carries a generation stamp. Anything in the session that can
+// change metric values or sibling-list membership — derived-metric
+// registration, lazy caller materialization, view switches — bumps the
+// generation, so stale entries can never be returned; they age out of the
+// LRU instead of being scanned for. The shared snapshot never changes, so
+// nothing outside the session moves it.
 const cacheCapacity = 256
 
 // cacheKey identifies one memoized query: a sorted sibling list — owned by
@@ -87,7 +87,7 @@ func (c *queryCache) beginPass() { c.passLists, c.scratch = 0, c.scratch[:0] }
 
 // sortedSiblings returns ns ordered by the session sort. Callers may
 // re-slice the result but must not reorder it, and must not keep it past
-// the row walk that asked for it. Runs under the snapshot read lock.
+// the row walk that asked for it.
 //
 // A list of at most one scope has one order: it is returned as it is, with
 // no copy, sort or cache entry (most scopes of a CCT have a single child).
@@ -142,7 +142,7 @@ func (s *Session) sortedSiblings(parent *core.Node, ns []*core.Node) []*core.Nod
 }
 
 // hotPathCached returns the memoized Equation 3 result for (start, metric)
-// at the current threshold. Runs under the snapshot read lock.
+// at the current threshold.
 func (s *Session) hotPathCached(start *core.Node, metricID int) []*core.Node {
 	key := cacheKey{hot: true, node: start, spec: core.SortSpec{MetricID: metricID}, threshold: s.threshold, gen: s.cache.gen}
 	if path, ok := s.cache.get(key); ok {

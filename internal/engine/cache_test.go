@@ -167,15 +167,11 @@ func TestHotPathMemoized(t *testing.T) {
 	}
 }
 
-// columnReads reports how many column sections the mapped database behind
-// sn has checksummed.
-func columnReads(sn *Snapshot) int { return sn.mdb.SectionReads()["column"] }
-
-// TestColumnFaulterLazySession fronts a mapped database with a session:
-// only the columns the scripted interaction touches are faulted, each
-// exactly once and with one generation bump, and the rendered values match
-// a session over the same database decoded whole, byte for byte.
-func TestColumnFaulterLazySession(t *testing.T) {
+// TestMappedSessionMatchesEager fronts a mapped database with a session
+// sorted by a raw column, fully expanded, rendering a summary column: the
+// output matches a session over the same database decoded whole, byte for
+// byte.
+func TestMappedSessionMatchesEager(t *testing.T) {
 	path, data := v3FixtureFile(t)
 	eager, err := expdb.Read(bytes.NewReader(data))
 	if err != nil {
@@ -183,117 +179,64 @@ func TestColumnFaulterLazySession(t *testing.T) {
 	}
 	sn := mappedSnapshot(t, path)
 	defer sn.Close()
-	s := NewSession(sn)
-	defer s.Close()
-	if n := columnReads(sn); n != 0 {
-		t.Fatalf("open checksummed %d column sections, want 0", n)
-	}
-
-	// Sorting by the raw column faults that column and no other, once.
-	raw := s.Tree().Reg.ByName("CYCLES")
-	s.SetSort(core.SortSpec{MetricID: raw.ID})
-	s.VisibleRows()
-	rawReads := columnReads(sn)
-	if rawReads == 0 || sn.Generation() != 1 {
-		t.Fatalf("first query by one column: %d sections checksummed, generation %d", rawReads, sn.Generation())
-	}
-	s.VisibleRows()
-	if n := columnReads(sn); n != rawReads || sn.Generation() != 1 {
-		t.Fatalf("second query faulted again: %d sections (was %d), generation %d", n, rawReads, sn.Generation())
-	}
-
-	// Rendering a summary column faults it in; the output then matches an
-	// eager session rendering the same thing.
-	var sum int
-	for _, d := range s.Tree().Reg.Columns() {
+	raw := sn.Tree().Reg.ByName("CYCLES")
+	var cols []render.Column
+	for _, d := range sn.Tree().Reg.Columns() {
 		if d.Kind == metric.Summary {
-			sum = d.ID
+			cols = []render.Column{{MetricID: d.ID, Inclusive: true}}
 			break
 		}
 	}
-	cols := []render.Column{{MetricID: sum, Inclusive: true}}
-	s.SetColumns(cols)
-	if err := s.ExpandAll(s.Tree().Root); err != nil {
-		t.Fatal(err)
-	}
-	var lazyOut bytes.Buffer
-	if err := s.Render(&lazyOut, render.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if n := columnReads(sn); n <= rawReads || sn.Generation() != 2 {
-		t.Fatalf("summary render: %d sections checksummed (was %d), generation %d", n, rawReads, sn.Generation())
-	}
-
-	se := newTestSession(eager.Tree, nil)
-	se.SetSort(core.SortSpec{MetricID: raw.ID})
-	se.SetColumns(cols)
-	if err := se.ExpandAll(se.Tree().Root); err != nil {
-		t.Fatal(err)
-	}
-	var eagerOut bytes.Buffer
-	if err := se.Render(&eagerOut, render.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if lazyOut.String() != eagerOut.String() {
-		t.Fatalf("lazy render differs from eager render:\n--- lazy ---\n%s--- eager ---\n%s", lazyOut.String(), eagerOut.String())
-	}
-
-	// FaultAll checksums what is left, and nothing twice.
-	sections := 0
-	for _, sp := range sn.SectionSpans() {
-		if sp.Kind == "column" {
-			sections++
-		}
-	}
-	for range 2 {
-		if err := sn.FaultAll(); err != nil {
+	renderAll := func(s *Session) string {
+		s.SetSort(core.SortSpec{MetricID: raw.ID})
+		s.SetColumns(cols)
+		if err := s.ExpandAll(s.Tree().Root); err != nil {
 			t.Fatal(err)
 		}
-		if n := columnReads(sn); n != sections {
-			t.Fatalf("after FaultAll %d column sections were checksummed, the file has %d", n, sections)
+		var out bytes.Buffer
+		if err := s.Render(&out, render.Options{}); err != nil {
+			t.Fatal(err)
 		}
+		return out.String()
+	}
+	s := NewSession(sn)
+	defer s.Close()
+	mapped, whole := renderAll(s), renderAll(newTestSession(eager.Tree, nil))
+	if mapped != whole {
+		t.Fatalf("mapped render differs from eager render:\n--- mapped ---\n%s--- eager ---\n%s", mapped, whole)
 	}
 }
 
-// TestReplLazyDrivesFaulting runs a scripted REPL session against a mapped
-// database: a session restricted to one column never touches the others,
-// the default render (every column) faults the rest in, and an aggregating
-// view faults everything before it is built.
-func TestReplLazyDrivesFaulting(t *testing.T) {
+// TestReplReadsNoSectionAgain: opening a mapped snapshot checksums every
+// column section once, and a REPL script over all three views — column
+// selection, sorts, expansion, hot paths, a derived column and its
+// statistics, flattening — reads no section again.
+func TestReplReadsNoSectionAgain(t *testing.T) {
 	path, _ := v3FixtureFile(t)
 	sn := mappedSnapshot(t, path)
 	defer sn.Close()
+	columns := 0
+	for _, sp := range sn.SectionSpans() {
+		if sp.Kind == "column" {
+			columns++
+		}
+	}
+	open := sn.mdb.SectionReads()
+	if open["column"] != columns {
+		t.Fatalf("open checksummed %d column sections, the file has %d", open["column"], columns)
+	}
 	s := NewSession(sn)
 	defer s.Close()
-	for _, line := range []string{"cols CYCLES", "ls", "expandall", "sort CYCLES", "hot CYCLES"} {
+	for _, line := range []string{
+		"cols CYCLES", "ls", "expandall", "sort CYCLES", "hot CYCLES", "cols all",
+		"derived f=$0*2", "sort f", "stats f", "view callers", "expandall", "hot CYCLES",
+		"view flat", "flatten", "expandall", "hot CYCLES", "view cc", "ls",
+	} {
 		if _, err := Exec(s, line, io.Discard); err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
 	}
-	one := columnReads(sn)
-	if sn.Generation() != 1 {
-		t.Fatalf("CYCLES-only REPL session faulted %d columns, want 1", sn.Generation())
-	}
-	for _, line := range []string{"cols all", "ls"} {
-		if _, err := Exec(s, line, io.Discard); err != nil {
-			t.Fatalf("%q: %v", line, err)
-		}
-	}
-	all := columnReads(sn)
-	if all <= one || sn.Generation() != uint64(sn.BaseColumns()) {
-		t.Fatalf("full-column render: %d sections checksummed (was %d), generation %d of %d columns",
-			all, one, sn.Generation(), sn.BaseColumns())
-	}
-
-	// A second snapshot of the same file going straight to the Callers View.
-	sn2 := mappedSnapshot(t, path)
-	defer sn2.Close()
-	s2 := NewSession(sn2)
-	defer s2.Close()
-	if _, err := Exec(s2, "view callers", io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if n := columnReads(sn2); n != all {
-		t.Fatalf("callers view was built over %d checksummed column sections, want all %d", n, all)
+	if got := sn.mdb.SectionReads(); !reflect.DeepEqual(got, open) {
+		t.Fatalf("the script read sections %v, open had read %v", got, open)
 	}
 }

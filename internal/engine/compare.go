@@ -54,19 +54,14 @@ type DiffInput struct {
 	Snap *Snapshot
 }
 
-// DiffSnapshots unions sealed snapshots into a fresh diff snapshot. Every
-// input's lazy columns are faulted in first (diffing must see the whole
-// database, and the shared slabs must stop moving before the union walks
-// them); after that the inputs are only read, so the snapshots can stay
-// live under other sessions throughout.
+// DiffSnapshots unions sealed snapshots into a fresh diff snapshot. The
+// inputs are only read, so the snapshots can stay live under other
+// sessions throughout.
 func DiffSnapshots(cfg diff.Config, inputs ...DiffInput) (*Snapshot, *diff.Result, error) {
 	dins := make([]diff.Input, len(inputs))
 	for i, in := range inputs {
 		if in.Snap == nil {
 			return nil, nil, fmt.Errorf("engine: diff input %d has no snapshot", i)
-		}
-		if err := in.Snap.FaultAll(); err != nil {
-			return nil, nil, fmt.Errorf("engine: faulting diff input %d: %w", i, err)
 		}
 		dins[i] = diff.Input{Label: in.Label, Exp: in.Snap.Experiment()}
 	}
@@ -158,7 +153,4 @@ func (s *Session) rebase(snap *Snapshot) {
 	s.columns = nil
 	s.cache = newQueryCache()
 	s.overlay = nil
-	s.requested = map[int]bool{}
-	s.faultErr = nil
-	s.snapGen = snap.gen.Load()
 }

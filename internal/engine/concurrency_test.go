@@ -63,7 +63,7 @@ func isolatedReplays(t *testing.T, path string, streams [][]string) []string {
 // TestConcurrentSessionEquivalence is the engine's core guarantee, and the
 // PR's acceptance gate: 32 sessions hammering ONE shared snapshot
 // concurrently — mixed view switches, sorts, session-private derived
-// formulas, hot paths, lazy column fault-in — each produce renders
+// formulas, hot paths — each produce renders
 // byte-identical to the same command stream replayed in isolation (its own
 // database open, its own snapshot, no sharing). Run under -race this also
 // serves as the shared-state hazard hammer: any unsynchronized mutation of
@@ -104,8 +104,7 @@ func TestConcurrentSessionEquivalence(t *testing.T) {
 }
 
 // TestConcurrentSessionsRepeatedRounds re-runs sessions over an
-// already-warm snapshot (every lazy column faulted, generation settled):
-// later joiners must see exactly what the first wave saw.
+// snapshot earlier rounds already ran over: later joiners must see exactly what the first wave saw.
 func TestConcurrentSessionsRepeatedRounds(t *testing.T) {
 	path, _ := v3FixtureFile(t)
 	const sessions = 8

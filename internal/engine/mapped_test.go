@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,6 +39,44 @@ func mappedSnapshot(t *testing.T, path string) *Snapshot {
 		t.Fatal(err)
 	}
 	return sn
+}
+
+// corruptColumn returns a copy of a v3 database with one payload byte of
+// its first column section flipped, every checksum left as it was. It
+// walks the index the trailer points at (trailer: index offset u64 first;
+// 32-byte entries: kind u8 at 0, offset u64 at 8, length u64 at 16; column
+// sections are kind 7).
+func corruptColumn(t *testing.T, data []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), data...)
+	idx := binary.LittleEndian.Uint64(out[len(out)-32:])
+	for en := out[idx : len(out)-32]; len(en) >= 32; en = en[32:] {
+		if en[0] == 7 {
+			off, n := binary.LittleEndian.Uint64(en[8:]), binary.LittleEndian.Uint64(en[16:])
+			out[off+n/2] ^= 0xff
+			return out
+		}
+	}
+	t.Fatal("no column section")
+	return nil
+}
+
+// TestOpenReportsColumnDamage: a damaged column is found when the database
+// opens, so its note is there before any session exists.
+func TestOpenReportsColumnDamage(t *testing.T) {
+	_, data := v3FixtureFile(t)
+	path := filepath.Join(t.TempDir(), "damaged.db")
+	if err := os.WriteFile(path, corruptColumn(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Open(path)
+	if err != nil {
+		t.Fatalf("column damage must degrade, not fail the open: %v", err)
+	}
+	defer snap.Close()
+	if notes := snap.Notes(); len(notes) != 1 || !strings.Contains(notes[0], "failed its CRC32C check") {
+		t.Fatalf("notes at open = %q, want the column's CRC note", notes)
+	}
 }
 
 // TestConcurrentSessionsOverMappedSnapshot is the zero-copy layout's

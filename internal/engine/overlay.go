@@ -13,9 +13,6 @@ import (
 // with the same compiled column kernel ApplyDerivedTree uses, then indexed
 // by row exactly like a resident slab.
 //
-// The overlay is invalidated wholesale when the snapshot generation moves
-// (a lazy column fault-in rewrote shared slabs the formulas read).
-//
 // Semantics: a derived column is a spreadsheet formula over the row it is
 // read at. On Calling Context View scopes that is the formula over the
 // scope's own metrics — identical to applying the formula tree-wide. On
@@ -40,9 +37,8 @@ func (oc *overlayCols) plane(inclusive bool) map[int][]float64 {
 // cellValue reads one metric cell for the session: resident columns come
 // straight from the node's views (byte-identical to the single-session
 // viewer), session-derived columns from the overlay. It is the sort,
-// hot-path and statistics key reader; it runs under the snapshot read lock
-// (the overlay itself is session-private, so lazily materializing it there
-// is safe).
+// hot-path and statistics key reader (the overlay is session-private, so
+// materializing it lazily here is safe).
 func (s *Session) cellValue(n *core.Node, id int, inclusive bool) float64 {
 	if id < s.snap.baseCols {
 		if inclusive {

@@ -69,9 +69,6 @@ func TestReportAgreesWithEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	if err := snap.FaultAll(); err != nil {
-		t.Fatal(err)
-	}
 	exp := snap.Experiment()
 	rep, err := report.Build(exp, report.Options{Top: -1})
 	if err != nil {

@@ -57,7 +57,7 @@ func multiChildLists(t *core.Tree) int {
 	return lists
 }
 
-// naiveRows is the uncached oracle of visibleRowsLocked: the same walk with
+// naiveRows is the uncached oracle of VisibleRows: the same walk with
 // every sibling list copied and sorted on the spot, descending into the
 // scopes expanded reports open.
 func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
@@ -82,9 +82,7 @@ func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
 			}
 		}
 	}
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	_, roots := s.rootsLocked()
+	_, roots := s.roots()
 	add(roots, 0)
 	return rows
 }

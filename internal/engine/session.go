@@ -44,18 +44,13 @@ func (v ViewKind) String() string {
 // the hpcviewer REPL, or over HTTP by hpcserver.
 //
 // Concurrency: any number of sessions may run over one Snapshot at the
-// same time — session queries hold the snapshot's read lock while touching
-// shared scopes and metric slabs, and everything a session mutates (its
-// Callers View, expansion/zoom/sort state, memoized orders, derived-metric
+// same time — the shared scopes and metric slabs are immutable, so queries
+// read them without a lock, and everything a session mutates (its Callers
+// View, expansion/zoom/sort state, memoized orders, derived-metric
 // overlays) is private to it. The Flat View is the snapshot's, shared and
 // never written after its build. One Session is NOT safe for
 // concurrent use by multiple goroutines; each frontend serializes the
 // calls of a given session (the HTTP server locks per token).
-//
-// Every public query method runs in two phases: a fault phase (lazy column
-// fault-in, which may take the snapshot's write lock) strictly before a
-// query phase under the read lock — never the reverse, so the lock order
-// is acyclic.
 type Session struct {
 	snap *Snapshot
 	// reg is the session's column registry: the snapshot's sealed columns
@@ -96,14 +91,6 @@ type Session struct {
 	cache *queryCache
 	// overlay holds materialized session-derived columns; see overlay.go.
 	overlay map[*metric.Store]*overlayCols
-	// requested tracks which columns this session has offered to the
-	// snapshot's faulter; faultErr records the first failure (surfaced by
-	// the next Render, then cleared).
-	requested map[int]bool
-	faultErr  error
-	// snapGen is the last snapshot generation this session reconciled its
-	// caches against.
-	snapGen uint64
 
 	// catalog resolves database names for the diff command (nil = none).
 	catalog Catalog
@@ -130,8 +117,6 @@ func NewSession(snap *Snapshot) *Session {
 		highlight: map[*core.Node]bool{},
 		threshold: core.DefaultHotPathThreshold,
 		cache:     newQueryCache(),
-		requested: map[int]bool{},
-		snapGen:   snap.gen.Load(),
 		ctx:       ctx,
 		cancel:    cancel,
 	}
@@ -274,67 +259,11 @@ func (s *Session) Unflatten() {
 // FlattenLevel reports the current flattening depth.
 func (s *Session) FlattenLevel() int { return s.flatten }
 
-// --- fault phase -----------------------------------------------------
-
-// faultColumn offers one sealed column to the snapshot's faulter, once per
-// session. A first offer may change metric values (even when another
-// session already materialized the column — this session had not observed
-// it), so it invalidates the session's memoized orders. Must not be called
-// with the snapshot read lock held.
-func (s *Session) faultColumn(id int) {
-	if id >= s.snap.baseCols || !s.snap.lazy() || s.requested[id] {
-		return
-	}
-	s.requested[id] = true
-	if err := s.snap.needColumn(id); err != nil && s.faultErr == nil {
-		s.faultErr = err
-	}
-	s.cache.bump()
-}
-
-// faultForView materializes every lazy column before an aggregating view
-// (Callers, Flat) is built or expanded: those views copy every resident
-// column of the scopes they aggregate, so their contents must be a pure
-// function of the database, not of which columns other sessions faulted
-// first. Must not be called with the snapshot read lock held.
-func (s *Session) faultForView() {
-	if s.view == ViewCC || !s.snap.lazy() {
-		return
-	}
-	if err := s.snap.FaultAll(); err != nil && s.faultErr == nil {
-		s.faultErr = err
-	}
-}
-
-// faultSort offers the sort column (the order of every sibling list
-// depends on it).
-func (s *Session) faultSort() {
-	if !s.sort.ByLabel {
-		s.faultColumn(s.sort.MetricID)
-	}
-}
-
-// --- query phase -----------------------------------------------------
-
-// refreshLocked reconciles the session with the snapshot generation:
-// if any session faulted a column since this session last looked, shared
-// slabs changed under the memoized orders and overlay columns, so both are
-// dropped. Runs under the snapshot read lock (the generation is stable
-// while it is held).
-func (s *Session) refreshLocked() {
-	if g := s.snap.gen.Load(); g != s.snapGen {
-		s.snapGen = g
-		s.cache.bump()
-		s.overlay = nil
-	}
-}
-
-// rootsLocked returns the active view's current top-level scopes plus the
+// roots returns the active view's current top-level scopes plus the
 // scope that owns the list (nil for a view's forest) — the identity the
 // query cache keys sibling orders by. Builds the Callers View, or takes the
-// snapshot's Flat View, on first use; both read the shared tree, so this
-// runs under the read lock.
-func (s *Session) rootsLocked() (parent *core.Node, ns []*core.Node) {
+// snapshot's Flat View, on first use.
+func (s *Session) roots() (parent *core.Node, ns []*core.Node) {
 	switch s.view {
 	case ViewCC:
 		if len(s.zoom) > 0 {
@@ -356,10 +285,10 @@ func (s *Session) rootsLocked() (parent *core.Node, ns []*core.Node) {
 	return nil, nil
 }
 
-// visibleRowsLocked recomputes the rows currently on screen: top-level
-// scopes always, descendants only along expanded chains, every sibling
-// list ordered by the session sort.
-func (s *Session) visibleRowsLocked() []render.Row {
+// VisibleRows recomputes and returns the rows currently on screen:
+// top-level scopes always, descendants only along expanded chains, every
+// sibling list ordered by the session sort.
+func (s *Session) VisibleRows() []render.Row {
 	s.rows = s.rows[:0]
 	s.cache.beginPass()
 	var add func(parent *core.Node, ns []*core.Node, depth int)
@@ -383,19 +312,9 @@ func (s *Session) visibleRowsLocked() []render.Row {
 			}
 		}
 	}
-	parent, ns := s.rootsLocked()
+	parent, ns := s.roots()
 	add(parent, ns, 0)
 	return s.rows
-}
-
-// VisibleRows recomputes and returns the rows currently on screen.
-func (s *Session) VisibleRows() []render.Row {
-	s.faultSort()
-	s.faultForView()
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	s.refreshLocked()
-	return s.visibleRowsLocked()
 }
 
 // RowNode resolves a row number from the last VisibleRows/Render call
@@ -413,14 +332,6 @@ func (s *Session) RowNode(idx int) (*core.Node, error) {
 // Expand opens one scope (for the Callers View this materializes the
 // caller chain on demand — Section VII's lazy construction).
 func (s *Session) Expand(n *core.Node) {
-	s.faultForView()
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	s.refreshLocked()
-	s.expandLocked(n)
-}
-
-func (s *Session) expandLocked(n *core.Node) {
 	if s.view == ViewCallers && s.callers != nil {
 		for _, r := range s.callers.Roots {
 			if r == n {
@@ -438,11 +349,7 @@ func (s *Session) expandLocked(n *core.Node) {
 // pool, which can fail on a damaged view or be cut short by Close; the
 // scopes opened so far stay open.
 func (s *Session) ExpandAll(n *core.Node) error {
-	s.faultForView()
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	s.refreshLocked()
-	err := s.expandCallersLocked()
+	err := s.expandCallers()
 	s.expanded.setTree(n)
 	return err
 }
@@ -457,11 +364,7 @@ func (s *Session) expandAllRows() error {
 	if len(rows) == 0 {
 		return nil
 	}
-	s.faultForView()
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	s.refreshLocked()
-	err := s.expandCallersLocked()
+	err := s.expandCallers()
 	for _, r := range rows {
 		if r.Depth == 0 {
 			s.expanded.setTree(r.Node)
@@ -473,10 +376,10 @@ func (s *Session) expandAllRows() error {
 	return err
 }
 
-// expandCallersLocked materializes every caller subtrie of the session's
+// expandCallers materializes every caller subtrie of the session's
 // Callers View on core.CallersView.ExpandAllCtx's pool when that view is
 // the one shown.
-func (s *Session) expandCallersLocked() error {
+func (s *Session) expandCallers() error {
 	if s.view != ViewCallers || s.callers == nil {
 		return nil
 	}
@@ -490,11 +393,6 @@ func (s *Session) expandCallersLocked() error {
 // every scope along the path so it is visible, highlights it, and selects
 // its endpoint — the paper's one-click drill-down.
 func (s *Session) HotPath(metricID int) []*core.Node {
-	s.faultColumn(metricID)
-	s.faultForView()
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	s.refreshLocked()
 	start := s.selected
 	if start == nil {
 		if s.view == ViewCC && len(s.zoom) > 0 {
@@ -503,7 +401,7 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 			start = s.snap.exp.Tree.Root
 		} else {
 			// Derived views have a forest; start from the hottest root.
-			_, roots := s.rootsLocked()
+			_, roots := s.roots()
 			if len(roots) == 0 {
 				return nil
 			}
@@ -537,34 +435,12 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 	return path
 }
 
-// Render writes the visible rows with row numbers. Columns about to be
-// displayed are faulted in first (mapped databases); a fault failure aborts
-// the render with the section's typed error.
+// Render writes the visible rows with row numbers.
 func (s *Session) Render(w io.Writer, opt render.Options) error {
 	if opt.Columns == nil {
 		opt.Columns = s.columns
 	}
-	if s.snap.lazy() {
-		if opt.Columns != nil {
-			for _, c := range opt.Columns {
-				s.faultColumn(c.MetricID)
-			}
-		} else {
-			for _, d := range s.reg.Columns() {
-				s.faultColumn(d.ID)
-			}
-		}
-	}
-	s.faultSort()
-	s.faultForView()
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	s.refreshLocked()
-	rows := s.visibleRowsLocked()
-	if err := s.faultErr; err != nil {
-		s.faultErr = nil
-		return err
-	}
+	rows := s.VisibleRows()
 	opt.Highlight = s.highlight
 	if opt.Totals == nil {
 		opt.Totals = s.total
@@ -579,28 +455,15 @@ func (s *Session) Render(w io.Writer, opt render.Options) error {
 // database's own derived metrics it is never written to any store: values
 // materialize lazily into the session's overlay (see overlay.go), so
 // concurrent sessions over the same snapshot cannot observe each other's
-// formulas. Columns the formula reads are faulted in first when the
-// snapshot fronts a mapped database.
+// formulas.
 func (s *Session) AddDerivedMetric(name, formula string) error {
-	d, err := s.reg.AddDerived(name, formula)
-	if err != nil {
+	if _, err := s.reg.AddDerived(name, formula); err != nil {
 		return err
-	}
-	if s.snap.lazy() {
-		if p, perr := d.Program(); perr == nil {
-			for _, rc := range p.ColumnRefs() {
-				s.faultColumn(rc)
-			}
-		}
 	}
 	// Values of the new column do not affect existing orders, but the
 	// single-session viewer historically invalidated here; keep the
 	// stronger discipline (the column may become the sort key next).
 	s.cache.bump()
-	if err := s.faultErr; err != nil {
-		s.faultErr = nil
-		return err
-	}
 	return nil
 }
 
@@ -608,14 +471,8 @@ func (s *Session) AddDerivedMetric(name, formula string) error {
 // rows, inclusive or exclusive as asked (Section VII's mean/min/max/stddev
 // summarization, applied to the scopes on screen).
 func (s *Session) SummaryStats(metricID int, inclusive bool) metric.Stats {
-	s.faultColumn(metricID)
-	s.faultSort()
-	s.faultForView()
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
-	s.refreshLocked()
 	var st metric.Stats
-	for _, row := range s.visibleRowsLocked() {
+	for _, row := range s.VisibleRows() {
 		st.Observe(s.cellValue(row.Node, metricID, inclusive))
 	}
 	return st
@@ -643,8 +500,6 @@ func (s *Session) Plot(w io.Writer, metricName string, bins int) error {
 	if s.view != ViewCC {
 		return fmt.Errorf("engine: plots are defined over calling contexts (switch to the cc view)")
 	}
-	s.snap.mu.RLock()
-	defer s.snap.mu.RUnlock()
 	var path []string
 	for _, a := range n.Path() {
 		path = append(path, a.Label())

@@ -3,11 +3,9 @@
 // entangled:
 //
 //   - Snapshot: an opened experiment database — CCT, metric store, registry
-//     — sealed immutable after load. The only post-seal mutation, first-touch
-//     fault-in of a mapped database's metric columns, runs behind the
-//     snapshot's write lock while every query holds the read lock, and each
-//     fault bumps a generation counter so session caches can never serve
-//     stale orders.
+//     — immutable from construction on: a mapped database's columns are
+//     verified when it opens, so sessions read the shared slabs without a
+//     lock.
 //
 //   - Session: one user's presentation state over a shared snapshot — view
 //     selection, expansion, zoom, flattening, sort, selection, highlights,
@@ -42,13 +40,11 @@ import (
 // experiment borrows its columns from the mapping.
 //
 // Immutability discipline: the tree's structure, its metric store and its
-// registry are sealed at construction (presented metrics are computed and
-// derived kernels applied before the snapshot is handed out). The one
-// exception is the mapped database's column fault — a column's checksum is
-// verified on first touch and a damaged column is zeroed — which rewrites
-// shared metric slabs; it runs under mu's write lock, while every session
-// query runs under the read lock, and each first-time fault advances gen so
-// sessions invalidate their memoized orders, hot paths and overlay columns.
+// registry are sealed at construction (presented metrics are computed,
+// derived kernels applied and a mapped database's columns verified before
+// the snapshot is handed out), so sessions read them without a lock. What
+// may still change is the trace view, built on first use, and the notes
+// its build appends.
 type Snapshot struct {
 	exp *expdb.Experiment // never nil
 	mdb *expdb.MappedDB   // nil unless mapped (v3 zero-copy)
@@ -69,18 +65,8 @@ type Snapshot struct {
 	hookMu      sync.Mutex
 	lastRelease []func()
 
-	// mu orders queries (read lock) against fault-in (write lock).
-	mu sync.RWMutex
-	// gen counts fault-in events; sessions compare it to their last
-	// observed value and drop caches on change. Written under mu; read
-	// atomically so sessions can check it cheaply under the read lock.
-	gen atomic.Uint64
-
-	// faulted memoizes the outcome of mdb.NeedColumn per column, so each
-	// column faults exactly once per snapshot; allFaulted short-circuits
-	// FaultAll once every column has been offered. Guarded by mu.
-	faulted    map[int]error
-	allFaulted bool
+	// mu guards the notes a lazy trace-view build appends.
+	mu sync.Mutex
 
 	// flat is the Flat View, held weakly: sessions that present it keep it
 	// alive, and once none does the collector takes it back. flatMu guards
@@ -97,10 +83,10 @@ func NewSnapshot(exp *expdb.Experiment) *Snapshot {
 	return sn
 }
 
-// NewMappedSnapshot seals a zero-copy mapped (v3) database. Metadata is
-// decoded here (a snapshot cannot present without the tree); column slabs
-// stay untouched in the mapping until sessions fault them, when the
-// database verifies each section's checksum exactly once. The snapshot
+// NewMappedSnapshot seals a zero-copy mapped (v3) database. Its experiment
+// is decoded here: the metadata, the provenance and every column section's
+// checksum, once each, with damaged columns zeroed and noted. The slabs
+// stay in the mapping, read in place by every session. The snapshot
 // owns the mapping: it is unmapped when the last owner (creator + live
 // sessions) releases the snapshot.
 func NewMappedSnapshot(mdb *expdb.MappedDB) (*Snapshot, error) {
@@ -114,8 +100,8 @@ func NewMappedSnapshot(mdb *expdb.MappedDB) (*Snapshot, error) {
 }
 
 // Open opens an experiment database file and seals it as a snapshot. v3
-// databases are mapped zero-copy (O(index) at the storage layer, metadata
-// decoded here); XML, v1 and v2 files are decoded whole by expdb.Read.
+// databases are mapped zero-copy and verified here (see NewMappedSnapshot);
+// XML, v1 and v2 files are decoded whole by expdb.Read.
 func Open(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -152,7 +138,6 @@ func Open(path string) (*Snapshot, error) {
 func (sn *Snapshot) seal() {
 	sn.exp.Tree.EnsureComputed()
 	sn.baseCols = sn.exp.Tree.Reg.Len()
-	sn.faulted = map[int]error{}
 	sn.refs.Store(1)
 }
 
@@ -202,9 +187,6 @@ func (sn *Snapshot) OnLastRelease(f func()) {
 // snapshot (and its mapping) alive until they close.
 func (sn *Snapshot) Close() error { return sn.Release() }
 
-// lazy reports whether the snapshot has columns that fault on first touch.
-func (sn *Snapshot) lazy() bool { return sn.mdb != nil }
-
 // Tree returns the shared tree. Callers must treat it as read-only.
 func (sn *Snapshot) Tree() *core.Tree { return sn.exp.Tree }
 
@@ -215,14 +197,11 @@ func (sn *Snapshot) Experiment() *expdb.Experiment { return sn.exp }
 // overlay columns are assigned IDs from this boundary up.
 func (sn *Snapshot) BaseColumns() int { return sn.baseCols }
 
-// Generation returns the fault-in generation counter.
-func (sn *Snapshot) Generation() uint64 { return sn.gen.Load() }
-
-// Notes returns a copy of the database's degradation notes (fault-in may
-// append to them; the copy is taken under the read lock).
+// Notes returns a copy of the database's degradation notes (a trace-view
+// build may append to them).
 func (sn *Snapshot) Notes() []string {
-	sn.mu.RLock()
-	defer sn.mu.RUnlock()
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
 	return append([]string(nil), sn.exp.Notes...)
 }
 
@@ -247,16 +226,9 @@ func (sn *Snapshot) SectionSpans() []expdb.SectionSpan {
 	return sn.mdb.SectionSpans()
 }
 
-// Provenance returns the database's quarantine report (nil when absent); a
-// mapped database decodes it on the first call.
-func (sn *Snapshot) Provenance() (*ingest.Report, error) {
-	if sn.mdb == nil {
-		return sn.exp.Provenance, nil
-	}
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.mdb.Provenance()
-}
+// Provenance returns the database's quarantine report (nil when absent).
+// The error is always nil: the report was decoded with the database.
+func (sn *Snapshot) Provenance() (*ingest.Report, error) { return sn.exp.Provenance, nil }
 
 // Trace returns the snapshot's trace view (time-dimension data), building
 // and checksum-verifying it on first call. Only mapped (v3) snapshots
@@ -268,9 +240,8 @@ func (sn *Snapshot) Trace() (*expdb.TraceView, error) {
 	if sn.mdb == nil {
 		return nil, nil
 	}
-	// The database appends degradation notes to the shared Experiment under
-	// its own lock; take the snapshot's write lock so Notes() readers (who
-	// hold the read lock) never race the append.
+	// The build appends degradation notes to the shared Experiment under
+	// the database's lock; take mu too so Notes() never races the append.
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	return sn.mdb.Trace()
@@ -285,58 +256,15 @@ func (sn *Snapshot) NodeAt(row int) *core.Node {
 	return sn.mdb.NodeAt(row)
 }
 
-// needColumn faults a mapped database's column exactly once across every
-// session of the snapshot, under the write lock (queries are excluded while
-// shared slabs may be rewritten). The recorded outcome is returned to every
-// later requester. Each first-time fault advances the generation.
-func (sn *Snapshot) needColumn(id int) error {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.needColumnLocked(id)
-}
-
-func (sn *Snapshot) needColumnLocked(id int) error {
-	if sn.mdb == nil {
-		return nil
-	}
-	if err, ok := sn.faulted[id]; ok {
-		return err
-	}
-	sn.gen.Add(1)
-	err := sn.mdb.NeedColumn(id)
-	sn.faulted[id] = err
-	return err
-}
-
-// FaultAll faults every sealed column of a mapped database (a no-op for an
-// in-memory experiment, which has nothing left to load). Sessions call it
-// before building or expanding an aggregating view (Callers, Flat): those
-// views copy every resident column of the scopes they aggregate, so their
-// contents must not depend on which columns other sessions happened to
-// fault first — materializing everything makes the aggregate a pure
-// function of the database. The first error is returned, but every column
-// is still offered.
-func (sn *Snapshot) FaultAll() error {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if sn.mdb == nil || sn.allFaulted {
-		return nil
-	}
-	var first error
-	for id := 0; id < sn.baseCols; id++ {
-		if err := sn.needColumnLocked(id); err != nil && first == nil {
-			first = err
-		}
-	}
-	sn.allFaulted = true
-	return first
-}
+// FaultAll does nothing and returns nil: a snapshot's columns are verified
+// when it opens.
+//
+// Deprecated: kept for the end-to-end benchmark's probe; nothing needs it.
+func (sn *Snapshot) FaultAll() error { return nil }
 
 // flatView returns the Flat View of the snapshot's tree: the one some
 // session still holds, or a new build when none does. The view is shared and
-// read-only; a caller keeps it alive by holding the pointer. Call it under
-// the read lock (the build reads the shared slabs) and, on a mapped
-// snapshot, after FaultAll, so the view is a function of the database alone.
+// read-only; a caller keeps it alive by holding the pointer.
 func (sn *Snapshot) flatView() *core.FlatView {
 	sn.flatMu.Lock()
 	defer sn.flatMu.Unlock()

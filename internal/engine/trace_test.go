@@ -109,7 +109,7 @@ func TestTraceWithoutData(t *testing.T) {
 
 // TestConcurrentTraceRenderEquivalence: 8 sessions over ONE shared mapped
 // snapshot render trace views concurrently (interleaved with metric
-// queries that trigger lazy fault-in); each transcript must be
+// queries); each transcript must be
 // byte-identical to the same stream replayed in isolation. Under -race
 // this doubles as the shared-mapping hazard hammer for the trace path.
 func TestConcurrentTraceRenderEquivalence(t *testing.T) {

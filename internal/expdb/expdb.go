@@ -38,8 +38,8 @@ type Experiment struct {
 	Provenance *ingest.Report
 	// Notes lists degradations applied while loading — a v2 database with a
 	// damaged optional section opens without it, a mapped v3 database drops
-	// a column whose checksum fails on first touch — so the viewer can tell
-	// the user what is missing.
+	// a column whose checksum fails — so the viewer can tell the user what
+	// is missing.
 	Notes []string
 	// TraceRanks are write-side trace sources, one per rank in ascending
 	// rank order; WriteBinaryV3 streams each into a trace section and

@@ -294,19 +294,12 @@ func (db *MappedDB) adoptTraceRankLocked(tv *TraceView, m trace.Meta, traceSec m
 	return true
 }
 
-// verifyTraceSecLocked checks one trace/pyramid section's CRC, memoized.
+// verifyTraceSecLocked checks one trace/pyramid section's CRC. The trace
+// view is built once, so each section is checked at most once.
 func (db *MappedDB) verifyTraceSecLocked(si int, kind string) bool {
-	if err, done := db.verified[si]; done {
-		return err == nil
-	}
 	s := db.secs[si]
 	db.reads[kind]++
-	if framing.ChecksumPadded(db.span(s)) != s.crc {
-		db.verified[si] = fmt.Errorf("expdb: %s section for rank %d failed its CRC32C check", kind, s.col)
-		return false
-	}
-	db.verified[si] = nil
-	return true
+	return framing.ChecksumPadded(db.span(s)) == s.crc
 }
 
 // NodeAt resolves a structural row id (a trace record's CPID) to its tree

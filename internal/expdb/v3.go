@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/framing"
-	"repro/internal/ingest"
 	"repro/internal/metric"
 	"repro/internal/mmapio"
 )
@@ -38,10 +37,11 @@ import (
 //	trailer    { indexOff u64, count u64, indexCRC u32, rsvd u32,
 //	             end magic "CPDB3IDX" }                    (32 bytes)
 //
-// Open is O(index): only the trailer and index are decoded and validated —
-// metadata sections fault in on first Experiment() access and each column
+// Open is O(index): only the trailer and index are decoded and validated.
+// The first Experiment() call decodes the metadata and checks every column
 // section's CRC32C (over its padded span, so every file byte is covered by
-// exactly one check) is verified memoized on first touch. Row ids are
+// exactly one check); trace sections are checked when the trace view is
+// first built. Row ids are
 // structural: row 0 is the tree's root, preorder node i is row i+1, so the
 // slab index in the file equals the store row the reader's arena assigns.
 // All-zero columns are omitted; zeros are written as +0 bits (the store
@@ -368,10 +368,11 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 // MappedDB is a v3 experiment database opened zero-copy: the file is
 // mapped (or read page-aligned, see mmapio) and column slabs are float64
 // views straight into the mapping, installed in the metric store as
-// borrowed columns. Open cost is O(index); metadata decodes on the first
-// Experiment call; each column section's checksum is verified exactly once,
-// on first touch (NeedColumn), with damage degrading to a zeroed column
-// plus an Experiment.Notes entry.
+// borrowed columns. Open cost is O(index); the first Experiment call
+// decodes the metadata and provenance and verifies every column section's
+// checksum, each exactly once, with column damage degrading to a zeroed
+// column plus an Experiment.Notes entry. Only the trace view waits for its
+// first use.
 //
 // The mapping is strictly read-only. Writers that would touch a mapped
 // column (a diff Recompute, a summary rewrite) hit the store's
@@ -383,20 +384,11 @@ type MappedDB struct {
 	region *mmapio.Region // nil when backed by caller-provided bytes
 	data   []byte
 	secs   []v3sec
-	// verified memoizes per-section CRC outcomes for lazily checked
-	// sections (columns, provenance), by index into secs.
-	verified map[int]error
 
 	exp      *Experiment
 	nodes    []*core.Node
-	rows     int
 	metaDone bool
 	metaErr  error
-
-	colSecs map[int][]int // metric column id -> indexes into secs
-
-	provDone bool
-	provErr  error
 
 	traceView *TraceView // built on first use
 
@@ -426,19 +418,7 @@ func newMappedDB(data []byte) (*MappedDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &MappedDB{
-		data:     data,
-		secs:     secs,
-		verified: map[int]error{},
-		colSecs:  map[int][]int{},
-		reads:    map[string]int{"index": 1},
-	}
-	for i, s := range secs {
-		if s.kind == dbSecColumn {
-			db.colSecs[int(s.col)] = append(db.colSecs[int(s.col)], i)
-		}
-	}
-	return db, nil
+	return &MappedDB{data: data, secs: secs, reads: map[string]int{"index": 1}}, nil
 }
 
 // payload returns a section's logical bytes; span the padded bytes its CRC
@@ -466,9 +446,9 @@ func (db *MappedDB) MappedBytes() []byte { return db.data }
 
 // SectionReads reports how many times each kind of section has been
 // decoded or checksummed, keyed by name ("index", "strings", "header",
-// "metrics", "tree", "column", "provenance") — the observable that a
-// mapped open is O(index) and column checks are memoized. The map is a
-// copy.
+// "metrics", "tree", "column", "provenance", and the trace kinds) — the
+// observable that a mapped open is O(index) and that Experiment reads
+// every other section once. The map is a copy.
 func (db *MappedDB) SectionReads() map[string]int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -494,9 +474,11 @@ func (db *MappedDB) Close() error {
 
 // Experiment decodes the metadata sections (strings, header, metrics,
 // tree) on first call — verifying their checksums then — builds the tree
-// with structural row ids, and installs every column slab zero-copy as a
-// borrowed store column. Column checksums are NOT verified here; they are
-// memoized per section on first touch (NeedColumn/VerifyAll).
+// with structural row ids, verifies every column section and installs it
+// zero-copy as a borrowed store column, and decodes the provenance. A
+// damaged column or provenance section degrades with a note; damaged or
+// malformed metadata, or a provenance body that passes its checksum but
+// does not decode, is an error.
 func (db *MappedDB) Experiment() (*Experiment, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -509,13 +491,13 @@ func (db *MappedDB) experimentLocked() (*Experiment, error) {
 	}
 	db.metaDone = true
 	db.exp, db.nodes, db.metaErr = db.decodeMeta()
+	if db.metaErr == nil {
+		db.metaErr = db.adoptLocked()
+	}
 	if db.metaErr != nil {
 		db.exp = nil
-		return nil, db.metaErr
 	}
-	db.rows = len(db.nodes) + 1
-	db.adoptColumnsLocked()
-	return db.exp, nil
+	return db.exp, db.metaErr
 }
 
 func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
@@ -546,114 +528,55 @@ func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
 	return e, d.nodes, nil
 }
 
-// adoptColumnsLocked installs every structurally valid column slab as a
-// borrowed store column. A slab whose row count does not match the tree
-// degrades immediately (note + skip); checksums wait for first touch.
-func (db *MappedDB) adoptColumnsLocked() {
+// adoptLocked verifies each column section and installs it as a borrowed
+// store column, and decodes the provenance. A column slab whose row count
+// does not match the tree, or whose checksum fails, is left out (the
+// column reads zero) with a note; so is a provenance section that fails
+// its checksum, as the v2 reader drops it.
+func (db *MappedDB) adoptLocked() error {
 	st := db.exp.Tree.MetricStore()
-	nCols := db.exp.Tree.Reg.Len()
-	for i, s := range db.secs {
-		if s.kind != dbSecColumn {
-			continue
-		}
-		if int64(s.col) >= int64(nCols) || int(s.length/8) != db.rows {
-			db.verified[i] = fmt.Errorf("expdb: column section (metric %d, %s) is malformed", s.col, v3PlaneName(s.plane))
-			db.exp.Notes = append(db.exp.Notes, fmt.Sprintf(
-				"column section (metric %d, %s) does not match the tree; its values were dropped", s.col, v3PlaneName(s.plane)))
-			continue
-		}
-		st.AdoptCol(metric.Plane(s.plane), int(s.col), float64View(db.payload(s)), true)
+	nCols, rows := db.exp.Tree.Reg.Len(), len(db.nodes)+1
+	note := func(format string, args ...any) {
+		db.exp.Notes = append(db.exp.Notes, fmt.Sprintf(format, args...))
 	}
-}
-
-// NeedColumn verifies (once) the checksums of every section backing metric
-// column id. Damage degrades: the column is detached — it reads as zero —
-// and the drop is recorded in Experiment.Notes, never an error or a fault.
-// This is the engine snapshot's column faulter for mapped databases.
-func (db *MappedDB) NeedColumn(id int) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, err := db.experimentLocked(); err != nil {
-		return err
-	}
-	for _, si := range db.colSecs[id] {
-		db.verifyColLocked(si)
-	}
-	return nil
-}
-
-func (db *MappedDB) verifyColLocked(si int) {
-	if _, done := db.verified[si]; done {
-		return
-	}
-	s := db.secs[si]
-	db.reads["column"]++
-	if framing.ChecksumPadded(db.span(s)) != s.crc {
-		err := fmt.Errorf("expdb: column section (metric %d, %s) failed its CRC32C check", s.col, v3PlaneName(s.plane))
-		db.verified[si] = err
-		db.exp.Tree.MetricStore().DetachCol(metric.Plane(s.plane), int(s.col))
-		db.exp.Notes = append(db.exp.Notes, fmt.Sprintf(
-			"column section (metric %d, %s) failed its CRC32C check; its values were dropped", s.col, v3PlaneName(s.plane)))
-		return
-	}
-	db.verified[si] = nil
-}
-
-// Provenance decodes the provenance section on first call (nil when absent
-// or dropped after checksum damage, as the v2 reader drops it).
-func (db *MappedDB) Provenance() (*ingest.Report, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, err := db.experimentLocked(); err != nil {
-		return nil, err
-	}
-	if err := db.loadProvenanceLocked(); err != nil {
-		return nil, err
-	}
-	return db.exp.Provenance, nil
-}
-
-func (db *MappedDB) loadProvenanceLocked() error {
-	if db.provDone {
-		return db.provErr
-	}
-	db.provDone = true
 	for _, s := range db.secs {
-		if s.kind != dbSecProvenance {
-			continue
+		switch s.kind {
+		case dbSecColumn:
+			if int64(s.col) >= int64(nCols) || int(s.length/8) != rows {
+				note("column section (metric %d, %s) does not match the tree; its values were dropped", s.col, v3PlaneName(s.plane))
+				continue
+			}
+			db.reads["column"]++
+			if framing.ChecksumPadded(db.span(s)) != s.crc {
+				note("column section (metric %d, %s) failed its CRC32C check; its values were dropped", s.col, v3PlaneName(s.plane))
+				continue
+			}
+			st.AdoptCol(metric.Plane(s.plane), int(s.col), float64View(db.payload(s)), true)
+		case dbSecProvenance:
+			if framing.ChecksumPadded(db.span(s)) != s.crc {
+				note("provenance section failed its checksum; the quarantine record was dropped")
+				continue
+			}
+			db.reads["provenance"]++
+			d := decoder{buf: db.payload(s)}
+			rep, err := d.provenance()
+			if err != nil {
+				return &SectionError{Section: "provenance", Err: err}
+			}
+			db.exp.Provenance = rep
 		}
-		if framing.ChecksumPadded(db.span(s)) != s.crc {
-			db.exp.Notes = append(db.exp.Notes, "provenance section failed its checksum; the quarantine record was dropped")
-			continue
-		}
-		db.reads["provenance"]++
-		d := decoder{buf: db.payload(s)}
-		rep, err := d.provenance()
-		if err != nil {
-			db.provErr = &SectionError{Section: "provenance", Err: err}
-			return db.provErr
-		}
-		db.exp.Provenance = rep
 	}
 	return nil
 }
 
-// VerifyAll checks every section checksum and decodes all lazily deferred
-// state — columns, provenance and the trace view — for consumers that will
-// not fault columns themselves. Column and trace damage still degrade
-// (notes), so the returned error reflects only fatal metadata problems.
+// VerifyAll decodes the experiment and builds the trace view — the one
+// part Experiment leaves for its first use — for consumers that want every
+// checksum checked up front. Column and trace damage still degrade
+// (notes), so the returned error reflects only fatal problems.
 func (db *MappedDB) VerifyAll() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, err := db.experimentLocked(); err != nil {
-		return err
-	}
-	for si, s := range db.secs {
-		if s.kind == dbSecColumn {
-			db.verifyColLocked(si)
-		}
-	}
-	if err := db.loadProvenanceLocked(); err != nil {
 		return err
 	}
 	db.traceLocked()

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -115,49 +116,33 @@ func TestOpenMappedIsIndexOnly(t *testing.T) {
 		}
 	}
 
+	// Experiment reads every metadata, column and provenance section
+	// exactly once; later calls, and VerifyAll, read none of them again.
+	columns := 0
+	for _, sec := range db.secs {
+		if sec.kind == dbSecColumn {
+			columns++
+		}
+	}
+	want := map[string]int{"index": 1, "strings": 1, "header": 1, "metrics": 1, "tree": 1, "column": columns, "provenance": 1}
 	exp, err := db.Experiment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads = db.SectionReads()
-	for _, s := range []string{"strings", "header", "metrics", "tree"} {
-		if reads[s] != 1 {
-			t.Fatalf("metadata section %s decoded %d times, want 1", s, reads[s])
-		}
+	if got := db.SectionReads(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Experiment read sections %v, want %v", got, want)
 	}
-	if reads["column"] != 0 {
-		t.Fatalf("columns checksummed before first touch: %v", reads)
-	}
-	if reads["provenance"] != 0 {
-		t.Fatalf("provenance decoded before being asked for: %v", reads)
-	}
-
-	// First touch verifies only that column's sections; a second touch is
-	// memoized.
-	cyc := exp.Tree.Reg.ByName("CYCLES").ID
-	if err := db.NeedColumn(cyc); err != nil {
+	if _, err := db.Experiment(); err != nil {
 		t.Fatal(err)
 	}
-	after := db.SectionReads()["column"]
-	if want := len(db.colSecs[cyc]); after != want {
-		t.Fatalf("NeedColumn checksummed %d sections, want %d", after, want)
-	}
-	if err := db.NeedColumn(cyc); err != nil {
+	if err := db.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
-	if again := db.SectionReads()["column"]; again != after {
-		t.Fatalf("repeat NeedColumn re-checksummed: %d -> %d", after, again)
+	if got := db.SectionReads(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a second Experiment and VerifyAll read sections %v, want %v", got, want)
 	}
-
-	rep, err := db.Provenance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.Attempted != 3 {
+	if rep := exp.Provenance; rep == nil || rep.Attempted != 3 {
 		t.Fatalf("provenance report = %+v", rep)
-	}
-	if db.SectionReads()["provenance"] != 1 {
-		t.Fatalf("provenance decoded %d times, want 1", db.SectionReads()["provenance"])
 	}
 }
 
@@ -241,12 +226,7 @@ func TestMappedDamagedColumnDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Notes) != 0 {
-		t.Fatalf("notes before first touch: %v", exp.Notes)
-	}
-	if err := db.NeedColumn(cyc); err != nil {
-		t.Fatalf("column damage must degrade, not error: %v", err)
-	}
+	// The note exists as soon as the experiment does.
 	if len(exp.Notes) != 1 || !strings.Contains(exp.Notes[0], "CRC32C") {
 		t.Fatalf("notes = %v", exp.Notes)
 	}
@@ -264,12 +244,12 @@ func TestMappedDamagedColumnDegrades(t *testing.T) {
 	if baseMax == 0 {
 		t.Fatal("undamaged base plane lost")
 	}
-	// Degradation is sticky, not repeated.
-	if err := db.NeedColumn(cyc); err != nil {
+	// The check runs once: a later full verification adds no note.
+	if err := db.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
 	if len(exp.Notes) != 1 {
-		t.Fatalf("repeat touch duplicated the note: %v", exp.Notes)
+		t.Fatalf("verifying again duplicated the note: %v", exp.Notes)
 	}
 }
 
@@ -305,16 +285,40 @@ func TestV3DamagedProvenanceDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := db.Provenance()
+	exp, err := db.Experiment()
 	if err != nil {
 		t.Fatalf("provenance damage must degrade: %v", err)
 	}
-	if rep != nil {
-		t.Fatalf("damaged provenance still decoded: %+v", rep)
+	if exp.Provenance != nil {
+		t.Fatalf("damaged provenance still decoded: %+v", exp.Provenance)
 	}
-	exp, _ := db.Experiment()
 	if len(exp.Notes) != 1 || !strings.Contains(exp.Notes[0], "provenance") {
 		t.Fatalf("notes = %v", exp.Notes)
+	}
+}
+
+// TestV3MalformedProvenanceRejected: a provenance body that passes its
+// checksum but does not decode fails the mapped open as it fails the eager
+// read, with a *SectionError naming "provenance".
+func TestV3MalformedProvenanceRejected(t *testing.T) {
+	e := fixture(t)
+	e.Provenance = &ingest.Report{Attempted: 3, Merged: 3}
+	data := v3Reseal(t, v3Bytes(t, e), dbSecProvenance, func(p []byte) {
+		for i := range p {
+			p[i] = 0xff
+		}
+	})
+	db, err := newMappedDB(data)
+	if err != nil {
+		t.Fatalf("the index is intact, open must succeed: %v", err)
+	}
+	_, mappedErr := db.Experiment()
+	_, eagerErr := Read(bytes.NewReader(data))
+	for reader, err := range map[string]error{"mapped": mappedErr, "eager": eagerErr} {
+		var serr *SectionError
+		if !errors.As(err, &serr) || serr.Section != "provenance" {
+			t.Errorf("%s reader: error %v, want a SectionError of the provenance section", reader, err)
+		}
 	}
 }
 
@@ -356,6 +360,31 @@ func TestOpenMappedMissingFile(t *testing.T) {
 	}
 }
 
+// v3Reseal returns a copy of data with edit applied to the payload of every
+// section of the given kind, the section, the index and the trailer
+// re-sealed after the edit so the damage passes every checksum.
+func v3Reseal(t testing.TB, data []byte, kind byte, edit func(payload []byte)) []byte {
+	t.Helper()
+	data = append([]byte(nil), data...)
+	secs, err := parseV3Index(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := data[len(data)-v3TrailerSize:]
+	indexOff := binary.LittleEndian.Uint64(tr[0:8])
+	idx := data[indexOff : len(data)-v3TrailerSize]
+	for i, s := range secs {
+		if s.kind != kind {
+			continue
+		}
+		edit(data[s.off : s.off+s.length])
+		crc := framing.ChecksumPadded(data[s.off : s.off+framing.AlignUp(s.length)])
+		binary.LittleEndian.PutUint32(idx[i*v3EntrySize+24:], crc)
+	}
+	binary.LittleEndian.PutUint32(tr[16:], framing.Checksum(idx))
+	return data
+}
+
 // v3BadTrees returns v3 databases whose tree section is malformed behind
 // valid checksums (the section, the index and the trailer are re-sealed
 // after the edit), so the damage reaches the tree decoder itself: two
@@ -380,27 +409,12 @@ func v3BadTrees(t testing.TB) map[string][]byte {
 	// The section is the root count and ten one-byte varints per scope:
 	// the second scope's line is byte 14, its child count the last byte.
 	reseal := func(edit func(payload []byte)) []byte {
-		data := append([]byte(nil), buf.Bytes()...)
-		secs, err := parseV3Index(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := data[len(data)-v3TrailerSize:]
-		indexOff := binary.LittleEndian.Uint64(tr[0:8])
-		idx := data[indexOff : len(data)-v3TrailerSize]
-		for i, s := range secs {
-			if s.kind != dbSecTree {
-				continue
+		return v3Reseal(t, buf.Bytes(), dbSecTree, func(p []byte) {
+			if len(p) != 21 {
+				t.Fatalf("tree section is %d bytes, the edits below assume 21", len(p))
 			}
-			if s.length != 21 {
-				t.Fatalf("tree section is %d bytes, the edits below assume 21", s.length)
-			}
-			edit(data[s.off : s.off+s.length])
-			crc := framing.ChecksumPadded(data[s.off : s.off+framing.AlignUp(s.length)])
-			binary.LittleEndian.PutUint32(idx[i*v3EntrySize+24:], crc)
-		}
-		binary.LittleEndian.PutUint32(tr[16:], framing.Checksum(idx))
-		return data
+			edit(p)
+		})
 	}
 	return map[string][]byte{
 		"duplicate sibling key":            reseal(func(p []byte) { p[14] = p[4] }),

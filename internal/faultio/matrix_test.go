@@ -93,7 +93,7 @@ func stage(data []byte) (path string, cleanup func(), err error) {
 // decodeOpenedDB stages the bytes as a file and opens it the way the tools
 // do, through engine.Open — the format sniff on a possibly damaged head,
 // then the whole decode — and asks the snapshot for everything a tool
-// would: every column, the quarantine record, the notes.
+// would: the quarantine record, the notes.
 func decodeOpenedDB(data []byte) (bool, error) {
 	path, cleanup, err := stage(data)
 	if err != nil {
@@ -105,9 +105,6 @@ func decodeOpenedDB(data []byte) (bool, error) {
 		return false, err
 	}
 	defer snap.Close()
-	if err := snap.FaultAll(); err != nil {
-		return len(snap.Notes()) > 0, err
-	}
 	if _, err := snap.Provenance(); err != nil {
 		return len(snap.Notes()) > 0, err
 	}
@@ -116,10 +113,11 @@ func decodeOpenedDB(data []byte) (bool, error) {
 
 // decodeMappedDB stages the bytes as a file and opens them through the
 // zero-copy mapped path, then touches everything a viewer eventually
-// would: metadata, every column's checksum pass, provenance. The v3
-// contract: metadata damage is a typed error, column and provenance damage
-// degrade with notes, and nothing ever faults the process (all index ranges
-// are validated before the mapping is trusted).
+// would: the experiment (metadata, every column's checksum, provenance)
+// and the trace view. The v3 contract: metadata damage is a typed error,
+// column and provenance damage degrade with notes, and nothing ever faults
+// the process (all index ranges are validated before the mapping is
+// trusted).
 func decodeMappedDB(data []byte) (bool, error) {
 	path, cleanup, err := stage(data)
 	if err != nil {
@@ -134,14 +132,6 @@ func decodeMappedDB(data []byte) (bool, error) {
 	e, err := db.Experiment()
 	if err != nil {
 		return false, err
-	}
-	for _, d := range e.Tree.Reg.Columns() {
-		if err := db.NeedColumn(d.ID); err != nil {
-			return len(e.Notes) > 0, err
-		}
-	}
-	if _, err := db.Provenance(); err != nil {
-		return len(e.Notes) > 0, err
 	}
 	if err := db.VerifyAll(); err != nil {
 		return len(e.Notes) > 0, err

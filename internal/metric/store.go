@@ -106,16 +106,6 @@ func (s *Store) AdoptCol(p Plane, col int, slab []float64, borrowed bool) {
 	s.setBorrowed(p, col, borrowed)
 }
 
-// DetachCol drops column col of plane p entirely: reads return zero and the
-// borrowed flag is cleared. Used to degrade a mapped column whose section
-// failed its checksum.
-func (s *Store) DetachCol(p Plane, col int) {
-	if col >= 0 && col < len(s.planes[p]) {
-		s.planes[p][col] = nil
-		s.setBorrowed(p, col, false)
-	}
-}
-
 // Borrowed reports whether column col of plane p currently aliases foreign
 // memory (no write has detached it yet).
 func (s *Store) Borrowed(p Plane, col int) bool {

@@ -175,26 +175,27 @@ func Build(exp *expdb.Experiment, opt Options) (*Report, error) {
 			continue
 		}
 		summaries = true
-		// The program totals are the root's summary cells. A database
-		// merged before the root kept them has zeros there.
+		// The program totals are the root's summary cells. Where the max is
+		// zero, mean/max is undefined: the column recorded nothing, or the
+		// database was merged before the root kept its summary cells.
 		totalMean, totalMax := tree.Total(meanID), tree.Total(maxID)
-		if totalMean == 0 && tree.Total(d.ID) != 0 {
-			r.Notes = append(r.Notes, d.Name+
-				": summary columns hold no program totals (merged before the root kept them): waste/imbalance analyses skipped (re-merge with hpcprof -summaries)")
+		if totalMax == 0 {
+			note := d.Name + ": recorded nothing, so mean/max is undefined: waste/imbalance analyses skipped"
+			if tree.Total(d.ID) != 0 {
+				note = d.Name + ": summary columns hold no program totals (merged before the root kept them): waste/imbalance analyses skipped (re-merge with hpcprof -summaries)"
+			}
+			r.Notes = append(r.Notes, note)
 			continue
 		}
 		byWaste := ranked(frameStats(tree, exp.NRanks, meanID, maxID), func(s ScopeStat) float64 { return s.Waste })
-		wm := WasteMetric{
+		r.Waste = append(r.Waste, WasteMetric{
 			Metric:     d.Name,
 			TotalMean:  totalMean,
 			TotalMax:   totalMax,
 			TotalWaste: float64(exp.NRanks) * (totalMax - totalMean),
+			Efficiency: totalMean / totalMax,
 			TopScopes:  head(byWaste, opt.Top),
-		}
-		if totalMax > 0 {
-			wm.Efficiency = totalMean / totalMax
-		}
-		r.Waste = append(r.Waste, wm)
+		})
 		if im, ok := imbalanceMetric(d, totalMean, byWaste, opt); ok {
 			r.Imbalance = append(r.Imbalance, im)
 		}

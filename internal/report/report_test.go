@@ -162,6 +162,32 @@ func TestReportRootWithoutSummaries(t *testing.T) {
 	}
 }
 
+// TestReportColumnRecordedNothing: a raw column whose every cell is 0 has
+// no program mean/max to divide, so its waste and imbalance analyses are
+// skipped with a note naming it, rather than reported as efficiency 0.
+func TestReportColumnRecordedNothing(t *testing.T) {
+	exp := fixture(t, 3, true)
+	st := exp.Tree.MetricStore()
+	for _, d := range exp.Tree.Reg.Columns() {
+		if d.Name == "CYCLES" || d.Kind == metric.Summary {
+			for _, p := range []metric.Plane{metric.PlaneBase, metric.PlaneIncl, metric.PlaneExcl} {
+				clear(st.Col(p, d.ID))
+			}
+		}
+	}
+	r, err := Build(exp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Waste) != 0 || len(r.Imbalance) != 0 {
+		t.Fatalf("waste %+v / imbalance %+v produced for a column that recorded nothing", r.Waste, r.Imbalance)
+	}
+	want := "CYCLES: recorded nothing, so mean/max is undefined: waste/imbalance analyses skipped"
+	if len(r.Notes) != 1 || r.Notes[0] != want {
+		t.Fatalf("notes %q, want only %q", r.Notes, want)
+	}
+}
+
 // TestReportJobsDeterminism: report bytes — JSON and markdown, including
 // the baseline diff — must not depend on the diff kernels' worker count,
 // which follows GOMAXPROCS.

@@ -149,8 +149,8 @@ func (srv *Server) cachedDiff(req compareRequest, mode diff.Mode, base, other *e
 	}
 	srv.diffMu.Unlock()
 
-	// Diff outside the lock: inputs are read-only after FaultAll, and the
-	// once collapses racing requests for one key into a single union.
+	// Diff outside the lock: snapshots are read-only, and the once
+	// collapses racing requests for one key into a single union.
 	e.once.Do(func() {
 		_, e.res, e.err = engine.DiffSnapshots(diff.Config{Metrics: metrics, Mode: mode},
 			engine.DiffInput{Label: "A", Snap: base},

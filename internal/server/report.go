@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/engine"
-	"repro/internal/expdb"
 	"repro/internal/report"
 )
 
@@ -65,11 +63,7 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			"server has no default database; pass ?db=NAME")
 		return
 	}
-	exp, err := reportExperiment(snap)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "report-failed", err.Error())
-		return
-	}
+	exp := snap.Experiment()
 	if base := q.Get("baseline"); base != "" {
 		acq, _, err := srv.cat.Acquire(base)
 		if err != nil {
@@ -77,11 +71,7 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer acq.Release()
-		opt.Baseline, err = reportExperiment(acq)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "report-failed", err.Error())
-			return
-		}
+		opt.Baseline = acq.Experiment()
 	}
 
 	rep, err := report.Build(exp, opt)
@@ -100,14 +90,4 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
-}
-
-// reportExperiment faults a snapshot's lazy columns (the analyses read
-// every raw and summary value) and returns its experiment for the report
-// builder.
-func reportExperiment(sn *engine.Snapshot) (*expdb.Experiment, error) {
-	if err := sn.FaultAll(); err != nil {
-		return nil, err
-	}
-	return sn.Experiment(), nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -25,8 +26,7 @@ import (
 )
 
 // fixtureBytes builds the merged multi-rank toy experiment (summary columns
-// beside the raw ones) and serializes it as v3, so that opening it maps it
-// and sessions exercise column fault-in.
+// beside the raw ones) and serializes it as v3, so that opening it maps it.
 func fixtureBytes(t *testing.T) []byte {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
@@ -79,6 +79,49 @@ func mappedSnapshot(t *testing.T, data []byte) *engine.Snapshot {
 		t.Fatal("the fixture database was not opened as a v3 database")
 	}
 	return sn
+}
+
+// corruptColumn returns a copy of a v3 database with one payload byte of
+// its first column section flipped, every checksum left as it was. It
+// walks the index the trailer points at (trailer: index offset u64 first;
+// 32-byte entries: kind u8 at 0, offset u64 at 8, length u64 at 16; column
+// sections are kind 7).
+func corruptColumn(t *testing.T, data []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), data...)
+	idx := binary.LittleEndian.Uint64(out[len(out)-32:])
+	for en := out[idx : len(out)-32]; len(en) >= 32; en = en[32:] {
+		if en[0] == 7 {
+			off, n := binary.LittleEndian.Uint64(en[8:]), binary.LittleEndian.Uint64(en[16:])
+			out[off+n/2] ^= 0xff
+			return out
+		}
+	}
+	t.Fatal("no column section")
+	return nil
+}
+
+// TestInfoListsDamageAtOpen: /v1/info of a server over a database with a
+// damaged column lists the column's note before any session has run.
+func TestInfoListsDamageAtOpen(t *testing.T) {
+	srv := NewWithConfig(mappedSnapshot(t, corruptColumn(t, fixtureBytes(t))), Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info struct {
+		Notes []string `json:"notes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Notes) != 1 || !strings.Contains(info.Notes[0], "failed its CRC32C check") {
+		t.Fatalf("info notes = %q, want the column's CRC note", info.Notes)
+	}
 }
 
 type client struct {
