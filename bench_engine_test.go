@@ -62,8 +62,8 @@ func BenchmarkRenderRows(b *testing.B) {
 }
 
 // BenchmarkExpandAllRender measures what the `expandall` command costs a
-// fresh session: open every scope, order every sibling list — far more of
-// them than the query cache holds — and render every row.
+// fresh session: open every scope, sort every sibling list of two or more
+// scopes, and render every row.
 func BenchmarkExpandAllRender(b *testing.B) {
 	snap := engine.NewSnapshot(expdb.New(rowPathCCT(b)))
 	b.ReportAllocs()
@@ -81,10 +81,10 @@ func BenchmarkExpandAllRender(b *testing.B) {
 // one-database scaling: N sessions share one immutable snapshot of a
 // 20k-scope CCT and each runs a realistic interaction — register a private
 // derived metric, hot-path drill-down, sort by the derived column, render.
-// The sub-benchmarks (sessions=1/8/32) bound the cost of the snapshot's
-// read-lock discipline and the per-session overlay under contention;
-// ns/op is the wall time for ALL sessions of one round to finish. Baseline
-// numbers live in BENCH_engine.json.
+// The sub-benchmarks (sessions=1/8/32) bound the cost of sharing the
+// snapshot and of the per-session overlay under contention; ns/op is the
+// wall time for ALL sessions of one round to finish. Baseline numbers live
+// in BENCH_engine.json.
 func BenchmarkConcurrentSessions(b *testing.B) {
 	tree := syntheticCCT(20_000, 11)
 	snap := engine.NewSnapshot(expdb.New(tree))

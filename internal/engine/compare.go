@@ -151,6 +151,6 @@ func (s *Session) rebase(snap *Snapshot) {
 	s.rows = nil
 	s.sort = core.SortSpec{}
 	s.columns = nil
-	s.cache = newQueryCache()
+	s.scratch = nil
 	s.overlay = nil
 }

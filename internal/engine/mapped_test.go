@@ -83,11 +83,11 @@ func TestOpenReportsColumnDamage(t *testing.T) {
 // concurrency gate, designed to run under -race: 8 sessions share ONE
 // mapped snapshot, each registering session-private derived metrics and
 // running a diff (Compare + Back) that recomputes over the shared slabs,
-// while renders race the first-touch column checksum passes. Every session
-// must render byte-identically to the same stream replayed in isolation,
-// and — the mapped file being the shared substrate — its bytes must be
-// bit-for-bit untouched afterwards: all writes land in copy-on-write heap
-// slabs, never the mapping.
+// while the others render from the same slabs. Every session must render
+// byte-identically to the same stream replayed in isolation, and — the
+// mapped file being the shared substrate — its bytes must be bit-for-bit
+// untouched afterwards: all writes land in copy-on-write heap slabs, never
+// the mapping.
 func TestConcurrentSessionsOverMappedSnapshot(t *testing.T) {
 	path, original := v3FixtureFile(t)
 	const sessions = 8

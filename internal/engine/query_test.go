@@ -53,10 +53,10 @@ func mergedFixture(t testing.TB) *expdb.Experiment {
 	return expdb.FromMerge(res)
 }
 
-// TestSortOrdersMemoized checks the observable of the query cache: reusing
-// a sibling order across renders returns the identical slice, and anything
-// that can change metric values invalidates it.
-func TestSortOrdersMemoized(t *testing.T) {
+// TestSortOrdersRepeatAndSeeDerived checks that rendering twice returns the
+// same rows in the same order, and that sorting by a derived column added
+// afterwards orders the rows as a fresh session does.
+func TestSortOrdersRepeatAndSeeDerived(t *testing.T) {
 	s := session(t)
 	s.Expand(s.Tree().Root.Children[0])
 
@@ -75,8 +75,8 @@ func TestSortOrdersMemoized(t *testing.T) {
 		}
 	}
 
-	// A derived metric changes values: sorting by it must see the fresh
-	// column, not a stale memoized order.
+	// A derived metric brings new values: sorting by it must order by
+	// them.
 	if err := s.AddDerivedMetric("neg", "0 - $0"); err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestSortOrdersMemoized(t *testing.T) {
 	s2.SetSort(core.SortSpec{MetricID: d.ID})
 	want := rowLabels(s2.VisibleRows())
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached session rows %v, fresh session rows %v", got, want)
+		t.Fatalf("session rows %v, fresh session rows %v", got, want)
 	}
 }
 
-// TestCachedSessionMatchesFresh drives one session through a churn of
-// interactions and checks every render against a fresh, uncached session
-// configured identically — the cache must be invisible.
-func TestCachedSessionMatchesFresh(t *testing.T) {
+// TestChurnedSessionMatchesFresh drives one session through a churn of
+// interactions and checks every render against a fresh session configured
+// identically — no earlier interaction may show in the rows.
+func TestChurnedSessionMatchesFresh(t *testing.T) {
 	tr := core.Fig1Tree()
 	s := newTestSession(tr, nil)
 	check := func(step string) {
@@ -116,7 +116,7 @@ func TestCachedSessionMatchesFresh(t *testing.T) {
 		fresh.zoom = append([]*core.Node(nil), s.zoom...)
 		got, want := rowLabels(s.VisibleRows()), rowLabels(fresh.VisibleRows())
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: cached rows %v, fresh rows %v", step, got, want)
+			t.Fatalf("%s: churned rows %v, fresh rows %v", step, got, want)
 		}
 	}
 	check("initial")
@@ -144,9 +144,10 @@ func TestCachedSessionMatchesFresh(t *testing.T) {
 	check("callers")
 }
 
-// TestHotPathMemoized checks that repeated hot-path queries return the same
-// path and that the memoized result respects threshold changes.
-func TestHotPathMemoized(t *testing.T) {
+// TestHotPathRepeatsAndFollowsThreshold checks that repeated hot-path
+// queries return the same path and that a threshold change gives the path
+// a fresh session finds at that threshold.
+func TestHotPathRepeatsAndFollowsThreshold(t *testing.T) {
 	s := session(t)
 	p1 := s.HotPath(0)
 	// HotPath selects the path endpoint; reset so the second query is
@@ -163,7 +164,7 @@ func TestHotPathMemoized(t *testing.T) {
 	fresh.SetThreshold(0.99)
 	want := fresh.HotPath(0)
 	if len(p3) != len(want) {
-		t.Fatalf("threshold change served stale path: %d vs %d scopes", len(p3), len(want))
+		t.Fatalf("threshold change gave a %d-scope path, a fresh session %d", len(p3), len(want))
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 )
 
 // bushyTree builds a seeded CCT of about the given size whose scopes have
-// zero to four children — far more multi-child sibling lists than
-// cacheCapacity — over two raw columns with many equal values, so the
-// label tie-break of the sort is exercised too.
+// zero to four children — hundreds of multi-child sibling lists — over
+// two raw columns with many equal values, so the label tie-break of the
+// sort is exercised too.
 func bushyTree(tb testing.TB, scopes int, seed int64) *core.Tree {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -57,7 +57,7 @@ func multiChildLists(t *core.Tree) int {
 	return lists
 }
 
-// naiveRows is the uncached oracle of VisibleRows: the same walk with
+// naiveRows is the oracle of VisibleRows: the same walk with
 // every sibling list copied and sorted on the spot, descending into the
 // scopes expanded reports open.
 func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
@@ -82,22 +82,21 @@ func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
 			}
 		}
 	}
-	_, roots := s.roots()
-	add(roots, 0)
+	add(s.roots(), 0)
 	return rows
 }
 
 // TestRowsBeyondCacheCapacity drives one session through expand-all walks
-// that visit far more sibling lists than the cache holds, in all three
-// views and at flatten levels 0 and 1, then collapses, expands, re-sorts and
-// adds a derived column. After every command its rows must be those of the
-// uncached walk, its output that of a fresh session given the same
-// commands, and no scope's Children may have left database order — the
-// single-scope lists the walk hands out uncopied are the tree's own.
+// that sort hundreds of sibling lists, in all three views and at flatten
+// levels 0 and 1, then collapses, expands, re-sorts and adds a derived
+// column. After every command its rows must be those of the oracle walk,
+// its output that of a fresh session given the same commands, and no
+// scope's Children may have left database order — the single-scope lists
+// the walk hands out uncopied are the tree's own.
 func TestRowsBeyondCacheCapacity(t *testing.T) {
 	tree := bushyTree(t, 6000, 3)
-	if lists := multiChildLists(tree); lists < 3*cacheCapacity {
-		t.Fatalf("fixture has %d multi-child sibling lists, want well over cacheCapacity=%d", lists, cacheCapacity)
+	if lists := multiChildLists(tree); lists < 800 {
+		t.Fatalf("fixture has %d multi-child sibling lists, want at least 800", lists)
 	}
 	var dbOrder []*core.Node
 	core.Walk(tree.Root, func(n *core.Node) bool {
@@ -121,11 +120,11 @@ func TestRowsBeyondCacheCapacity(t *testing.T) {
 		want := naiveRows(s, s.expanded.has)
 		rows := s.VisibleRows()
 		if len(rows) != len(want) {
-			t.Fatalf("after %q: %d rows, the uncached walk has %d", line, len(rows), len(want))
+			t.Fatalf("after %q: %d rows, the oracle walk has %d", line, len(rows), len(want))
 		}
 		for j := range rows {
 			if rows[j] != want[j] {
-				t.Fatalf("after %q: row %d is %s (depth %d), the uncached walk has %s (depth %d)", line, j,
+				t.Fatalf("after %q: row %d is %s (depth %d), the oracle walk has %s (depth %d)", line, j,
 					rows[j].Node.Label(), rows[j].Depth, want[j].Node.Label(), want[j].Depth)
 			}
 		}

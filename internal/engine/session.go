@@ -46,11 +46,11 @@ func (v ViewKind) String() string {
 // Concurrency: any number of sessions may run over one Snapshot at the
 // same time — the shared scopes and metric slabs are immutable, so queries
 // read them without a lock, and everything a session mutates (its Callers
-// View, expansion/zoom/sort state, memoized orders, derived-metric
-// overlays) is private to it. The Flat View is the snapshot's, shared and
-// never written after its build. One Session is NOT safe for
-// concurrent use by multiple goroutines; each frontend serializes the
-// calls of a given session (the HTTP server locks per token).
+// View, expansion/zoom/sort state, sort scratch, derived-metric overlays)
+// is private to it. The Flat View is the snapshot's, shared and never
+// written after its build. One Session is NOT safe for concurrent use by
+// multiple goroutines; each frontend serializes the calls of a given
+// session (the HTTP server locks per token).
 type Session struct {
 	snap *Snapshot
 	// reg is the session's column registry: the snapshot's sealed columns
@@ -85,10 +85,9 @@ type Session struct {
 	columns []render.Column
 	// rows caches the last computed visible rows (for addressing).
 	rows []render.Row
+	// scratch holds the sorted sibling lists of the row walk in progress.
+	scratch []*core.Node
 
-	// cache memoizes sorted sibling orders and hot paths across renders;
-	// see cache.go for the invalidation discipline.
-	cache *queryCache
 	// overlay holds materialized session-derived columns; see overlay.go.
 	overlay map[*metric.Store]*overlayCols
 
@@ -116,7 +115,6 @@ func NewSession(snap *Snapshot) *Session {
 		reg:       snap.exp.Tree.Reg.Clone(),
 		highlight: map[*core.Node]bool{},
 		threshold: core.DefaultHotPathThreshold,
-		cache:     newQueryCache(),
 		ctx:       ctx,
 		cancel:    cancel,
 	}
@@ -182,8 +180,6 @@ func (s *Session) SwitchView(v ViewKind) {
 	s.zoom = nil
 	s.selected = nil
 	s.rows = nil
-	// Switching may build a view lazily (new scopes, new sibling lists).
-	s.cache.bump()
 }
 
 // SetSort selects the sort column/flavor.
@@ -259,41 +255,37 @@ func (s *Session) Unflatten() {
 // FlattenLevel reports the current flattening depth.
 func (s *Session) FlattenLevel() int { return s.flatten }
 
-// roots returns the active view's current top-level scopes plus the
-// scope that owns the list (nil for a view's forest) — the identity the
-// query cache keys sibling orders by. Builds the Callers View, or takes the
-// snapshot's Flat View, on first use.
-func (s *Session) roots() (parent *core.Node, ns []*core.Node) {
+// roots returns the active view's current top-level scopes. Builds the
+// Callers View, or takes the snapshot's Flat View, on first use.
+func (s *Session) roots() []*core.Node {
 	switch s.view {
 	case ViewCC:
 		if len(s.zoom) > 0 {
-			z := s.zoom[len(s.zoom)-1]
-			return z, z.Children
+			return s.zoom[len(s.zoom)-1].Children
 		}
-		return s.snap.exp.Tree.Root, s.snap.exp.Tree.Root.Children
+		return s.snap.exp.Tree.Root.Children
 	case ViewCallers:
 		if s.callers == nil {
 			s.callers = core.BuildCallersView(s.snap.exp.Tree)
 		}
-		return nil, s.callers.Roots
+		return s.callers.Roots
 	case ViewFlat:
 		if s.flat == nil {
 			s.flat = s.snap.flatView()
 		}
-		return nil, core.FlattenN(s.flat.Roots, s.flatten)
+		return core.FlattenN(s.flat.Roots, s.flatten)
 	}
-	return nil, nil
+	return nil
 }
 
 // VisibleRows recomputes and returns the rows currently on screen:
 // top-level scopes always, descendants only along expanded chains, every
 // sibling list ordered by the session sort.
 func (s *Session) VisibleRows() []render.Row {
-	s.rows = s.rows[:0]
-	s.cache.beginPass()
-	var add func(parent *core.Node, ns []*core.Node, depth int)
-	add = func(parent *core.Node, ns []*core.Node, depth int) {
-		sorted := s.sortedSiblings(parent, ns)
+	s.rows, s.scratch = s.rows[:0], s.scratch[:0]
+	var add func(ns []*core.Node, depth int)
+	add = func(ns []*core.Node, depth int) {
+		sorted := s.sortedSiblings(ns)
 		if s.topN > 0 && len(sorted) > s.topN {
 			sorted = sorted[:s.topN]
 		}
@@ -308,13 +300,53 @@ func (s *Session) VisibleRows() []render.Row {
 			}
 			s.rows = append(s.rows, render.Row{Node: n, Depth: depth, HasHidden: hidden})
 			if childrenShown {
-				add(n, n.Children, depth+1)
+				add(n.Children, depth+1)
 			}
 		}
 	}
-	parent, ns := s.roots()
-	add(parent, ns, 0)
+	add(s.roots(), 0)
 	return s.rows
+}
+
+// sortedSiblings returns ns ordered by the session sort. Callers may
+// re-slice the result but must not reorder it, and must not keep it past
+// the row walk that asked for it.
+//
+// A list of at most one scope has one order: it is returned as it is, with
+// no copy or sort (most scopes of a CCT have a single child). A longer list
+// is copied into the walk's scratch buffer and sorted there, so the tree's
+// own Children keep database order.
+func (s *Session) sortedSiblings(ns []*core.Node) []*core.Node {
+	if len(ns) < 2 {
+		return ns
+	}
+	// Earlier orders of this walk stay valid in the old array when the
+	// append moves the buffer.
+	start := len(s.scratch)
+	s.scratch = append(s.scratch, ns...)
+	sorted := s.scratch[start:len(s.scratch):len(s.scratch)]
+	if s.sort.ByLabel || s.sort.MetricID < s.snap.baseCols {
+		core.SortScopes(sorted, s.sort)
+		return sorted
+	}
+	// Overlay (session-private) sort column: same comparator, with the keys
+	// read from the overlay slab of the list's store, resolved once per list
+	// as SortScopes resolves a resident column. A scope of another store
+	// (the Callers View's top level) reads its own.
+	inclusive := !s.sort.Exclusive
+	id := s.sort.MetricID
+	st := sorted[0].Incl.Store()
+	slab := s.overlaySlab(st, id, inclusive)
+	core.SortScopesFunc(sorted, s.sort, func(n *core.Node) float64 {
+		if n.Incl.Store() != st {
+			return s.cellValue(n, id, inclusive)
+		}
+		if r := int(n.Incl.Row()); r < len(slab) {
+			return slab[r]
+		}
+		return 0
+	})
+	return sorted
 }
 
 // RowNode resolves a row number from the last VisibleRows/Render call
@@ -333,13 +365,7 @@ func (s *Session) RowNode(idx int) (*core.Node, error) {
 // caller chain on demand — Section VII's lazy construction).
 func (s *Session) Expand(n *core.Node) {
 	if s.view == ViewCallers && s.callers != nil {
-		for _, r := range s.callers.Roots {
-			if r == n {
-				s.callers.Expand(r)
-				// Materialization may have created caller rows.
-				s.cache.bump()
-			}
-		}
+		s.callers.Expand(n)
 	}
 	s.expanded.set(n, true)
 }
@@ -383,9 +409,7 @@ func (s *Session) expandCallers() error {
 	if s.view != ViewCallers || s.callers == nil {
 		return nil
 	}
-	err := s.callers.ExpandAllCtx(s.ctx)
-	s.cache.bump()
-	return err
+	return s.callers.ExpandAllCtx(s.ctx)
 }
 
 // HotPath runs hot-path analysis (Equation 3) over the given metric from
@@ -401,7 +425,7 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 			start = s.snap.exp.Tree.Root
 		} else {
 			// Derived views have a forest; start from the hottest root.
-			_, roots := s.roots()
+			roots := s.roots()
 			if len(roots) == 0 {
 				return nil
 			}
@@ -415,15 +439,17 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 		}
 	}
 	if s.view == ViewCallers && s.callers != nil {
-		// The path may need lazily built caller chains.
-		for _, r := range s.callers.Roots {
-			if r == start {
-				s.callers.Expand(r)
-				s.cache.bump()
-			}
-		}
+		// The path may need a lazily built caller chain.
+		s.callers.Expand(start)
 	}
-	path := s.hotPathCached(start, metricID)
+	var path []*core.Node
+	if metricID < s.snap.baseCols {
+		path = core.HotPath(start, metricID, s.threshold)
+	} else {
+		path = core.HotPathFunc(start, func(n *core.Node) float64 {
+			return s.cellValue(n, metricID, true)
+		}, s.threshold)
+	}
 	s.highlight = map[*core.Node]bool{}
 	for _, n := range path {
 		s.highlight[n] = true
@@ -457,14 +483,8 @@ func (s *Session) Render(w io.Writer, opt render.Options) error {
 // concurrent sessions over the same snapshot cannot observe each other's
 // formulas.
 func (s *Session) AddDerivedMetric(name, formula string) error {
-	if _, err := s.reg.AddDerived(name, formula); err != nil {
-		return err
-	}
-	// Values of the new column do not affect existing orders, but the
-	// single-session viewer historically invalidated here; keep the
-	// stronger discipline (the column may become the sort key next).
-	s.cache.bump()
-	return nil
+	_, err := s.reg.AddDerived(name, formula)
+	return err
 }
 
 // SummaryStats folds one column's values over the current view's visible

@@ -226,9 +226,9 @@ func (sn *Snapshot) SectionSpans() []expdb.SectionSpan {
 	return sn.mdb.SectionSpans()
 }
 
-// Provenance returns the database's quarantine report (nil when absent).
-// The error is always nil: the report was decoded with the database.
-func (sn *Snapshot) Provenance() (*ingest.Report, error) { return sn.exp.Provenance, nil }
+// Provenance returns the database's quarantine report (nil when absent),
+// decoded with the database.
+func (sn *Snapshot) Provenance() *ingest.Report { return sn.exp.Provenance }
 
 // Trace returns the snapshot's trace view (time-dimension data), building
 // and checksum-verifying it on first call. Only mapped (v3) snapshots

@@ -38,6 +38,7 @@ type Expr struct {
 	root node
 	src  string
 	refs []int
+	size int // node count: the length of the compiled program
 }
 
 // String returns the original formula source.
@@ -88,14 +89,14 @@ func Parse(src string) (*Expr, error) {
 	}
 	seen := map[int]bool{}
 	var refs []int
-	collectRefs(root, seen, &refs)
+	size := collectRefs(root, seen, &refs)
 	// keep refs sorted ascending
 	for i := 1; i < len(refs); i++ {
 		for j := i; j > 0 && refs[j-1] > refs[j]; j-- {
 			refs[j-1], refs[j] = refs[j], refs[j-1]
 		}
 	}
-	return &Expr{root: root, src: src, refs: refs}, nil
+	return &Expr{root: root, src: src, refs: refs, size: size}, nil
 }
 
 // MustParse is Parse but panics on error; for use with constant formulas.
@@ -211,7 +212,10 @@ func (n callNode) eval(env Env) (float64, error) {
 	return 0, &EvalError{Detail: fmt.Sprintf("unknown function %q", n.name)}
 }
 
-func collectRefs(n node, seen map[int]bool, out *[]int) {
+// collectRefs appends the distinct column references under n to out, in
+// first-use order, and returns the number of nodes under n, n included.
+func collectRefs(n node, seen map[int]bool, out *[]int) int {
+	size := 1
 	switch n := n.(type) {
 	case colNode:
 		if !seen[int(n)] {
@@ -219,15 +223,15 @@ func collectRefs(n node, seen map[int]bool, out *[]int) {
 			*out = append(*out, int(n))
 		}
 	case unaryNode:
-		collectRefs(n.x, seen, out)
+		size += collectRefs(n.x, seen, out)
 	case binNode:
-		collectRefs(n.l, seen, out)
-		collectRefs(n.r, seen, out)
+		size += collectRefs(n.l, seen, out) + collectRefs(n.r, seen, out)
 	case callNode:
 		for _, a := range n.args {
-			collectRefs(a, seen, out)
+			size += collectRefs(a, seen, out)
 		}
 	}
+	return size
 }
 
 // --- lexer ---
@@ -311,7 +315,7 @@ func (l *lexer) next() (token, error) {
 		return token{kind: tokIdent, text: l.src[start:l.off], pos: start}, nil
 	case strings.IndexByte("+-*/^(),", c) >= 0:
 		l.off++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return token{kind: tokOp, text: l.src[start:l.off], pos: start}, nil
 	}
 	return token{}, fmt.Errorf("formula: unexpected character %q at offset %d", string(c), start)
 }

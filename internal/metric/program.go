@@ -54,7 +54,8 @@ func (p *Program) ColumnRefs() []int { return p.refs }
 // evaluator does not implement return the same *EvalError their tree
 // evaluation would.
 func (e *Expr) Compile() (*Program, error) {
-	p := &Program{refs: e.refs}
+	// One instruction per node.
+	p := &Program{refs: e.refs, code: make([]instr, 0, e.size)}
 	refIdx := make(map[int]int32, len(e.refs))
 	for i, r := range e.refs {
 		refIdx[r] = int32(i)

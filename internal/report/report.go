@@ -151,7 +151,9 @@ func Build(exp *expdb.Experiment, opt Options) (*Report, error) {
 		Program: exp.Program,
 		Ranks:   exp.NRanks,
 		Scopes:  tree.NumNodes(),
-		Notes:   exp.Notes,
+		// A copy: appending to the experiment's own slice would write the
+		// shared array of a snapshot other reports read concurrently.
+		Notes: slices.Clone(exp.Notes),
 	}
 	for _, d := range tree.Reg.Columns() {
 		r.Metrics = append(r.Metrics, Metric{Name: d.Name, Unit: d.Unit, Kind: d.Kind.String()})

@@ -3,8 +3,10 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/expdb"
@@ -127,6 +129,44 @@ func TestReportNoSummaries(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("notes %q missing the summaries hint", r.Notes)
+	}
+}
+
+// TestReportLeavesExperimentNotes: the report's notes start from a copy of
+// the experiment's. Two concurrent builds over an experiment whose notes
+// slice has spare capacity each add their own note; neither may write the
+// experiment's array (under -race the shared write is a data race).
+func TestReportLeavesExperimentNotes(t *testing.T) {
+	exp := fixture(t, 3, false)
+	exp.Notes = make([]string, 3, 4)
+	for i := range exp.Notes {
+		exp.Notes[i] = fmt.Sprintf("note %d", i)
+	}
+	var wg sync.WaitGroup
+	reps := make([]*Report, 2)
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := Build(exp, Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reps[i] = r
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if spare := exp.Notes[:4][3]; spare != "" {
+		t.Fatalf("a report wrote %q into the experiment's notes array", spare)
+	}
+	for _, r := range reps {
+		if len(r.Notes) != 4 || r.Notes[2] != "note 2" || !strings.Contains(r.Notes[3], "hpcprof -summaries") {
+			t.Fatalf("report notes %q, want the experiment's three and the summaries hint", r.Notes)
+		}
 	}
 }
 
