@@ -25,13 +25,15 @@ import (
 //     only — which is why hy shows 0 (h's samples are nested in loops)
 //     while fy shows 1.
 
-// FlatView is the static view. It may be shared by concurrent readers (an
-// engine snapshot lends one to all its sessions), so it is read-only once
-// built: nothing may call Node.Child on its scopes, not even to look up.
+// FlatView is the static view. A complete one may be shared by concurrent
+// readers, so nothing may call Node.Child on its scopes, not even to look
+// up; a lazily built one belongs to one goroutine until Complete has run.
 type FlatView struct {
 	Reg *metric.Registry
 	// Roots are the load modules.
 	Roots []*Node
+	// rest builds the rows below procedures; nil once they are built.
+	rest *flatBuilder
 }
 
 // exposure is Section IV-B's exposed-instance rule, once for both aggregating
@@ -59,10 +61,16 @@ type flatHome struct {
 // flatAdd is one step of the plan: add source row src's cell to view row dst's.
 type flatAdd struct{ src, dst int32 }
 
-// flatBuilder is the state of one BuildFlatView call; nothing of it lives
-// on the tree, so concurrent builds over one tree share only what they read.
+// flatBuilder is the state of one Flat View build; nothing of it lives on
+// the tree, so concurrent builds over one tree share only what they read.
+// A lazy build walks twice, a complete one once; a pass plans additions to
+// the rows it makes only, so each cell gets the same ones in the same order.
 type flatBuilder struct {
-	root *Node
+	root, cct *Node
+	// deep passes make the rows below procedures; skip is 3 on one that
+	// leaves the module, file and procedure rows to an earlier pass.
+	deep bool
+	skip int
 	// ctx is the context stack. The context of the scope being visited is
 	// ctx[base:]: the home chain of its enclosing frame, then the flat scope
 	// of every loop, inlined body and statement since — a path of the view.
@@ -79,36 +87,69 @@ type flatBuilder struct {
 	src *metric.Store
 }
 
-// BuildFlatView computes the Flat View of a tree: one walk that resolves
-// every CCT scope to its flat scopes, then one sweep per metric column. Like
-// BuildCallersView it only reads the tree, so concurrent builds are safe.
-func BuildFlatView(t *Tree) *FlatView {
+// BuildFlatView computes the complete Flat View of a tree: one walk that
+// resolves every CCT scope to its flat scopes, then one sweep per metric
+// column. Like BuildCallersView it only reads the tree, so concurrent builds
+// are safe.
+func BuildFlatView(t *Tree) *FlatView { return buildFlatView(t, true) }
+
+// BuildFlatViewLazy computes the Flat View's module, file and procedure rows
+// only; Complete adds the rows below procedures, in place, when they are
+// first needed. The tree must not change in between.
+func BuildFlatViewLazy(t *Tree) *FlatView { return buildFlatView(t, false) }
+
+func buildFlatView(t *Tree, deep bool) *FlatView {
 	t.EnsureComputed()
 	// The view is built by this one goroutine; a private arena with its own
 	// metric store packs its scopes into slabs like the CCT's, keeping the
 	// no-cross-tree-aliasing invariant.
 	arena := &nodeArena{store: metric.NewStore()}
-	b := &flatBuilder{root: arena.alloc(), homes: map[flatHome]*Node{}, src: t.arena.store}
+	b := &flatBuilder{root: arena.alloc(), cct: t.Root, deep: deep, homes: map[flatHome]*Node{}, src: t.arena.store}
 	b.root.Key = Key{Kind: KindRoot}
 	b.root.arena = arena
-	// A scope adds its exclusive cost once and its inclusive cost seldom
-	// more than twice: the plan rarely regrows.
-	b.incl = make([]flatAdd, 0, 2*b.src.NumRows())
-	b.excl = make([]flatAdd, 0, b.src.NumRows())
-	b.visit(t.Root, 0)
-	b.sweep(arena.store)
-	return &FlatView{Reg: t.Reg, Roots: b.root.Children}
+	b.pass()
+	v := &FlatView{Reg: t.Reg, Roots: b.root.Children}
+	if !deep {
+		v.rest = b
+	}
+	return v
+}
+
+// Complete makes the rows below procedures of a lazily built view, unless
+// they are made: rows, cells and scopes made before stay as they are.
+func (v *FlatView) Complete() {
+	if b := v.rest; b != nil {
+		v.rest, b.deep, b.skip = nil, true, 3
+		b.pass()
+	}
+}
+
+// pass walks the CCT and sweeps its plan into the view's store.
+func (b *flatBuilder) pass() {
+	// A scope adds its exclusive cost once and its inclusive cost seldom more
+	// than twice; on a first pass only the few exposed to a home row add.
+	n := b.src.NumRows()
+	if !b.deep {
+		n /= 2
+	}
+	b.incl = make([]flatAdd, 0, 2*n)
+	b.excl = make([]flatAdd, 0, n)
+	b.visit(b.cct, 0)
+	b.sweep(b.root.arena.store)
+	b.incl, b.excl, b.static = nil, nil, nil
 }
 
 // sweep executes the plan column by column into exact-size columns of the
-// view's store. Each cell receives its additions in visit order, the order
-// a scope-at-a-time build adds them in, so the sums are the same bits.
+// view's store, which keep the cells of an earlier pass. Each cell receives
+// its additions in visit order, the order a scope-at-a-time build adds them
+// in, so the sums are the same bits.
 func (b *flatBuilder) sweep(to *metric.Store) {
 	rows := to.NumRows()
 	cols := max(b.src.NumCols(metric.PlaneBase), b.src.NumCols(metric.PlaneIncl), b.src.NumCols(metric.PlaneExcl))
 	for c := 0; c < cols; c++ {
 		if src := b.src.ColRead(metric.PlaneIncl, c); len(src) > 0 {
 			incl := make([]float64, rows)
+			copy(incl, to.ColRead(metric.PlaneIncl, c))
 			for _, a := range b.incl {
 				if int(a.src) < len(src) {
 					incl[a.dst] += src[a.src]
@@ -121,6 +162,7 @@ func (b *flatBuilder) sweep(to *metric.Store) {
 			continue
 		}
 		excl := make([]float64, rows)
+		copy(excl, to.ColRead(metric.PlaneExcl, c))
 		for _, a := range b.excl {
 			if int(a.src) < len(src) {
 				excl[a.dst] += src[a.src]
@@ -170,8 +212,21 @@ func (b *flatBuilder) pushHome(mod, file, name intern.Sym, line int, noSource bo
 	b.ctx = append(b.ctx, proc.Parent.Parent, proc.Parent, proc)
 }
 
+// rowBelow returns parent's row of key k on a deep pass; on another it marks
+// parent, a procedure row there, as having rows below and returns nil.
+func (b *flatBuilder) rowBelow(parent *Node, k Key, noSource bool) *Node {
+	if !b.deep {
+		parent.below = true
+		return nil
+	}
+	c := parent.Child(k, true)
+	c.NoSource = noSource
+	return c
+}
+
 // visit maps CCT scope n into the view, plans the additions of its costs to
-// the rows it is exposed to, and walks its children in the context it leaves.
+// the rows of this pass it is exposed to, and walks its children in the
+// context it leaves.
 func (b *flatBuilder) visit(n *Node, base int) {
 	top := len(b.ctx)
 	var cs *Node // dynamic call-site row in the caller's static context
@@ -179,8 +234,7 @@ func (b *flatBuilder) visit(n *Node, base int) {
 	case KindFrame:
 		b.pushHome(n.Mod, n.File, n.Name, n.Line, n.NoSource)
 		if top > base {
-			cs = b.ctx[top-1].Child(Key{Kind: KindCallSite, Name: n.Name, File: n.CallFile, Line: n.CallLine, ID: n.ID}, true)
-			cs.NoSource = n.NoSource
+			cs = b.rowBelow(b.ctx[top-1], Key{Kind: KindCallSite, Name: n.Name, File: n.CallFile, Line: n.CallLine, ID: n.ID}, n.NoSource)
 		}
 		base = top // the frame's children see its home chain, nothing of the caller
 	case KindLoop, KindAlien, KindStmt:
@@ -194,25 +248,28 @@ func (b *flatBuilder) visit(n *Node, base int) {
 		case KindStmt:
 			k.Name, k.ID = 0, 0
 		}
-		c := b.ctx[len(b.ctx)-1].Child(k, true)
-		c.NoSource = n.NoSource
+		c := b.rowBelow(b.ctx[len(b.ctx)-1], k, n.NoSource)
+		if c == nil {
+			break
+		}
 		if c.CallLine == 0 {
 			c.CallLine = n.CallLine
 			c.CallFile = n.CallFile
 		}
 		b.ctx = append(b.ctx, c)
 	}
+	rows := b.ctx[min(base+b.skip, len(b.ctx)):] // the rows of this pass
 	if n.Kind != KindRoot {
 		src := n.Base.Row()
 		self, selfExposed := (*Node)(nil), false
-		for _, self = range b.ctx[base:] {
+		for _, self = range rows {
 			if selfExposed = b.active.enter(self.Incl.Row()); selfExposed {
 				b.incl = append(b.incl, flatAdd{src, self.Incl.Row()})
 			}
 		}
 		// Procedure rows take the frame-rule exclusive of exposed
 		// instances; loop, inlined and statement rows every instance's.
-		if selfExposed && n.Kind == KindFrame || n.Kind == KindLoop || n.Kind == KindAlien || n.Kind == KindStmt {
+		if selfExposed && n.Kind == KindFrame || b.deep && (n.Kind == KindLoop || n.Kind == KindAlien || n.Kind == KindStmt) {
 			b.excl = append(b.excl, flatAdd{src, self.Incl.Row()})
 		}
 		// Call-site rows take the static-rule exclusive: the callee's own
@@ -233,7 +290,7 @@ func (b *flatBuilder) visit(n *Node, base int) {
 		b.visit(c, base)
 	}
 	if n.Kind != KindRoot {
-		for _, s := range b.ctx[base:] {
+		for _, s := range rows {
 			b.active.exit(s.Incl.Row())
 		}
 		if cs != nil {

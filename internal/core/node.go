@@ -110,6 +110,8 @@ type Node struct {
 	// NoSource marks scopes with no source information (rendered
 	// "plain black" per Section III-D.2).
 	NoSource bool
+	// below marks a lazily built Flat View's procedure row with rows below.
+	below bool
 	// Mod is the load module containing the scope (used by the Flat
 	// View's top level); set on frames during correlation. Interned.
 	Mod intern.Sym
@@ -188,6 +190,10 @@ func (n *Node) Child(k Key, create bool) *Node {
 	}
 	return c
 }
+
+// HasRowsBelow reports whether any row lies below n: a child, or a row of
+// a lazily built Flat View that FlatView.Complete has not made yet.
+func (n *Node) HasRowsBelow() bool { return len(n.Children) > 0 || n.below }
 
 // AppendChild attaches a new child with the given key without asking
 // whether n already has one: for decoders that read whole sibling lists

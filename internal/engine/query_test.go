@@ -19,30 +19,34 @@ import (
 	"repro/internal/workloads"
 )
 
+// mergeWorkload samples a workload at the given ranks and merges the
+// profiles.
+func mergeWorkload(tb testing.TB, spec workloads.Spec, ranks int) *merge.Result {
+	tb.Helper()
+	im, err := lower.Lower(spec.Program, spec.LowerOpts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	doc, err := structfile.Recover(im)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	profs, err := mpi.Run(im, mpi.Config{NRanks: ranks, Params: spec.Params, Events: sampler.DefaultEvents(spec.Period)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := merge.Profiles(doc, profs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // mergedFixture builds a merged multi-rank experiment with summary columns
 // beside the raw ones.
 func mergedFixture(t testing.TB) *expdb.Experiment {
 	t.Helper()
-	spec, err := workloads.ByName("toy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: 3, Events: sampler.DefaultEvents(spec.Period)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mergeWorkload(t, workloads.Toy(), 3)
 	cyc := res.Tree.Reg.ByName("CYCLES")
 	if cyc == nil {
 		t.Fatal("no CYCLES column")

@@ -72,7 +72,9 @@ func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
 		}
 		for _, n := range sorted {
 			shown := expanded(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
-			hidden := len(n.Children) > 0 && !shown
+			// A Flat View procedure row may have rows below it that the
+			// session has not built yet.
+			hidden := n.HasRowsBelow() && !shown
 			if s.view == ViewCallers && n.Parent == nil && !s.callers.Expanded(n) {
 				hidden = true
 			}

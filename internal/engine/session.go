@@ -47,10 +47,9 @@ func (v ViewKind) String() string {
 // same time — the shared scopes and metric slabs are immutable, so queries
 // read them without a lock, and everything a session mutates (its Callers
 // View, expansion/zoom/sort state, sort scratch, derived-metric overlays)
-// is private to it. The Flat View is the snapshot's, shared and never
-// written after its build. One Session is NOT safe for concurrent use by
-// multiple goroutines; each frontend serializes the calls of a given
-// session (the HTTP server locks per token).
+// is private to it, its Flat View too. One Session is NOT safe for
+// concurrent use by multiple goroutines; each frontend serializes the calls
+// of a given session (the HTTP server locks per token).
 type Session struct {
 	snap *Snapshot
 	// reg is the session's column registry: the snapshot's sealed columns
@@ -63,9 +62,9 @@ type Session struct {
 	profiles []*profile.Profile
 
 	view ViewKind
-	// callers is this session's Callers View, built in a private arena (its
-	// expansion state is the session's own). flat is the snapshot's shared,
-	// read-only Flat View; holding it keeps it alive for other sessions.
+	// callers and flat are this session's Callers and Flat Views, each in a
+	// private arena and built to what is shown: a Callers View root's callers
+	// and the Flat View's rows below procedures come when first needed.
 	callers *core.CallersView
 	flat    *core.FlatView
 	// expanded holds the open scopes, one bitset per store (see rowSet).
@@ -256,7 +255,7 @@ func (s *Session) Unflatten() {
 func (s *Session) FlattenLevel() int { return s.flatten }
 
 // roots returns the active view's current top-level scopes. Builds the
-// Callers View, or takes the snapshot's Flat View, on first use.
+// Callers View or the Flat View on first use.
 func (s *Session) roots() []*core.Node {
 	switch s.view {
 	case ViewCC:
@@ -270,12 +269,22 @@ func (s *Session) roots() []*core.Node {
 		}
 		return s.callers.Roots
 	case ViewFlat:
-		if s.flat == nil {
-			s.flat = s.snap.flatView()
-		}
-		return core.FlattenN(s.flat.Roots, s.flatten)
+		// Flattened past the procedures, the rows below them are on top.
+		return core.FlattenN(s.flatView(s.flatten > 2).Roots, s.flatten)
 	}
 	return nil
+}
+
+// flatView returns the session's Flat View, built to the procedure rows on
+// first use and with the rows below them when below is true.
+func (s *Session) flatView(below bool) *core.FlatView {
+	if s.flat == nil {
+		s.flat = core.BuildFlatViewLazy(s.snap.exp.Tree)
+	}
+	if below {
+		s.flat.Complete()
+	}
+	return s.flat
 }
 
 // VisibleRows recomputes and returns the rows currently on screen:
@@ -291,7 +300,7 @@ func (s *Session) VisibleRows() []render.Row {
 		}
 		for _, n := range sorted {
 			childrenShown := s.expanded.has(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
-			hidden := len(n.Children) > 0 && !childrenShown
+			hidden := n.HasRowsBelow() && !childrenShown
 			// The Callers View materializes children lazily: an
 			// unexpanded root row may not know its callers yet, so it
 			// is presented as expandable regardless.
@@ -367,6 +376,9 @@ func (s *Session) Expand(n *core.Node) {
 	if s.view == ViewCallers && s.callers != nil {
 		s.callers.Expand(n)
 	}
+	if s.view == ViewFlat && n.Kind == core.KindProc {
+		s.flatView(true)
+	}
 	s.expanded.set(n, true)
 }
 
@@ -375,22 +387,22 @@ func (s *Session) Expand(n *core.Node) {
 // pool, which can fail on a damaged view or be cut short by Close; the
 // scopes opened so far stay open.
 func (s *Session) ExpandAll(n *core.Node) error {
-	err := s.expandCallers()
+	err := s.expandBelow()
 	s.expanded.setTree(n)
 	return err
 }
 
 // expandAllRows is ExpandAll of every visible row — the `expandall`
-// command without a row — with the Callers View's subtries built once for
-// all of them. Every visible row lies under one at depth 0, so opening
-// those opens them all. On an error the first row is opened and the rest
+// command without a row — with the rows below built once for all of them.
+// Every visible row lies under one at depth 0, so opening those opens them
+// all. On an error the first row is opened and the rest
 // are not, as when each row was opened in turn.
 func (s *Session) expandAllRows() error {
 	rows := s.VisibleRows()
 	if len(rows) == 0 {
 		return nil
 	}
-	err := s.expandCallers()
+	err := s.expandBelow()
 	for _, r := range rows {
 		if r.Depth == 0 {
 			s.expanded.setTree(r.Node)
@@ -402,14 +414,17 @@ func (s *Session) expandAllRows() error {
 	return err
 }
 
-// expandCallers materializes every caller subtrie of the session's
-// Callers View on core.CallersView.ExpandAllCtx's pool when that view is
-// the one shown.
-func (s *Session) expandCallers() error {
-	if s.view != ViewCallers || s.callers == nil {
-		return nil
+// expandBelow builds every row of the view shown: the Flat View's rows
+// below procedures, or every caller subtrie of the Callers View on
+// core.CallersView.ExpandAllCtx's pool.
+func (s *Session) expandBelow() error {
+	switch {
+	case s.view == ViewFlat:
+		s.flatView(true)
+	case s.view == ViewCallers && s.callers != nil:
+		return s.callers.ExpandAllCtx(s.ctx)
 	}
-	return s.callers.ExpandAllCtx(s.ctx)
+	return nil
 }
 
 // HotPath runs hot-path analysis (Equation 3) over the given metric from
@@ -417,6 +432,9 @@ func (s *Session) expandCallers() error {
 // every scope along the path so it is visible, highlights it, and selects
 // its endpoint — the paper's one-click drill-down.
 func (s *Session) HotPath(metricID int) []*core.Node {
+	if s.view == ViewFlat {
+		s.flatView(true)
+	}
 	start := s.selected
 	if start == nil {
 		if s.view == ViewCC && len(s.zoom) > 0 {

@@ -9,10 +9,10 @@
 //
 //   - Session: one user's presentation state over a shared snapshot — view
 //     selection, expansion, zoom, flattening, sort, selection, highlights,
-//     memoized query results, and an overlay registry for session-private
-//     derived metrics. Any number of sessions may run over one snapshot
-//     concurrently; each renders byte-identically to a session that had the
-//     database to itself.
+//     its own Callers and Flat Views, and an overlay registry for
+//     session-private derived metrics. Any number of sessions may run over
+//     one snapshot concurrently; each renders byte-identically to a session
+//     that had the database to itself.
 //
 //   - Exec: the request/response command surface (the REPL grammar) thin
 //     frontends speak — the interactive CLI and the HTTP server are both
@@ -25,7 +25,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
@@ -67,12 +66,6 @@ type Snapshot struct {
 
 	// mu guards the notes a lazy trace-view build appends.
 	mu sync.Mutex
-
-	// flat is the Flat View, held weakly: sessions that present it keep it
-	// alive, and once none does the collector takes it back. flatMu guards
-	// the pointer and makes concurrent first builds wait for one another.
-	flatMu sync.Mutex
-	flat   weak.Pointer[core.FlatView]
 }
 
 // NewSnapshot seals an in-memory experiment. The experiment must be fully
@@ -261,17 +254,3 @@ func (sn *Snapshot) NodeAt(row int) *core.Node {
 //
 // Deprecated: kept for the end-to-end benchmark's probe; nothing needs it.
 func (sn *Snapshot) FaultAll() error { return nil }
-
-// flatView returns the Flat View of the snapshot's tree: the one some
-// session still holds, or a new build when none does. The view is shared and
-// read-only; a caller keeps it alive by holding the pointer.
-func (sn *Snapshot) flatView() *core.FlatView {
-	sn.flatMu.Lock()
-	defer sn.flatMu.Unlock()
-	if v := sn.flat.Value(); v != nil {
-		return v
-	}
-	v := core.BuildFlatView(sn.exp.Tree)
-	sn.flat = weak.Make(v)
-	return v
-}

@@ -118,13 +118,23 @@ func resealedTree(t testing.TB, edit func(tree []byte)) []byte {
 // viewsScript drives every view of a session; {M} is the first metric column.
 var viewsScript = []string{"ls", "view callers", "expandall", "expand 0", "view flat", "flatten", "expandall", "view cc", "hot {M}"}
 
+// flatScripts each make a session build the Flat View's rows below
+// procedures at another command.
+var flatScripts = [][]string{
+	{"view flat", "ls", "flatten", "flatten", "flatten"},
+	{"view flat", "flatten", "flatten", "expand 0"},
+	{"view flat", "ls", "hot {M}"},
+}
+
 // FuzzViews renders what the fuzzed readers accept. The reader fuzzers in
 // expdb hold an accepted database to its encodings only, which is how a tree
 // the Flat View panicked on went unnoticed. For any bytes expdb.Read accepts,
 // a session runs the script through all three views without a panic (command
-// errors are fine), and — when every directly attributed and every statement
-// cost is finite and non-negative, so that sums cannot cancel — the flat
-// view's statement rows conserve the CCT's statement exclusives.
+// errors are fine); each Flat View script renders the same over a session
+// that builds the rows below procedures when first needed as over one given
+// the complete build; and — when every directly attributed and every
+// statement cost is finite and non-negative, so that sums cannot cancel —
+// the flat view's statement rows conserve the CCT's statement exclusives.
 func FuzzViews(f *testing.F) {
 	f.Add(v3Of(f, core.Fig1Tree()))
 	f.Add(v3Of(f, framelessTree(f)))
@@ -158,6 +168,11 @@ func FuzzViews(f *testing.F) {
 		}
 		for _, line := range viewsScript {
 			s.Do(Request{Line: strings.ReplaceAll(line, "{M}", first)})
+		}
+		for _, script := range flatScripts {
+			if lazy, complete := flatTranscripts(sn, script); lazy != complete {
+				t.Errorf("%q: the lazy view renders differently\n--- lazy ---\n%s\n--- complete ---\n%s", script, lazy, complete)
+			}
 		}
 
 		tree := sn.Tree()
