@@ -1,8 +1,8 @@
 // Allocation regression tests for the columnar query engine: once warm,
-// re-evaluating derived metrics and re-sorting the tree must not allocate
-// at all — the scratch buffers (topo index, kernel column lists, label
-// cache) are the mechanism behind the BENCH_query.json allocs/op claims,
-// and these tests keep them from regressing silently.
+// re-evaluating derived metrics and sorting copies of sibling lists must
+// not allocate at all — the scratch buffers (topo index, kernel column
+// lists, label cache) are the mechanism behind the BENCH_query.json
+// allocs/op claims, and these tests keep them from regressing silently.
 package repro
 
 import (
@@ -34,23 +34,32 @@ func TestApplyDerivedTreeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestSortTreeSteadyStateAllocs(t *testing.T) {
+// TestSortScopesSteadyStateAllocs sorts copies of every sibling list, as
+// sessions do, in a reused buffer.
+func TestSortScopesSteadyStateAllocs(t *testing.T) {
 	tr := syntheticCCT(20_000, 7)
 	tr.ComputeMetrics()
-	desc := core.SortSpec{}
-	asc := core.SortSpec{Ascending: true}
-	byLabel := core.SortSpec{ByLabel: true}
-	// Warm every direction once: the first sort interns the tie-break
-	// labels and materializes the read-only column slabs.
-	core.SortTree(tr.Root, desc)
-	core.SortTree(tr.Root, asc)
-	core.SortTree(tr.Root, byLabel)
-	allocs := testing.AllocsPerRun(5, func() {
-		core.SortTree(tr.Root, desc)
-		core.SortTree(tr.Root, asc)
-		core.SortTree(tr.Root, byLabel)
+	var lists [][]*core.Node
+	core.Walk(tr.Root, func(n *core.Node) bool {
+		if len(n.Children) > 1 {
+			lists = append(lists, n.Children)
+		}
+		return true
 	})
-	if allocs != 0 {
-		t.Fatalf("warm SortTree allocates %.1f objects/run, want 0", allocs)
+	specs := []core.SortSpec{{}, {Ascending: true}, {ByLabel: true}}
+	var buf []*core.Node
+	sortAll := func() {
+		for _, spec := range specs {
+			for _, l := range lists {
+				buf = append(buf[:0], l...)
+				core.SortScopes(buf, spec)
+			}
+		}
+	}
+	// Warm every direction once: the first sort interns the tie-break
+	// labels and grows the buffer.
+	sortAll()
+	if allocs := testing.AllocsPerRun(5, sortAll); allocs != 0 {
+		t.Fatalf("warm SortScopes allocates %.1f objects/run, want 0", allocs)
 	}
 }

@@ -42,21 +42,6 @@ func BenchmarkDerivedEval(b *testing.B) {
 	}
 }
 
-func BenchmarkSortTree(b *testing.B) {
-	t := syntheticCCT(100_000, 7)
-	// Alternate directions so every iteration reorders every sibling list
-	// instead of re-sorting an already-sorted tree.
-	specs := [2]core.SortSpec{
-		{MetricID: 0},
-		{MetricID: 0, Ascending: true},
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.SortTree(t.Root, specs[i%2])
-	}
-}
-
 func BenchmarkHotPath(b *testing.B) {
 	t := syntheticCCT(100_000, 9)
 	b.ResetTimer()

@@ -58,7 +58,6 @@ func TestBenchSmoke(t *testing.T) {
 		{"ReadBinary", BenchmarkReadBinary},
 		{"ChildLookup", BenchmarkChildLookup},
 		{"DerivedEval", BenchmarkDerivedEval},
-		{"SortTree", BenchmarkSortTree},
 		{"HotPath", BenchmarkHotPath},
 		{"ComputeMetrics", BenchmarkComputeMetrics},
 		{"MappedOpen", BenchmarkMappedOpen},

@@ -114,8 +114,6 @@ var (
 	FlattenN = core.FlattenN
 	// SortScopes orders a sibling list by a metric column.
 	SortScopes = core.SortScopes
-	// SortTree sorts every sibling list of a subtree.
-	SortTree = core.SortTree
 	// ApplyDerived evaluates derived metric columns over a subtree.
 	ApplyDerived = core.ApplyDerived
 	// Walk visits a subtree in preorder.

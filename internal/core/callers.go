@@ -71,10 +71,9 @@ type CallersView struct {
 // BuildCallersView scans the CCT once, creating one root row per procedure
 // with exposed-aggregate costs. Caller subtries are not built until
 // Expand/ExpandAll — the lazy construction the paper credits for the view's
-// scalability. The tree is only read (metrics are computed first under the
-// tree's lock), so several views may be built from one tree concurrently.
+// scalability. The tree is only read, so several views may be built from
+// one tree concurrently.
 func BuildCallersView(t *Tree) *CallersView {
-	t.EnsureComputed()
 	v := &CallersView{Reg: t.Reg}
 	rows := map[procID]int32{} // procedure -> index of its row in scan order
 	var instances [][]*Node    // by that index

@@ -15,8 +15,8 @@ import (
 // expansion must be safe from any number of goroutines (run under -race)
 // and must produce exactly the sequential result.
 
-// randomRecursiveTree builds a CCT with recursion and loops, big enough
-// that concurrent expansion has real work to interleave.
+// randomRecursiveTree builds a finished CCT with recursion and loops, big
+// enough that concurrent expansion has real work to interleave.
 func randomRecursiveTree(nodes int, seed int64) *Tree {
 	rng := rand.New(rand.NewSource(seed))
 	t := NewTree("race", nil)
@@ -46,6 +46,7 @@ func randomRecursiveTree(nodes int, seed int64) *Tree {
 			}
 		}
 	}
+	t.ComputeMetrics()
 	return t
 }
 
@@ -137,10 +138,9 @@ func TestCallersViewLazyConstruction(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildCallersView builds views of one shared (initially
-// uncomputed) tree from 16 goroutines; every view must equal the
-// sequential reference. Run under -race: this exercises the tree's
-// compute lock and the read-only walk.
+// TestConcurrentBuildCallersView builds views of one shared finished tree
+// from 16 goroutines; every view must equal the sequential reference. Run
+// under -race: it checks that concurrent builds only read the tree.
 func TestConcurrentBuildCallersView(t *testing.T) {
 	tree := randomRecursiveTree(4000, 7)
 	views := make([]*CallersView, 16)

@@ -357,7 +357,7 @@ func TestSortByLabel(t *testing.T) {
 	}
 }
 
-func TestSortTreeDeterministicTies(t *testing.T) {
+func TestSortScopesDeterministicTies(t *testing.T) {
 	tree := NewTree("ties", nil)
 	main := tree.AddPath(Key{Kind: KindFrame, Name: Sym("main")})
 	for _, name := range []string{"zeta", "alpha", "mid"} {
@@ -366,7 +366,7 @@ func TestSortTreeDeterministicTies(t *testing.T) {
 		s.Base.Add(0, 5)
 	}
 	tree.ComputeMetrics()
-	SortTree(tree.Root, SortSpec{MetricID: 0})
+	SortScopes(main.Children, SortSpec{MetricID: 0})
 	got := labels(main.Children)
 	want := []string{"alpha", "mid", "zeta"}
 	for i := range want {
@@ -609,8 +609,8 @@ type cctShape struct {
 // and two modules: self-recursion at least three deep through one call site
 // ("rec"), mutual recursion (any procedure calls any other), nested loops,
 // and inlined code, at most 40 scopes deep. size is the number of generator
-// steps per entry frame. It returns the tree and the total Base cost of
-// column 0.
+// steps per entry frame. It returns the finished tree and the total Base
+// cost of column 0.
 func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
 	var rng *rand.Rand
 	reg := metric.NewRegistry()
@@ -690,6 +690,7 @@ func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
 			}
 		}
 	}
+	tree.ComputeMetrics()
 	return tree, total
 }
 

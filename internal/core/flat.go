@@ -99,7 +99,6 @@ func BuildFlatView(t *Tree) *FlatView { return buildFlatView(t, true) }
 func BuildFlatViewLazy(t *Tree) *FlatView { return buildFlatView(t, false) }
 
 func buildFlatView(t *Tree, deep bool) *FlatView {
-	t.EnsureComputed()
 	// The view is built by this one goroutine; a private arena with its own
 	// metric store packs its scopes into slabs like the CCT's, keeping the
 	// no-cross-tree-aliasing invariant.

@@ -18,7 +18,6 @@ import (
 // that no frame encloses (the bug the sweep fixes), so the differential
 // inputs never have one.
 func oracleBuildFlatView(t *Tree) *FlatView {
-	t.EnsureComputed()
 	v := &FlatView{Reg: t.Reg}
 	// The view is built by this one goroutine; a private arena with its own
 	// metric store packs its scopes into slabs like the CCT's, keeping the

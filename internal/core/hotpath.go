@@ -215,15 +215,3 @@ func SortScopesFunc(scopes []*Node, spec SortSpec, value func(*Node) float64) {
 		return strings.Compare(x.labelString(), y.labelString())
 	})
 }
-
-// SortTree sorts every sibling list in the subtree.
-func SortTree(start *Node, spec SortSpec) {
-	sortTreeRec(start, spec)
-}
-
-func sortTreeRec(n *Node, spec SortSpec) {
-	SortScopes(n.Children, spec)
-	for _, c := range n.Children {
-		sortTreeRec(c, spec)
-	}
-}

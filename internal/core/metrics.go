@@ -7,57 +7,6 @@ import (
 	"repro/internal/metric"
 )
 
-// ComputeMetrics performs the initialization step of Section IV-A: it
-// computes presented exclusive costs per Equation 1 and inclusive costs per
-// Equation 2 from the directly attributed Base values.
-//
-// Rules (Equation 1), using the paper's hybrid definition:
-//   - dynamic scopes (frames): exclusive is the sum of Base over every
-//     descendant reachable without crossing another frame — "sum every
-//     descendant statement of x that is not across a call site";
-//   - other static scopes (loops, inlined code): exclusive is the sum of
-//     Base over direct statement children only, so a loop's exclusive
-//     excludes its nested loops (Figure 2a: l1 = 0 while l2 = 4);
-//   - statements keep their Base.
-//
-// Inclusive costs (Equation 2) are the bottom-up sums of Base, so a fused
-// call-site/callee line reports "the cost of the callee and any routine it
-// calls" (Section V-B).
-//
-// The computation runs column-at-a-time over the contiguous metric slabs:
-// one postorder index is built per recomputation (child lists may have been
-// re-sorted since) and each column is then a pair of linear sweeps.
-// Per-parent accumulation follows child order — the addition sequence of a
-// per-node recursion — and zero additions are bitwise no-ops (slabs never
-// hold negative zero).
-func (t *Tree) ComputeMetrics() {
-	t.computeMu.Lock()
-	defer t.computeMu.Unlock()
-	t.recomputeMetrics()
-}
-
-// EnsureComputed computes presented metrics once; concurrent callers (e.g.
-// several goroutines building views over one shared tree) serialize on the
-// tree's compute lock and all but the first become no-ops.
-func (t *Tree) EnsureComputed() {
-	t.computeMu.Lock()
-	defer t.computeMu.Unlock()
-	if !t.computed {
-		t.recomputeMetrics()
-	}
-}
-
-// MarkComputed records that presented metrics are already final without
-// running the Equation 1/2 sweeps. Loaders whose on-disk form stores the
-// presented planes directly (the v3 mapped database bakes Base, inclusive
-// and exclusive column slabs) call this so EnsureComputed does not
-// overwrite — and copy-on-write — the loaded columns.
-func (t *Tree) MarkComputed() {
-	t.computeMu.Lock()
-	t.computed = true
-	t.computeMu.Unlock()
-}
-
 // Exclusive-rule classes, precomputed per postorder entry so the finalize
 // sweep is a flat switch over dense arrays.
 const (
@@ -70,8 +19,8 @@ const (
 // topoScratch is the flattened postorder index of a tree: children precede
 // parents, and siblings appear in child-list order, so a linear pass that
 // adds post[i] into parent[i] replays exactly the additions the recursive
-// walk performed. Rebuilt on each recomputation (sorting reorders child
-// lists) reusing slice capacity, so the steady state allocates nothing.
+// walk performed. Rebuilt by each ComputeMetrics call, reusing slice
+// capacity, so the steady state allocates nothing.
 type topoScratch struct {
 	post     []int32 // node rows in postorder
 	parent   []int32 // parent row of post[i], -1 for the root
@@ -149,11 +98,34 @@ func (t *Tree) buildTopo() {
 	visit(t.Root, -1)
 }
 
-// recomputeMetrics does the actual Equation 1/2 computation; callers hold
-// computeMu. Presented values are replaced outright — summary/computed
-// overrides and derived columns are wiped and re-applied by their owners
-// afterwards.
-func (t *Tree) recomputeMetrics() {
+// ComputeMetrics performs the initialization step of Section IV-A: it
+// computes presented exclusive costs per Equation 1 and inclusive costs per
+// Equation 2 from the directly attributed Base values.
+//
+// Rules (Equation 1), using the paper's hybrid definition:
+//   - dynamic scopes (frames): exclusive is the sum of Base over every
+//     descendant reachable without crossing another frame — "sum every
+//     descendant statement of x that is not across a call site";
+//   - other static scopes (loops, inlined code): exclusive is the sum of
+//     Base over direct statement children only, so a loop's exclusive
+//     excludes its nested loops (Figure 2a: l1 = 0 while l2 = 4);
+//   - statements keep their Base.
+//
+// Inclusive costs (Equation 2) are the bottom-up sums of Base, so a fused
+// call-site/callee line reports "the cost of the callee and any routine it
+// calls" (Section V-B).
+//
+// The computation runs column-at-a-time over the contiguous metric slabs:
+// one postorder index is built per call and each column is then a pair of
+// linear sweeps. Per-parent accumulation follows child order — the addition
+// sequence of a per-node recursion — and zero additions are bitwise no-ops
+// (slabs never hold negative zero).
+//
+// Every tree constructor calls it (or adopts planes baked on disk) before
+// returning, and views only read the result. Presented values are replaced
+// outright — summary/computed overrides and derived columns are wiped and
+// re-applied by their owners afterwards.
+func (t *Tree) ComputeMetrics() {
 	st := t.arena.store
 	t.buildTopo()
 	tp := &t.topo
@@ -215,7 +187,6 @@ func (t *Tree) recomputeMetrics() {
 	for col := baseCols; col < st.NumCols(metric.PlaneExcl); col++ {
 		clear(st.Col(metric.PlaneExcl, col))
 	}
-	t.computed = true
 }
 
 // compiledDerived pairs a derived column with its compiled stack program.

@@ -343,11 +343,6 @@ type Tree struct {
 	// object each.
 	arena nodeArena
 
-	// computeMu serializes metric (re)computation so derived views can be
-	// built concurrently over one shared tree.
-	computeMu sync.Mutex
-	computed  bool
-
 	// topo and the kernel scratch slices are reused across recomputations
 	// and derived-metric sweeps so the steady state allocates nothing;
 	// they are only touched by the single writer that mutates the tree
@@ -395,7 +390,9 @@ func (t *Tree) Reserve(n int) {
 }
 
 // AddPath materializes (or finds) the scope chain keys under the root and
-// returns the final node. Intended for tests and tree builders.
+// returns the final node. Intended for tests and tree builders; a tree grown
+// after its constructor returned must call ComputeMetrics before a view is
+// built from it.
 func (t *Tree) AddPath(keys ...Key) *Node {
 	n := t.Root
 	for _, k := range keys {

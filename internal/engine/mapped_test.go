@@ -9,7 +9,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expdb"
+	"repro/internal/metric"
+	"repro/internal/render"
 )
 
 // v3FixtureFile writes the merged multi-rank fixture as a mapped-format
@@ -188,4 +191,70 @@ func TestMappedSnapshotRefcount(t *testing.T) {
 	}
 	// Double close of a session must not double-release.
 	s2.Close()
+}
+
+// TestViewsLeaveMappedColumnsBorrowed builds every view over the tree of a
+// mapped database: a complete Flat View, the whole Callers View, a hot
+// path, renders of all three, and a session script over them. A finished
+// tree is only read, so every column the open adopted from the file must
+// still alias it afterwards (a write would have copied it to the heap), and
+// the columns the file omits as all-zero must still have no slab.
+func TestViewsLeaveMappedColumnsBorrowed(t *testing.T) {
+	path, _ := v3FixtureFile(t)
+	sn, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	tree := sn.Tree()
+	st := tree.MetricStore()
+	planes := []metric.Plane{metric.PlaneBase, metric.PlaneIncl, metric.PlaneExcl}
+	checkBorrowed := func(when string) {
+		t.Helper()
+		for _, p := range planes {
+			borrowed := 0
+			for col := 0; col < tree.Reg.Len(); col++ {
+				switch {
+				case st.Borrowed(p, col):
+					borrowed++
+				case len(st.ColRead(p, col)) != 0:
+					t.Fatalf("%s: plane %d column %d is held on the heap, not in the file", when, p, col)
+				}
+			}
+			if borrowed == 0 {
+				t.Fatalf("%s: plane %d has no column in the file", when, p)
+			}
+		}
+	}
+	checkBorrowed("after open")
+
+	flat := core.BuildFlatView(tree)
+	callers := core.BuildCallersView(tree)
+	callers.ExpandAll()
+	cyc := tree.Reg.ByName("CYCLES").ID
+	if len(core.HotPath(tree.Root, cyc, 0)) < 2 {
+		t.Fatal("hot path stops at the root")
+	}
+	var out bytes.Buffer
+	for _, err := range []error{
+		render.RenderTree(&out, tree, render.Options{}),
+		render.RenderCallers(&out, callers, tree, render.Options{}),
+		render.RenderFlat(&out, flat, tree, render.Options{}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewSession(sn)
+	defer s.Close()
+	for _, line := range []string{
+		"expandall", "hot CYCLES", "sort CYCLES",
+		"view callers", "expandall", "hot CYCLES",
+		"view flat", "expandall", "hot CYCLES", "ls",
+	} {
+		if _, err := Exec(s, line, &out); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+	}
+	checkBorrowed("after the views")
 }

@@ -125,11 +125,10 @@ func Open(path string) (*Snapshot, error) {
 	return NewSnapshot(exp), nil
 }
 
-// seal freezes the snapshot: presented metrics are computed (a no-op for
-// database-loaded trees, whose finalize already ran) and the base column
-// boundary recorded.
+// seal freezes the snapshot: the tree's constructor has already computed or
+// adopted its presented planes, so only the base column boundary is
+// recorded.
 func (sn *Snapshot) seal() {
-	sn.exp.Tree.EnsureComputed()
 	sn.baseCols = sn.exp.Tree.Reg.Len()
 	sn.refs.Store(1)
 }

@@ -107,10 +107,9 @@ func v3PlaneName(p uint8) string {
 // presented inclusive/exclusive planes are baked into column slabs, so a
 // v3 open never recomputes metrics or re-applies derived kernels.
 func (e *Experiment) WriteBinaryV3(w io.Writer) error {
-	// The slabs persist the presented planes verbatim, so they must be
-	// final before the walk: compute Equations 1/2 if nothing has, and
-	// (re-)apply derived formulas — both no-ops on a finalized tree.
-	e.Tree.EnsureComputed()
+	// The slabs persist the presented planes verbatim. The tree's
+	// constructor computed Equations 1/2, but the registry may have gained
+	// a formula since, so derived columns are (re-)applied before the walk.
 	if err := e.Tree.ApplyDerivedTree(); err != nil {
 		return err
 	}
@@ -522,9 +521,6 @@ func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
 	if got := e.Tree.MetricStore().NumRows(); got != len(d.nodes)+1 {
 		return nil, nil, &SectionError{Section: "tree", Err: fmt.Errorf("row count %d does not match %d nodes", got, len(d.nodes))}
 	}
-	// Presented planes are baked in the column slabs: recomputation must
-	// not overwrite (and copy) them.
-	e.Tree.MarkComputed()
 	return e, d.nodes, nil
 }
 
