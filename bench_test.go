@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -431,14 +432,16 @@ func BenchmarkMergeRanks(b *testing.B) {
 }
 
 // BenchmarkParallelMerge measures the shard/reduce merge pipeline on a
-// 64-rank workload at 1/2/4/8 workers; jobs=1 is the sequential baseline
-// the equivalence harness (internal/merge) pins the others to.
+// 64-rank workload at GOMAXPROCS 1/2/4/8, the merge's worker count; jobs=1
+// is the sequential baseline the equivalence harness (internal/merge) pins
+// the others to.
 func BenchmarkParallelMerge(b *testing.B) {
 	doc, profs := mustMPIProfiles(b, "pflotran", 64)
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(jobs))
 			for i := 0; i < b.N; i++ {
-				res, err := merge.ProfilesJobs(doc, profs, jobs)
+				res, err := merge.Profiles(doc, profs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,10 +119,21 @@ func TestKeepGoingQuarantinesAndMatchesGoodOnlyMerge(t *testing.T) {
 		}
 	}
 
+	atGOMAXPROCS(t, func(procs int) {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			keepGoingMatchesGoodOnly(t, dir, structPath, profs, good)
+		})
+	})
+}
+
+// keepGoingMatchesGoodOnly merges profs, three of them damaged, under
+// -keep-going and good alone without it, and checks the quarantine report
+// and that the two databases differ only in provenance.
+func keepGoingMatchesGoodOnly(t *testing.T, dir, structPath string, profs, good []string) {
 	outAll := filepath.Join(dir, "all.db")
 	outGood := filepath.Join(dir, "good.db")
 	stderrText, err := captureStderr(t, func() error {
-		args := append([]string{"-S", structPath, "-o", outAll, "-summaries", "-jobs", "1", "-keep-going"}, profs...)
+		args := append([]string{"-S", structPath, "-o", outAll, "-summaries", "-keep-going"}, profs...)
 		return run(args)
 	})
 	if err != nil {
@@ -130,7 +142,7 @@ func TestKeepGoingQuarantinesAndMatchesGoodOnlyMerge(t *testing.T) {
 	if n := strings.Count(stderrText, "hpcprof: quarantined "); n != 3 {
 		t.Fatalf("quarantine lines = %d, want 3; stderr:\n%s", n, stderrText)
 	}
-	args := append([]string{"-S", structPath, "-o", outGood, "-summaries", "-jobs", "1"}, good...)
+	args := append([]string{"-S", structPath, "-o", outGood, "-summaries"}, good...)
 	if err := run(args); err != nil {
 		t.Fatalf("good-only merge failed: %v", err)
 	}
@@ -200,27 +212,63 @@ func TestMaxBadRanksAborts(t *testing.T) {
 		damage(t, profs[i], func(b []byte) []byte { return faultio.Truncate(b, len(b)/3) })
 	}
 	out := filepath.Join(dir, "out.db")
-	// -max-bad-ranks implies -keep-going; the third failure exceeds 2.
-	_, err := captureStderr(t, func() error {
-		args := append([]string{"-S", structPath, "-o", out, "-jobs", "1", "-max-bad-ranks", "2"}, profs...)
-		return run(args)
+	atGOMAXPROCS(t, func(procs int) {
+		// -max-bad-ranks implies -keep-going; the third failure exceeds 2.
+		_, err := captureStderr(t, func() error {
+			args := append([]string{"-S", structPath, "-o", out, "-max-bad-ranks", "2"}, profs...)
+			return run(args)
+		})
+		if err == nil {
+			t.Fatalf("GOMAXPROCS=%d: exceeding -max-bad-ranks did not abort", procs)
+		}
+		if !strings.Contains(err.Error(), "measurement files failed") {
+			t.Fatalf("GOMAXPROCS=%d: unexpected error: %v", procs, err)
+		}
+		// Within the budget the merge succeeds.
+		stderrText, err := captureStderr(t, func() error {
+			args := append([]string{"-S", structPath, "-o", out, "-max-bad-ranks", "3"}, profs...)
+			return run(args)
+		})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: within budget: %v", procs, err)
+		}
+		if n := strings.Count(stderrText, "hpcprof: quarantined "); n != 3 {
+			t.Fatalf("GOMAXPROCS=%d: quarantine lines = %d, want 3", procs, n)
+		}
 	})
-	if err == nil {
-		t.Fatal("exceeding -max-bad-ranks did not abort")
+}
+
+// When every file is bad, exceeding -max-bad-ranks is the error reported,
+// not the empty merge that quarantining them all would have left. With two
+// files and a budget of one, the second quarantine is both the last file
+// and the one over budget.
+func TestMaxBadRanksAllBad(t *testing.T) {
+	dir := t.TempDir()
+	structPath, profs := writeInputsN(t, dir, 2)
+	for _, p := range profs {
+		damage(t, p, func([]byte) []byte { return []byte("not a profile at all") })
 	}
-	if !strings.Contains(err.Error(), "measurement files failed") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	// Within the budget the merge succeeds.
-	stderrText, err := captureStderr(t, func() error {
-		args := append([]string{"-S", structPath, "-o", out, "-jobs", "1", "-max-bad-ranks", "3"}, profs...)
-		return run(args)
+	out := filepath.Join(dir, "out.db")
+	atGOMAXPROCS(t, func(procs int) {
+		_, err := captureStderr(t, func() error {
+			args := append([]string{"-S", structPath, "-o", out, "-max-bad-ranks", "1"}, profs...)
+			return run(args)
+		})
+		if err == nil || !strings.Contains(err.Error(), "more than 1 measurement files failed") {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want the -max-bad-ranks abort", procs, err)
+		}
 	})
-	if err != nil {
-		t.Fatalf("within budget: %v", err)
-	}
-	if n := strings.Count(stderrText, "hpcprof: quarantined "); n != 3 {
-		t.Fatalf("quarantine lines = %d, want 3", n)
+}
+
+// atGOMAXPROCS runs f at GOMAXPROCS 1 and 4 in turn — one merge worker and
+// several — and restores the old value when the test ends. Tests that call
+// it must not run in parallel.
+func atGOMAXPROCS(t *testing.T, f func(procs int)) {
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Command hpcprof correlates raw call path profiles with a structure file,
 // producing the experiment database hpcviewer presents — HPCToolkit's
-// hpcprof. Profiles from multiple ranks are merged; per-scope summary
-// statistics (mean/min/max/stddev across ranks) can be added, implementing
-// the scalable finalization step of the paper's Section IV/VII.
+// hpcprof. Profiles from multiple ranks are merged, one worker per CPU
+// (GOMAXPROCS), into a database that is byte-identical at any worker
+// count; per-scope summary statistics (mean/min/max/stddev across ranks)
+// can be added, implementing the scalable finalization step of the
+// paper's Section IV/VII.
 //
 // At scale some measurement files arrive damaged — truncated by killed
 // jobs, corrupted by flaky filesystems, unreadable after lost blocks. With
@@ -33,16 +35,15 @@
 // at write time. The trace pass re-reads each measurement file
 // sequentially in rank order and streams records straight to the output,
 // so peak memory stays O(one chunk) no matter how many events were
-// captured, and the bytes are identical for any -jobs value.
+// captured.
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -76,7 +77,6 @@ func run(args []string) (err error) {
 	out := fs.String("o", "experiment.db", "output database path")
 	format := fs.String("format", "v3", "database format: v3 (mappable zero-copy), binary (v2) or xml")
 	summaries := fs.Bool("summaries", false, "add mean/min/max/stddev summary columns across ranks")
-	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel merge workers (1 = sequential)")
 	traceOut := fs.Bool("traces", false, "stream captured trace sections into the database with zoom pyramids (v3 format only)")
 	keepGoing := fs.Bool("keep-going", false, "quarantine corrupt/truncated/unreadable measurement files instead of aborting")
 	maxBad := fs.Int("max-bad-ranks", -1, "abort once more than this many files are quarantined (-1 = unlimited; setting it implies -keep-going)")
@@ -142,7 +142,7 @@ func run(args []string) (err error) {
 		return fmt.Errorf("reading %s: %w", *structPath, err)
 	}
 
-	res, report, err := mergeFiles(context.Background(), doc, fs.Args(), *jobs, *keepGoing, *maxBad)
+	res, report, err := mergeFiles(doc, fs.Args(), *keepGoing, *maxBad)
 	for _, bad := range report.Bad {
 		fmt.Fprintf(os.Stderr, "hpcprof: quarantined %s\n", bad)
 	}
@@ -236,8 +236,8 @@ func exportPprof(dbPath, out string) error {
 // mode, and installs a streaming TraceRank whose Scan re-reads the file's
 // trace section with call-path ids rewritten from trie preorder indices
 // to structural tree rows. The pass is sequential over ranks in ascending
-// order, so trace bytes never depend on -jobs. Peak memory is one remap
-// table plus one read chunk — never O(events).
+// order, so trace bytes never depend on the merge's worker count. Peak
+// memory is one remap table plus one read chunk — never O(events).
 func attachTraces(doc *structfile.Doc, exp *expdb.Experiment, paths []string, report *ingest.Report) error {
 	bad := map[string]bool{}
 	for _, b := range report.Bad {
@@ -336,103 +336,47 @@ func traceRankOf(doc *structfile.Doc, exp *expdb.Experiment, rows map[*core.Node
 	}, true, nil
 }
 
-// mergeFiles streams the measurement files into jobs parallel shard
-// accumulators — each worker reads, merges and discards one file of its
-// contiguous shard at a time, so arbitrarily many ranks fit in memory (the
-// Section IX concern) — then combines the shards with a pairwise tree
-// reduction. Contiguous shards keep the result identical to a sequential
-// merge regardless of the worker count, and a quarantined file is skipped
-// before it touches an accumulator, so the result with -keep-going is
-// byte-identical to merging only the good files.
+// mergeFiles streams the measurement files through merge.Fold: each
+// worker reads, merges and discards one file of its contiguous shard at a
+// time, so arbitrarily many ranks fit in memory (the Section IX concern),
+// and the result is identical to a sequential merge whatever the worker
+// count. A quarantined file is skipped before it touches an accumulator,
+// so the result with -keep-going is byte-identical to merging only the
+// good files.
 //
 // The returned Report is always valid, including on error, so callers can
 // show what was quarantined before the abort.
-func mergeFiles(ctx context.Context, doc *structfile.Doc, paths []string, jobs int, keepGoing bool, maxBad int) (*merge.Result, *ingest.Report, error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(paths) {
-		jobs = len(paths)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+func mergeFiles(doc *structfile.Doc, paths []string, keepGoing bool, maxBad int) (*merge.Result, *ingest.Report, error) {
 	report := &ingest.Report{Attempted: len(paths)}
 	var mu sync.Mutex
-	quarantine := func(path string, rank int, off int64, err error) bool {
+	res, err := merge.Fold(doc, len(paths), func(acc *merge.Accumulator, i int) error {
+		rank, off, err := processFile(acc, paths[i])
+		if err == nil || !keepGoing {
+			return err
+		}
 		bad := ingest.BadRank{
-			Path: path, Rank: rank, Offset: off,
+			Path: paths[i], Rank: rank, Offset: off,
 			Class: ingest.Classify(err), Message: err.Error(),
 		}
 		mu.Lock()
 		report.Quarantine(bad)
 		tooMany := maxBad >= 0 && len(report.Bad) > maxBad
 		mu.Unlock()
-		return tooMany
-	}
-
-	accs := make([]*merge.Accumulator, jobs)
-	errs := make([]error, jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		accs[w] = merge.NewAccumulator(doc)
-		lo, hi := len(paths)*w/jobs, len(paths)*(w+1)/jobs
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for _, path := range paths[lo:hi] {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				rank, off, err := processFile(accs[w], path)
-				if err == nil {
-					continue
-				}
-				if !keepGoing {
-					errs[w] = err
-					cancel()
-					return
-				}
-				if quarantine(path, rank, off, err) {
-					errs[w] = fmt.Errorf("more than %d measurement files failed (-max-bad-ranks); last: %w", maxBad, err)
-					cancel()
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		if tooMany {
+			return fmt.Errorf("more than %d measurement files failed (-max-bad-ranks); last: %w", maxBad, err)
+		}
+		return nil
+	})
 	report.Sort()
-	// Prefer a real failure over the cancellation it triggered in the
-	// other workers.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if err != context.Canceled && err != context.DeadlineExceeded {
-			return nil, report, err
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return nil, report, first
-	}
-	report.Merged = len(paths) - len(report.Bad)
-	if report.Merged == 0 {
+	// Finish finds no profiles only when every file was quarantined; a
+	// failed add never reaches it.
+	if errors.Is(err, merge.ErrNoProfiles) {
 		return nil, report, fmt.Errorf("all %d measurement files were quarantined", len(paths))
 	}
-	acc, err := merge.Combine(accs)
 	if err != nil {
 		return nil, report, err
 	}
-	res, err := acc.Finish()
-	if err != nil {
-		return nil, report, err
-	}
+	report.Merged = len(paths) - len(report.Bad)
 	return res, report, nil
 }
 

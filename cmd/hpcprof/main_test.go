@@ -136,6 +136,7 @@ func TestRunErrors(t *testing.T) {
 		append([]string{"-S", structPath, "-format", "yaml"}, profs...), // bad format
 		append([]string{"-S", filepath.Join(dir, "ghost")}, profs...),   // missing struct
 		{"-S", structPath, structPath},                                  // struct file as profile
+		append([]string{"-S", structPath, "-jobs", "2"}, profs...),      // GOMAXPROCS sets the workers
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

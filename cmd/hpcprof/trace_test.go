@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -106,15 +107,18 @@ func TestTracePipeline(t *testing.T) {
 	}
 }
 
-// TestTraceJobsByteIdentical locks the full database bytes across -jobs.
+// TestTraceJobsByteIdentical locks the full database bytes across the
+// merge's worker count, GOMAXPROCS.
 func TestTraceJobsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	structPath, profPaths := writeTracedInputs(t, dir, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var outs [][]byte
-	for _, jobs := range []string{"1", "8"} {
-		out := filepath.Join(dir, "exp-j"+jobs+".db")
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		out := filepath.Join(dir, fmt.Sprintf("exp-j%d.db", procs))
 		args := append([]string{"-S", structPath, "-format", "v3", "-traces",
-			"-jobs", jobs, "-o", out}, profPaths...)
+			"-o", out}, profPaths...)
 		if err := run(args); err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +129,7 @@ func TestTraceJobsByteIdentical(t *testing.T) {
 		outs = append(outs, data)
 	}
 	if !bytes.Equal(outs[0], outs[1]) {
-		t.Fatal("database bytes differ between -jobs 1 and -jobs 8")
+		t.Fatal("database bytes differ between GOMAXPROCS 1 and 8")
 	}
 }
 

@@ -113,42 +113,18 @@ func (c *Catalog) ingest(key Key, r io.Reader) error {
 // are rejections here — because rejecting now is free while rejecting
 // later costs a session.
 func ValidateFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	var head [len(expdb.MagicV3)]byte
-	n, _ := io.ReadFull(f, head[:])
-	f.Close()
-	if string(head[:n]) == expdb.MagicV3 {
-		mdb, err := expdb.OpenMapped(path)
-		if err != nil {
-			return err
-		}
-		defer mdb.Close()
-		exp, err := mdb.Experiment()
-		if err != nil {
-			return err
-		}
-		// VerifyAll sweeps every section checksum, trace sections
-		// included, but reports column and trace damage the way serving
-		// wants it — detached columns or dropped ranks plus a note. Strict
-		// mode: any note is a rejection.
-		if err := mdb.VerifyAll(); err != nil {
-			return err
-		}
-		if notes := exp.Notes; len(notes) > 0 {
-			return fmt.Errorf("damaged database: %s", notes[0])
-		}
-		return nil
-	}
-	// XML/v1/v2 are decoded whole, every checksum verified on the way; a
-	// degraded open (notes) is a rejection.
 	snap, err := engine.Open(path)
 	if err != nil {
 		return err
 	}
 	defer snap.Release()
+	// Opening verified the metadata and columns; Trace verifies a v3
+	// file's trace sections, which serving leaves for first use. Damage
+	// serving tolerates (detached columns, dropped ranks) shows as notes.
+	// Strict mode: any note is a rejection.
+	if _, err := snap.Trace(); err != nil {
+		return err
+	}
 	if notes := snap.Notes(); len(notes) > 0 {
 		return fmt.Errorf("damaged database: %s", notes[0])
 	}

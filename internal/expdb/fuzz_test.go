@@ -3,6 +3,7 @@ package expdb
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -47,7 +48,9 @@ func mergedSeed(f *testing.F) *Experiment {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := merge.ProfilesJobs(doc, profs, 2)
+	old := runtime.GOMAXPROCS(2) // a two-shard merge
+	res, err := merge.Profiles(doc, profs)
+	runtime.GOMAXPROCS(old)
 	if err != nil {
 		f.Fatal(err)
 	}

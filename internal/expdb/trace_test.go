@@ -2,6 +2,7 @@ package expdb
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,9 +17,10 @@ import (
 	"repro/internal/trace"
 )
 
-// traceFixture runs a small program with trace capture on and returns an
-// experiment with TraceRanks installed, plus the inputs that built it.
-func traceFixture(t testing.TB, nranks, jobs int) (*Experiment, *structfile.Doc, []*profile.Profile) {
+// traceFixture runs a small program with trace capture on, merges it at
+// GOMAXPROCS procs and returns an experiment with TraceRanks installed,
+// plus the inputs that built it.
+func traceFixture(t testing.TB, nranks, procs int) (*Experiment, *structfile.Doc, []*profile.Profile) {
 	t.Helper()
 	p := prog.NewBuilder("trfix").
 		File("a.c").
@@ -44,7 +46,9 @@ func traceFixture(t testing.TB, nranks, jobs int) (*Experiment, *structfile.Doc,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := merge.ProfilesJobs(doc, profs, jobs)
+	old := runtime.GOMAXPROCS(procs)
+	res, err := merge.Profiles(doc, profs)
+	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestTraceJobsDeterminism(t *testing.T) {
 	e1, _, _ := traceFixture(t, 4, 1)
 	e8, _, _ := traceFixture(t, 4, 8)
 	if !bytes.Equal(v3Bytes(t, e1), v3Bytes(t, e8)) {
-		t.Fatal("v3 bytes with traces differ between -jobs 1 and -jobs 8 merges")
+		t.Fatal("v3 bytes with traces differ between merges at GOMAXPROCS 1 and 8")
 	}
 }
 

@@ -3,6 +3,8 @@ package merge_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/expdb"
@@ -54,25 +56,19 @@ func clone(t testing.TB, p *profile.Profile) *profile.Profile {
 	return c
 }
 
-// keepGoing merges the way hpcprof -keep-going does — contiguous shards, a
-// profile Add refuses is skipped — and returns the v2 and v3 databases with
-// summary columns, and how many profiles were refused.
-func keepGoing(t *testing.T, doc *structfile.Doc, profs []*profile.Profile, jobs int) (v2, v3 []byte, refused int) {
+// keepGoing merges the way hpcprof -keep-going does — Fold at GOMAXPROCS
+// procs, a profile Add refuses is skipped — and returns the v2 and v3
+// databases with summary columns, and how many profiles were refused.
+func keepGoing(t *testing.T, doc *structfile.Doc, profs []*profile.Profile, procs int) (v2, v3 []byte, refused int) {
 	t.Helper()
-	accs := make([]*merge.Accumulator, jobs)
-	for w := range accs {
-		accs[w] = merge.NewAccumulator(doc)
-		for _, p := range profs[len(profs)*w/jobs : len(profs)*(w+1)/jobs] {
-			if err := accs[w].Add(p); err != nil {
-				refused++
-			}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var refusals atomic.Int64
+	res, err := merge.Fold(doc, len(profs), func(acc *merge.Accumulator, i int) error {
+		if acc.Add(profs[i]) != nil {
+			refusals.Add(1)
 		}
-	}
-	acc, err := merge.Combine(accs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := acc.Finish()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +83,7 @@ func keepGoing(t *testing.T, doc *structfile.Doc, profs []*profile.Profile, jobs
 	if err := exp.WriteBinaryV3(&b3); err != nil {
 		t.Fatal(err)
 	}
-	return b2.Bytes(), b3.Bytes(), refused
+	return b2.Bytes(), b3.Bytes(), int(refusals.Load())
 }
 
 // Add refuses a bad profile before it has touched anything: whatever is
@@ -134,21 +130,21 @@ func TestAddRefusesBeforeEffects(t *testing.T) {
 		{"wrong-length count row", func(p *profile.Profile) { last(p).AddSample(^uint64(0)-8, 0, nm+1, 1) }},
 	}
 	good := []*profile.Profile{profs[0], profs[1], profs[3]}
-	for _, jobs := range []int{1, 2} {
-		want2, want3, refused := keepGoing(t, doc, good, jobs)
+	for _, procs := range []int{1, 2} {
+		want2, want3, refused := keepGoing(t, doc, good, procs)
 		if refused != 0 {
-			t.Fatalf("jobs=%d: %d good profiles refused", jobs, refused)
+			t.Fatalf("GOMAXPROCS=%d: %d good profiles refused", procs, refused)
 		}
 		for _, tc := range poisons {
 			bad := clone(t, profs[2])
 			tc.poison(bad)
-			got2, got3, refused := keepGoing(t, doc, []*profile.Profile{profs[0], profs[1], bad, profs[3]}, jobs)
+			got2, got3, refused := keepGoing(t, doc, []*profile.Profile{profs[0], profs[1], bad, profs[3]}, procs)
 			if refused != 1 {
-				t.Errorf("jobs=%d, %s: %d profiles refused, want 1", jobs, tc.name, refused)
+				t.Errorf("GOMAXPROCS=%d, %s: %d profiles refused, want 1", procs, tc.name, refused)
 			}
 			if !bytes.Equal(got2, want2) || !bytes.Equal(got3, want3) {
-				t.Errorf("jobs=%d, %s: databases differ from the merge of the good ranks (v2 %v, v3 %v)",
-					jobs, tc.name, bytes.Equal(got2, want2), bytes.Equal(got3, want3))
+				t.Errorf("GOMAXPROCS=%d, %s: databases differ from the merge of the good ranks (v2 %v, v3 %v)",
+					procs, tc.name, bytes.Equal(got2, want2), bytes.Equal(got3, want3))
 			}
 		}
 	}

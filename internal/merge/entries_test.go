@@ -2,6 +2,7 @@ package merge_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/expdb"
@@ -52,7 +53,8 @@ func TestRootHoldsProgramTotals(t *testing.T) {
 
 	for _, jobs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
-			res, err := merge.ProfilesJobs(doc, profs, jobs)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(jobs))
+			res, err := merge.Profiles(doc, profs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,19 +9,22 @@
 // The root is one of those scopes: its totals are the rank's program
 // totals, so the root's summary cells are the program's statistics.
 //
-// Merging is parallel by default: ranks are split into contiguous shards,
-// each streamed into a private Accumulator by one worker, and the shards
-// are combined with a pairwise tree reduction (Accumulator.Merge) that sums
-// metric columns and summary-statistic moments — see parallel.go.
+// Merging is parallel (Fold): ranks are split into contiguous shards, one
+// per CPU, each streamed into a private Accumulator by one worker, and the
+// shards are combined with a pairwise tree reduction (Accumulator.Merge)
+// that sums metric columns and summary-statistic moments — see parallel.go.
 package merge
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 
 	"repro/internal/core"
 	"repro/internal/correlate"
+	"repro/internal/ingest"
 	"repro/internal/metric"
 	"repro/internal/profile"
 	"repro/internal/source"
@@ -167,6 +170,9 @@ func (a *Accumulator) Add(p *profile.Profile) error {
 	return nil
 }
 
+// ErrNoProfiles is Finish's error when nothing was added.
+var ErrNoProfiles = errors.New("merge: no profiles")
+
 // Finish pads statistics for scopes absent from some ranks, computes the
 // presented metrics, and returns the result. The accumulator cannot be
 // reused.
@@ -175,7 +181,7 @@ func (a *Accumulator) Finish() (*Result, error) {
 		return nil, fmt.Errorf("merge: accumulator already finished")
 	}
 	if a.res.NRanks == 0 {
-		return nil, fmt.Errorf("merge: no profiles")
+		return nil, ErrNoProfiles
 	}
 	res := a.res
 	*a = Accumulator{}
@@ -210,11 +216,18 @@ func collectIfDue() {
 }
 
 // Profiles correlates each profile against the structure document and
-// merges them (the non-streaming convenience over Accumulator), using the
-// parallel shard/reduce pipeline with one worker per CPU. Use ProfilesJobs
-// to control the worker count.
+// merges them (the non-streaming convenience over Accumulator) with Fold,
+// one worker per CPU. A panic while folding one profile is reported as an
+// *ingest.PanicError rather than crashing the process.
 func Profiles(doc *structfile.Doc, profs []*profile.Profile) (*Result, error) {
-	return ProfilesJobs(doc, profs, 0)
+	return Fold(doc, len(profs), func(acc *Accumulator, i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &ingest.PanicError{Value: r, Stack: debug.Stack()}
+			}
+		}()
+		return acc.Add(profs[i])
+	})
 }
 
 // Stats returns the per-rank statistics of raw column col at node (the

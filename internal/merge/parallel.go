@@ -1,8 +1,6 @@
 package merge
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/metric"
-	"repro/internal/profile"
 	"repro/internal/structfile"
 )
 
@@ -28,7 +25,7 @@ import (
 // Metric sums are sums of integer-valued float64 samples, so they are
 // exact under any association; the summary statistics keep Σx and Σx² as
 // exact integers (metric.Stats), so their combine is integer addition
-// and the merged database is byte-identical for any jobs value.
+// and the merged database is byte-identical for any worker count.
 
 // Merge folds another unfinished accumulator into a, summing metric
 // columns (matched by name) and adding the per-scope summary moments,
@@ -137,104 +134,45 @@ func Combine(accs []*Accumulator) (*Accumulator, error) {
 	return accs[0], nil
 }
 
-// ProfilesJobs correlates and merges the profiles using up to jobs
-// parallel workers (GOMAXPROCS when jobs <= 0). Each worker folds a
-// contiguous shard of ranks into a private accumulator; the shards are
-// then combined with a pairwise tree reduction. The result is the
-// sequential merge's, bit for bit, whatever jobs is: tree, scope order,
-// metric sums and summary statistics (see the note on determinism above).
-func ProfilesJobs(doc *structfile.Doc, profs []*profile.Profile, jobs int) (*Result, error) {
-	return ProfilesJobsCtx(context.Background(), doc, profs, jobs)
-}
-
-// addRecover folds one profile with panic containment: a poisoned profile
-// (or a bug tickled by it) surfaces as a typed *ingest.PanicError instead
-// of crashing the whole merge.
-func addRecover(acc *Accumulator, p *profile.Profile) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &ingest.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return acc.Add(p)
-}
-
-// ProfilesJobsCtx is ProfilesJobs with cancellation and panic containment:
-// workers stop at the next profile once ctx is done, the first failure
-// halts the remaining work, and a panic while folding one profile is
-// reported as an *ingest.PanicError rather than crashing the process.
-func ProfilesJobsCtx(ctx context.Context, doc *structfile.Doc, profs []*profile.Profile, jobs int) (*Result, error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(profs) {
-		jobs = len(profs)
-	}
-	if jobs <= 1 {
-		acc := NewAccumulator(doc)
-		for _, p := range profs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := addRecover(acc, p); err != nil {
-				return nil, err
-			}
-		}
-		return acc.Finish()
-	}
-
-	accs := make([]*Accumulator, jobs)
-	errs := make([]error, jobs)
-	var stop atomic.Bool
+// Fold merges n inputs with the shard/reduce pipeline: min(GOMAXPROCS, n)
+// workers (at least one) each fold a contiguous shard of the inputs into a
+// private accumulator, calling add(acc, i) for each index i of the shard in
+// order, and the shards are then combined and finished. The result is the
+// sequential fold's, bit for bit, whatever the worker count (see the note
+// on determinism above); one worker is GOMAXPROCS=1.
+//
+// Once an add fails, the other workers stop at their next input; Fold
+// returns the failure of the lowest-numbered shard that failed and never
+// combines.
+// A panic in add is not contained: add recovers what it can raise.
+func Fold(doc *structfile.Doc, n int, add func(acc *Accumulator, i int) error) (*Result, error) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	accs := make([]*Accumulator, workers)
+	errs := make([]error, workers)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := range accs {
 		accs[w] = NewAccumulator(doc)
-		lo, hi := shard(len(profs), jobs, w)
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			for _, p := range profs[lo:hi] {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
+			for i := n * w / workers; i < n*(w+1)/workers && !failed.Load(); i++ {
+				if err := add(accs[w], i); err != nil {
 					errs[w] = err
-					return
-				}
-				if err := addRecover(accs[w], p); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
+					failed.Store(true)
 				}
 			}
-		}(w, lo, hi)
+		}(w)
 	}
 	wg.Wait()
-	// Prefer a real failure over a cancellation notice.
-	var first error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if err != nil {
 			return nil, err
 		}
-		if first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return nil, first
 	}
 	acc, err := Combine(accs)
 	if err != nil {
 		return nil, err
 	}
 	return acc.Finish()
-}
-
-// shard returns the half-open bounds of contiguous block w of n items
-// split into jobs near-equal blocks.
-func shard(n, jobs, w int) (lo, hi int) {
-	return n * w / jobs, n * (w + 1) / jobs
 }

@@ -3,6 +3,7 @@ package merge
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,11 +19,18 @@ import (
 )
 
 // The equivalence harness for the parallel shard/reduce merge: for every
-// workload and a spread of rank counts, merging with jobs=1 and jobs=8
-// must produce the same experiment — identical trees, metric sums,
+// workload and a spread of rank counts, merging at GOMAXPROCS 1 and 8
+// (Fold's worker count) must produce the same experiment — identical trees, metric sums,
 // summary statistics and per-node imbalance factors, all bit-for-bit.
 // Per-rank values are integral, so metric.Stats keeps Σx and Σx² as exact
 // integers and merging is integer addition: no tolerance anywhere.
+
+// profilesAt merges at GOMAXPROCS procs and restores the old value.
+// Tests that call it must not run in parallel.
+func profilesAt(procs int, doc *structfile.Doc, profs []*profile.Profile) (*Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Profiles(doc, profs)
+}
 
 // workloadFixture builds one workload through the measurement pipeline at
 // the given rank count.
@@ -123,11 +131,11 @@ func TestParallelMergeMatchesSequential(t *testing.T) {
 		for _, ranks := range []int{1, 7, 64} {
 			t.Run(fmt.Sprintf("%s/ranks=%d", name, ranks), func(t *testing.T) {
 				doc, profs := workloadFixture(t, name, ranks)
-				seq, err := ProfilesJobs(doc, profs, 1)
+				seq, err := profilesAt(1, doc, profs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := ProfilesJobs(doc, profs, 8)
+				par, err := profilesAt(8, doc, profs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,11 +165,11 @@ func TestParallelMergeLargeTotals(t *testing.T) {
 	for r := range profs {
 		profs[r] = scaledProfile(base[r%len(base)], r, 100_000+uint64(r))
 	}
-	seq, err := ProfilesJobs(doc, profs, 1)
+	seq, err := profilesAt(1, doc, profs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ProfilesJobs(doc, profs, 8)
+	par, err := profilesAt(8, doc, profs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +207,11 @@ func scaledProfile(p *profile.Profile, rank int, scale uint64) *profile.Profile 
 
 // TestCombineUnevenShards exercises reductions whose shard counts are not
 // powers of two (odd blocks ride along a round) and shards holding zero
-// ranks (jobs > len(profs) clamps, but Combine must also cope).
+// ranks (Fold clamps its workers to the inputs, but Combine must also
+// cope).
 func TestCombineUnevenShards(t *testing.T) {
 	doc, profs := workloadFixture(t, "toy", 7)
-	seq, err := ProfilesJobs(doc, profs, 1)
+	seq, err := profilesAt(1, doc, profs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +315,10 @@ func TestConcurrentStatsReadsDuringAddSummaries(t *testing.T) {
 
 // renderAll renders the three views plus summary columns into one byte
 // stream — the determinism probe.
-func renderAll(t *testing.T, name string, ranks, jobs int) []byte {
+func renderAll(t *testing.T, name string, ranks, procs int) []byte {
 	t.Helper()
 	doc, profs := workloadFixture(t, name, ranks)
-	res, err := ProfilesJobs(doc, profs, jobs)
+	res, err := profilesAt(procs, doc, profs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +358,6 @@ func TestPipelineDeterministic(t *testing.T) {
 	}
 	sequential := renderAll(t, "pflotran", 16, 1)
 	if !bytes.Equal(first, sequential) {
-		t.Fatal("jobs=8 and jobs=1 rendered different bytes")
+		t.Fatal("GOMAXPROCS 8 and 1 rendered different bytes")
 	}
 }

@@ -1,8 +1,8 @@
 package merge
 
 import (
-	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/ingest"
@@ -14,29 +14,41 @@ import (
 func TestMergePanicBecomesError(t *testing.T) {
 	doc, profs := workloadFixture(t, "toy", 4)
 	profs[1] = nil
-	for _, jobs := range []int{1, 2, 4} {
-		_, err := ProfilesJobs(doc, profs, jobs)
+	for _, procs := range []int{1, 2, 4} {
+		_, err := profilesAt(procs, doc, profs)
 		if err == nil {
-			t.Fatalf("jobs=%d: nil profile accepted", jobs)
+			t.Fatalf("GOMAXPROCS=%d: nil profile accepted", procs)
 		}
 		var pe *ingest.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("jobs=%d: error %T is not a PanicError: %v", jobs, err, err)
+			t.Fatalf("GOMAXPROCS=%d: error %T is not a PanicError: %v", procs, err, err)
 		}
 		if ingest.Classify(err) != ingest.ClassInternal {
-			t.Fatalf("jobs=%d: panic classified as %v", jobs, ingest.Classify(err))
+			t.Fatalf("GOMAXPROCS=%d: panic classified as %v", procs, ingest.Classify(err))
 		}
 	}
 }
 
-func TestMergeCtxCancel(t *testing.T) {
+// Fold returns a failing add's error and combines nothing, whatever the
+// worker count; with no input added, Finish's ErrNoProfiles comes back.
+func TestFoldErrors(t *testing.T) {
 	doc, profs := workloadFixture(t, "toy", 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, jobs := range []int{1, 4} {
-		_, err := ProfilesJobsCtx(ctx, doc, profs, jobs)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("jobs=%d: err = %v, want context.Canceled", jobs, err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	boom := errors.New("boom")
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		res, err := Fold(doc, len(profs), func(acc *Accumulator, i int) error {
+			if i == 2 {
+				return boom
+			}
+			return acc.Add(profs[i])
+		})
+		if res != nil || err != boom {
+			t.Fatalf("GOMAXPROCS=%d: Fold = %v, %v; want nil, %v", procs, res, err, boom)
+		}
+		skipAll := func(*Accumulator, int) error { return nil }
+		if _, err := Fold(doc, len(profs), skipAll); !errors.Is(err, ErrNoProfiles) {
+			t.Fatalf("GOMAXPROCS=%d: nothing added: err = %v, want ErrNoProfiles", procs, err)
 		}
 	}
 }

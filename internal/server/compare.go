@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sync"
 
 	"repro/internal/diff"
 	"repro/internal/engine"
@@ -96,7 +95,13 @@ func (srv *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	defer other.Release()
 
-	res, err := srv.cachedDiff(req, mode, base, other)
+	var metrics []string
+	if req.Metric != "" {
+		metrics = []string{req.Metric}
+	}
+	_, res, err := engine.DiffSnapshots(diff.Config{Metrics: metrics, Mode: mode},
+		engine.DiffInput{Label: "A", Snap: base},
+		engine.DiffInput{Label: "B", Snap: other})
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "diff-failed", err.Error())
 		return
@@ -107,64 +112,4 @@ func (srv *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// diffCacheKey identifies a union by the snapshot identities themselves —
-// not names, which can be republished onto new generations. A cached
-// result is fully materialized (the union copies every value), so it stays
-// valid after its inputs are evicted or unmapped; the snapshot pointers
-// serve only as identity.
-type diffCacheKey struct {
-	base, other *engine.Snapshot
-	metric      string
-	mode        diff.Mode
-}
-
-// diffCacheEntry computes its result at most once; concurrent requests
-// for the same key share the wait instead of redundantly unioning.
-type diffCacheEntry struct {
-	once sync.Once
-	res  *diff.Result
-	err  error
-}
-
-// maxDiffCacheEntries bounds the cache; republishing rotates generations,
-// and unions over dead generations would otherwise accumulate forever.
-const maxDiffCacheEntries = 128
-
-func (srv *Server) cachedDiff(req compareRequest, mode diff.Mode, base, other *engine.Snapshot) (*diff.Result, error) {
-	var metrics []string
-	if req.Metric != "" {
-		metrics = []string{req.Metric}
-	}
-	key := diffCacheKey{base: base, other: other, metric: req.Metric, mode: mode}
-	srv.diffMu.Lock()
-	e, ok := srv.diffs[key]
-	if !ok {
-		if len(srv.diffs) >= maxDiffCacheEntries {
-			srv.diffs = map[diffCacheKey]*diffCacheEntry{}
-		}
-		e = &diffCacheEntry{}
-		srv.diffs[key] = e
-	}
-	srv.diffMu.Unlock()
-
-	// Diff outside the lock: snapshots are read-only, and the once
-	// collapses racing requests for one key into a single union.
-	e.once.Do(func() {
-		_, e.res, e.err = engine.DiffSnapshots(diff.Config{Metrics: metrics, Mode: mode},
-			engine.DiffInput{Label: "A", Snap: base},
-			engine.DiffInput{Label: "B", Snap: other})
-	})
-	if e.err != nil {
-		// Failed unions don't deserve cache residency (the input may be
-		// republished healthy); drop the entry.
-		srv.diffMu.Lock()
-		if srv.diffs[key] == e {
-			delete(srv.diffs, key)
-		}
-		srv.diffMu.Unlock()
-		return nil, e.err
-	}
-	return e.res, e.err
 }

@@ -126,10 +126,6 @@ type Server struct {
 	sessionPanics   atomic.Uint64
 	execTimeouts    atomic.Uint64
 
-	// diffs caches computed unions; see compare.go.
-	diffMu sync.Mutex
-	diffs  map[diffCacheKey]*diffCacheEntry
-
 	// testExecHook, when set (tests only), runs inside the exec goroutine
 	// before the engine executes the line — the lever for injecting
 	// slowness and panics into live serving without a debug grammar.
@@ -162,7 +158,6 @@ func NewWithConfig(snap *engine.Snapshot, cfg Config) *Server {
 		cat:      cfg.Catalog,
 		admit:    newLimiter(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueTimeout),
 		sessions: map[string]*session{},
-		diffs:    map[diffCacheKey]*diffCacheEntry{},
 	}
 }
 

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/expdb"
@@ -11,13 +12,15 @@ import (
 )
 
 // summariesDBBytes runs the hpcprof -summaries pipeline — parallel merge
-// with the given worker count, then mean/min/max/stddev summary columns on
-// every raw metric — and serializes the experiment, returning the exact
-// database bytes.
+// at GOMAXPROCS jobs (the merge's worker count), then mean/min/max/stddev
+// summary columns on every raw metric — and serializes the experiment,
+// returning the exact database bytes.
 func summariesDBBytes(t *testing.T, name string, ranks, jobs int, write func(*expdb.Experiment, *bytes.Buffer) error) []byte {
 	t.Helper()
 	doc, profs := mustMPIProfiles(t, name, ranks)
-	res, err := merge.ProfilesJobs(doc, profs, jobs)
+	old := runtime.GOMAXPROCS(jobs)
+	res, err := merge.Profiles(doc, profs)
+	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +40,7 @@ func summariesDBBytes(t *testing.T, name string, ranks, jobs int, write func(*ex
 }
 
 // TestSummariesByteDeterministic locks hpcprof -summaries to byte-identical
-// databases regardless of -jobs, at 64 ranks where shard merge orders
+// databases regardless of the merge's worker count, at 64 ranks where shard merge orders
 // genuinely differ. This holds because per-rank statistics keep exact
 // moments (N, Σx, Σx², min, max): merging shard statistics is pure
 // addition of integer-valued sums, which is associative bitwise at
@@ -62,7 +65,7 @@ func TestSummariesByteDeterministic(t *testing.T) {
 					for i < len(sequential) && i < len(parallel) && sequential[i] == parallel[i] {
 						i++
 					}
-					t.Fatalf("-jobs 1 and -jobs %d databases differ (first at byte %d of %d/%d)",
+					t.Fatalf("GOMAXPROCS 1 and %d databases differ (first at byte %d of %d/%d)",
 						jobs, i, len(sequential), len(parallel))
 				}
 			})
