@@ -18,6 +18,7 @@
 // analysis, derived metrics ($n formulas), flattening and the summary
 // statistics for large parallel runs all follow the paper; see DESIGN.md
 // for the per-section mapping and EXPERIMENTS.md for reproduced figures.
+// Views evaluate derived formulas on their own rows: ApplyDerived is gone.
 package callpath
 
 import (
@@ -114,8 +115,6 @@ var (
 	FlattenN = core.FlattenN
 	// SortScopes orders a sibling list by a metric column.
 	SortScopes = core.SortScopes
-	// ApplyDerived evaluates derived metric columns over a subtree.
-	ApplyDerived = core.ApplyDerived
 	// Walk visits a subtree in preorder.
 	Walk = core.Walk
 	// Fig1Tree builds the paper's Figure 1/2 worked example.

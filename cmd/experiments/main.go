@@ -212,11 +212,6 @@ func fig6(t *core.Tree) error {
 		return err
 	}
 	fv := core.BuildFlatView(t)
-	for _, lm := range fv.Roots {
-		if err := core.ApplyDerived(t.Reg, lm); err != nil {
-			return err
-		}
-	}
 	var loops []*core.Node
 	for _, s := range core.FlattenN(fv.Roots, 3) {
 		if s.Kind == core.KindLoop {

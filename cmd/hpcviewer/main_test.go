@@ -114,6 +114,87 @@ func TestDerivedAndSortFlags(t *testing.T) {
 	}
 }
 
+// viewRows splits one rendered view into its rows: each row's scope (with
+// its indentation, after the first skip characters) and its cells. Cells
+// are right-aligned under the header's column names, so they start where
+// the first column's field starts whatever prefix the rows carry.
+func viewRows(t *testing.T, render string, skip int) [][2]string {
+	t.Helper()
+	lines := strings.Split(strings.TrimRight(render, "\n"), "\n")
+	header := lines[0]
+	first := strings.Index(header, "cost (I)") + len("cost (I)")
+	width := strings.Index(header, "cost (E)") + len("cost (E)") - first
+	cells := first - width
+	var rows [][2]string
+	for _, line := range lines[2:] {
+		if len(line) < cells {
+			t.Fatalf("row %q ends inside its scope column:\n%s", line, render)
+		}
+		rows = append(rows, [2]string{strings.TrimRight(line[skip:cells], " "), line[cells:]})
+	}
+	return rows
+}
+
+// TestDerivedBatchMatchesInteractive: a -derived formula shows the same
+// value on every row of the Flat and Callers Views whether hpcviewer prints
+// the view in batch or an -interactive session expands it. sq = $0*$0 is
+// not linear: g's rows cost 9, so they show 81, where a sum of g's two
+// instances' values would show 6² + 3² = 45.
+func TestDerivedBatchMatchesInteractive(t *testing.T) {
+	dir := t.TempDir()
+	binPath, _ := writeDB(t, dir)
+	for _, view := range []string{"flat", "callers"} {
+		batch, err := captureStdout(t, func() error {
+			return run([]string{"-db", binPath, "-derived", "sq=$0*$0", "-view", view})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		script := filepath.Join(dir, view+".script")
+		if err := os.WriteFile(script, []byte("view "+view+"\nexpandall\nquit\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		in, err := os.Open(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldIn := os.Stdin
+		os.Stdin = in
+		session, err := captureStdout(t, func() error {
+			return run([]string{"-db", binPath, "-derived", "sq=$0*$0", "-interactive"})
+		})
+		os.Stdin = oldIn
+		in.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The renders after the prompts: the view, then expandall's.
+		renders := strings.Split(session, "hpcviewer> ")
+		if len(renders) != 4 {
+			t.Fatalf("%s: want three prompts in the session:\n%s", view, session)
+		}
+		// Batch rows start with a blank, session rows with "%3d  " and an
+		// expansion mark.
+		want, got := viewRows(t, batch, 1), viewRows(t, renders[2], 6)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows in the session, %d in batch:\n%s\n%s", view, len(got), len(want), renders[2], batch)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s row %d: session shows %q, batch %q", view, i, got[i], want[i])
+			}
+		}
+		for _, row := range want {
+			if strings.TrimSpace(row[0]) == "g" {
+				if cells := strings.Fields(row[1]); cells[len(cells)-2] != "81" {
+					t.Errorf("%s: g's sq (I) reads %s, want 81", view, cells[len(cells)-2])
+				}
+				break
+			}
+		}
+	}
+}
+
 func TestHTMLReport(t *testing.T) {
 	dir := t.TempDir()
 	binPath, _ := writeDB(t, dir)

@@ -58,11 +58,6 @@ func main() {
 	}
 
 	fv := callpath.BuildFlatView(tree)
-	for _, lm := range fv.Roots {
-		if err := callpath.ApplyDerived(tree.Reg, lm); err != nil {
-			log.Fatal(err)
-		}
-	}
 	// Flatten to loop level so loops in different routines compare
 	// directly (Section III-C / Figure 6).
 	scopes := callpath.FlattenN(fv.Roots, 3)

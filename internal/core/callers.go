@@ -65,7 +65,8 @@ type CallersView struct {
 	Reg   *metric.Registry
 	Roots []*Node
 
-	roots map[*Node]*rootState // root row -> its expansion; read-only after Build
+	roots   map[*Node]*rootState // root row -> its expansion; read-only after Build
+	derived []compiledDerived    // the registry's formulas, for every root's rows
 }
 
 // BuildCallersView scans the CCT once, creating one root row per procedure
@@ -113,11 +114,13 @@ func BuildCallersView(t *Tree) *CallersView {
 		active.exit(i)
 	}
 	scan(t.Root)
+	v.derived, _ = compileDerived(t.Reg, nil) // registered formulas compile
 	states := make([]rootState, len(v.Roots))
 	v.roots = make(map[*Node]*rootState, len(v.Roots))
 	for i, row := range v.Roots {
 		states[i].instances = instances[i]
 		v.roots[row] = &states[i]
+		evalDerived(row.Incl.Store(), v.derived)
 	}
 	// Order root rows by resolved name with a full (file, line, id)
 	// secondary key: the same procedure name can occur in several files or
@@ -157,6 +160,7 @@ func (v *CallersView) Expand(root *Node) {
 	}
 	st.once.Do(func() {
 		v.buildSubtrie(root, st.instances)
+		evalDerived(root.Incl.Store(), v.derived)
 		st.done.Store(true)
 	})
 }

@@ -20,8 +20,10 @@ import (
 func randomRecursiveTree(nodes int, seed int64) *Tree {
 	rng := rand.New(rand.NewSource(seed))
 	t := NewTree("race", nil)
-	if _, err := t.Reg.AddRaw("CYCLES", "cycles", 1); err != nil {
-		panic(err)
+	for _, name := range []string{"CYCLES", "FLOPS"} {
+		if _, err := t.Reg.AddRaw(name, "events", 1); err != nil {
+			panic(err)
+		}
 	}
 	procs := make([]string, 12)
 	for i := range procs {
@@ -40,6 +42,7 @@ func randomRecursiveTree(nodes int, seed int64) *Tree {
 		case op == 2:
 			st := stack[len(stack)-1].Child(Key{Kind: KindStmt, File: Sym("x.c"), Line: rng.Intn(300) + 1}, true)
 			st.Base.Add(0, float64(rng.Intn(50)+1))
+			st.Base.Add(1, float64(created%4)) // drawn from no rng: the shape stays the seed's
 		default:
 			if len(stack) > 1 {
 				stack = stack[:len(stack)-1]
@@ -140,9 +143,11 @@ func TestCallersViewLazyConstruction(t *testing.T) {
 
 // TestConcurrentBuildCallersView builds views of one shared finished tree
 // from 16 goroutines; every view must equal the sequential reference. Run
-// under -race: it checks that concurrent builds only read the tree.
+// under -race: it checks that concurrent builds only read the tree, and
+// that each expansion evaluates the registry's formulas on its own rows.
 func TestConcurrentBuildCallersView(t *testing.T) {
 	tree := randomRecursiveTree(4000, 7)
+	addFormulas(t, tree)
 	views := make([]*CallersView, 16)
 	var wg sync.WaitGroup
 	for g := range views {
@@ -156,8 +161,11 @@ func TestConcurrentBuildCallersView(t *testing.T) {
 	}
 	wg.Wait()
 
-	ref := BuildCallersView(randomRecursiveTree(4000, 7))
+	refTree := randomRecursiveTree(4000, 7)
+	addFormulas(t, refTree)
+	ref := BuildCallersView(refTree)
 	ref.ExpandAll()
+	checkFormulaRows(t, "callers", ref.Roots, refTree.Reg)
 	for _, v := range views {
 		sameView(t, ref, v)
 	}

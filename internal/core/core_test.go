@@ -499,28 +499,49 @@ func TestDerivedMetricsOnTree(t *testing.T) {
 	}
 }
 
-func TestApplyDerivedOnViews(t *testing.T) {
+// TestViewRowsEvaluateFormulas: a Flat or Callers View row shows a derived
+// column as its formula over the row's own cells. f runs from two call
+// sites, costing 3 and 4, so its rows show 7² = 49, not 3² + 4² = 25.
+func TestViewRowsEvaluateFormulas(t *testing.T) {
 	reg := metric.NewRegistry()
 	if _, err := reg.AddRaw("c", "cycles", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.AddDerived("double", "$0*2"); err != nil {
+	if _, err := reg.AddDerived("sq", "$0*$0"); err != nil {
 		t.Fatal(err)
 	}
 	tree := NewTree("d", reg)
 	main := tree.AddPath(Key{Kind: KindFrame, Name: Sym("main"), File: Sym("a.c")})
-	st := main.Child(Key{Kind: KindStmt, File: Sym("a.c"), Line: 1}, true)
-	st.Base.Add(0, 3)
+	for site, cost := range []float64{3, 4} {
+		f := main.Child(Key{Kind: KindFrame, Name: Sym("f"), File: Sym("a.c"), Line: 10, ID: uint64(site)}, true)
+		f.CallFile, f.CallLine = Sym("a.c"), site+1
+		f.Child(Key{Kind: KindStmt, File: Sym("a.c"), Line: 11}, true).Base.Add(0, cost)
+	}
 	tree.ComputeMetrics()
-	fv := BuildFlatView(tree)
-	for _, lm := range fv.Roots {
-		if err := ApplyDerived(reg, lm); err != nil {
-			t.Fatal(err)
+	if err := tree.ApplyDerivedTree(); err != nil {
+		t.Fatal(err)
+	}
+	lm := BuildFlatView(tree).Roots[0]
+	file := lm.Children[0]
+	var f *Node
+	for _, p := range file.Children {
+		if p.Name == Sym("f") {
+			f = p
 		}
 	}
-	proc := fv.Roots[0].Children[0].Children[0]
-	if proc.Incl.Get(1) != 6 {
-		t.Fatalf("derived on flat view = %g, want 6", proc.Incl.Get(1))
+	cv := BuildCallersView(tree)
+	if err := cv.ExpandAll(); err != nil {
+		t.Fatal(err)
+	}
+	callerRoot := cv.Roots[0] // f sorts before main
+	rows := []*Node{lm, file, f, f.Children[0], callerRoot, callerRoot.Children[0]}
+	for _, row := range rows {
+		if got := row.Incl.Get(1); got != 49 {
+			t.Errorf("%s: sq (I) = %g, want 49", row.Label(), got)
+		}
+		if got := row.Excl.Get(1); got != 49 {
+			t.Errorf("%s: sq (E) = %g, want 49", row.Label(), got)
+		}
 	}
 }
 

@@ -84,7 +84,8 @@ type flatBuilder struct {
 	incl, excl []flatAdd
 	static     []int32
 	// src is the CCT's store; the sweep reads a scope's costs at its row.
-	src *metric.Store
+	src     *metric.Store
+	derived []compiledDerived // the registry's formulas, for the view's rows
 }
 
 // BuildFlatView computes the complete Flat View of a tree: one walk that
@@ -104,6 +105,7 @@ func buildFlatView(t *Tree, deep bool) *FlatView {
 	// no-cross-tree-aliasing invariant.
 	arena := &nodeArena{store: metric.NewStore()}
 	b := &flatBuilder{root: arena.alloc(), cct: t.Root, deep: deep, homes: map[flatHome]*Node{}, src: t.arena.store}
+	b.derived, _ = compileDerived(t.Reg, nil) // registered formulas compile
 	b.root.Key = Key{Kind: KindRoot}
 	b.root.arena = arena
 	b.pass()
@@ -123,7 +125,8 @@ func (v *FlatView) Complete() {
 	}
 }
 
-// pass walks the CCT and sweeps its plan into the view's store.
+// pass walks the CCT, sweeps its plan into the view's store and evaluates
+// the derived columns over every row made so far.
 func (b *flatBuilder) pass() {
 	// A scope adds its exclusive cost once and its inclusive cost seldom more
 	// than twice; on a first pass only the few exposed to a home row add.
@@ -135,6 +138,7 @@ func (b *flatBuilder) pass() {
 	b.excl = make([]flatAdd, 0, n)
 	b.visit(b.cct, 0)
 	b.sweep(b.root.arena.store)
+	evalDerived(b.root.arena.store, b.derived)
 	b.incl, b.excl, b.static = nil, nil, nil
 }
 

@@ -199,7 +199,8 @@ type compiledDerived struct {
 // order, appending to dst (reused scratch for steady-state zero-alloc
 // callers). Compilation reports exactly the *EvalError the tree evaluator
 // would have produced (possible only for hand-built expression trees; Parse
-// validates operators and functions), wrapped the same way.
+// validates operators and functions), wrapped the same way. Views, which
+// cannot fail, evaluate no formula of a registry that fails.
 func compileDerived(reg *metric.Registry, dst []compiledDerived) ([]compiledDerived, error) {
 	derived := dst
 	for _, d := range reg.Columns() {
@@ -215,66 +216,20 @@ func compileDerived(reg *metric.Registry, dst []compiledDerived) ([]compiledDeri
 	return derived, nil
 }
 
-// ApplyDerived evaluates every Derived column of the registry over each
-// node of the subtree rooted at start, storing results in both the
-// exclusive and inclusive vectors (a derived column is a spreadsheet
-// formula applied row-wise to whichever flavor is displayed, Section V-D).
-// The subtree's values are gathered into columns, in registry order so a
-// formula sees the final values of the derived columns before it, and run
-// through the same compiled kernels as ApplyDerivedTree.
-func ApplyDerived(reg *metric.Registry, start *Node) error {
-	derived, err := compileDerived(reg, nil)
-	if err != nil || len(derived) == 0 {
-		return err
+// evalDerived evaluates a view's compiled formulas over every row of its
+// private store, on both planes: a derived column is a formula over the row
+// it is shown on (Section V-D), not a sum of the rows folded into it.
+func evalDerived(st *metric.Store, derived []compiledDerived) {
+	materializeDerived(st, derived)
+	for _, plane := range derivedPlanes {
+		evalDerivedPlane(st, plane, derived, nil)
 	}
-	var nodes []*Node
-	Walk(start, func(n *Node) bool { nodes = append(nodes, n); return true })
-	vec := func(n *Node, incl bool) *metric.View {
-		if incl {
-			return &n.Incl
-		}
-		return &n.Excl
-	}
-	dst := make([]float64, len(nodes))
-	for _, d := range derived {
-		for _, incl := range []bool{false, true} {
-			cols := make([][]float64, len(d.prog.ColumnRefs()))
-			for i, id := range d.prog.ColumnRefs() {
-				cols[i] = make([]float64, len(nodes))
-				for r, n := range nodes {
-					cols[i][r] = vec(n, incl).Get(id)
-				}
-			}
-			d.prog.EvalCols(dst, cols)
-			for r, n := range nodes {
-				vec(n, incl).Set(d.id, dst[r])
-			}
-		}
-	}
-	return nil
 }
 
-// ApplyDerivedTree applies derived metrics to the whole tree. Each formula
-// runs as a vectorized kernel over whole metric columns: per derived column
-// — in registry order, so a later formula referencing an earlier derived
-// column sees its final values, like the per-node walk — the referenced
-// slabs are read in place and the compiled program fills the output column
-// in one pass. Every slab is materialized first, single-threaded; then,
-// when GOMAXPROCS > 1, the exclusive plane is evaluated on a second
-// goroutine while this one evaluates the inclusive plane. A formula reads
-// and writes one plane only, so the planes share no column and the result
-// does not depend on the split.
-func (t *Tree) ApplyDerivedTree() error {
-	st := t.arena.store
-	derived, err := compileDerived(t.Reg, t.derived[:0])
-	t.derived = derived
-	if err != nil {
-		return err
-	}
-	if len(derived) == 0 {
-		return nil
-	}
-	// Col may grow store bookkeeping, which must not race.
+// materializeDerived grows every slab the kernels read or write to the
+// store's row count. Col may grow store bookkeeping, so it runs before any
+// kernel, on one goroutine.
+func materializeDerived(st *metric.Store, derived []compiledDerived) {
 	for _, d := range derived {
 		for _, plane := range derivedPlanes {
 			for _, rc := range d.prog.ColumnRefs() {
@@ -283,6 +238,42 @@ func (t *Tree) ApplyDerivedTree() error {
 			st.Col(plane, d.id)
 		}
 	}
+}
+
+// evalDerivedPlane runs every derived kernel, in registry order, over one
+// materialized plane, reusing cols for the slabs a kernel reads. It writes
+// slabs in place and changes none of the store's bookkeeping.
+func evalDerivedPlane(st *metric.Store, plane metric.Plane, derived []compiledDerived, cols [][]float64) [][]float64 {
+	for _, d := range derived {
+		cols = cols[:0]
+		for _, rc := range d.prog.ColumnRefs() {
+			cols = append(cols, st.ColRead(plane, rc))
+		}
+		d.prog.EvalCols(st.ColRead(plane, d.id), cols)
+	}
+	return cols
+}
+
+// ApplyDerivedTree applies derived metrics to the whole tree. Each formula
+// runs as a vectorized kernel over whole metric columns: per derived column
+// — in registry order, so a later formula referencing an earlier derived
+// column sees its final values, as a view's rows do — the referenced
+// slabs are read in place and the compiled program fills the output column
+// in one pass. Every slab is materialized first, single-threaded; then,
+// when GOMAXPROCS > 1, the exclusive plane is evaluated on a second
+// goroutine while this one evaluates the inclusive plane. A formula reads
+// and writes one plane only, so the planes share no column and the result
+// does not depend on the split.
+func (t *Tree) ApplyDerivedTree() error {
+	derived, err := compileDerived(t.Reg, t.derived[:0])
+	t.derived = derived
+	if err != nil {
+		return err
+	}
+	if len(derived) == 0 {
+		return nil
+	}
+	materializeDerived(t.arena.store, derived)
 	if runtime.GOMAXPROCS(0) == 1 {
 		t.applyDerivedPlane(0)
 		t.applyDerivedPlane(1)
@@ -309,13 +300,5 @@ var derivedPlanes = [2]metric.Plane{metric.PlaneExcl, metric.PlaneIncl}
 // applyDerivedPlane runs every derived kernel over derivedPlanes[i], which
 // ApplyDerivedTree has materialized. It only reads the store.
 func (t *Tree) applyDerivedPlane(i int) {
-	st, plane := t.arena.store, derivedPlanes[i]
-	for _, d := range t.derived {
-		cols := t.kernCols[i][:0]
-		for _, rc := range d.prog.ColumnRefs() {
-			cols = append(cols, st.ColRead(plane, rc))
-		}
-		t.kernCols[i] = cols
-		d.prog.EvalCols(st.ColRead(plane, d.id), cols)
-	}
+	t.kernCols[i] = evalDerivedPlane(t.arena.store, derivedPlanes[i], t.derived, t.kernCols[i])
 }

@@ -14,12 +14,12 @@ import (
 // by row exactly like a resident slab.
 //
 // Semantics: a derived column is a spreadsheet formula over the row it is
-// read at. On Calling Context View scopes that is the formula over the
-// scope's own metrics — identical to applying the formula tree-wide. On
-// Callers/Flat View scopes it is the formula over the row's aggregated
-// inputs, which makes the value a pure function of the view row regardless
-// of when the view was built relative to the registration — the property
-// the concurrent-session equivalence guarantee rests on.
+// read at, in every view, as the view builders evaluate the database's own
+// formulas (DESIGN.md §4.7). On Calling Context View scopes that is the
+// formula over the scope's own metrics; on Callers/Flat View scopes it is
+// the formula over the row's aggregated inputs, so the value is a pure
+// function of the view row whenever the view was built relative to the
+// registration — the property concurrent-session equivalence rests on.
 
 // overlayCols holds one store's materialized overlay columns per flavor.
 type overlayCols struct {

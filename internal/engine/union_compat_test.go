@@ -13,32 +13,30 @@ import (
 
 // unionViews renders the three views of a union snapshot, each sorted by
 // a comparison column, and releases the snapshot.
-func unionViews(t *testing.T, snap *Snapshot) string {
+func unionViews(t *testing.T, snap *Snapshot) (views [3]string) {
 	t.Helper()
 	defer snap.Release()
-	var out strings.Builder
-	for _, script := range [][]string{
+	for i, script := range [][]string{
 		{"sort cost[B-A]", "expandall"},
 		{"view callers", "expandall", "sort cost[loss(B)]"},
 		{"view flat", "expandall", "sort cost[B/A]:excl"},
 	} {
 		s := NewSession(snap)
 		runScript(t, s, script)
+		var out strings.Builder
 		if err := s.Render(&out, render.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()
+		views[i] = out.String()
 	}
-	return out.String()
+	return views
 }
 
-// TestUnionFilesOpenTheSame: union files written while the comparison
-// columns were stored as computed values (testdata/union_computed_*,
-// `hpcdiff -norm total -threshold 0 -o` over diffPair at 1 and 4 ranks)
-// render every view byte for byte like a fresh union of the same inputs,
-// whose comparison columns are formulas, and like that union reopened from
-// every format.
-func TestUnionFilesOpenTheSame(t *testing.T) {
+// freshUnion is `hpcdiff -norm total -threshold 0` over diffPair at 1 and
+// 4 ranks: the union the legacy files under testdata were written from.
+func freshUnion(t *testing.T) *expdb.Experiment {
+	t.Helper()
 	before, after := diffPair(t)
 	after.NRanks = 4
 	res, err := diff.Diff(diff.Config{Norm: diff.NormTotal},
@@ -46,12 +44,15 @@ func TestUnionFilesOpenTheSame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := unionViews(t, NewSnapshot(res.Exp))
+	return res.Exp
+}
 
-	paths := []string{
-		filepath.Join("testdata", "union_computed_v2.cpdb"),
-		filepath.Join("testdata", "union_computed_v3.cpdb"),
-	}
+// TestUnionFilesOpenTheSame: a fresh union, whose comparison columns are
+// formulas, renders every view byte for byte like that union reopened
+// from every format.
+func TestUnionFilesOpenTheSame(t *testing.T) {
+	exp := freshUnion(t)
+	want := unionViews(t, NewSnapshot(exp))
 	dir := t.TempDir()
 	for _, format := range []string{"binary", "v3", "xml"} {
 		write, err := expdb.WriterFor(format)
@@ -63,21 +64,54 @@ func TestUnionFilesOpenTheSame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := write(res.Exp, f); err != nil {
+		if err := write(exp, f); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, path)
-	}
-	for _, path := range paths {
 		snap, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := unionViews(t, snap); got != want {
-			t.Fatalf("%s renders differently:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+			t.Fatalf("%s renders differently:\n--- got ---\n%s\n--- want ---\n%s", format, got, want)
+		}
+	}
+}
+
+// TestLegacyUnionFiles: union files written while the comparison columns
+// were stored as computed values (testdata/union_computed_*) show those
+// values as stored. The Calling Context View renders like a fresh union's;
+// the Callers and Flat Views sum the stored values over the scopes a row
+// folds, as they sum every stored column, so their rows keep the renders
+// in testdata/golden_union_computed.txt rather than a formula's value.
+// Regenerate with `go test ./internal/engine -run TestLegacyUnionFiles
+// -update`.
+func TestLegacyUnionFiles(t *testing.T) {
+	wantCC := unionViews(t, NewSnapshot(freshUnion(t)))[0]
+	golden := filepath.Join("testdata", "golden_union_computed.txt")
+	for _, name := range []string{"union_computed_v2.cpdb", "union_computed_v3.cpdb"} {
+		snap, err := Open(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := unionViews(t, snap)
+		if cc := views[0]; cc != wantCC {
+			t.Fatalf("%s: calling context view renders differently:\n--- got ---\n%s\n--- want ---\n%s", name, cc, wantCC)
+		}
+		if *updateGolden {
+			if err := os.WriteFile(golden, []byte(views[1]+views[2]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := views[1] + views[2]; got != string(want) {
+			t.Fatalf("%s: callers and flat views differ from %s:\n--- got ---\n%s\n--- want ---\n%s", name, golden, got, want)
 		}
 	}
 }

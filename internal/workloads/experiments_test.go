@@ -193,11 +193,6 @@ func TestFig6DerivedWaste(t *testing.T) {
 	// Flatten the Flat View to loop level and rank by waste, as the
 	// paper does in Figure 6.
 	fv := core.BuildFlatView(tree)
-	for _, lm := range fv.Roots {
-		if err := core.ApplyDerived(tree.Reg, lm); err != nil {
-			t.Fatal(err)
-		}
-	}
 	scopes := core.FlattenN(fv.Roots, 3) // modules -> files -> procs -> their children
 	var loops []*core.Node
 	for _, s := range scopes {
