@@ -1,6 +1,6 @@
 // Allocation regression tests for the columnar query engine: once warm,
 // re-evaluating derived metrics and sorting copies of sibling lists must
-// not allocate at all — the scratch buffers (topo index, kernel column
+// not allocate at all — the reused buffers (evaluated slabs, kernel column
 // lists, label cache) are the mechanism behind the BENCH_query.json
 // allocs/op claims, and these tests keep them from regressing silently.
 package repro
@@ -11,7 +11,9 @@ import (
 	"repro/internal/core"
 )
 
-func TestApplyDerivedTreeSteadyStateAllocs(t *testing.T) {
+// TestDerivedReadSteadyStateAllocs marks the derived columns stale and
+// reads every column-plane again: the re-evaluation reuses the slabs.
+func TestDerivedReadSteadyStateAllocs(t *testing.T) {
 	tr := syntheticCCT(20_000, 7)
 	if _, err := tr.Reg.AddDerived("d1", "$0 * 2"); err != nil {
 		t.Fatal(err)
@@ -20,17 +22,14 @@ func TestApplyDerivedTreeSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.ComputeMetrics()
-	// First run materializes the output columns and the compiled programs.
-	if err := tr.ApplyDerivedTree(); err != nil {
-		t.Fatal(err)
-	}
+	// The first read allocates the evaluated slabs.
+	readDerived(tr)
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := tr.ApplyDerivedTree(); err != nil {
-			t.Fatal(err)
-		}
+		tr.MetricStore().MarkStale()
+		readDerived(tr)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm ApplyDerivedTree allocates %.1f objects/run, want 0", allocs)
+		t.Fatalf("re-reading stale derived columns allocates %.1f objects/run, want 0", allocs)
 	}
 }
 

@@ -18,7 +18,8 @@
 // analysis, derived metrics ($n formulas), flattening and the summary
 // statistics for large parallel runs all follow the paper; see DESIGN.md
 // for the per-section mapping and EXPERIMENTS.md for reproduced figures.
-// Views evaluate derived formulas on their own rows: ApplyDerived is gone.
+// Every view evaluates a derived formula over its own rows, when the
+// column is first read.
 package callpath
 
 import (
@@ -230,16 +231,14 @@ func Run(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-// AddDerived registers a derived metric on the tree and evaluates it
-// everywhere. The formula references earlier columns as $0, $1, ...
-// (Section V-D); the returned column ID is usable for sorting, rendering
-// and hot paths.
+// AddDerived registers a derived metric on the tree; every view of the tree
+// evaluates it over a row's own cells when the column is first read. The
+// formula references earlier columns as $0, $1, ... (Section V-D); a
+// formula that does not parse or compile is reported here. The returned
+// column ID is usable for sorting, rendering and hot paths.
 func AddDerived(t *Tree, name, formula string) (int, error) {
 	d, err := t.Reg.AddDerived(name, formula)
 	if err != nil {
-		return 0, err
-	}
-	if err := t.ApplyDerivedTree(); err != nil {
 		return 0, err
 	}
 	return d.ID, nil

@@ -208,9 +208,6 @@ func fig6(t *core.Tree) error {
 	if err != nil {
 		return err
 	}
-	if err := t.ApplyDerivedTree(); err != nil {
-		return err
-	}
 	fv := core.BuildFlatView(t)
 	var loops []*core.Node
 	for _, s := range core.FlattenN(fv.Roots, 3) {

@@ -101,9 +101,6 @@ func run(args []string) (err error) {
 			return err
 		}
 	}
-	if err := tree.ApplyDerivedTree(); err != nil {
-		return err
-	}
 
 	if *metrics {
 		for _, d := range tree.Reg.Columns() {

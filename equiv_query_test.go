@@ -39,8 +39,8 @@ func refBase(n *core.Node, ncols int) []float64 {
 
 // refMetrics recomputes presented metrics per Equations 1 and 2 with a
 // per-node recursion, then applies derived formulas per node in registry
-// order — the semantics ComputeMetrics + ApplyDerivedTree replaced with
-// column sweeps. Accumulation adds children in child-list order, the same
+// order — the semantics ComputeMetrics and the stores' derived-column
+// reads implement with column sweeps. Accumulation adds children in child-list order, the same
 // addition sequence the columnar postorder pass replays, so the reference
 // is bitwise comparable (base values are non-negative, so adding a zero is
 // a bitwise no-op in both).
@@ -178,9 +178,6 @@ func checkMetricsEquiv(t *testing.T, tr *core.Tree) {
 	// columns) are wiped by recomputation in both the columnar and the
 	// reference world, so the comparison covers base-derived state.
 	tr.ComputeMetrics()
-	if err := tr.ApplyDerivedTree(); err != nil {
-		t.Fatal(err)
-	}
 	refIncl, refExcl := refMetrics(t, tr)
 	ncols := tr.Reg.Len()
 	core.Walk(tr.Root, func(n *core.Node) bool {

@@ -65,8 +65,7 @@ type CallersView struct {
 	Reg   *metric.Registry
 	Roots []*Node
 
-	roots   map[*Node]*rootState // root row -> its expansion; read-only after Build
-	derived []compiledDerived    // the registry's formulas, for every root's rows
+	roots map[*Node]*rootState // root row -> its expansion; read-only after Build
 }
 
 // BuildCallersView scans the CCT once, creating one root row per procedure
@@ -93,7 +92,7 @@ func BuildCallersView(t *Tree) *CallersView {
 			// subtrie is built by exactly one goroutine (under the expansion
 			// Once), so disjoint roots expand in parallel with no allocator
 			// contention — and no store's slabs are ever shared across trees.
-			arena := &nodeArena{store: metric.NewStore()}
+			arena := &nodeArena{store: t.Reg.NewStore()}
 			row := arena.alloc()
 			row.Key = Key{Kind: KindProc, Name: n.Name, File: n.File, Line: n.Line}
 			row.NoSource = n.NoSource
@@ -114,13 +113,11 @@ func BuildCallersView(t *Tree) *CallersView {
 		active.exit(i)
 	}
 	scan(t.Root)
-	v.derived, _ = compileDerived(t.Reg, nil) // registered formulas compile
 	states := make([]rootState, len(v.Roots))
 	v.roots = make(map[*Node]*rootState, len(v.Roots))
 	for i, row := range v.Roots {
 		states[i].instances = instances[i]
 		v.roots[row] = &states[i]
-		evalDerived(row.Incl.Store(), v.derived)
 	}
 	// Order root rows by resolved name with a full (file, line, id)
 	// secondary key: the same procedure name can occur in several files or
@@ -160,7 +157,6 @@ func (v *CallersView) Expand(root *Node) {
 	}
 	st.once.Do(func() {
 		v.buildSubtrie(root, st.instances)
-		evalDerived(root.Incl.Store(), v.derived)
 		st.done.Store(true)
 	})
 }

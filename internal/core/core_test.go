@@ -483,9 +483,6 @@ func TestDerivedMetricsOnTree(t *testing.T) {
 	s.Base.Add(0, 100) // cycles
 	s.Base.Add(1, 150) // flops
 	tree.ComputeMetrics()
-	if err := tree.ApplyDerivedTree(); err != nil {
-		t.Fatal(err)
-	}
 	if got := main.Incl.Get(2); got != 250 {
 		t.Fatalf("waste incl = %g, want 250", got)
 	}
@@ -518,9 +515,6 @@ func TestViewRowsEvaluateFormulas(t *testing.T) {
 		f.Child(Key{Kind: KindStmt, File: Sym("a.c"), Line: 11}, true).Base.Add(0, cost)
 	}
 	tree.ComputeMetrics()
-	if err := tree.ApplyDerivedTree(); err != nil {
-		t.Fatal(err)
-	}
 	lm := BuildFlatView(tree).Roots[0]
 	file := lm.Children[0]
 	var f *Node

@@ -21,9 +21,6 @@ func addFormulas(t *testing.T, tree *Tree) {
 			t.Fatal(err)
 		}
 	}
-	if err := tree.ApplyDerivedTree(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // checkFormulaRows: on both planes of every row under roots, each derived

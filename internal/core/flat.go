@@ -84,8 +84,10 @@ type flatBuilder struct {
 	incl, excl []flatAdd
 	static     []int32
 	// src is the CCT's store; the sweep reads a scope's costs at its row.
-	src     *metric.Store
-	derived []compiledDerived // the registry's formulas, for the view's rows
+	// The registry's formulas are not swept: the view's store evaluates
+	// them over its own rows.
+	src *metric.Store
+	reg *metric.Registry
 }
 
 // BuildFlatView computes the complete Flat View of a tree: one walk that
@@ -103,9 +105,8 @@ func buildFlatView(t *Tree, deep bool) *FlatView {
 	// The view is built by this one goroutine; a private arena with its own
 	// metric store packs its scopes into slabs like the CCT's, keeping the
 	// no-cross-tree-aliasing invariant.
-	arena := &nodeArena{store: metric.NewStore()}
-	b := &flatBuilder{root: arena.alloc(), cct: t.Root, deep: deep, homes: map[flatHome]*Node{}, src: t.arena.store}
-	b.derived, _ = compileDerived(t.Reg, nil) // registered formulas compile
+	arena := &nodeArena{store: t.Reg.NewStore()}
+	b := &flatBuilder{root: arena.alloc(), cct: t.Root, deep: deep, homes: map[flatHome]*Node{}, src: t.arena.store, reg: t.Reg}
 	b.root.Key = Key{Kind: KindRoot}
 	b.root.arena = arena
 	b.pass()
@@ -125,8 +126,7 @@ func (v *FlatView) Complete() {
 	}
 }
 
-// pass walks the CCT, sweeps its plan into the view's store and evaluates
-// the derived columns over every row made so far.
+// pass walks the CCT and sweeps its plan into the view's store.
 func (b *flatBuilder) pass() {
 	// A scope adds its exclusive cost once and its inclusive cost seldom more
 	// than twice; on a first pass only the few exposed to a home row add.
@@ -138,7 +138,6 @@ func (b *flatBuilder) pass() {
 	b.excl = make([]flatAdd, 0, n)
 	b.visit(b.cct, 0)
 	b.sweep(b.root.arena.store)
-	evalDerived(b.root.arena.store, b.derived)
 	b.incl, b.excl, b.static = nil, nil, nil
 }
 
@@ -150,6 +149,9 @@ func (b *flatBuilder) sweep(to *metric.Store) {
 	rows := to.NumRows()
 	cols := max(b.src.NumCols(metric.PlaneBase), b.src.NumCols(metric.PlaneIncl), b.src.NumCols(metric.PlaneExcl))
 	for c := 0; c < cols; c++ {
+		if d := b.reg.ByID(c); d != nil && d.Kind == metric.Derived {
+			continue
+		}
 		if src := b.src.ColRead(metric.PlaneIncl, c); len(src) > 0 {
 			incl := make([]float64, rows)
 			copy(incl, to.ColRead(metric.PlaneIncl, c))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/metric"
 )
@@ -123,8 +122,9 @@ func (t *Tree) buildTopo() {
 //
 // Every tree constructor calls it (or adopts planes baked on disk) before
 // returning, and views only read the result. Presented values are replaced
-// outright — summary/computed overrides and derived columns are wiped and
-// re-applied by their owners afterwards.
+// outright — summary/computed overrides are wiped and re-applied by their
+// owners afterwards, and every derived column is evaluated again on its
+// next read.
 func (t *Tree) ComputeMetrics() {
 	st := t.arena.store
 	t.buildTopo()
@@ -137,16 +137,16 @@ func (t *Tree) ComputeMetrics() {
 
 	baseCols := st.NumCols(metric.PlaneBase)
 	for col := 0; col < baseCols; col++ {
-		incl := st.Col(metric.PlaneIncl, col)
-		excl := st.Col(metric.PlaneExcl, col)
 		if len(st.ColRead(metric.PlaneBase, col)) == 0 {
 			// No base slab: Equations 1-2 present zeros, so skip the
-			// sweeps and leave the base column unmaterialized.
-			clear(incl)
-			clear(excl)
+			// sweeps and leave every plane unmaterialized.
+			st.ClearCol(metric.PlaneIncl, col)
+			st.ClearCol(metric.PlaneExcl, col)
 			continue
 		}
 		base := st.Col(metric.PlaneBase, col)
+		incl := st.Col(metric.PlaneIncl, col)
+		excl := st.Col(metric.PlaneExcl, col)
 		// Equation 2, plus the frame-local sums feeding Equation 1:
 		// postorder guarantees a child's total is final before it is added
 		// into its parent, in child-list order.
@@ -178,127 +178,11 @@ func (t *Tree) ComputeMetrics() {
 			}
 		}
 	}
-	// Presented columns with no base samples (summaries, computed values,
-	// derived results written by earlier passes) are wiped: recomputation
-	// replaces the presented vectors entirely.
-	for col := baseCols; col < st.NumCols(metric.PlaneIncl); col++ {
-		clear(st.Col(metric.PlaneIncl, col))
+	// Presented columns with no base samples (summaries, computed values)
+	// are wiped: recomputation replaces the presented vectors entirely.
+	for col := baseCols; col < max(st.NumCols(metric.PlaneIncl), st.NumCols(metric.PlaneExcl)); col++ {
+		st.ClearCol(metric.PlaneIncl, col)
+		st.ClearCol(metric.PlaneExcl, col)
 	}
-	for col := baseCols; col < st.NumCols(metric.PlaneExcl); col++ {
-		clear(st.Col(metric.PlaneExcl, col))
-	}
-}
-
-// compiledDerived pairs a derived column with its compiled stack program.
-type compiledDerived struct {
-	id   int
-	prog *metric.Program
-}
-
-// compileDerived compiles every Derived column of the registry, in registry
-// order, appending to dst (reused scratch for steady-state zero-alloc
-// callers). Compilation reports exactly the *EvalError the tree evaluator
-// would have produced (possible only for hand-built expression trees; Parse
-// validates operators and functions), wrapped the same way. Views, which
-// cannot fail, evaluate no formula of a registry that fails.
-func compileDerived(reg *metric.Registry, dst []compiledDerived) ([]compiledDerived, error) {
-	derived := dst
-	for _, d := range reg.Columns() {
-		if d.Kind != metric.Derived {
-			continue
-		}
-		p, err := d.Program()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		derived = append(derived, compiledDerived{id: d.ID, prog: p})
-	}
-	return derived, nil
-}
-
-// evalDerived evaluates a view's compiled formulas over every row of its
-// private store, on both planes: a derived column is a formula over the row
-// it is shown on (Section V-D), not a sum of the rows folded into it.
-func evalDerived(st *metric.Store, derived []compiledDerived) {
-	materializeDerived(st, derived)
-	for _, plane := range derivedPlanes {
-		evalDerivedPlane(st, plane, derived, nil)
-	}
-}
-
-// materializeDerived grows every slab the kernels read or write to the
-// store's row count. Col may grow store bookkeeping, so it runs before any
-// kernel, on one goroutine.
-func materializeDerived(st *metric.Store, derived []compiledDerived) {
-	for _, d := range derived {
-		for _, plane := range derivedPlanes {
-			for _, rc := range d.prog.ColumnRefs() {
-				st.Col(plane, rc)
-			}
-			st.Col(plane, d.id)
-		}
-	}
-}
-
-// evalDerivedPlane runs every derived kernel, in registry order, over one
-// materialized plane, reusing cols for the slabs a kernel reads. It writes
-// slabs in place and changes none of the store's bookkeeping.
-func evalDerivedPlane(st *metric.Store, plane metric.Plane, derived []compiledDerived, cols [][]float64) [][]float64 {
-	for _, d := range derived {
-		cols = cols[:0]
-		for _, rc := range d.prog.ColumnRefs() {
-			cols = append(cols, st.ColRead(plane, rc))
-		}
-		d.prog.EvalCols(st.ColRead(plane, d.id), cols)
-	}
-	return cols
-}
-
-// ApplyDerivedTree applies derived metrics to the whole tree. Each formula
-// runs as a vectorized kernel over whole metric columns: per derived column
-// — in registry order, so a later formula referencing an earlier derived
-// column sees its final values, as a view's rows do — the referenced
-// slabs are read in place and the compiled program fills the output column
-// in one pass. Every slab is materialized first, single-threaded; then,
-// when GOMAXPROCS > 1, the exclusive plane is evaluated on a second
-// goroutine while this one evaluates the inclusive plane. A formula reads
-// and writes one plane only, so the planes share no column and the result
-// does not depend on the split.
-func (t *Tree) ApplyDerivedTree() error {
-	derived, err := compileDerived(t.Reg, t.derived[:0])
-	t.derived = derived
-	if err != nil {
-		return err
-	}
-	if len(derived) == 0 {
-		return nil
-	}
-	materializeDerived(t.arena.store, derived)
-	if runtime.GOMAXPROCS(0) == 1 {
-		t.applyDerivedPlane(0)
-		t.applyDerivedPlane(1)
-		return nil
-	}
-	if t.exclJob == nil {
-		// A func value without arguments starts a goroutine without
-		// allocating a closure per call.
-		t.exclJob = func() {
-			t.applyDerivedPlane(0)
-			t.planeWG.Done()
-		}
-	}
-	t.planeWG.Add(1)
-	go t.exclJob()
-	t.applyDerivedPlane(1)
-	t.planeWG.Wait()
-	return nil
-}
-
-// derivedPlanes are the planes a derived column is evaluated on.
-var derivedPlanes = [2]metric.Plane{metric.PlaneExcl, metric.PlaneIncl}
-
-// applyDerivedPlane runs every derived kernel over derivedPlanes[i], which
-// ApplyDerivedTree has materialized. It only reads the store.
-func (t *Tree) applyDerivedPlane(i int) {
-	t.kernCols[i] = evalDerivedPlane(t.arena.store, derivedPlanes[i], t.derived, t.kernCols[i])
+	st.MarkStale()
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/intern"
@@ -343,18 +342,11 @@ type Tree struct {
 	// object each.
 	arena nodeArena
 
-	// topo and the kernel scratch slices are reused across recomputations
-	// and derived-metric sweeps so the steady state allocates nothing;
-	// they are only touched by the single writer that mutates the tree
-	// (kernCols[i] by the goroutine evaluating derivedPlanes[i]).
-	topo     topoScratch
-	fl       []float64
-	kernCols [2][][]float64
-	derived  []compiledDerived
-	// exclJob evaluates the exclusive plane on ApplyDerivedTree's second
-	// goroutine; planeWG waits for it.
-	exclJob func()
-	planeWG sync.WaitGroup
+	// topo and fl are reused across recomputations so the steady state
+	// allocates nothing; only the single writer that mutates the tree
+	// touches them.
+	topo topoScratch
+	fl   []float64
 }
 
 // NewTree creates an empty tree with the given registry (a fresh one when
@@ -364,7 +356,7 @@ func NewTree(program string, reg *metric.Registry) *Tree {
 		reg = metric.NewRegistry()
 	}
 	t := &Tree{Program: program, Reg: reg}
-	t.arena.store = metric.NewStore()
+	t.arena.store = reg.NewStore()
 	t.Root = t.arena.alloc()
 	t.Root.Key = Key{Kind: KindRoot}
 	t.Root.arena = &t.arena

@@ -3,10 +3,11 @@
 // metric store carries, for every compared cost metric, per-input columns
 // plus delta, ratio and scaling-loss columns. The comparison columns are
 // derived metrics (Section V-D): formulas over the per-input columns that
-// core.Tree.ApplyDerivedTree evaluates like any other, so every existing
-// view (top-down, callers, flat), sort, hot path and threshold renders a
-// diff with zero view-layer changes, and a saved union stores formulas
-// instead of values.
+// the union's store evaluates like any other, a column on its first read,
+// so every existing view (top-down, callers, flat), sort, hot path and
+// threshold renders a diff with zero view-layer changes, a report pays
+// only for the columns it reads, and a saved union stores formulas instead
+// of values.
 //
 // Scopes are matched structurally by their full core.Key at every level
 // (frame symbol + structure scope + disambiguating ID), the same identity
@@ -28,8 +29,8 @@
 // beats the prediction, and 0 where the compared run has no cost.
 //
 // Determinism: the union is built single-threaded in first-appearance
-// order and every formula reads and writes one plane, so a diff result —
-// including its serialized form — is byte-identical at any GOMAXPROCS.
+// order and every formula reads one plane of its own row, so a diff result
+// — including its serialized form — is byte-identical at any GOMAXPROCS.
 package diff
 
 import (
@@ -123,8 +124,9 @@ type Config struct {
 	Norm Norm
 	// Jobs is ignored.
 	//
-	// Deprecated: the comparison columns are derived formulas, evaluated
-	// by core.Tree.ApplyDerivedTree.
+	// Deprecated: the comparison columns are derived formulas, each
+	// evaluated by the union's store on its first read; a diff starts no
+	// goroutine.
 	Jobs int
 }
 
@@ -344,9 +346,11 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	// Nothing below references an input tree: the walk's slot stack and
 	// source rows died with unionTrees, and inputs is not read again. The
 	// collector may therefore reclaim the inputs (trees and read buffers)
-	// while ComputeMetrics and Recompute allocate the presented planes,
-	// unless the caller still holds them. A later use of inputs would keep
-	// them live through the peak.
+	// while ComputeMetrics and Recompute allocate the presented planes of
+	// the per-input and presence columns, unless the caller still holds
+	// them. A later use of inputs would keep them live through the peak.
+	// The comparison columns allocate nothing here: each is evaluated when
+	// first read.
 	out.ComputeMetrics()
 	r.Tree = out
 	r.Recompute()
@@ -607,16 +611,13 @@ func sameShape(ins []*core.Node, ref *core.Node) bool {
 	return true
 }
 
-// Recompute refills every comparison and presence column from the
-// per-input columns: core.Tree.ApplyDerivedTree evaluates the formulas,
-// then the presence columns are written from the per-row bitmask. Diff
+// Recompute refills the presence columns from the per-row bitmask. Diff
 // calls it once; callers that recompute the union's presented metrics
 // (core.Tree.ComputeMetrics wipes every column without base values) call
-// it again. The steady state allocates nothing.
+// it again. The comparison columns need no refill: they are formulas,
+// evaluated again on their next read once the store has changed. The
+// steady state allocates nothing.
 func (r *Result) Recompute() {
-	if err := r.Tree.ApplyDerivedTree(); err != nil {
-		panic(err) // registered formulas parsed, so they compile
-	}
 	r.fillPresence(r.Tree.MetricStore())
 }
 

@@ -2,13 +2,12 @@ package diff
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
+	"repro/internal/metric"
 )
 
 // orderA, orderB and orderC are three inputs whose shapes differ. Under
@@ -159,34 +158,38 @@ func TestDiffAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestRecomputeMallocsFlat pins Recompute's allocations at GOMAXPROCS 2,
-// where ApplyDerivedTree evaluates one plane on a second goroutine: the
-// same count on a union ten times larger. AllocsPerRun pins
-// GOMAXPROCS to 1, so this reads the malloc counter itself, and takes the
-// fewest over many calls: while the calling P has no free goroutine
-// descriptor (the worker's is freed on the P that ran it, and only
-// batches of them move back) a call also allocates one, whatever the
-// union's size.
+// readComparisons reads every comparison column-plane of a union.
+func readComparisons(res *Result) {
+	st := res.Tree.MetricStore()
+	for _, mc := range res.Metrics {
+		for _, cols := range [][]int{mc.Delta, mc.Ratio, mc.Loss} {
+			for _, col := range cols {
+				st.ColRead(metric.PlaneIncl, col)
+				st.ColRead(metric.PlaneExcl, col)
+			}
+		}
+	}
+}
+
+// TestRecomputeMallocsFlat pins the allocations of Recompute followed by a
+// read of every comparison column-plane: the same count on a union ten
+// times larger.
 func TestRecomputeMallocsFlat(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	mallocs := func(n int) uint64 {
+	allocs := func(n int) float64 {
 		res, err := Diff(Config{}, Input{Exp: sameShapeExp(t, n, 4)}, Input{Exp: sameShapeExp(t, n, 16)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		least := uint64(math.MaxUint64)
-		for i := 0; i < 200; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+		recompute := func() {
 			res.Recompute()
-			runtime.ReadMemStats(&after)
-			least = min(least, after.Mallocs-before.Mallocs)
+			readComparisons(res)
 		}
-		return least
+		recompute() // the first read allocates the evaluated slabs
+		return testing.AllocsPerRun(20, recompute)
 	}
-	small, large := mallocs(2_000), mallocs(20_000)
-	t.Logf("mallocs per Recompute at GOMAXPROCS 2: %d at 2k scopes, %d at 20k", small, large)
+	small, large := allocs(2_000), allocs(20_000)
+	t.Logf("allocations per Recompute and read: %v at 2k scopes, %v at 20k", small, large)
 	if small != large {
-		t.Fatalf("Recompute mallocs %d times at 2k scopes and %d at 20k", small, large)
+		t.Fatalf("Recompute and a read of every comparison column allocate %v times at 2k scopes and %v at 20k", small, large)
 	}
 }

@@ -1,28 +1,34 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/render"
+	"repro/internal/workloads"
 )
 
 // commandStreams returns n deterministic interaction scripts covering the
 // full engine surface: view switches, expansion, sorting (by raw, summary,
-// derived and label), derived-metric registration, hot paths, zoom,
-// flattening, column selection, limits and summary stats. Streams repeat
+// derived and label), derived-metric registration — every script registers
+// a session formula and reads it — hot paths, zoom, flattening, column
+// selection, limits and summary stats. Streams repeat
 // cyclically, so concurrent sessions include both identical scripts racing
 // each other and different scripts interleaving.
 func commandStreams(n int) [][]string {
 	base := [][]string{
-		{"ls", "expand 0", "hot CYCLES", "view callers", "expand 1", "view flat", "flatten", "ls"},
-		{"view callers", "expandall", "sort CYCLES:excl", "ls", "view cc", "cols all", "ls"},
+		{"ls", "expand 0", "derived e=$0+1", "hot e", "view callers", "expand 1", "view flat", "flatten", "ls"},
+		{"view callers", "derived sq=$0*$0", "expandall", "sort CYCLES:excl", "ls", "view cc", "cols all", "ls"},
 		{"derived waste=$0*2", "sort waste", "expandall", "ls", "stats waste"},
-		{"sort name", "expandall", "ls", "view flat", "flatten", "flatten", "ls", "unflatten", "ls"},
-		{"cols CYCLES", "expand 0", "zoom 0", "ls", "out", "ls", "top 2", "ls", "depth 2", "ls"},
+		{"derived neg=0-$0", "sort name", "expandall", "ls", "view flat", "flatten", "flatten", "sort neg", "ls", "unflatten", "ls"},
+		{"cols CYCLES", "expand 0", "zoom 0", "derived half=$0/2", "cols all", "ls", "out", "ls", "top 2", "ls", "depth 2", "ls"},
 		{"derived ratio=$0/($0+1)", "cols all", "hot ratio", "ls", "view callers", "hot ratio", "ls"},
-		{"expandall", "threshold 0.9", "hot CYCLES", "view flat", "hot CYCLES", "ls", "stats CYCLES:excl"},
+		{"expandall", "threshold 0.9", "hot CYCLES", "derived rt=sqrt($0)", "view flat", "hot rt", "ls", "stats rt:excl", "stats CYCLES:excl"},
 		{"view callers", "ls", "expand 0", "expand 2", "sort name", "ls", "view cc", "derived d2=$1+$0", "sort d2", "ls", "metrics"},
 	}
 	out := make([][]string, n)
@@ -220,5 +226,73 @@ func TestSessionDerivedIsolation(t *testing.T) {
 	}
 	if got := root.Incl.Get(da.ID); got != 0 {
 		t.Fatalf("derived values leaked into the shared store: %g", got)
+	}
+}
+
+// TestConcurrentFirstReadsOfRegistryFormulas: eight goroutines make the
+// first reads of two registry formulas, the second over the first, on one
+// shared eager tree — through Node.Incl.Get, a Flat View built from the
+// tree and a render of it, in an order that differs by goroutine — and each
+// output is byte-equal to a serial run on a tree of its own.
+func TestConcurrentFirstReadsOfRegistryFormulas(t *testing.T) {
+	build := func() *core.Tree {
+		tree := mergeWorkload(t, workloads.S3D(), 3).Tree
+		f, err := tree.Reg.AddDerived("f", "$0*$0/($0+1)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.Reg.AddDerived("g", fmt.Sprintf("sqrt($%d) - $0", f.ID)); err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	read := func(tree *core.Tree, order int) string {
+		var cells, flat, cct bytes.Buffer
+		steps := []func(){
+			func() {
+				for _, name := range []string{"g", "f"} {
+					id := tree.Reg.ByName(name).ID
+					core.Walk(tree.Root, func(n *core.Node) bool {
+						fmt.Fprintf(&cells, "%s %v %v\n", n.Label(), n.Incl.Get(id), n.Excl.Get(id))
+						return true
+					})
+				}
+			},
+			func() {
+				if err := render.RenderFlat(&flat, core.BuildFlatView(tree), tree, render.Options{}); err != nil {
+					t.Error(err)
+				}
+			},
+			func() {
+				if err := render.RenderTree(&cct, tree, render.Options{}); err != nil {
+					t.Error(err)
+				}
+			},
+		}
+		for i := range steps {
+			steps[(i+order)%len(steps)]()
+		}
+		return cells.String() + flat.String() + cct.String()
+	}
+	want := read(build(), 0)
+
+	shared := build()
+	got := make([]string, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = read(shared, i)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if got[i] != want {
+			t.Errorf("goroutine %d read the formulas differently from a serial run", i)
+		}
 	}
 }

@@ -87,8 +87,9 @@ type Session struct {
 	// scratch holds the sorted sibling lists of the row walk in progress.
 	scratch []*core.Node
 
-	// overlay holds materialized session-derived columns; see overlay.go.
-	overlay map[*metric.Store]*overlayCols
+	// overlay evaluates the session-derived columns, per store; see
+	// overlay.go.
+	overlay map[*metric.Store]*metric.Evaluator
 
 	// catalog resolves database names for the diff command (nil = none).
 	catalog Catalog
@@ -338,14 +339,14 @@ func (s *Session) sortedSiblings(ns []*core.Node) []*core.Node {
 		core.SortScopes(sorted, s.sort)
 		return sorted
 	}
-	// Overlay (session-private) sort column: same comparator, with the keys
-	// read from the overlay slab of the list's store, resolved once per list
-	// as SortScopes resolves a resident column. A scope of another store
-	// (the Callers View's top level) reads its own.
+	// Session-derived sort column: same comparator, with the keys read from
+	// the evaluated slab of the list's store, resolved once per list as
+	// SortScopes resolves a resident column. A scope of another store (the
+	// Callers View's top level) reads its own.
 	inclusive := !s.sort.Exclusive
 	id := s.sort.MetricID
 	st := sorted[0].Incl.Store()
-	slab := s.overlaySlab(st, id, inclusive)
+	slab := s.columnSlab(st, id, inclusive)
 	core.SortScopesFunc(sorted, s.sort, func(n *core.Node) float64 {
 		if n.Incl.Store() != st {
 			return s.cellValue(n, id, inclusive)
@@ -460,14 +461,9 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 		// The path may need a lazily built caller chain.
 		s.callers.Expand(start)
 	}
-	var path []*core.Node
-	if metricID < s.snap.baseCols {
-		path = core.HotPath(start, metricID, s.threshold)
-	} else {
-		path = core.HotPathFunc(start, func(n *core.Node) float64 {
-			return s.cellValue(n, metricID, true)
-		}, s.threshold)
-	}
+	path := core.HotPathFunc(start, func(n *core.Node) float64 {
+		return s.cellValue(n, metricID, true)
+	}, s.threshold)
 	s.highlight = map[*core.Node]bool{}
 	for _, n := range path {
 		s.highlight[n] = true
@@ -496,10 +492,9 @@ func (s *Session) Render(w io.Writer, opt render.Options) error {
 }
 
 // AddDerivedMetric registers a session-private derived column. Unlike the
-// database's own derived metrics it is never written to any store: values
-// materialize lazily into the session's overlay (see overlay.go), so
-// concurrent sessions over the same snapshot cannot observe each other's
-// formulas.
+// database's own derived metrics it is no formula of any store: the
+// session's overlays evaluate it (see overlay.go), so concurrent sessions
+// over the same snapshot cannot observe each other's formulas.
 func (s *Session) AddDerivedMetric(name, formula string) error {
 	_, err := s.reg.AddDerived(name, formula)
 	return err

@@ -39,11 +39,12 @@ import (
 // experiment borrows its columns from the mapping.
 //
 // Immutability discipline: the tree's structure, its metric store and its
-// registry are sealed at construction (presented metrics are computed,
-// derived kernels applied and a mapped database's columns verified before
-// the snapshot is handed out), so sessions read them without a lock. What
-// may still change is the trace view, built on first use, and the notes
-// its build appends.
+// registry are sealed at construction (presented metrics are computed and
+// a mapped database's columns verified before the snapshot is handed out),
+// so sessions read them without a lock. What may still change is the trace
+// view, built on first use, and the notes its build appends; a derived
+// column's values are evaluated by its first read, which the store
+// synchronizes.
 type Snapshot struct {
 	exp *expdb.Experiment // never nil
 	mdb *expdb.MappedDB   // nil unless mapped (v3 zero-copy)

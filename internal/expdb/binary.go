@@ -214,9 +214,7 @@ func readBinaryV1(data []byte) (*Experiment, error) {
 		}
 		d.ovs = append(d.ovs, ov)
 	}
-	if err := e.finalize(d.ovs); err != nil {
-		return nil, err
-	}
+	e.finalize(d.ovs)
 	return e, nil
 }
 
@@ -302,8 +300,6 @@ func readBinaryV2(r io.Reader, size int64) (*Experiment, error) {
 			return nil, secErr(id, fmt.Errorf("section missing"))
 		}
 	}
-	if err := e.finalize(d.ovs); err != nil {
-		return nil, err
-	}
+	e.finalize(d.ovs)
 	return e, nil
 }

@@ -92,8 +92,9 @@ func FromMerge(m *merge.Result) *Experiment {
 // finalize recomputes presented metrics after deserialization: Equations 1
 // and 2 from the stored Base values, then the inclusive/exclusive
 // overrides (summary statistics and externally computed columns) in input
-// order, then derived columns.
-func (e *Experiment) finalize(ovs []override) error {
+// order. Derived columns are evaluated when first read; their formulas
+// compiled when the registry was rebuilt.
+func (e *Experiment) finalize(ovs []override) {
 	e.Tree.ComputeMetrics()
 	for _, ov := range ovs {
 		for _, cv := range ov.incl {
@@ -103,7 +104,6 @@ func (e *Experiment) finalize(ovs []override) error {
 			ov.n.Excl.Set(cv.col, cv.val)
 		}
 	}
-	return e.Tree.ApplyDerivedTree()
 }
 
 type colVal struct {
@@ -119,33 +119,29 @@ type override struct {
 }
 
 // overrideCols returns the columns whose values cannot be recomputed from
-// Base: inclusive overrides cover summary and computed columns; exclusive
-// overrides only computed ones (summaries are inclusive-only).
-func overrideCols(reg *metric.Registry) (incl, excl map[int]bool) {
-	incl, excl = map[int]bool{}, map[int]bool{}
+// Base, ascending: inclusive overrides cover summary and computed columns;
+// exclusive overrides only computed ones (summaries are inclusive-only).
+func overrideCols(reg *metric.Registry) (incl, excl []int) {
 	for _, d := range reg.Columns() {
 		switch d.Kind {
 		case metric.Summary:
-			incl[d.ID] = true
+			incl = append(incl, d.ID)
 		case metric.Computed:
-			incl[d.ID] = true
-			excl[d.ID] = true
+			incl = append(incl, d.ID)
+			excl = append(excl, d.ID)
 		}
 	}
 	return incl, excl
 }
 
-// overrideValues extracts from a metric view the entries in cols.
-func overrideValues(v *metric.View, cols map[int]bool) []colVal {
-	if len(cols) == 0 {
-		return nil
-	}
+// overrideValues extracts from a metric view its non-zero entries in cols.
+func overrideValues(v *metric.View, cols []int) []colVal {
 	var out []colVal
-	v.Range(func(id int, x float64) {
-		if cols[id] {
+	for _, id := range cols {
+		if x := v.Get(id); x != 0 {
 			out = append(out, colVal{col: id, val: x})
 		}
-	})
+	}
 	return out
 }
 

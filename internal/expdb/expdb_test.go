@@ -53,9 +53,6 @@ func fixture(t *testing.T) *Experiment {
 	if _, err := res.Tree.Reg.AddDerived("fpwaste", "$0*4 - $1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Tree.ApplyDerivedTree(); err != nil {
-		t.Fatal(err)
-	}
 	return FromMerge(res)
 }
 

@@ -105,14 +105,10 @@ func v3PlaneName(p uint8) string {
 
 // WriteBinaryV3 serializes the experiment in the mappable v3 format. The
 // presented inclusive/exclusive planes are baked into column slabs, so a
-// v3 open never recomputes metrics or re-applies derived kernels.
+// v3 open never recomputes metrics. A derived column's planes are read
+// through the store, which evaluates its formula, and baked like the rest;
+// a v3 open verifies them but evaluates the formula again on first read.
 func (e *Experiment) WriteBinaryV3(w io.Writer) error {
-	// The slabs persist the presented planes verbatim. The tree's
-	// constructor computed Equations 1/2, but the registry may have gained
-	// a formula since, so derived columns are (re-)applied before the walk.
-	if err := e.Tree.ApplyDerivedTree(); err != nil {
-		return err
-	}
 	tab, head, err := e.encodeHead()
 	if err != nil {
 		return err
@@ -528,10 +524,12 @@ func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
 // store column, and decodes the provenance. A column slab whose row count
 // does not match the tree, or whose checksum fails, is left out (the
 // column reads zero) with a note; so is a provenance section that fails
-// its checksum, as the v2 reader drops it.
+// its checksum, as the v2 reader drops it. A derived column's baked planes
+// are verified like the rest but not adopted: the store evaluates its
+// formula when the column is read.
 func (db *MappedDB) adoptLocked() error {
-	st := db.exp.Tree.MetricStore()
-	nCols, rows := db.exp.Tree.Reg.Len(), len(db.nodes)+1
+	st, reg := db.exp.Tree.MetricStore(), db.exp.Tree.Reg
+	nCols, rows := reg.Len(), len(db.nodes)+1
 	note := func(format string, args ...any) {
 		db.exp.Notes = append(db.exp.Notes, fmt.Sprintf(format, args...))
 	}
@@ -547,7 +545,9 @@ func (db *MappedDB) adoptLocked() error {
 				note("column section (metric %d, %s) failed its CRC32C check; its values were dropped", s.col, v3PlaneName(s.plane))
 				continue
 			}
-			st.AdoptCol(metric.Plane(s.plane), int(s.col), float64View(db.payload(s)), true)
+			if reg.ByID(int(s.col)).Kind != metric.Derived {
+				st.AdoptCol(metric.Plane(s.plane), int(s.col), float64View(db.payload(s)), true)
+			}
 		case dbSecProvenance:
 			if framing.ChecksumPadded(db.span(s)) != s.crc {
 				note("provenance section failed its checksum; the quarantine record was dropped")

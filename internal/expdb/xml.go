@@ -121,7 +121,7 @@ func (e *Experiment) WriteXML(w io.Writer) error {
 	return enc.Flush()
 }
 
-func encodeNode(enc *xml.Encoder, n *core.Node, inclOv, exclOv map[int]bool) error {
+func encodeNode(enc *xml.Encoder, n *core.Node, inclOv, exclOv []int) error {
 	el := xml.StartElement{Name: xml.Name{Local: "N"}}
 	add := func(k, v string) {
 		if v != "" {
@@ -329,9 +329,7 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 	if dup != nil {
 		return nil, dup
 	}
-	if err := e.finalize(ovs); err != nil {
-		return nil, err
-	}
+	e.finalize(ovs)
 	return e, nil
 }
 

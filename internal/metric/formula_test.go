@@ -209,3 +209,23 @@ func TestEvalErrorsAreTyped(t *testing.T) {
 		t.Fatal("nested unknown function evaluated without error")
 	}
 }
+
+// A formula that does not compile is refused when it is registered: a
+// store evaluates a derived column on its first read, which cannot report
+// an error. Parse only builds trees that compile, so the failing formula
+// is built by hand.
+func TestCompileErrorAtRegistration(t *testing.T) {
+	r := NewRegistry()
+	if _, err := r.AddRaw("c", "cycles", 1); err != nil {
+		t.Fatal(err)
+	}
+	bad := &Expr{root: binNode{op: '%', l: colNode(0), r: numNode(2)}, src: "$0%2", refs: []int{0}}
+	_, err := r.addDerived("bad", bad)
+	var ee *EvalError
+	if !errors.As(err, &ee) || !strings.Contains(err.Error(), `"bad"`) {
+		t.Fatalf("registering an uncompilable formula returned %v, want an *EvalError naming the column", err)
+	}
+	if r.Len() != 1 || r.ByName("bad") != nil {
+		t.Fatalf("the refused formula was registered: %d columns", r.Len())
+	}
+}

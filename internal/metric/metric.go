@@ -9,10 +9,7 @@
 // to columns as $0, $1, ... exactly as hpcviewer does.
 package metric
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Kind classifies how a metric column obtains its values.
 type Kind uint8
@@ -98,12 +95,10 @@ type Desc struct {
 	// ShowPercent requests a percent-of-root annotation when rendered.
 	ShowPercent bool
 
-	// compileMu guards the lazy expr/prog compilation below: descriptors of
-	// a loaded database are shared read-only by every session over it, and
-	// two sessions may demand the compiled form of the same formula at once.
-	compileMu sync.Mutex
-	expr      *Expr    // compiled formula, for Derived columns
-	prog      *Program // stack program lowered from expr, compiled on first use
+	// expr and prog are a Derived column's formula, parsed and compiled
+	// when it is registered; nil for every other kind.
+	expr *Expr
+	prog *Program
 }
 
 // Registry is an ordered set of metric columns. The zero value is ready to
@@ -164,12 +159,17 @@ func (r *Registry) AddRaw(name, unit string, period uint64) (*Desc, error) {
 }
 
 // AddDerived registers a derived metric computed by formula. The formula is
-// compiled immediately; compilation errors are returned.
+// parsed and compiled here, so every error it can cause is returned here:
+// a store evaluates the column on its first read, which cannot fail.
 func (r *Registry) AddDerived(name, formula string) (*Desc, error) {
 	expr, err := Parse(formula)
 	if err != nil {
 		return nil, fmt.Errorf("metric: derived metric %q: %w", name, err)
 	}
+	return r.addDerived(name, expr)
+}
+
+func (r *Registry) addDerived(name string, expr *Expr) (*Desc, error) {
 	// Validate column references against columns registered so far. A
 	// derived metric may only refer to earlier columns; this both matches
 	// hpcviewer's incremental column model and rules out cycles.
@@ -178,7 +178,20 @@ func (r *Registry) AddDerived(name, formula string) (*Desc, error) {
 			return nil, fmt.Errorf("metric: derived metric %q refers to unknown column $%d", name, ref)
 		}
 	}
-	return r.add(&Desc{Name: name, Kind: Derived, Formula: formula, expr: expr})
+	prog, err := expr.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("metric: derived metric %q: %w", name, err)
+	}
+	return r.add(&Desc{Name: name, Kind: Derived, Formula: expr.String(), expr: expr, prog: prog})
+}
+
+// program returns column id's compiled formula, nil unless it is a
+// Derived column.
+func (r *Registry) program(id int) *Program {
+	if id < 0 || id >= len(r.cols) {
+		return nil
+	}
+	return r.cols[id].prog
 }
 
 // AddComputed registers a column whose values an external analysis fills
@@ -217,49 +230,10 @@ func (r *Registry) AddSummary(src int, op SummaryOp) (*Desc, error) {
 	return r.add(d)
 }
 
-// Expr returns the compiled formula of a Derived column (compiling it on
-// first use if the descriptor was built by hand). Safe for concurrent use:
-// several sessions over one shared registry may demand it at once.
+// Expr returns the parsed formula of a Derived column.
 func (d *Desc) Expr() (*Expr, error) {
 	if d.Kind != Derived {
 		return nil, fmt.Errorf("metric: %q is not a derived metric", d.Name)
 	}
-	d.compileMu.Lock()
-	defer d.compileMu.Unlock()
-	return d.exprLocked()
-}
-
-func (d *Desc) exprLocked() (*Expr, error) {
-	if d.expr == nil {
-		expr, err := Parse(d.Formula)
-		if err != nil {
-			return nil, err
-		}
-		d.expr = expr
-	}
 	return d.expr, nil
-}
-
-// Program returns the column's formula lowered to a stack program, compiled
-// once and cached — the kernel the columnar derived-metric sweep executes.
-// Safe for concurrent use, like Expr.
-func (d *Desc) Program() (*Program, error) {
-	if d.Kind != Derived {
-		return nil, fmt.Errorf("metric: %q is not a derived metric", d.Name)
-	}
-	d.compileMu.Lock()
-	defer d.compileMu.Unlock()
-	if d.prog != nil {
-		return d.prog, nil
-	}
-	e, err := d.exprLocked()
-	if err != nil {
-		return nil, err
-	}
-	p, err := e.Compile()
-	if err != nil {
-		return nil, err
-	}
-	d.prog = p
-	return d.prog, nil
 }

@@ -154,7 +154,8 @@ const ownSlot = -1
 
 // EvalCols runs the program as a vectorized kernel: dst[r] is the program
 // applied to row r of the prefetched column slabs (cols[i] holds the column
-// ColumnRefs()[i], at least len(dst) long), evalBlock rows at a time.
+// ColumnRefs()[i]; rows past a slab's end read zero), evalBlock rows at a
+// time.
 // Steady-state evaluation is allocation-free. A program deeper than
 // evalStackSize carries fewer rows at a time through the same buffer; one
 // deeper than the buffer has values carries one row in a heap stack of
@@ -181,8 +182,9 @@ func (p *Program) EvalCols(dst []float64, cols [][]float64) {
 // +0 (-0 + 0 is +0, and every other value is unchanged) where the others add
 // -0.
 // Slot 0's buffer is out; slot s reads column src[s] in place or owns
-// stack[s*block:] (ownSlot), which a constant fills. Slots hold indexes, not
-// slices: storing a slice of a stack buffer moves the buffer to the heap.
+// stack[s*block:] (ownSlot), which a constant or a short column fills.
+// Slots hold indexes, not slices: storing a slice of a stack buffer moves
+// the buffer to the heap.
 func (p *Program) run(stack []float64, src []int32, block int, cols [][]float64, lo int, out []float64) {
 	n := len(out)
 	arg := func(s int) []float64 {
@@ -212,7 +214,12 @@ func (p *Program) run(stack []float64, src []int32, block int, cols [][]float64,
 			}
 			sp++
 		case opCol:
-			src[sp] = in.n
+			if col := cols[in.n]; len(col) >= lo+n {
+				src[sp] = in.n
+			} else { // a short slab: its rows, then zeros
+				c := own(sp)
+				clear(c[copy(c, col[min(lo, len(col)):]):])
+			}
 			sp++
 		case opNeg, opAbs, opSqrt, opLog, opExp:
 			x := arg(sp - 1)

@@ -18,9 +18,14 @@ import "fmt"
 // geometric capacity — when a row actually writes to it. AddRow is
 // therefore allocation-free, which keeps tree construction cheap.
 //
+// A Derived column of the store's registry is never stored: it is a formula
+// over its row's own cells (Section V-D), evaluated over the whole column by
+// the first read of each plane after the store last changed (see
+// Evaluator). Writes to such a column are never read.
+//
 // Concurrency: a store is single-writer, like the node arena that owns it.
-// Concurrent readers are safe once writes have ceased (the tree compute
-// lock orders recomputation against view builds).
+// Concurrent readers are safe once writes have ceased; the first reads of a
+// derived column-plane synchronize among themselves.
 
 // Plane selects which of a scope's three metric flavors a column belongs
 // to: directly attributed Base values, presented inclusive (Equation 2) or
@@ -49,10 +54,23 @@ type Store struct {
 	// borrowed marks columns whose slab aliases foreign read-only memory;
 	// indexes parallel planes (absent entries mean owned).
 	borrowed [numPlanes][]bool
+	// version counts the writes: a derived column-plane evaluated at one
+	// version is stale at any other.
+	version uint64
+	// derived evaluates the registry's Derived columns on read.
+	derived Evaluator
 }
 
-// NewStore returns an empty store with no rows.
+// NewStore returns an empty store with no rows and no formulas.
 func NewStore() *Store { return &Store{} }
+
+// NewStore returns an empty store whose Derived columns are r's formulas,
+// those registered later included.
+func (r *Registry) NewStore() *Store {
+	s := &Store{}
+	s.derived.st, s.derived.reg = s, r
+	return s
+}
 
 // NumRows reports how many rows have been allocated.
 func (s *Store) NumRows() int { return s.rows }
@@ -67,8 +85,14 @@ func (s *Store) NumCols(p Plane) int { return len(s.planes[p]) }
 func (s *Store) AddRow() int32 {
 	r := s.rows
 	s.rows++
+	s.version++
 	return int32(r)
 }
+
+// MarkStale makes the next read of every derived column-plane evaluate it
+// again. Every write path does so itself; a writer that fills a slab Col
+// returned marks nothing further.
+func (s *Store) MarkStale() { s.version++ }
 
 // Col returns plane p's slab for column col, materialized to the full
 // current row count — the entry point for whole-column kernel sweeps.
@@ -84,15 +108,40 @@ func (s *Store) Col(p Plane, col int) []float64 {
 
 // ColRead returns column col's slab exactly as currently materialized —
 // possibly shorter than the row count, possibly nil — without growing
-// anything. Unlike Col it never mutates the store, so concurrent readers
-// (parallel view builds, sorts, hot-path queries over a finished tree) may
-// call it freely; rows beyond its length read as zero.
+// anything; a derived column's is its formula evaluated over every row.
+// Unlike Col it never writes a stored slab, so concurrent readers (parallel
+// view builds, sorts, hot-path queries over a finished tree) may call it
+// freely; rows beyond its length read as zero.
 func (s *Store) ColRead(p Plane, col int) []float64 {
+	if prog := s.derived.program(p, col); prog != nil {
+		return s.derived.read(p, col, prog)
+	}
+	return s.stored(p, col)
+}
+
+// stored returns column col's stored slab, nil if there is none.
+func (s *Store) stored(p Plane, col int) []float64 {
 	cols := s.planes[p]
 	if col < 0 || col >= len(cols) {
 		return nil
 	}
 	return cols[col]
+}
+
+// ClearCol zeroes column col of plane p without growing it: an owned slab
+// is cleared in place, a borrowed one dropped.
+func (s *Store) ClearCol(p Plane, col int) {
+	cols := s.planes[p]
+	if col < 0 || col >= len(cols) {
+		return
+	}
+	s.version++
+	if s.Borrowed(p, col) {
+		cols[col] = nil
+		s.setBorrowed(p, col, false)
+		return
+	}
+	clear(cols[col])
 }
 
 // AdoptCol installs slab as column col of plane p, replacing whatever was
@@ -102,6 +151,7 @@ func (s *Store) ColRead(p Plane, col int) []float64 {
 // The slab length fixes how many rows read from it; rows beyond read zero.
 func (s *Store) AdoptCol(p Plane, col int, slab []float64, borrowed bool) {
 	s.ensureCol(p, col)
+	s.version++
 	s.planes[p][col] = slab
 	s.setBorrowed(p, col, borrowed)
 }
@@ -136,11 +186,7 @@ func (s *Store) unborrow(p Plane, col int) {
 }
 
 func (s *Store) get(p Plane, col int, row int32) float64 {
-	cols := s.planes[p]
-	if col < 0 || col >= len(cols) {
-		return 0
-	}
-	slab := cols[col]
+	slab := s.ColRead(p, col)
 	if int(row) >= len(slab) {
 		return 0
 	}
@@ -152,14 +198,12 @@ func (s *Store) get(p Plane, col int, row int32) float64 {
 // observable. Writing a zero to a row the slab has not reached stays free.
 func (s *Store) set(p Plane, col int, row int32, x float64) {
 	if x == 0 {
-		cols := s.planes[p]
-		if col >= 0 && col < len(cols) {
-			if slab := cols[col]; int(row) < len(slab) && slab[row] != 0 {
-				if s.Borrowed(p, col) {
-					s.unborrow(p, col)
-				}
-				s.planes[p][col][row] = 0
+		if slab := s.stored(p, col); int(row) < len(slab) && slab[row] != 0 {
+			if s.Borrowed(p, col) {
+				s.unborrow(p, col)
 			}
+			s.version++
+			s.planes[p][col][row] = 0
 		}
 		return
 	}
@@ -187,6 +231,7 @@ func (s *Store) ensureCol(p Plane, col int) {
 // shrink, so re-slicing within capacity exposes only zeros.
 func (s *Store) slabFor(p Plane, col int, row int32) []float64 {
 	s.ensureCol(p, col)
+	s.version++
 	if s.Borrowed(p, col) {
 		s.unborrow(p, col)
 	}
@@ -236,7 +281,7 @@ func (v *View) Store() *Store { return v.s }
 // Row returns the dense row id within the backing store.
 func (v *View) Row() int32 { return v.row }
 
-// cols returns the view's plane of slabs (none for the zero View).
+// cols returns the view's plane of stored slabs (none for the zero View).
 func (v *View) cols() [][]float64 {
 	if v.s == nil {
 		return nil
@@ -270,11 +315,13 @@ func (v *View) Add(id int, x float64) {
 	}
 }
 
-// AddView adds every non-zero entry of o, in ascending column order.
+// AddView adds every non-zero stored entry of o, in ascending column order.
+// Derived columns are left out: a derived cell is a formula over its own
+// row, never a sum of others.
 func (v *View) AddView(o *View) {
 	row := int(o.row)
 	for id, slab := range o.cols() {
-		if row < len(slab) {
+		if row < len(slab) && o.s.derived.program(o.p, id) == nil {
 			if x := slab[row]; x != 0 {
 				v.store().add(v.p, id, v.row, x)
 			}
@@ -284,12 +331,16 @@ func (v *View) AddView(o *View) {
 
 // Range calls f for every non-zero entry in ascending column order.
 func (v *View) Range(f func(id int, x float64)) {
-	row := int(v.row)
-	for id, slab := range v.cols() {
-		if row < len(slab) {
-			if x := slab[row]; x != 0 {
-				f(id, x)
-			}
+	if v.s == nil {
+		return
+	}
+	n := len(v.cols()) // stored columns, and on a presented plane every formula
+	if reg := v.s.derived.reg; reg != nil && v.p != PlaneBase {
+		n = max(n, reg.Len())
+	}
+	for id := 0; id < n; id++ {
+		if x := v.s.get(v.p, id, v.row); x != 0 {
+			f(id, x)
 		}
 	}
 }
@@ -297,12 +348,7 @@ func (v *View) Range(f func(id int, x float64)) {
 // Len reports the number of non-zero entries.
 func (v *View) Len() int {
 	n := 0
-	row := int(v.row)
-	for _, slab := range v.cols() {
-		if row < len(slab) && slab[row] != 0 {
-			n++
-		}
-	}
+	v.Range(func(int, float64) { n++ })
 	return n
 }
 

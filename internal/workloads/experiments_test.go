@@ -186,9 +186,6 @@ func TestFig6DerivedWaste(t *testing.T) {
 	}
 	_ = cyc
 	_ = flops
-	if err := tree.ApplyDerivedTree(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Flatten the Flat View to loop level and rank by waste, as the
 	// paper does in Figure 6.
