@@ -56,17 +56,16 @@ func BenchmarkDiffUnion(b *testing.B) {
 	b.ReportMetric(float64(scopes), "scopes")
 }
 
-// recomputeAll refills the presence columns, which marks every comparison
-// column stale, and reads every comparison column-plane again.
+// recomputeAll marks every comparison column stale and reads every
+// comparison column-plane again.
 func recomputeAll(res *diff.Result) {
-	res.Recompute()
+	res.Tree.MetricStore().MarkStale()
 	readDerived(res.Tree)
 }
 
-// BenchmarkDiffKernels measures the steady-state delta/ratio/loss/presence
-// recomputation over the built union — the cost of refreshing a diff after
-// the presented metrics are recomputed, every comparison column read
-// (D-SCALE-2). Allocates nothing.
+// BenchmarkDiffKernels measures the steady-state delta/ratio/loss
+// evaluation over the built union — every comparison column-plane
+// evaluated again after the store changed (D-SCALE-2). Allocates nothing.
 func BenchmarkDiffKernels(b *testing.B) {
 	ea, eb := diffBenchPair()
 	res, err := diff.Diff(diff.Config{},
@@ -83,7 +82,7 @@ func BenchmarkDiffKernels(b *testing.B) {
 }
 
 // TestDiffKernelAllocs pins the kernels' steady state at zero allocations
-// per Recompute and read of every comparison column — the contract behind
+// per evaluation of every comparison column — the contract behind
 // BenchmarkDiffKernels' allocs/op column in BENCH_diff.json.
 func TestDiffKernelAllocs(t *testing.T) {
 	ea, eb := diffBenchPair()
@@ -94,6 +93,6 @@ func TestDiffKernelAllocs(t *testing.T) {
 	}
 	recomputeAll(res) // the first read allocates every evaluated slab
 	if allocs := testing.AllocsPerRun(5, func() { recomputeAll(res) }); allocs != 0 {
-		t.Fatalf("Recompute and a read of every comparison column allocate %v objects per run in steady state, want 0", allocs)
+		t.Fatalf("evaluating every comparison column again allocates %v objects per run in steady state, want 0", allocs)
 	}
 }

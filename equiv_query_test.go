@@ -29,10 +29,13 @@ import (
 // sort.SliceStable with the historical less function.
 
 // refBase reads a node's Base vector into a dense slice.
-func refBase(n *core.Node, ncols int) []float64 {
+func refBase(n *core.Node, ncols int) []float64 { return refPlane(&n.Base, ncols) }
+
+// refPlane copies a scope's plane into a dense row.
+func refPlane(v *metric.View, ncols int) []float64 {
 	out := make([]float64, ncols)
 	for id := 0; id < ncols; id++ {
-		out[id] = n.Base.Get(id)
+		out[id] = v.Get(id)
 	}
 	return out
 }
@@ -174,13 +177,23 @@ func refHotPath(start *core.Node, metricID int, t float64) []*core.Node {
 
 func checkMetricsEquiv(t *testing.T, tr *core.Tree) {
 	t.Helper()
-	// Recompute from Base through the columnar path; overrides (summary
-	// columns) are wiped by recomputation in both the columnar and the
-	// reference world, so the comparison covers base-derived state.
+	// Recompute from Base through the columnar path. Summary columns have
+	// no Base values: recomputation must leave them exactly as decoded, so
+	// their reference is what the reader wrote.
+	decoded := map[*core.Node][2][]float64{}
+	core.Walk(tr.Root, func(n *core.Node) bool {
+		decoded[n] = [2][]float64{refPlane(&n.Incl, tr.Reg.Len()), refPlane(&n.Excl, tr.Reg.Len())}
+		return true
+	})
 	tr.ComputeMetrics()
 	refIncl, refExcl := refMetrics(t, tr)
 	ncols := tr.Reg.Len()
 	core.Walk(tr.Root, func(n *core.Node) bool {
+		for _, d := range tr.Reg.Columns() {
+			if d.Kind == metric.Summary {
+				refIncl[n][d.ID], refExcl[n][d.ID] = decoded[n][0][d.ID], decoded[n][1][d.ID]
+			}
+		}
 		for id := 0; id < ncols; id++ {
 			if got, want := n.Incl.Get(id), refIncl[n][id]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: inclusive col %d = %v (%#x), reference %v (%#x)",

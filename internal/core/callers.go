@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -228,8 +229,9 @@ func (v *CallersView) ExpandAllParallel(jobs int) error { return v.ExpandAll() }
 // workers, the calling goroutine being the first. Roots are independent, so
 // the result does not depend on the worker count. Expansion stops at the
 // next root once ctx is done, and a panic while expanding one root (a
-// poisoned subtrie) is recovered, reported as an error, and stops the
-// remaining work — one poisoned subtrie cannot crash or wedge the process.
+// poisoned subtrie, or a fault on a page of a mapped database file that
+// shrank) is recovered, reported as an error, and stops the remaining work
+// — one poisoned subtrie cannot crash or wedge the process.
 func (v *CallersView) ExpandAllCtx(ctx context.Context) error {
 	workers := min(runtime.GOMAXPROCS(0), len(v.Roots))
 	if workers == 0 {
@@ -248,6 +250,8 @@ func (v *CallersView) ExpandAllCtx(ctx context.Context) error {
 	var stop atomic.Bool
 	errs := make([]error, workers)
 	work := func(w int) {
+		// A fault on a mapped page panics, and expand recovers it.
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 		for !stop.Load() {
 			if err := ctx.Err(); err != nil {
 				errs[w] = err

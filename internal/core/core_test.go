@@ -138,9 +138,9 @@ func TestComputeMetricsFrameBoundary(t *testing.T) {
 
 // TestComputeMetricsEmptyBaseColumn: in a registry that interleaves raw and
 // computed columns, as a diff union's does, a computed column below the
-// last raw one has no base slab. Recomputation presents zeros there without
-// materializing one, wipes stale presented values, and leaves every cell
-// bitwise equal to a per-node Equations 1-2 recursion.
+// last raw one has no base slab. Recomputation materializes none, leaves
+// the presented values its owner wrote as they are, and leaves every other
+// cell bitwise equal to a per-node Equations 1-2 recursion.
 func TestComputeMetricsEmptyBaseColumn(t *testing.T) {
 	reg := metric.NewRegistry()
 	must := func(_ *metric.Desc, err error) {
@@ -164,9 +164,9 @@ func TestComputeMetricsEmptyBaseColumn(t *testing.T) {
 		}
 	}
 	copyTree(src.Root, tree.Root)
-	stale := tree.Root.Children[0]
-	stale.Incl.Set(1, 9)
-	stale.Excl.Set(1, 9)
+	written := tree.Root.Children[0]
+	written.Incl.Set(1, 9)
+	written.Excl.Set(1, 9)
 
 	tree.ComputeMetrics()
 	st := tree.MetricStore()
@@ -206,10 +206,14 @@ func TestComputeMetricsEmptyBaseColumn(t *testing.T) {
 			default:
 				excl[id] = n.Base.Get(id)
 			}
+			wantIncl, wantExcl := incl[id], excl[id]
+			if n == written && id == 1 {
+				wantIncl, wantExcl = 9, 9 // the computed cell survives
+			}
 			for _, cell := range []struct {
 				plane     string
 				got, want float64
-			}{{"incl", n.Incl.Get(id), incl[id]}, {"excl", n.Excl.Get(id), excl[id]}} {
+			}{{"incl", n.Incl.Get(id), wantIncl}, {"excl", n.Excl.Get(id), wantExcl}} {
 				if math.Float64bits(cell.got) != math.Float64bits(cell.want) {
 					t.Fatalf("%s %s col %d = %v, reference %v", n.Label(), cell.plane, id, cell.got, cell.want)
 				}

@@ -121,10 +121,11 @@ func (t *Tree) buildTopo() {
 // (slabs never hold negative zero).
 //
 // Every tree constructor calls it (or adopts planes baked on disk) before
-// returning, and views only read the result. Presented values are replaced
-// outright — summary/computed overrides are wiped and re-applied by their
-// owners afterwards, and every derived column is evaluated again on its
-// next read.
+// returning, and views only read the result. It writes only the columns
+// that have Base values: a summary, computed or presence column is written
+// once by the code that makes it, before or after, and is left as it is.
+// Derived columns are evaluated again on their next read, since every
+// column written here bumps the store's version.
 func (t *Tree) ComputeMetrics() {
 	st := t.arena.store
 	t.buildTopo()
@@ -135,14 +136,9 @@ func (t *Tree) ComputeMetrics() {
 	}
 	fl := t.fl[:rows]
 
-	baseCols := st.NumCols(metric.PlaneBase)
-	for col := 0; col < baseCols; col++ {
+	for col := range st.NumCols(metric.PlaneBase) {
 		if len(st.ColRead(metric.PlaneBase, col)) == 0 {
-			// No base slab: Equations 1-2 present zeros, so skip the
-			// sweeps and leave every plane unmaterialized.
-			st.ClearCol(metric.PlaneIncl, col)
-			st.ClearCol(metric.PlaneExcl, col)
-			continue
+			continue // no base slab: nothing for Equations 1-2 to present
 		}
 		base := st.Col(metric.PlaneBase, col)
 		incl := st.Col(metric.PlaneIncl, col)
@@ -178,11 +174,4 @@ func (t *Tree) ComputeMetrics() {
 			}
 		}
 	}
-	// Presented columns with no base samples (summaries, computed values)
-	// are wiped: recomputation replaces the presented vectors entirely.
-	for col := baseCols; col < max(st.NumCols(metric.PlaneIncl), st.NumCols(metric.PlaneExcl)); col++ {
-		st.ClearCol(metric.PlaneIncl, col)
-		st.ClearCol(metric.PlaneExcl, col)
-	}
-	st.MarkStale()
 }

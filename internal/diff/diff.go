@@ -346,14 +346,14 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	// Nothing below references an input tree: the walk's slot stack and
 	// source rows died with unionTrees, and inputs is not read again. The
 	// collector may therefore reclaim the inputs (trees and read buffers)
-	// while ComputeMetrics and Recompute allocate the presented planes of
-	// the per-input and presence columns, unless the caller still holds
+	// while ComputeMetrics and fillPresence allocate the presented planes
+	// of the per-input and presence columns, unless the caller still holds
 	// them. A later use of inputs would keep them live through the peak.
 	// The comparison columns allocate nothing here: each is evaluated when
 	// first read.
 	out.ComputeMetrics()
+	r.fillPresence(out.MetricStore())
 	r.Tree = out
-	r.Recompute()
 
 	nranks := 1
 	if !perRank && sameRanks {
@@ -611,15 +611,12 @@ func sameShape(ins []*core.Node, ref *core.Node) bool {
 	return true
 }
 
-// Recompute refills the presence columns from the per-row bitmask. Diff
-// calls it once; callers that recompute the union's presented metrics
-// (core.Tree.ComputeMetrics wipes every column without base values) call
-// it again. The comparison columns need no refill: they are formulas,
-// evaluated again on their next read once the store has changed. The
-// steady state allocates nothing.
-func (r *Result) Recompute() {
-	r.fillPresence(r.Tree.MetricStore())
-}
+// Recompute does nothing: Diff writes the presence columns once, no
+// recomputation of the union's presented metrics touches them, and the
+// comparison columns are formulas evaluated when read.
+//
+// Deprecated: kept for the end-to-end benchmark's probe; nothing needs it.
+func (r *Result) Recompute() {}
 
 // fillPresence writes the presence columns from the per-row bitmask: 1 in
 // both presented planes wherever the input has the scope.
@@ -632,8 +629,6 @@ func (r *Result) fillPresence(st *metric.Store) {
 		for row, bits := range r.present {
 			if bits&bit != 0 {
 				incl[row], excl[row] = 1, 1
-			} else {
-				incl[row], excl[row] = 0, 0
 			}
 		}
 	}

@@ -139,6 +139,35 @@ func sameShapeExp(t testing.TB, n, ranks int) *expdb.Experiment {
 	})
 }
 
+// TestComputeMetricsKeepsPresence: Diff writes the presence columns once,
+// and recomputing the union's presented metrics leaves every in[L] cell as
+// it was written.
+func TestComputeMetricsKeepsPresence(t *testing.T) {
+	res, err := Diff(Config{}, Input{Exp: sameShapeExp(t, 50, 4)}, Input{Exp: sameShapeExp(t, 80, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Tree.ComputeMetrics()
+	absent := 0
+	core.Walk(res.Tree.Root, func(n *core.Node) bool {
+		for i, in := range res.Inputs {
+			want := 0.0
+			if res.PresentIn(n, i) {
+				want = 1
+			} else {
+				absent++
+			}
+			if got, gotExcl := n.Incl.Get(in.PresenceCol), n.Excl.Get(in.PresenceCol); got != want || gotExcl != want {
+				t.Fatalf("%s: in[%s] reads %v (I) and %v (E) after ComputeMetrics, want %v", n.Label(), in.Label, got, gotExcl, want)
+			}
+		}
+		return true
+	})
+	if absent == 0 {
+		t.Fatal("every scope is present in every input")
+	}
+}
+
 // TestDiffAllocsFlat pins the union's allocation contract: a diff of
 // same-shape inputs allocates a fixed set of slabs, not per-scope slices or
 // maps, so ten times the scopes costs no more allocations.
@@ -171,9 +200,9 @@ func readComparisons(res *Result) {
 	}
 }
 
-// TestRecomputeMallocsFlat pins the allocations of Recompute followed by a
-// read of every comparison column-plane: the same count on a union ten
-// times larger.
+// TestRecomputeMallocsFlat pins the allocations of evaluating every
+// comparison column-plane again once the store is stale: the same count on
+// a union ten times larger.
 func TestRecomputeMallocsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		res, err := Diff(Config{}, Input{Exp: sameShapeExp(t, n, 4)}, Input{Exp: sameShapeExp(t, n, 16)})
@@ -181,15 +210,15 @@ func TestRecomputeMallocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		recompute := func() {
-			res.Recompute()
+			res.Tree.MetricStore().MarkStale()
 			readComparisons(res)
 		}
 		recompute() // the first read allocates the evaluated slabs
 		return testing.AllocsPerRun(20, recompute)
 	}
 	small, large := allocs(2_000), allocs(20_000)
-	t.Logf("allocations per Recompute and read: %v at 2k scopes, %v at 20k", small, large)
+	t.Logf("allocations per evaluation: %v at 2k scopes, %v at 20k", small, large)
 	if small != large {
-		t.Fatalf("Recompute and a read of every comparison column allocate %v times at 2k scopes and %v at 20k", small, large)
+		t.Fatalf("evaluating every comparison column again allocates %v times at 2k scopes and %v at 20k", small, large)
 	}
 }

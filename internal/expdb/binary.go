@@ -208,13 +208,11 @@ func readBinaryV1(data []byte) (*Experiment, error) {
 	}
 	// Files written before the root trailer existed end with the tree.
 	if d.left() > 0 {
-		ov, err := d.overrideLists(e.Tree.Root)
-		if err != nil {
+		if err := d.overrideLists(e.Tree.Root); err != nil {
 			return nil, err
 		}
-		d.ovs = append(d.ovs, ov)
 	}
-	e.finalize(d.ovs)
+	e.Tree.ComputeMetrics()
 	return e, nil
 }
 
@@ -300,6 +298,6 @@ func readBinaryV2(r io.Reader, size int64) (*Experiment, error) {
 			return nil, secErr(id, fmt.Errorf("section missing"))
 		}
 	}
-	e.finalize(d.ovs)
+	e.Tree.ComputeMetrics()
 	return e, nil
 }

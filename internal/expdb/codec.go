@@ -226,8 +226,8 @@ func encodeProvenance(rep *ingest.Report) []byte {
 // bound every count it reads — each counted item takes at least a known
 // number of bytes — so a lying count errors out instead of allocating.
 // Besides its position it keeps what earlier sections established for the
-// later ones: the string table, the metric registry, the scopes in
-// preorder and the override values to apply once metrics are computed.
+// later ones: the string table, the metric registry and the scopes in
+// preorder.
 type decoder struct {
 	buf    []byte
 	pos    int
@@ -235,14 +235,12 @@ type decoder struct {
 	reg    *metric.Registry
 	layout treeLayout
 	nodes  []*core.Node
-	ovs    []override
 	// pending counts the scopes open sibling lists have announced but not
 	// started. Every one of them needs minNodeBytes of what is left, which
 	// bounds every scope count — and what a lying one makes the tree
 	// allocate.
 	pending uint64
 	seen    sibTable
-	base    []colVal // one scope's Base list, reused
 }
 
 func (d *decoder) left() int { return len(d.buf) - d.pos }
@@ -315,24 +313,33 @@ func (d *decoder) bytes() ([]byte, error) {
 	return b, nil
 }
 
-// vals reads a value list onto dst.
-func (d *decoder) vals(dst []colVal) ([]colVal, error) {
+// vals reads a value list of plane p into v: Base values are added,
+// override values set. Each must name a column valueCol accepts.
+func (d *decoder) vals(v *metric.View, p int) error {
 	n, err := d.count("value", 9) // col and f64
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for ; n > 0; n-- {
-		col, err := d.uvarint()
+		c, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		v, err := d.f64()
+		x, err := d.f64()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		dst = append(dst, colVal{col: int(col), val: v})
+		col, err := valueCol(d.reg, c, p)
+		if err != nil {
+			return err
+		}
+		if p == planeBase {
+			v.Add(col, x)
+		} else {
+			v.Set(col, x)
+		}
 	}
-	return dst, nil
+	return nil
 }
 
 // section decodes, at d's position, one of the sections every format has:
@@ -422,7 +429,7 @@ func (d *decoder) metrics() (*metric.Registry, error) {
 
 // tree reads a tree into t: the root count, then every scope in preorder
 // with the lists d.layout puts inline, collected in d.nodes (v3's rows 1..n,
-// v2's override indexes) and d.ovs.
+// v2's override indexes).
 func (d *decoder) tree(t *core.Tree) error {
 	scopes := 0
 	if d.layout == 0 {
@@ -477,22 +484,14 @@ func (d *decoder) children(parent *core.Node, count uint64, what string, depth i
 		n := parent.AppendChild(core.Key{Kind: core.Kind(r[0]), Name: d.syms[r[1]], File: d.syms[r[2]], Line: int(r[3]), ID: r[4]})
 		d.nodes = append(d.nodes, n)
 		n.CallLine, n.CallFile, n.Mod, n.NoSource = int(r[5]), d.syms[r[6]], d.syms[r[7]], r[8]&1 != 0
-		var err error
 		if d.layout&inlineBase != 0 {
-			if d.base, err = d.vals(d.base[:0]); err != nil {
+			if err := d.vals(&n.Base, planeBase); err != nil {
 				return err
-			}
-			for _, cv := range d.base {
-				n.Base.Add(cv.col, cv.val)
 			}
 		}
 		if d.layout&inlineOverrides != 0 {
-			ov, err := d.overrideLists(n)
-			if err != nil {
+			if err := d.overrideLists(n); err != nil {
 				return err
-			}
-			if len(ov.incl)+len(ov.excl) > 0 {
-				d.ovs = append(d.ovs, ov)
 			}
 		}
 		nc, err := d.uvarint()
@@ -600,13 +599,13 @@ func sibHash(k *core.Key) uint64 {
 	return h ^ h>>29
 }
 
-// overrideLists reads one scope's inclusive and exclusive override lists.
-func (d *decoder) overrideLists(n *core.Node) (ov override, err error) {
-	ov.n = n
-	if ov.incl, err = d.vals(nil); err == nil {
-		ov.excl, err = d.vals(nil)
+// overrideLists reads one scope's inclusive and exclusive override lists
+// into its presented planes.
+func (d *decoder) overrideLists(n *core.Node) error {
+	if err := d.vals(&n.Incl, planeIncl); err != nil {
+		return err
 	}
-	return ov, err
+	return d.vals(&n.Excl, planeExcl)
 }
 
 // overrides reads v2's overrides section: entries addressing scopes by
@@ -628,11 +627,9 @@ func (d *decoder) overrides(root *core.Node) error {
 		if idx < uint64(len(d.nodes)) {
 			scope = d.nodes[idx]
 		}
-		ov, err := d.overrideLists(scope)
-		if err != nil {
+		if err := d.overrideLists(scope); err != nil {
 			return err
 		}
-		d.ovs = append(d.ovs, ov)
 	}
 	return nil
 }

@@ -89,45 +89,53 @@ func FromMerge(m *merge.Result) *Experiment {
 	return &Experiment{Program: m.Tree.Program, NRanks: m.NRanks, Tree: m.Tree}
 }
 
-// finalize recomputes presented metrics after deserialization: Equations 1
-// and 2 from the stored Base values, then the inclusive/exclusive
-// overrides (summary statistics and externally computed columns) in input
-// order. Derived columns are evaluated when first read; their formulas
-// compiled when the registry was rebuilt.
-func (e *Experiment) finalize(ovs []override) {
-	e.Tree.ComputeMetrics()
-	for _, ov := range ovs {
-		for _, cv := range ov.incl {
-			ov.n.Incl.Set(cv.col, cv.val)
-		}
-		for _, cv := range ov.excl {
-			ov.n.Excl.Set(cv.col, cv.val)
-		}
-	}
-}
-
 type colVal struct {
 	col int
 	val float64
 }
 
-// override is one scope's stored values for the columns Base cannot
-// reproduce (overrideCols).
-type override struct {
-	n          *core.Node
-	incl, excl []colVal
+// The planes a database stores values in: Base, and the inclusive and
+// exclusive overrides (stored presented values).
+const (
+	planeBase = iota
+	planeIncl
+	planeExcl
+)
+
+var planeName = [...]string{"base", "inclusive override", "exclusive override"}
+
+// stores reports whether a database stores values of a column of kind k in
+// plane p: Base values for raw columns, which ComputeMetrics presents by
+// Equations 1-2; inclusive overrides for summary and computed columns;
+// exclusive overrides for computed ones only (summaries are inclusive-only).
+// The writers write and the readers accept exactly these.
+func stores(k metric.Kind, p int) bool {
+	if p == planeBase {
+		return k == metric.Raw
+	}
+	return k == metric.Computed || p == planeIncl && k == metric.Summary
+}
+
+// valueCol checks the column a decoded value names: one the registry
+// declares, of a kind the database stores in plane p.
+func valueCol(reg *metric.Registry, col uint64, p int) (int, error) {
+	if col >= uint64(reg.Len()) {
+		return 0, fmt.Errorf("expdb: value for column %d; the database declares %d", col, reg.Len())
+	}
+	if k := reg.ByID(int(col)).Kind; !stores(k, p) {
+		return 0, fmt.Errorf("expdb: %s value for %s column %d", planeName[p], kindName(k), col)
+	}
+	return int(col), nil
 }
 
 // overrideCols returns the columns whose values cannot be recomputed from
-// Base, ascending: inclusive overrides cover summary and computed columns;
-// exclusive overrides only computed ones (summaries are inclusive-only).
+// Base, ascending, for each override plane.
 func overrideCols(reg *metric.Registry) (incl, excl []int) {
 	for _, d := range reg.Columns() {
-		switch d.Kind {
-		case metric.Summary:
+		if stores(d.Kind, planeIncl) {
 			incl = append(incl, d.ID)
-		case metric.Computed:
-			incl = append(incl, d.ID)
+		}
+		if stores(d.Kind, planeExcl) {
 			excl = append(excl, d.ID)
 		}
 	}
@@ -145,30 +153,13 @@ func overrideValues(v *metric.View, cols []int) []colVal {
 	return out
 }
 
-func kindName(k metric.Kind) string {
-	switch k {
-	case metric.Raw:
-		return "raw"
-	case metric.Derived:
-		return "derived"
-	case metric.Summary:
-		return "summary"
-	case metric.Computed:
-		return "computed"
-	}
-	return fmt.Sprintf("kind%d", k)
-}
+func kindName(k metric.Kind) string { return k.String() }
 
 func kindFromName(s string) (metric.Kind, error) {
-	switch s {
-	case "raw":
-		return metric.Raw, nil
-	case "derived":
-		return metric.Derived, nil
-	case "summary":
-		return metric.Summary, nil
-	case "computed":
-		return metric.Computed, nil
+	for _, k := range []metric.Kind{metric.Raw, metric.Derived, metric.Summary, metric.Computed} {
+		if k.String() == s {
+			return k, nil
+		}
 	}
 	return 0, fmt.Errorf("expdb: unknown metric kind %q", s)
 }

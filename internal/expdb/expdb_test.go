@@ -2,6 +2,7 @@ package expdb
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -171,6 +172,20 @@ func TestReadXMLErrors(t *testing.T) {
 		`<Experiment n="x"><CCT><N k="frame" l="zz"/></CCT></Experiment>`,       // bad line
 		`<Experiment n="x"><CCT><N k="frame"><V c="0"/></N></CCT></Experiment>`, // incomplete value
 		`<Metric n="y"/>`, // metric outside table
+		// a value whose column the database does not declare
+		`<Experiment n="x"><MetricTable><Metric n="c" kind="raw" period="1"/></MetricTable><CCT><N k="frame"><V c="1" v="1"/></N></CCT></Experiment>`,
+		`<Experiment n="x"><CCT><N k="frame"><V c="0" v="1"/></N></CCT></Experiment>`,
+		`<Experiment n="x"><MetricTable><Metric n="c" kind="raw" period="1"/></MetricTable><CCT><N k="frame"><EV c="30000000" v="1"/></N></CCT></Experiment>`,
+		// an override on a raw column, whose presented values Base gives,
+		// and a Base value on a computed one, whose override it would hide
+		`<Experiment n="x"><MetricTable><Metric n="c" kind="raw" period="1"/></MetricTable><CCT><N k="frame"><SV c="0" v="1"/></N></CCT></Experiment>`,
+		`<Experiment n="x"><MetricTable><Metric n="c" kind="computed"/></MetricTable><CCT><N k="frame"><V c="0" v="5"/><SV c="0" v="9"/></N></CCT></Experiment>`,
+		// overrides no writer emits: on a derived column, whose cells are
+		// its formula, and an exclusive one on an inclusive-only summary
+		`<Experiment n="x"><MetricTable><Metric n="c" kind="raw" period="1"/><Metric n="d" kind="derived" formula="$0*2"/></MetricTable><CCT><N k="frame"><SV c="1" v="1"/></N></CCT></Experiment>`,
+		`<Experiment n="x"><MetricTable><Metric n="c" kind="raw" period="1"/><Metric n="s" kind="summary" op="mean" src="0"/></MetricTable><CCT><N k="frame"><EV c="1" v="1"/></N></CCT></Experiment>`,
+		// a second Experiment inside a CCT, before a value
+		`<Experiment n="x"><CCT><Experiment/><V c="0" v="1"/></CCT></Experiment>`,
 	}
 	for _, src := range cases {
 		if _, err := ReadXML(strings.NewReader(src)); err == nil {
@@ -194,6 +209,24 @@ func TestReadBinaryErrors(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := Read(bytes.NewReader(data[:len(data)/3])); err == nil {
 		t.Fatal("truncated database accepted")
+	}
+
+	// A Base value whose column the database does not declare.
+	e.Tree.Root.Children[0].Base.Add(e.Tree.Reg.Len(), 1)
+	var v1 bytes.Buffer
+	if err := e.WriteBinaryV1(&v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(v1.Bytes())); err == nil {
+		t.Fatal("v1: value of an undeclared column accepted")
+	}
+	buf.Reset()
+	if err := e.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var se *SectionError
+	if _, err := Read(bytes.NewReader(buf.Bytes())); !errors.As(err, &se) || se.Section != "tree" {
+		t.Fatalf("v2: value of an undeclared column read as %v, want a tree *SectionError", err)
 	}
 }
 

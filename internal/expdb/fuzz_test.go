@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -91,6 +92,17 @@ func FuzzReadBinary(f *testing.F) {
 		mutated[15] ^= 0x7f
 		f.Add(mutated)
 		f.Add(good[:len(good)*2/3])
+	}
+	// A Base value whose column the registry does not declare, in both
+	// versions: the readers must refuse it.
+	undeclared := New(core.Fig1Tree())
+	undeclared.Tree.Root.Children[0].Base.Add(undeclared.Tree.Reg.Len()+2, 1)
+	for _, write := range []func(*Experiment, io.Writer) error{(*Experiment).WriteBinary, (*Experiment).WriteBinaryV1} {
+		var b bytes.Buffer
+		if err := write(undeclared, &b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
 	}
 	// Multi-rank merged seed in both versions: summary-statistics columns
 	// exercise the override records the Fig1 tree never produces, and a
@@ -233,6 +245,13 @@ func FuzzReadXML(f *testing.F) {
 	f.Add(`<Experiment n="x"><MetricTable/><CCT/></Experiment>`)
 	f.Add(`<Experiment`)
 	f.Add(`<Experiment n="x"><CCT><N k="frame" n="a"><V c="0" v="1"/></N></CCT></Experiment>`)
+	// A value of a column far past the registry, and an override on a raw
+	// column: both are refused before anything is allocated for them.
+	f.Add(strings.Replace(buf.String(), `<V c="0"`, `<V c="30000000"`, 1))
+	f.Add(strings.Replace(buf.String(), `<V c="0" v="1"></V>`, `<SV c="0" v="1"></SV>`, 1))
+	// A second Experiment inside a CCT leaves the values that follow in the
+	// first one's tree.
+	f.Add(`<Experiment n="x"><CCT><Experiment/><V c="0" v="1"/></CCT></Experiment>`)
 	f.Fuzz(func(t *testing.T, src string) {
 		got, err := ReadXML(bytes.NewReader([]byte(src)))
 		if err != nil {

@@ -302,6 +302,59 @@ func TestLazyMalformedOverridesTypedError(t *testing.T) {
 	}
 }
 
+// TestOverridesOutsideTheirColumnsRejected: an override must name a
+// declared column that Base cannot reproduce. A v2 overrides section that
+// names a raw column or an undeclared one is a typed *SectionError, and so
+// is a v1 root trailer that does (as a plain error).
+func TestOverridesOutsideTheirColumnsRejected(t *testing.T) {
+	e := fixture(t)
+	tab, head, err := e.encodeHead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, _ := e.appendTree(nil, tab, inlineBase)
+	raw := e.Tree.Reg.ByName("CYCLES").ID
+	for _, col := range []int{raw, e.Tree.Reg.Len()} {
+		// One entry at the first scope: its inclusive list holds col.
+		ovs := appendVals(appendVals(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 0), []colVal{{col, 1}}), nil)
+		var out bytes.Buffer
+		fw, err := framing.NewWriter(&out, dbMagicV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, payload := range [][]byte{head[0], head[1], head[2], tree, ovs} {
+			if err := fw.Section(dbSecStrings+byte(i), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var se *SectionError
+		if _, err := Read(bytes.NewReader(out.Bytes())); !errors.As(err, &se) || se.Section != "overrides" {
+			t.Fatalf("v2 override at column %d read as %v, want an overrides *SectionError", col, err)
+		}
+	}
+
+	reg := metric.NewRegistry()
+	if _, err := reg.AddRaw("cost", "samples", 1); err != nil {
+		t.Fatal(err)
+	}
+	plain := &Experiment{Program: "p", NRanks: 1, Tree: core.NewTree("p", reg)}
+	plain.Tree.Root.AppendChild(core.Key{Kind: core.KindFrame, Name: core.Sym("m")}).Base.Add(0, 1)
+	var v1 bytes.Buffer
+	if err := plain.WriteBinaryV1(&v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(v1.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	trailer := appendVals(appendVals(v1.Bytes(), []colVal{{0, 1}}), nil)
+	if _, err := Read(bytes.NewReader(trailer)); err == nil {
+		t.Fatal("v1: root override on a raw column accepted")
+	}
+}
+
 // TestLazyOpenEagerFallback reads v1 and XML databases, which have no
 // sections: override-backed columns come back filled all the same.
 func TestLazyOpenEagerFallback(t *testing.T) {

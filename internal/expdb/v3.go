@@ -369,9 +369,9 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 // column plus an Experiment.Notes entry. Only the trace view waits for its
 // first use.
 //
-// The mapping is strictly read-only. Writers that would touch a mapped
-// column (a diff Recompute, a summary rewrite) hit the store's
-// copy-on-write and scribble a private heap copy instead. Close unmaps;
+// The mapping is strictly read-only. A writer that would touch a mapped
+// column (a summary rewrite) hits the store's copy-on-write and scribbles
+// a private heap copy instead. Close unmaps;
 // the caller must guarantee no views into the mapping are dereferenced
 // afterwards (the engine refcounts sessions for exactly this).
 type MappedDB struct {

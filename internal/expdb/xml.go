@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/intern"
+	"repro/internal/metric"
 )
 
 // XML database format:
@@ -155,10 +156,9 @@ func encodeNode(enc *xml.Encoder, n *core.Node, inclOv, exclOv []int) error {
 
 	var verr error
 	n.Base.Range(func(id int, v float64) {
-		if verr != nil {
-			return
+		if verr == nil {
+			verr = encodeValue(enc, "V", id, v)
 		}
-		verr = encodeValue(enc, "V", id, v)
 	})
 	if verr != nil {
 		return verr
@@ -198,8 +198,8 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 	var (
 		e         *Experiment
 		descs     []metricDesc
+		reg       *metric.Registry
 		stack     []*core.Node
-		ovs       []override
 		inMetrics bool
 		inCCT     bool
 	)
@@ -266,7 +266,7 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 				if e == nil {
 					return nil, fmt.Errorf("expdb: CCT before Experiment")
 				}
-				reg, err := rebuildRegistry(descs)
+				reg, err = rebuildRegistry(descs)
 				if err != nil {
 					return nil, err
 				}
@@ -287,7 +287,7 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 					return nil, fmt.Errorf("expdb: value outside node")
 				}
 				n := stack[len(stack)-1]
-				col, v, err := decodeValue(tok)
+				col, v, err := decodeValue(tok, reg)
 				if err != nil {
 					return nil, err
 				}
@@ -295,9 +295,9 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 				case "V":
 					n.Base.Add(col, v)
 				case "SV":
-					ovs = append(ovs, override{n: n, incl: []colVal{{col, v}}})
+					n.Incl.Set(col, v)
 				case "EV":
-					ovs = append(ovs, override{n: n, excl: []colVal{{col, v}}})
+					n.Excl.Set(col, v)
 				}
 			}
 		case xml.EndElement:
@@ -329,7 +329,7 @@ func ReadXML(r io.Reader) (*Experiment, error) {
 	if dup != nil {
 		return nil, dup
 	}
-	e.finalize(ovs)
+	e.Tree.ComputeMetrics()
 	return e, nil
 }
 
@@ -387,7 +387,12 @@ func decodeNodeStart(tok xml.StartElement, parent *core.Node) (*core.Node, error
 	return n, nil
 }
 
-func decodeValue(tok xml.StartElement) (int, float64, error) {
+var xmlPlane = map[string]int{"V": planeBase, "SV": planeIncl, "EV": planeExcl}
+
+// decodeValue reads a V (Base), SV or EV (override) element's column and
+// value; the column must be one valueCol accepts. reg is the registry of
+// the CCT the element is in.
+func decodeValue(tok xml.StartElement, reg *metric.Registry) (int, float64, error) {
 	col := -1
 	var v float64
 	var haveV bool
@@ -411,5 +416,6 @@ func decodeValue(tok xml.StartElement) (int, float64, error) {
 	if col < 0 || !haveV {
 		return 0, 0, fmt.Errorf("expdb: incomplete value element")
 	}
-	return col, v, nil
+	col, err := valueCol(reg, uint64(col), xmlPlane[tok.Name.Local])
+	return col, v, err
 }

@@ -2,6 +2,7 @@ package merge
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -149,6 +150,36 @@ func TestAddSummaries(t *testing.T) {
 	}
 	if err := res.AddSummaries(99, metric.OpMean); err == nil {
 		t.Fatal("summary over bogus column accepted")
+	}
+}
+
+// TestSummariesSurviveComputeMetrics: summary columns have no Base values,
+// so recomputing a merged tree's presented metrics leaves every cell
+// AddSummaries wrote as it is.
+func TestSummariesSurviveComputeMetrics(t *testing.T) {
+	doc, profs := spmdFixture(t, 4)
+	res, err := Profiles(doc, profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.AddSummaries(res.Tree.Reg.ByName("CYCLES").ID, metric.OpMean, metric.OpMin, metric.OpMax, metric.OpStdDev); err != nil {
+		t.Fatal(err)
+	}
+	st := res.Tree.MetricStore()
+	written := map[int][]float64{}
+	for _, d := range res.Tree.Reg.Columns() {
+		if d.Kind == metric.Summary {
+			written[d.ID] = slices.Clone(st.ColRead(metric.PlaneIncl, d.ID))
+			if !slices.ContainsFunc(written[d.ID], func(x float64) bool { return x != 0 }) {
+				t.Fatalf("%s: AddSummaries wrote no cell", d.Name)
+			}
+		}
+	}
+	res.Tree.ComputeMetrics()
+	for id, want := range written {
+		if got := st.ColRead(metric.PlaneIncl, id); !slices.Equal(got, want) {
+			t.Fatalf("%s: ComputeMetrics changed the summary column", res.Tree.Reg.ByID(id).Name)
+		}
 	}
 }
 

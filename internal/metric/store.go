@@ -128,22 +128,6 @@ func (s *Store) stored(p Plane, col int) []float64 {
 	return cols[col]
 }
 
-// ClearCol zeroes column col of plane p without growing it: an owned slab
-// is cleared in place, a borrowed one dropped.
-func (s *Store) ClearCol(p Plane, col int) {
-	cols := s.planes[p]
-	if col < 0 || col >= len(cols) {
-		return
-	}
-	s.version++
-	if s.Borrowed(p, col) {
-		cols[col] = nil
-		s.setBorrowed(p, col, false)
-		return
-	}
-	clear(cols[col])
-}
-
 // AdoptCol installs slab as column col of plane p, replacing whatever was
 // there. With borrowed=true the slab is treated as foreign read-only memory
 // (e.g. a float64 view over an mmap'd file section): reads serve it

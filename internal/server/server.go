@@ -576,6 +576,10 @@ type execResult struct {
 func (srv *Server) execSession(w http.ResponseWriter, token string, se *session, req engine.Request) (engine.Response, bool) {
 	done := make(chan execResult, 1)
 	go func() {
+		// A fault on a mapped page (a database file truncated under the
+		// server) panics here instead of killing the process; the recover
+		// below makes it the session's error.
+		debug.SetPanicOnFault(true)
 		defer func() {
 			// The recover runs after the mu-unlock defer below (LIFO), so a
 			// panic never leaves se.mu locked for the requests queued on it.
