@@ -36,6 +36,11 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l prints:"; echo "$$unformatted"; exit 1; \
 	fi
+	@# internal/oracle is the tests' statement of the paper's rules: no
+	@# program code may import it.
+	@if $(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./... | grep -E ' repro/internal/oracle( |$$)'; then \
+		echo "non-test code imports repro/internal/oracle"; exit 1; \
+	fi
 
 # Static analysis beyond vet. Both tools run in CI unconditionally; locally
 # each is skipped (with a note) when not on PATH — the container image does

@@ -1,17 +1,24 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/expdb"
 	"repro/internal/ingest"
+	"repro/internal/metric"
 )
 
 // captureStderr runs f with os.Stderr redirected to a pipe.
@@ -214,4 +221,88 @@ func TestViewerInteractiveWarnsAtOpen(t *testing.T) {
 	if warn < 0 || view < 0 || warn > view {
 		t.Fatalf("want the column warning before the first render:\n%s", out)
 	}
+}
+
+// TestTruncatedDatabaseFaultIsOneError: a v3 database truncated while
+// `hpcviewer -interactive` has it mapped makes the next command that reads
+// a lost page fault. The viewer must print one error line that names the
+// database and exit 1. It runs as a child process (this test binary, run
+// again), so a fault that kills it fails this test rather than the test
+// binary; the child is fed the commands once its first render is out.
+func TestTruncatedDatabaseFaultIsOneError(t *testing.T) {
+	if db := os.Getenv("HPCVIEWER_FAULT_DB"); db != "" {
+		os.Args = []string{"hpcviewer", "-db", db, "-interactive"}
+		main()
+		return
+	}
+	reg := metric.NewRegistry()
+	if _, err := reg.AddRaw("cost", "samples", 1); err != nil {
+		t.Fatal(err)
+	}
+	tree := core.NewTree("p", reg)
+	frames := []*core.Node{tree.Root}
+	for i := 1; i <= 6000; i++ {
+		f := frames[(i-1)/3].AppendChild(core.Key{Kind: core.KindFrame, Name: core.Sym("f" + string(rune('a'+i%7))), File: core.Sym("f.c"), ID: uint64(i)})
+		f.AppendChild(core.Key{Kind: core.KindStmt, File: core.Sym("f.c"), Line: i}).Base.Add(0, float64(i))
+		frames = append(frames, f)
+	}
+	tree.ComputeMetrics()
+	path := filepath.Join(t.TempDir(), "experiment.db")
+	var buf bytes.Buffer
+	if err := expdb.New(tree).WriteBinaryV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := engine.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := sn.Mapped()
+	sn.Close()
+	if !mapped {
+		t.Skip("the database is read into memory, not mapped: truncating the file faults nothing")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestTruncatedDatabaseFaultIsOneError$")
+	cmd.Env = append(os.Environ(), "HPCVIEWER_FAULT_DB="+path)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for out := bufio.NewReader(stdout); ; {
+		line, err := out.ReadString('\n')
+		if err != nil {
+			cmd.Wait()
+			t.Fatalf("the viewer ended before its first render: %v\n%s", err, stderr.Bytes())
+		}
+		if strings.HasPrefix(line, "type 'help'") {
+			break
+		}
+	}
+	if err := os.Truncate(path, 4096); err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(stdin, "view flat\nexpandall\nquit\n")
+	stdin.Close()
+	io.Copy(io.Discard, stdout)
+	err = cmd.Wait()
+	var exit *exec.ExitError
+	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(lines) != 1 || !strings.HasPrefix(lines[0], "error: ") || !strings.Contains(lines[0], path) {
+		t.Fatalf("after the truncation the viewer ended with %v and printed:\n%s\nwant exit status 1 and one error line naming %s", err, stderr.Bytes(), path)
+	}
+	t.Logf("the viewer printed %q", lines[0])
 }

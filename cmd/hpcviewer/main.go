@@ -15,10 +15,12 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 
 	"repro/internal/core"
@@ -34,10 +36,15 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "hpcviewer:", err)
+		if !errors.Is(err, errReported) {
+			fmt.Fprintln(os.Stderr, "hpcviewer:", err)
+		}
 		os.Exit(1)
 	}
 }
+
+// errReported fails a run whose error is on stderr already.
+var errReported = errors.New("reported")
 
 type derivedFlags []string
 
@@ -260,7 +267,7 @@ func runInteractive(dbPath string, derived derivedFlags, workload, structPath, m
 		}
 		s.AttachProfiles(doc, profs)
 	}
-	return repl(s, flushNotes)
+	return repl(s, dbPath, flushNotes)
 }
 
 // loadMeasurements reads a structure file plus every .cpprof profile in a
@@ -302,9 +309,24 @@ func loadMeasurements(structPath, dir string) (*structfile.Doc, []*profile.Profi
 // GUI interactions (expand/collapse, hot-path drill-down, zoom, flatten,
 // the source pane and per-rank plots). flushNotes runs after every
 // command so the notes of a trace view's first build surface at once.
-func repl(s *engine.Session, flushNotes func()) error {
+//
+// The session reads a mapped database's pages on this goroutine. A file
+// that shrank under the mapping faults at the next lost page; the fault
+// ends the session with one error line naming the database, db, instead
+// of killing the process.
+func repl(s *engine.Session, db string, flushNotes func()) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if p := recover(); p != nil {
+			if _, fault := p.(interface{ Addr() uintptr }); !fault {
+				panic(p)
+			}
+			fmt.Fprintf(os.Stderr, "error: reading %s: fault on a page of the mapped file: %v\n", db, p)
+			err = errReported
+		}
+	}()
 	out := bufio.NewWriter(os.Stdout)
-	err := s.Render(out, render.Options{})
+	err = s.Render(out, render.Options{})
 	out.Flush()
 	flushNotes()
 	if err != nil {

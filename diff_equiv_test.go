@@ -20,6 +20,7 @@ import (
 	"repro/internal/lower"
 	"repro/internal/merge"
 	"repro/internal/mpi"
+	"repro/internal/oracle"
 	"repro/internal/sampler"
 	"repro/internal/structfile"
 	"repro/internal/workloads"
@@ -159,21 +160,14 @@ func checkDiffEquiv(t *testing.T, res *diff.Result, ins []*expdb.Experiment) {
 		}
 	}
 
-	// Presented planes of the per-input columns: the base values verified
-	// above, aggregated by the per-node Equations 1-2 reference over the
-	// union's own child order.
-	refIncl, refExcl := refMetrics(t, res.Tree)
-	for un := range match {
-		for mi := range res.Metrics {
-			for _, id := range res.Metrics[mi].In {
-				bitwise(un, "incl", id, un.Incl.Get(id), refIncl[un][id])
-				bitwise(un, "excl", id, un.Excl.Get(id), refExcl[un][id])
-			}
-		}
+	// Presented planes: the per-input columns aggregated from the base
+	// values verified above by Equations 1-2 over the union's own child
+	// order, and the comparison columns as their formulas, both as the
+	// oracle gives them; then the formulas themselves, per node and plane,
+	// read over those per-input values.
+	if err := oracle.CCT(res.Tree).Check([]*core.Node{res.Tree.Root}, 0); err != nil {
+		t.Fatal(err)
 	}
-
-	// Comparison columns: the scalar formulas per node and plane, reading
-	// the reference per-input values.
 	for un := range match {
 		for mi := range res.Metrics {
 			mc := &res.Metrics[mi]
@@ -181,14 +175,13 @@ func checkDiffEquiv(t *testing.T, res *diff.Result, ins []*expdb.Experiment) {
 				f := res.Inputs[ii].Factor
 				for _, plane := range []struct {
 					name string
-					ref  map[*core.Node][]float64
 					get  func(int) float64
 				}{
-					{"incl", refIncl, un.Incl.Get},
-					{"excl", refExcl, un.Excl.Get},
+					{"incl", un.Incl.Get},
+					{"excl", un.Excl.Get},
 				} {
-					av := plane.ref[un][mc.In[0]]
-					bv := plane.ref[un][mc.In[ii]]
+					av := plane.get(mc.In[0])
+					bv := plane.get(mc.In[ii])
 					bitwise(un, plane.name+" delta", mc.Delta[ii-1], plane.get(mc.Delta[ii-1]), norm0(bv-av))
 					var qv float64
 					if av != 0 {

@@ -141,36 +141,6 @@ func TestCallersViewLazyConstruction(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildCallersView builds views of one shared finished tree
-// from 16 goroutines; every view must equal the sequential reference. Run
-// under -race: it checks that concurrent builds only read the tree, and
-// that each expansion evaluates the registry's formulas on its own rows.
-func TestConcurrentBuildCallersView(t *testing.T) {
-	tree := randomRecursiveTree(4000, 7)
-	addFormulas(t, tree)
-	views := make([]*CallersView, 16)
-	var wg sync.WaitGroup
-	for g := range views {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			v := BuildCallersView(tree)
-			v.ExpandAll()
-			views[g] = v
-		}(g)
-	}
-	wg.Wait()
-
-	refTree := randomRecursiveTree(4000, 7)
-	addFormulas(t, refTree)
-	ref := BuildCallersView(refTree)
-	ref.ExpandAll()
-	checkFormulaRows(t, "callers", ref.Roots, refTree.Reg)
-	for _, v := range views {
-		sameView(t, ref, v)
-	}
-}
-
 // TestConcurrentExpandSharedView hammers one shared view with 16
 // goroutines expanding overlapping root sets concurrently; the result
 // must be identical to a sequentially expanded twin (each root built

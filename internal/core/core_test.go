@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,94 +133,6 @@ func TestComputeMetricsFrameBoundary(t *testing.T) {
 	if got := main.Incl.Get(0); got != 11 {
 		t.Fatalf("main incl = %g, want 11", got)
 	}
-}
-
-// TestComputeMetricsEmptyBaseColumn: in a registry that interleaves raw and
-// computed columns, as a diff union's does, a computed column below the
-// last raw one has no base slab. Recomputation materializes none, leaves
-// the presented values its owner wrote as they are, and leaves every other
-// cell bitwise equal to a per-node Equations 1-2 recursion.
-func TestComputeMetricsEmptyBaseColumn(t *testing.T) {
-	reg := metric.NewRegistry()
-	must := func(_ *metric.Desc, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(reg.AddRaw("a", "s", 1))
-	must(reg.AddComputed("a'", "s"))
-	must(reg.AddRaw("b", "s", 1))
-	must(reg.AddComputed("b'", "s"))
-	src, _ := randomCCTShape(11, 300, cctShape{cols: 2})
-	tree := NewTree("mixed", reg)
-	var copyTree func(from, to *Node)
-	copyTree = func(from, to *Node) {
-		for _, c := range from.Children {
-			d := to.AppendChild(c.Key)
-			d.Base.Add(0, c.Base.Get(0))
-			d.Base.Add(2, c.Base.Get(1))
-			copyTree(c, d)
-		}
-	}
-	copyTree(src.Root, tree.Root)
-	written := tree.Root.Children[0]
-	written.Incl.Set(1, 9)
-	written.Excl.Set(1, 9)
-
-	tree.ComputeMetrics()
-	st := tree.MetricStore()
-	if col := st.ColRead(metric.PlaneBase, 1); col != nil {
-		t.Fatalf("computed column's base slab materialized (%d rows)", len(col))
-	}
-
-	ncols := reg.Len()
-	var visit func(n *Node) (incl, frameLocal []float64)
-	visit = func(n *Node) ([]float64, []float64) {
-		incl, fl := make([]float64, ncols), make([]float64, ncols)
-		for id := range ncols {
-			incl[id], fl[id] = n.Base.Get(id), n.Base.Get(id)
-		}
-		for _, c := range n.Children {
-			ci, cf := visit(c)
-			for id := range ncols {
-				incl[id] += ci[id]
-				if c.Kind != KindFrame {
-					fl[id] += cf[id]
-				}
-			}
-		}
-		excl := make([]float64, ncols)
-		for id := range ncols {
-			switch n.Kind {
-			case KindFrame:
-				excl[id] = fl[id]
-			case KindLoop, KindAlien:
-				excl[id] = n.Base.Get(id)
-				for _, c := range n.Children {
-					if c.Kind == KindStmt {
-						excl[id] += c.Base.Get(id)
-					}
-				}
-			case KindRoot:
-			default:
-				excl[id] = n.Base.Get(id)
-			}
-			wantIncl, wantExcl := incl[id], excl[id]
-			if n == written && id == 1 {
-				wantIncl, wantExcl = 9, 9 // the computed cell survives
-			}
-			for _, cell := range []struct {
-				plane     string
-				got, want float64
-			}{{"incl", n.Incl.Get(id), wantIncl}, {"excl", n.Excl.Get(id), wantExcl}} {
-				if math.Float64bits(cell.got) != math.Float64bits(cell.want) {
-					t.Fatalf("%s %s col %d = %v, reference %v", n.Label(), cell.plane, id, cell.got, cell.want)
-				}
-			}
-		}
-		return incl, fl
-	}
-	visit(tree.Root)
 }
 
 func TestSparseZeroScopes(t *testing.T) {
@@ -612,16 +523,16 @@ func TestCallersRootBoundedProperty(t *testing.T) {
 // randomCCT builds a random calling context tree with recursion and loops;
 // returns the tree and the total Base cost.
 func randomCCT(seed int64, size int) (*Tree, float64) {
-	return randomCCTShape(seed, size, cctShape{cols: 1})
+	return randomCCTShape(seed, size, cctShape{Cols: 1})
 }
 
 // cctShape says what randomCCTShape puts into a tree beside the frames,
 // loops, inlined bodies and statements every tree gets.
 type cctShape struct {
-	entries  int  // entry frames, each over a copy of the same subtree (0 means 1)
-	cols     int  // metric columns; column 0 is set at every statement
-	zeroCol  bool // one more column, registered and never written
-	negative bool // costs of either sign, as a diff tree has
+	Entries  int  // entry frames, each over a copy of the same subtree (0 means 1)
+	Cols     int  // metric columns; column 0 is set at every statement
+	ZeroCol  bool // one more column, registered and never written
+	Negative bool // costs of either sign, as a diff tree has
 }
 
 // randomCCTShape builds a random tree over five procedures in three files
@@ -633,8 +544,8 @@ type cctShape struct {
 func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
 	var rng *rand.Rand
 	reg := metric.NewRegistry()
-	ncols := sh.cols
-	if sh.zeroCol {
+	ncols := sh.Cols
+	if sh.ZeroCol {
 		ncols++
 	}
 	for c := 0; c < ncols; c++ {
@@ -660,7 +571,7 @@ func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
 		}
 		return fr
 	}
-	for e := 0; e < max(1, sh.entries); e++ {
+	for e := 0; e < max(1, sh.Entries); e++ {
 		rng = rand.New(rand.NewSource(seed)) // every entry frame gets the same subtree
 		cur := tree.Root.Child(Key{Kind: KindFrame, Name: Sym("main"), File: Sym("m.c"), ID: uint64(e)}, true)
 		stack := []*Node{cur}
@@ -678,12 +589,12 @@ func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
 			case 2, 3: // sample at a statement
 				k := Key{Kind: KindStmt, File: Sym("m.c"), Line: rng.Intn(40) + 1}
 				s := top.Child(k, true)
-				for c := 0; c < sh.cols; c++ {
+				for c := 0; c < sh.Cols; c++ {
 					if c > 0 && rng.Intn(2) == 0 {
 						continue
 					}
 					v := float64(rng.Intn(5) + 1)
-					if sh.negative && rng.Intn(3) == 0 {
+					if sh.Negative && rng.Intn(3) == 0 {
 						v = -v / 3
 					}
 					s.Base.Add(c, v)
@@ -711,6 +622,44 @@ func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
 	}
 	tree.ComputeMetrics()
 	return tree, total
+}
+
+// TestFlatViewRandomTreesCoverTheCases keeps the generator honest: the
+// differential test means little if its trees never recurse three deep or
+// never nest a loop.
+func TestFlatViewRandomTreesCoverTheCases(t *testing.T) {
+	tree, _ := randomCCTShape(3, 600, cctShape{Cols: 2, Negative: true})
+	var deepest, aliens, nested, negative int
+	mods := map[string]bool{}
+	var walk func(n *Node, recDepth, loopDepth int)
+	walk = func(n *Node, recDepth, loopDepth int) {
+		switch {
+		case n.Kind == KindFrame && n.Name.String() == "rec":
+			recDepth++
+			deepest = max(deepest, recDepth)
+		case n.Kind == KindLoop:
+			if loopDepth++; loopDepth > 1 {
+				nested++
+			}
+		case n.Kind == KindAlien:
+			aliens++
+		}
+		if n.Kind == KindFrame {
+			mods[n.Mod.String()] = true
+			loopDepth = 0
+		}
+		if n.Base.Get(0) < 0 {
+			negative++
+		}
+		for _, c := range n.Children {
+			walk(c, recDepth, loopDepth)
+		}
+	}
+	walk(tree.Root, 0, 0)
+	if deepest < 3 || aliens == 0 || nested == 0 || negative == 0 || len(mods) < 2 {
+		t.Fatalf("generator lost a case: recursion depth %d, %d inlined, %d nested loops, %d negative costs, %d modules",
+			deepest, aliens, nested, negative, len(mods))
+	}
 }
 
 func TestWalkPrunes(t *testing.T) {

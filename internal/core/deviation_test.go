@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/metric"
@@ -80,107 +78,5 @@ func TestFlatCallSiteRowsSumExposedInstances(t *testing.T) {
 	// Statement rows DO conserve everything (they sum all instances).
 	if flatExclSum != 7 {
 		t.Fatalf("flat statement exclusives = %g, want 7", flatExclSum)
-	}
-}
-
-// TestFlatExclusiveRuleProperty states the Flat View's exclusive rule
-// (DESIGN.md §4.4) over random self- and mutually recursive trees, against
-// a recursion over the CCT that keeps its own exposure counts by row path:
-//   - a statement row sums every instance's exclusive (its Base);
-//   - a procedure row sums the frame-rule exclusive of the instances
-//     exposed with respect to it;
-//   - a call-site row sums the static-rule exclusive (the callee's Base and
-//     its direct statement children's) of the frame instances exposed with
-//     respect to it;
-//   - file and module rows sum their children's.
-//
-// The statement rows conserve the CCT's total.
-func TestFlatExclusiveRuleProperty(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		tree := randomRecursiveTree(400, seed)
-		want := map[string]float64{}
-		seen := map[string]int{} // ancestors (and self) mapped into each row's subtree
-		enter := func(path []Key) bool {
-			k := fmt.Sprint(path)
-			seen[k]++
-			return seen[k] == 1
-		}
-		var visit func(n *Node, frame []Key)
-		visit = func(n *Node, frame []Key) {
-			var entered [][]Key
-			switch n.Kind {
-			case KindFrame:
-				home := []Key{{Kind: KindLM, Name: n.Mod}, {Kind: KindFile, Name: n.File}, {Kind: KindProc, Name: n.Name, File: n.File, Line: n.Line}}
-				for i := range home {
-					entered = append(entered, home[:i+1])
-					if exposed := enter(home[:i+1]); exposed && i == 2 {
-						want[fmt.Sprint(home)] += n.Excl.Get(0)
-					}
-				}
-				if frame != nil {
-					cs := append(slices.Clip(frame), Key{Kind: KindCallSite, Name: n.Name, File: n.CallFile, Line: n.CallLine, ID: n.ID})
-					entered = append(entered, cs)
-					if enter(cs) {
-						static := n.Base.Get(0)
-						for _, c := range n.Children {
-							if c.Kind == KindStmt {
-								static += c.Base.Get(0)
-							}
-						}
-						want[fmt.Sprint(cs)] += static
-					}
-				}
-				frame = home
-			case KindStmt:
-				row := append(slices.Clip(frame), Key{Kind: KindStmt, File: n.File, Line: n.Line})
-				for i := 1; i <= len(row); i++ {
-					entered = append(entered, row[:i])
-					enter(row[:i])
-				}
-				want[fmt.Sprint(row)] += n.Excl.Get(0)
-			}
-			for _, c := range n.Children {
-				visit(c, frame)
-			}
-			for _, p := range entered {
-				seen[fmt.Sprint(p)]--
-			}
-		}
-		visit(tree.Root, nil)
-
-		v := BuildFlatView(tree)
-		var stmts float64
-		var check func(n *Node, path []Key) float64
-		check = func(n *Node, path []Key) float64 {
-			path = append(slices.Clip(path), n.Key)
-			k := fmt.Sprint(path)
-			exp := want[k]
-			delete(want, k)
-			var sum float64
-			for _, c := range n.Children {
-				sum += check(c, path)
-			}
-			switch n.Kind {
-			case KindLM, KindFile:
-				exp = sum
-			case KindStmt:
-				stmts += n.Excl.Get(0)
-			}
-			if got := n.Excl.Get(0); got != exp {
-				t.Fatalf("seed %d: %s: exclusive %v, the rule gives %v", seed, n.Label(), got, exp)
-			}
-			return n.Excl.Get(0)
-		}
-		for _, lm := range v.Roots {
-			check(lm, nil)
-		}
-		for k, x := range want {
-			if x != 0 {
-				t.Fatalf("seed %d: the rule gives row %s exclusive %v, and the view has no such row", seed, k, x)
-			}
-		}
-		if total := tree.Root.Incl.Get(0); stmts != total {
-			t.Fatalf("seed %d: statement rows sum to %v, the CCT's total is %v", seed, stmts, total)
-		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
-// What the external tests of this package (package core_test: the ones that
-// need packages which import core) use of its test-only reference code.
+// The generators of this package's tests, for its external tests (package
+// core_test: the ones that check views against internal/oracle, which
+// imports core).
 var (
-	OracleBuildFlatView = oracleBuildFlatView
-	SameFlatView        = sameFlatView
-	OracleCallersView   = oracleCallersView
-	SameCallersView     = sameCallersView
+	RandomCCTShape      = randomCCTShape
+	RandomRecursiveTree = randomRecursiveTree
+	Labels              = labels
 )
+
+type CCTShape = cctShape

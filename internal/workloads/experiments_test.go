@@ -149,6 +149,11 @@ func TestFig3S3DHotPath(t *testing.T) {
 			t.Fatalf("hot path %q misses %q", joined, want)
 		}
 	}
+	// EXPERIMENTS.md caveat 3: the path goes on past the routine the paper
+	// highlights, to a statement of its chemistry loop.
+	if end := path[len(path)-1]; end.Kind != core.KindStmt || end.Parent.Kind != core.KindLoop || end.EnclosingFrame().Label() != "chemkin_m_reaction_rate_" {
+		t.Fatalf("hot path %q does not end at a statement in a loop of chemkin_m_reaction_rate_", joined)
+	}
 
 	// The reaction-rate routine holds ~41.4% of inclusive cycles.
 	react := tree.FindFirst("chemkin_m_reaction_rate_")
