@@ -118,9 +118,12 @@ faults:
 
 # The packages that read databases, built with the portable stand-in for
 # mmap (internal/mmapio's nommap tag: the file is read into a page-aligned
-# heap buffer), which no other target compiles. CI runs this target.
+# heap buffer), which no other target compiles, and the conformance matrix
+# over it, so the stand-in's v3 open is checked against internal/oracle.
+# CI runs this target.
 nommap:
 	$(GO) test -tags nommap ./internal/mmapio ./internal/expdb ./internal/engine ./internal/catalog ./internal/faultio
+	$(GO) test -tags nommap -run TestConformance .
 
 # Live-serving chaos gate, always under -race: catalog lifecycle races
 # (evict/republish/rot under concurrent query load) and HTTP-layer fault

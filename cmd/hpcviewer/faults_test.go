@@ -226,9 +226,12 @@ func TestViewerInteractiveWarnsAtOpen(t *testing.T) {
 // TestTruncatedDatabaseFaultIsOneError: a v3 database truncated while
 // `hpcviewer -interactive` has it mapped makes the next command that reads
 // a lost page fault. The viewer must print one error line that names the
-// database and exit 1. It runs as a child process (this test binary, run
-// again), so a fault that kills it fails this test rather than the test
-// binary; the child is fed the commands once its first render is out.
+// database and exit 1, whether the page is read on the session's goroutine
+// (`view flat` builds the Flat View there) or on the Callers View's
+// expansion workers (`expandall`). Each script runs as a child process
+// (this test binary, run again), so a fault that kills it fails this test
+// rather than the test binary; the child is fed the script's first
+// commands, and truncated once their renders are out.
 func TestTruncatedDatabaseFaultIsOneError(t *testing.T) {
 	if db := os.Getenv("HPCVIEWER_FAULT_DB"); db != "" {
 		os.Args = []string{"hpcviewer", "-db", db, "-interactive"}
@@ -265,44 +268,56 @@ func TestTruncatedDatabaseFaultIsOneError(t *testing.T) {
 		t.Skip("the database is read into memory, not mapped: truncating the file faults nothing")
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestTruncatedDatabaseFaultIsOneError$")
-	cmd.Env = append(os.Environ(), "HPCVIEWER_FAULT_DB="+path)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		t.Fatal(err)
+	for _, script := range []struct{ name, before, after string }{
+		{"view flat", "", "view flat\n"},
+		{"callers expandall", "view callers\n", "expandall\n"},
+	} {
+		t.Run(script.name, func(t *testing.T) {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestTruncatedDatabaseFaultIsOneError$")
+			cmd.Env = append(os.Environ(), "HPCVIEWER_FAULT_DB="+path)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			stdin, err := cmd.StdinPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// A prompt follows the first render and each command's output.
+			io.WriteString(stdin, script.before)
+			for out, prompts := bufio.NewReader(stdout), 0; prompts <= strings.Count(script.before, "\n"); {
+				chunk, err := out.ReadString('>')
+				if err != nil {
+					cmd.Wait()
+					t.Fatalf("the viewer ended before it ran %q: %v\n%s", script.before, err, stderr.Bytes())
+				}
+				if strings.HasSuffix(chunk, "hpcviewer>") {
+					prompts++
+				}
+			}
+			if err := os.Truncate(path, 4096); err != nil {
+				t.Fatal(err)
+			}
+			io.WriteString(stdin, script.after+"quit\n")
+			stdin.Close()
+			io.Copy(io.Discard, stdout)
+			err = cmd.Wait()
+			var exit *exec.ExitError
+			lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(lines) != 1 || !strings.HasPrefix(lines[0], "error: ") || !strings.Contains(lines[0], path) {
+				t.Fatalf("after the truncation the viewer ended with %v and printed:\n%s\nwant exit status 1 and one error line naming %s", err, stderr.Bytes(), path)
+			}
+			t.Logf("the viewer printed %q", lines[0])
+		})
 	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for out := bufio.NewReader(stdout); ; {
-		line, err := out.ReadString('\n')
-		if err != nil {
-			cmd.Wait()
-			t.Fatalf("the viewer ended before its first render: %v\n%s", err, stderr.Bytes())
-		}
-		if strings.HasPrefix(line, "type 'help'") {
-			break
-		}
-	}
-	if err := os.Truncate(path, 4096); err != nil {
-		t.Fatal(err)
-	}
-	io.WriteString(stdin, "view flat\nexpandall\nquit\n")
-	stdin.Close()
-	io.Copy(io.Discard, stdout)
-	err = cmd.Wait()
-	var exit *exec.ExitError
-	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(lines) != 1 || !strings.HasPrefix(lines[0], "error: ") || !strings.Contains(lines[0], path) {
-		t.Fatalf("after the truncation the viewer ended with %v and printed:\n%s\nwant exit status 1 and one error line naming %s", err, stderr.Bytes(), path)
-	}
-	t.Logf("the viewer printed %q", lines[0])
 }

@@ -173,67 +173,3 @@ func TestForeignScopesPanic(t *testing.T) {
 		t.Errorf("total %v after the foreign scopes were removed again", got)
 	}
 }
-
-// cctOf builds the allocation tests' tree: at least 10⁴ scopes under each of
-// the given number of entry frames, and the number of flat scopes it maps to.
-func cctOf(t *testing.T, entries int) (tree *Tree, flatScopes int) {
-	tree, _ = randomCCTShape(5, 40_000, cctShape{Entries: entries, Cols: 4})
-	if n := tree.NumNodes(); n < 10_000*entries {
-		t.Fatalf("%d scopes under %d entry frames, want 10⁴ each", n, entries)
-	}
-	for _, lm := range BuildFlatView(tree).Roots {
-		Walk(lm, func(*Node) bool { flatScopes++; return true })
-	}
-	return tree, flatScopes
-}
-
-// TestFlatViewAllocations is the allocation contract of the sweep: a tenth
-// of the closure-and-map build it replaced at most (5 634, that build's
-// 56 341 objects on this tree), and following the flat scopes rather than
-// the CCT's — the same subtree under four entry frames instead of two maps
-// to the same flat scopes and costs a handful of objects more, not twice as
-// many. (Two against one would also count the child indexes of flat scopes
-// that only got wide at the end of the first copy: Node.Child builds an
-// index at the first lookup that finds the scope wide.)
-func TestFlatViewAllocations(t *testing.T) {
-	one, flatScopes := cctOf(t, 1)
-	sweep := testing.AllocsPerRun(2, func() { BuildFlatView(one) })
-	t.Logf("%d CCT scopes, %d flat scopes: %v objects", one.NumNodes(), flatScopes, sweep)
-	if sweep > 5634 {
-		t.Errorf("BuildFlatView allocates %v objects: want 5 634 at most", sweep)
-	}
-	two, flatScopes2 := cctOf(t, 2)
-	four, flatScopes4 := cctOf(t, 4)
-	if flatScopes2 != flatScopes || flatScopes4 != flatScopes {
-		t.Fatalf("%d flat scopes under one entry frame, %d under two, %d under four", flatScopes, flatScopes2, flatScopes4)
-	}
-	twice := testing.AllocsPerRun(2, func() { BuildFlatView(two) })
-	fourfold := testing.AllocsPerRun(2, func() { BuildFlatView(four) })
-	t.Logf("%d CCT scopes: %v objects; %d CCT scopes: %v objects", two.NumNodes(), twice, four.NumNodes(), fourfold)
-	if fourfold > twice+8 {
-		t.Errorf("%d CCT scopes cost %v objects, %d cost %v: allocations follow CCT scopes, not flat scopes", two.NumNodes(), twice, four.NumNodes(), fourfold)
-	}
-}
-
-// TestCallersExpandAllocations pins what the one walk per caller chain
-// saves: a full expansion allocates at most 0.6 times what the build that
-// re-walked every ancestor instance's chain did (92 984, that build's
-// 154 974 allocations on this tree).
-func TestCallersExpandAllocations(t *testing.T) {
-	tree := randomRecursiveTree(20000, 3)
-	const runs = 3
-	views := make([]*CallersView, runs+1) // AllocsPerRun calls once more to warm up
-	for i := range views {
-		views[i] = BuildCallersView(tree)
-	}
-	got := testing.AllocsPerRun(runs, func() {
-		if err := views[0].ExpandAll(); err != nil {
-			t.Fatal(err)
-		}
-		views = views[1:]
-	})
-	if got > 92984 {
-		t.Errorf("ExpandAll allocates %.0f times: want 92 984 at most", got)
-	}
-	t.Logf("ExpandAll %.0f allocations", got)
-}

@@ -229,17 +229,23 @@ func (v *CallersView) ExpandAllParallel(jobs int) error { return v.ExpandAll() }
 // workers, the calling goroutine being the first. Roots are independent, so
 // the result does not depend on the worker count. Expansion stops at the
 // next root once ctx is done, and a panic while expanding one root (a
-// poisoned subtrie, or a fault on a page of a mapped database file that
-// shrank) is recovered, reported as an error, and stops the remaining work
-// — one poisoned subtrie cannot crash or wedge the process.
+// poisoned subtrie) is recovered, reported as an error, and stops the
+// remaining work — one poisoned subtrie cannot crash or wedge the process.
+// A fault on a page of a mapped database file that shrank stops the work
+// too, and is raised again on the calling goroutine once every worker has
+// stopped, so the caller's own recovery sees it as a fault of its own.
 func (v *CallersView) ExpandAllCtx(ctx context.Context) error {
 	workers := min(runtime.GOMAXPROCS(0), len(v.Roots))
 	if workers == 0 {
 		return nil
 	}
-	expand := func(root *Node) (err error) {
+	faults := make([]any, workers)
+	expand := func(w int, root *Node) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
+				if _, fault := r.(interface{ Addr() uintptr }); fault {
+					faults[w] = r
+				}
 				err = fmt.Errorf("core: panic expanding callers view of %q: %v", root.Name.String(), r)
 			}
 		}()
@@ -261,7 +267,7 @@ func (v *CallersView) ExpandAllCtx(ctx context.Context) error {
 			if i >= len(v.Roots) {
 				return
 			}
-			if err := expand(v.Roots[i]); err != nil {
+			if err := expand(w, v.Roots[i]); err != nil {
 				errs[w] = err
 				stop.Store(true)
 				return
@@ -278,6 +284,11 @@ func (v *CallersView) ExpandAllCtx(ctx context.Context) error {
 	}
 	work(0)
 	wg.Wait()
+	for _, f := range faults {
+		if f != nil {
+			panic(f)
+		}
+	}
 	// Prefer a real failure over a cancellation notice.
 	var first error
 	for _, err := range errs {

@@ -3,9 +3,22 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// atGOMAXPROCS runs f at GOMAXPROCS 1, 2, 4 and 16 in turn — the worker
+// counts of ExpandAll's pool — and restores the old value when the test
+// ends. Tests that call it must not run in parallel.
+func atGOMAXPROCS(t *testing.T, f func(procs int)) {
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	for _, procs := range []int{1, 2, 4, 16} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
+	}
+}
 
 // A poisoned instance list (nil instance) panics inside buildSubtrie;
 // ExpandAll must recover it into an error naming the root instead of

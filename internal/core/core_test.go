@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/metric"
 )
@@ -451,214 +448,6 @@ func TestViewRowsEvaluateFormulas(t *testing.T) {
 		if got := row.Excl.Get(1); got != 49 {
 			t.Errorf("%s: sq (E) = %g, want 49", row.Label(), got)
 		}
-	}
-}
-
-// Property: for any random CCT, the root's inclusive cost equals the sum of
-// all Base values (conservation), and every frame's inclusive is at least
-// its exclusive.
-func TestMetricConservationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		tree, total := randomCCT(seed, 200)
-		tree.ComputeMetrics()
-		if tree.Total(0) != total {
-			return false
-		}
-		ok := true
-		Walk(tree.Root, func(n *Node) bool {
-			if n.Incl.Get(0) < n.Excl.Get(0)-1e-9 {
-				ok = false
-			}
-			return true
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: flat-view and callers-view aggregation conserve exclusive
-// costs at statement level (statements' exclusives are disjoint samples).
-func TestFlatStmtConservationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		tree, total := randomCCT(seed, 150)
-		tree.ComputeMetrics()
-		v := BuildFlatView(tree)
-		var stmtSum float64
-		for _, lm := range v.Roots {
-			Walk(lm, func(n *Node) bool {
-				if n.Kind == KindStmt {
-					stmtSum += n.Excl.Get(0)
-				}
-				return true
-			})
-		}
-		return stmtSum == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: every callers-view root row's inclusive cost never exceeds the
-// program total, even under recursion (exposed aggregation).
-func TestCallersRootBoundedProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		tree, total := randomCCT(seed, 150)
-		tree.ComputeMetrics()
-		v := BuildCallersView(tree)
-		for _, r := range v.Roots {
-			if r.Incl.Get(0) > total+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// randomCCT builds a random calling context tree with recursion and loops;
-// returns the tree and the total Base cost.
-func randomCCT(seed int64, size int) (*Tree, float64) {
-	return randomCCTShape(seed, size, cctShape{Cols: 1})
-}
-
-// cctShape says what randomCCTShape puts into a tree beside the frames,
-// loops, inlined bodies and statements every tree gets.
-type cctShape struct {
-	Entries  int  // entry frames, each over a copy of the same subtree (0 means 1)
-	Cols     int  // metric columns; column 0 is set at every statement
-	ZeroCol  bool // one more column, registered and never written
-	Negative bool // costs of either sign, as a diff tree has
-}
-
-// randomCCTShape builds a random tree over five procedures in three files
-// and two modules: self-recursion at least three deep through one call site
-// ("rec"), mutual recursion (any procedure calls any other), nested loops,
-// and inlined code, at most 40 scopes deep. size is the number of generator
-// steps per entry frame. It returns the finished tree and the total Base
-// cost of column 0.
-func randomCCTShape(seed int64, size int, sh cctShape) (*Tree, float64) {
-	var rng *rand.Rand
-	reg := metric.NewRegistry()
-	ncols := sh.Cols
-	if sh.ZeroCol {
-		ncols++
-	}
-	for c := 0; c < ncols; c++ {
-		name := "cost"
-		if c > 0 {
-			name = fmt.Sprintf("cost%d", c)
-		}
-		if _, err := reg.AddRaw(name, "samples", 1); err != nil {
-			panic(err)
-		}
-	}
-	tree := NewTree("rnd", reg)
-	procs := []string{"main", "a", "b", "c", "rec"}
-	var total float64
-
-	frame := func(parent *Node, name string) *Node {
-		fr := parent.Child(Key{Kind: KindFrame, Name: Sym(name), File: Sym(name + ".c"), ID: uint64(rng.Intn(4))}, true)
-		fr.CallLine = rng.Intn(9) + 1
-		fr.CallFile = Sym("m.c")
-		fr.NoSource = rng.Intn(8) == 0 // the flat rows keep the last writer's
-		if name == "b" || name == "c" {
-			fr.Mod = Sym("lib.so")
-		}
-		return fr
-	}
-	for e := 0; e < max(1, sh.Entries); e++ {
-		rng = rand.New(rand.NewSource(seed)) // every entry frame gets the same subtree
-		cur := tree.Root.Child(Key{Kind: KindFrame, Name: Sym("main"), File: Sym("m.c"), ID: uint64(e)}, true)
-		stack := []*Node{cur}
-		for i := 0; i < size; i++ {
-			top := stack[len(stack)-1]
-			op := rng.Intn(7)
-			if len(stack) > 40 {
-				op = 4
-			}
-			switch op {
-			case 0: // push a frame
-				stack = append(stack, frame(top, procs[rng.Intn(len(procs))]))
-			case 1: // push a loop
-				stack = append(stack, top.Child(Key{Kind: KindLoop, File: Sym("m.c"), Line: rng.Intn(20) + 1}, true))
-			case 2, 3: // sample at a statement
-				k := Key{Kind: KindStmt, File: Sym("m.c"), Line: rng.Intn(40) + 1}
-				s := top.Child(k, true)
-				for c := 0; c < sh.Cols; c++ {
-					if c > 0 && rng.Intn(2) == 0 {
-						continue
-					}
-					v := float64(rng.Intn(5) + 1)
-					if sh.Negative && rng.Intn(3) == 0 {
-						v = -v / 3
-					}
-					s.Base.Add(c, v)
-					if c == 0 {
-						total += v
-					}
-				}
-			case 4: // pop
-				if len(stack) > 1 {
-					stack = stack[:len(stack)-1]
-				}
-			case 5: // push inlined code, sometimes with no source
-				al := top.Child(Key{Kind: KindAlien, Name: Sym("inl"), File: Sym("inl.h"), Line: rng.Intn(3) + 1}, true)
-				al.CallLine, al.CallFile = rng.Intn(9)+1, Sym("m.c")
-				al.NoSource = rng.Intn(4) == 0
-				stack = append(stack, al)
-			case 6: // recurse three deep through one call site
-				for d := 0; d < 3; d++ {
-					fr := stack[len(stack)-1].Child(Key{Kind: KindFrame, Name: Sym("rec"), File: Sym("rec.c"), ID: 7}, true)
-					fr.CallLine, fr.CallFile = 5, Sym("rec.c")
-					stack = append(stack, fr)
-				}
-			}
-		}
-	}
-	tree.ComputeMetrics()
-	return tree, total
-}
-
-// TestFlatViewRandomTreesCoverTheCases keeps the generator honest: the
-// differential test means little if its trees never recurse three deep or
-// never nest a loop.
-func TestFlatViewRandomTreesCoverTheCases(t *testing.T) {
-	tree, _ := randomCCTShape(3, 600, cctShape{Cols: 2, Negative: true})
-	var deepest, aliens, nested, negative int
-	mods := map[string]bool{}
-	var walk func(n *Node, recDepth, loopDepth int)
-	walk = func(n *Node, recDepth, loopDepth int) {
-		switch {
-		case n.Kind == KindFrame && n.Name.String() == "rec":
-			recDepth++
-			deepest = max(deepest, recDepth)
-		case n.Kind == KindLoop:
-			if loopDepth++; loopDepth > 1 {
-				nested++
-			}
-		case n.Kind == KindAlien:
-			aliens++
-		}
-		if n.Kind == KindFrame {
-			mods[n.Mod.String()] = true
-			loopDepth = 0
-		}
-		if n.Base.Get(0) < 0 {
-			negative++
-		}
-		for _, c := range n.Children {
-			walk(c, recDepth, loopDepth)
-		}
-	}
-	walk(tree.Root, 0, 0)
-	if deepest < 3 || aliens == 0 || nested == 0 || negative == 0 || len(mods) < 2 {
-		t.Fatalf("generator lost a case: recursion depth %d, %d inlined, %d nested loops, %d negative costs, %d modules",
-			deepest, aliens, nested, negative, len(mods))
 	}
 }
 

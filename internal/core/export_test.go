@@ -1,12 +1,9 @@
 package core
 
-// The generators of this package's tests, for its external tests (package
-// core_test: the ones that check views against internal/oracle, which
-// imports core).
+// Helpers of this package's tests, for its external tests (package
+// core_test: the ones over internal/oracle's generators and views, which
+// import core).
 var (
-	RandomCCTShape      = randomCCTShape
-	RandomRecursiveTree = randomRecursiveTree
-	Labels              = labels
+	AtGOMAXPROCS = atGOMAXPROCS
+	Labels       = labels
 )
-
-type CCTShape = cctShape

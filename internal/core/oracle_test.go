@@ -23,7 +23,7 @@ import (
 )
 
 // shapes are the kinds of tree randomCCTShape makes.
-var shapes = map[string]core.CCTShape{
+var shapes = map[string]oracle.CCTShape{
 	"one column":  {Cols: 1},
 	"wide":        {Cols: 4},
 	"zero column": {Cols: 3, ZeroCol: true},
@@ -64,7 +64,7 @@ func TestCCTMatchesOracle(t *testing.T) {
 	check("Figure 2", core.Fig1Tree())
 	for name, sh := range shapes {
 		for seed := int64(1); seed <= 25; seed++ {
-			tree, _ := core.RandomCCTShape(seed, 40*int(seed), sh)
+			tree, _ := oracle.RandomCCTShape(seed, 40*int(seed), sh)
 			check(fmt.Sprintf("%s, seed %d", name, seed), tree)
 		}
 	}
@@ -86,7 +86,7 @@ func TestComputeMetricsEmptyBaseColumn(t *testing.T) {
 	must(reg.AddComputed("a'", "s"))
 	must(reg.AddRaw("b", "s", 1))
 	must(reg.AddComputed("b'", "s"))
-	src, _ := core.RandomCCTShape(11, 300, core.CCTShape{Cols: 2})
+	src, _ := oracle.RandomCCTShape(11, 300, oracle.CCTShape{Cols: 2})
 	tree := core.NewTree("mixed", reg)
 	var copyTree func(from, to *core.Node)
 	copyTree = func(from, to *core.Node) {
@@ -120,7 +120,7 @@ func TestFlatViewMatchesOracle(t *testing.T) {
 	}
 	for name, sh := range shapes {
 		for seed := int64(1); seed <= 25; seed++ {
-			tree, _ := core.RandomCCTShape(seed, 40*int(seed), sh)
+			tree, _ := oracle.RandomCCTShape(seed, 40*int(seed), sh)
 			if err := checkFlat(tree); err != nil {
 				t.Errorf("%s, seed %d: %v", name, seed, err)
 				break
@@ -135,7 +135,7 @@ func TestFlatViewMatchesOracle(t *testing.T) {
 // total.
 func TestFlatExclusiveRuleProperty(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		tree := core.RandomRecursiveTree(400, seed)
+		tree := oracle.RandomRecursiveTree(400, seed)
 		v := core.BuildFlatView(tree)
 		if err := oracle.Flat(tree).Check(v.Roots, 0); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -158,7 +158,7 @@ func TestFlatExclusiveRuleProperty(t *testing.T) {
 // TestFlatViewConcurrentBuilds builds the view from 8 goroutines over one
 // shared tree (run under -race): the builder keeps its scratch to itself.
 func TestFlatViewConcurrentBuilds(t *testing.T) {
-	tree, _ := core.RandomCCTShape(11, 2000, core.CCTShape{Cols: 3})
+	tree, _ := oracle.RandomCCTShape(11, 2000, oracle.CCTShape{Cols: 3})
 	want := oracle.Flat(tree)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
@@ -257,13 +257,13 @@ func TestCallersViewMatchesOracle(t *testing.T) {
 		t.Errorf("Figure 2: %v", err)
 	}
 	for seed := int64(1); seed <= 30; seed++ {
-		tree, _ := core.RandomCCTShape(seed, 40*int(seed), core.CCTShape{Entries: 1 + int(seed%3), Cols: 2, Negative: true})
+		tree, _ := oracle.RandomCCTShape(seed, 40*int(seed), oracle.CCTShape{Entries: 1 + int(seed%3), Cols: 2, Negative: true})
 		if err := checkCallers(tree); err != nil {
 			t.Errorf("random tree, seed %d: %v", seed, err)
 		}
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		if err := checkCallers(core.RandomRecursiveTree(20000, seed)); err != nil {
+		if err := checkCallers(oracle.RandomRecursiveTree(20000, seed)); err != nil {
 			t.Errorf("random recursion, seed %d: %v", seed, err)
 		}
 	}
@@ -289,7 +289,7 @@ func addFormulas(t *testing.T, tree *core.Tree) {
 // under -race: it checks that concurrent builds only read the tree, and
 // that each expansion evaluates the registry's formulas on its own rows.
 func TestConcurrentBuildCallersView(t *testing.T) {
-	tree := core.RandomRecursiveTree(4000, 7)
+	tree := oracle.RandomRecursiveTree(4000, 7)
 	addFormulas(t, tree)
 	want := oracle.Callers(tree)
 	errs := make([]error, 16)
@@ -320,9 +320,9 @@ func TestConcurrentBuildCallersView(t *testing.T) {
 // included.
 func TestViewRowsEvaluateFormulasProperty(t *testing.T) {
 	trees := map[string]func(seed int64) *core.Tree{
-		"recursive": func(seed int64) *core.Tree { return core.RandomRecursiveTree(1500, seed) },
+		"recursive": func(seed int64) *core.Tree { return oracle.RandomRecursiveTree(1500, seed) },
 		"shape": func(seed int64) *core.Tree {
-			tree, _ := core.RandomCCTShape(seed, 300, core.CCTShape{Entries: 2, Cols: 2, Negative: true})
+			tree, _ := oracle.RandomCCTShape(seed, 300, oracle.CCTShape{Entries: 2, Cols: 2, Negative: true})
 			return tree
 		},
 	}

@@ -2,6 +2,7 @@ package diff
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/expdb"
 	"repro/internal/ingest"
 	"repro/internal/metric"
+	"repro/internal/oracle"
 )
 
 // fkey builds a frame key for hand-built trees.
@@ -283,6 +285,34 @@ func TestDiffProvenanceNotes(t *testing.T) {
 	}
 }
 
+// checkReopened writes a union through write and reads it back: every
+// column keeps its name, unit, kind and formula, and every scope and cell
+// is what oracle.CCT gives of the union as written, bit for bit.
+func checkReopened(t *testing.T, res *Result, write func(*expdb.Experiment, io.Writer) error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(res.Exp, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := expdb.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Tree.Reg.Len() != res.Tree.Reg.Len() {
+		t.Fatalf("reloaded %d columns, want %d", got.Tree.Reg.Len(), res.Tree.Reg.Len())
+	}
+	for id, w := range res.Tree.Reg.Columns() {
+		g := got.Tree.Reg.ByID(id)
+		if g.Name != w.Name || g.Unit != w.Unit || g.Kind != w.Kind || g.Formula != w.Formula {
+			t.Fatalf("column %d reloaded as %q %q %s %q, want %q %q %s %q", id,
+				g.Name, g.Unit, g.Kind, g.Formula, w.Name, w.Unit, w.Kind, w.Formula)
+		}
+	}
+	if err := oracle.CCT(res.Tree).Check([]*core.Node{got.Tree.Root}, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDiffRoundTrip serializes a diff result through both binary formats
 // and checks every presented value survives bitwise.
 func TestDiffRoundTrip(t *testing.T) {
@@ -295,45 +325,8 @@ func TestDiffRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []struct {
-		name  string
-		write func(*expdb.Experiment, *bytes.Buffer) error
-	}{
-		{"v2", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinary(w) }},
-		{"v1", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV1(w) }},
-	} {
-		t.Run(format.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := format.write(res.Exp, &buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := expdb.Read(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ncols := res.Tree.Reg.Len()
-			if got.Tree.Reg.Len() != ncols {
-				t.Fatalf("reloaded %d columns, want %d", got.Tree.Reg.Len(), ncols)
-			}
-			var want []*core.Node
-			core.Walk(res.Tree.Root, func(n *core.Node) bool { want = append(want, n); return true })
-			var have []*core.Node
-			core.Walk(got.Tree.Root, func(n *core.Node) bool { have = append(have, n); return true })
-			if len(want) != len(have) {
-				t.Fatalf("reloaded %d nodes, want %d", len(have), len(want))
-			}
-			for i := range want {
-				for id := 0; id < ncols; id++ {
-					if w, g := want[i].Incl.Get(id), have[i].Incl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
-						t.Fatalf("%s incl col %d: %v != %v", want[i].Label(), id, g, w)
-					}
-					if w, g := want[i].Excl.Get(id), have[i].Excl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
-						t.Fatalf("%s excl col %d: %v != %v", want[i].Label(), id, g, w)
-					}
-				}
-			}
-		})
-	}
+	t.Run("v2", func(t *testing.T) { checkReopened(t, res, (*expdb.Experiment).WriteBinary) })
+	t.Run("v1", func(t *testing.T) { checkReopened(t, res, (*expdb.Experiment).WriteBinaryV1) })
 }
 
 // TestDiffRoundTripKeepsFormulasAndUnits reopens a union with loss columns
@@ -354,54 +347,15 @@ func TestDiffRoundTripKeepsFormulasAndUnits(t *testing.T) {
 	if loss.Kind != metric.Derived || loss.Unit != "frac" || loss.Formula != "(1 - $0*4/$1) * ($1/$1)" {
 		t.Fatalf("loss column = %s %q %q", loss.Kind, loss.Unit, loss.Formula)
 	}
-	for _, format := range []struct {
+	for _, f := range []struct {
 		name  string
-		write func(*expdb.Experiment, *bytes.Buffer) error
-		read  func(*bytes.Buffer) (*expdb.Experiment, error)
+		write func(*expdb.Experiment, io.Writer) error
 	}{
-		{"v1", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV1(w) }, readAny},
-		{"v2", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinary(w) }, readAny},
-		{"v3", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV3(w) }, readAny},
-		{"xml", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteXML(w) },
-			func(r *bytes.Buffer) (*expdb.Experiment, error) { return expdb.ReadXML(r) }},
+		{"v1", (*expdb.Experiment).WriteBinaryV1},
+		{"v2", (*expdb.Experiment).WriteBinary},
+		{"v3", (*expdb.Experiment).WriteBinaryV3},
+		{"xml", (*expdb.Experiment).WriteXML},
 	} {
-		t.Run(format.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := format.write(res.Exp, &buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := format.read(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Tree.Reg.Len() != res.Tree.Reg.Len() {
-				t.Fatalf("reloaded %d columns, want %d", got.Tree.Reg.Len(), res.Tree.Reg.Len())
-			}
-			for id, w := range res.Tree.Reg.Columns() {
-				g := got.Tree.Reg.ByID(id)
-				if g.Name != w.Name || g.Unit != w.Unit || g.Kind != w.Kind || g.Formula != w.Formula {
-					t.Fatalf("column %d reloaded as %q %q %s %q, want %q %q %s %q", id,
-						g.Name, g.Unit, g.Kind, g.Formula, w.Name, w.Unit, w.Kind, w.Formula)
-				}
-			}
-			var want, have []*core.Node
-			core.Walk(res.Tree.Root, func(n *core.Node) bool { want = append(want, n); return true })
-			core.Walk(got.Tree.Root, func(n *core.Node) bool { have = append(have, n); return true })
-			if len(want) != len(have) {
-				t.Fatalf("reloaded %d nodes, want %d", len(have), len(want))
-			}
-			for i := range want {
-				for id := 0; id < res.Tree.Reg.Len(); id++ {
-					if w, g := want[i].Incl.Get(id), have[i].Incl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
-						t.Fatalf("%s incl col %d: %v != %v", want[i].Label(), id, g, w)
-					}
-					if w, g := want[i].Excl.Get(id), have[i].Excl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
-						t.Fatalf("%s excl col %d: %v != %v", want[i].Label(), id, g, w)
-					}
-				}
-			}
-		})
+		t.Run(f.name, func(t *testing.T) { checkReopened(t, res, f.write) })
 	}
 }
-
-func readAny(r *bytes.Buffer) (*expdb.Experiment, error) { return expdb.Read(r) }

@@ -3,13 +3,13 @@ package engine
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
 	"repro/internal/metric"
+	"repro/internal/oracle"
 	"repro/internal/workloads"
 )
 
@@ -22,52 +22,6 @@ func flatLs(tb testing.TB, s *Session, w io.Writer) {
 			tb.Fatalf("%s: %v", line, err)
 		}
 	}
-}
-
-// recursiveTree is a CCT of frames, loops and statements over a dozen
-// procedures, grown by the given number of seeded random steps, with r
-// calling itself five deep through one call site and a loop at every level:
-// the shape whose procedure and call-site rows count an instance only where
-// it is exposed.
-func recursiveTree(tb testing.TB, steps int, seed int64) *core.Tree {
-	tb.Helper()
-	reg := metric.NewRegistry()
-	if _, err := reg.AddRaw("CYCLES", "cycles", 1); err != nil {
-		tb.Fatal(err)
-	}
-	t := core.NewTree("recursive", reg)
-	file := core.Sym("x.c")
-	main := t.Root.Child(core.Key{Kind: core.KindFrame, Name: core.Sym("main"), File: file}, true)
-	r := main
-	for d := 1; d <= 5; d++ {
-		r = r.Child(core.Key{Kind: core.KindFrame, Name: core.Sym("r"), File: file, Line: 10, ID: 7}, true)
-		r.CallLine, r.CallFile = 12, file
-		r.Child(core.Key{Kind: core.KindStmt, File: file, Line: 12}, true).Base.Add(0, 1)
-		loop := r.Child(core.Key{Kind: core.KindLoop, File: file, Line: 11, ID: 3}, true)
-		loop.Child(core.Key{Kind: core.KindStmt, File: file, Line: 11}, true).Base.Add(0, float64(d))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	stack := []*core.Node{main}
-	for n := 0; n < steps; n++ {
-		top := stack[len(stack)-1]
-		switch op := rng.Intn(6); {
-		case op <= 1 && len(stack) < 24:
-			name := fmt.Sprintf("p%02d", rng.Intn(12))
-			fr := top.Child(core.Key{Kind: core.KindFrame, Name: core.Sym(name), File: file, ID: uint64(rng.Intn(4))}, true)
-			fr.CallLine, fr.CallFile = rng.Intn(90)+1, file
-			stack = append(stack, fr)
-		case op == 2 && len(stack) < 24:
-			stack = append(stack, top.Child(core.Key{Kind: core.KindLoop, File: file, Line: rng.Intn(90) + 1}, true))
-		case op == 3:
-			top.Child(core.Key{Kind: core.KindStmt, File: file, Line: rng.Intn(300) + 1}, true).Base.Add(0, float64(rng.Intn(50)+1))
-		default:
-			if len(stack) > 1 {
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	t.ComputeMetrics()
-	return t
 }
 
 // workloadTree samples and merges a case-study workload at the given ranks,
@@ -122,7 +76,10 @@ func TestFlatViewLazyMatchesComplete(t *testing.T) {
 	}{
 		{"fig2", func(testing.TB) *core.Tree { return core.Fig1Tree() }},
 		{"frameless", framelessTree},
-		{"recursive", func(tb testing.TB) *core.Tree { return recursiveTree(tb, 3000, 5) }},
+		{"recursive", func(testing.TB) *core.Tree {
+			tree, _ := oracle.RandomCCTShape(5, 3000, oracle.CCTShape{Cols: 1, RecDepth: 5})
+			return tree
+		}},
 	}
 	for _, spec := range []workloads.Spec{workloads.S3D(), workloads.MOAB(), workloads.PFLOTRAN()} {
 		trees = append(trees, struct {

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/expdb"
+	"repro/internal/oracle"
 	"repro/internal/render"
 )
 
@@ -47,45 +49,13 @@ func freshUnion(t *testing.T) *expdb.Experiment {
 	return res.Exp
 }
 
-// TestUnionFilesOpenTheSame: a fresh union, whose comparison columns are
-// formulas, renders every view byte for byte like that union reopened
-// from every format.
-func TestUnionFilesOpenTheSame(t *testing.T) {
-	exp := freshUnion(t)
-	want := unionViews(t, NewSnapshot(exp))
-	dir := t.TempDir()
-	for _, format := range []string{"binary", "v3", "xml"} {
-		write, err := expdb.WriterFor(format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "union."+format)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(exp, f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := unionViews(t, snap); got != want {
-			t.Fatalf("%s renders differently:\n--- got ---\n%s\n--- want ---\n%s", format, got, want)
-		}
-	}
-}
-
 // TestLegacyUnionFiles: union files written while the comparison columns
 // were stored as computed values (testdata/union_computed_*) show those
 // values as stored. The Calling Context View renders like a fresh union's;
 // the Callers and Flat Views sum the stored values over the scopes a row
-// folds, as they sum every stored column, so their rows keep the renders
-// in testdata/golden_union_computed.txt rather than a formula's value.
+// folds, as they sum every stored column — every row is what oracle.Flat
+// and oracle.Callers give — so their rows keep the renders in
+// testdata/golden_union_computed.txt rather than a formula's value.
 // Regenerate with `go test ./internal/engine -run TestLegacyUnionFiles
 // -update`.
 func TestLegacyUnionFiles(t *testing.T) {
@@ -95,6 +65,17 @@ func TestLegacyUnionFiles(t *testing.T) {
 		snap, err := Open(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
+		}
+		tree := snap.Tree()
+		if err := oracle.Flat(tree).Check(core.BuildFlatView(tree).Roots, 0); err != nil {
+			t.Fatalf("%s: flat view: %v", name, err)
+		}
+		callers := core.BuildCallersView(tree)
+		if err := callers.ExpandAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Callers(tree).Check(callers.Roots, 0); err != nil {
+			t.Fatalf("%s: callers view: %v", name, err)
 		}
 		views := unionViews(t, snap)
 		if cc := views[0]; cc != wantCC {

@@ -75,28 +75,6 @@ func TestBinaryV3RoundTrip(t *testing.T) {
 	equalExperiments(t, e, got)
 }
 
-// TestV3RewriteToV2Identical locks the v3 columns to bitwise fidelity: a
-// database round-tripped through v3 re-serializes to the identical v2
-// bytes, so nothing — values, registry, tree shape, provenance — was
-// perturbed by baking planes into slabs.
-func TestV3RewriteToV2Identical(t *testing.T) {
-	e := fixture(t)
-	e.Provenance = &ingest.Report{Attempted: 3, Merged: 3}
-	want := v2Bytes(t, e)
-
-	got, err := Read(bytes.NewReader(v3Bytes(t, e)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := got.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, buf.Bytes()) {
-		t.Fatalf("v2 bytes differ after a v3 round trip (%d vs %d bytes)", len(want), buf.Len())
-	}
-}
-
 func TestOpenMappedIsIndexOnly(t *testing.T) {
 	e := fixture(t)
 	e.Provenance = &ingest.Report{Attempted: 3, Merged: 3}
@@ -143,26 +121,6 @@ func TestOpenMappedIsIndexOnly(t *testing.T) {
 	}
 	if rep := exp.Provenance; rep == nil || rep.Attempted != 3 {
 		t.Fatalf("provenance report = %+v", rep)
-	}
-}
-
-func TestMappedMatchesEager(t *testing.T) {
-	e := fixture(t)
-	db, err := OpenMapped(v3File(t, v3Bytes(t, e)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
-	exp, err := db.Experiment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalExperiments(t, e, exp)
-	if len(exp.Notes) != 0 {
-		t.Fatalf("clean database produced notes: %v", exp.Notes)
 	}
 }
 

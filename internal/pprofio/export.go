@@ -19,9 +19,10 @@ import (
 // becomes one location, visited in child order, and each scope holding
 // directly attributed cost — plus every leaf, so empty paths survive —
 // becomes one sample with its leaf-first location chain. The "repro:"
-// markers make the encoding lossless: importing an export rebuilds a
-// byte-identical tree and metric registry (the round-trip lock), while
-// foreign pprof tools still see an ordinary symbolized profile.
+// markers make the encoding lossless for integral costs: importing an
+// export rebuilds a byte-identical tree and metric registry. Sample values
+// are integers, so a fractional Base cell is rounded to the nearest one.
+// Foreign pprof tools still see an ordinary symbolized profile.
 //
 // The output is deterministic: ids follow tree child order, the string
 // table is first-use ordered, and no timestamps are recorded.

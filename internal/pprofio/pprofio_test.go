@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/expdb"
 	"repro/internal/source"
 )
 
@@ -126,61 +125,6 @@ func TestImportForeign(t *testing.T) {
 	// Inclusive cost rolls up to the entry frame.
 	if got := main.Incl.Get(1); got != 60 {
 		t.Fatalf("inclusive cpu at main = %v, want 60", got)
-	}
-}
-
-// TestRoundTrip is the pprof round-trip equivalence lock: a pprof-shaped
-// database (imported foreign profile) exports and re-imports to a
-// byte-identical v2/v3 database, and a second export reproduces the first
-// export's bytes (fixed point).
-func TestRoundTrip(t *testing.T) {
-	im1 := importBytes(t, foreignProto().marshal())
-	tree1, err := source.BuildTree(im1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := &expdb.Experiment{Program: im1.Program(), NRanks: im1.NRanks(), Tree: tree1}
-
-	var pb1 bytes.Buffer
-	if err := Export(e1, &pb1); err != nil {
-		t.Fatal(err)
-	}
-	im2 := importBytes(t, pb1.Bytes())
-	if im2.Program() != im1.Program() || im2.NRanks() != im1.NRanks() {
-		t.Fatalf("identity drifted: %q/%d vs %q/%d",
-			im2.Program(), im2.NRanks(), im1.Program(), im1.NRanks())
-	}
-	tree2, err := source.BuildTree(im2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := &expdb.Experiment{Program: im2.Program(), NRanks: im2.NRanks(), Tree: tree2}
-
-	for _, f := range []struct {
-		name  string
-		write func(*expdb.Experiment, *bytes.Buffer) error
-	}{
-		{"v2", func(e *expdb.Experiment, b *bytes.Buffer) error { return e.WriteBinary(b) }},
-		{"v3", func(e *expdb.Experiment, b *bytes.Buffer) error { return e.WriteBinaryV3(b) }},
-	} {
-		var b1, b2 bytes.Buffer
-		if err := f.write(e1, &b1); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.write(e2, &b2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Errorf("%s database bytes drifted across pprof round-trip", f.name)
-		}
-	}
-
-	var pb2 bytes.Buffer
-	if err := Export(e2, &pb2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb1.Bytes(), pb2.Bytes()) {
-		t.Error("exported pprof bytes are not a fixed point")
 	}
 }
 

@@ -74,20 +74,11 @@ func (srv *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// Acquire both inputs up front — the references pin their generations
 	// (and mappings) for the duration of the union, against concurrent
 	// eviction and republish.
-	base := srv.snap
-	if req.Base != "" {
-		sn, _, err := srv.cat.Acquire(req.Base)
-		if err != nil {
-			writeAcquireError(w, err)
-			return
-		}
-		base = sn
-		defer sn.Release()
-	} else if base == nil {
-		writeError(w, http.StatusNotFound, "no-default-database",
-			`server has no default database; pass "base"`)
+	base, _, release := srv.acquire(w, req.Base, `pass "base"`)
+	if base == nil {
 		return
 	}
+	defer release()
 	other, _, err := srv.cat.Acquire(req.Other)
 	if err != nil {
 		writeAcquireError(w, err)

@@ -49,20 +49,11 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	snap := srv.snap
-	if db := q.Get("db"); db != "" {
-		acq, _, err := srv.cat.Acquire(db)
-		if err != nil {
-			writeAcquireError(w, err)
-			return
-		}
-		defer acq.Release()
-		snap = acq
-	} else if snap == nil {
-		writeError(w, http.StatusNotFound, "no-default-database",
-			"server has no default database; pass ?db=NAME")
+	snap, _, release := srv.acquire(w, q.Get("db"), "pass ?db=NAME")
+	if snap == nil {
 		return
 	}
+	defer release()
 	exp := snap.Experiment()
 	if base := q.Get("baseline"); base != "" {
 		acq, _, err := srv.cat.Acquire(base)

@@ -467,24 +467,13 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	snap := srv.snap
-	dbName := ""
-	if req.DB != "" {
-		acq, key, err := srv.cat.Acquire(req.DB)
-		if err != nil {
-			writeAcquireError(w, err)
-			return
-		}
-		snap = acq
-		dbName = key.String()
-		// NewSession takes its own reference below; the Acquire reference
-		// drops right after.
-		defer acq.Release()
-	} else if snap == nil {
-		writeError(w, http.StatusNotFound, "no-default-database",
-			`server has no default database; pass {"db": NAME}`)
+	snap, dbName, release := srv.acquire(w, req.DB, `pass {"db": NAME}`)
+	if snap == nil {
 		return
 	}
+	// NewSession takes its own reference below; the acquired reference
+	// drops right after.
+	defer release()
 
 	s := engine.NewSession(snap)
 	s.SetSource(srv.cfg.Source)
@@ -500,6 +489,28 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	srv.mu.Unlock()
 	srv.sessionsCreated.Add(1)
 	writeJSON(w, http.StatusCreated, createResponse{Token: token, DB: dbName})
+}
+
+// acquire resolves the database a request names: the catalog database
+// name, else, when name is empty, the server's default snapshot. It returns
+// the snapshot, the catalog key that name resolved to ("" for the default)
+// and the release of the reference it took. On failure it has written the
+// error response — hint tells the client how to name a database when there
+// is no default — and the snapshot is nil.
+func (srv *Server) acquire(w http.ResponseWriter, name, hint string) (snap *engine.Snapshot, key string, release func()) {
+	if name == "" {
+		if srv.snap == nil {
+			writeError(w, http.StatusNotFound, "no-default-database", "server has no default database; "+hint)
+			return nil, "", nil
+		}
+		return srv.snap, "", func() {}
+	}
+	sn, k, err := srv.cat.Acquire(name)
+	if err != nil {
+		writeAcquireError(w, err)
+		return nil, "", nil
+	}
+	return sn, k.String(), func() { sn.Release() }
 }
 
 // writeAcquireError maps catalog acquire failures onto typed statuses: an
