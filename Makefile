@@ -126,7 +126,9 @@ nommap:
 	$(GO) test -tags nommap -run TestConformance .
 
 # Live-serving chaos gate, always under -race: catalog lifecycle races
-# (evict/republish/rot under concurrent query load) and HTTP-layer fault
-# injection (panics, stalls, request floods) against a serving process.
+# (evict/republish/rot under concurrent query load), HTTP-layer fault
+# injection (panics, stalls, request floods) against a serving process, and
+# three rounds of the concurrency tests over views that sessions share.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/catalog ./internal/server
+	$(GO) test -race -count=3 -run 'TestConcurrent' ./internal/engine ./internal/core

@@ -6,9 +6,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/expdb"
+	"repro/internal/metric"
 )
 
 // TestPprofBridge drives the CLI end to end: import a real Go heap
@@ -79,5 +83,36 @@ func TestPprofBridge(t *testing.T) {
 		if err := run(bad); err == nil {
 			t.Errorf("run(%v) succeeded, want error", bad)
 		}
+	}
+}
+
+// TestExportPprofRefusesFractionalCost: a database with a cost no integer
+// sample value holds is refused by -export-pprof with an error naming the
+// scope and the column, and no profile is written.
+func TestExportPprofRefusesFractionalCost(t *testing.T) {
+	reg := metric.NewRegistry()
+	if _, err := reg.AddRaw("CYCLES", "cycles", 1); err != nil {
+		t.Fatal(err)
+	}
+	tree := core.NewTree("frac", reg)
+	f := tree.Root.Child(core.Key{Kind: core.KindFrame, Name: core.Sym("solve"), File: core.Sym("solve.c")}, true)
+	f.Child(core.Key{Kind: core.KindStmt, File: core.Sym("solve.c"), Line: 7}, true).Base.Add(0, 2.5)
+	tree.ComputeMetrics()
+	dir := t.TempDir()
+	db := filepath.Join(dir, "frac.db")
+	var buf bytes.Buffer
+	if err := expdb.New(tree).WriteBinaryV3(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(db, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "frac.pb.gz")
+	err := run([]string{"-export-pprof", out, db})
+	if err == nil || !strings.Contains(err.Error(), "solve.c: 7") || !strings.Contains(err.Error(), `"CYCLES"`) {
+		t.Fatalf("export of a 2.5-cycle statement: %v, want a refusal naming solve.c: 7 and CYCLES", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused export left %s behind: %v", out, err)
 	}
 }

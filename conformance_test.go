@@ -2,8 +2,9 @@
 // tests know, through every database format and every way a database is
 // opened, checked against internal/oracle, the paper's rules stated once.
 // Every cell runs the same checks; a route that cannot hold something (a
-// format without a provenance section, pprof's integral raw samples) is
-// checked on everything it does hold.
+// format without a provenance section, pprof's raw samples) is checked on
+// everything it does hold, and pprof export refuses a source whose costs
+// are not whole numbers.
 package repro
 
 import (
@@ -18,6 +19,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,16 +54,23 @@ var confFormats = []struct {
 
 func encode(t *testing.T, write func(*expdb.Experiment, io.Writer) error, e *expdb.Experiment) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := write(e, &buf); err != nil {
+	b, err := tryEncode(write, e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
+}
+
+// tryEncode is encode for a writer that may refuse e.
+func tryEncode(write func(*expdb.Experiment, io.Writer) error, e *expdb.Experiment) ([]byte, error) {
+	var buf bytes.Buffer
+	err := write(e, &buf)
+	return buf.Bytes(), err
 }
 
 // A confRoute is one way a database reaches a session. holds names what it
 // keeps of an experiment: "all", "noprov" (everything but the provenance
-// section) or "raw" (raw columns only, each cell rounded to an integer).
+// section) or "raw" (raw columns only).
 type confRoute struct {
 	name, holds string
 	open        func(t *testing.T, e *expdb.Experiment) *engine.Snapshot
@@ -109,21 +118,27 @@ func confRoutes() []confRoute {
 }
 
 // confRef is what a route must give of one source: the experiment it holds,
-// the rules' views of that, its renders and its bytes in every format.
+// the rules' views of that, its renders and its bytes in every format, or
+// the format's refusal.
 type confRef struct {
 	exp                *expdb.Experiment
 	cct, flat, callers *oracle.View
 	renders            string
 	bytes              map[string][]byte
+	refused            map[string]string
 }
 
 func newConfRef(t *testing.T, e *expdb.Experiment) *confRef {
-	ref := &confRef{exp: e, cct: oracle.CCT(e.Tree), flat: oracle.Flat(e.Tree), callers: oracle.Callers(e.Tree), bytes: map[string][]byte{}}
+	ref := &confRef{exp: e, cct: oracle.CCT(e.Tree), flat: oracle.Flat(e.Tree), callers: oracle.Callers(e.Tree), bytes: map[string][]byte{}, refused: map[string]string{}}
 	snap := engine.NewSnapshot(e)
 	ref.renders = renderViews(t, snap)
 	snap.Close()
 	for _, f := range confFormats {
-		ref.bytes[f.name] = encode(t, f.write, e)
+		b, err := tryEncode(f.write, e)
+		if err != nil {
+			ref.refused[f.name] = err.Error()
+		}
+		ref.bytes[f.name] = b
 	}
 	return ref
 }
@@ -153,7 +168,7 @@ func holding(h string, e *expdb.Experiment) *expdb.Experiment {
 				n := to.Child(c.Key, true)
 				n.NoSource, n.Mod, n.CallFile, n.CallLine = c.NoSource, c.Mod, c.CallFile, c.CallLine
 				for id, src := range raw {
-					n.Base.Add(id, math.Round(c.Base.Get(src)))
+					n.Base.Add(id, c.Base.Get(src))
 				}
 				copyScopes(c, n)
 			}
@@ -213,9 +228,14 @@ func checkCell(t *testing.T, ref *confRef, snap *engine.Snapshot) {
 		t.Errorf("renders differ from the in-memory route's:\n%s", firstDiff(ref.renders, r))
 	}
 	// Read by this route and written as F, the database is what F wrote
-	// directly.
+	// directly, or what F refused.
 	for _, f := range confFormats {
-		if b, want := encode(t, f.write, got), ref.bytes[f.name]; !bytes.Equal(b, want) {
+		b, err := tryEncode(f.write, got)
+		if refused := ref.refused[f.name]; err != nil || refused != "" {
+			if err == nil || err.Error() != refused {
+				t.Errorf("re-encoded as %s: error %v, where writing directly gave %q", f.name, err, refused)
+			}
+		} else if want := ref.bytes[f.name]; !bytes.Equal(b, want) {
 			t.Errorf("re-encoded as %s: %d bytes that differ from byte %d on from the %d %s wrote directly", f.name, len(b), firstByte(b, want), len(want), f.name)
 		}
 	}
@@ -304,10 +324,12 @@ func (s genSource) Samples(emit func(path []source.Scope, values []float64) erro
 	})
 }
 
-// A confSource is a row of the matrix: a tree source.
+// A confSource is a row of the matrix: a tree source. A fractional one has
+// costs that are not whole numbers, which pprof export refuses.
 type confSource struct {
-	name string
-	exp  func(t *testing.T) *expdb.Experiment
+	name       string
+	exp        func(t *testing.T) *expdb.Experiment
+	fractional bool
 }
 
 func confSources() []confSource {
@@ -327,19 +349,19 @@ func confSources() []confSource {
 		}
 	}
 	rows := []confSource{
-		{"fig2", func(*testing.T) *expdb.Experiment { return expdb.New(core.Fig1Tree()) }},
-		{"shape/wide", shaped(1, 400, oracle.CCTShape{Cols: 4})},
-		{"shape/everything", shaped(2, 300, oracle.CCTShape{Entries: 2, Cols: 4, ZeroCol: true, Negative: true})},
-		{"shape/recursion5", shaped(5, 600, oracle.CCTShape{Cols: 1, RecDepth: 5})},
-		{"recursive", func(*testing.T) *expdb.Experiment { return expdb.New(oracle.RandomRecursiveTree(2000, 3)) }},
-		{"gen", generated(gen.CCT{Seed: 1, Scopes: 2000, Cols: 3})},
-		{"gen/perturbed", generated(gen.CCT{Seed: 1, Scopes: 2000, Cols: 3, P: &gen.Perturb{Seed: 2, Drop: 0.05, Add: 0.05, Scale: 0.4}})},
+		{"fig2", func(*testing.T) *expdb.Experiment { return expdb.New(core.Fig1Tree()) }, false},
+		{"shape/wide", shaped(1, 400, oracle.CCTShape{Cols: 4}), false},
+		{"shape/everything", shaped(2, 300, oracle.CCTShape{Entries: 2, Cols: 4, ZeroCol: true, Negative: true}), true},
+		{"shape/recursion5", shaped(5, 600, oracle.CCTShape{Cols: 1, RecDepth: 5}), false},
+		{"recursive", func(*testing.T) *expdb.Experiment { return expdb.New(oracle.RandomRecursiveTree(2000, 3)) }, false},
+		{"gen", generated(gen.CCT{Seed: 1, Scopes: 2000, Cols: 3}), false},
+		{"gen/perturbed", generated(gen.CCT{Seed: 1, Scopes: 2000, Cols: 3, P: &gen.Perturb{Seed: 2, Drop: 0.05, Add: 0.05, Scale: 0.4}}), true},
 	}
 	for _, name := range workloads.Names() {
 		for _, ranks := range []int{1, 7, 64} {
 			rows = append(rows, confSource{fmt.Sprintf("%s/ranks=%d", name, ranks), func(t *testing.T) *expdb.Experiment {
 				return confWorkload(t, name, ranks)
-			}})
+			}, false})
 		}
 	}
 	return append(rows, confSource{"union", func(t *testing.T) *expdb.Experiment {
@@ -349,7 +371,7 @@ func confSources() []confSource {
 			t.Fatal(err)
 		}
 		return res.Exp
-	}})
+	}, true})
 }
 
 // equivExperiment merges a workload at a rank count into an experiment with
@@ -450,20 +472,33 @@ func TestConformance(t *testing.T) {
 	for _, src := range confSources() {
 		t.Run(src.name, func(t *testing.T) {
 			e := src.exp(t)
-			conform(t, e, "")
+			conform(t, e, "", src.fractional)
 			t.Run("scaled", func(t *testing.T) { checkScaled(t, e) })
 		})
 	}
 }
 
-// conform checks e through every route whose name starts with prefix.
-func conform(t *testing.T, e *expdb.Experiment, prefix string) {
+// conform checks e through every route whose name starts with prefix. When
+// e is fractional, the pprof route checks that export refuses it, naming
+// the first scope and column, in preorder, whose cost is no whole number.
+func conform(t *testing.T, e *expdb.Experiment, prefix string, fractional bool) {
 	refs := map[string]*confRef{}
 	for _, r := range confRoutes() {
 		if !strings.HasPrefix(r.name, prefix) {
 			continue
 		}
 		t.Run(r.name, func(t *testing.T) {
+			if r.name == "pprof" && fractional {
+				scope, column := firstFraction(e)
+				if scope == "" {
+					t.Fatal("fixture: a fractional source with whole-number costs only")
+				}
+				_, err := tryEncode(pprofio.Export, e)
+				if err == nil || !strings.Contains(err.Error(), scope+": column "+strconv.Quote(column)) {
+					t.Fatalf("export: %v, want a refusal naming %s and column %q", err, scope, column)
+				}
+				return
+			}
 			ref := refs[r.holds]
 			if ref == nil {
 				ref = newConfRef(t, holding(r.holds, e))
@@ -474,6 +509,20 @@ func conform(t *testing.T, e *expdb.Experiment, prefix string) {
 			checkCell(t, ref, snap)
 		})
 	}
+}
+
+// firstFraction returns the label and column name of the first raw Base
+// cell of e, in preorder, that is not a whole number ("" when none is).
+func firstFraction(e *expdb.Experiment) (scope, column string) {
+	core.Walk(e.Tree.Root, func(n *core.Node) bool {
+		for _, d := range e.Tree.Reg.Columns() {
+			if v := n.Base.Get(d.ID); scope == "" && d.Kind == metric.Raw && v != math.Trunc(v) {
+				scope, column = n.Label(), d.Name
+			}
+		}
+		return scope == ""
+	})
+	return scope, column
 }
 
 // Three older tests keep their names as slices of the matrix, each running
@@ -487,7 +536,7 @@ func TestV3OpenPathEquivalence(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, ranks := range []int{1, 7, 64} {
 			t.Run(fmt.Sprintf("%s/ranks=%d", name, ranks), func(t *testing.T) {
-				conform(t, confWorkload(t, name, ranks), "open/")
+				conform(t, confWorkload(t, name, ranks), "open/", false)
 			})
 		}
 	}
@@ -500,7 +549,7 @@ func TestColumnarQueryEquivalence(t *testing.T) {
 		for _, ranks := range []int{1, 7, 64} {
 			e := equivExperiment(t, name, ranks)
 			for _, f := range []string{"v2", "v1"} {
-				t.Run(fmt.Sprintf("%s/ranks=%d/%s", name, ranks, f), func(t *testing.T) { conform(t, e, "read/"+f) })
+				t.Run(fmt.Sprintf("%s/ranks=%d/%s", name, ranks, f), func(t *testing.T) { conform(t, e, "read/"+f, false) })
 			}
 		}
 	}

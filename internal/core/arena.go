@@ -11,14 +11,14 @@ import "repro/internal/metric"
 //
 // An arena is single-writer: a tree is built by one goroutine at a time
 // (the tree's own construction, one merge reduction step, or one Callers
-// View root expansion, which owns a private arena per root). Concurrent
+// View root expansion, which owns a private arena per subtrie). Concurrent
 // readers only follow node pointers, never alloc.
 type nodeArena struct {
 	slab []Node
 	// store is the columnar metric store backing this arena's nodes: each
 	// alloc claims one dense row and binds the node's Base/Incl/Excl views
 	// to it. One store per arena keeps the invariant that slab views never
-	// alias across trees (a tree, a callers-view root, a flat view each
+	// alias across trees (a tree, a callers-view subtrie, a flat view each
 	// own a private store, so parallel builders never share slabs).
 	store *metric.Store
 	// kids is the child-pointer slab Tree.Reserve sets aside; GrowChildren

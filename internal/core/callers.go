@@ -45,12 +45,14 @@ func frameProc(n *Node) procID { return procID{name: n.Name, file: n.File} }
 
 // rootState is one root row's lazy expansion: the frame instances of its
 // procedure, the Once that makes concurrent Expand calls on the root build
-// its subtrie exactly once, and done, which publishes completion to
-// Expanded without holding any lock.
+// its subtrie exactly once, done, which publishes completion to Expanded
+// without holding any lock, and the panic of a build that failed, which
+// every later Expand raises again.
 type rootState struct {
 	instances []*Node
 	once      sync.Once
 	done      atomic.Bool
+	panicked  any
 }
 
 // CallersView is the bottom-up view. Roots are procedure rows; expanding a
@@ -58,10 +60,13 @@ type rootState struct {
 // View is constructed dynamically ... we store and process data only when
 // needed").
 //
-// Construction is concurrency-safe: distinct roots own disjoint subtries
-// and the CCT is only read, so any number of goroutines may Expand (and
-// read Expanded) simultaneously — the locking protocol behind the viewer's
-// on-demand expansion and ExpandAll's worker pool.
+// Construction is concurrency-safe: the root rows share one store that
+// nothing writes after BuildCallersView, each subtrie has a store of its
+// own, and the CCT is only read, so any number of goroutines may Expand
+// (and read Expanded) simultaneously — the locking protocol behind the
+// viewer's on-demand expansion, ExpandAll's worker pool and the sessions
+// that share one snapshot's view. A root's Children may be read only
+// after Expand of it has returned.
 type CallersView struct {
 	Reg   *metric.Registry
 	Roots []*Node
@@ -76,6 +81,8 @@ type CallersView struct {
 // one tree concurrently.
 func BuildCallersView(t *Tree) *CallersView {
 	v := &CallersView{Reg: t.Reg}
+	// The root rows share one arena and store, written only here.
+	arena := &nodeArena{store: t.Reg.NewStore()}
 	rows := map[procID]int32{} // procedure -> index of its row in scan order
 	var instances [][]*Node    // by that index
 	var active exposure        // by that index: frames of the procedure on the path
@@ -89,15 +96,10 @@ func BuildCallersView(t *Tree) *CallersView {
 		}
 		i, ok := rows[frameProc(n)]
 		if !ok {
-			// Each root row owns a private arena and metric store: its
-			// subtrie is built by exactly one goroutine (under the expansion
-			// Once), so disjoint roots expand in parallel with no allocator
-			// contention — and no store's slabs are ever shared across trees.
-			arena := &nodeArena{store: t.Reg.NewStore()}
+			// The row gets its arena when its subtrie is built.
 			row := arena.alloc()
 			row.Key = Key{Kind: KindProc, Name: n.Name, File: n.File, Line: n.Line}
 			row.NoSource = n.NoSource
-			row.arena = arena
 			i = int32(len(v.Roots))
 			rows[frameProc(n)] = i
 			v.Roots = append(v.Roots, row)
@@ -150,23 +152,32 @@ func (v *CallersView) Expanded(root *Node) bool {
 // Expand materializes the caller subtrie of one root row, exactly once no
 // matter how many goroutines race here. Safe to call repeatedly and
 // concurrently (with Expand on any root and Expanded on this one); calls
-// for nodes that are not root rows of this view are no-ops.
+// for nodes that are not root rows of this view are no-ops. A panic in the
+// build (a fault on a page of a mapped database file that shrank) is raised
+// by this call and again by every later one, so no caller takes a half-built
+// subtrie for a finished one.
 func (v *CallersView) Expand(root *Node) {
 	st := v.roots[root]
 	if st == nil {
 		return
 	}
 	st.once.Do(func() {
+		defer func() { st.panicked = recover() }()
 		v.buildSubtrie(root, st.instances)
 		st.done.Store(true)
 	})
+	if st.panicked != nil {
+		panic(st.panicked)
+	}
 }
 
 // buildSubtrie constructs one root's caller trie from its instances; callers
-// hold the root's expansion Once. Only nodes under root are written; the CCT
-// instances are read-only, which is what makes disjoint roots expandable in
-// parallel.
+// hold the root's expansion Once. The subtrie gets an arena and store of its
+// own, so the root rows' shared store never grows; only root's Children and
+// nodes under it are written, and the CCT instances are read-only, which is
+// what makes disjoint roots expandable in parallel.
 func (v *CallersView) buildSubtrie(root *Node, instances []*Node) {
+	root.arena = &nodeArena{store: v.Reg.NewStore()}
 	var rev []*Node // the instance's caller frames, innermost first
 	var same []int  // indices in rev of frames of the instance's procedure
 	for _, inst := range instances {

@@ -146,8 +146,8 @@ func SortScopes(scopes []*Node, spec SortSpec) {
 		return
 	}
 	// Hoist the metric column slab out of the O(n log n) comparisons: each
-	// comparison is two direct row loads (siblings of another store — the
-	// top level of a Callers View — read through their views). The
+	// comparison is two direct row loads (a sibling of another store reads
+	// through its view). The
 	// read-only slab may lag the row count; rows past its end are zero.
 	plane := metric.PlaneIncl
 	if spec.Exclusive {

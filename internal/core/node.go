@@ -131,7 +131,8 @@ type Node struct {
 	index map[Key]*Node
 
 	// arena is the node allocator of the tree or view the scope belongs
-	// to; its children are allocated from the same arena. Nil only for a
+	// to; its children are allocated from the same arena. A Callers View
+	// root row's is its subtrie's, set when that is built. Nil only for a
 	// bare Node, which can be compared against but never grown.
 	arena *nodeArena
 

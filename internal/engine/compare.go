@@ -142,6 +142,7 @@ func (s *Session) rebase(snap *Snapshot) {
 	s.reg = snap.exp.Tree.Reg.Clone()
 	s.view = ViewCC
 	s.callers = nil
+	s.opened.clear()
 	s.flat = nil
 	s.expanded.clear()
 	s.highlight = map[*core.Node]bool{}

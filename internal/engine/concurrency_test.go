@@ -2,13 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expdb"
 	"repro/internal/render"
 	"repro/internal/workloads"
 )
@@ -190,6 +194,102 @@ func TestClosedSessionDoesNotPoisonSnapshot(t *testing.T) {
 	defer after.Close()
 	if got := replay(after, []string{"view callers", "expandall", "sort CYCLES", "ls"}); got != want {
 		t.Fatalf("snapshot poisoned by cancelled sessions\n--- shared after cancel ---\n%s\n--- clean ---\n%s", got, want)
+	}
+
+	// A session closed part-way through its expandall leaves some of the
+	// shared view's subtries built and the rest not; a second session's
+	// expandall over that view renders as on a private one.
+	partial := mappedSnapshot(t, path)
+	defer partial.Close()
+	half := NewSession(partial)
+	half.SwitchView(ViewCallers)
+	half.VisibleRows()
+	ca := &closeAfter{Context: half.ctx, close: half.Close}
+	ca.polls.Store(3)
+	half.ctx = ca
+	if err := half.expandAllRows(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("expandall closed part-way: %v, want context.Canceled", err)
+	}
+	built := 0
+	for _, r := range partial.CallersView().Roots {
+		if partial.CallersView().Expanded(r) {
+			built++
+		}
+	}
+	if roots := len(partial.CallersView().Roots); built == 0 || built == roots {
+		t.Fatalf("fixture: the closed expandall built %d of %d roots, want some but not all", built, roots)
+	}
+	second := NewSession(partial)
+	defer second.Close()
+	if got := replay(second, []string{"view callers", "expandall", "sort CYCLES", "ls"}); got != want {
+		t.Fatalf("expandall after one closed part-way\n--- shared ---\n%s\n--- clean ---\n%s", got, want)
+	}
+}
+
+// closeAfter is a session context whose Err lets polls calls through and
+// closes the session on the next: ExpandAllCtx polls once per root.
+type closeAfter struct {
+	context.Context
+	polls atomic.Int32
+	close func()
+}
+
+func (c *closeAfter) Err() error {
+	if c.polls.Add(-1) < 0 {
+		c.close()
+	}
+	return c.Context.Err()
+}
+
+// TestConcurrentSessionsShareCallersView: sessions over one snapshot, however
+// many and in whatever order they ask, present the one Callers View the
+// snapshot built, so core.BuildCallersView runs once per snapshot.
+func TestConcurrentSessionsShareCallersView(t *testing.T) {
+	path, _ := v3FixtureFile(t)
+	shared := mappedSnapshot(t, path)
+	defer shared.Close()
+	views := make([]*core.CallersView, 8)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := NewSession(shared)
+			defer s.Close()
+			replay(s, []string{"view callers", fmt.Sprintf("expand %d", i%3)})
+			views[i] = s.callers
+		}(i)
+	}
+	wg.Wait()
+	for i, v := range views {
+		if v == nil || v != shared.CallersView() {
+			t.Fatalf("session %d presents Callers View %p, the snapshot's is %p", i, v, shared.CallersView())
+		}
+	}
+}
+
+// TestCallersSessionsIsolated: one session opens roots of the shared
+// Callers View, one by one, all at once and along a hot path; a session
+// that comes after it renders byte for byte what it renders on a snapshot
+// nobody else touched, + markers included.
+func TestCallersSessionsIsolated(t *testing.T) {
+	shared := NewSnapshot(expdb.New(bushyTree(t, 2000, 7)))
+	defer shared.Close()
+	a := NewSession(shared)
+	defer a.Close()
+	if out := replay(a, []string{"view callers", "expand 1", "expandall", "hot M0"}); strings.Contains(out, "error") {
+		t.Fatalf("session A:\n%s", out)
+	}
+	script := []string{"view callers", "ls"}
+	b := NewSession(shared)
+	defer b.Close()
+	got := replay(b, script)
+	clean := NewSnapshot(expdb.New(bushyTree(t, 2000, 7)))
+	defer clean.Close()
+	c := NewSession(clean)
+	defer c.Close()
+	if want := replay(c, script); got != want {
+		t.Fatalf("a session after another renders differently\n--- after A ---\n%s\n--- untouched ---\n%s", got, want)
 	}
 }
 

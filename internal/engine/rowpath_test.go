@@ -71,13 +71,16 @@ func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
 			sorted = sorted[:s.topN]
 		}
 		for _, n := range sorted {
+			// A Callers View root the session has not opened shows a +,
+			// and nothing below it, whatever other sessions built.
+			if s.view == ViewCallers && n.Parent == nil && !s.opened.has(n) {
+				rows = append(rows, render.Row{Node: n, Depth: depth, HasHidden: true})
+				continue
+			}
 			shown := expanded(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
 			// A Flat View procedure row may have rows below it that the
 			// session has not built yet.
 			hidden := n.HasRowsBelow() && !shown
-			if s.view == ViewCallers && n.Parent == nil && !s.callers.Expanded(n) {
-				hidden = true
-			}
 			rows = append(rows, render.Row{Node: n, Depth: depth, HasHidden: hidden})
 			if shown {
 				add(n.Children, depth+1)

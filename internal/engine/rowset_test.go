@@ -74,9 +74,10 @@ func TestExpandAllCallersLinearInRoots(t *testing.T) {
 }
 
 // TestCallersRootsKeepTheirOwnRows checks that expansion is kept per store:
-// every Callers View root owns a store, so its row 0, its row 1 and so on
-// are also another root's. Opening a row under one root must not open the
-// row of the same number under another.
+// the Callers View's roots are rows of one store and every root's subtrie
+// owns a store, so a subtrie's row 0, its row 1 and so on are also another
+// subtrie's. Opening a root must not open another, and opening a row under
+// one root must not open the row of the same number under another.
 func TestCallersRootsKeepTheirOwnRows(t *testing.T) {
 	reg := metric.NewRegistry()
 	if _, err := reg.AddRaw("M0", "u", 1); err != nil {
@@ -112,8 +113,8 @@ func TestCallersRootsKeepTheirOwnRows(t *testing.T) {
 		return found[0]
 	}
 	w, x := row("w", 0).Node, row("x", 0).Node
-	if w.Incl.Row() != x.Incl.Row() || w.Incl.Store() == x.Incl.Store() {
-		t.Fatal("fixture: roots w and x should be the same row of two stores")
+	if w.Incl.Store() != x.Incl.Store() || w.Incl.Row() == x.Incl.Row() {
+		t.Fatal("fixture: roots w and x should be two rows of one store")
 	}
 	// Open w once so its subtrie exists, then close it: only x is open.
 	s.Expand(w)
@@ -125,7 +126,7 @@ func TestCallersRootsKeepTheirOwnRows(t *testing.T) {
 	s.Expand(w)
 	f := row("f", 1).Node
 	s.Expand(f)
-	if g := row("g", 1); !g.HasHidden || g.Node.Incl.Row() != f.Incl.Row() {
+	if g := row("g", 1); !g.HasHidden || g.Node.Incl.Row() != f.Incl.Row() || g.Node.Incl.Store() == f.Incl.Store() {
 		t.Fatalf("opening f (row %d under x) opened g (row %d under w): %v", f.Incl.Row(), g.Node.Incl.Row(), rowLabels(s.VisibleRows()))
 	}
 	if got := rowLabels(s.VisibleRows()); strings.Join(got, " ") != "f g main w g x f main" {

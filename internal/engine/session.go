@@ -45,9 +45,11 @@ func (v ViewKind) String() string {
 //
 // Concurrency: any number of sessions may run over one Snapshot at the
 // same time — the shared scopes and metric slabs are immutable, so queries
-// read them without a lock, and everything a session mutates (its Callers
-// View, expansion/zoom/sort state, sort scratch, derived-metric overlays)
-// is private to it, its Flat View too. One Session is NOT safe for
+// read them without a lock, and everything a session mutates (expansion/
+// zoom/sort state, sort scratch, derived-metric overlays, its Flat View)
+// is private to it. The Callers View is the snapshot's: sessions share its
+// rows and the subtries any of them built, and each keeps its own record
+// of the roots it opened. One Session is NOT safe for
 // concurrent use by multiple goroutines; each frontend serializes the calls
 // of a given session (the HTTP server locks per token).
 type Session struct {
@@ -62,11 +64,16 @@ type Session struct {
 	profiles []*profile.Profile
 
 	view ViewKind
-	// callers and flat are this session's Callers and Flat Views, each in a
-	// private arena and built to what is shown: a Callers View root's callers
-	// and the Flat View's rows below procedures come when first needed.
+	// callers is the snapshot's Callers View, shared with every session on
+	// it; opened holds the roots this session expanded. A root's callers
+	// are built on its first Expand by any session, and a session reads
+	// them only once it has opened the root itself: until then the root
+	// shows a +, whatever other sessions did.
 	callers *core.CallersView
-	flat    *core.FlatView
+	opened  rowSet
+	// flat is this session's Flat View, in a private arena and built to
+	// what is shown: the rows below procedures come when first needed.
+	flat *core.FlatView
 	// expanded holds the open scopes, one bitset per store (see rowSet).
 	expanded rowSet
 	sort     core.SortSpec
@@ -266,7 +273,7 @@ func (s *Session) roots() []*core.Node {
 		return s.snap.exp.Tree.Root.Children
 	case ViewCallers:
 		if s.callers == nil {
-			s.callers = core.BuildCallersView(s.snap.exp.Tree)
+			s.callers = s.snap.CallersView()
 		}
 		return s.callers.Roots
 	case ViewFlat:
@@ -300,14 +307,14 @@ func (s *Session) VisibleRows() []render.Row {
 			sorted = sorted[:s.topN]
 		}
 		for _, n := range sorted {
+			if s.unopened(n) {
+				// Its callers may not be built yet, or be in the making
+				// for another session: expandable regardless, and not read.
+				s.rows = append(s.rows, render.Row{Node: n, Depth: depth, HasHidden: true})
+				continue
+			}
 			childrenShown := s.expanded.has(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
 			hidden := n.HasRowsBelow() && !childrenShown
-			// The Callers View materializes children lazily: an
-			// unexpanded root row may not know its callers yet, so it
-			// is presented as expandable regardless.
-			if s.view == ViewCallers && s.callers != nil && n.Parent == nil && !s.callers.Expanded(n) {
-				hidden = true
-			}
 			s.rows = append(s.rows, render.Row{Node: n, Depth: depth, HasHidden: hidden})
 			if childrenShown {
 				add(n.Children, depth+1)
@@ -316,6 +323,22 @@ func (s *Session) VisibleRows() []render.Row {
 	}
 	add(s.roots(), 0)
 	return s.rows
+}
+
+// unopened reports whether n is a Callers View root this session has not
+// opened, so that it must not read n's Children.
+func (s *Session) unopened(n *core.Node) bool {
+	return s.view == ViewCallers && n.Parent == nil && !s.opened.has(n)
+}
+
+// open expands a Callers View root for this session: its callers are
+// built, by this call or by any session's before, and the session records
+// that it may read them. Other nodes are left as they are.
+func (s *Session) open(n *core.Node) {
+	s.callers.Expand(n)
+	if s.callers.Expanded(n) {
+		s.opened.set(n, true)
+	}
 }
 
 // sortedSiblings returns ns ordered by the session sort. Callers may
@@ -341,8 +364,8 @@ func (s *Session) sortedSiblings(ns []*core.Node) []*core.Node {
 	}
 	// Session-derived sort column: same comparator, with the keys read from
 	// the evaluated slab of the list's store, resolved once per list as
-	// SortScopes resolves a resident column. A scope of another store (the
-	// Callers View's top level) reads its own.
+	// SortScopes resolves a resident column. A scope of another store reads
+	// its own.
 	inclusive := !s.sort.Exclusive
 	id := s.sort.MetricID
 	st := sorted[0].Incl.Store()
@@ -375,7 +398,7 @@ func (s *Session) RowNode(idx int) (*core.Node, error) {
 // caller chain on demand — Section VII's lazy construction).
 func (s *Session) Expand(n *core.Node) {
 	if s.view == ViewCallers && s.callers != nil {
-		s.callers.Expand(n)
+		s.open(n)
 	}
 	if s.view == ViewFlat && n.Kind == core.KindProc {
 		s.flatView(true)
@@ -389,8 +412,18 @@ func (s *Session) Expand(n *core.Node) {
 // scopes opened so far stay open.
 func (s *Session) ExpandAll(n *core.Node) error {
 	err := s.expandBelow()
-	s.expanded.setTree(n)
+	s.expandTree(n)
 	return err
+}
+
+// expandTree opens n and every scope under it; below a Callers View root
+// this session has not opened it opens the root alone.
+func (s *Session) expandTree(n *core.Node) {
+	if s.unopened(n) {
+		s.expanded.set(n, true)
+		return
+	}
+	s.expanded.setTree(n)
 }
 
 // expandAllRows is ExpandAll of every visible row — the `expandall`
@@ -406,7 +439,7 @@ func (s *Session) expandAllRows() error {
 	err := s.expandBelow()
 	for _, r := range rows {
 		if r.Depth == 0 {
-			s.expanded.setTree(r.Node)
+			s.expandTree(r.Node)
 		}
 		if err != nil {
 			break
@@ -417,13 +450,20 @@ func (s *Session) expandAllRows() error {
 
 // expandBelow builds every row of the view shown: the Flat View's rows
 // below procedures, or every caller subtrie of the Callers View on
-// core.CallersView.ExpandAllCtx's pool.
+// core.CallersView.ExpandAllCtx's pool. When the pool stops early, the
+// roots built by then, by any session, count as opened.
 func (s *Session) expandBelow() error {
 	switch {
 	case s.view == ViewFlat:
 		s.flatView(true)
 	case s.view == ViewCallers && s.callers != nil:
-		return s.callers.ExpandAllCtx(s.ctx)
+		err := s.callers.ExpandAllCtx(s.ctx)
+		for _, root := range s.callers.Roots {
+			if s.callers.Expanded(root) {
+				s.opened.set(root, true)
+			}
+		}
+		return err
 	}
 	return nil
 }
@@ -459,7 +499,7 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 	}
 	if s.view == ViewCallers && s.callers != nil {
 		// The path may need a lazily built caller chain.
-		s.callers.Expand(start)
+		s.open(start)
 	}
 	path := core.HotPathFunc(start, func(n *core.Node) float64 {
 		return s.cellValue(n, metricID, true)
@@ -572,7 +612,8 @@ func (s *Session) ShowSource(w io.Writer, context int) error {
 
 // rowSet is a set of scopes kept as one bitset per metric store, indexed
 // by the scope's row. Every scope a view shows is a row of a store — the
-// CCT's, the Flat View's, or one Callers View root's — so membership is a
+// CCT's, the Flat View's, the Callers View roots' or one Callers View
+// subtrie's — so membership is a
 // bit, not a hashed pointer, and rows of two stores sit in two bitsets and
 // never alias. The set remembers the store it last looked up, so a walk
 // that stays in one store (the whole CCT, one Callers subtrie) does no map
@@ -608,8 +649,9 @@ func (rs *rowSet) set(n *core.Node, on bool) {
 		if !on {
 			return
 		}
-		// Size the bitset for every row the store has now; a Callers View
-		// root's store grows as its subtrie is built, and its bitset with it.
+		// Size the bitset for every row the store has now; a lazily built
+		// Flat View's store grows as its rows below procedures come, and
+		// its bitset with it.
 		bits := make([]uint64, max(w+1, (st.NumRows()+63)/64))
 		copy(bits, rs.cur)
 		if rs.bits == nil {

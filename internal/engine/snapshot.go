@@ -9,8 +9,8 @@
 //
 //   - Session: one user's presentation state over a shared snapshot — view
 //     selection, expansion, zoom, flattening, sort, selection, highlights,
-//     its own Callers and Flat Views, and an overlay registry for
-//     session-private derived metrics. Any number of sessions may run over
+//     the Callers View roots it opened, its own Flat View, and an overlay
+//     registry for session-private derived metrics. Any number of sessions may run over
 //     one snapshot concurrently; each renders byte-identically to a session
 //     that had the database to itself.
 //
@@ -41,13 +41,14 @@ import (
 // Immutability discipline: the tree's structure, its metric store and its
 // registry are sealed at construction (presented metrics are computed and
 // a mapped database's columns verified before the snapshot is handed out),
-// so sessions read them without a lock. What may still change is the trace
-// view, built on first use, and the notes its build appends; a derived
-// column's values are evaluated by its first read, which the store
-// synchronizes.
+// so sessions read them without a lock. Two parts are built on first use:
+// the trace view, with the notes its build appends, and the Callers View,
+// which every session shares; a derived column's values are evaluated by
+// its first read, which the store synchronizes.
 type Snapshot struct {
-	exp *expdb.Experiment // never nil
-	mdb *expdb.MappedDB   // nil unless mapped (v3 zero-copy)
+	exp  *expdb.Experiment // never nil
+	mdb  *expdb.MappedDB   // nil unless mapped (v3 zero-copy)
+	path string            // the file Open opened, "" for one made in memory
 
 	// refs counts owners: the creator (released by Close) plus one per
 	// live Session. When the count hits zero a mapped snapshot unmaps its
@@ -67,6 +68,12 @@ type Snapshot struct {
 
 	// mu guards the notes a lazy trace-view build appends.
 	mu sync.Mutex
+
+	// callersOnce builds callers, the Callers View, on first use, and
+	// callersPanic keeps a panic of that build; see CallersView.
+	callersOnce  sync.Once
+	callers      *core.CallersView
+	callersPanic any
 }
 
 // NewSnapshot seals an in-memory experiment. The experiment must be fully
@@ -114,6 +121,7 @@ func Open(path string) (*Snapshot, error) {
 			mdb.Close()
 			return nil, fmt.Errorf("reading %s: %w", path, err)
 		}
+		sn.path = path
 		return sn, nil
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -123,7 +131,9 @@ func Open(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	return NewSnapshot(exp), nil
+	sn := NewSnapshot(exp)
+	sn.path = path
+	return sn, nil
 }
 
 // seal freezes the snapshot: the tree's constructor has already computed or
@@ -132,6 +142,22 @@ func Open(path string) (*Snapshot, error) {
 func (sn *Snapshot) seal() {
 	sn.baseCols = sn.exp.Tree.Reg.Len()
 	sn.refs.Store(1)
+}
+
+// CallersView returns the snapshot's Callers View, built by the first call
+// and shared by every session after it. Its subtries are built by the
+// first Expand of their root, whoever asks, and shared too. A panic in the
+// build (a fault on a page of a mapped database file that shrank) is raised
+// again by every call, so no caller takes a nil view.
+func (sn *Snapshot) CallersView() *core.CallersView {
+	sn.callersOnce.Do(func() {
+		defer func() { sn.callersPanic = recover() }()
+		sn.callers = core.BuildCallersView(sn.exp.Tree)
+	})
+	if sn.callersPanic != nil {
+		panic(sn.callersPanic)
+	}
+	return sn.callers
 }
 
 // Retain adds an owner. Sessions retain their snapshot at construction and
@@ -182,6 +208,9 @@ func (sn *Snapshot) Close() error { return sn.Release() }
 
 // Tree returns the shared tree. Callers must treat it as read-only.
 func (sn *Snapshot) Tree() *core.Tree { return sn.exp.Tree }
+
+// Path returns the file Open opened, "" for a snapshot made in memory.
+func (sn *Snapshot) Path() string { return sn.path }
 
 // Experiment returns the database the snapshot wraps.
 func (sn *Snapshot) Experiment() *expdb.Experiment { return sn.exp }

@@ -249,7 +249,8 @@ func (s *Store) slabFor(p Plane, col int, row int32) []float64 {
 // The zero View (no store) is a valid empty, read-only view, so a bare
 // Node can stand in as a sentinel; writing through it panics. A View must
 // not be moved to a different tree: slab views never alias across trees
-// (each tree, callers-view root and flat view owns a private store).
+// (each tree, flat view and callers-view subtrie owns a private store, and
+// a callers view's root rows share one).
 type View struct {
 	s   *Store
 	row int32

@@ -19,10 +19,12 @@ import (
 // becomes one location, visited in child order, and each scope holding
 // directly attributed cost — plus every leaf, so empty paths survive —
 // becomes one sample with its leaf-first location chain. The "repro:"
-// markers make the encoding lossless for integral costs: importing an
-// export rebuilds a byte-identical tree and metric registry. Sample values
-// are integers, so a fractional Base cell is rounded to the nearest one.
-// Foreign pprof tools still see an ordinary symbolized profile.
+// markers make the encoding lossless: importing an export rebuilds a
+// byte-identical tree and metric registry. Sample values are integers, so
+// a Base cell that is not an int64 (a fraction, as a per-rank normalized
+// diff union holds) is refused with an error naming its scope and column,
+// and nothing is written. Foreign pprof tools still see an ordinary
+// symbolized profile.
 //
 // The output is deterministic: ids follow tree child order, the string
 // table is first-use ordered, and no timestamps are recorded.
@@ -55,7 +57,9 @@ func Export(e *expdb.Experiment, w io.Writer) error {
 		mapIDs: map[int64]uint64{},
 	}
 	for _, c := range e.Tree.Root.Children {
-		ex.node(c, nil)
+		if err := ex.node(c, nil); err != nil {
+			return err
+		}
 	}
 
 	p.comments = append(p.comments,
@@ -87,8 +91,8 @@ type exporter struct {
 
 // node emits one tree scope as a location (and, when it holds cost or is
 // a leaf, a sample) and recurses; chain is the leaf-first location-id
-// path of the ancestors.
-func (ex *exporter) node(n *core.Node, chain []uint64) {
+// path of the ancestors. It refuses a Base cell no sample value can hold.
+func (ex *exporter) node(n *core.Node, chain []uint64) error {
 	locID := uint64(len(ex.p.locations) + 1)
 	ex.p.locations = append(ex.p.locations, location{
 		id:        locID,
@@ -102,7 +106,10 @@ func (ex *exporter) node(n *core.Node, chain []uint64) {
 	hasCost := false
 	for i, d := range ex.raw {
 		v := n.Base.Get(d.ID)
-		vals[i] = int64(math.Round(v))
+		if v != math.Trunc(v) || v < math.MinInt64 || v >= math.MaxInt64 {
+			return fmt.Errorf("pprofio: %s: column %q holds %v, which is no integer sample value", n.Label(), d.Name, v)
+		}
+		vals[i] = int64(v)
 		if v != 0 {
 			hasCost = true
 		}
@@ -113,8 +120,11 @@ func (ex *exporter) node(n *core.Node, chain []uint64) {
 		ex.p.samples = append(ex.p.samples, sample{locs: locs, values: vals})
 	}
 	for _, c := range n.Children {
-		ex.node(c, chain)
+		if err := ex.node(c, chain); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // lines encodes a scope's identity: the main line carries the scope's

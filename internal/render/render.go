@@ -223,8 +223,8 @@ func (r *renderer) ordered(ns []*core.Node) []*core.Node {
 }
 
 // rowOf returns scope n's row in the column slabs. The slabs are resolved
-// again only when n lives in another store than the scope before it (every
-// Callers View root owns one).
+// again only when n lives in another store than the scope before it (a
+// Callers View's root rows share one store, and each subtrie has its own).
 func (r *renderer) rowOf(n *core.Node) int {
 	if st := n.Incl.Store(); st != r.store {
 		r.store = st

@@ -22,35 +22,52 @@ import (
 
 // TestTruncatedDatabaseFaultIsSessionError: a database file truncated
 // while the server has it mapped makes the next command that reads a lost
-// page fault. The fault must come back as that session's 500, and the
-// server must keep answering. The server runs in a child process, so a
-// fault that kills it fails this test rather than the test binary; the
-// child exits on its own and is waited for.
+// page fault. The fault must come back as the 500 of every session that
+// reads it, naming the database, and the server must keep answering. The
+// server runs in a child process, so a fault that kills it fails this test
+// rather than the test binary; the child exits on its own and is waited
+// for.
 func TestTruncatedDatabaseFaultIsSessionError(t *testing.T) {
-	if os.Getenv("SERVER_FAULT_CHILD") == "1" {
-		truncatedDatabaseChild(t)
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestTruncatedDatabaseFaultIsSessionError$", "-test.v")
-	cmd.Env = append(os.Environ(), "SERVER_FAULT_CHILD=1")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("the server process failed: %v\n%s", err, out)
-	}
-	if bytes.Contains(out, []byte("--- SKIP")) {
-		t.Skipf("child skipped:\n%s", out)
-	}
-	if !bytes.Contains(out, []byte("--- PASS")) {
-		t.Fatalf("the child ran no test:\n%s", out)
+	for _, c := range []struct {
+		name     string
+		sessions int
+		lines    []string
+	}{
+		// One session: the fault is read by the Flat View's build or
+		// its expansion.
+		{"view_flat", 1, []string{"view flat", "expandall"}},
+		// Two sessions ask for the snapshot's one Callers View: the first
+		// build faults, and the second session gets that fault again
+		// rather than a view that was never built.
+		{"two_sessions_view_callers", 2, []string{"view callers"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if os.Getenv("SERVER_FAULT_CHILD") == "1" {
+				truncatedDatabaseChild(t, c.sessions, c.lines)
+				return
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestTruncatedDatabaseFaultIsSessionError$/^"+c.name+"$", "-test.v")
+			cmd.Env = append(os.Environ(), "SERVER_FAULT_CHILD=1")
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("the server process failed: %v\n%s", err, out)
+			}
+			if bytes.Contains(out, []byte("--- SKIP")) {
+				t.Skipf("child skipped:\n%s", out)
+			}
+			if !bytes.Contains(out, []byte("--- PASS")) {
+				t.Fatalf("the child ran no test:\n%s", out)
+			}
+		})
 	}
 }
 
 // truncatedDatabaseChild serves a v3 database of a few thousand scopes,
-// opens a session, truncates the file to 4 KiB, and runs view flat and
-// expandall.
-func truncatedDatabaseChild(t *testing.T) {
+// opens the sessions, truncates the file to 4 KiB, and has each session run
+// the lines until one fails.
+func truncatedDatabaseChild(t *testing.T, sessions int, lines []string) {
 	reg := metric.NewRegistry()
 	if _, err := reg.AddRaw("cost", "samples", 1); err != nil {
 		t.Fatal(err)
@@ -83,29 +100,35 @@ func truncatedDatabaseChild(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := &client{t: t, base: ts.URL, hc: ts.Client()}
-	token := c.createSession()
+	tokens := make([]string, sessions)
+	for i := range tokens {
+		tokens[i] = c.createSession()
+	}
 
 	if err := os.Truncate(path, 4096); err != nil {
 		t.Fatal(err)
 	}
-	status, body := 0, ""
-	for _, line := range []string{"view flat", "expandall"} {
-		payload, _ := json.Marshal(map[string]string{"line": line})
-		resp, err := c.hc.Post(c.base+"/v1/sessions/"+token+"/exec", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
+	for i, token := range tokens {
+		status, body := 0, ""
+		for _, line := range lines {
+			payload, _ := json.Marshal(map[string]string{"line": line})
+			resp, err := c.hc.Post(c.base+"/v1/sessions/"+token+"/exec", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status, body = resp.StatusCode, string(b); status != http.StatusOK {
+				break
+			}
 		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		// Only a fault names the file: a nil view's dereference would not.
+		if status != http.StatusInternalServerError || !strings.Contains(body, "session-panic") || !strings.Contains(body, "reading "+path+": fault") {
+			t.Fatalf("session %d after the truncation: status %d, body %s; want 500 session-panic naming %s", i, status, body, path)
 		}
-		if status, body = resp.StatusCode, string(b); status != http.StatusOK {
-			break
-		}
-	}
-	if status != http.StatusInternalServerError || !strings.Contains(body, "session-panic") {
-		t.Fatalf("after the truncation: status %d, body %s; want 500 session-panic", status, body)
 	}
 	resp, err := c.hc.Get(c.base + "/v1/stats")
 	if err != nil {

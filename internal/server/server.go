@@ -568,6 +568,9 @@ type execResult struct {
 	resp     engine.Response
 	panicked any
 	stack    []byte
+	// db is the file of the database the session presented when the
+	// command started ("" when it was made in memory).
+	db string
 	// dead reports the session was killed before the command could run.
 	dead bool
 }
@@ -591,11 +594,12 @@ func (srv *Server) execSession(w http.ResponseWriter, token string, se *session,
 		// server) panics here instead of killing the process; the recover
 		// below makes it the session's error.
 		debug.SetPanicOnFault(true)
+		var db string
 		defer func() {
 			// The recover runs after the mu-unlock defer below (LIFO), so a
 			// panic never leaves se.mu locked for the requests queued on it.
 			if p := recover(); p != nil {
-				done <- execResult{panicked: p, stack: debug.Stack()}
+				done <- execResult{panicked: p, stack: debug.Stack(), db: db}
 			}
 		}()
 		se.mu.Lock()
@@ -610,6 +614,7 @@ func (srv *Server) execSession(w http.ResponseWriter, token string, se *session,
 		if hook := srv.testExecHook; hook != nil {
 			hook(req.Line)
 		}
+		db = se.s.Snapshot().Path()
 		done <- execResult{resp: se.s.Do(req)}
 	}()
 
@@ -625,8 +630,12 @@ func (srv *Server) execSession(w http.ResponseWriter, token string, se *session,
 		case res.panicked != nil:
 			srv.sessionPanics.Add(1)
 			srv.remove(token)
+			cause := fmt.Sprint(res.panicked)
+			if _, fault := res.panicked.(interface{ Addr() uintptr }); fault && res.db != "" {
+				cause = fmt.Sprintf("reading %s: fault on a page of the mapped file: %v", res.db, res.panicked)
+			}
 			writeError(w, http.StatusInternalServerError, "session-panic",
-				fmt.Sprintf("command %q crashed its session (session closed): %v", req.Line, res.panicked))
+				fmt.Sprintf("command %q crashed its session (session closed): %s", req.Line, cause))
 			return engine.Response{}, false
 		case res.dead:
 			writeError(w, http.StatusNotFound, "unknown-session", "session closed")
