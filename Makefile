@@ -41,6 +41,15 @@ vet:
 	@if $(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./... | grep -E ' repro/internal/oracle( |$$)'; then \
 		echo "non-test code imports repro/internal/oracle"; exit 1; \
 	fi
+	@# hpcviewer has one open path, engine.Open, and shows views only
+	@# through a session: it may neither decode a database itself nor build
+	@# a view outside the engine.
+	@if $(GO) list -f '{{join .Imports " "}}' ./cmd/hpcviewer | grep -E '(^| )repro/internal/expdb( |$$)' >/dev/null; then \
+		echo "cmd/hpcviewer imports repro/internal/expdb"; exit 1; \
+	fi
+	@if grep -n 'core\.Build[A-Za-z]*View' $$(ls cmd/hpcviewer/*.go | grep -v '_test\.go$$'); then \
+		echo "cmd/hpcviewer builds a view with core.Build*View"; exit 1; \
+	fi
 
 # Static analysis beyond vet. Both tools run in CI unconditionally; locally
 # each is skipped (with a note) when not on PATH — the container image does

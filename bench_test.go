@@ -596,11 +596,20 @@ func BenchmarkRenderViews(b *testing.B) {
 
 // --- HTML export and interactive session --------------------------------------
 
+// BenchmarkRenderHTMLReport writes hpcviewer -html's three-view report
+// from a fresh snapshot each time, so the Callers and Flat Views are
+// built in every iteration.
 func BenchmarkRenderHTMLReport(b *testing.B) {
 	t := syntheticCCT(10_000, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := render.RenderHTMLReport(io.Discard, t, "synth", 0, render.Options{TopN: 10, MaxDepth: 8}); err != nil {
+		snap := engine.NewSnapshot(expdb.New(t))
+		s := engine.NewSession(snap)
+		s.SetLimits(10, 8)
+		err := s.RenderHTML(io.Discard, "synth", 0)
+		s.Close()
+		snap.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,6 +56,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/merge"
 	"repro/internal/metric"
+	"repro/internal/mmapio"
 	"repro/internal/pprofio"
 	"repro/internal/profile"
 	"repro/internal/source"
@@ -214,15 +215,18 @@ func importPprof(in, out string, write func(*expdb.Experiment, io.Writer) error)
 }
 
 // exportPprof round-trips an existing database (any format) out to pprof.
+// A fault on a page of the mapped database is an error naming the file.
 func exportPprof(dbPath, out string) error {
-	sn, err := engine.Open(dbPath)
-	if err != nil {
-		return err
-	}
-	defer sn.Release()
-	err = expdb.WriteFileAtomic(out, func(f *os.File) error {
-		return pprofio.Export(sn.Experiment(), f)
-	})
+	err := mmapio.Guard(func() error {
+		sn, err := engine.Open(dbPath)
+		if err != nil {
+			return err
+		}
+		defer sn.Release()
+		return expdb.WriteFileAtomic(out, func(f *os.File) error {
+			return pprofio.Export(sn.Experiment(), f)
+		})
+	}, dbPath)
 	if err != nil {
 		return err
 	}

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/expdb"
+	"repro/internal/mmapio"
 	"repro/internal/report"
 )
 
@@ -52,41 +53,44 @@ func run(args []string) error {
 		return fmt.Errorf("nothing to write: both -o and -md are empty")
 	}
 
-	exp, release, err := openDB(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer release()
-	opt := report.Options{
-		Metric:    *metricName,
-		Threshold: *threshold,
-		Top:       *top,
-		Bins:      *bins,
-	}
+	// A fault on a page of a mapped database is one error naming it.
+	paths := []string{fs.Arg(0)}
 	if *baseline != "" {
-		base, brelease, err := openDB(*baseline)
+		paths = append(paths, *baseline)
+	}
+	return mmapio.Guard(func() error {
+		exp, release, err := openDB(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		defer brelease()
-		opt.Baseline = base
-	}
-
-	r, err := report.Build(exp, opt)
-	if err != nil {
-		return err
-	}
-	jsonBytes, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	if err := write(*outJSON, jsonBytes); err != nil {
-		return err
-	}
-	if err := write(*outMD, r.Markdown()); err != nil {
-		return err
-	}
-	return nil
+		defer release()
+		opt := report.Options{
+			Metric:    *metricName,
+			Threshold: *threshold,
+			Top:       *top,
+			Bins:      *bins,
+		}
+		if *baseline != "" {
+			base, brelease, err := openDB(*baseline)
+			if err != nil {
+				return err
+			}
+			defer brelease()
+			opt.Baseline = base
+		}
+		r, err := report.Build(exp, opt)
+		if err != nil {
+			return err
+		}
+		jsonBytes, err := r.JSON()
+		if err != nil {
+			return err
+		}
+		if err := write(*outJSON, jsonBytes); err != nil {
+			return err
+		}
+		return write(*outMD, r.Markdown())
+	}, paths...)
 }
 
 // openDB opens a database of any format.

@@ -160,19 +160,12 @@ func run(args []string) (err error) {
 		if !*residency {
 			return
 		}
-		data := sn.MappedBytes()
-		if data == nil {
-			fmt.Fprintf(os.Stderr, "hpcserver: residency %s: database is not mapped\n", name)
-			return
+		lines := sn.Residency()
+		if lines == nil {
+			lines = []string{"database is not mapped"}
 		}
-		fmt.Fprintf(os.Stderr, "hpcserver: residency %s: %s\n", name, diag.ResidencyString(data))
-		spans := sn.SectionSpans()
-		kinds := make([]diag.KindSpan, len(spans))
-		for i, sp := range spans {
-			kinds[i] = diag.KindSpan{Kind: sp.Kind, Data: sp.Data}
-		}
-		for _, line := range diag.ResidencyByKind(kinds) {
-			fmt.Fprintf(os.Stderr, "hpcserver: residency %s:   %s\n", name, line)
+		for i, line := range lines {
+			fmt.Fprintf(os.Stderr, "hpcserver: residency %s: %s%s\n", name, strings.Repeat("  ", min(i, 1)), line)
 		}
 	}
 

@@ -4,6 +4,12 @@
 // (Equation 3), user-defined derived metrics ($n formulas, Section V-D) and
 // flattening, rendered as a tree-table.
 //
+// Batch and -interactive are one program: both open the database with
+// engine.Open and show it through one engine session. Batch expands the
+// view whole and prints every row without the session's row numbers and
+// '+' expanders; -top N cuts every sibling list, the top level's too, and
+// says "... (N more)"; -depth N shows N levels.
+//
 // Usage:
 //
 //	hpcviewer -db s3d.db                                 # Calling Context View
@@ -20,15 +26,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/engine"
-	"repro/internal/expdb"
+	"repro/internal/mmapio"
 	"repro/internal/profile"
-	"repro/internal/prog"
 	"repro/internal/render"
 	"repro/internal/structfile"
 	"repro/internal/workloads"
@@ -51,30 +55,39 @@ type derivedFlags []string
 func (d *derivedFlags) String() string     { return strings.Join(*d, ";") }
 func (d *derivedFlags) Set(s string) error { *d = append(*d, s); return nil }
 
+// options are the command's flags.
+type options struct {
+	db, view, sort, hotpath, workload, structPath, measDir, html string
+	threshold                                                    float64
+	depth, top, flatten                                          int
+	derived                                                      derivedFlags
+	metrics, interactive, residency                              bool
+}
+
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("hpcviewer", flag.ContinueOnError)
 	dflags := diag.Register(fs)
-	db := fs.String("db", "", "experiment database from hpcprof (required)")
-	view := fs.String("view", "cc", "view: cc (calling context), callers, flat")
-	sortBy := fs.String("sort", "", "metric column to sort by, e.g. CYCLES or CYCLES:excl (default first column inclusive)")
-	hotpath := fs.String("hotpath", "", "run hot path analysis on this metric and highlight it")
-	threshold := fs.Float64("threshold", core.DefaultHotPathThreshold, "hot path descent threshold")
-	depth := fs.Int("depth", 0, "maximum tree depth to show (0 = unlimited)")
-	top := fs.Int("top", 0, "show only the top N children per scope (0 = all)")
-	flatten := fs.Int("flatten", 0, "flatten the flat view N times")
-	var derived derivedFlags
-	fs.Var(&derived, "derived", "derived metric name=formula (repeatable), e.g. 'fpwaste=$0*4-$1'")
-	metrics := fs.Bool("metrics", false, "list metric columns and exit")
-	interactive := fs.Bool("interactive", false, "start an interactive session (expand/collapse/zoom/hot/src; type help)")
-	residency := fs.Bool("residency", false, "debug: report mapped-vs-resident bytes of a mapped (v3) database at open and exit")
-	workload := fs.String("w", "", "workload name, to attach pseudo-source for the interactive source pane")
-	structPath := fs.String("S", "", "structure file, enabling interactive per-rank plots (with -m)")
-	measDir := fs.String("m", "", "measurements directory of .cpprof files, enabling interactive per-rank plots (with -S)")
-	htmlOut := fs.String("html", "", "write a self-contained HTML report (all three views) to this file")
+	var o options
+	fs.StringVar(&o.db, "db", "", "experiment database from hpcprof (required)")
+	fs.StringVar(&o.view, "view", "cc", "view: cc (calling context), callers, flat")
+	fs.StringVar(&o.sort, "sort", "", "metric column to sort by, e.g. CYCLES or CYCLES:excl (default first column inclusive)")
+	fs.StringVar(&o.hotpath, "hotpath", "", "run hot path analysis on this metric and highlight it")
+	fs.Float64Var(&o.threshold, "threshold", core.DefaultHotPathThreshold, "hot path descent threshold in (0,1]")
+	fs.IntVar(&o.depth, "depth", 0, "maximum tree depth to show (0 = unlimited)")
+	fs.IntVar(&o.top, "top", 0, "show only the top N scopes of every sibling list, the top level's too (0 = all)")
+	fs.IntVar(&o.flatten, "flatten", 0, "flatten the flat view N times")
+	fs.Var(&o.derived, "derived", "derived metric name=formula (repeatable), e.g. 'fpwaste=$0*4-$1'")
+	fs.BoolVar(&o.metrics, "metrics", false, "list metric columns and exit")
+	fs.BoolVar(&o.interactive, "interactive", false, "start an interactive session (expand/collapse/zoom/hot/src; type help)")
+	fs.BoolVar(&o.residency, "residency", false, "debug: report mapped-vs-resident bytes of a mapped (v3) database at open and exit")
+	fs.StringVar(&o.workload, "w", "", "workload name, to attach pseudo-source for the interactive source pane")
+	fs.StringVar(&o.structPath, "S", "", "structure file, enabling interactive per-rank plots (with -m)")
+	fs.StringVar(&o.measDir, "m", "", "measurements directory of .cpprof files, enabling interactive per-rank plots (with -S)")
+	fs.StringVar(&o.html, "html", "", "write a self-contained HTML report (all three views) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *db == "" {
+	if o.db == "" {
 		return fmt.Errorf("missing -db")
 	}
 	stopDiag, err := dflags.Start()
@@ -86,147 +99,36 @@ func run(args []string) (err error) {
 			err = derr
 		}
 	}()
-
-	if *interactive {
-		// Interactive sessions go through the engine, which maps a v3
-		// database and checks every column's checksum as it opens.
-		return runInteractive(*db, derived, *workload, *structPath, *measDir, *residency)
+	// A fault on a lost page of the mapped database is one error naming
+	// the file; the REPL prints it as its other errors.
+	err = mmapio.Guard(func() error { return present(&o) }, o.db)
+	var fault interface{ Addr() uintptr }
+	if o.interactive && errors.As(err, &fault) {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		return errReported
 	}
-
-	exp, err := readDB(*db)
-	if err != nil {
-		return err
-	}
-	tree := exp.Tree
-
-	for _, d := range derived {
-		kv := strings.SplitN(d, "=", 2)
-		if len(kv) != 2 {
-			return fmt.Errorf("bad -derived %q (want name=formula)", d)
-		}
-		if _, err := tree.Reg.AddDerived(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-
-	if *metrics {
-		for _, d := range tree.Reg.Columns() {
-			fmt.Printf("%3d  %-24s %-8s %s\n", d.ID, d.Name, d.Kind, d.Formula)
-		}
-		return nil
-	}
-
-	if *htmlOut != "" {
-		hot := -1
-		if *hotpath != "" {
-			d := tree.Reg.ByName(*hotpath)
-			if d == nil {
-				return fmt.Errorf("unknown hot path metric %q", *hotpath)
-			}
-			hot = d.ID
-		} else if tree.Reg.Len() > 0 {
-			hot = 0
-		}
-		f, err := os.Create(*htmlOut)
-		if err != nil {
-			return err
-		}
-		opt := render.Options{MaxDepth: *depth, TopN: *top}
-		if err := render.RenderHTMLReport(f, tree, exp.Program, hot, opt); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *htmlOut)
-		return nil
-	}
-
-	sortSpec := core.SortSpec{}
-	if *sortBy != "" {
-		name, excl := strings.CutSuffix(*sortBy, ":excl")
-		d := tree.Reg.ByName(name)
-		if d == nil {
-			return fmt.Errorf("unknown sort metric %q", name)
-		}
-		sortSpec = core.SortSpec{MetricID: d.ID, Exclusive: excl}
-	}
-
-	opt := render.Options{
-		Sort:     sortSpec,
-		MaxDepth: *depth,
-		TopN:     *top,
-		Totals:   tree.Total,
-	}
-
-	if *hotpath != "" {
-		d := tree.Reg.ByName(*hotpath)
-		if d == nil {
-			return fmt.Errorf("unknown hot path metric %q", *hotpath)
-		}
-		path := core.HotPath(tree.Root, d.ID, *threshold)
-		opt.Highlight = map[*core.Node]bool{}
-		for _, n := range path {
-			opt.Highlight[n] = true
-		}
-		if *depth == 0 {
-			// Show just enough depth to cover the hot path.
-			opt.MaxDepth = len(path) + 1
-		}
-		fmt.Printf("hot path (metric %s, t=%.0f%%):\n", d.Name, *threshold*100)
-		for i, n := range path[1:] {
-			fmt.Printf("  %s%s  [%s]\n", strings.Repeat(" ", i), n.Label(), render.FormatValue(n.Incl.Get(d.ID)))
-		}
-		fmt.Println()
-	}
-
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-
-	switch *view {
-	case "cc":
-		return render.RenderTree(w, tree, opt)
-	case "callers":
-		return render.RenderCallers(w, core.BuildCallersView(tree), tree, opt)
-	case "flat":
-		fv := core.BuildFlatView(tree)
-		roots := core.FlattenN(fv.Roots, *flatten)
-		return render.Render(w, roots, tree.Reg, opt)
-	default:
-		return fmt.Errorf("unknown view %q (want cc, callers or flat)", *view)
-	}
+	return err
 }
 
-// runInteractive opens the database as an engine snapshot and drives the
-// REPL over one session of it. A v3 database is mapped and verified as it
-// opens, every other format decoded whole; either way the notes for damage
-// are printed before the first render. Only the trace view, built when a
-// command first asks for it, may add notes later.
-// The CLI is a thin frontend: every capability here (and in hpcserver)
-// lives in internal/engine.
-func runInteractive(dbPath string, derived derivedFlags, workload, structPath, measDir string, residency bool) error {
-	snap, err := engine.Open(dbPath)
+// present opens the database and shows it through one session, batch or
+// REPL, after printing its damage notes and merge provenance. Only the
+// trace view, built when a command first asks for it, may add notes later.
+func present(o *options) error {
+	snap, err := engine.Open(o.db)
 	if err != nil {
 		return err
 	}
+	defer snap.Release()
 	reportResidency := func(when string) {
-		if !residency {
+		if !o.residency {
 			return
 		}
-		data := snap.MappedBytes()
-		if data == nil {
-			fmt.Fprintf(os.Stderr, "hpcviewer: residency at %s: database is not mapped\n", when)
-			return
+		lines := snap.Residency()
+		if lines == nil {
+			lines = []string{"database is not mapped"}
 		}
-		fmt.Fprintf(os.Stderr, "hpcviewer: residency at %s: %s\n", when, diag.ResidencyString(data))
-		spans := snap.SectionSpans()
-		kinds := make([]diag.KindSpan, len(spans))
-		for i, sp := range spans {
-			kinds[i] = diag.KindSpan{Kind: sp.Kind, Data: sp.Data}
-		}
-		for _, line := range diag.ResidencyByKind(kinds) {
-			fmt.Fprintf(os.Stderr, "hpcviewer: residency at %s:   %s\n", when, line)
+		for i, line := range lines {
+			fmt.Fprintf(os.Stderr, "hpcviewer: residency at %s: %s%s\n", when, strings.Repeat("  ", min(i, 1)), line)
 		}
 	}
 	reportResidency("open")
@@ -239,19 +141,13 @@ func runInteractive(dbPath string, derived derivedFlags, workload, structPath, m
 		}
 	}
 	flushNotes()
-
-	var source *prog.Program
-	if workload != "" {
-		spec, err := workloads.ByName(workload)
-		if err != nil {
-			return err
-		}
-		source = spec.Program
+	if p := snap.Provenance(); p != nil && !p.Clean() {
+		fmt.Fprintf(os.Stderr, "hpcviewer: %s\n", p.Summary())
 	}
+
 	s := engine.NewSession(snap)
 	defer s.Close()
-	s.SetSource(source)
-	for _, d := range derived {
+	for _, d := range o.derived {
 		kv := strings.SplitN(d, "=", 2)
 		if len(kv) != 2 {
 			return fmt.Errorf("bad -derived %q (want name=formula)", d)
@@ -260,14 +156,114 @@ func runInteractive(dbPath string, derived derivedFlags, workload, structPath, m
 			return err
 		}
 	}
-	if structPath != "" && measDir != "" {
-		doc, profs, err := loadMeasurements(structPath, measDir)
+	if !o.interactive {
+		return batch(s, o)
+	}
+	if o.workload != "" {
+		spec, err := workloads.ByName(o.workload)
+		if err != nil {
+			return err
+		}
+		s.SetSource(spec.Program)
+	}
+	if o.structPath != "" && o.measDir != "" {
+		doc, profs, err := loadMeasurements(o.structPath, o.measDir)
 		if err != nil {
 			return err
 		}
 		s.AttachProfiles(doc, profs)
 	}
-	return repl(s, dbPath, flushNotes)
+	return repl(s, flushNotes)
+}
+
+// batch prints what the flags ask of the session: its metric columns, an
+// HTML report of the three views, or one view expanded whole.
+func batch(s *engine.Session, o *options) error {
+	reg := s.Registry()
+	if o.metrics {
+		for _, d := range reg.Columns() {
+			fmt.Printf("%3d  %-24s %-8s %s\n", d.ID, d.Name, d.Kind, d.Formula)
+		}
+		return nil
+	}
+	if o.html != "" {
+		return writeHTML(s, o)
+	}
+	if o.sort != "" {
+		name, excl := strings.CutSuffix(o.sort, ":excl")
+		d := reg.ByName(name)
+		if d == nil {
+			return fmt.Errorf("unknown sort metric %q", name)
+		}
+		s.SetSort(core.SortSpec{MetricID: d.ID, Exclusive: excl})
+	}
+	depth := o.depth
+	if o.hotpath != "" {
+		d := reg.ByName(o.hotpath)
+		if d == nil {
+			return fmt.Errorf("unknown hot path metric %q", o.hotpath)
+		}
+		// Equation 3 from the CCT's root, whichever view is printed.
+		s.SetThreshold(o.threshold)
+		path := s.HotPath(d.ID)
+		if depth == 0 {
+			// Show just enough depth to cover the hot path.
+			depth = len(path) + 1
+		}
+		fmt.Printf("hot path (metric %s, t=%.0f%%):\n", d.Name, s.Threshold()*100)
+		for i, n := range path[1:] {
+			fmt.Printf("  %s%s  [%s]\n", strings.Repeat(" ", i), n.Label(), render.FormatValue(s.Value(n, d.ID, true)))
+		}
+		fmt.Println()
+	}
+	switch o.view {
+	case "cc":
+	case "callers":
+		s.SwitchView(engine.ViewCallers)
+	case "flat":
+		s.SwitchView(engine.ViewFlat)
+		for range o.flatten {
+			s.FlattenOnce()
+		}
+	default:
+		return fmt.Errorf("unknown view %q (want cc, callers or flat)", o.view)
+	}
+	s.SetLimits(o.top, depth)
+	if err := s.ExpandAll(nil); err != nil {
+		return err
+	}
+	w := bufio.NewWriter(os.Stdout)
+	if err := s.RenderLines(w); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+// writeHTML writes the HTML report of the three views to o.html, with the
+// hot path of -hotpath (or the first column) highlighted in the Calling
+// Context View.
+func writeHTML(s *engine.Session, o *options) error {
+	hot := -1
+	if o.hotpath != "" {
+		d := s.Registry().ByName(o.hotpath)
+		if d == nil {
+			return fmt.Errorf("unknown hot path metric %q", o.hotpath)
+		}
+		hot = d.ID
+	} else if s.Registry().Len() > 0 {
+		hot = 0
+	}
+	f, err := os.Create(o.html)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	s.SetLimits(o.top, o.depth)
+	err = s.RenderHTML(w, s.Snapshot().Experiment().Program, hot)
+	if err = errors.Join(err, w.Flush(), f.Close()); err == nil {
+		fmt.Printf("wrote %s\n", o.html)
+	}
+	return err
 }
 
 // loadMeasurements reads a structure file plus every .cpprof profile in a
@@ -309,24 +305,9 @@ func loadMeasurements(structPath, dir string) (*structfile.Doc, []*profile.Profi
 // GUI interactions (expand/collapse, hot-path drill-down, zoom, flatten,
 // the source pane and per-rank plots). flushNotes runs after every
 // command so the notes of a trace view's first build surface at once.
-//
-// The session reads a mapped database's pages on this goroutine. A file
-// that shrank under the mapping faults at the next lost page; the fault
-// ends the session with one error line naming the database, db, instead
-// of killing the process.
-func repl(s *engine.Session, db string, flushNotes func()) (err error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if p := recover(); p != nil {
-			if _, fault := p.(interface{ Addr() uintptr }); !fault {
-				panic(p)
-			}
-			fmt.Fprintf(os.Stderr, "error: reading %s: fault on a page of the mapped file: %v\n", db, p)
-			err = errReported
-		}
-	}()
+func repl(s *engine.Session, flushNotes func()) error {
 	out := bufio.NewWriter(os.Stdout)
-	err = s.Render(out, render.Options{})
+	err := s.Render(out, render.Options{})
 	out.Flush()
 	flushNotes()
 	if err != nil {
@@ -350,29 +331,4 @@ func repl(s *engine.Session, db string, flushNotes func()) (err error) {
 		}
 	}
 	return in.Err()
-}
-
-func readDB(path string) (*expdb.Experiment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	// expdb.Read sniffs the magic, accepting XML and binary v1, v2 and v3.
-	// The raw file is passed (not a buffered wrapper) so the reader can
-	// bound allocations by the file's actual size.
-	exp, err := expdb.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
-	}
-	// A database can open degraded (a damaged optional section or column
-	// was dropped) and can carry merge provenance; tell the user on stderr
-	// so the rendered views are never silently incomplete.
-	for _, note := range exp.Notes {
-		fmt.Fprintf(os.Stderr, "hpcviewer: warning: %s\n", note)
-	}
-	if exp.Provenance != nil && !exp.Provenance.Clean() {
-		fmt.Fprintf(os.Stderr, "hpcviewer: %s\n", exp.Provenance.Summary())
-	}
-	return exp, nil
 }

@@ -40,7 +40,7 @@ const Help = `commands:
   diff NAME [METRIC] [MODE]  diff against catalog entry NAME (mode:
                           auto|none|weak|strong); rebases onto the union
   back                    leave the diff, restore the original database
-  top N / depth N         limit children per scope / tree depth
+  top N / depth N         limit every sibling list (top level too) / depth
   help                    this text
   quit                    leave`
 
@@ -116,18 +116,15 @@ func Exec(s *Session, line string, out io.Writer) (quit bool, err error) {
 		s.Collapse(n)
 		return false, renderNow()
 	case "expandall":
-		if len(args) == 0 {
-			if err := s.expandAllRows(); err != nil {
+		var n *core.Node // nil: the whole view
+		if len(args) > 0 {
+			var err error
+			if n, err = rowArg(); err != nil {
 				return false, err
 			}
-		} else {
-			n, err := rowArg()
-			if err != nil {
-				return false, err
-			}
-			if err := s.ExpandAll(n); err != nil {
-				return false, err
-			}
+		}
+		if err := s.ExpandAll(n); err != nil {
+			return false, err
 		}
 		return false, renderNow()
 	case "select":

@@ -22,6 +22,12 @@ import (
 // function of the view row whenever the view was built relative to the
 // registration — the property concurrent-session equivalence rests on.
 
+// Value reads one metric cell of a scope the session shows, the session's
+// own derived columns included.
+func (s *Session) Value(n *core.Node, id int, inclusive bool) float64 {
+	return s.cellValue(n, id, inclusive)
+}
+
 // cellValue reads one metric cell for the session, as columnSlab does. It
 // is the sort, hot-path and statistics key reader.
 func (s *Session) cellValue(n *core.Node, id int, inclusive bool) float64 {

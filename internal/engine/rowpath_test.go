@@ -67,10 +67,13 @@ func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
 		sorted := append([]*core.Node(nil), ns...)
 		inclusive, id := !s.sort.Exclusive, s.sort.MetricID
 		core.SortScopesFunc(sorted, s.sort, func(n *core.Node) float64 { return s.cellValue(n, id, inclusive) })
+		var cut int32
 		if s.topN > 0 && len(sorted) > s.topN {
-			sorted = sorted[:s.topN]
+			sorted, cut = sorted[:s.topN], int32(len(sorted)-s.topN)
 		}
+		last := len(rows)
 		for _, n := range sorted {
+			last = len(rows)
 			// A Callers View root the session has not opened shows a +,
 			// and nothing below it, whatever other sessions built.
 			if s.view == ViewCallers && n.Parent == nil && !s.opened.has(n) {
@@ -85,6 +88,10 @@ func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
 			if shown {
 				add(n.Children, depth+1)
 			}
+		}
+		if cut > 0 {
+			// The last scope shown of a cut list counts what the cut hid.
+			rows[last].Cut = cut
 		}
 	}
 	add(s.roots(), 0)

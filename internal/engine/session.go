@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"html"
 	"io"
 	"sync/atomic"
 
@@ -204,8 +205,11 @@ func (s *Session) SetThreshold(t float64) {
 	s.threshold = t
 }
 
-// SetLimits bounds the visible rows: at most topN children per scope and
-// maxDepth levels (0 = unlimited).
+// Threshold returns the hot-path threshold.
+func (s *Session) Threshold() float64 { return s.threshold }
+
+// SetLimits bounds the visible rows: at most topN scopes of every sibling
+// list, the top level's too, and maxDepth levels (0 = unlimited).
 func (s *Session) SetLimits(topN, maxDepth int) {
 	s.topN, s.maxDepth = topN, maxDepth
 }
@@ -284,45 +288,53 @@ func (s *Session) roots() []*core.Node {
 }
 
 // flatView returns the session's Flat View, built to the procedure rows on
-// first use and with the rows below them when below is true.
+// first use and with the rows below them when below is true (in one pass
+// when both come at once).
 func (s *Session) flatView(below bool) *core.FlatView {
-	if s.flat == nil {
+	switch {
+	case s.flat == nil && below:
+		s.flat = core.BuildFlatView(s.snap.exp.Tree)
+	case s.flat == nil:
 		s.flat = core.BuildFlatViewLazy(s.snap.exp.Tree)
-	}
-	if below {
+	case below:
 		s.flat.Complete()
 	}
 	return s.flat
 }
 
-// VisibleRows recomputes and returns the rows currently on screen:
-// top-level scopes always, descendants only along expanded chains, every
-// sibling list ordered by the session sort.
+// VisibleRows recomputes and returns the rows currently on screen (see
+// render.Walk): top-level scopes always, descendants only along expanded
+// chains, every sibling list ordered by the session sort.
 func (s *Session) VisibleRows() []render.Row {
-	s.rows, s.scratch = s.rows[:0], s.scratch[:0]
-	var add func(ns []*core.Node, depth int)
-	add = func(ns []*core.Node, depth int) {
-		sorted := s.sortedSiblings(ns)
-		if s.topN > 0 && len(sorted) > s.topN {
-			sorted = sorted[:s.topN]
-		}
-		for _, n := range sorted {
-			if s.unopened(n) {
-				// Its callers may not be built yet, or be in the making
-				// for another session: expandable regardless, and not read.
-				s.rows = append(s.rows, render.Row{Node: n, Depth: depth, HasHidden: true})
-				continue
-			}
-			childrenShown := s.expanded.has(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
-			hidden := n.HasRowsBelow() && !childrenShown
-			s.rows = append(s.rows, render.Row{Node: n, Depth: depth, HasHidden: hidden})
-			if childrenShown {
-				add(n.Children, depth+1)
-			}
-		}
-	}
-	add(s.roots(), 0)
+	s.rows = s.rows[:0]
+	s.walk(func(row render.Row) error {
+		s.rows = append(s.rows, row)
+		return nil
+	})
 	return s.rows
+}
+
+// walk is the session's render.RowSource: it calls emit with the visible
+// rows in order, as VisibleRows returns them, without keeping them.
+func (s *Session) walk(emit func(render.Row) error) error {
+	s.scratch = s.scratch[:0]
+	return render.Walk(s.roots(), (*presenter)(s), s.topN, s.maxDepth, emit)
+}
+
+// presenter is the session as the row walk's render.Presenter.
+type presenter Session
+
+func (p *presenter) Order(ns []*core.Node) []*core.Node { return (*Session)(p).sortedSiblings(ns) }
+
+// Expanded: a Callers View root the session has not opened may have its
+// callers not built yet, or in the making for another session, so it is
+// expandable regardless, and not read.
+func (p *presenter) Expanded(n *core.Node) (open, unread bool) {
+	s := (*Session)(p)
+	if s.unopened(n) {
+		return false, true
+	}
+	return s.expanded.has(n), false
 }
 
 // unopened reports whether n is a Callers View root this session has not
@@ -406,11 +418,15 @@ func (s *Session) Expand(n *core.Node) {
 	s.expanded.set(n, true)
 }
 
-// ExpandAll opens every scope under n (and n itself). In the Callers View
+// ExpandAll opens every scope under n (and n itself); a nil n opens every
+// scope of the view shown. In the Callers View
 // this materializes every caller subtrie on core.CallersView.ExpandAllCtx's
 // pool, which can fail on a damaged view or be cut short by Close; the
 // scopes opened so far stay open.
 func (s *Session) ExpandAll(n *core.Node) error {
+	if n == nil {
+		return s.expandAllRows()
+	}
 	err := s.expandBelow()
 	s.expandTree(n)
 	return err
@@ -432,12 +448,8 @@ func (s *Session) expandTree(n *core.Node) {
 // all. On an error the first row is opened and the rest
 // are not, as when each row was opened in turn.
 func (s *Session) expandAllRows() error {
-	rows := s.VisibleRows()
-	if len(rows) == 0 {
-		return nil
-	}
 	err := s.expandBelow()
-	for _, r := range rows {
+	for _, r := range s.VisibleRows() {
 		if r.Depth == 0 {
 			s.expandTree(r.Node)
 		}
@@ -453,10 +465,13 @@ func (s *Session) expandAllRows() error {
 // core.CallersView.ExpandAllCtx's pool. When the pool stops early, the
 // roots built by then, by any session, count as opened.
 func (s *Session) expandBelow() error {
-	switch {
-	case s.view == ViewFlat:
+	switch s.view {
+	case ViewFlat:
 		s.flatView(true)
-	case s.view == ViewCallers && s.callers != nil:
+	case ViewCallers:
+		if s.callers == nil {
+			s.callers = s.snap.CallersView()
+		}
 		err := s.callers.ExpandAllCtx(s.ctx)
 		for _, root := range s.callers.Roots {
 			if s.callers.Expanded(root) {
@@ -517,10 +532,48 @@ func (s *Session) HotPath(metricID int) []*core.Node {
 
 // Render writes the visible rows with row numbers.
 func (s *Session) Render(w io.Writer, opt render.Options) error {
+	return render.RenderRows(w, s.VisibleRows(), s.reg, s.options(opt))
+}
+
+// RenderLines writes the visible rows as batch hpcviewer prints them (see
+// render.RenderLines).
+func (s *Session) RenderLines(w io.Writer) error {
+	return render.RenderLines(w, s.walk, s.reg, s.options(render.Options{}))
+}
+
+// RenderHTML writes the three views as one self-contained HTML report,
+// each expanded to the session's limits under its own heading, with the
+// hot path of column hotMetric highlighted in the Calling Context View (a
+// negative hotMetric highlights none). It leaves the session on the Flat
+// View.
+func (s *Session) RenderHTML(w io.Writer, title string, hotMetric int) error {
+	if _, err := io.WriteString(w, "<!-- "+html.EscapeString(title)+": calling context / callers / flat -->\n"); err != nil {
+		return err
+	}
+	for _, v := range []struct {
+		kind ViewKind
+		name string
+	}{{ViewCC, "Calling Context View"}, {ViewCallers, "Callers View"}, {ViewFlat, "Flat View"}} {
+		s.SwitchView(v.kind)
+		if v.kind == ViewCC && hotMetric >= 0 {
+			s.HotPath(hotMetric)
+		}
+		if err := s.ExpandAll(nil); err != nil {
+			return err
+		}
+		if err := render.RenderHTML(w, title+" — "+v.name, s.walk, s.reg, s.options(render.Options{})); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// options completes opt with the session's columns, highlights, percent
+// denominators and cell reader.
+func (s *Session) options(opt render.Options) render.Options {
 	if opt.Columns == nil {
 		opt.Columns = s.columns
 	}
-	rows := s.VisibleRows()
 	opt.Highlight = s.highlight
 	if opt.Totals == nil {
 		opt.Totals = s.total
@@ -528,7 +581,7 @@ func (s *Session) Render(w io.Writer, opt render.Options) error {
 	if opt.Slab == nil {
 		opt.Slab = s.columnSlab
 	}
-	return render.RenderRows(w, rows, s.reg, opt)
+	return opt
 }
 
 // AddDerivedMetric registers a session-private derived column. Unlike the

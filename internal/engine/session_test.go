@@ -409,3 +409,30 @@ func TestExpandAllInCallersView(t *testing.T) {
 		t.Fatalf("rows after ExpandAll(g) = %d, want %d", n, len(rows)+6)
 	}
 }
+
+// TestRenderHTMLAllViews: the HTML report holds the three views under
+// their headings, the Calling Context View's hot path highlighted unless
+// no column is asked for.
+func TestRenderHTMLAllViews(t *testing.T) {
+	var b strings.Builder
+	s := session(t)
+	defer s.Close()
+	if err := s.RenderHTML(&b, "toy", 0); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"Calling Context View", "Callers View", "Flat View", "file1.c", "leaf hot"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q", want)
+		}
+	}
+	b.Reset()
+	s2 := session(t)
+	defer s2.Close()
+	if err := s2.RenderHTML(&b, "toy", -1); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "leaf hot") {
+		t.Fatal("hot path highlighted despite being disabled")
+	}
+}

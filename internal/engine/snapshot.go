@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/expdb"
 	"repro/internal/ingest"
 )
@@ -246,6 +247,22 @@ func (sn *Snapshot) SectionSpans() []expdb.SectionSpan {
 		return nil
 	}
 	return sn.mdb.SectionSpans()
+}
+
+// Residency probes how much of a mapped database is resident: a line for
+// the whole file, then one per section kind. It is nil for a database that
+// is not mapped.
+func (sn *Snapshot) Residency() []string {
+	data := sn.MappedBytes()
+	if data == nil {
+		return nil
+	}
+	spans := sn.SectionSpans()
+	kinds := make([]diag.KindSpan, len(spans))
+	for i, sp := range spans {
+		kinds[i] = diag.KindSpan{Kind: sp.Kind, Data: sp.Data}
+	}
+	return append([]string{diag.ResidencyString(data)}, diag.ResidencyByKind(kinds)...)
 }
 
 // Provenance returns the database's quarantine report (nil when absent),

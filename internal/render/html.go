@@ -9,21 +9,50 @@ import (
 	"repro/internal/metric"
 )
 
-// RenderHTML writes a self-contained HTML document presenting a tree the
-// way hpcviewer's GUI does: a collapsible navigation pane fused with a
-// metric pane, one <details> element per scope, sorted by the selected
-// metric, hot-path rows highlighted, zero cells blank. It needs no
-// JavaScript and no external assets, so a database can be shared as a
-// single file.
-func RenderHTML(w io.Writer, title string, roots []*core.Node, reg *metric.Registry, opt Options) error {
+// RenderHTML writes the rows as a self-contained HTML document presenting
+// a view the way hpcviewer's GUI does: a collapsible navigation pane fused
+// with a metric pane, one <details> element per scope that shows rows
+// below it, hot-path rows highlighted, zero cells blank. It needs no
+// JavaScript and no external assets.
+func RenderHTML(w io.Writer, title string, rows RowSource, reg *metric.Registry, opt Options) error {
 	h := htmlRenderer{newRenderer(w, reg, opt)}
 	if err := h.prologue(title); err != nil {
 		return err
 	}
-	for _, s := range h.ordered(roots) {
-		if err := h.node(s, 0); err != nil {
-			return err
+	// A row shows rows below it when it has children and does not hide them.
+	parent := func(row Row) bool { return !row.HasHidden && len(row.Node.Children) > 0 }
+	err := nest(rows, func(row Row) error {
+		n := row.Node
+		hot := h.opt.Highlight[n]
+		if !parent(row) {
+			b := append(h.buf, `<div class="leaf`...)
+			if hot {
+				b = append(b, " hot"...)
+			}
+			h.buf = append(h.cells(h.label(append(b, `">`...), n), n), "</div>\n"...)
+			return h.flush()
 		}
+		b := append(h.buf, "<details"...)
+		if hot {
+			b = append(b, ` class="hot"`...)
+		}
+		if hot || row.Depth == 0 {
+			b = append(b, " open"...)
+		}
+		h.buf = append(h.cells(h.label(append(b, "><summary>"...), n), n), "</summary>\n"...)
+		return h.flush()
+	}, func(row Row) error {
+		if parent(row) {
+			h.buf = append(h.buf, "</details>\n"...)
+		}
+		if row.Cut > 0 {
+			b := append(h.buf, `<div class="leaf pct">&hellip; (`...)
+			h.buf = append(strconv.AppendInt(b, int64(row.Cut), 10), " more)</div>\n"...)
+		}
+		return h.flush()
+	})
+	if err != nil {
+		return err
 	}
 	h.buf = append(h.buf, "</body></html>\n"...)
 	return h.flush()
@@ -71,48 +100,6 @@ func (h htmlRenderer) prologue(title string) error {
 	return h.flush()
 }
 
-func (h htmlRenderer) node(n *core.Node, depth int) error {
-	if h.opt.MaxDepth > 0 && depth >= h.opt.MaxDepth {
-		return nil
-	}
-	hot := h.opt.Highlight[n]
-	kids := h.ordered(n.Children)
-	shown := kids
-	if h.opt.TopN > 0 && len(kids) > h.opt.TopN {
-		shown = kids[:h.opt.TopN]
-	}
-	if len(shown) == 0 || h.opt.MaxDepth > 0 && depth+1 >= h.opt.MaxDepth {
-		b := append(h.buf, `<div class="leaf`...)
-		if hot {
-			b = append(b, " hot"...)
-		}
-		h.buf = append(h.cells(h.label(append(b, `">`...), n), n), "</div>\n"...)
-		return h.flush()
-	}
-	b := append(h.buf, "<details"...)
-	if hot {
-		b = append(b, ` class="hot"`...)
-	}
-	if hot || depth == 0 {
-		b = append(b, " open"...)
-	}
-	h.buf = append(h.cells(h.label(append(b, "><summary>"...), n), n), "</summary>\n"...)
-	if err := h.flush(); err != nil {
-		return err
-	}
-	for _, c := range shown {
-		if err := h.node(c, depth+1); err != nil {
-			return err
-		}
-	}
-	if len(shown) < len(kids) {
-		b := append(h.buf, `<div class="leaf pct">&hellip; (`...)
-		h.buf = append(strconv.AppendInt(b, int64(len(kids)-len(shown)), 10), " more)</div>\n"...)
-	}
-	h.buf = append(h.buf, "</details>\n"...)
-	return h.flush()
-}
-
 func (h htmlRenderer) label(b []byte, n *core.Node) []byte {
 	if n.Kind == core.KindCallSite || n.Kind == core.KindFrame && n.CallLine > 0 {
 		b = append(b, `<span class="cs">&#8618;</span> `...)
@@ -139,37 +126,4 @@ func (h htmlRenderer) cells(b []byte, n *core.Node) []byte {
 		b = append(b, "</span>"...)
 	}
 	return b
-}
-
-// RenderHTMLReport writes all three views of a tree into one document,
-// each under its own heading, with the hot path of metric hotMetric
-// highlighted in the Calling Context View (pass a negative hotMetric to
-// skip hot-path analysis).
-func RenderHTMLReport(w io.Writer, t *core.Tree, title string, hotMetric int, opt Options) error {
-	if opt.Totals == nil {
-		opt.Totals = t.Total
-	}
-	if _, err := io.WriteString(w, "<!-- "+html.EscapeString(title)+": calling context / callers / flat -->\n"); err != nil {
-		return err
-	}
-	ccOpt := opt
-	if hotMetric >= 0 {
-		path := core.HotPath(t.Root, hotMetric, core.DefaultHotPathThreshold)
-		ccOpt.Highlight = map[*core.Node]bool{}
-		for _, n := range path {
-			ccOpt.Highlight[n] = true
-		}
-	}
-	if err := RenderHTML(w, title+" — Calling Context View", t.Root.Children, t.Reg, ccOpt); err != nil {
-		return err
-	}
-	cv := core.BuildCallersView(t)
-	if err := cv.ExpandAll(); err != nil {
-		return err
-	}
-	if err := RenderHTML(w, title+" — Callers View", cv.Roots, t.Reg, opt); err != nil {
-		return err
-	}
-	fv := core.BuildFlatView(t)
-	return RenderHTML(w, title+" — Flat View", fv.Roots, t.Reg, opt)
 }

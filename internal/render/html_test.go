@@ -11,7 +11,8 @@ import (
 func TestRenderHTMLBasics(t *testing.T) {
 	tree := core.Fig1Tree()
 	var b strings.Builder
-	err := RenderHTML(&b, "Fig1", tree.Root.Children, tree.Reg, Options{Totals: tree.Total})
+	opt := Options{Totals: tree.Total}
+	err := RenderHTML(&b, "Fig1", forest(tree.Root.Children, opt), tree.Reg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestRenderHTMLEscaping(t *testing.T) {
 	st.Base.Add(0, 3)
 	tree.ComputeMetrics()
 	var b strings.Builder
-	if err := RenderHTML(&b, "t<&>t", tree.Root.Children, tree.Reg, Options{}); err != nil {
+	if err := RenderHTML(&b, "t<&>t", forest(tree.Root.Children, Options{}), tree.Reg, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -72,9 +73,8 @@ func TestRenderHTMLHighlightAndLimits(t *testing.T) {
 		hl[n] = true
 	}
 	var b strings.Builder
-	err := RenderHTML(&b, "hot", tree.Root.Children, tree.Reg, Options{
-		Highlight: hl, Totals: tree.Total, TopN: 1, MaxDepth: 4,
-	})
+	opt := Options{Highlight: hl, Totals: tree.Total, TopN: 1, MaxDepth: 4}
+	err := RenderHTML(&b, "hot", forest(tree.Root.Children, opt), tree.Reg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,27 +89,5 @@ func TestRenderHTMLHighlightAndLimits(t *testing.T) {
 	// be absent.
 	if strings.Contains(out, "file2.c: 9<") {
 		t.Fatal("depth limit ignored")
-	}
-}
-
-func TestRenderHTMLReportAllViews(t *testing.T) {
-	tree := core.Fig1Tree()
-	var b strings.Builder
-	if err := RenderHTMLReport(&b, tree, "toy", 0, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"Calling Context View", "Callers View", "Flat View", "file1.c"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
-		}
-	}
-	// Negative hot metric skips hot-path analysis.
-	b.Reset()
-	if err := RenderHTMLReport(&b, tree, "toy", -1, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "leaf hot") {
-		t.Fatal("hot path highlighted despite being disabled")
 	}
 }

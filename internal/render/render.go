@@ -13,6 +13,10 @@
 //     never created — see internal/metric's sparse vectors);
 //   - depth and top-N truncation with explicit elision markers, and
 //     hot-path highlighting.
+//
+// What a view shows is decided once, by Walk; the styles — numbered
+// (RenderRows), batch (RenderLines) and HTML (RenderHTML) — only format
+// the rows it gives.
 package render
 
 import (
@@ -42,12 +46,10 @@ type Options struct {
 	// Sort orders each sibling list; the zero value sorts by column 0
 	// inclusive, descending — hpcviewer's default.
 	Sort core.SortSpec
-	// NoSort preserves the existing child order.
-	NoSort bool
 	// MaxDepth bounds the rendered depth (0 = unlimited).
 	MaxDepth int
-	// TopN bounds children shown per scope, eliding the rest with a
-	// summary line (0 = all).
+	// TopN bounds every sibling list, the top level's included, eliding
+	// the rest with a summary line (0 = all).
 	TopN int
 	// Totals supplies the percent denominators per metric column; if
 	// nil, percent annotations are omitted. It is read once per column
@@ -65,27 +67,17 @@ type Options struct {
 	Slab func(st *metric.Store, metricID int, inclusive bool) []float64
 }
 
-// Render writes the forest as a tree table.
+// Render writes the forest as batch hpcviewer prints a view (RenderLines):
+// every scope open, each sibling list sorted by opt.Sort and cut by
+// opt.TopN and opt.MaxDepth.
 func Render(w io.Writer, roots []*core.Node, reg *metric.Registry, opt Options) error {
-	r := newRenderer(w, reg, opt)
-	if err := r.header(); err != nil {
-		return err
-	}
-	for _, s := range r.ordered(roots) {
-		if err := r.node(s, 0); err != nil {
-			return err
-		}
-	}
-	return nil
+	return RenderLines(w, forest(roots, opt), reg, opt)
 }
 
 // RenderTree renders a CCT from its root's children with percent
 // denominators taken from the root (the Calling Context View).
 func RenderTree(w io.Writer, t *core.Tree, opt Options) error {
-	if opt.Totals == nil {
-		opt.Totals = t.Total
-	}
-	return Render(w, t.Root.Children, t.Reg, opt)
+	return Render(w, t.Root.Children, t.Reg, totals(opt, t))
 }
 
 // RenderCallers expands every caller subtrie (core.CallersView.ExpandAll)
@@ -94,19 +86,41 @@ func RenderCallers(w io.Writer, v *core.CallersView, t *core.Tree, opt Options) 
 	if err := v.ExpandAll(); err != nil {
 		return err
 	}
-	if opt.Totals == nil {
-		opt.Totals = t.Total
-	}
-	return Render(w, v.Roots, v.Reg, opt)
+	return Render(w, v.Roots, v.Reg, totals(opt, t))
 }
 
 // RenderFlat renders a Flat View.
 func RenderFlat(w io.Writer, v *core.FlatView, t *core.Tree, opt Options) error {
+	return Render(w, v.Roots, v.Reg, totals(opt, t))
+}
+
+// totals defaults opt's percent denominators to t's root.
+func totals(opt Options, t *core.Tree) Options {
 	if opt.Totals == nil {
 		opt.Totals = t.Total
 	}
-	return Render(w, v.Roots, v.Reg, opt)
+	return opt
 }
+
+// forest walks an in-memory forest under opt: every scope open, each
+// sibling list sorted by opt.Sort in a copy.
+func forest(roots []*core.Node, opt Options) RowSource {
+	return func(emit func(Row) error) error {
+		return Walk(roots, sorted(opt.Sort), opt.TopN, opt.MaxDepth, emit)
+	}
+}
+
+type sorted core.SortSpec
+
+func (p sorted) Order(ns []*core.Node) []*core.Node {
+	if len(ns) > 1 {
+		ns = append([]*core.Node(nil), ns...)
+		core.SortScopes(ns, core.SortSpec(p))
+	}
+	return ns
+}
+
+func (sorted) Expanded(*core.Node) (open, unread bool) { return true, false }
 
 const (
 	cellWidth  = 17 // "1.25e+04  41.4%"
@@ -114,10 +128,8 @@ const (
 	blanks     = "                                            " // labelWidth spaces
 )
 
-// Row is one visible line of a view: a scope at a display depth. The
-// interactive session (internal/engine) computes visibility itself —
-// expansion state, zooming, flattening — and hands rows here for
-// formatting.
+// Row is one visible line of a view: a scope at a display depth, as Walk
+// gives it.
 type Row struct {
 	Node *core.Node
 	// Depth is the indentation level.
@@ -125,6 +137,111 @@ type Row struct {
 	// HasHidden marks scopes whose children are currently collapsed;
 	// rendered with a '+' expander like a closed tree node.
 	HasHidden bool
+	// Cut counts the siblings after this row that the top-N cut hid; the
+	// batch and HTML styles say so where the rows below this one end.
+	Cut int32
+}
+
+// A Presenter answers the row walk's two questions about a view.
+type Presenter interface {
+	// Order returns a sibling list in presentation order, which the walk
+	// may re-slice but neither reorders nor keeps.
+	Order(siblings []*core.Node) []*core.Node
+	// Expanded reports whether n shows its children, depth bound aside;
+	// unread marks a scope shown with a '+' and never read below.
+	Expanded(n *core.Node) (open, unread bool)
+}
+
+// Walk calls emit with each visible row of the forest roots, in order: the
+// one visibility rule of every view and style. Each sibling list, the top
+// level's included, is put in p's order and cut to its first topN scopes
+// (0 = all), the last one shown counting in Cut what the cut hid; a scope
+// p opens shows its children unless they would lie maxDepth levels down
+// (0 = unlimited); a scope with rows below it not shown has HasHidden.
+func Walk(roots []*core.Node, p Presenter, topN, maxDepth int, emit func(Row) error) error {
+	w := walk{p: p, topN: topN, maxDepth: maxDepth}
+	return w.add(roots, 0, emit)
+}
+
+// A RowSource calls emit with each row of a view in order, as Walk does.
+type RowSource func(emit func(Row) error) error
+
+// walk is the state of one Walk; emit goes down the recursion as an
+// argument, so a caller's emit closure can stay on its stack.
+type walk struct {
+	p              Presenter
+	topN, maxDepth int
+}
+
+func (w *walk) add(ns []*core.Node, depth int, emit func(Row) error) error {
+	ns = w.p.Order(ns)
+	var cut int32
+	if w.topN > 0 && len(ns) > w.topN {
+		ns, cut = ns[:w.topN], int32(len(ns)-w.topN)
+	}
+	for i, n := range ns {
+		row := Row{Node: n, Depth: depth}
+		if i == len(ns)-1 {
+			row.Cut = cut
+		}
+		open, unread := w.p.Expanded(n)
+		open = open && !unread && (w.maxDepth == 0 || depth+1 < w.maxDepth)
+		row.HasHidden = unread || !open && n.HasRowsBelow()
+		if err := emit(row); err != nil {
+			return err
+		}
+		if open {
+			if err := w.add(n.Children, depth+1, emit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// nest runs a style over the rows of a walk: open for each row, and close
+// for each once the rows below it are done, the deepest first.
+func nest(rows RowSource, open, close func(Row) error) error {
+	var stack []Row
+	leave := func(depth int) error {
+		for ; len(stack) > 0 && stack[len(stack)-1].Depth >= depth; stack = stack[:len(stack)-1] {
+			if err := close(stack[len(stack)-1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := rows(func(row Row) error {
+		if err := leave(row.Depth); err != nil {
+			return err
+		}
+		stack = append(stack, row)
+		return open(row)
+	})
+	if err != nil {
+		return err
+	}
+	return leave(0)
+}
+
+// RenderLines writes a header and the rows as batch hpcviewer prints them:
+// no row numbers or expanders, and "... (N more)" where a cut row's
+// subtree ends, indented as the cut list.
+func RenderLines(w io.Writer, rows RowSource, reg *metric.Registry, opt Options) error {
+	r := newRenderer(w, reg, opt)
+	if err := r.header(); err != nil {
+		return err
+	}
+	return nest(rows, func(row Row) error {
+		return r.line(row.Node, row.Depth, 0)
+	}, func(row Row) error {
+		if row.Cut == 0 {
+			return nil
+		}
+		b := append(indent(append(r.buf, ' '), row.Depth), "... ("...)
+		r.buf = append(strconv.AppendInt(b, int64(row.Cut), 10), " more)\n"...)
+		return r.flush()
+	})
 }
 
 // RenderRows writes a header and the given rows without any recursion,
@@ -209,17 +326,6 @@ func (r *renderer) flush() error {
 	_, err := r.w.Write(r.buf)
 	r.buf = r.buf[:0]
 	return err
-}
-
-// ordered returns ns in presentation order: a sorted copy, or ns itself
-// when there is nothing to reorder.
-func (r *renderer) ordered(ns []*core.Node) []*core.Node {
-	if r.opt.NoSort || len(ns) < 2 {
-		return ns
-	}
-	ns = append([]*core.Node(nil), ns...)
-	core.SortScopes(ns, r.opt.Sort)
-	return ns
 }
 
 // rowOf returns scope n's row in the column slabs. The slabs are resolved
@@ -355,31 +461,6 @@ func (r *renderer) header() error {
 	}
 	r.buf = append(b, '\n')
 	return r.flush()
-}
-
-func (r *renderer) node(n *core.Node, depth int) error {
-	if r.opt.MaxDepth > 0 && depth >= r.opt.MaxDepth {
-		return nil
-	}
-	if err := r.line(n, depth, 0); err != nil {
-		return err
-	}
-	kids := r.ordered(n.Children)
-	shown := kids
-	if r.opt.TopN > 0 && len(kids) > r.opt.TopN {
-		shown = kids[:r.opt.TopN]
-	}
-	for _, c := range shown {
-		if err := r.node(c, depth+1); err != nil {
-			return err
-		}
-	}
-	if len(shown) < len(kids) && (r.opt.MaxDepth == 0 || depth+1 < r.opt.MaxDepth) {
-		b := append(indent(append(r.buf, ' '), depth+1), "... ("...)
-		r.buf = append(strconv.AppendInt(b, int64(len(kids)-len(shown)), 10), " more)\n"...)
-		return r.flush()
-	}
-	return nil
 }
 
 // FormatValue renders a metric value "with scientific notation with simple
