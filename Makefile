@@ -8,7 +8,7 @@ GO ?= go
 # ChildLookup is a nanosecond-scale operation and needs a fixed high
 # iteration count — 30 iterations of a ~50ns op is pure timer noise.
 # HotPath is anchored so it does not also select BenchmarkHotPathSize.
-BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkProfileCodec|BenchmarkSamplerRecord|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpenSynthetic|BenchmarkConcurrentSessions|BenchmarkRenderRows|BenchmarkExpandAllRender|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkTraceView|BenchmarkTraceCapture|BenchmarkImportPprof|BenchmarkReport$$
+BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkProfileCodec|BenchmarkSamplerRecord|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpenSynthetic|BenchmarkConcurrentSessions|BenchmarkRenderRows|BenchmarkExpandAllRender|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkImportPprof|BenchmarkReport$$
 BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 	&& $(GO) test -run XXX -bench BenchmarkChildLookup -benchtime 2000000x -benchmem . \
 	&& $(GO) test -run XXX -bench 'BenchmarkDiffUnion|BenchmarkDiffKernels' -benchtime 5x -benchmem .
@@ -18,7 +18,7 @@ BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
 # targets: CI calls `make faults`, so a new target is added here, once.
 FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio ./internal/render ./internal/engine
 
-.PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-trace bench-open faults fuzz-seeds chaos nommap
+.PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-open faults fuzz-seeds chaos nommap
 
 verify: build test race vet lint bench-smoke faults chaos nommap
 
@@ -77,7 +77,7 @@ bench:
 # deterministic and fail the diff when they regress; ns/op is reported but
 # only fails beyond 50% (the shared two-core box drifts 10-20% between runs).
 benchdiff:
-	@( $(BENCH_CMD) ) | $(GO) run ./cmd/benchdiff -max-regress 0.5 BENCH_merge.json BENCH_core.json BENCH_query.json BENCH_engine.json BENCH_diff.json BENCH_open.json BENCH_catalog.json BENCH_trace.json BENCH_report.json
+	@( $(BENCH_CMD) ) | $(GO) run ./cmd/benchdiff -max-regress 0.5 BENCH_merge.json BENCH_core.json BENCH_query.json BENCH_engine.json BENCH_diff.json BENCH_open.json BENCH_catalog.json BENCH_report.json
 
 # Run every root benchmark body once (N=1) — the rot guard behind verify.
 bench-smoke:
@@ -90,10 +90,6 @@ bench-merge:
 # Regenerate the numbers recorded in BENCH_diff.json.
 bench-diff:
 	$(GO) test -run XXX -bench 'BenchmarkDiffUnion|BenchmarkDiffKernels' -benchtime 5x -benchmem .
-
-# Regenerate the numbers recorded in BENCH_trace.json.
-bench-trace:
-	$(GO) test -run XXX -bench 'BenchmarkTraceView|BenchmarkTraceCapture' -benchtime 30x -benchmem .
 
 # Regenerate the numbers recorded in BENCH_open.json.
 bench-open:
@@ -116,7 +112,6 @@ faults:
 	$(GO) test -run XXX -fuzz 'FuzzRead$$' -fuzztime 10s ./internal/profile
 	$(GO) test -run XXX -fuzz FuzzRecord -fuzztime 10s ./internal/profile
 	$(GO) test -run XXX -fuzz FuzzReadBinary -fuzztime 10s ./internal/expdb
-	$(GO) test -run XXX -fuzz FuzzReadTrace -fuzztime 10s ./internal/expdb
 	$(GO) test -run XXX -fuzz FuzzDiff -fuzztime 10s ./internal/diff
 	$(GO) test -run XXX -fuzz FuzzImportPprof -fuzztime 10s ./internal/pprofio
 	$(GO) test -run XXX -fuzz FuzzFormatCell -fuzztime 10s ./internal/render

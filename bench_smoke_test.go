@@ -70,8 +70,6 @@ func TestBenchSmoke(t *testing.T) {
 		{"CatalogSessions", BenchmarkCatalogSessions},
 		{"DiffUnion", BenchmarkDiffUnion},
 		{"DiffKernels", BenchmarkDiffKernels},
-		{"TraceView", BenchmarkTraceView},
-		{"TraceCapture", BenchmarkTraceCapture},
 		{"ImportPprof", BenchmarkImportPprof},
 		{"Report", BenchmarkReport},
 	}

@@ -17,7 +17,7 @@
 // Usage:
 //
 //	hpcprof -S s3d.hpcstruct [-format v3|binary|xml] [-summaries] \
-//	        [-traces] [-keep-going] [-max-bad-ranks N] \
+//	        [-keep-going] [-max-bad-ranks N] \
 //	        -o s3d.db measurements/s3d-*.cpprof
 //
 // hpcprof is also the pprof bridge (DESIGN.md §16). -pprof imports a
@@ -29,13 +29,6 @@
 //
 //	hpcprof -pprof cpu.pb.gz -o cpu.db
 //	hpcprof -export-pprof cpu.pb.gz cpu.db
-//
-// With -traces (v3 output only), the trace sections hpcrun -trace captured
-// are correlated and streamed into the database with zoom pyramids baked
-// at write time. The trace pass re-reads each measurement file
-// sequentially in rank order and streams records straight to the output,
-// so peak memory stays O(one chunk) no matter how many events were
-// captured.
 package main
 
 import (
@@ -45,11 +38,8 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
-	"sort"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/correlate"
 	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/expdb"
@@ -61,7 +51,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/source"
 	"repro/internal/structfile"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -78,7 +67,6 @@ func run(args []string) (err error) {
 	out := fs.String("o", "experiment.db", "output database path")
 	format := fs.String("format", "v3", "database format: v3 (mappable zero-copy), binary (v2) or xml")
 	summaries := fs.Bool("summaries", false, "add mean/min/max/stddev summary columns across ranks")
-	traceOut := fs.Bool("traces", false, "stream captured trace sections into the database with zoom pyramids (v3 format only)")
 	keepGoing := fs.Bool("keep-going", false, "quarantine corrupt/truncated/unreadable measurement files instead of aborting")
 	maxBad := fs.Int("max-bad-ranks", -1, "abort once more than this many files are quarantined (-1 = unlimited; setting it implies -keep-going)")
 	pprofIn := fs.String("pprof", "", "import this gzipped pprof profile instead of hpcrun measurements (no -S)")
@@ -106,9 +94,6 @@ func run(args []string) (err error) {
 		if fs.NArg() != 0 {
 			return fmt.Errorf("-pprof takes no positional arguments (one profile per database)")
 		}
-		if *traceOut {
-			return fmt.Errorf("-traces requires hpcrun measurements")
-		}
 		return importPprof(*pprofIn, *out, write)
 	}
 	if *structPath == "" {
@@ -119,9 +104,6 @@ func run(args []string) (err error) {
 	}
 	if *maxBad >= 0 {
 		*keepGoing = true
-	}
-	if *traceOut && *format != "v3" {
-		return fmt.Errorf("-traces requires -format v3")
 	}
 	stopDiag, err := dflags.Start()
 	if err != nil {
@@ -163,11 +145,6 @@ func run(args []string) (err error) {
 	exp := expdb.FromMerge(res)
 	if !report.Clean() {
 		exp.Provenance = report
-	}
-	if *traceOut {
-		if err := attachTraces(doc, exp, fs.Args(), report); err != nil {
-			return err
-		}
 	}
 
 	// Atomic publish: temp file + fsync + rename, so an interrupted merge
@@ -232,112 +209,6 @@ func exportPprof(dbPath, out string) error {
 	}
 	fmt.Printf("wrote %s (pprof export of %s)\n", out, dbPath)
 	return nil
-}
-
-// attachTraces is the trace correlation pass: for each good measurement
-// file (thread 0 only — trace sections are keyed by rank), it re-reads
-// the call path trie, resolves it against the merged tree in lookup-only
-// mode, and installs a streaming TraceRank whose Scan re-reads the file's
-// trace section with call-path ids rewritten from trie preorder indices
-// to structural tree rows. The pass is sequential over ranks in ascending
-// order, so trace bytes never depend on the merge's worker count. Peak
-// memory is one remap table plus one read chunk — never O(events).
-func attachTraces(doc *structfile.Doc, exp *expdb.Experiment, paths []string, report *ingest.Report) error {
-	bad := map[string]bool{}
-	for _, b := range report.Bad {
-		bad[b.Path] = true
-	}
-	rows := exp.PreorderRows()
-	seen := map[int]string{}
-	var trs []expdb.TraceRank
-	for _, path := range paths {
-		if bad[path] {
-			continue
-		}
-		tr, ok, err := traceRankOf(doc, exp, rows, path)
-		if err != nil {
-			return fmt.Errorf("trace pass: %s: %w", path, err)
-		}
-		if !ok {
-			continue
-		}
-		if prev, dup := seen[tr.Rank]; dup {
-			return fmt.Errorf("trace pass: rank %d traced by both %s and %s", tr.Rank, prev, path)
-		}
-		seen[tr.Rank] = path
-		trs = append(trs, tr)
-	}
-	sort.Slice(trs, func(i, j int) bool { return trs[i].Rank < trs[j].Rank })
-	exp.TraceRanks = trs
-	return nil
-}
-
-// traceRankOf builds one rank's streaming trace source from its
-// measurement file; ok is false when the file carries no trace (v1 file,
-// trace capture off, or a non-zero thread).
-func traceRankOf(doc *structfile.Doc, exp *expdb.Experiment, rows map[*core.Node]uint32, path string) (expdb.TraceRank, bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return expdb.TraceRank{}, false, err
-	}
-	p, err := profile.Read(f)
-	f.Close()
-	if err != nil {
-		return expdb.TraceRank{}, false, err
-	}
-	if p.Thread != 0 {
-		return expdb.TraceRank{}, false, nil
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return expdb.TraceRank{}, false, err
-	}
-	count, lastT, err := profile.ScanTrace(f, nil)
-	f.Close()
-	if err != nil {
-		return expdb.TraceRank{}, false, err
-	}
-	if count == 0 {
-		return expdb.TraceRank{}, false, nil
-	}
-	frames, err := correlate.ResolveFrames(doc, p, exp.Tree)
-	if err != nil {
-		return expdb.TraceRank{}, false, err
-	}
-	// Trace CPIDs in the file are trie preorder indices; remap each to
-	// its structural tree row. Untraceable frames (empty, never sampled)
-	// get a sentinel that errors if a record actually references one.
-	nodes := p.PreorderNodes()
-	const noRow = ^uint32(0)
-	remap := make([]uint32, len(nodes))
-	for i, n := range nodes {
-		remap[i] = noRow
-		if fr := frames[n]; fr != nil {
-			if row, ok := rows[fr]; ok {
-				remap[i] = row
-			}
-		}
-	}
-	return expdb.TraceRank{
-		Rank:  p.Rank,
-		Count: count,
-		LastT: lastT,
-		Scan: func(emit func(trace.Rec) error) error {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			_, _, err = profile.ScanTrace(f, func(r trace.Rec) error {
-				if int(r.CPID) >= len(remap) || remap[r.CPID] == noRow {
-					return fmt.Errorf("trace record references untraceable frame %d in %s", r.CPID, path)
-				}
-				r.CPID = remap[r.CPID]
-				return emit(r)
-			})
-			return err
-		},
-	}, true, nil
 }
 
 // mergeFiles streams the measurement files through merge.Fold: each

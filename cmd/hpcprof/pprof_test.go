@@ -75,7 +75,6 @@ func TestPprofBridge(t *testing.T) {
 	// Flag validation.
 	for _, bad := range [][]string{
 		{"-pprof", pb, "-S", "x.hpcstruct", "-o", db1},
-		{"-pprof", pb, "-traces", "-o", db1},
 		{"-pprof", pb, "-o", db1, "extra.cpprof"},
 		{"-pprof", pb, "-export-pprof", pb2, "-o", db1},
 		{"-export-pprof", pb2},

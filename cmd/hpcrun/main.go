@@ -6,12 +6,7 @@
 // Usage:
 //
 //	hpcrun -w s3d [-ranks 1] [-period 1000] [-seed 0] [-p k=v,...] \
-//	       [-trace] -o outdir
-//
-// With -trace, every sample also appends a (time, call path, depth) trace
-// event; captures spill to unlinked temp files so measurement memory
-// stays bounded no matter how long the run, and the events ride along in
-// the measurement files for hpcprof -trace to correlate.
+//	       -o outdir
 //
 // The resulting profiles are consumed by hpcprof together with the
 // structure file produced by hpcstruct.
@@ -28,7 +23,6 @@ import (
 	"repro/internal/lower"
 	"repro/internal/mpi"
 	"repro/internal/sampler"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -47,7 +41,6 @@ func run(args []string) error {
 	period := fs.Uint64("period", 0, "base sampling period in cycles (0 = workload default)")
 	seed := fs.Int64("seed", 0, "execution seed")
 	params := fs.String("p", "", "workload parameters, comma-separated k=v pairs")
-	doTrace := fs.Bool("trace", false, "capture time-dimension trace events alongside samples")
 	out := fs.String("o", "measurements", "output directory for per-rank profiles")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,10 +73,6 @@ func run(args []string) error {
 		Params:         p,
 		Seed:           *seed,
 		Events:         sampler.DefaultEvents(spec.Period),
-		Trace:          *doTrace,
-		TraceSpill: func(rank, thread int) (trace.SpillStore, error) {
-			return trace.NewFileSpill("")
-		},
 	})
 	if err != nil {
 		return err

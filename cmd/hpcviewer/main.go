@@ -111,8 +111,7 @@ func run(args []string) (err error) {
 }
 
 // present opens the database and shows it through one session, batch or
-// REPL, after printing its damage notes and merge provenance. Only the
-// trace view, built when a command first asks for it, may add notes later.
+// REPL, after printing its damage notes and merge provenance.
 func present(o *options) error {
 	snap, err := engine.Open(o.db)
 	if err != nil {
@@ -133,14 +132,9 @@ func present(o *options) error {
 	}
 	reportResidency("open")
 	defer reportResidency("exit")
-	printed := 0
-	flushNotes := func() {
-		notes := snap.Notes()
-		for ; printed < len(notes); printed++ {
-			fmt.Fprintf(os.Stderr, "hpcviewer: warning: %s\n", notes[printed])
-		}
+	for _, note := range snap.Notes() {
+		fmt.Fprintf(os.Stderr, "hpcviewer: warning: %s\n", note)
 	}
-	flushNotes()
 	if p := snap.Provenance(); p != nil && !p.Clean() {
 		fmt.Fprintf(os.Stderr, "hpcviewer: %s\n", p.Summary())
 	}
@@ -173,7 +167,7 @@ func present(o *options) error {
 		}
 		s.AttachProfiles(doc, profs)
 	}
-	return repl(s, flushNotes)
+	return repl(s)
 }
 
 // batch prints what the flags ask of the session: its metric columns, an
@@ -303,13 +297,11 @@ func loadMeasurements(structPath, dir string) (*structfile.Doc, []*profile.Profi
 
 // repl drives an interactive session over stdin, emulating hpcviewer's
 // GUI interactions (expand/collapse, hot-path drill-down, zoom, flatten,
-// the source pane and per-rank plots). flushNotes runs after every
-// command so the notes of a trace view's first build surface at once.
-func repl(s *engine.Session, flushNotes func()) error {
+// the source pane and per-rank plots).
+func repl(s *engine.Session) error {
 	out := bufio.NewWriter(os.Stdout)
 	err := s.Render(out, render.Options{})
 	out.Flush()
-	flushNotes()
 	if err != nil {
 		return err
 	}
@@ -322,7 +314,6 @@ func repl(s *engine.Session, flushNotes func()) error {
 		}
 		quit, err := engine.Exec(s, in.Text(), out)
 		out.Flush()
-		flushNotes()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		}

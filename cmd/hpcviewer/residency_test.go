@@ -1,69 +1,16 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/expdb"
-	"repro/internal/lower"
-	"repro/internal/merge"
-	"repro/internal/mpi"
-	"repro/internal/sampler"
-	"repro/internal/structfile"
-	"repro/internal/workloads"
 )
 
-// tracedV3DB writes a v3 database with trace and pyramid sections.
-func tracedV3DB(t *testing.T, dir string) string {
-	t.Helper()
-	spec, err := workloads.ByName("toy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{
-		NRanks: 2,
-		Events: sampler.DefaultEvents(spec.Period),
-		Trace:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := expdb.FromMerge(res)
-	if err := expdb.TraceRanksFromProfiles(e, doc, profs); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "traced.db")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteBinaryV3(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 // -residency on a mapped v3 database reports the whole-file probe plus a
-// per-section-kind breakdown, with trace sections alongside the columns.
+// per-section-kind breakdown; a legacy file's skipped trace sections are
+// listed alongside the columns.
 func TestResidencyBreakdown(t *testing.T) {
-	path := tracedV3DB(t, t.TempDir())
+	path := filepath.Join("..", "..", "internal", "expdb", "testdata", "legacy_traced_v3.cpdb")
 	errText, err := captureStderr(t, func() error {
 		_, ierr := captureStdout(t, func() error {
 			return run([]string{"-db", path, "-interactive", "-residency"})

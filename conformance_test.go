@@ -525,7 +525,7 @@ func firstFraction(e *expdb.Experiment) (scope, column string) {
 	return scope, column
 }
 
-// Three older tests keep their names as slices of the matrix, each running
+// Two older tests keep their names as slices of the matrix, each running
 // cells TestConformance runs too; they retire with the rest of the
 // per-format tests (ROADMAP item 1).
 
@@ -551,25 +551,6 @@ func TestColumnarQueryEquivalence(t *testing.T) {
 			for _, f := range []string{"v2", "v1"} {
 				t.Run(fmt.Sprintf("%s/ranks=%d/%s", name, ranks, f), func(t *testing.T) { conform(t, e, "read/"+f, false) })
 			}
-		}
-	}
-}
-
-// TestSummariesByteDeterministic: hpcprof -summaries at 64 ranks, where
-// shard merge orders differ, writes the same v2 and v3 bytes whatever the
-// merge's worker count. Per-rank statistics keep exact moments, so merging
-// shard statistics is addition of integer-valued sums, associative bit for
-// bit at workload scale.
-func TestSummariesByteDeterministic(t *testing.T) {
-	doc, profs := mustMPIProfiles(t, "pflotran", 64)
-	for _, f := range confFormats[2:4] { // v2 and v3
-		want := mergedBytes(t, doc, profs, 1, f.write)
-		for _, jobs := range []int{2, 8} {
-			t.Run(fmt.Sprintf("%s/jobs=%d", f.name, jobs), func(t *testing.T) {
-				if got := mergedBytes(t, doc, profs, jobs, f.write); !bytes.Equal(got, want) {
-					t.Fatalf("GOMAXPROCS 1 and %d databases differ from byte %d on", jobs, firstByte(got, want))
-				}
-			})
 		}
 	}
 }

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -34,13 +33,13 @@ func fixtureV3At(t *testing.T, ranks int) []byte {
 	if data, ok := fixtureByRanks[ranks]; ok {
 		return data
 	}
-	fixtureByRanks[ranks] = buildToyV3(t, ranks, false)
+	fixtureByRanks[ranks] = buildToyV3(t, ranks)
 	return fixtureByRanks[ranks]
 }
 
 // buildToyV3 runs the toy workload at a rank count and writes the merged
-// database as v3 — with every rank's trace sections when traced.
-func buildToyV3(t *testing.T, ranks int, traced bool) []byte {
+// database as v3.
+func buildToyV3(t *testing.T, ranks int) []byte {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
 	if err != nil {
@@ -54,7 +53,7 @@ func buildToyV3(t *testing.T, ranks int, traced bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: ranks, Events: sampler.DefaultEvents(spec.Period), Trace: traced})
+	profs, err := mpi.Run(im, mpi.Config{NRanks: ranks, Events: sampler.DefaultEvents(spec.Period)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +61,8 @@ func buildToyV3(t *testing.T, ranks int, traced bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := expdb.FromMerge(res)
-	if traced {
-		if err := expdb.TraceRanksFromProfiles(exp, doc, profs); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var buf bytes.Buffer
-	if err := exp.WriteBinaryV3(&buf); err != nil {
+	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -425,52 +418,6 @@ func TestIngestLifecycle(t *testing.T) {
 	}
 	if _, k, err := c2.AcquireRelease("s3d/run1"); err != nil || k != key {
 		t.Fatalf("reloaded catalog: %v %v", k, err)
-	}
-}
-
-// TestValidateRejectsTraceDamage: the ingest gate is strict about every
-// section, so one flipped byte in any trace, pyramid or tracemeta section
-// — damage the serving path degrades around — must refuse the file, both
-// from ValidateFile and through Ingest.
-func TestValidateRejectsTraceDamage(t *testing.T) {
-	data := buildToyV3(t, 2, true)
-	// The v3 trailer ends the file: { indexOff u64, count u64, ... }; each
-	// 32-byte index entry is { kind u8, ..., offset u64 @8, length u64 @16 }.
-	tr := data[len(data)-32:]
-	indexOff := binary.LittleEndian.Uint64(tr[0:8])
-	count := binary.LittleEndian.Uint64(tr[8:16])
-	dir := t.TempDir()
-	c := New(Config{Dir: dir})
-	defer c.Close()
-	flipped := 0
-	for i := uint64(0); i < count; i++ {
-		en := data[indexOff+32*i:]
-		if kind := en[0]; kind < 8 || kind > 10 { // trace, pyramid, tracemeta
-			continue
-		}
-		off := binary.LittleEndian.Uint64(en[8:16])
-		length := binary.LittleEndian.Uint64(en[16:24])
-		bad := append([]byte(nil), data...)
-		bad[off+length/2] ^= 0x10
-		flipped++
-
-		path := filepath.Join(t.TempDir(), "traced.db")
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := ValidateFile(path); err == nil {
-			t.Errorf("section %d (kind %d): ValidateFile accepted a damaged trace", i, en[0])
-		}
-		var ie *IngestError
-		if err := c.Ingest(Key{Service: "tr", Ts: int64(i)}, bytes.NewReader(bad)); !errors.As(err, &ie) {
-			t.Errorf("section %d (kind %d): ingest error = %v, want IngestError", i, en[0], err)
-		}
-	}
-	if flipped < 3 {
-		t.Fatalf("only %d trace-kind sections in a traced 2-rank database", flipped)
-	}
-	if err := c.Ingest(Key{Service: "tr", Ts: 1000}, bytes.NewReader(data)); err != nil {
-		t.Fatalf("pristine traced database refused: %v", err)
 	}
 }
 

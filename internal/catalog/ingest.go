@@ -108,25 +108,22 @@ func (c *Catalog) ingest(key Key, r io.Reader) error {
 
 // ValidateFile fully checks a database file before it may be published:
 // the open must succeed, metadata must decode, and every section checksum
-// must verify. The serving path tolerates column damage by degrading with
-// notes; the ingest path does not tolerate anything — degradation notes
-// are rejections here — because rejecting now is free while rejecting
-// later costs a session.
+// it reads must verify. The serving path tolerates column damage by
+// degrading with notes; the ingest path does not tolerate anything —
+// degradation notes are rejections here — because rejecting now is free
+// while rejecting later costs a session. The one note that is not damage
+// is expdb.SkippedTraceNote: a legacy file's trace sections are skipped
+// unread, and the profile beside them is whole.
 func ValidateFile(path string) error {
 	snap, err := engine.Open(path)
 	if err != nil {
 		return err
 	}
 	defer snap.Release()
-	// Opening verified the metadata and columns; Trace verifies a v3
-	// file's trace sections, which serving leaves for first use. Damage
-	// serving tolerates (detached columns, dropped ranks) shows as notes.
-	// Strict mode: any note is a rejection.
-	if _, err := snap.Trace(); err != nil {
-		return err
-	}
-	if notes := snap.Notes(); len(notes) > 0 {
-		return fmt.Errorf("damaged database: %s", notes[0])
+	for _, note := range snap.Notes() {
+		if note != expdb.SkippedTraceNote {
+			return fmt.Errorf("damaged database: %s", note)
+		}
 	}
 	return nil
 }

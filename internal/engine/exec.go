@@ -33,8 +33,6 @@ const Help = `commands:
   stats METRIC[:excl]     summary statistics over the visible rows
   src [N]                 show source around row N (or the selection)
   plot METRIC [bins]      per-rank scatter/sorted/histogram at the selection
-  trace [W [H]] [T0 T1]   time×rank trace view (depth-colored cells; needs
-                          a v3 database merged with hpcprof -traces)
   metrics                 list metric columns
   catalog                 list databases available to diff against
   diff NAME [METRIC] [MODE]  diff against catalog entry NAME (mode:
@@ -254,35 +252,6 @@ func Exec(s *Session, line string, out io.Writer) (quit bool, err error) {
 			bins = n
 		}
 		return false, s.Plot(out, args[0], bins)
-	case "trace":
-		w, h := 64, 0
-		var t0, t1 uint64
-		if len(args) != 0 && len(args) != 1 && len(args) != 2 && len(args) != 4 {
-			return false, fmt.Errorf("trace takes [W [H]] [T0 T1]")
-		}
-		if len(args) >= 1 {
-			n, err := strconv.Atoi(args[0])
-			if err != nil || n <= 0 {
-				return false, fmt.Errorf("bad width %q", args[0])
-			}
-			w = n
-		}
-		if len(args) >= 2 {
-			n, err := strconv.Atoi(args[1])
-			if err != nil || n < 0 {
-				return false, fmt.Errorf("bad height %q", args[1])
-			}
-			h = n
-		}
-		if len(args) == 4 {
-			a, err1 := strconv.ParseUint(args[2], 10, 64)
-			b, err2 := strconv.ParseUint(args[3], 10, 64)
-			if err1 != nil || err2 != nil {
-				return false, fmt.Errorf("bad time window %q %q", args[2], args[3])
-			}
-			t0, t1 = a, b
-		}
-		return false, s.RenderTrace(out, t0, t1, w, h)
 	case "src":
 		if len(args) == 1 {
 			n, err := rowArg()

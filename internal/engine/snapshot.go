@@ -30,6 +30,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/expdb"
 	"repro/internal/ingest"
+	"repro/internal/mmapio"
 )
 
 // Snapshot is an immutable view of a loaded experiment database, shared by
@@ -42,10 +43,9 @@ import (
 // Immutability discipline: the tree's structure, its metric store and its
 // registry are sealed at construction (presented metrics are computed and
 // a mapped database's columns verified before the snapshot is handed out),
-// so sessions read them without a lock. Two parts are built on first use:
-// the trace view, with the notes its build appends, and the Callers View,
-// which every session shares; a derived column's values are evaluated by
-// its first read, which the store synchronizes.
+// so sessions read them without a lock. One part is built on first use:
+// the Callers View, which every session shares; a derived column's values
+// are evaluated by its first read, which the store synchronizes.
 type Snapshot struct {
 	exp  *expdb.Experiment // never nil
 	mdb  *expdb.MappedDB   // nil unless mapped (v3 zero-copy)
@@ -66,9 +66,6 @@ type Snapshot struct {
 	// catalog) that run after the closer at final release.
 	hookMu      sync.Mutex
 	lastRelease []func()
-
-	// mu guards the notes a lazy trace-view build appends.
-	mu sync.Mutex
 
 	// callersOnce builds callers, the Callers View, on first use, and
 	// callersPanic keeps a panic of that build; see CallersView.
@@ -103,7 +100,10 @@ func NewMappedSnapshot(mdb *expdb.MappedDB) (*Snapshot, error) {
 
 // Open opens an experiment database file and seals it as a snapshot. v3
 // databases are mapped zero-copy and verified here (see NewMappedSnapshot);
-// XML, v1 and v2 files are decoded whole by expdb.Read.
+// XML, v1 and v2 files are decoded whole by expdb.Read. The verification
+// reads the mapping inside mmapio.Guard, so a file that shrinks while it
+// opens is an error naming it, and callers that cache opens (the catalog)
+// are never unwound mid-open.
 func Open(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -113,14 +113,22 @@ func Open(path string) (*Snapshot, error) {
 	var head [len(expdb.MagicV3)]byte
 	n, _ := io.ReadFull(f, head[:])
 	if string(head[:n]) == expdb.MagicV3 {
-		mdb, err := expdb.OpenMapped(path)
+		var mdb *expdb.MappedDB
+		var sn *Snapshot
+		err := mmapio.Guard(func() (err error) {
+			if mdb, err = expdb.OpenMapped(path); err != nil {
+				return err
+			}
+			if sn, err = NewMappedSnapshot(mdb); err != nil {
+				return fmt.Errorf("reading %s: %w", path, err)
+			}
+			return nil
+		}, path)
 		if err != nil {
+			if mdb != nil {
+				mdb.Close()
+			}
 			return nil, err
-		}
-		sn, err := NewMappedSnapshot(mdb)
-		if err != nil {
-			mdb.Close()
-			return nil, fmt.Errorf("reading %s: %w", path, err)
 		}
 		sn.path = path
 		return sn, nil
@@ -220,11 +228,8 @@ func (sn *Snapshot) Experiment() *expdb.Experiment { return sn.exp }
 // overlay columns are assigned IDs from this boundary up.
 func (sn *Snapshot) BaseColumns() int { return sn.baseCols }
 
-// Notes returns a copy of the database's degradation notes (a trace-view
-// build may append to them).
+// Notes returns a copy of the database's degradation notes.
 func (sn *Snapshot) Notes() []string {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
 	return append([]string(nil), sn.exp.Notes...)
 }
 
@@ -268,32 +273,6 @@ func (sn *Snapshot) Residency() []string {
 // Provenance returns the database's quarantine report (nil when absent),
 // decoded with the database.
 func (sn *Snapshot) Provenance() *ingest.Report { return sn.exp.Provenance }
-
-// Trace returns the snapshot's trace view (time-dimension data), building
-// and checksum-verifying it on first call. Only mapped (v3) snapshots
-// carry traces; others return (nil, nil). The view is immutable and safe
-// for concurrent renders; the snapshot's refcount keeps its mapping alive,
-// so callers must hold a reference (sessions do) for as long as they use
-// the view. Damage degrades into Notes, never an error here.
-func (sn *Snapshot) Trace() (*expdb.TraceView, error) {
-	if sn.mdb == nil {
-		return nil, nil
-	}
-	// The build appends degradation notes to the shared Experiment under
-	// the database's lock; take mu too so Notes() never races the append.
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.mdb.Trace()
-}
-
-// NodeAt resolves a trace call-path id (structural tree row) to its node;
-// nil for non-mapped snapshots or out-of-range rows.
-func (sn *Snapshot) NodeAt(row int) *core.Node {
-	if sn.mdb == nil {
-		return nil
-	}
-	return sn.mdb.NodeAt(row)
-}
 
 // FaultAll does nothing and returns nil: a snapshot's columns are verified
 // when it opens.

@@ -41,10 +41,6 @@ type Experiment struct {
 	// a column whose checksum fails — so the viewer can tell the user what
 	// is missing.
 	Notes []string
-	// TraceRanks are write-side trace sources, one per rank in ascending
-	// rank order; WriteBinaryV3 streams each into a trace section and
-	// bakes its zoom pyramid. Nil for databases without traces.
-	TraceRanks []TraceRank
 }
 
 // SectionError reports fatal damage to one section of a v2 or v3 database:

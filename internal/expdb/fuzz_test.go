@@ -3,6 +3,8 @@ package expdb
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -164,6 +166,13 @@ func FuzzReadBinary(f *testing.F) {
 	for _, bad := range v3BadTrees(f) { // malformed trees behind valid checksums
 		f.Add(bad)
 	}
+	// A legacy file with trace, pyramid and tracemeta sections: the reader
+	// skips their bodies, so the fuzzer reaches the skip path.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_traced_v3.cpdb"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 
 	// Two same-key siblings, which every reader refuses, in a short list
 	// and in a wide one; a tree whose header fields need several varint

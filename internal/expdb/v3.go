@@ -27,10 +27,9 @@ import (
 //	           zero-padded to the next 8-byte boundary
 //	           kinds: 1 strings, 2 header, 3 metrics, 4 tree (no base
 //	           values — they live in the column slabs), 6 provenance,
-//	           7 column (plane byte + column id; dense rows×8 payload),
-//	           8 trace (col = rank; 16-byte records), 9 pyramid
-//	           (col = rank, plane = level; 8-byte buckets), 10 tracemeta
-//	           (singleton; 32-byte per-rank geometry entries)
+//	           7 column (plane byte + column id; dense rows×8 payload);
+//	           8 trace, 9 pyramid and 10 tracemeta are legacy
+//	           time-dimension trace kinds, skipped with a note
 //	index      count × 32-byte fixed-width entries:
 //	           { kind u8, plane u8, rsvd u16, col u32,
 //	             offset u64, length u64, crc32c u32, rsvd u32 }
@@ -39,9 +38,8 @@ import (
 //
 // Open is O(index): only the trailer and index are decoded and validated.
 // The first Experiment() call decodes the metadata and checks every column
-// section's CRC32C (over its padded span, so every file byte is covered by
-// exactly one check); trace sections are checked when the trace view is
-// first built. Row ids are
+// section's CRC32C (over its padded span, so every file byte the reader
+// uses is covered by exactly one check). Row ids are
 // structural: row 0 is the tree's root, preorder node i is row i+1, so the
 // slab index in the file equals the store row the reader's arena assigns.
 // All-zero columns are omitted; zeros are written as +0 bits (the store
@@ -59,20 +57,20 @@ const (
 // dbSecColumn is the v3-only section kind holding one dense column slab.
 const dbSecColumn byte = 7
 
-// v3-only trace section kinds. Trace sections hold one rank's raw
-// fixed-width event records (col = rank); pyramid sections hold one zoom
-// level of that rank's mipmap (col = rank, plane = level, 0 finest);
-// tracemeta is a singleton table of 32-byte per-rank geometry entries:
-//
-//	{ rank u32, nbuckets u32, count u64, lastT u64, width u64 }
+// Legacy section kinds: files written while the repository kept a
+// time-dimension trace engine carry each rank's trace records, its zoom
+// pyramid levels and a table of per-rank geometry. Readers still accept
+// them — the index bounds-checks them like every section — but neither
+// read nor checksum their bodies, and note the skip (SkippedTraceNote).
 const (
 	dbSecTrace     byte = 8
 	dbSecPyramid   byte = 9
 	dbSecTraceMeta byte = 10
 )
 
-// traceMetaEntrySize is the fixed width of one tracemeta table entry.
-const traceMetaEntrySize = 32
+// SkippedTraceNote is the note an open appends, once, when the file holds
+// legacy trace sections. The profile beside them is complete.
+const SkippedTraceNote = "legacy trace sections (trace, pyramid, tracemeta) were skipped unread"
 
 const (
 	v3EntrySize   = 32
@@ -128,15 +126,12 @@ func (e *Experiment) WriteBinaryV3(w io.Writer) error {
 		sec   framing.AlignedSection
 	}
 	var entries []entry
-	add := func(kind, plane uint8, col uint32, sec framing.AlignedSection) {
-		entries = append(entries, entry{kind, plane, col, sec})
-	}
 	emit := func(kind, plane uint8, col uint32, payload []byte) error {
 		sec, err := aw.Section(payload)
 		if err != nil {
 			return err
 		}
-		add(kind, plane, col, sec)
+		entries = append(entries, entry{kind, plane, col, sec})
 		return nil
 	}
 	for i, payload := range [][]byte{head[0], head[1], head[2], tree} {
@@ -186,12 +181,6 @@ func (e *Experiment) WriteBinaryV3(w io.Writer) error {
 		if err := emit(dbSecProvenance, 0, 0, encodeProvenance(e.Provenance)); err != nil {
 			return err
 		}
-	}
-	// Trace sections stream through the aligned writer so peak memory
-	// stays at the chunk buffer regardless of event count; each rank's
-	// pyramid is built in the same single pass.
-	if err := e.writeTraceSections(aw, emit, add); err != nil {
-		return err
 	}
 
 	idx := make([]byte, len(entries)*v3EntrySize)
@@ -258,10 +247,8 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 
 	secs := make([]v3sec, count)
 	next := int64(len(dbMagicV3Full))
-	var haveStrings, haveHeader, haveMetrics, haveTree, haveTraceMeta bool
+	var haveStrings, haveHeader, haveMetrics, haveTree bool
 	colSeen := map[uint64]bool{}
-	traceSeen := map[uint32]bool{}
-	pyrSeen := map[uint64]bool{}
 	for i := range secs {
 		en := idx[i*v3EntrySize:]
 		s := v3sec{
@@ -308,37 +295,8 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 				return nil, fmt.Errorf("expdb: duplicate v3 column section (metric %d, %s)", s.col, v3PlaneName(s.plane))
 			}
 			colSeen[key] = true
-		case dbSecTrace:
-			if s.plane != 0 {
-				return nil, fmt.Errorf("expdb: v3 trace section has nonzero plane %d", s.plane)
-			}
-			if s.length%16 != 0 {
-				return nil, fmt.Errorf("expdb: v3 trace section length %d is not a multiple of 16", s.length)
-			}
-			if traceSeen[s.col] {
-				return nil, fmt.Errorf("expdb: duplicate v3 trace section for rank %d", s.col)
-			}
-			traceSeen[s.col] = true
-		case dbSecPyramid:
-			if s.length%8 != 0 {
-				return nil, fmt.Errorf("expdb: v3 pyramid section length %d is not a multiple of 8", s.length)
-			}
-			key := uint64(s.col)<<8 | uint64(s.plane)
-			if pyrSeen[key] {
-				return nil, fmt.Errorf("expdb: duplicate v3 pyramid section (rank %d, level %d)", s.col, s.plane)
-			}
-			pyrSeen[key] = true
-		case dbSecTraceMeta:
-			if haveTraceMeta {
-				return nil, fmt.Errorf("expdb: duplicate v3 tracemeta section")
-			}
-			haveTraceMeta = true
-			if s.plane != 0 || s.col != 0 {
-				return nil, fmt.Errorf("expdb: v3 tracemeta section has column fields set")
-			}
-			if s.length%traceMetaEntrySize != 0 {
-				return nil, fmt.Errorf("expdb: v3 tracemeta section length %d is not a multiple of %d", s.length, traceMetaEntrySize)
-			}
+		case dbSecTrace, dbSecPyramid, dbSecTraceMeta:
+			// Legacy: tiled like every section above; the body is skipped.
 		default:
 			return nil, fmt.Errorf("expdb: unknown v3 section kind %d", s.kind)
 		}
@@ -366,8 +324,7 @@ func parseV3Index(data []byte) ([]v3sec, error) {
 // borrowed columns. Open cost is O(index); the first Experiment call
 // decodes the metadata and provenance and verifies every column section's
 // checksum, each exactly once, with column damage degrading to a zeroed
-// column plus an Experiment.Notes entry. Only the trace view waits for its
-// first use.
+// column plus an Experiment.Notes entry.
 //
 // The mapping is strictly read-only. A writer that would touch a mapped
 // column (a summary rewrite) hits the store's copy-on-write and scribbles
@@ -384,8 +341,6 @@ type MappedDB struct {
 	nodes    []*core.Node
 	metaDone bool
 	metaErr  error
-
-	traceView *TraceView // built on first use
 
 	reads map[string]int
 }
@@ -441,7 +396,7 @@ func (db *MappedDB) MappedBytes() []byte { return db.data }
 
 // SectionReads reports how many times each kind of section has been
 // decoded or checksummed, keyed by name ("index", "strings", "header",
-// "metrics", "tree", "column", "provenance", and the trace kinds) — the
+// "metrics", "tree", "column", "provenance") — the
 // observable that a mapped open is O(index) and that Experiment reads
 // every other section once. The map is a copy.
 func (db *MappedDB) SectionReads() map[string]int {
@@ -450,6 +405,30 @@ func (db *MappedDB) SectionReads() map[string]int {
 	out := make(map[string]int, len(db.reads))
 	for k, v := range db.reads {
 		out[k] = v
+	}
+	return out
+}
+
+// SectionSpan is one mapped section's padded byte span, labeled by kind —
+// the unit of the -residency probes' per-kind breakdown.
+type SectionSpan struct {
+	Kind string
+	Data []byte
+}
+
+// SectionSpans lists every section's mapped span grouped under its kind
+// name ("strings", "header", "metrics", "tree", "provenance", "column", and
+// the legacy "trace", "pyramid", "tracemeta").
+func (db *MappedDB) SectionSpans() []SectionSpan {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	out := make([]SectionSpan, 0, len(db.secs))
+	for _, s := range db.secs {
+		name := sectionName(s.kind)
+		if s.kind == dbSecColumn {
+			name = "column"
+		}
+		out = append(out, SectionSpan{Kind: name, Data: db.span(s)})
 	}
 	return out
 }
@@ -526,15 +505,19 @@ func (db *MappedDB) decodeMeta() (*Experiment, []*core.Node, error) {
 // column reads zero) with a note; so is a provenance section that fails
 // its checksum, as the v2 reader drops it. A derived column's baked planes
 // are verified like the rest but not adopted: the store evaluates its
-// formula when the column is read.
+// formula when the column is read. Legacy trace sections are skipped with
+// one note.
 func (db *MappedDB) adoptLocked() error {
 	st, reg := db.exp.Tree.MetricStore(), db.exp.Tree.Reg
 	nCols, rows := reg.Len(), len(db.nodes)+1
 	note := func(format string, args ...any) {
 		db.exp.Notes = append(db.exp.Notes, fmt.Sprintf(format, args...))
 	}
+	skippedTrace := false
 	for _, s := range db.secs {
 		switch s.kind {
+		case dbSecTrace, dbSecPyramid, dbSecTraceMeta:
+			skippedTrace = true
 		case dbSecColumn:
 			if int64(s.col) >= int64(nCols) || int(s.length/8) != rows {
 				note("column section (metric %d, %s) does not match the tree; its values were dropped", s.col, v3PlaneName(s.plane))
@@ -562,39 +545,24 @@ func (db *MappedDB) adoptLocked() error {
 			db.exp.Provenance = rep
 		}
 	}
-	return nil
-}
-
-// VerifyAll decodes the experiment and builds the trace view — the one
-// part Experiment leaves for its first use — for consumers that want every
-// checksum checked up front. Column and trace damage still degrade
-// (notes), so the returned error reflects only fatal problems.
-func (db *MappedDB) VerifyAll() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, err := db.experimentLocked(); err != nil {
-		return err
+	if skippedTrace {
+		note("%s", SkippedTraceNote)
 	}
-	db.traceLocked()
 	return nil
 }
 
 // --- eager reader ----------------------------------------------------
 
-// readBinaryV3 is the stream (non-mapped) v3 decode behind Read: every
-// checksum is verified up front, trace sections included, and the
-// experiment is returned fully materialized. Column slabs still alias the
-// input buffer (adopted copy-on-write), which is safe heap memory here — no
+// readBinaryV3 is the stream (non-mapped) v3 decode behind Read: the same
+// decode and checksums as MappedDB.Experiment. Column slabs alias the input
+// buffer (adopted copy-on-write), which is safe heap memory here — no
 // mapping lifetime to manage.
 func readBinaryV3(data []byte) (*Experiment, error) {
 	db, err := newMappedDB(data)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.VerifyAll(); err != nil {
-		return nil, err
-	}
-	return db.exp, nil
+	return db.Experiment()
 }
 
 // hostLittleEndian reports whether float64 slabs can be viewed in place.

@@ -95,7 +95,7 @@ func TestOpenMappedIsIndexOnly(t *testing.T) {
 	}
 
 	// Experiment reads every metadata, column and provenance section
-	// exactly once; later calls, and VerifyAll, read none of them again.
+	// exactly once; later calls read none of them again.
 	columns := 0
 	for _, sec := range db.secs {
 		if sec.kind == dbSecColumn {
@@ -113,11 +113,8 @@ func TestOpenMappedIsIndexOnly(t *testing.T) {
 	if _, err := db.Experiment(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
 	if got := db.SectionReads(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("a second Experiment and VerifyAll read sections %v, want %v", got, want)
+		t.Fatalf("a second Experiment read sections %v, want %v", got, want)
 	}
 	if rep := exp.Provenance; rep == nil || rep.Attempted != 3 {
 		t.Fatalf("provenance report = %+v", rep)
@@ -202,12 +199,12 @@ func TestMappedDamagedColumnDegrades(t *testing.T) {
 	if baseMax == 0 {
 		t.Fatal("undamaged base plane lost")
 	}
-	// The check runs once: a later full verification adds no note.
-	if err := db.VerifyAll(); err != nil {
+	// The check runs once: a later decode adds no note.
+	if _, err := db.Experiment(); err != nil {
 		t.Fatal(err)
 	}
 	if len(exp.Notes) != 1 {
-		t.Fatalf("verifying again duplicated the note: %v", exp.Notes)
+		t.Fatalf("decoding again duplicated the note: %v", exp.Notes)
 	}
 }
 
@@ -440,5 +437,88 @@ func TestReadV3SizedBuffer(t *testing.T) {
 	}
 	if exact+uint64(n)/2 > unknown {
 		t.Errorf("reading %d bytes allocated %d with the size known and %d without: the buffer was regrown", n, exact, unknown)
+	}
+}
+
+// TestV3LegacyTraceSectionsSkipped: a legacy file's trace, pyramid and
+// tracemeta sections are bounds-checked in the index like every section,
+// but their bodies are neither read nor checksummed, so damage inside one
+// goes unseen, and the open notes the skip once.
+// Any other unknown kind is still refused.
+func TestV3LegacyTraceSectionsSkipped(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy_traced_v3.cpdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := parseV3Index(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[byte]int{}
+	for _, s := range secs {
+		kinds[s.kind]++
+	}
+	for _, k := range []byte{dbSecTrace, dbSecPyramid, dbSecTraceMeta} {
+		if kinds[k] == 0 {
+			t.Fatalf("fixture has no section of kind %d: %v", k, kinds)
+		}
+	}
+	open := func(data []byte) (*Experiment, map[string]int, error) {
+		db, err := newMappedDB(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		e, err := db.Experiment()
+		return e, db.SectionReads(), err
+	}
+	e, reads, err := open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{SkippedTraceNote}; !reflect.DeepEqual(e.Notes, want) {
+		t.Fatalf("notes %q, want %q", e.Notes, want)
+	}
+	for _, name := range []string{"trace", "pyramid", "tracemeta"} {
+		if reads[name] != 0 {
+			t.Fatalf("%s sections read: %v", name, reads)
+		}
+	}
+
+	// Damage inside every trace-kind body goes unread.
+	for _, k := range []byte{dbSecTrace, dbSecPyramid, dbSecTraceMeta} {
+		bad := v3CorruptSection(t, data, func(s v3sec) bool { return s.kind == k })
+		e, _, err := open(bad)
+		if err != nil {
+			t.Fatalf("kind %d body damaged: %v", k, err)
+		}
+		if len(e.Notes) != 1 {
+			t.Fatalf("kind %d body damaged: notes %q, want the one skip note", k, e.Notes)
+		}
+	}
+
+	// The index still bounds them: a trace entry whose length runs past
+	// its span, and a kind no reader knows, are refused.
+	reindex := func(edit func(en []byte)) []byte {
+		out := append([]byte(nil), data...)
+		tr := out[len(out)-v3TrailerSize:]
+		idx := out[binary.LittleEndian.Uint64(tr[0:8]) : len(out)-v3TrailerSize]
+		for i, s := range secs {
+			if s.kind == dbSecTrace {
+				edit(idx[i*v3EntrySize:])
+				break
+			}
+		}
+		binary.LittleEndian.PutUint32(tr[16:], framing.Checksum(idx))
+		return out
+	}
+	for name, bad := range map[string][]byte{
+		"overlong": reindex(func(en []byte) {
+			binary.LittleEndian.PutUint64(en[16:], binary.LittleEndian.Uint64(en[16:])+64)
+		}),
+		"kind 11": reindex(func(en []byte) { en[0] = 11 }),
+	} {
+		if _, err := newMappedDB(bad); err == nil {
+			t.Errorf("%s: the index was accepted", name)
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/sampler"
 	"repro/internal/structfile"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -47,25 +46,6 @@ type artifact struct {
 func decodeProfile(data []byte) (bool, error) {
 	_, err := profile.Read(bytes.NewReader(data))
 	return false, err
-}
-
-// decodeTracedProfile additionally requires the trace section the capture
-// wrote to still be present and scan cleanly. A flipped section-id byte
-// turns the section into an unknown kind the reader skips by design
-// (forward compatibility), so "the trace vanished" is the detectable
-// symptom for that corruption.
-func decodeTracedProfile(data []byte) (bool, error) {
-	if _, err := profile.Read(bytes.NewReader(data)); err != nil {
-		return false, err
-	}
-	count, _, err := profile.ScanTrace(bytes.NewReader(data), nil)
-	if err != nil {
-		return false, err
-	}
-	if count == 0 {
-		return false, fmt.Errorf("trace section lost")
-	}
-	return false, nil
 }
 
 func decodeDB(data []byte) (bool, error) {
@@ -110,8 +90,8 @@ func decodeOpenedDB(data []byte) (bool, error) {
 
 // decodeMappedDB stages the bytes as a file and opens them through the
 // zero-copy mapped path, then touches everything a viewer eventually
-// would: the experiment (metadata, every column's checksum, provenance)
-// and the trace view. The v3 contract: metadata damage is a typed error,
+// would: the experiment (metadata, every column's checksum, provenance).
+// The v3 contract: metadata damage is a typed error,
 // column and provenance damage degrade with notes, and nothing ever faults
 // the process (all index ranges are validated before the mapping is
 // trusted).
@@ -129,21 +109,6 @@ func decodeMappedDB(data []byte) (bool, error) {
 	e, err := db.Experiment()
 	if err != nil {
 		return false, err
-	}
-	if err := db.VerifyAll(); err != nil {
-		return len(e.Notes) > 0, err
-	}
-	// Trace/pyramid/tracemeta damage must degrade — dropped ranks with
-	// notes — while profile views stay intact, and whatever traces survive
-	// must still render a view without failing.
-	tv, err := db.Trace()
-	if err != nil {
-		return len(e.Notes) > 0, err
-	}
-	if tv != nil && len(tv.TraceRanks()) > 0 {
-		if _, verr := trace.View(tv, 0, 0, nil, 32, 0); verr != nil {
-			return len(e.Notes) > 0, verr
-		}
 	}
 	return len(e.Notes) > 0, nil
 }
@@ -164,13 +129,9 @@ func buildArtifacts(t *testing.T, name string) []artifact {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Trace capture is on so the profile-v2 artifact carries a trace
-	// section and the v3 artifacts carry trace, pyramid and tracemeta
-	// sections — the sweep then covers every section kind of every format.
 	profs, err := mpi.Run(im, mpi.Config{
 		NRanks: 2,
 		Events: sampler.DefaultEvents(spec.Period),
-		Trace:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +151,6 @@ func buildArtifacts(t *testing.T, name string) []artifact {
 		}
 	}
 	exp := expdb.FromMerge(res)
-	if err := expdb.TraceRanksFromProfiles(exp, doc, profs); err != nil {
-		t.Fatal(err)
-	}
 	exp.Provenance = &ingest.Report{Attempted: 3, Merged: 2, Bad: []ingest.BadRank{
 		{Path: "lost.cpprof", Rank: 2, Offset: 5, Class: ingest.ClassTruncated, Message: "unexpected EOF"},
 	}}
@@ -206,7 +164,7 @@ func buildArtifacts(t *testing.T, name string) []artifact {
 	}
 	p := profs[0]
 	return []artifact{
-		enc("profile-v2", func(b *bytes.Buffer) error { return p.Write(b) }, decodeTracedProfile, true),
+		enc("profile-v2", func(b *bytes.Buffer) error { return p.Write(b) }, decodeProfile, true),
 		enc("profile-v1", func(b *bytes.Buffer) error { return p.WriteV1(b) }, decodeProfile, false),
 		enc("expdb-v2", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeDB, true),
 		enc("expdb-v2-open", func(b *bytes.Buffer) error { return exp.WriteBinary(b) }, decodeOpenedDB, true),

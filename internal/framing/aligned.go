@@ -1,7 +1,6 @@
 package framing
 
 import (
-	"errors"
 	"hash/crc32"
 	"io"
 )
@@ -85,57 +84,3 @@ func (aw *AlignedWriter) Section(payload []byte) (AlignedSection, error) {
 func ChecksumPadded(span []byte) uint32 {
 	return crc32.Update(0, castagnoli, span)
 }
-
-// SectionWriter streams one aligned section incrementally, for payloads too
-// large to materialize (trace record streams). The CRC is accumulated over
-// the bytes as they pass through, so peak memory stays at the caller's
-// chunk size regardless of section length.
-type SectionWriter struct {
-	aw  *AlignedWriter
-	n   int64
-	crc uint32
-	err error
-}
-
-// Begin starts a streaming section at the writer's current offset. Exactly
-// one streaming section may be open at a time; the caller must Finish it
-// before the next Section or Begin call.
-func (aw *AlignedWriter) Begin() *SectionWriter {
-	return &SectionWriter{aw: aw}
-}
-
-// Write appends payload bytes to the open section.
-func (sw *SectionWriter) Write(p []byte) (int, error) {
-	if sw.err != nil {
-		return 0, sw.err
-	}
-	n, err := sw.aw.w.Write(p)
-	sw.n += int64(n)
-	sw.crc = crc32.Update(sw.crc, castagnoli, p[:n])
-	if err != nil {
-		sw.err = err
-	}
-	return n, err
-}
-
-// Finish pads the section to the next 8-byte boundary and returns its
-// placement record, mirroring Section.
-func (sw *SectionWriter) Finish() (AlignedSection, error) {
-	sec := AlignedSection{Offset: sw.aw.off, Length: sw.n}
-	if sw.err != nil {
-		return sec, sw.err
-	}
-	pad := zeroPad[:AlignUp(sw.n)-sw.n]
-	if len(pad) > 0 {
-		if _, err := sw.aw.w.Write(pad); err != nil {
-			sw.err = err
-			return sec, err
-		}
-	}
-	sec.CRC = crc32.Update(sw.crc, castagnoli, pad)
-	sw.aw.off += AlignUp(sw.n)
-	sw.err = errSectionFinished
-	return sec, nil
-}
-
-var errSectionFinished = errors.New("framing: write after section Finish")

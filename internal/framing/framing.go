@@ -175,8 +175,8 @@ type Reader struct {
 // non-nil writer for a section id, Next streams that section's payload
 // through the writer in bounded chunks instead of buffering it, and
 // returns a nil payload for the section. The CRC is still verified over
-// the streamed bytes. Use io.Discard to skip a large section (a trace
-// section in a measurement file) without O(payload) memory.
+// the streamed bytes. Use io.Discard to skip a large section without
+// O(payload) memory.
 func (fr *Reader) SetSink(fn func(id byte) io.Writer) { fr.sink = fn }
 
 // NewReader checks the magic and returns a section reader. size is the

@@ -21,7 +21,6 @@ import (
 	"repro/internal/prog"
 	"repro/internal/sampler"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config parameterizes an SPMD run.
@@ -44,15 +43,6 @@ type Config struct {
 	// MaxSteps/MaxStack forward to sim.Config.
 	MaxSteps int64
 	MaxStack int
-	// Trace enables time-dimension trace capture on every thread's
-	// sampler (thread 0 of each rank is what hpcprof serializes).
-	Trace bool
-	// TraceBuf is the capture buffer size in records (0 = default).
-	TraceBuf int
-	// TraceSpill builds the spill store for one thread's capture; nil
-	// uses an in-memory store. File-backed stores keep capture memory
-	// bounded for long runs.
-	TraceSpill func(rank, thread int) (trace.SpillStore, error)
 }
 
 // Run executes the image on all ranks and returns one raw profile per
@@ -88,17 +78,6 @@ func Run(im *isa.Image, cfg Config) ([]*profile.Profile, error) {
 					return
 				}
 				s.Profile().Fingerprint = fp
-				if cfg.Trace {
-					var spill trace.SpillStore = &trace.MemSpill{}
-					if cfg.TraceSpill != nil {
-						if spill, err = cfg.TraceSpill(rank, thread); err != nil {
-							errs[slot] = fmt.Errorf("rank %d thread %d: trace spill: %w", rank, thread, err)
-							bar.abort()
-							return
-						}
-					}
-					s.EnableTrace(spill, cfg.TraceBuf)
-				}
 				params := &prog.Params{
 					Rank: rank, NRanks: cfg.NRanks,
 					Thread: thread, NThreads: cfg.ThreadsPerRank,
@@ -119,11 +98,6 @@ func Run(im *isa.Image, cfg Config) ([]*profile.Profile, error) {
 				}
 				if err := vm.Run(); err != nil {
 					errs[slot] = fmt.Errorf("rank %d thread %d: %w", rank, thread, err)
-					bar.abort()
-					return
-				}
-				if err := s.TraceErr(); err != nil {
-					errs[slot] = fmt.Errorf("rank %d thread %d: trace: %w", rank, thread, err)
 					bar.abort()
 					return
 				}

@@ -47,7 +47,6 @@ const (
 const (
 	profSecHeader byte = 1
 	profSecTree   byte = 2
-	profSecTrace  byte = 3 // trace events, skipped by readers before PR 9
 )
 
 const maxProfileStrLen = 1 << 20
@@ -75,11 +74,6 @@ func (p *Profile) Write(w io.Writer) error {
 	}
 	if err := fw.Section(profSecTree, writeNode(nil, p.Root)); err != nil {
 		return err
-	}
-	if p.Trace != nil && p.Trace.Count() > 0 {
-		if err := p.writeTraceSection(fw); err != nil {
-			return err
-		}
 	}
 	return fw.Close()
 }
@@ -194,9 +188,9 @@ func readV2(br *bufio.Reader, size int64) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	// Trace sections can dwarf the tree; stream them (and any future
-	// section) to a discard sink so skipping stays O(chunk), not
-	// O(payload). The CRC is still verified.
+	// Every other section — section 3, the trace events older files carry,
+	// or any future one — streams to a discard sink, so skipping stays
+	// O(chunk), not O(payload). The CRC is still verified.
 	fr.SetSink(func(id byte) io.Writer {
 		if id == profSecHeader || id == profSecTree {
 			return nil

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/framing"
-	"repro/internal/trace"
 )
 
 // The trie this package kept until the sorted-slice Node replaced it: two
@@ -124,7 +123,7 @@ func (n *OracleNode) sortedSamples() []SampleRow {
 }
 
 // Write is the v2 writer as it was: varints through a bufio.Writer into a
-// buffer per section. It writes no trace section.
+// buffer per section.
 func (o *Oracle) Write(w io.Writer) error {
 	uvarint := func(bw *bufio.Writer, v uint64) {
 		var buf [binary.MaxVarintLen64]byte
@@ -219,7 +218,7 @@ func (o *Oracle) Stats() Stats {
 }
 
 // PreorderPaths lists the frames in serialization order, each as its call
-// path: what PreorderNodes is, in a form two tries can be compared by.
+// path, in a form two tries can be compared by.
 func (o *Oracle) PreorderPaths() []string {
 	var out []string
 	var walk func(n *OracleNode, path string)
@@ -233,35 +232,18 @@ func (o *Oracle) PreorderPaths() []string {
 	return out
 }
 
-// PreorderPaths is the same listing of the slice trie, from PreorderNodes.
+// PreorderPaths is the same listing of the slice trie.
 func PreorderPaths(p *Profile) []string {
-	path := map[*Node]string{p.Root: ""}
 	var out []string
-	for _, n := range p.PreorderNodes() {
-		out = append(out, path[n])
+	var walk func(n *Node, path string)
+	walk = func(n *Node, path string) {
+		out = append(out, path)
 		for _, c := range n.Children() {
-			path[c] = fmt.Sprintf("%s/%x", path[n], c.CallPC)
+			walk(c, fmt.Sprintf("%s/%x", path, c.CallPC))
 		}
 	}
+	walk(p.Root, "")
 	return out
-}
-
-// TraceRemaps returns the trace section's capture-id -> preorder-index
-// table twice: as Write computes it, and as it was computed before (a
-// pointer map over the preorder list).
-func TraceRemaps(p *Profile) (got, want []uint32, err error) {
-	if got, err = p.traceRemap(); err != nil {
-		return nil, nil, err
-	}
-	idx := map[*Node]uint32{}
-	for i, n := range p.PreorderNodes() {
-		idx[n] = uint32(i)
-	}
-	want = make([]uint32, 0, len(p.Trace.Nodes()))
-	for _, n := range p.Trace.Nodes() {
-		want = append(want, idx[n])
-	}
-	return got, want, nil
 }
 
 // CompareWithOracle checks everything the two tries can be compared by.
@@ -269,12 +251,8 @@ func CompareWithOracle(p *Profile, o *Oracle) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	td := p.Trace
-	p.Trace = nil // the oracle writes no trace section
 	var got, want bytes.Buffer
-	err := p.Write(&got)
-	p.Trace = td
-	if err != nil {
+	if err := p.Write(&got); err != nil {
 		return err
 	}
 	if err := o.Write(&want); err != nil {
@@ -291,15 +269,6 @@ func CompareWithOracle(p *Profile, o *Oracle) error {
 	}
 	if g, w := PreorderPaths(p), o.PreorderPaths(); !reflect.DeepEqual(g, w) {
 		return fmt.Errorf("preorder differs: %d frames, oracle %d", len(g), len(w))
-	}
-	if td != nil {
-		g, w, err := TraceRemaps(p)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(g, w) {
-			return fmt.Errorf("trace remap = %v, want %v", g, w)
-		}
 	}
 	// What Write emitted reads back to the same bytes.
 	back, err := Read(bytes.NewReader(got.Bytes()))
@@ -326,7 +295,7 @@ func firstDiff(a, b []byte) int {
 }
 
 // Random Record sequences — paths drawn from a small PC alphabet so that
-// prefixes are shared and contexts repeat, 1 to 4 metrics, traced — must
+// prefixes are shared and contexts repeat, 1 to 4 metrics — must
 // leave the slice trie and the map trie indistinguishable.
 func TestTrieMatchesMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
@@ -337,7 +306,6 @@ func TestTrieMatchesMapOracle(t *testing.T) {
 		}
 		p := NewProfile("rnd", int(seed), rng.Intn(3), metrics)
 		p.Fingerprint = uint64(rng.Int63())
-		p.EnableTrace(&trace.MemSpill{}, 16)
 		o := NewOracle(p)
 		alphabet := 2 + rng.Intn(12)
 		var path []uint64
@@ -354,16 +322,12 @@ func TestTrieMatchesMapOracle(t *testing.T) {
 				path = path[:max(len(path)-1, 0)]
 			} // otherwise the same context again
 			pc, m, count := uint64(0x2000+4*rng.Intn(alphabet)), rng.Intn(len(metrics)), uint64(rng.Intn(5))*metrics[0].Period
-			n := p.Record(path, pc, m, count)
+			p.Record(path, pc, m, count)
 			o.Record(path, pc, m, count)
-			if err := p.Trace.Emit(uint64(i), n, len(path)); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if err := CompareWithOracle(p, o); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		p.Trace.Close()
 	}
 }
 

@@ -35,11 +35,7 @@ type Profile struct {
 	// Metrics describes the sampled events, in column order.
 	Metrics []MetricInfo
 	// Root is the entry frame (no call site).
-	Root *Node
-	// Trace holds the thread's time-dimension trace capture, nil unless
-	// EnableTrace was called. Traces ride along in the v2 measurement
-	// format; readers without trace support skip them.
-	Trace *TraceData
+	Root  *Node
 	slabs slabs   // what Read and Record carve the trie from
 	ctx   []*Node // the frames of the call path Record saw last, root first
 }
@@ -53,12 +49,6 @@ type Node struct {
 	CallPC   uint64
 	children []*Node     // ascending CallPC
 	samples  []SampleRow // ascending PC
-
-	// traceSlot is the frame's dense capture id plus one (0 = none yet),
-	// assigned on first trace emission. Intrusive so the capture hot path
-	// is an integer check, not a map lookup; owned by the profile's single
-	// TraceData.
-	traceSlot uint32
 }
 
 // NewProfile creates an empty profile.
@@ -141,10 +131,9 @@ type SampleRow struct {
 
 // Record attributes count events of the given metric to the context
 // (callPath, leafPC): callPath holds the call instruction addresses from
-// outermost to innermost. It returns the attributed frame so the sampler
-// can feed the same context to the trace recorder. Only frames below the
-// prefix shared with the previous call (p.ctx; frames never move) are looked up.
-func (p *Profile) Record(callPath []uint64, leafPC uint64, metric int, count uint64) *Node {
+// outermost to innermost. Only frames below the prefix shared with the
+// previous call (p.ctx; frames never move) are looked up.
+func (p *Profile) Record(callPath []uint64, leafPC uint64, metric int, count uint64) {
 	if len(p.ctx) == 0 || p.ctx[0] != p.Root {
 		p.ctx = insert(&p.slabs.kids, p.ctx[:0], 0, p.Root, slabChunk)
 	}
@@ -159,7 +148,6 @@ func (p *Profile) Record(callPath []uint64, leafPC uint64, metric int, count uin
 		p.ctx = insert(&p.slabs.kids, p.ctx, len(p.ctx), n, slabChunk)
 	}
 	n.addSample(leafPC, metric, len(p.Metrics), count, &p.slabs, slabChunk)
-	return n
 }
 
 // MetricIndex returns the column of the named metric, or -1.

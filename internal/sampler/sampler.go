@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // EventConfig selects one event and its sampling period.
@@ -49,13 +48,11 @@ func DefaultEvents(basePeriod uint64) []EventConfig {
 // Sampler accumulates a raw call path profile; attach it to a VM via
 // sim.Config.Observer.
 type Sampler struct {
-	prof     *profile.Profile
-	events   []EventConfig
-	next     []uint64
-	pathBuf  []uint64
-	samples  uint64
-	traceEv  int // event index whose crossings emit trace events, -1 off
-	traceErr error
+	prof    *profile.Profile
+	events  []EventConfig
+	next    []uint64
+	pathBuf []uint64
+	samples uint64
 }
 
 // New creates a sampler for one thread of execution.
@@ -76,31 +73,11 @@ func New(program string, rank, thread int, events []EventConfig) (*Sampler, erro
 		next[i] = e.Period
 	}
 	return &Sampler{
-		prof:    profile.NewProfile(program, rank, thread, metrics),
-		events:  events,
-		next:    next,
-		traceEv: -1,
+		prof:   profile.NewProfile(program, rank, thread, metrics),
+		events: events,
+		next:   next,
 	}, nil
 }
-
-// EnableTrace turns on time-dimension trace capture: every sample of the
-// cycles event (the first configured event when cycles is absent) also
-// emits a (time, call-path, depth) record into spill, timestamped by the
-// VM's monotonic cycle counter. Peak capture memory is the recorder
-// buffer (bufRecords records; 0 means the default), never O(events).
-func (s *Sampler) EnableTrace(spill trace.SpillStore, bufRecords int) {
-	s.traceEv = 0
-	for i, e := range s.events {
-		if e.Event == sim.EvCycles {
-			s.traceEv = i
-			break
-		}
-	}
-	s.prof.EnableTrace(spill, bufRecords)
-}
-
-// TraceErr reports the first trace emission failure (spill I/O), if any.
-func (s *Sampler) TraceErr() error { return s.traceErr }
 
 func unitOf(e sim.Event) string {
 	switch e {
@@ -141,21 +118,8 @@ func (s *Sampler) OnCost(vm *sim.VM, idx int32, delta *sim.Counters) {
 			path = vm.CallPath(s.pathBuf[:0])
 			s.pathBuf = path
 		}
-		n := s.prof.Record(path, vm.Image().Addr(idx), i, k*e.Period)
+		s.prof.Record(path, vm.Image().Addr(idx), i, k*e.Period)
 		s.samples += k
-		if i == s.traceEv && s.traceErr == nil {
-			// One trace event per delivery, stamped with the monotonic
-			// virtual cycle clock; k>1 crossings still mean one stack
-			// unwind, hence one visible sample. cur is that clock when
-			// the traced event is cycles itself (the usual case).
-			t := cur
-			if e.Event != sim.EvCycles {
-				t = vm.Counters.Get(sim.EvCycles)
-			}
-			if err := s.prof.Trace.Emit(t, n, len(path)); err != nil {
-				s.traceErr = err
-			}
-		}
 	}
 }
 

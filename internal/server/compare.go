@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/diff"
 	"repro/internal/engine"
+	"repro/internal/mmapio"
 )
 
 // The server implements engine.Catalog over its lifecycle catalog, so
@@ -90,11 +91,16 @@ func (srv *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if req.Metric != "" {
 		metrics = []string{req.Metric}
 	}
-	_, res, err := engine.DiffSnapshots(diff.Config{Metrics: metrics, Mode: mode},
-		engine.DiffInput{Label: "A", Snap: base},
-		engine.DiffInput{Label: "B", Snap: other})
+	// The union is built on the heap: only the diff reads the mappings.
+	var res *diff.Result
+	err = mmapio.Guard(func() (err error) {
+		_, res, err = engine.DiffSnapshots(diff.Config{Metrics: metrics, Mode: mode},
+			engine.DiffInput{Label: "A", Snap: base},
+			engine.DiffInput{Label: "B", Snap: other})
+		return err
+	}, base.Path(), other.Path())
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "diff-failed", err.Error())
+		writeReadError(w, err, "diff-failed")
 		return
 	}
 	rep, err := res.Report(diff.ReportOptions{Metric: req.Metric, Threshold: req.Threshold, Top: req.Top})

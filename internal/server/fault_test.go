@@ -23,7 +23,8 @@ import (
 // TestTruncatedDatabaseFaultIsSessionError: a database file truncated
 // while the server has it mapped makes the next command that reads a lost
 // page fault. The fault must come back as the 500 of every session that
-// reads it, naming the database, and the server must keep answering. The
+// reads it, or of the route that reads it outside a session, naming the
+// database, and the server must keep answering. The
 // server runs in a child process, so a fault that kills it fails this test
 // rather than the test binary; the child exits on its own and is waited
 // for.
@@ -40,6 +41,10 @@ func TestTruncatedDatabaseFaultIsSessionError(t *testing.T) {
 		// build faults, and the second session gets that fault again
 		// rather than a view that was never built.
 		{"two_sessions_view_callers", 2, []string{"view callers"}},
+		// No session: the routes read the mapped columns themselves, in
+		// report.Build and in the diff's union.
+		{"report", 0, []string{"GET /v1/report"}},
+		{"compare", 0, []string{`POST /v1/compare {"other": "pinned"}`}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if os.Getenv("SERVER_FAULT_CHILD") == "1" {
@@ -66,7 +71,9 @@ func TestTruncatedDatabaseFaultIsSessionError(t *testing.T) {
 
 // truncatedDatabaseChild serves a v3 database of a few thousand scopes,
 // opens the sessions, truncates the file to 4 KiB, and has each session run
-// the lines until one fails.
+// the lines until one fails. With no sessions, each line is a request,
+// "METHOD PATH [BODY]", the first that fails is the one checked, and the
+// database is also pinned as "pinned".
 func truncatedDatabaseChild(t *testing.T, sessions int, lines []string) {
 	reg := metric.NewRegistry()
 	if _, err := reg.AddRaw("cost", "samples", 1); err != nil {
@@ -104,9 +111,41 @@ func truncatedDatabaseChild(t *testing.T, sessions int, lines []string) {
 	for i := range tokens {
 		tokens[i] = c.createSession()
 	}
+	if sessions == 0 {
+		if err := srv.AddSnapshot("pinned", sn); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	if err := os.Truncate(path, 4096); err != nil {
 		t.Fatal(err)
+	}
+	if sessions == 0 {
+		status, body := 0, ""
+		for _, line := range lines {
+			method, rest, _ := strings.Cut(line, " ")
+			route, payload, _ := strings.Cut(rest, " ")
+			req, err := http.NewRequest(method, c.base+route, strings.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.hc.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status, body = resp.StatusCode, string(b); status != http.StatusOK {
+				break
+			}
+		}
+		// A compare of the database with itself names it twice.
+		if status != http.StatusInternalServerError || !strings.Contains(body, "database-fault") || !strings.Contains(body, "reading "+path) || !strings.Contains(body, "fault on a page") {
+			t.Fatalf("%s after the truncation: status %d, body %s; want 500 database-fault naming %s", lines, status, body, path)
+		}
 	}
 	for i, token := range tokens {
 		status, body := 0, ""

@@ -17,12 +17,11 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/sampler"
 	"repro/internal/structfile"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// tracedV3Bytes builds a v3 database with trace sections.
-func tracedV3Bytes(t *testing.T, ranks int) []byte {
+// toyV3Bytes builds a v3 database of the toy workload at ranks ranks.
+func toyV3Bytes(t *testing.T, ranks int) []byte {
 	t.Helper()
 	spec, err := workloads.ByName("toy")
 	if err != nil {
@@ -39,7 +38,6 @@ func tracedV3Bytes(t *testing.T, ranks int) []byte {
 	profs, err := mpi.Run(im, mpi.Config{
 		NRanks: ranks,
 		Events: sampler.DefaultEvents(spec.Period),
-		Trace:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,12 +46,8 @@ func tracedV3Bytes(t *testing.T, ranks int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := expdb.FromMerge(res)
-	if err := expdb.TraceRanksFromProfiles(e, doc, profs); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := e.WriteBinaryV3(&buf); err != nil {
+	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -93,72 +87,11 @@ func getJSON(t *testing.T, hc *http.Client, url string, dst any) int {
 	return resp.StatusCode
 }
 
-func TestTraceEndpoint(t *testing.T) {
-	cat := catalog.New(catalog.Config{})
-	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 1}, tracedV3Bytes(t, 3))
-	srv := NewWithConfig(nil, Config{Catalog: cat})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	hc := ts.Client()
-
-	var g traceResponse
-	if status := getJSON(t, hc, ts.URL+"/v1/trace?db=svc/r&w=32&h=3", &g); status != http.StatusOK {
-		t.Fatalf("trace status %d", status)
-	}
-	if g.W != 32 || g.H != 3 || len(g.Ranks) != 3 {
-		t.Fatalf("grid shape %dx%d ranks %v", g.W, g.H, g.Ranks)
-	}
-	if len(g.CPID) != 32*3 || len(g.Depth) != 32*3 || len(g.Samples) != 32*3 {
-		t.Fatalf("cell arrays %d/%d/%d, want %d", len(g.CPID), len(g.Depth), len(g.Samples), 32*3)
-	}
-	nonEmpty := 0
-	for i, id := range g.CPID {
-		if id == trace.EmptyCPID {
-			continue
-		}
-		nonEmpty++
-		if g.Depth[i] == 0 && g.Samples[i] == 0 {
-			t.Fatalf("cell %d: cpid %d with zero depth and samples", i, id)
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("grid is entirely empty")
-	}
-	if len(g.Labels) == 0 {
-		t.Fatal("no labels returned")
-	}
-
-	// Narrow window renders and respects bounds.
-	if status := getJSON(t, hc, ts.URL+"/v1/trace?db=svc/r&w=8&t0=0&t1=500", &g); status != http.StatusOK {
-		t.Fatalf("windowed trace status %d", status)
-	}
-	if g.T0 != 0 || g.T1 != 500 || g.W != 8 {
-		t.Fatalf("window [%d,%d) w=%d", g.T0, g.T1, g.W)
-	}
-
-	// Typed errors: bad params, unknown db, trace-less db.
-	if status := getJSON(t, hc, ts.URL+"/v1/trace?db=svc/r&w=zap", nil); status != http.StatusBadRequest {
-		t.Fatalf("bad width status %d", status)
-	}
-	if status := getJSON(t, hc, ts.URL+"/v1/trace?db=nope", nil); status != http.StatusNotFound {
-		t.Fatalf("unknown db status %d", status)
-	}
-	publishBytes(t, cat, catalog.Key{Service: "plain", Ts: 1}, fixtureAt(t, 2))
-	if status := getJSON(t, hc, ts.URL+"/v1/trace?db=plain", nil); status != http.StatusNotFound {
-		t.Fatalf("trace-less db status %d", status)
-	}
-	// No default database and no ?db=.
-	if status := getJSON(t, hc, ts.URL+"/v1/trace", nil); status != http.StatusNotFound {
-		t.Fatalf("no-default status %d", status)
-	}
-}
-
 func TestPickEndpoint(t *testing.T) {
 	cat := catalog.New(catalog.Config{MaxGenerations: 10})
-	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 1}, tracedV3Bytes(t, 4))
-	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 2}, tracedV3Bytes(t, 6))
-	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 3}, tracedV3Bytes(t, 2))
+	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 1}, toyV3Bytes(t, 4))
+	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 2}, toyV3Bytes(t, 6))
+	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 3}, toyV3Bytes(t, 2))
 	srv := NewWithConfig(nil, Config{Catalog: cat})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

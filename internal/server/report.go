@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/mmapio"
 	"repro/internal/report"
 )
 
@@ -17,7 +18,8 @@ import (
 // Both snapshots are acquired and refcounted for the whole build, so a
 // concurrent republish or eviction never unmaps a database under the
 // analysis; the report only reads the snapshots, so concurrent requests
-// over one entry are safe.
+// over one entry are safe. The build reads the databases inside one fault
+// boundary: a file truncated under its mapping is a 500 naming it.
 func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opt := report.Options{Metric: q.Get("metric")}
@@ -54,7 +56,7 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	exp := snap.Experiment()
+	paths := []string{snap.Path()}
 	if base := q.Get("baseline"); base != "" {
 		acq, _, err := srv.cat.Acquire(base)
 		if err != nil {
@@ -63,11 +65,16 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		defer acq.Release()
 		opt.Baseline = acq.Experiment()
+		paths = append(paths, acq.Path())
 	}
 
-	rep, err := report.Build(exp, opt)
+	var rep *report.Report
+	err := mmapio.Guard(func() (err error) {
+		rep, err = report.Build(snap.Experiment(), opt)
+		return err
+	}, paths...)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "report-failed", err.Error())
+		writeReadError(w, err, "report-failed")
 		return
 	}
 	// Serve the report's own canonical rendering, not writeJSON's compact

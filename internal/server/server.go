@@ -18,7 +18,6 @@
 //	GET    /v1/stats                   sessions, shed/panic counters, catalog stats
 //	GET    /v1/info                    default database shape: node/metric counts, notes
 //	GET    /v1/catalog                 databases available for sessions and diffing
-//	GET    /v1/trace?db=&w=&h=&t0=&t1=  time×rank trace grid JSON (O(w·h) render)
 //	GET    /v1/pick?series=&strategy=  choose a generation (latest|most-samples|p50)
 //	POST   /v1/ingest?service=&run=&ts=  publish a database (body = db bytes)
 //	POST   /v1/compare                 {"other": NAME, ...} -> diff report (see compare.go)
@@ -30,8 +29,10 @@
 // load beyond the bounded admission queue is shed with 429/503 and a
 // Retry-After header instead of queueing unboundedly, a request that
 // outlives its deadline kills its session (504) rather than wedging a
-// worker, and a panic inside one session's command kills that session
-// (500, counted in /v1/stats) — never the process. Degraded responses
+// worker, a panic inside one session's command kills that session
+// (500, counted in /v1/stats) — never the process — and so does a fault
+// on a page of a mapped database file truncated under the server, which
+// the report and compare routes answer with a 500 too. Degraded responses
 // carry a typed JSON error body: {"error":{"type","message"}}.
 package server
 
@@ -43,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -51,6 +51,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/mmapio"
 	"repro/internal/prog"
 )
 
@@ -176,7 +177,6 @@ func (srv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", srv.handleStats)
 	mux.HandleFunc("GET /v1/info", srv.handleInfo)
 	mux.HandleFunc("GET /v1/catalog", srv.handleCatalog)
-	mux.HandleFunc("GET /v1/trace", srv.limited(srv.handleTrace, serveWhileDraining))
 	mux.HandleFunc("GET /v1/pick", srv.limited(srv.handlePick, serveWhileDraining))
 	mux.HandleFunc("GET /v1/report", srv.limited(srv.handleReport, serveWhileDraining))
 	mux.HandleFunc("POST /v1/ingest", srv.limited(srv.handleIngest, shedWhileDraining))
@@ -530,6 +530,19 @@ func writeAcquireError(w http.ResponseWriter, err error) {
 	}
 }
 
+// writeReadError answers the error of a route's read of its databases
+// inside mmapio.Guard: a fault on a page of a mapped file (one truncated
+// under its mapping) is a typed 500 naming the file; any other error is
+// the request's, a 422 of type typ.
+func writeReadError(w http.ResponseWriter, err error, typ string) {
+	var fault interface{ Addr() uintptr }
+	if errors.As(err, &fault) {
+		writeError(w, http.StatusInternalServerError, "database-fault", err.Error())
+		return
+	}
+	writeError(w, http.StatusUnprocessableEntity, typ, err.Error())
+}
+
 type execRequest struct {
 	Line string `json:"line"`
 }
@@ -565,21 +578,20 @@ func (srv *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 
 // execResult carries one command's outcome out of its goroutine.
 type execResult struct {
-	resp     engine.Response
+	resp engine.Response
+	// panicked is a panic of the command, or the fault on a page of the
+	// session's mapped database that mmapio.Guard made an error.
 	panicked any
-	stack    []byte
-	// db is the file of the database the session presented when the
-	// command started ("" when it was made in memory).
-	db string
 	// dead reports the session was killed before the command could run.
 	dead bool
 }
 
 // execSession runs one engine command under the per-request deadline with
-// panic isolation. A panic or deadline kills the session — its in-flight
-// work must be cancelled — but never the process: the session is removed,
-// the failure is counted in /v1/stats, and the client gets a typed error.
-// Returns ok=false when it already wrote an error response.
+// panic isolation. A panic, a fault on a page of the mapped database or a
+// deadline kills the session — its in-flight work must be cancelled — but
+// never the process: the session is removed, the failure is counted in
+// /v1/stats, and the client gets a typed error. Returns ok=false when it
+// already wrote an error response.
 //
 // Release discipline: the session's snapshot may only be released once no
 // goroutine is inside se.s.Do — otherwise a catalog eviction could leave
@@ -590,16 +602,11 @@ type execResult struct {
 func (srv *Server) execSession(w http.ResponseWriter, token string, se *session, req engine.Request) (engine.Response, bool) {
 	done := make(chan execResult, 1)
 	go func() {
-		// A fault on a mapped page (a database file truncated under the
-		// server) panics here instead of killing the process; the recover
-		// below makes it the session's error.
-		debug.SetPanicOnFault(true)
-		var db string
 		defer func() {
 			// The recover runs after the mu-unlock defer below (LIFO), so a
 			// panic never leaves se.mu locked for the requests queued on it.
 			if p := recover(); p != nil {
-				done <- execResult{panicked: p, stack: debug.Stack(), db: db}
+				done <- execResult{panicked: p}
 			}
 		}()
 		se.mu.Lock()
@@ -611,11 +618,18 @@ func (srv *Server) execSession(w http.ResponseWriter, token string, se *session,
 			done <- execResult{dead: true}
 			return
 		}
-		if hook := srv.testExecHook; hook != nil {
-			hook(req.Line)
+		var resp engine.Response
+		if err := mmapio.Guard(func() error {
+			if hook := srv.testExecHook; hook != nil {
+				hook(req.Line)
+			}
+			resp = se.s.Do(req)
+			return nil
+		}, se.s.Snapshot().Path()); err != nil {
+			done <- execResult{panicked: err}
+			return
 		}
-		db = se.s.Snapshot().Path()
-		done <- execResult{resp: se.s.Do(req)}
+		done <- execResult{resp: resp}
 	}()
 
 	var deadline <-chan time.Time
@@ -630,12 +644,8 @@ func (srv *Server) execSession(w http.ResponseWriter, token string, se *session,
 		case res.panicked != nil:
 			srv.sessionPanics.Add(1)
 			srv.remove(token)
-			cause := fmt.Sprint(res.panicked)
-			if _, fault := res.panicked.(interface{ Addr() uintptr }); fault && res.db != "" {
-				cause = fmt.Sprintf("reading %s: fault on a page of the mapped file: %v", res.db, res.panicked)
-			}
 			writeError(w, http.StatusInternalServerError, "session-panic",
-				fmt.Sprintf("command %q crashed its session (session closed): %s", req.Line, cause))
+				fmt.Sprintf("command %q crashed its session (session closed): %v", req.Line, res.panicked))
 			return engine.Response{}, false
 		case res.dead:
 			writeError(w, http.StatusNotFound, "unknown-session", "session closed")
