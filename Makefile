@@ -106,19 +106,23 @@ fuzz-seeds:
 # cell formatter, the numbered-line layout, the formula parser against its
 # block evaluator, the summary statistics against an exact reference and the
 # views of whatever database the readers accept. CI runs this target.
+# Each target fuzzes for 10 s; minimizing a newly interesting input may take
+# 60 s by default, and inside the 10 s that left targets at 0 execs/s after
+# about 3 s, so minimization is bounded to 1 s: a crasher is still
+# reported, only less minimized.
 faults:
 	$(GO) test -run 'TestFaultMatrix|TestReaderFaults' ./internal/faultio
 	$(MAKE) fuzz-seeds
-	$(GO) test -run XXX -fuzz 'FuzzRead$$' -fuzztime 10s ./internal/profile
-	$(GO) test -run XXX -fuzz FuzzRecord -fuzztime 10s ./internal/profile
-	$(GO) test -run XXX -fuzz FuzzReadBinary -fuzztime 10s ./internal/expdb
-	$(GO) test -run XXX -fuzz FuzzDiff -fuzztime 10s ./internal/diff
-	$(GO) test -run XXX -fuzz FuzzImportPprof -fuzztime 10s ./internal/pprofio
-	$(GO) test -run XXX -fuzz FuzzFormatCell -fuzztime 10s ./internal/render
-	$(GO) test -run XXX -fuzz FuzzRenderRow -fuzztime 10s ./internal/render
-	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 10s ./internal/metric
-	$(GO) test -run XXX -fuzz FuzzStats -fuzztime 10s ./internal/metric
-	$(GO) test -run XXX -fuzz FuzzViews -fuzztime 10s ./internal/engine
+	$(GO) test -run XXX -fuzz 'FuzzRead$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
+	$(GO) test -run XXX -fuzz FuzzRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
+	$(GO) test -run XXX -fuzz FuzzReadBinary -fuzztime 10s -fuzzminimizetime 1s ./internal/expdb
+	$(GO) test -run XXX -fuzz FuzzDiff -fuzztime 10s -fuzzminimizetime 1s ./internal/diff
+	$(GO) test -run XXX -fuzz FuzzImportPprof -fuzztime 10s -fuzzminimizetime 1s ./internal/pprofio
+	$(GO) test -run XXX -fuzz FuzzFormatCell -fuzztime 10s -fuzzminimizetime 1s ./internal/render
+	$(GO) test -run XXX -fuzz FuzzRenderRow -fuzztime 10s -fuzzminimizetime 1s ./internal/render
+	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/metric
+	$(GO) test -run XXX -fuzz FuzzStats -fuzztime 10s -fuzzminimizetime 1s ./internal/metric
+	$(GO) test -run XXX -fuzz FuzzViews -fuzztime 10s -fuzzminimizetime 1s ./internal/engine
 
 # The packages that read databases, built with the portable stand-in for
 # mmap (internal/mmapio's nommap tag: the file is read into a page-aligned

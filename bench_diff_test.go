@@ -38,8 +38,10 @@ func diffBenchPair() (*expdb.Experiment, *expdb.Experiment) {
 }
 
 // BenchmarkDiffUnion measures the whole differential pipeline per
-// iteration: structural union of the two trees, per-input column fill,
-// metric recomputation and the comparison kernels (D-SCALE-1).
+// iteration: structural union of the two trees, the gather of the
+// per-input columns' base, inclusive and exclusive planes and the presence
+// fill; the comparison columns are formulas, evaluated when read
+// (D-SCALE-1).
 func BenchmarkDiffUnion(b *testing.B) {
 	ea, eb := diffBenchPair()
 	b.ReportAllocs()

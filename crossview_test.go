@@ -3,12 +3,17 @@ package repro
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/bench/gen"
 	"repro/internal/core"
+	"repro/internal/diff"
+	"repro/internal/expdb"
 	"repro/internal/merge"
 	"repro/internal/metric"
 	"repro/internal/oracle"
+	"repro/internal/source"
 	"repro/internal/workloads"
 )
 
@@ -201,5 +206,105 @@ func TestCallersRootsSumFlatProcedures(t *testing.T) {
 	// Fig. 2 has a recursive frame with a cost of its own (gx is 4, not 5).
 	if !planted["fig2"] {
 		t.Error("summing every instance's exclusive cells into the Callers roots kept the relation on Fig. 2")
+	}
+}
+
+// A relation between a diff union and its inputs. Restricted to input L,
+// the union is L's own tree, and a scope L lacks has no cost in L's
+// columns, so L's Flat View procedure rows and Callers View roots are the
+// union's, column M[L] divided by L's normalization, read as column M.
+
+// unionRelationMismatch returns the first procedure whose Flat rows or
+// Callers roots in input i differ from the union's M[L] cells ÷ Norm by
+// more than a relative 1e-9, "" when none does. A procedure absent from
+// one side reads 0 there.
+func unionRelationMismatch(res *diff.Result, i int, in *core.Tree) string {
+	_, uCallers, uFlat := systemRelation(res.Tree)
+	_, lCallers, lFlat := systemRelation(in)
+	norm := res.Inputs[i].Norm
+	for _, v := range [...]struct {
+		name    string
+		union   map[procKey]procCells
+		ofInput map[procKey]procCells
+	}{{"flat", uFlat, lFlat}, {"callers", uCallers, lCallers}} {
+		keys := map[procKey]bool{}
+		for k := range v.union {
+			keys[k] = true
+		}
+		for k := range v.ofInput {
+			keys[k] = true
+		}
+		for k := range keys {
+			u, l := v.union[k], v.ofInput[k]
+			for _, mc := range res.Metrics {
+				id := in.Reg.ByName(mc.Name).ID
+				for _, p := range [...]struct {
+					plane string
+					u, l  []float64
+				}{{"inclusive", u.incl, l.incl}, {"exclusive", u.excl, l.excl}} {
+					var uv, lv float64
+					if p.u != nil {
+						uv = p.u[mc.In[i]] / norm
+					}
+					if p.l != nil {
+						lv = p.l[id]
+					}
+					if d := math.Abs(uv - lv); d > 1e-9*math.Max(math.Abs(uv), math.Abs(lv)) {
+						return fmt.Sprintf("%s %v %s %s: input %s reads %v, the union %v",
+							v.name, k, mc.Name, p.plane, res.Inputs[i].Label, lv, uv)
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
+func TestUnionViewsAreInputViews(t *testing.T) {
+	generated := func(t *testing.T, c gen.CCT, ranks int) *expdb.Experiment {
+		tree, err := source.BuildTree(genSource{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &expdb.Experiment{Program: "synth", NRanks: ranks, Tree: tree}
+	}
+	for _, pair := range []struct {
+		name string
+		a, b func(*testing.T) *expdb.Experiment
+	}{
+		// TestConformance's union row.
+		{"union", func(t *testing.T) *expdb.Experiment { return equivExperiment(t, "pflotran", 1) },
+			func(t *testing.T) *expdb.Experiment { return equivExperiment(t, "pflotran", 7) }},
+		// The compare benchmark's pair at its short size.
+		{"compare", func(t *testing.T) *expdb.Experiment { return generated(t, gen.CCT{Seed: 1, Scopes: 3000, Cols: 4}, 4) },
+			func(t *testing.T) *expdb.Experiment {
+				return generated(t, gen.CCT{Seed: 1, Scopes: 3000, Cols: 4, P: &gen.Perturb{Seed: 2, Drop: 0.05, Add: 0.05, Scale: 0.4}}, 16)
+			}},
+	} {
+		t.Run(pair.name, func(t *testing.T) {
+			ins := []*expdb.Experiment{pair.a(t), pair.b(t)}
+			res, err := diff.Diff(diff.Config{}, diff.Input{Label: "A", Exp: ins[0]}, diff.Input{Label: "B", Exp: ins[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range ins {
+				if m := unionRelationMismatch(res, i, in.Tree); m != "" {
+					t.Error(m)
+				}
+			}
+			// The planted bug the relation must catch: a gather that fills
+			// the union's exclusive cells from the inputs' inclusive plane.
+			st := res.Tree.MetricStore()
+			for _, mc := range res.Metrics {
+				for _, col := range mc.In {
+					st.AdoptCol(metric.PlaneExcl, col, slices.Clone(st.ColRead(metric.PlaneIncl, col)), false)
+				}
+			}
+			for i, in := range ins {
+				if unionRelationMismatch(res, i, in.Tree) == "" {
+					t.Errorf("exclusive cells gathered from the inclusive plane kept the relation for input %s", res.Inputs[i].Label)
+				}
+			}
+		})
 	}
 }

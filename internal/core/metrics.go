@@ -120,8 +120,9 @@ func (t *Tree) buildTopo() {
 // sequence of a per-node recursion — and zero additions are bitwise no-ops
 // (slabs never hold negative zero).
 //
-// Every tree constructor calls it (or adopts planes baked on disk) before
-// returning, and views only read the result. It writes only the columns
+// Every tree constructor calls it before returning, or adopts planes baked
+// on disk, or — the diff union — gathers each column's planes from trees
+// that did; views only read the result. It writes only the columns
 // that have Base values: a summary, computed or presence column is written
 // once by the code that makes it, before or after, and is left as it is.
 // Derived columns are evaluated again on their next read, since every

@@ -346,12 +346,12 @@ func Diff(cfg Config, inputs ...Input) (*Result, error) {
 	// Nothing below references an input tree: the walk's slot stack and
 	// source rows died with unionTrees, and inputs is not read again. The
 	// collector may therefore reclaim the inputs (trees and read buffers)
-	// while ComputeMetrics and fillPresence allocate the presented planes
-	// of the per-input and presence columns, unless the caller still holds
-	// them. A later use of inputs would keep them live through the peak.
-	// The comparison columns allocate nothing here: each is evaluated when
+	// while fillPresence allocates the presence planes, unless the caller
+	// still holds them. A later use of inputs would keep them live through
+	// the peak. The per-input columns are complete: the gather copied all
+	// three planes, so Equations 1-2 do not run over the union. The
+	// comparison columns allocate nothing here: each is evaluated when
 	// first read.
-	out.ComputeMetrics()
 	r.fillPresence(out.MetricStore())
 	r.Tree = out
 
@@ -459,6 +459,13 @@ func allBits(n int) uint8 { return uint8(1<<uint(n)) - 1 }
 // presence bitmask. Scopes match on the full key; children keep
 // first-appearance order across the inputs, so the union of identically
 // shaped trees has the inputs' own child order.
+//
+// The per-input columns are gathered, all three planes, from the input's
+// own: a union row holds at most one scope of each input (keys match at
+// every level and the readers refuse duplicate siblings), so the union
+// restricted to input L is L's own tree, and Equations 1-2 over it give
+// L's presented cells. Each cell is that value times L's normalization,
+// rounded once.
 func unionTrees(out *core.Tree, inputs []Input, r *Result) []uint8 {
 	k := len(inputs)
 	maxRows, sumRows := 0, 0
@@ -470,29 +477,33 @@ func unionTrees(out *core.Tree, inputs []Input, r *Result) []uint8 {
 	b := unionBuilder{k: k, idx: map[core.Key]int{}, src: make([][]int32, k)}
 	b.present = append(make([]uint8, 0, sumRows), allBits(k))
 	for i, in := range inputs {
-		b.src[i] = append(make([]int32, 0, sumRows), -1) // the root carries no base
+		b.src[i] = append(make([]int32, 0, sumRows), in.Exp.Tree.Root.Base.Row())
 		b.slots = append(b.slots, in.Exp.Tree.Root)
 	}
 	b.union(out.Root, 0)
 
-	// Gather: per compared metric and input, one pass over the source
-	// rows fills an exact-length slab. A cell is written only when
-	// non-zero, the store's add rule.
+	// Gather: per input, compared metric and plane, one pass over the
+	// input's source rows fills an exact-length slab the union owns (an
+	// input may be a mapped file). Adding +0 turns a -0 product into +0:
+	// the store holds no negative zero.
 	st := out.MetricStore()
-	for _, mc := range r.Metrics {
-		for i, in := range inputs {
-			t := in.Exp.Tree
-			from := t.MetricStore().ColRead(metric.PlaneBase, t.Reg.ByName(mc.Name).ID)
-			norm := r.Inputs[i].Norm
-			slab := make([]float64, st.NumRows())
-			for row, s := range b.src[i] {
-				if s >= 0 && int(s) < len(from) {
-					if x := from[s] * norm; x != 0 {
-						slab[row] = x
+	for i, in := range inputs {
+		t, norm := in.Exp.Tree, r.Inputs[i].Norm
+		for _, mc := range r.Metrics {
+			id := t.Reg.ByName(mc.Name).ID
+			for _, p := range [...]metric.Plane{metric.PlaneBase, metric.PlaneIncl, metric.PlaneExcl} {
+				from := t.MetricStore().ColRead(p, id)
+				slab := make([]float64, st.NumRows())
+				for row, s := range b.src[i] {
+					if uint(s) < uint(len(from)) {
+						slab[row] = from[s]*norm + 0
 					}
 				}
+				if p == metric.PlaneBase {
+					slab[0] = 0 // the union root carries no base
+				}
+				st.AdoptCol(p, mc.In[i], slab, false)
 			}
-			st.AdoptCol(metric.PlaneBase, mc.In[i], slab, false)
 		}
 	}
 	return b.present
@@ -611,9 +622,9 @@ func sameShape(ins []*core.Node, ref *core.Node) bool {
 	return true
 }
 
-// Recompute does nothing: Diff writes the presence columns once, no
-// recomputation of the union's presented metrics touches them, and the
-// comparison columns are formulas evaluated when read.
+// Recompute does nothing: Diff gathers every plane of the per-input
+// columns from the inputs' own and writes the presence columns once, and
+// the comparison columns are formulas evaluated when read.
 //
 // Deprecated: kept for the end-to-end benchmark's probe; nothing needs it.
 func (r *Result) Recompute() {}

@@ -3,12 +3,14 @@ package diff
 import (
 	"bytes"
 	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
+	"repro/internal/metric"
 )
 
 // randTree grows a random CCT from a small name pool, so independently
@@ -266,23 +268,73 @@ func TestDiffPropJobsDeterminism(t *testing.T) {
 	}
 }
 
-// TestDiffPropRoundTripRandom widens TestDiffRoundTrip: random tree pairs
-// survive both formats bitwise, repeatedly.
+// ratProduct is x·norm computed exactly and rounded once to float64.
+func ratProduct(x, norm float64) float64 {
+	p := new(big.Rat).Mul(new(big.Rat).SetFloat64(x), new(big.Rat).SetFloat64(norm))
+	f, _ := p.Float64()
+	return f
+}
+
+// cellsWithin reports whether got and want agree within a relative tol
+// (tol 0: bit for bit).
+func cellsWithin(got, want, tol float64) bool {
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return true
+	}
+	return tol > 0 && math.Abs(got-want) <= tol*math.Max(math.Abs(got), math.Abs(want))
+}
+
+// TestDiffPropRoundTripRandom: a union cell of input L's column is L's own
+// presented cell times L's normalization, rounded once — the gather, not a
+// re-summation over the union — at every row, the root included. The v3
+// round trip keeps every cell bit for bit. v1 and v2 store base values
+// only and their readers re-sum Equations 1-2 from them, so they agree
+// with the union to a relative 1e-12.
 func TestDiffPropRoundTripRandom(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(4000 + seed))
-		a := randExp(t, rng, 1+rng.Intn(4))
-		b := randExp(t, rng, 1+rng.Intn(16))
-		res, err := Diff(Config{}, Input{Exp: a}, Input{Exp: b})
+		ins := []*expdb.Experiment{randExp(t, rng, 1+rng.Intn(4)), randExp(t, rng, 1+rng.Intn(16))}
+		res, err := Diff(Config{}, Input{Exp: ins[0]}, Input{Exp: ins[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
+		core.Walk(res.Tree.Root, func(n *core.Node) bool {
+			for _, mc := range res.Metrics {
+				for i, in := range ins {
+					m := corresponding(in.Tree, n)
+					if n.Parent == nil {
+						m = in.Tree.Root
+					}
+					id := in.Tree.Reg.ByName(mc.Name).ID
+					for _, p := range []struct {
+						name      string
+						got, want func(*core.Node) float64
+					}{
+						{"base", func(u *core.Node) float64 { return u.Base.Get(mc.In[i]) }, func(m *core.Node) float64 { return m.Base.Get(id) }},
+						{"incl", func(u *core.Node) float64 { return u.Incl.Get(mc.In[i]) }, func(m *core.Node) float64 { return m.Incl.Get(id) }},
+						{"excl", func(u *core.Node) float64 { return u.Excl.Get(mc.In[i]) }, func(m *core.Node) float64 { return m.Excl.Get(id) }},
+					} {
+						var want float64
+						if m != nil && !(p.name == "base" && n.Parent == nil) { // the union root carries no base
+							want = ratProduct(p.want(m), res.Inputs[i].Norm)
+						}
+						if got := p.got(n); !cellsWithin(got, want, 0) {
+							t.Fatalf("seed %d: %s %s %s[%s] = %v, want %v", seed, n.Label(), p.name, mc.Name, res.Inputs[i].Label, got, want)
+						}
+					}
+				}
+			}
+			return true
+		})
+
 		for _, format := range []struct {
 			name  string
 			write func(*expdb.Experiment, *bytes.Buffer) error
+			tol   float64
 		}{
-			{"v2", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinary(w) }},
-			{"v1", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV1(w) }},
+			{"v3", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV3(w) }, 0},
+			{"v2", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinary(w) }, 1e-12},
+			{"v1", func(e *expdb.Experiment, w *bytes.Buffer) error { return e.WriteBinaryV1(w) }, 1e-12},
 		} {
 			var buf bytes.Buffer
 			if err := format.write(res.Exp, &buf); err != nil {
@@ -292,7 +344,7 @@ func TestDiffPropRoundTripRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, format.name, err)
 			}
-			ncols := res.Tree.Reg.Len()
+			cols := res.Tree.Reg.Columns()
 			core.Walk(res.Tree.Root, func(n *core.Node) bool {
 				m := corresponding(got.Tree, n)
 				if m == nil && n.Parent == nil {
@@ -301,12 +353,17 @@ func TestDiffPropRoundTripRandom(t *testing.T) {
 				if m == nil {
 					t.Fatalf("seed %d %s: %s lost in round trip", seed, format.name, n.Label())
 				}
-				for id := 0; id < ncols; id++ {
-					if w, g := n.Incl.Get(id), m.Incl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
-						t.Fatalf("seed %d %s: %s incl col %d: %v != %v", seed, format.name, n.Label(), id, g, w)
+				for _, d := range cols {
+					// A formula of cells that agree to 1e-12 need not: the
+					// difference of two near-equal costs cancels.
+					if format.tol > 0 && d.Kind == metric.Derived {
+						continue
 					}
-					if w, g := n.Excl.Get(id), m.Excl.Get(id); math.Float64bits(w) != math.Float64bits(g) {
-						t.Fatalf("seed %d %s: %s excl col %d: %v != %v", seed, format.name, n.Label(), id, g, w)
+					if w, g := n.Incl.Get(d.ID), m.Incl.Get(d.ID); !cellsWithin(g, w, format.tol) {
+						t.Fatalf("seed %d %s: %s incl %s: %v != %v", seed, format.name, n.Label(), d.Name, g, w)
+					}
+					if w, g := n.Excl.Get(d.ID), m.Excl.Get(d.ID); !cellsWithin(g, w, format.tol) {
+						t.Fatalf("seed %d %s: %s excl %s: %v != %v", seed, format.name, n.Label(), d.Name, g, w)
 					}
 				}
 				return true
