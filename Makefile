@@ -4,23 +4,14 @@
 
 GO ?= go
 
-# Merge + core + query benchmark selection shared by bench/benchdiff.
-# ChildLookup is a nanosecond-scale operation and needs a fixed high
-# iteration count — 30 iterations of a ~50ns op is pure timer noise.
-# HotPath is anchored so it does not also select BenchmarkHotPathSize.
-BENCHES = BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkProfileCodec|BenchmarkSamplerRecord|BenchmarkBuildCCT|BenchmarkReadBinary|BenchmarkDerivedEval|BenchmarkHotPath$$|BenchmarkComputeMetrics|BenchmarkLazyOpenSynthetic|BenchmarkConcurrentSessions|BenchmarkRenderRows|BenchmarkExpandAllRender|BenchmarkMappedOpen|BenchmarkColdFirstQuery|BenchmarkCatalogSessions|BenchmarkImportPprof|BenchmarkReport$$
-BENCH_CMD = $(GO) test -run XXX -bench '$(BENCHES)' -benchtime 30x -benchmem . \
-	&& $(GO) test -run XXX -bench BenchmarkChildLookup -benchtime 2000000x -benchmem . \
-	&& $(GO) test -run XXX -bench 'BenchmarkDiffUnion|BenchmarkDiffKernels' -benchtime 5x -benchmem .
-
 # Packages whose fuzz targets run their seed corpora in `make fuzz-seeds`.
 # This list and the `faults` recipe below are the only lists of fuzz
 # targets: CI calls `make faults`, so a new target is added here, once.
 FUZZ_PKGS = ./internal/diff ./internal/expdb ./internal/profile ./internal/structfile ./internal/metric ./internal/pprofio ./internal/render ./internal/engine
 
-.PHONY: verify build test race vet lint bench benchdiff bench-smoke bench-merge bench-diff bench-open faults fuzz-seeds chaos nommap
+.PHONY: verify build test race vet lint faults fuzz-seeds chaos nommap
 
-verify: build test race vet lint bench-smoke faults chaos nommap
+verify: build test race vet lint faults chaos nommap
 
 build:
 	$(GO) build ./...
@@ -50,6 +41,15 @@ vet:
 	@if grep -n 'core\.Build[A-Za-z]*View' $$(ls cmd/hpcviewer/*.go | grep -v '_test\.go$$'); then \
 		echo "cmd/hpcviewer builds a view with core.Build*View"; exit 1; \
 	fi
+	@# One ruler each: time is `go run ./bench`, counts are TestCounters
+	@# against testdata/counters.json. The root package declares no
+	@# benchmark, and no hand-edited baseline file comes back.
+	@if grep -n '^func Benchmark' *_test.go; then \
+		echo "a root-package test declares a Benchmark function"; exit 1; \
+	fi
+	@if [ -n "$$(git ls-files 'BENCH_*.json')" ]; then \
+		git ls-files 'BENCH_*.json'; echo "BENCH_*.json baselines are tracked"; exit 1; \
+	fi
 
 # Static analysis beyond vet. Both tools run in CI unconditionally; locally
 # each is skipped (with a note) when not on PATH — the container image does
@@ -65,35 +65,6 @@ lint:
 	else \
 		echo "lint: govulncheck not installed; skipping (CI runs it)"; \
 	fi
-
-# Merge + core + query + engine + diff benchmarks with allocation stats —
-# the numbers recorded in BENCH_merge.json, BENCH_core.json,
-# BENCH_query.json, BENCH_engine.json and BENCH_diff.json. The
-# million-scope diff benches run at 5x: one union iteration is ~0.5s.
-bench:
-	@$(BENCH_CMD)
-
-# Same run, compared against the committed baselines. Allocation counts are
-# deterministic and fail the diff when they regress; ns/op is reported but
-# only fails beyond 50% (the shared two-core box drifts 10-20% between runs).
-benchdiff:
-	@( $(BENCH_CMD) ) | $(GO) run ./cmd/benchdiff -max-regress 0.5 BENCH_merge.json BENCH_core.json BENCH_query.json BENCH_engine.json BENCH_diff.json BENCH_open.json BENCH_catalog.json BENCH_report.json
-
-# Run every root benchmark body once (N=1) — the rot guard behind verify.
-bench-smoke:
-	$(GO) test -run TestBenchSmoke .
-
-# Regenerate the numbers recorded in BENCH_merge.json.
-bench-merge:
-	$(GO) test -run XXX -bench 'BenchmarkMergeRanks|BenchmarkParallelMerge|BenchmarkProfileCodec|BenchmarkSamplerRecord' -benchtime 30x -benchmem .
-
-# Regenerate the numbers recorded in BENCH_diff.json.
-bench-diff:
-	$(GO) test -run XXX -bench 'BenchmarkDiffUnion|BenchmarkDiffKernels' -benchtime 5x -benchmem .
-
-# Regenerate the numbers recorded in BENCH_open.json.
-bench-open:
-	$(GO) test -run XXX -bench 'BenchmarkMappedOpen|BenchmarkLazyOpenSynthetic|BenchmarkColdFirstQuery' -benchtime 30x -benchmem .
 
 # Every fuzz target's checked-in seed corpus, run as plain tests.
 fuzz-seeds:

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -83,6 +84,11 @@ func parseBytes(s string) (int64, error) {
 	n, err := strconv.ParseInt(strings.TrimSpace(up), 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad byte size %q", s)
+	}
+	// A wrapped product would read as negative or small, and the catalog
+	// takes a budget <= 0 as no budget at all.
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte size %q overflows int64", s)
 	}
 	return n * mult, nil
 }

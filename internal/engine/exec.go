@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diff"
+	"repro/internal/imbalance"
 	"repro/internal/render"
 )
 
@@ -246,8 +247,8 @@ func Exec(s *Session, line string, out io.Writer) (quit bool, err error) {
 		bins := 10
 		if len(args) == 2 {
 			n, err := strconv.Atoi(args[1])
-			if err != nil || n <= 0 {
-				return false, fmt.Errorf("bad bin count %q", args[1])
+			if err != nil || n <= 0 || n > imbalance.MaxBins {
+				return false, fmt.Errorf("bad bin count %q (1 to %d)", args[1], imbalance.MaxBins)
 			}
 			bins = n
 		}

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
+	"repro/internal/imbalance"
 	"repro/internal/lower"
 	"repro/internal/merge"
 	"repro/internal/mpi"
@@ -355,6 +357,9 @@ func TestPlotPerRank(t *testing.T) {
 	}
 	if _, err := Exec(s, "plot CYCLES zz", &b); err == nil {
 		t.Fatal("bad bins accepted")
+	}
+	if _, err := Exec(s, fmt.Sprintf("plot CYCLES %d", imbalance.MaxBins+1), &b); err == nil {
+		t.Fatal("bins above imbalance.MaxBins accepted")
 	}
 	// No profiles attached.
 	s2 := newTestSession(res.Tree, nil)

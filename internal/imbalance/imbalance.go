@@ -66,6 +66,11 @@ func PerRankSeries(doc *structfile.Doc, profs []*profile.Profile, path []string,
 	return out, nil
 }
 
+// MaxBins bounds the histogram bin count that a request from outside the
+// program may ask for: Histogram allocates one Bin per bin whatever the
+// number of values.
+const MaxBins = 1000
+
 // Histogram buckets values into nbins equal-width bins spanning
 // [min, max]. Degenerate spreads collapse to a single bin.
 func Histogram(values []float64, nbins int) []Bin {

@@ -102,8 +102,11 @@ func (e *Evaluator) entry(i int) *lazyCol {
 		if tab != nil {
 			n = copy(grown, *tab)
 		}
-		for ; n < len(grown); n++ {
-			grown[n] = new(lazyCol)
+		// One allocation for every new column-plane, not one each: a
+		// registry's table holds raw columns too, which are never evaluated.
+		fresh := make([]lazyCol, len(grown)-n)
+		for j := range fresh {
+			grown[n+j] = &fresh[j]
 		}
 		tab = &grown
 		e.tab.Store(tab)

@@ -40,7 +40,8 @@ type Options struct {
 	Threshold float64
 	// Top bounds every ranked list (default 10).
 	Top int
-	// Bins sizes the imbalance histogram (default 10).
+	// Bins sizes the imbalance histogram (default 10, at most
+	// imbalance.MaxBins).
 	Bins int
 	// Baseline, when set, adds a regression analysis of the reported
 	// database against it.
@@ -145,6 +146,9 @@ func Build(exp *expdb.Experiment, opt Options) (*Report, error) {
 	}
 	if opt.Bins <= 0 {
 		opt.Bins = 10
+	}
+	if opt.Bins > imbalance.MaxBins {
+		return nil, fmt.Errorf("report: %d histogram bins, at most %d", opt.Bins, imbalance.MaxBins)
 	}
 	tree := exp.Tree
 	r := &Report{

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/expdb"
+	"repro/internal/imbalance"
 	"repro/internal/lower"
 	"repro/internal/merge"
 	"repro/internal/metric"
@@ -271,5 +272,8 @@ func TestReportErrors(t *testing.T) {
 	}
 	if _, err := Build(fixture(t, 1, false), Options{Metric: "NOPE"}); err == nil {
 		t.Fatal("unknown metric did not error")
+	}
+	if _, err := Build(fixture(t, 1, false), Options{Bins: imbalance.MaxBins + 1}); err == nil {
+		t.Fatal("bins above imbalance.MaxBins did not error")
 	}
 }

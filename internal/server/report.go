@@ -1,9 +1,11 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 
+	"repro/internal/imbalance"
 	"repro/internal/mmapio"
 	"repro/internal/report"
 )
@@ -15,6 +17,7 @@ import (
 //
 // runs the unattended analysis of internal/report over a catalog entry
 // (default: the server's default database) and returns the report JSON.
+// B above imbalance.MaxBins is a 400: every bin is allocated.
 // Both snapshots are acquired and refcounted for the whole build, so a
 // concurrent republish or eviction never unmaps a database under the
 // analysis; the report only reads the snapshots, so concurrent requests
@@ -48,6 +51,11 @@ func (srv *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeError(w, http.StatusBadRequest, "bad-request",
 			"report takes integer ?top= ?bins= and float ?threshold=")
+		return
+	}
+	if opt.Bins > imbalance.MaxBins {
+		writeError(w, http.StatusBadRequest, "bad-request",
+			fmt.Sprintf("report takes at most %d ?bins=", imbalance.MaxBins))
 		return
 	}
 

@@ -2,11 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/imbalance"
 )
 
 // getReport fetches /v1/report+query and returns status and body.
@@ -97,6 +100,9 @@ func TestReportEndpoint(t *testing.T) {
 	}
 	if status, _ := getReport(t, ts.URL, "?threshold=hot"); status != http.StatusBadRequest {
 		t.Fatalf("bad threshold: status %d, want 400", status)
+	}
+	if status, _ := getReport(t, ts.URL, fmt.Sprintf("?bins=%d", imbalance.MaxBins+1)); status != http.StatusBadRequest {
+		t.Fatalf("bins above imbalance.MaxBins: status %d, want 400", status)
 	}
 	if status, _ := getReport(t, ts.URL, "?metric=NOPE"); status == http.StatusOK {
 		t.Fatal("unknown metric reported 200")

@@ -1,0 +1,6 @@
+//go:build !race
+
+package repro
+
+// raceEnabled is true in a -race build: see raceMovedRows.
+const raceEnabled = false
