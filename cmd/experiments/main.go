@@ -20,8 +20,6 @@ import (
 	"repro/internal/imbalance"
 	"repro/internal/isa"
 	"repro/internal/lower"
-	"repro/internal/merge"
-	"repro/internal/mpi"
 	"repro/internal/objview"
 	"repro/internal/profile"
 	"repro/internal/sampler"
@@ -290,34 +288,13 @@ func fig5(t *core.Tree) error {
 	return nil
 }
 
-func runMPI(name string, ranks int) (*structfile.Doc, []*profile.Profile, *merge.Result, error) {
-	spec, err := workloads.ByName(name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: ranks, Params: spec.Params,
-		Events: sampler.DefaultEvents(spec.Period)})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := merge.Profiles(doc, profs)
-	return doc, profs, res, err
-}
-
 func fig7() error {
 	const ranks = 32
-	doc, profs, res, err := runMPI("pflotran", ranks)
+	run, err := callpath.Run(callpath.RunConfig{Workload: "pflotran", Ranks: ranks})
 	if err != nil {
 		return err
 	}
+	doc, profs, res := run.Doc, run.Profiles, run.Merged
 	idle := res.Tree.Reg.ByName("IDLE").ID
 	path := core.HotPath(res.Tree.Root, idle, 0.5)
 	hits := "loop@384 + mpi_wait"
@@ -347,16 +324,16 @@ func fig7() error {
 }
 
 func scalingLoss() error {
-	_, _, small, err := runMPI("pflotran", 4)
+	small, err := callpath.Run(callpath.RunConfig{Workload: "pflotran", Ranks: 4})
 	if err != nil {
 		return err
 	}
-	_, _, big, err := runMPI("pflotran", 16)
+	big, err := callpath.Run(callpath.RunConfig{Workload: "pflotran", Ranks: 16})
 	if err != nil {
 		return err
 	}
-	res, err := callpath.AnalyzeScaling(small.Tree, big.Tree, callpath.ScalingConfig{
-		Metric: "CYCLES", Mode: callpath.WeakScaling, RanksSmall: small.NRanks, RanksBig: big.NRanks,
+	res, err := callpath.AnalyzeScaling(small.Merged.Tree, big.Merged.Tree, callpath.ScalingConfig{
+		Metric: "CYCLES", Mode: callpath.WeakScaling, RanksSmall: small.Merged.NRanks, RanksBig: big.Merged.NRanks,
 	})
 	if err != nil {
 		return err

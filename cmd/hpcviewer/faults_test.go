@@ -21,30 +21,6 @@ import (
 	"repro/internal/metric"
 )
 
-// captureStderr runs f with os.Stderr redirected to a pipe.
-func captureStderr(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	old := os.Stderr
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = w
-	ferr := f()
-	w.Close()
-	os.Stderr = old
-	var data []byte
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := r.Read(buf)
-		data = append(data, buf[:n]...)
-		if rerr != nil {
-			break
-		}
-	}
-	return string(data), ferr
-}
-
 // quarantinedDB writes a v2 database carrying a merge provenance record
 // and returns its path and raw bytes.
 func quarantinedDB(t *testing.T, dir string) (string, []byte) {
@@ -186,34 +162,11 @@ func TestViewerInteractiveWarnsAtOpen(t *testing.T) {
 		}
 	}
 	path := filepath.Join(dir, "damaged.db")
-	script := filepath.Join(dir, "script")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(script, []byte("ls\nquit\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	in, err := os.Open(script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	// Stdout and stderr share one pipe, so the output keeps their order.
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		read <- b
-	}()
-	oldIn, oldOut, oldErr := os.Stdin, os.Stdout, os.Stderr
-	os.Stdin, os.Stdout, os.Stderr = in, w, w
-	err = run([]string{"-db", path, "-interactive"})
-	os.Stdin, os.Stdout, os.Stderr = oldIn, oldOut, oldErr
-	w.Close()
-	out := string(<-read)
+	feed(t, "ls\nquit\n")
+	out, err := capture(t, func() error { return run([]string{"-db", path, "-interactive"}) }, &os.Stdout, &os.Stderr)
 	if err != nil {
 		t.Fatal(err)
 	}

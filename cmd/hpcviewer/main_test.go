@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,27 +38,60 @@ func writeDB(t *testing.T, dir string) (binPath, xmlPath string) {
 }
 
 // captureStdout runs f with os.Stdout redirected to a pipe.
-func captureStdout(t *testing.T, f func() error) (string, error) {
+func captureStdout(t *testing.T, f func() error) (string, error) { return capture(t, f, &os.Stdout) }
+
+// captureStderr runs f with os.Stderr redirected to a pipe.
+func captureStderr(t *testing.T, f func() error) (string, error) { return capture(t, f, &os.Stderr) }
+
+// capture runs f with every one of files redirected to one pipe, read as f
+// writes, so what they print keeps its order.
+func capture(t *testing.T, f func() error, files ...**os.File) (string, error) {
 	t.Helper()
-	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		read <- data
+	}()
+	old := make([]*os.File, len(files))
+	for i, file := range files {
+		old[i], *file = *file, w
+	}
 	ferr := f()
 	w.Close()
-	os.Stdout = old
-	data := make([]byte, 0, 1<<16)
-	buf := make([]byte, 4096)
-	for {
-		n, err := r.Read(buf)
-		data = append(data, buf[:n]...)
-		if err != nil {
-			break
-		}
+	for i, file := range files {
+		*file = old[i]
 	}
-	return string(data), ferr
+	return string(<-read), ferr
+}
+
+// feed puts script on os.Stdin until the test ends.
+func feed(t *testing.T, script string) {
+	path := filepath.Join(t.TempDir(), "script")
+	if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdin
+	os.Stdin = in
+	t.Cleanup(func() { os.Stdin = old; in.Close() })
+}
+
+// interactive runs hpcviewer with args, script on its stdin, and returns
+// what it wrote to stdout and to stderr.
+func interactive(t *testing.T, script string, args ...string) (stdout, stderr string, err error) {
+	feed(t, script)
+	stderr, err = captureStderr(t, func() (err error) {
+		stdout, err = captureStdout(t, func() error { return run(args) })
+		return err
+	})
+	return stdout, stderr, err
 }
 
 func TestViewsFromBothFormats(t *testing.T) {
@@ -150,21 +184,7 @@ func TestDerivedBatchMatchesInteractive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		script := filepath.Join(dir, view+".script")
-		if err := os.WriteFile(script, []byte("view "+view+"\nexpandall\nquit\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		in, err := os.Open(script)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldIn := os.Stdin
-		os.Stdin = in
-		session, err := captureStdout(t, func() error {
-			return run([]string{"-db", binPath, "-derived", "sq=$0*$0", "-interactive"})
-		})
-		os.Stdin = oldIn
-		in.Close()
+		session, _, err := interactive(t, "view "+view+"\nexpandall\nquit\n", "-db", binPath, "-derived", "sq=$0*$0", "-interactive")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,16 +9,18 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,6 +37,7 @@ import (
 	"repro/internal/pprofio"
 	"repro/internal/profile"
 	"repro/internal/render"
+	"repro/internal/server"
 	"repro/internal/source"
 	"repro/internal/structfile"
 	"repro/internal/workloads"
@@ -225,7 +228,7 @@ func checkCell(t *testing.T, ref *confRef, snap *engine.Snapshot) {
 		t.Errorf("NumNodes %d, a walk counts %d scopes", n, walked)
 	}
 	if r := renderViews(t, snap); r != ref.renders {
-		t.Errorf("renders differ from the in-memory route's:\n%s", firstDiff(ref.renders, r))
+		t.Errorf("renders differ from the in-memory route's:\n%s", oracle.FirstDiff(ref.renders, r))
 	}
 	// Read by this route and written as F, the database is what F wrote
 	// directly, or what F refused.
@@ -436,13 +439,15 @@ func mergedBytes(t *testing.T, doc *structfile.Doc, profs []*profile.Profile, pr
 //   - the Calling Context (Equations 1 and 2), Flat and Callers Views
 //     against oracle.CCT, oracle.Flat and oracle.Callers, and every hot
 //     path from the top three levels against oracle.HotPath (Equation 3);
-//   - sibling sort orders against refSortScopes, and NumNodes against a
+//   - sibling sort orders against oracle.Sort, and NumNodes against a
 //     walk;
 //   - the registry, column by column, program, rank count and provenance,
 //     and that an intact database opens with no notes;
 //   - that the three views render byte for byte like the in-memory route;
 //   - that the database, written as any format (pprof export included),
-//     gives the bytes that format wrote directly.
+//     gives the bytes that format wrote directly;
+//   - on the memory and open/v3 routes, the session surface's three
+//     relations over generated scripts (checkScripts).
 //
 // Beside the cells, the relations: scaling every Base cell by 2 scales
 // every raw cell by exactly 2, and a merge gives the same bytes at any
@@ -507,7 +512,109 @@ func conform(t *testing.T, e *expdb.Experiment, prefix string, fractional bool) 
 			snap := r.open(t, e)
 			defer snap.Close()
 			checkCell(t, ref, snap)
+			if prefix == "" && (r.name == "memory" || r.name == "open/v3") {
+				t.Run("scripts", func(t *testing.T) { checkScripts(t, e, func() *engine.Snapshot { return r.open(t, e) }) })
+			}
 		})
+	}
+}
+
+// checkScripts runs the three relations of the session surface on scripts
+// oracle.Generate draws over e, each session's snapshot a fresh open of e
+// and the database `diff self` names one more:
+//   - every step of a script on a session of its own lists what the model
+//     does (oracle.Check);
+//   - the script sent to hpcserver's /v1/exec prints what Session.Do
+//     printed;
+//   - interleaved at random with the other scripts, each on its own
+//     session over one shared snapshot, it prints what it printed alone,
+//     and still lists what the model does (oracle.Shared).
+func checkScripts(t *testing.T, e *expdb.Experiment, open func() *engine.Snapshot) {
+	n := 4
+	if testing.Short() {
+		n = 2
+	}
+	fresh := func() *engine.Snapshot {
+		snap := open()
+		t.Cleanup(func() { snap.Close() })
+		return snap
+	}
+	other, model := fresh(), oracle.NewModel(e, "self", func(shown *expdb.Experiment) (*expdb.Experiment, error) {
+		res, err := diff.Diff(diff.Config{}, diff.Input{Label: "A", Exp: shown}, diff.Input{Label: "B", Exp: e})
+		if err != nil {
+			return nil, err
+		}
+		return res.Exp, nil
+	})
+	session := func(snap *engine.Snapshot) oracle.Surface {
+		s := engine.NewSession(snap)
+		t.Cleanup(s.Close)
+		s.SetCatalog(engine.SnapshotCatalog{"self": other})
+		return surface(s)
+	}
+	scripts, alone := make([][]string, n), make([]string, n)
+	for i := range scripts {
+		scripts[i] = oracle.Generate(int64(i+1), 40, model.Fresh())
+		var err error
+		if alone[i], err = oracle.Check(model.Fresh(), scripts[i], session(fresh())); err != nil {
+			t.Fatalf("seed %d: %v", i+1, err)
+		}
+	}
+
+	srv := server.NewWithConfig(fresh(), server.Config{})
+	defer srv.Close()
+	if err := srv.Catalog().Pin("self", other); err != nil {
+		t.Fatal(err)
+	}
+	for i, script := range scripts {
+		if got := oracle.Replay(script, httpSession(t, srv.Handler())); got != alone[i] {
+			t.Errorf("seed %d: script %q over /v1/exec prints what Session.Do does not: %s", i+1, script, oracle.FirstDiff(got, alone[i]))
+		}
+	}
+
+	shared, surfaces := fresh(), make([]oracle.Surface, n)
+	for i := range surfaces {
+		surfaces[i] = session(shared)
+	}
+	if err := oracle.Shared(1, model, scripts, alone, surfaces); err != nil {
+		t.Error(err)
+	}
+}
+
+// surface is an engine session as oracle drives it.
+func surface(s *engine.Session) oracle.Surface {
+	return oracle.Surface{
+		Do: func(line string) (string, string) {
+			resp := s.Do(engine.Request{Line: line})
+			return resp.Output, resp.Err
+		},
+		Rows: func() []oracle.Shown { return oracle.Listing(s.VisibleRows(), s.Registry().Len(), s.Value) },
+	}
+}
+
+// httpSession opens a session on hpcserver's handler, in process, and
+// returns its /v1/exec as a Do.
+func httpSession(t *testing.T, h http.Handler) func(line string) (string, string) {
+	post := func(path string, req, resp any) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var created struct{ Token string }
+	post("/v1/sessions", struct{}{}, &created)
+	return func(line string) (string, string) {
+		var resp struct{ Output, Error string }
+		post("/v1/sessions/"+created.Token+"/exec", map[string]string{"line": line}, &resp)
+		return resp.Output, resp.Error
 	}
 }
 
@@ -555,33 +662,8 @@ func TestColumnarQueryEquivalence(t *testing.T) {
 	}
 }
 
-// refSortScopes is the pre-columnar sort: sort.SliceStable over a closure
-// reading per-node vectors, ties (and NaNs, which fail both comparisons)
-// broken by label.
-func refSortScopes(scopes []*core.Node, spec core.SortSpec) {
-	value := func(n *core.Node) float64 {
-		if spec.Exclusive {
-			return n.Excl.Get(spec.MetricID)
-		}
-		return n.Incl.Get(spec.MetricID)
-	}
-	sort.SliceStable(scopes, func(i, j int) bool {
-		if spec.ByLabel {
-			return scopes[i].Label() < scopes[j].Label()
-		}
-		a, b := value(scopes[i]), value(scopes[j])
-		if a != b {
-			if spec.Ascending {
-				return a < b
-			}
-			return a > b
-		}
-		return scopes[i].Label() < scopes[j].Label()
-	})
-}
-
 // checkSortEquiv sorts the children of every scope of two or more by six
-// orders and checks each against refSortScopes.
+// orders and checks each against oracle.Sort, the session model's order.
 func checkSortEquiv(t *testing.T, tr *core.Tree) {
 	t.Helper()
 	last := tr.Reg.Len() - 1
@@ -601,7 +683,12 @@ func checkSortEquiv(t *testing.T, tr *core.Tree) {
 			got := append([]*core.Node(nil), n.Children...)
 			want := append([]*core.Node(nil), n.Children...)
 			core.SortScopes(got, spec)
-			refSortScopes(want, spec)
+			oracle.Sort(want, spec, func(n *core.Node) float64 {
+				if spec.Exclusive {
+					return n.Excl.Get(spec.MetricID)
+				}
+				return n.Incl.Get(spec.MetricID)
+			}, (*core.Node).Label)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%s: spec %+v: position %d is %q, reference has %q",
@@ -677,15 +764,4 @@ func renderViews(t *testing.T, snap *engine.Snapshot) string {
 		s.Close()
 	}
 	return out.String()
-}
-
-// firstDiff names the first line at which two renders differ.
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  a: %s\n  b: %s", i+1, al[i], bl[i])
-		}
-	}
-	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }

@@ -154,14 +154,18 @@ func relationMismatch(reg *metric.Registry, roots []procKey, callers, flat map[p
 	return ""
 }
 
-func TestCallersRootsSumFlatProcedures(t *testing.T) {
-	type source struct {
-		name string
-		tree func(t *testing.T) *core.Tree
-	}
-	sources := []source{{"fig2", func(*testing.T) *core.Tree { return core.Fig1Tree() }}}
+// crossSource is a tree the cross-view relations are checked on.
+type crossSource struct {
+	name string
+	tree func(t *testing.T) *core.Tree
+}
+
+// crossSources are Fig. 2, eight seeds of each generated shape and every
+// workload at 64 ranks.
+func crossSources() []crossSource {
+	sources := []crossSource{{"fig2", func(*testing.T) *core.Tree { return core.Fig1Tree() }}}
 	for seed := int64(1); seed <= 8; seed++ {
-		sources = append(sources, source{fmt.Sprintf("recursive/seed=%d", seed), func(*testing.T) *core.Tree {
+		sources = append(sources, crossSource{fmt.Sprintf("recursive/seed=%d", seed), func(*testing.T) *core.Tree {
 			return oracle.RandomRecursiveTree(500, seed)
 		}})
 		for _, sh := range []struct {
@@ -172,14 +176,14 @@ func TestCallersRootsSumFlatProcedures(t *testing.T) {
 			{"recursion5", oracle.CCTShape{Cols: 1, RecDepth: 5}},
 			{"negative", oracle.CCTShape{Entries: 2, Cols: 2, ZeroCol: true, Negative: true}},
 		} {
-			sources = append(sources, source{fmt.Sprintf("shape/%s/seed=%d", sh.name, seed), func(*testing.T) *core.Tree {
+			sources = append(sources, crossSource{fmt.Sprintf("shape/%s/seed=%d", sh.name, seed), func(*testing.T) *core.Tree {
 				tree, _ := oracle.RandomCCTShape(seed, 200, sh.shape)
 				return tree
 			}})
 		}
 	}
 	for _, name := range workloads.Names() {
-		sources = append(sources, source{name + "/ranks=64", func(t *testing.T) *core.Tree {
+		sources = append(sources, crossSource{name + "/ranks=64", func(t *testing.T) *core.Tree {
 			res, err := merge.Profiles(mustMPIProfiles(t, name, 64))
 			if err != nil {
 				t.Fatal(err)
@@ -187,7 +191,11 @@ func TestCallersRootsSumFlatProcedures(t *testing.T) {
 			return res.Tree
 		}})
 	}
+	return sources
+}
 
+func TestCallersRootsSumFlatProcedures(t *testing.T) {
+	sources := crossSources()
 	planted := map[string]bool{}
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
@@ -303,6 +311,202 @@ func TestUnionViewsAreInputViews(t *testing.T) {
 			for i, in := range ins {
 				if unionRelationMismatch(res, i, in.Tree) == "" {
 					t.Errorf("exclusive cells gathered from the inclusive plane kept the relation for input %s", res.Inputs[i].Label)
+				}
+			}
+		})
+	}
+}
+
+// Three more relations, each checked of the rules and of the views the
+// system builds:
+//   - every sample is a statement's, and a statement maps to one Flat View
+//     row, so the statement rows' raw inclusive cells sum to the CCT root's;
+//   - Equation 3 descends while the hottest child holds at least t of its
+//     parent's cost, so a larger threshold stops no later: its hot path is
+//     a prefix of a smaller threshold's;
+//   - a scope whose costs are all zero moves no cost, so adding such scopes
+//     adds only rows whose every cell is zero, in every view, and changes no
+//     cell of any other row.
+
+// rawColumns are the registry's raw columns, the ones a sum over rows may
+// be compared on.
+func rawColumns(reg *metric.Registry) []int {
+	var ids []int
+	for _, d := range reg.Columns() {
+		if d.Kind == metric.Raw {
+			ids = append(ids, d.ID)
+		}
+	}
+	return ids
+}
+
+// near reports whether two sums of the same addends in different orders
+// agree to a relative 1e-9.
+func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+
+func TestFlatStatementsConserveRootCost(t *testing.T) {
+	for _, src := range crossSources() {
+		t.Run(src.name, func(t *testing.T) {
+			tree := src.tree(t)
+			cols := rawColumns(tree.Reg)
+			core.Walk(tree.Root, func(n *core.Node) bool {
+				for _, id := range cols {
+					if n.Base.Get(id) != 0 && (n.Kind != core.KindStmt || len(n.Children) > 0) {
+						t.Fatalf("fixture: %s, no statement leaf, has a cost of its own", n.Label())
+					}
+				}
+				return true
+			})
+			var rules func(rows []*oracle.Row, id int) float64
+			rules = func(rows []*oracle.Row, id int) (sum float64) {
+				for _, r := range rows {
+					if r.Kind == core.KindStmt {
+						sum += r.Incl[id]
+					}
+					sum += rules(r.Children, id)
+				}
+				return sum
+			}
+			system := func(roots []*core.Node, id int) (sum float64) {
+				for _, r := range roots {
+					core.Walk(r, func(n *core.Node) bool {
+						if n.Kind == core.KindStmt {
+							sum += n.Incl.Get(id)
+						}
+						return true
+					})
+				}
+				return sum
+			}
+			want, flat := oracle.Flat(tree), core.BuildFlatView(tree)
+			for _, id := range cols {
+				root := tree.Root.Incl.Get(id)
+				if got := rules(want.Roots, id); !near(got, root) {
+					t.Errorf("rules: column %d: statement rows sum to %v, the root holds %v", id, got, root)
+				}
+				if got := system(flat.Roots, id); !near(got, root) {
+					t.Errorf("system: column %d: statement rows sum to %v, the root holds %v", id, got, root)
+				}
+			}
+		})
+	}
+}
+
+func TestHotPathThresholdPrefix(t *testing.T) {
+	thresholds := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1}
+	paths := map[string]func(*core.Node, int, float64) []*core.Node{"rules": oracle.HotPath, "system": core.HotPath}
+	shorter := 0
+	for _, src := range crossSources() {
+		t.Run(src.name, func(t *testing.T) {
+			tree := src.tree(t)
+			for _, start := range append([]*core.Node{tree.Root}, tree.Root.Children...) {
+				for _, id := range rawColumns(tree.Reg) {
+					for name, hot := range paths {
+						var prev []*core.Node
+						for i, th := range thresholds {
+							p := hot(start, id, th)
+							if i > 0 && (len(p) > len(prev) || !slices.Equal(p, prev[:len(p)])) {
+								t.Fatalf("%s: from %s on column %d the path at t=%v is no prefix of the path at t=%v", name, start.Label(), id, th, thresholds[i-1])
+							}
+							if i > 0 && len(p) < len(prev) {
+								shorter++
+							}
+							prev = p
+						}
+					}
+				}
+			}
+		})
+	}
+	if shorter == 0 {
+		t.Error("fixture: no larger threshold gave a shorter path")
+	}
+}
+
+// costCells are a view row's cells, inclusive then exclusive, by registry
+// column.
+type costCells []float64
+
+// costRows lists the rows with a nonzero cell of every view of a tree, the
+// rules' and the system's, by view and path of keys.
+func costRows(tree *core.Tree) map[string]costCells {
+	out := map[string]costCells{}
+	n := tree.Reg.Len()
+	var nodes func(at string, ns []*core.Node)
+	nodes = func(at string, ns []*core.Node) {
+		for _, x := range ns {
+			here, c := fmt.Sprintf("%s/%v", at, x.Key), make(costCells, 2*n)
+			for id := 0; id < n; id++ {
+				c[id], c[n+id] = x.Incl.Get(id), x.Excl.Get(id)
+			}
+			if slices.ContainsFunc(c, func(v float64) bool { return v != 0 }) {
+				out[here] = c
+			}
+			nodes(here, x.Children)
+		}
+	}
+	var rows func(at string, rs []*oracle.Row)
+	rows = func(at string, rs []*oracle.Row) {
+		for _, r := range rs {
+			here := fmt.Sprintf("%s/%v", at, r.Key)
+			if c := append(slices.Clone(r.Incl), r.Excl...); slices.ContainsFunc(c, func(v float64) bool { return v != 0 }) {
+				out[here] = c
+			}
+			rows(here, r.Children)
+		}
+	}
+	callers := core.BuildCallersView(tree)
+	if err := callers.ExpandAll(); err != nil {
+		panic(err)
+	}
+	nodes("system cct", []*core.Node{tree.Root})
+	nodes("system flat", core.BuildFlatView(tree).Roots)
+	nodes("system callers", callers.Roots)
+	rows("rules cct", oracle.CCT(tree).Roots)
+	rows("rules flat", oracle.Flat(tree).Roots)
+	rows("rules callers", oracle.Callers(tree).Roots)
+	return out
+}
+
+func TestZeroCostScopesAddNoCost(t *testing.T) {
+	for _, src := range crossSources() {
+		t.Run(src.name, func(t *testing.T) {
+			tree := src.tree(t)
+			before := costRows(tree)
+			// Below every fifth frame, in preorder, a frame of a new
+			// procedure and one of the frame's own, each over a statement
+			// that cost nothing.
+			var frames []*core.Node
+			core.Walk(tree.Root, func(n *core.Node) bool {
+				if n.Kind == core.KindFrame {
+					frames = append(frames, n)
+				}
+				return true
+			})
+			for i := 0; i < len(frames); i += 5 {
+				f := frames[i]
+				for _, k := range []core.Key{
+					{Kind: core.KindFrame, Name: core.Sym("zero"), File: core.Sym("zero.c"), ID: 99},
+					{Kind: core.KindFrame, Name: f.Name, File: f.File, Line: f.Line, ID: 99},
+				} {
+					c := f.Child(k, true)
+					c.Mod, c.CallFile, c.CallLine = f.Mod, f.File, 77
+					c.Child(core.Key{Kind: core.KindStmt, File: k.File, Line: 1}, true)
+				}
+			}
+			tree.ComputeMetrics()
+			after := costRows(tree)
+			same := func(a, b costCells) bool {
+				return slices.EqualFunc(a, b, func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) })
+			}
+			for path, c := range after {
+				if b, ok := before[path]; !ok || !same(b, c) {
+					t.Fatalf("%s: cells %v once zero-cost scopes are added, %v before", path, c, b)
+				}
+			}
+			for path, b := range before {
+				if _, ok := after[path]; !ok {
+					t.Fatalf("%s: cells %v before zero-cost scopes are added, none after", path, b)
 				}
 			}
 		})

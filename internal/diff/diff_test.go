@@ -359,3 +359,33 @@ func TestDiffRoundTripKeepsFormulasAndUnits(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) { checkReopened(t, res, f.write) })
 	}
 }
+
+// TestReportTiesByLabels: entries of equal excess are ordered by their
+// paths label by label, as hpcreport ranks scopes. main>f>g comes before
+// main>f1 because "f" is a prefix of "f1"; joined into one string, the
+// order would turn on '>' against '1' and put main>f1 first.
+func TestReportTiesByLabels(t *testing.T) {
+	a := newExp(t, "p", 1, []string{"CYCLES"}, func(tr *core.Tree) {
+		tr.AddPath(fkey("main"), fkey("f"), fkey("g")).Base.Add(0, 10)
+		tr.AddPath(fkey("main"), fkey("f1")).Base.Add(0, 10)
+	})
+	b := newExp(t, "p", 1, []string{"CYCLES"}, func(tr *core.Tree) {
+		tr.AddPath(fkey("main"), fkey("f1")).Base.Add(0, 15)
+		tr.AddPath(fkey("main"), fkey("f"), fkey("g")).Base.Add(0, 15)
+	})
+	res, err := Diff(Config{}, Input{Exp: a}, Input{Exp: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := res.Report(ReportOptions{Threshold: -1, Top: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range rep.Regressions {
+		got = append(got, strings.Join(e.Path, ">"))
+	}
+	if want := []string{"main>f>g", "main>f1"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("tied regressions in order %q, want %q", got, want)
+	}
+}

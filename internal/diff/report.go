@@ -3,6 +3,7 @@ package diff
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -172,11 +173,12 @@ func (r *Result) Report(opt ReportOptions) (*Report, error) {
 		entries = append(entries, e)
 		return true
 	})
+	// Ties break by path, label by label, as hpcreport ranks scopes.
 	sort.SliceStable(entries, func(i, j int) bool {
 		if entries[i].Excess != entries[j].Excess {
 			return entries[i].Excess > entries[j].Excess
 		}
-		return strings.Join(entries[i].Path, ">") < strings.Join(entries[j].Path, ">")
+		return slices.Compare(entries[i].Path, entries[j].Path) < 0
 	})
 	top := opt.Top
 	if top == 0 {

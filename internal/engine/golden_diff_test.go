@@ -4,11 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expdb"
+	"repro/internal/oracle"
 	"repro/internal/render"
 )
 
@@ -115,88 +115,31 @@ func TestGoldenDiffViews(t *testing.T) {
 }
 
 // TestDiffCommandLifecycle exercises the command surface around a diff:
-// catalog listing, the diff banner, and back restoring the original
-// database and registry.
+// the catalog listing and the diff banner, then, step by step as the model
+// has them, a diff against an unknown name and a back outside a diff
+// failing, a hot path over a delta column and back restoring the original
+// database and its registry.
 func TestDiffCommandLifecycle(t *testing.T) {
 	before, after := diffPair(t)
 	s := diffSession(t, before, after)
 	defer s.Close()
-
-	out := runScript(t, s, []string{"catalog"})
-	if !strings.Contains(out, "after") {
-		t.Fatalf("catalog output %q does not list 'after'", out)
+	if out := runScript(t, s, []string{"catalog", "diff after"}); !strings.Contains(out, "after\n") || !strings.Contains(out, `vs B "after" (1 ranks), mode none`) {
+		t.Fatalf("catalog listing or diff banner missing: %q", out)
 	}
-	if resp := s.Do(Request{Line: "diff missing"}); resp.Err == "" {
-		t.Fatal("diff against an unknown name did not error")
-	}
-	baseCols := s.Registry().Len()
-	out = runScript(t, s, []string{"diff after"})
-	if !strings.Contains(out, `vs B "after"`) || !strings.Contains(out, "mode none") {
-		t.Fatalf("diff banner missing: %q", out)
-	}
-	if !s.InDiff() {
-		t.Fatal("session does not report being in a diff")
-	}
-	if s.Registry().ByName("cost[B-A]") == nil || s.Registry().ByName("in[A]") == nil {
-		t.Fatal("diff columns not in the session registry")
-	}
-	// The diff is an ordinary database: hot paths over the delta column.
-	out = runScript(t, s, []string{"hot cost[B-A]"})
-	if !strings.Contains(out, "hot path ends at") {
-		t.Fatalf("hot path over delta column failed: %q", out)
-	}
-	runScript(t, s, []string{"back"})
-	if s.InDiff() {
-		t.Fatal("back did not leave the diff")
-	}
-	if s.Registry().Len() != baseCols || s.Registry().ByName("cost[B-A]") != nil {
-		t.Fatal("back did not restore the original registry")
-	}
-	if resp := s.Do(Request{Line: "back"}); resp.Err == "" {
-		t.Fatal("back outside a diff did not error")
+	rig := memRig(before, after)
+	script := []string{"diff missing", "back", "diff other", "hot cost[B-A]", "metrics", "back", "back", "metrics"}
+	if _, err := oracle.Check(rig.model, script, surface(rig.session(rig.open()))); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestConcurrentDiffSessions runs 8 sessions over the same snapshot pair,
-// each diffing and rendering concurrently (exercised under -race in CI).
-// Every session must render byte-identical output: the inputs are only
-// read, and each union is private to its session.
+// each diffing and presenting the union at once (exercised under -race in
+// CI): each prints what its script prints alone, where every step lists
+// what the model does. The inputs are only read, and each union is private
+// to its session.
 func TestConcurrentDiffSessions(t *testing.T) {
-	before, after := diffPair(t)
-	bsnap, asnap := NewSnapshot(before), NewSnapshot(after)
-	cat := SnapshotCatalog{"after": asnap}
-	script := []string{"diff after", "sort cost[B-A]", "expandall", "view callers", "expandall", "view flat", "view cc"}
-
-	const sessions = 8
-	outs := make([]string, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := NewSession(bsnap)
-			defer s.Close()
-			s.SetCatalog(cat)
-			var out strings.Builder
-			for _, line := range script {
-				resp := s.Do(Request{Line: line})
-				if resp.Err != "" {
-					t.Errorf("session %d %q: %s", i, line, resp.Err)
-					return
-				}
-			}
-			if err := s.Render(&out, render.Options{}); err != nil {
-				t.Errorf("session %d render: %v", i, err)
-				return
-			}
-			outs[i] = out.String()
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < sessions; i++ {
-		if outs[i] != outs[0] {
-			t.Fatalf("session %d rendered differently:\n--- session 0 ---\n%s\n--- session %d ---\n%s",
-				i, outs[0], i, outs[i])
-		}
-	}
+	rig := memRig(diffPair(t))
+	scripts := rig.scripts(4, 30, "diff other", "sort cost[B-A]", "expandall", "view callers", "expandall")
+	rig.concurrently(t, 8, scripts, rig.alone(t, scripts))
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -79,80 +78,6 @@ func TestOpenReportsColumnDamage(t *testing.T) {
 	defer snap.Close()
 	if notes := snap.Notes(); len(notes) != 1 || !strings.Contains(notes[0], "failed its CRC32C check") {
 		t.Fatalf("notes at open = %q, want the column's CRC note", notes)
-	}
-}
-
-// TestConcurrentSessionsOverMappedSnapshot is the zero-copy layout's
-// concurrency gate, designed to run under -race: 8 sessions share ONE
-// mapped snapshot, each registering session-private derived metrics and
-// running a diff (Compare + Back) that recomputes over the shared slabs,
-// while the others render from the same slabs. Every session must render
-// byte-identically to the same stream replayed in isolation, and — the
-// mapped file being the shared substrate — its bytes must be bit-for-bit
-// untouched afterwards: all writes land in copy-on-write heap slabs, never
-// the mapping.
-func TestConcurrentSessionsOverMappedSnapshot(t *testing.T) {
-	path, original := v3FixtureFile(t)
-	const sessions = 8
-	streams := commandStreams(sessions)
-	// Fold a diff recompute into every stream: diff the database against
-	// itself from the catalog, render inside the diff, and come back.
-	for i := range streams {
-		streams[i] = append(append([]string{}, streams[i]...), "diff self CYCLES", "expandall", "ls", "back", "ls")
-	}
-
-	catalogFor := func(sn *Snapshot) SnapshotCatalog {
-		return SnapshotCatalog{"self": mappedSnapshot(t, path)}
-	}
-
-	want := make([]string, sessions)
-	for i, stream := range streams {
-		sn := mappedSnapshot(t, path)
-		s := NewSession(sn)
-		s.SetCatalog(catalogFor(sn))
-		want[i] = replay(s, stream)
-		s.Close()
-	}
-	for i, w := range want {
-		if !strings.Contains(w, "scope") {
-			t.Fatalf("stream %d produced no render:\n%s", i, w)
-		}
-		if !strings.Contains(w, "diff:") {
-			t.Fatalf("stream %d never entered the diff:\n%s", i, w)
-		}
-	}
-
-	shared := mappedSnapshot(t, path)
-	catalog := catalogFor(shared)
-	got := make([]string, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := NewSession(shared)
-			defer s.Close()
-			s.SetCatalog(catalog)
-			got[i] = replay(s, streams[i])
-		}(i)
-	}
-	wg.Wait()
-
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("session %d over the shared mapping diverged from isolated replay\n--- shared ---\n%s\n--- isolated ---\n%s",
-				i, got[i], want[i])
-		}
-	}
-
-	// The mapping is read-only end to end: derived-metric materialization,
-	// summary sorts and the diff recompute all went through copy-on-write.
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(original, after) {
-		t.Fatal("mapped database bytes changed under concurrent sessions")
 	}
 }
 

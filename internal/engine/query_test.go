@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"bytes"
 	"io"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,15 +11,15 @@ import (
 	"repro/internal/merge"
 	"repro/internal/metric"
 	"repro/internal/mpi"
-	"repro/internal/render"
+	"repro/internal/profile"
 	"repro/internal/sampler"
 	"repro/internal/structfile"
 	"repro/internal/workloads"
 )
 
-// mergeWorkload samples a workload at the given ranks and merges the
-// profiles.
-func mergeWorkload(tb testing.TB, spec workloads.Spec, ranks int) *merge.Result {
+// sampleWorkload lowers a workload, recovers its structure, samples it at
+// the given ranks and merges the profiles.
+func sampleWorkload(tb testing.TB, spec workloads.Spec, ranks int) (*structfile.Doc, []*profile.Profile, *merge.Result) {
 	tb.Helper()
 	im, err := lower.Lower(spec.Program, spec.LowerOpts)
 	if err != nil {
@@ -39,6 +37,12 @@ func mergeWorkload(tb testing.TB, spec workloads.Spec, ranks int) *merge.Result 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return doc, profs, res
+}
+
+// mergeWorkload is sampleWorkload's merged profiles.
+func mergeWorkload(tb testing.TB, spec workloads.Spec, ranks int) *merge.Result {
+	_, _, res := sampleWorkload(tb, spec, ranks)
 	return res
 }
 
@@ -57,159 +61,18 @@ func mergedFixture(t testing.TB) *expdb.Experiment {
 	return expdb.FromMerge(res)
 }
 
-// TestSortOrdersRepeatAndSeeDerived checks that rendering twice returns the
-// same rows in the same order, and that sorting by a derived column added
-// afterwards orders the rows as a fresh session does.
+// TestSortOrdersRepeatAndSeeDerived: rendering twice lists the same rows in
+// the same order, and sorting by a derived column added afterwards orders
+// the rows by its values.
 func TestSortOrdersRepeatAndSeeDerived(t *testing.T) {
-	s := session(t)
-	s.Expand(s.Tree().Root.Children[0])
-
-	a := s.VisibleRows()
-	first := make([]*core.Node, len(a))
-	for i, r := range a {
-		first[i] = r.Node
-	}
-	b := s.VisibleRows()
-	if len(a) != len(b) {
-		t.Fatalf("re-render changed row count: %d vs %d", len(a), len(b))
-	}
-	for i := range b {
-		if b[i].Node != first[i] {
-			t.Fatalf("re-render reordered row %d", i)
-		}
-	}
-
-	// A derived metric brings new values: sorting by it must order by
-	// them.
-	if err := s.AddDerivedMetric("neg", "0 - $0"); err != nil {
-		t.Fatal(err)
-	}
-	d := s.Registry().ByName("neg")
-	s.SetSort(core.SortSpec{MetricID: d.ID})
-	got := rowLabels(s.VisibleRows())
-	// Derived columns are session-private now: the fresh session registers
-	// the same formula and gets the same column ID (same base boundary).
-	s2 := newTestSession(s.Tree(), nil)
-	if err := s2.AddDerivedMetric("neg", "0 - $0"); err != nil {
-		t.Fatal(err)
-	}
-	s2.Expand(s.Tree().Root.Children[0])
-	s2.SetSort(core.SortSpec{MetricID: d.ID})
-	want := rowLabels(s2.VisibleRows())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("session rows %v, fresh session rows %v", got, want)
-	}
+	checkScript(t, core.Fig1Tree(), "expand 0", "ls", "ls", "derived neg=0-$0", "sort neg")
 }
 
-// TestChurnedSessionMatchesFresh drives one session through a churn of
-// interactions and checks every render against a fresh session configured
-// identically — no earlier interaction may show in the rows.
-func TestChurnedSessionMatchesFresh(t *testing.T) {
-	tr := core.Fig1Tree()
-	s := newTestSession(tr, nil)
-	check := func(step string) {
-		t.Helper()
-		fresh := newTestSession(tr, nil)
-		fresh.SwitchView(s.view)
-		fresh.expanded.bits = map[*metric.Store][]uint64{}
-		for st, bits := range s.expanded.bits {
-			fresh.expanded.bits[st] = slices.Clone(bits)
-		}
-		fresh.SetSort(s.sort)
-		fresh.flatten = s.flatten
-		fresh.zoom = append([]*core.Node(nil), s.zoom...)
-		got, want := rowLabels(s.VisibleRows()), rowLabels(fresh.VisibleRows())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: churned rows %v, fresh rows %v", step, got, want)
-		}
-	}
-	check("initial")
-	if err := s.ExpandAll(tr.Root); err != nil {
-		t.Fatal(err)
-	}
-	check("expandall")
-	s.SetSort(core.SortSpec{MetricID: 0, Ascending: true})
-	check("ascending")
-	s.SetSort(core.SortSpec{ByLabel: true})
-	check("bylabel")
-	s.SwitchView(ViewFlat)
-	if err := s.ExpandAll(tr.Root); err != nil {
-		t.Fatal(err)
-	}
-	check("flat")
-	if err := s.FlattenOnce(); err != nil {
-		t.Fatal(err)
-	}
-	check("flattened")
-	s.SwitchView(ViewCallers)
-	if err := s.ExpandAll(tr.Root); err == nil {
-		_ = err
-	}
-	check("callers")
-}
-
-// TestHotPathRepeatsAndFollowsThreshold checks that repeated hot-path
-// queries return the same path and that a threshold change gives the path
-// a fresh session finds at that threshold.
+// TestHotPathRepeatsAndFollowsThreshold: a hot path asked again from the
+// top is the same path, and a threshold change gives the path the rules
+// give at that threshold.
 func TestHotPathRepeatsAndFollowsThreshold(t *testing.T) {
-	s := session(t)
-	p1 := s.HotPath(0)
-	// HotPath selects the path endpoint; reset so the second query is
-	// identical to the first.
-	s.Select(nil)
-	p2 := s.HotPath(0)
-	if !reflect.DeepEqual(p1, p2) {
-		t.Fatalf("hot path changed across identical queries: %v vs %v", p1, p2)
-	}
-	s.Select(nil)
-	s.SetThreshold(0.99)
-	p3 := s.HotPath(0)
-	fresh := newTestSession(s.Tree(), nil)
-	fresh.SetThreshold(0.99)
-	want := fresh.HotPath(0)
-	if len(p3) != len(want) {
-		t.Fatalf("threshold change gave a %d-scope path, a fresh session %d", len(p3), len(want))
-	}
-}
-
-// TestMappedSessionMatchesEager fronts a mapped database with a session
-// sorted by a raw column, fully expanded, rendering a summary column: the
-// output matches a session over the same database decoded whole, byte for
-// byte.
-func TestMappedSessionMatchesEager(t *testing.T) {
-	path, data := v3FixtureFile(t)
-	eager, err := expdb.Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn := mappedSnapshot(t, path)
-	defer sn.Close()
-	raw := sn.Tree().Reg.ByName("CYCLES")
-	var cols []render.Column
-	for _, d := range sn.Tree().Reg.Columns() {
-		if d.Kind == metric.Summary {
-			cols = []render.Column{{MetricID: d.ID, Inclusive: true}}
-			break
-		}
-	}
-	renderAll := func(s *Session) string {
-		s.SetSort(core.SortSpec{MetricID: raw.ID})
-		s.SetColumns(cols)
-		if err := s.ExpandAll(s.Tree().Root); err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		if err := s.Render(&out, render.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	s := NewSession(sn)
-	defer s.Close()
-	mapped, whole := renderAll(s), renderAll(newTestSession(eager.Tree, nil))
-	if mapped != whole {
-		t.Fatalf("mapped render differs from eager render:\n--- mapped ---\n%s--- eager ---\n%s", mapped, whole)
-	}
+	checkScript(t, core.Fig1Tree(), "hot cost", "view flat", "view cc", "hot cost", "view flat", "view cc", "threshold 0.99", "hot cost")
 }
 
 // TestReplReadsNoSectionAgain: opening a mapped snapshot checksums every

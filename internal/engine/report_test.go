@@ -11,13 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expdb"
-	"repro/internal/lower"
-	"repro/internal/merge"
 	"repro/internal/metric"
-	"repro/internal/mpi"
 	"repro/internal/report"
-	"repro/internal/sampler"
-	"repro/internal/structfile"
 	"repro/internal/workloads"
 )
 
@@ -25,26 +20,9 @@ import (
 // built from: pflotran at 3 ranks with CYCLES mean/max summaries, as v3.
 func reportGoldenDB(t *testing.T) string {
 	t.Helper()
-	spec, err := workloads.ByName("pflotran")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: 3, Events: sampler.DefaultEvents(spec.Period)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := workloads.PFLOTRAN()
+	spec.Params = nil // the golden database was sampled with none
+	_, _, res := sampleWorkload(t, spec, 3)
 	if err := res.AddSummaries(res.Tree.Reg.ByName("CYCLES").ID, metric.OpMean, metric.OpMax); err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,15 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expdb"
 	"repro/internal/metric"
+	"repro/internal/oracle"
 	"repro/internal/render"
 )
 
@@ -57,52 +58,10 @@ func multiChildLists(t *core.Tree) int {
 	return lists
 }
 
-// naiveRows is the oracle of VisibleRows: the same walk with
-// every sibling list copied and sorted on the spot, descending into the
-// scopes expanded reports open.
-func naiveRows(s *Session, expanded func(*core.Node) bool) []render.Row {
-	var rows []render.Row
-	var add func(ns []*core.Node, depth int)
-	add = func(ns []*core.Node, depth int) {
-		sorted := append([]*core.Node(nil), ns...)
-		inclusive, id := !s.sort.Exclusive, s.sort.MetricID
-		core.SortScopesFunc(sorted, s.sort, func(n *core.Node) float64 { return s.cellValue(n, id, inclusive) })
-		var cut int32
-		if s.topN > 0 && len(sorted) > s.topN {
-			sorted, cut = sorted[:s.topN], int32(len(sorted)-s.topN)
-		}
-		last := len(rows)
-		for _, n := range sorted {
-			last = len(rows)
-			// A Callers View root the session has not opened shows a +,
-			// and nothing below it, whatever other sessions built.
-			if s.view == ViewCallers && n.Parent == nil && !s.opened.has(n) {
-				rows = append(rows, render.Row{Node: n, Depth: depth, HasHidden: true})
-				continue
-			}
-			shown := expanded(n) && (s.maxDepth == 0 || depth+1 < s.maxDepth)
-			// A Flat View procedure row may have rows below it that the
-			// session has not built yet.
-			hidden := n.HasRowsBelow() && !shown
-			rows = append(rows, render.Row{Node: n, Depth: depth, HasHidden: hidden})
-			if shown {
-				add(n.Children, depth+1)
-			}
-		}
-		if cut > 0 {
-			// The last scope shown of a cut list counts what the cut hid.
-			rows[last].Cut = cut
-		}
-	}
-	add(s.roots(), 0)
-	return rows
-}
-
 // TestRowsBeyondCacheCapacity drives one session through expand-all walks
 // that sort hundreds of sibling lists, in all three views and at flatten
 // levels 0 and 1, then collapses, expands, re-sorts and adds a derived
-// column. After every command its rows must be those of the oracle walk,
-// its output that of a fresh session given the same commands, and no
+// column. After every command it must list what the model does, and no
 // scope's Children may have left database order — the single-scope lists
 // the walk hands out uncopied are the tree's own.
 func TestRowsBeyondCacheCapacity(t *testing.T) {
@@ -124,35 +83,8 @@ func TestRowsBeyondCacheCapacity(t *testing.T) {
 	}
 	s := newTestSession(tree, nil)
 	defer s.Close()
-	for i, line := range script {
-		var got bytes.Buffer
-		if _, err := Exec(s, line, &got); err != nil {
-			t.Fatalf("%q: %v", line, err)
-		}
-		want := naiveRows(s, s.expanded.has)
-		rows := s.VisibleRows()
-		if len(rows) != len(want) {
-			t.Fatalf("after %q: %d rows, the oracle walk has %d", line, len(rows), len(want))
-		}
-		for j := range rows {
-			if rows[j] != want[j] {
-				t.Fatalf("after %q: row %d is %s (depth %d), the oracle walk has %s (depth %d)", line, j,
-					rows[j].Node.Label(), rows[j].Depth, want[j].Node.Label(), want[j].Depth)
-			}
-		}
-
-		fresh := newTestSession(tree, nil)
-		var out bytes.Buffer
-		for _, replay := range script[:i+1] {
-			out.Reset()
-			if _, err := Exec(fresh, replay, &out); err != nil {
-				t.Fatalf("fresh session, %q: %v", replay, err)
-			}
-		}
-		fresh.Close()
-		if !bytes.Equal(got.Bytes(), out.Bytes()) {
-			t.Fatalf("after %q: output differs from a fresh session's given the same commands", line)
-		}
+	if _, err := oracle.Check(oracle.NewModel(expdb.New(tree), "", nil), script, surface(s)); err != nil {
+		t.Fatal(err)
 	}
 
 	at := 0

@@ -542,10 +542,13 @@ func (s *Session) RenderLines(w io.Writer) error {
 }
 
 // RenderHTML writes the three views as one self-contained HTML report,
-// each expanded to the session's limits under its own heading, with the
-// hot path of column hotMetric highlighted in the Calling Context View (a
-// negative hotMetric highlights none). It leaves the session on the Flat
-// View.
+// each shown with every scope open, to the session's limits, under its own
+// heading, with the hot path of column hotMetric highlighted in the Calling
+// Context View (a negative hotMetric highlights none). It builds the rows
+// below the Flat View's procedures, and the callers of every Callers View
+// root, on the pool, or under a top-N limit only of the roots the walk
+// reaches. It marks no scope expanded, so the session is left on the Flat
+// View with nothing expanded.
 func (s *Session) RenderHTML(w io.Writer, title string, hotMetric int) error {
 	if _, err := io.WriteString(w, "<!-- "+html.EscapeString(title)+": calling context / callers / flat -->\n"); err != nil {
 		return err
@@ -558,14 +561,37 @@ func (s *Session) RenderHTML(w io.Writer, title string, hotMetric int) error {
 		if v.kind == ViewCC && hotMetric >= 0 {
 			s.HotPath(hotMetric)
 		}
-		if err := s.ExpandAll(nil); err != nil {
-			return err
+		// The walk reaches every row of the Flat View, and every Callers
+		// View root unless a top-N limit cuts the roots: build those rows
+		// at once, the callers on the pool, rather than root by root.
+		if v.kind == ViewFlat || s.topN == 0 {
+			if err := s.expandBelow(); err != nil {
+				return err
+			}
 		}
-		if err := render.RenderHTML(w, title+" — "+v.name, s.walk, s.reg, s.options(render.Options{})); err != nil {
+		rows := func(emit func(render.Row) error) error {
+			s.scratch = s.scratch[:0]
+			return render.Walk(s.roots(), (*openPresenter)(s), s.topN, s.maxDepth, emit)
+		}
+		if err := render.RenderHTML(w, title+" — "+v.name, rows, s.reg, s.options(render.Options{})); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// openPresenter is the session as a presenter that shows every scope open:
+// a Callers View root is opened for the session when the walk reaches it.
+type openPresenter Session
+
+func (p *openPresenter) Order(ns []*core.Node) []*core.Node { return (*Session)(p).sortedSiblings(ns) }
+
+func (p *openPresenter) Expanded(n *core.Node) (open, unread bool) {
+	s := (*Session)(p)
+	if s.unopened(n) {
+		s.open(n)
+	}
+	return true, s.unopened(n)
 }
 
 // options completes opt with the session's columns, highlights, percent

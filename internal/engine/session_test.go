@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,13 +9,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/expdb"
 	"repro/internal/imbalance"
-	"repro/internal/lower"
-	"repro/internal/merge"
-	"repro/internal/mpi"
+	"repro/internal/oracle"
 	"repro/internal/prog"
 	"repro/internal/render"
-	"repro/internal/sampler"
-	"repro/internal/structfile"
 	"repro/internal/workloads"
 )
 
@@ -31,192 +28,40 @@ func session(t *testing.T) *Session {
 	return newTestSession(core.Fig1Tree(), nil)
 }
 
-func rowLabels(rows []render.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.Node.Label()
-	}
-	return out
-}
+// TestTopDownAccess: only the entry frame shows before any expansion, with
+// a +: the paper's "forces the user to approach performance data in a
+// top-down fashion".
+func TestTopDownAccess(t *testing.T) { checkScript(t, core.Fig1Tree(), "ls") }
 
-func TestTopDownAccess(t *testing.T) {
-	s := session(t)
-	rows := s.VisibleRows()
-	// Only the entry frame is visible before any expansion: the paper's
-	// "forces the user to approach performance data in a top-down
-	// fashion".
-	if len(rows) != 1 || rows[0].Node.Label() != "m" {
-		t.Fatalf("initial rows = %v", rowLabels(rows))
-	}
-	if !rows[0].HasHidden {
-		t.Fatal("collapsed root not marked expandable")
-	}
-}
+func TestExpandCollapse(t *testing.T) { checkScript(t, core.Fig1Tree(), "expand 0", "collapse 0") }
 
-func TestExpandCollapse(t *testing.T) {
-	s := session(t)
-	rows := s.VisibleRows()
-	m := rows[0].Node
-	s.Expand(m)
-	rows = s.VisibleRows()
-	// m + its two children (f sorted before g by inclusive cost).
-	want := []string{"m", "f", "g"}
-	got := rowLabels(rows)
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("rows after expand = %v, want %v", got, want)
-	}
-	s.Collapse(m)
-	if n := len(s.VisibleRows()); n != 1 {
-		t.Fatalf("rows after collapse = %d", n)
-	}
-}
-
+// TestHotPathExpandsAndSelects: a hot path opens every scope on it and
+// selects its end, where the next one starts.
 func TestHotPathExpandsAndSelects(t *testing.T) {
-	s := session(t)
-	path := s.HotPath(0)
-	if len(path) == 0 {
-		t.Fatal("no hot path")
-	}
-	end := path[len(path)-1]
-	if s.Selected() != end {
-		t.Fatal("hot path endpoint not selected")
-	}
-	// Every scope along the path is now visible.
-	rows := s.VisibleRows()
-	visible := map[*core.Node]bool{}
-	for _, r := range rows {
-		visible[r.Node] = true
-	}
-	for _, n := range path {
-		if n.Kind == core.KindRoot {
-			continue
-		}
-		if !visible[n] {
-			t.Fatalf("hot path scope %q not visible", n.Label())
-		}
-	}
-	// Scopes off the path stay collapsed: g3 (m's other child) is
-	// visible but its statement child is not.
-	if visible[end] && len(rows) > len(path)+3 {
-		t.Fatalf("too many rows after hot path: %v", rowLabels(rows))
-	}
+	checkScript(t, core.Fig1Tree(), "hot cost", "hot cost")
 }
 
+// TestThresholdAffectsHotPath: each threshold gives its own path, and one
+// out of range restores the default.
 func TestThresholdAffectsHotPath(t *testing.T) {
-	s := session(t)
-	s.SetThreshold(0.8)
-	p80 := s.HotPath(0)
-	// A hot path selects its endpoint; start over from the top for a
-	// fair comparison.
-	s.Select(nil)
-	s.SetThreshold(0.5)
-	p50 := s.HotPath(0)
-	if len(p80) >= len(p50) {
-		t.Fatalf("t=0.8 path (%d) should be shorter than t=0.5 (%d)", len(p80), len(p50))
-	}
-	// Out-of-range threshold restores the default.
-	s.Select(nil)
-	s.SetThreshold(-1)
-	if len(s.HotPath(0)) != len(p50) {
-		t.Fatal("default threshold not restored")
-	}
+	checkScript(t, core.Fig1Tree(), "threshold 0.8", "hot cost", "view flat", "view cc", "threshold 0.5", "hot cost", "view flat", "view cc", "threshold -1", "hot cost")
 }
 
 func TestZoom(t *testing.T) {
-	s := session(t)
-	s.Expand(s.VisibleRows()[0].Node) // expand m
-	rows := s.VisibleRows()
-	var f *core.Node
-	for _, r := range rows {
-		if r.Node.Label() == "f" {
-			f = r.Node
-		}
-	}
-	if err := s.ZoomIn(f); err != nil {
-		t.Fatal(err)
-	}
-	got := rowLabels(s.VisibleRows())
-	// f's children: g1 and f's own statement.
-	if len(got) != 2 {
-		t.Fatalf("zoomed rows = %v", got)
-	}
-	s.ZoomOut()
-	if rowLabels(s.VisibleRows())[0] != "m" {
-		t.Fatal("zoom out failed")
-	}
-	// Zoom only applies to the CC view.
-	s.SwitchView(ViewFlat)
-	if err := s.ZoomIn(f); err == nil {
-		t.Fatal("zoom allowed in flat view")
-	}
+	checkScript(t, core.Fig1Tree(), "expand 0", "zoom 1", "ls", "out", "view flat", "zoom 0")
 }
 
 func TestCallersViewLazyExpansion(t *testing.T) {
-	s := session(t)
-	s.SwitchView(ViewCallers)
-	rows := s.VisibleRows()
-	if len(rows) != 4 {
-		t.Fatalf("callers roots = %v", rowLabels(rows))
-	}
-	// Roots are marked expandable even though children are not yet
-	// materialized.
-	var g *core.Node
-	for _, r := range rows {
-		if r.Node.Name.String() == "g" {
-			if !r.HasHidden {
-				t.Fatal("unexpanded callers root lacks expander")
-			}
-			g = r.Node
-		}
-	}
-	s.Expand(g)
-	rows = s.VisibleRows()
-	labels := strings.Join(rowLabels(rows), ",")
-	if !strings.Contains(labels, "g,g") && !strings.Contains(labels, "g,f") && !strings.Contains(labels, "g,m") {
-		t.Fatalf("caller chain not materialized: %v", rowLabels(rows))
-	}
+	checkScript(t, core.Fig1Tree(), "view callers", "ls", "expand 1")
 }
 
 func TestFlattenInFlatView(t *testing.T) {
-	s := session(t)
-	if err := s.FlattenOnce(); err == nil {
-		t.Fatal("flatten allowed outside flat view")
-	}
-	s.SwitchView(ViewFlat)
-	if len(s.VisibleRows()) != 1 { // one load module
-		t.Fatalf("flat roots = %v", rowLabels(s.VisibleRows()))
-	}
-	if err := s.FlattenOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rowLabels(s.VisibleRows()); len(got) != 2 {
-		t.Fatalf("after flatten = %v", got)
-	}
-	if err := s.FlattenOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rowLabels(s.VisibleRows()); len(got) != 4 { // 4 procedures
-		t.Fatalf("after flatten x2 = %v", got)
-	}
-	if s.FlattenLevel() != 2 {
-		t.Fatalf("level = %d", s.FlattenLevel())
-	}
-	s.Unflatten()
-	if got := rowLabels(s.VisibleRows()); len(got) != 2 {
-		t.Fatalf("after unflatten = %v", got)
-	}
+	checkScript(t, core.Fig1Tree(), "flatten", "view flat", "flatten", "flatten", "unflatten")
 }
 
+// TestSwitchViewResetsState: a view switch drops expansion and selection.
 func TestSwitchViewResetsState(t *testing.T) {
-	s := session(t)
-	s.HotPath(0)
-	s.SwitchView(ViewFlat)
-	if len(s.VisibleRows()) != 1 {
-		t.Fatal("expansion leaked across views")
-	}
-	if s.Selected() != nil {
-		t.Fatal("selection leaked across views")
-	}
+	checkScript(t, core.Fig1Tree(), "hot cost", "view flat", "hot cost")
 }
 
 func TestRowAddressing(t *testing.T) {
@@ -295,36 +140,13 @@ func TestViewKindString(t *testing.T) {
 }
 
 func TestSortAffectsRowOrder(t *testing.T) {
-	s := session(t)
-	s.Expand(s.VisibleRows()[0].Node)
-	s.SetSort(core.SortSpec{MetricID: 0, Exclusive: true})
-	got := rowLabels(s.VisibleRows())
-	// Exclusive sort puts g3 (excl 3) before f (excl 1).
-	if got[1] != "g" {
-		t.Fatalf("exclusive sort order = %v", got)
-	}
+	checkScript(t, core.Fig1Tree(), "expand 0", "sort cost:excl")
 }
 
 func TestPlotPerRank(t *testing.T) {
 	// Build a small multi-rank run, merge it, and plot a scope.
 	spec := workloads.PFLOTRAN()
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: 4, Params: spec.Params,
-		Events: sampler.DefaultEvents(spec.Period)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc, profs, res := sampleWorkload(t, spec, 4)
 	s := newTestSession(res.Tree, spec.Program)
 	s.AttachProfiles(doc, profs)
 
@@ -375,44 +197,17 @@ func TestPlotPerRank(t *testing.T) {
 	}
 }
 
+// TestHotPathInDerivedViews: with nothing selected, a hot path in the
+// Callers View starts at the hottest root, and in the Flat View at the
+// hottest module.
 func TestHotPathInDerivedViews(t *testing.T) {
-	s := session(t)
-	// Callers view: no selection -> starts from the hottest root (m,
-	// inclusive 10) and ends there (lazy children get expanded but m has
-	// no callers).
-	s.SwitchView(ViewCallers)
-	path := s.HotPath(0)
-	if len(path) == 0 || path[0].Name.String() != "m" {
-		t.Fatalf("callers hot path = %v", rowLabels(s.VisibleRows()))
-	}
-	// Flat view: starts from the only module and descends.
-	s.SwitchView(ViewFlat)
-	path = s.HotPath(0)
-	if len(path) < 2 {
-		t.Fatalf("flat hot path too short: %d", len(path))
-	}
-	if path[0].Kind != core.KindLM {
-		t.Fatalf("flat hot path starts at %v", path[0].Kind)
-	}
+	checkScript(t, core.Fig1Tree(), "view callers", "hot cost", "view flat", "hot cost")
 }
 
+// TestExpandAllInCallersView: expandall on the recursive procedure's root
+// shows its whole caller trie (g's six rows below it in Figure 2b).
 func TestExpandAllInCallersView(t *testing.T) {
-	s := session(t)
-	s.SwitchView(ViewCallers)
-	rows := s.VisibleRows()
-	// ExpandAll on the recursive procedure's root materializes and shows
-	// its whole caller trie (ga's 6 descendants in Figure 2b).
-	var g *core.Node
-	for _, r := range rows {
-		if r.Node.Name.String() == "g" {
-			g = r.Node
-		}
-	}
-	s.ExpandAll(g)
-	n := len(s.VisibleRows())
-	if n != len(rows)+6 {
-		t.Fatalf("rows after ExpandAll(g) = %d, want %d", n, len(rows)+6)
-	}
+	checkScript(t, core.Fig1Tree(), "view callers", "expandall 1")
 }
 
 // TestRenderHTMLAllViews: the HTML report holds the three views under
@@ -439,5 +234,35 @@ func TestRenderHTMLAllViews(t *testing.T) {
 	}
 	if strings.Contains(b.String(), "leaf hot") {
 		t.Fatal("hot path highlighted despite being disabled")
+	}
+}
+
+// TestRenderHTMLMatchesExpandAll: each view of the HTML report is what a
+// fresh session renders of it after SwitchView, HotPath and ExpandAll(nil),
+// with no limits and with top and depth limits, on Figure 1 and on a bushy
+// tree.
+func TestRenderHTMLMatchesExpandAll(t *testing.T) {
+	for _, tree := range []*core.Tree{core.Fig1Tree(), bushyTree(t, 300, 3)} {
+		for _, lim := range [][2]int{{0, 0}, {2, 3}, {1, 0}, {0, 2}} {
+			snap := NewSnapshot(expdb.New(tree))
+			open := func() *Session {
+				s := NewSession(snap)
+				s.SetLimits(lim[0], lim[1])
+				return s
+			}
+			var got, want strings.Builder
+			err := open().RenderHTML(&got, "t", 0)
+			want.WriteString("<!-- t: calling context / callers / flat -->\n")
+			for v, name := range []string{"Calling Context View", "Callers View", "Flat View"} {
+				f := open()
+				if f.SwitchView(ViewKind(v)); v == 0 {
+					f.HotPath(0)
+				}
+				err = errors.Join(err, f.ExpandAll(nil), render.RenderHTML(&want, "t — "+name, f.walk, f.reg, f.options(render.Options{})))
+			}
+			if err != nil || got.String() != want.String() {
+				t.Fatalf("%s, top %d depth %d: %v %s", tree.Program, lim[0], lim[1], err, oracle.FirstDiff(got.String(), want.String()))
+			}
+		}
 	}
 }

@@ -185,19 +185,26 @@ func CCT(t *core.Tree) *View {
 // greatest cost if that child holds at least t of start's cost (t = 0.5,
 // the paper's default, when t <= 0) and start's cost is positive.
 func HotPath(start *core.Node, col int, t float64) []*core.Node {
+	return hotPath(start, func(n *core.Node) []*core.Node { return n.Children }, func(n *core.Node) float64 { return n.Incl.Get(col) }, t)
+}
+
+// hotPath is HotPath over any rows, given their children and inclusive
+// cost.
+func hotPath[T any](start T, children func(T) []T, cost func(T) float64, t float64) []T {
 	if t <= 0 {
 		t = 0.5
 	}
-	var best *core.Node
-	for _, c := range start.Children {
-		if best == nil || c.Incl.Get(col) > best.Incl.Get(col) {
+	var best T
+	kids := children(start)
+	for i, c := range kids {
+		if i == 0 || cost(c) > cost(best) {
 			best = c
 		}
 	}
-	if x := start.Incl.Get(col); best == nil || x <= 0 || best.Incl.Get(col) < t*x {
-		return []*core.Node{start}
+	if x := cost(start); len(kids) == 0 || x <= 0 || cost(best) < t*x {
+		return []T{start}
 	}
-	return append([]*core.Node{start}, HotPath(best, col, t)...)
+	return append([]T{start}, hotPath(best, children, cost, t)...)
 }
 
 // Flat is the Flat View (Figure 2c, DESIGN.md §4.4). A frame maps to its

@@ -8,46 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/expdb"
-	"repro/internal/lower"
-	"repro/internal/merge"
-	"repro/internal/mpi"
-	"repro/internal/sampler"
-	"repro/internal/structfile"
-	"repro/internal/workloads"
 )
-
-// fixtureAt serializes the toy workload merged at the given rank count, so
-// compare tests get a genuine weak-scaling pair of lazily opened databases.
-func fixtureAt(t *testing.T, ranks int) []byte {
-	t.Helper()
-	spec, err := workloads.ByName("toy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: ranks, Events: sampler.DefaultEvents(spec.Period)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // postJSON posts a JSON body and returns status and response bytes.
 func postJSON(t *testing.T, hc *http.Client, url string, body any) (int, []byte) {
@@ -69,12 +30,12 @@ func postJSON(t *testing.T, hc *http.Client, url string, body any) (int, []byte)
 }
 
 func TestCompareEndpoint(t *testing.T) {
-	srv := NewWithConfig(mappedSnapshot(t, fixtureAt(t, 2)), Config{})
+	srv := NewWithConfig(mappedSnapshot(t, fixtureAt(t, 2, false)), Config{})
 	defer srv.Close()
-	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err != nil {
+	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6, false))); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err == nil {
+	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6, false))); err == nil {
 		t.Fatal("duplicate catalog name did not error")
 	}
 	if err := srv.AddSnapshot("bad name", nil); err == nil {
@@ -145,9 +106,9 @@ func TestCompareEndpoint(t *testing.T) {
 // HTTP session surface: the catalog attached to server sessions is the
 // same one the compare endpoint reads.
 func TestSessionDiffOverHTTP(t *testing.T) {
-	srv := NewWithConfig(mappedSnapshot(t, fixtureAt(t, 2)), Config{})
+	srv := NewWithConfig(mappedSnapshot(t, fixtureAt(t, 2, false)), Config{})
 	defer srv.Close()
-	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6))); err != nil {
+	if err := srv.AddSnapshot("big", mappedSnapshot(t, fixtureAt(t, 6, false))); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

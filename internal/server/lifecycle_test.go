@@ -10,45 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/expdb"
-	"repro/internal/lower"
-	"repro/internal/merge"
-	"repro/internal/mpi"
-	"repro/internal/sampler"
-	"repro/internal/structfile"
-	"repro/internal/workloads"
 )
-
-// fixtureV3Bytes serializes the toy workload in the mapped (v3) format —
-// the payload ingest tests push over HTTP.
-func fixtureV3Bytes(t *testing.T, ranks int) []byte {
-	t.Helper()
-	spec, err := workloads.ByName("toy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: ranks, Events: sampler.DefaultEvents(spec.Period)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // apiErrorOf decodes the typed error envelope degraded responses carry.
 func apiErrorOf(t *testing.T, body []byte) apiError {
@@ -185,7 +147,7 @@ func TestBodyCap413(t *testing.T) {
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	big := fixtureV3Bytes(t, 2)
+	big := fixtureAt(t, 2, false)
 	if len(big) <= 1024 {
 		t.Fatalf("fixture unexpectedly small (%d bytes)", len(big))
 	}
@@ -230,8 +192,8 @@ func TestIngestToSessionE2E(t *testing.T) {
 		return resp.StatusCode, data
 	}
 
-	genA := fixtureV3Bytes(t, 2)
-	genB := fixtureV3Bytes(t, 3)
+	genA := fixtureAt(t, 2, false)
+	genB := fixtureAt(t, 3, false)
 
 	// No default database: /v1/info and bare session creation are typed 404s.
 	resp, err := hc.Get(ts.URL + "/v1/info")

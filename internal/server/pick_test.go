@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,46 +11,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/expdb"
-	"repro/internal/lower"
-	"repro/internal/merge"
-	"repro/internal/mpi"
-	"repro/internal/sampler"
-	"repro/internal/structfile"
-	"repro/internal/workloads"
 )
-
-// toyV3Bytes builds a v3 database of the toy workload at ranks ranks.
-func toyV3Bytes(t *testing.T, ranks int) []byte {
-	t.Helper()
-	spec, err := workloads.ByName("toy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{
-		NRanks: ranks,
-		Events: sampler.DefaultEvents(spec.Period),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 func publishBytes(t *testing.T, c *catalog.Catalog, key catalog.Key, data []byte) {
 	t.Helper()
@@ -89,9 +49,9 @@ func getJSON(t *testing.T, hc *http.Client, url string, dst any) int {
 
 func TestPickEndpoint(t *testing.T) {
 	cat := catalog.New(catalog.Config{MaxGenerations: 10})
-	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 1}, toyV3Bytes(t, 4))
-	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 2}, toyV3Bytes(t, 6))
-	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 3}, toyV3Bytes(t, 2))
+	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 1}, fixtureAt(t, 4, false))
+	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 2}, fixtureAt(t, 6, false))
+	publishBytes(t, cat, catalog.Key{Service: "svc", Run: "r", Ts: 3}, fixtureAt(t, 2, false))
 	srv := NewWithConfig(nil, Config{Catalog: cat})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

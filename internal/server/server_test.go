@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,47 +13,27 @@ import (
 	"sync"
 	"testing"
 
+	"repro/callpath"
 	"repro/internal/engine"
 	"repro/internal/expdb"
-	"repro/internal/lower"
-	"repro/internal/merge"
 	"repro/internal/metric"
-	"repro/internal/mpi"
-	"repro/internal/sampler"
-	"repro/internal/structfile"
-	"repro/internal/workloads"
+	"repro/internal/oracle"
 )
 
-// fixtureBytes builds the merged multi-rank toy experiment (summary columns
-// beside the raw ones) and serializes it as v3, so that opening it maps it.
-func fixtureBytes(t *testing.T) []byte {
+// fixtureAt samples the toy workload at ranks and merges the profiles, with
+// mean and max summaries of CYCLES beside the raw columns when summaries is
+// set, and serializes the result as v3, so that opening it maps it.
+func fixtureAt(t *testing.T, ranks int, summaries bool) []byte {
 	t.Helper()
-	spec, err := workloads.ByName("toy")
+	run, err := callpath.Run(callpath.RunConfig{Workload: "toy", Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, err := lower.Lower(spec.Program, spec.LowerOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := structfile.Recover(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs, err := mpi.Run(im, mpi.Config{NRanks: 3, Events: sampler.DefaultEvents(spec.Period)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := merge.Profiles(doc, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyc := res.Tree.Reg.ByName("CYCLES")
-	if cyc == nil {
-		t.Fatal("no CYCLES column")
-	}
-	if err := res.AddSummaries(cyc.ID, metric.OpMean, metric.OpMax); err != nil {
-		t.Fatal(err)
+	res := run.Merged
+	if summaries {
+		if err := res.AddSummaries(res.Tree.Reg.ByName("CYCLES").ID, metric.OpMean, metric.OpMax); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := expdb.FromMerge(res).WriteBinaryV3(&buf); err != nil {
@@ -62,6 +41,9 @@ func fixtureBytes(t *testing.T) []byte {
 	}
 	return buf.Bytes()
 }
+
+// fixtureBytes is the toy workload merged at three ranks, with summaries.
+func fixtureBytes(t *testing.T) []byte { return fixtureAt(t, 3, true) }
 
 // mappedSnapshot writes a v3 database to a file of its own and opens it the
 // way hpcserver does.
@@ -172,73 +154,50 @@ func (c *client) exec(token, line string) (output, errText string, quit bool) {
 	return body.Output, body.Err, body.Quit
 }
 
-// TestHTTPSessionEquivalence is the transport half of the PR's acceptance
-// gate: command streams executed over HTTP against one shared server
-// produce byte-identical output to the same streams replayed through
-// private engine sessions over private database opens. The HTTP layer adds
+// TestHTTPSessionEquivalence: scripts oracle.Generate draws, sent at once
+// over HTTP to one shared server, print byte for byte what they print
+// through private engine sessions over private opens. The HTTP layer adds
 // tokens and JSON framing — never presentation semantics.
 func TestHTTPSessionEquivalence(t *testing.T) {
 	data := fixtureBytes(t)
-	streams := [][]string{
-		{"ls", "expand 0", "hot CYCLES", "view callers", "expandall", "ls"},
-		{"view flat", "flatten", "sort CYCLES:excl", "ls", "stats CYCLES"},
-		{"derived waste=$0*2", "sort waste", "expandall", "ls", "stats waste"},
-		{"cols all", "sort name", "ls", "zoom 0", "ls", "out", "metrics"},
-		{"view callers", "expand 0", "sort CYCLES", "ls", "view cc", "top 2", "ls"},
-		{"hot CYCLES", "threshold 0.9", "hot CYCLES", "depth 3", "ls"},
-		{"derived d2=$1+$0", "cols all", "sort d2", "ls", "hot d2", "ls"},
-		{"expandall", "ls", "view flat", "flatten", "flatten", "ls", "unflatten", "ls"},
+	e, err := expdb.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Ground truth: isolated engine replays, one private snapshot each.
-	want := make([]string, len(streams))
-	for i, stream := range streams {
+	model := oracle.NewModel(e, "", nil)
+	scripts, want := make([][]string, 8), make([]string, 8)
+	for i := range scripts {
+		scripts[i] = oracle.Generate(int64(i+1), 30, model.Fresh())
 		s := engine.NewSession(mappedSnapshot(t, data))
-		var out strings.Builder
-		for _, line := range stream {
+		want[i] = oracle.Replay(scripts[i], func(line string) (string, string) {
 			resp := s.Do(engine.Request{Line: line})
-			out.WriteString(resp.Output)
-			if resp.Err != "" {
-				fmt.Fprintf(&out, "error: %s\n", resp.Err)
-			}
-		}
+			return resp.Output, resp.Err
+		})
 		s.Close()
-		want[i] = out.String()
-		if !strings.Contains(want[i], "scope") {
-			t.Fatalf("stream %d produced no render:\n%s", i, want[i])
-		}
 	}
 
 	srv := NewWithConfig(mappedSnapshot(t, data), Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	got := make([]string, len(streams))
+	got := make([]string, len(scripts))
 	var wg sync.WaitGroup
-	for i := range streams {
+	for i := range scripts {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			c := &client{t: t, base: ts.URL, hc: ts.Client()}
 			token := c.createSession()
-			var out strings.Builder
-			for _, line := range streams[i] {
-				output, errText, _ := c.exec(token, line)
-				out.WriteString(output)
-				if errText != "" {
-					fmt.Fprintf(&out, "error: %s\n", errText)
-				}
-			}
-			got[i] = out.String()
-		}(i)
+			got[i] = oracle.Replay(scripts[i], func(line string) (string, string) {
+				out, errText, _ := c.exec(token, line)
+				return out, errText
+			})
+		}()
 	}
 	wg.Wait()
-
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("HTTP stream %d diverged from isolated engine replay\n--- http ---\n%s\n--- engine ---\n%s",
-				i, got[i], want[i])
+			t.Errorf("script %q over HTTP diverged from an isolated engine session\n--- http ---\n%s\n--- engine ---\n%s", scripts[i], got[i], want[i])
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/expdb"
+	"repro/internal/oracle"
 )
 
 // TestLegacyTracedV3 opens a v3 file written with time-dimension trace
@@ -48,7 +49,7 @@ func TestLegacyTracedV3(t *testing.T) {
 			t.Errorf("re-encoded: %d bytes, twin %d, first difference at byte %d", buf.Len(), len(twinBytes), firstByte(buf.Bytes(), twinBytes))
 		}
 		if got := renderViews(t, snap); got != wantViews {
-			t.Errorf("views differ from the twin's at %s", firstDiff(got, wantViews))
+			t.Errorf("views differ from the twin's at %s", oracle.FirstDiff(got, wantViews))
 		}
 	}
 
